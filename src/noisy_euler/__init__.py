@@ -9,7 +9,8 @@ With amplitude and phase damping attached to each physical pulse the three
 z-angles stop being equivalent bookkeeping: different (beta, gamma, delta)
 realizing the same unitary route the state differently through the noise.
 This package computes the damping model in closed form, optimizes the angles
-for a known initial state (or a distribution of them), and provides
+for a known initial state (or a distribution of them) on an exact moment
+objective with analytic gradients, and provides
 randomized-benchmarking and sweep harnesses plus a CLI on top.
 """
 
@@ -44,10 +45,10 @@ from .noise import (
 )
 from .objectives import (
     InitialStateDistribution,
-    NumericalAccuracyError,
     expected_fidelity,
     expected_fidelity_gradient,
     fidelity,
+    moment_objective,
     prep_fidelity,
 )
 from .optimize import (
@@ -118,10 +119,10 @@ __all__ = [
     "noisy_gate_stepwise",
     "phase_damping_kraus",
     "InitialStateDistribution",
-    "NumericalAccuracyError",
     "expected_fidelity",
     "expected_fidelity_gradient",
     "fidelity",
+    "moment_objective",
     "prep_fidelity",
     "OptimizationResult",
     "OptimizerConfig",

@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -47,7 +48,7 @@ from .io import (
     write_json,
 )
 from .noise import NoiseParams
-from .objectives import InitialStateDistribution, NumericalAccuracyError
+from .objectives import InitialStateDistribution
 from .optimize import OptimizerConfig, optimize_gate
 from .rb import RB_GRADIENT_TOLERANCE, RbConfig, run_drift_sweep, run_rb_experiment
 
@@ -224,12 +225,23 @@ def _optimizer_dict(args, rng_seed: int) -> dict:
     return {
         "max_iterations": args.max_iterations,
         "gradient_tolerance": args.gradient_tolerance,
-        "fd_step": args.fd_step,
         "multistart_count": args.multistart,
-        "quadrature_mode": args.quadrature,
-        "mc_samples": args.mc_samples,
         "rng_seed": rng_seed,
     }
+
+
+def _optimizer_from_dict(d: dict) -> OptimizerConfig:
+    """OptimizerConfig from a manifest's ``optimizer`` entry; a key the
+    config does not have (say, from a manifest written by an older version)
+    is a ValueError that names it."""
+    known = [f.name for f in dataclasses.fields(OptimizerConfig)]
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(
+            f"optimizer config has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(known)}"
+        )
+    return OptimizerConfig(**d)
 
 
 def _dist_from_dict(d: dict) -> InitialStateDistribution:
@@ -254,7 +266,7 @@ def _rb_config_from_dict(d: dict) -> RbConfig:
         readout=tuple(d["readout"]) if d.get("readout") else None,
         mitigate=bool(d.get("mitigate", False)),
         rng_seed=d["rng_seed"],
-        optimizer=OptimizerConfig(**d["optimizer"]),
+        optimizer=_optimizer_from_dict(d["optimizer"]),
         track_noisy_state=bool(d.get("track_noisy_state", False)),
     )
 
@@ -265,7 +277,7 @@ def _sweep_config_from_dict(d: dict) -> SweepConfig:
         targets_per_point=d["targets_per_point"],
         theta_max_grid=tuple(d.get("theta_max_grid") or ()),
         rng_seed=d["rng_seed"],
-        optimizer=OptimizerConfig(**d["optimizer"]),
+        optimizer=_optimizer_from_dict(d["optimizer"]),
     )
 
 
@@ -319,7 +331,7 @@ def _run_optimize(config: dict, outdir: Path, tag: str) -> int:
         gate,
         _dist_from_dict(config["dist"]),
         _noise_from_dict(config["noise"]),
-        OptimizerConfig(**config["optimizer"]),
+        _optimizer_from_dict(config["optimizer"]),
     )
     a = result.angles_opt
     print(f"target angles  (beta, gamma, delta) = "
@@ -548,11 +560,8 @@ def _add_noise_flags(sp) -> None:
 def _add_optimizer_flags(sp, gtol_default: float) -> None:
     sp.add_argument("--max-iterations", type=int, default=500)
     sp.add_argument("--gradient-tolerance", type=float, default=gtol_default)
-    sp.add_argument("--fd-step", type=float, default=1e-6)
     sp.add_argument("--multistart", type=int, default=0,
                     help="extra uniform-random starts beside the target seed")
-    sp.add_argument("--quadrature", choices=("gauss", "monte-carlo"), default="gauss")
-    sp.add_argument("--mc-samples", type=int, default=4096)
 
 
 def _add_rb_flags(sp, gates_default: int, depths_default: str) -> None:
@@ -648,7 +657,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, parser)
     except (
         DeviceSpecError,
-        NumericalAccuracyError,
         np.linalg.LinAlgError,
         OSError,
         ValueError,

@@ -129,6 +129,13 @@ class BlochState:
             ]
         )
 
+    def bloch_vector(self) -> np.ndarray:
+        """n = (sin theta cos phi, sin theta sin phi, cos theta)."""
+        st = math.sin(self.theta)
+        return np.array(
+            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
+        )
+
 
 def bloch_from_statevector(psi: np.ndarray) -> BlochState:
     """Bloch angles of a (not necessarily normalized) 2-vector, global phase

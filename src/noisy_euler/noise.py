@@ -21,15 +21,17 @@ The composite channel has the closed form (for trace-1 input)
     N(rho) = [[rho00 (1-la) + la,            rho01 sqrt(1-la) sqrt(1-lp)],
               [rho10 sqrt(1-la) sqrt(1-lp),  rho11 (1-la)]].
 
-``noisy_gate_stepwise`` applies the native decomposition pulse by pulse and
-works for arbitrary (mixed) inputs; ``noisy_gate_closed_form`` evaluates the
-equivalent closed-form output state for a pure Bloch-sphere input.  The two
-routes agree to ~1e-15 and are both kept as independent implementations.
+On the Bloch vector n (rho = (I + n.sigma)/2) the channel is affine,
+n -> diag(e, e, 1-la) n + (0, 0, la) with e = sqrt(1-la) sqrt(1-lp), and the
+virtual R_z are rotations, so the whole noisy native gate is one affine map
+n -> A n + t (``_affine_map``); ``noisy_gate_closed_form`` renders its output
+for a pure input.  ``noisy_gate_stepwise`` applies the decomposition pulse by
+pulse on 2x2 density matrices and is kept as the independent route; the two
+agree to ~1e-15.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -176,71 +178,56 @@ _RX_PLUS = rx(0.5 * math.pi)
 _RX_MINUS = rx(-0.5 * math.pi)
 
 
-def _closed_form_entries(
-    beta: float,
-    gamma: float,
-    delta: float,
-    theta: float,
-    phi: float,
-    la: float,
-    lp: float,
-):
-    """(rho00, rho01) of the noisy native gate acting on |psi(theta, phi)>.
+def _rz3(phi: float) -> np.ndarray:
+    """Bloch-vector (SO(3)) image of R_z(phi)."""
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
-    Scalar fast path used inside optimizer loops; the vectorized twin below
-    evaluates the same expressions over node arrays.
+
+def _pulse_pair(gamma: float, la: float, lp: float):
+    """Entries of the noisy part of the native gate, between its outer frame
+    changes R_z(beta) and R_z(delta).
+
+    On the Bloch vector each pulse R_x(+-pi/2) is a rotation followed by the
+    damping D = diag(e, e, 1-la), e = sqrt(1-la) sqrt(1-lp), and the offset
+    (0, 0, la).  The pulse pair therefore acts as n -> K n + t0 with
+    K = D Rx(-pi/2) Rz(gamma) D Rx(pi/2):
+
+        K = [[ e^2 cos(gamma),         0,         e^2 sin(gamma)       ],
+             [ 0,                      e (1-la),  0                    ],
+             [-e (1-la) sin(gamma),    0,         e (1-la) cos(gamma)  ]]
+
+    and t0 = (0, e la, la); R_z(gamma) fixes the first pulse's offset, so t0
+    does not depend on gamma.  Returns (k00, k02, k11, k20, k22, t0y, t0z).
     """
-    ea = math.sqrt(1.0 - la)
-    ep = math.sqrt(1.0 - lp)
-    sg, cg = math.sin(gamma), math.cos(gamma)
-    st, ct = math.sin(theta), math.cos(theta)
-    cpd, spd = math.cos(phi + delta), math.sin(phi + delta)
-    a = 0.5 * ((-sg * cpd * st + cg * ct) * (1.0 - la) * ea * ep + 1.0 + la)
-    b = (cmath.exp(-1j * beta) / 2.0) * (
-        (cpd * cg * st + sg * ct) * (1.0 - la) * (1.0 - lp)
-        - 1j * (spd * st * (1.0 - la) + la) * ea * ep
-    )
-    return a, b
+    e = math.sqrt(1.0 - la) * math.sqrt(1.0 - lp)
+    ee, ek = e * e, e * (1.0 - la)
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    return ee * cg, ee * sg, ek, -ek * sg, ek * cg, e * la, la
 
 
-def _closed_form_entries_arrays(
-    beta: float,
-    gamma: float,
-    delta: float,
-    theta: np.ndarray,
-    phi: np.ndarray,
-    la: float,
-    lp: float,
-):
-    """Vectorized twin of ``_closed_form_entries`` over node arrays."""
-    ea = math.sqrt(1.0 - la)
-    ep = math.sqrt(1.0 - lp)
-    sg, cg = math.sin(gamma), math.cos(gamma)
-    st, ct = np.sin(theta), np.cos(theta)
-    cpd, spd = np.cos(phi + delta), np.sin(phi + delta)
-    a = 0.5 * ((-sg * cpd * st + cg * ct) * (1.0 - la) * ea * ep + 1.0 + la)
-    b = (cmath.exp(-1j * beta) / 2.0) * (
-        (cpd * cg * st + sg * ct) * (1.0 - la) * (1.0 - lp)
-        - 1j * (spd * st * (1.0 - la) + la) * ea * ep
-    )
-    return a, b
+def _affine_map(beta: float, gamma: float, delta: float, la: float, lp: float):
+    """(A, t): the noisy native gate as the affine Bloch-vector map
+    n -> A n + t, exact for pure and mixed inputs, with A = Rz(beta) K Rz(delta)
+    and t = Rz(beta) t0 (see ``_pulse_pair``).  At zero noise A is the gate's
+    rotation."""
+    k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
+    rb = _rz3(beta)
+    k = np.array([[k00, 0.0, k02], [0.0, k11, 0.0], [k20, 0.0, k22]])
+    return rb @ k @ _rz3(delta), rb @ np.array([0.0, t0y, t0z])
 
 
 def noisy_gate_closed_form(
     angles: EulerAngles, state: BlochState, params: NoiseParams
 ) -> np.ndarray:
     """Closed-form output density matrix of the noisy native gate on a pure
-    input state; agrees with ``noisy_gate_stepwise`` to machine precision."""
-    a, b = _closed_form_entries(
-        angles.beta,
-        angles.gamma,
-        angles.delta,
-        state.theta,
-        state.phi,
-        params.lambda_a,
-        params.lambda_p,
+    input state, rendered from the Bloch vector A n + t; agrees with
+    ``noisy_gate_stepwise`` to machine precision."""
+    a, t = _affine_map(
+        angles.beta, angles.gamma, angles.delta, params.lambda_a, params.lambda_p
     )
-    return np.array([[a, b], [b.conjugate(), 1.0 - a]])
+    x, y, z = a @ state.bloch_vector() + t
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 def calibration_fidelity(alpha: float, params: NoiseParams, sign: int = 1) -> float:

@@ -3,8 +3,17 @@
 ``fidelity`` scores a trial decomposition (beta, gamma, delta) against a
 target unitary for one known pure input state: the overlap between the target
 output state and the noisy output of the trial decomposition.
-``expected_fidelity`` averages that score over a distribution of input states,
-either by tensor-product Gauss-Legendre quadrature or by Monte Carlo.
+``expected_fidelity`` averages that score over a distribution of input states.
+
+The noisy gate is the affine Bloch-vector map n -> A n + t and the target a
+rotation R, so the score of one pure input is 1/2 (1 + (R n).(A n + t)),
+quadratic in n.  Every average therefore depends on the input only through
+its moments m1 = E[n] and m2 = E[n n^T]:
+
+    F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2)
+
+``moment_objective`` evaluates this exactly, with its analytic gradient in
+the trial angles; every objective in the package is a case of it.
 
 Supported input-state distributions:
 
@@ -20,18 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .gates import BlochState, EulerAngles, compose_zyz
-from .noise import NoiseParams, _closed_form_entries, _closed_form_entries_arrays
+from .gates import BlochState, EulerAngles
+from .noise import NoiseParams, _affine_map, _pulse_pair
 
 TWO_PI = 2.0 * math.pi
-
-
-class NumericalAccuracyError(RuntimeError):
-    """Raised when adaptive quadrature cannot certify the requested accuracy."""
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,69 @@ class InitialStateDistribution:
         phi = rng.uniform(0.0, TWO_PI, n)
         return theta, phi
 
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E[n], E[n n^T]) of the input Bloch vector n.
 
-def _target_output_state(target: EulerAngles, state: BlochState) -> np.ndarray:
-    return compose_zyz(target) @ state.state_vector()
+        A cap with c = cos(theta_max) has E[z] = (1 + c) / 2,
+        E[z^2] = (1 + c + c^2) / 3 and, by symmetry about z, E[x^2] = E[y^2] =
+        (1 - E[z^2]) / 2 with zero mean in x, y and zero cross moments.
+        """
+        if self.kind == "point":
+            n = BlochState(self.theta, self.phi).bloch_vector()
+            return n, np.outer(n, n)
+        c = math.cos(self.theta_max)
+        zz = (1.0 + c + c * c) / 3.0
+        xx = 0.5 * (1.0 - zz)
+        return np.array([0.0, 0.0, 0.5 * (1.0 + c)]), np.diag([xx, xx, zz])
+
+
+def moment_objective(
+    target: EulerAngles, m1: np.ndarray, m2: np.ndarray, params: NoiseParams
+):
+    """The fidelity objective for inputs with Bloch-vector moments m1 = E[n]
+    and m2 = E[n n^T] (a pure state n: n, n n^T; a mixed state r: r, r r^T).
+
+    Returns ``fg(x) -> (F, dF/dx)`` for trial angles x = (beta, gamma, delta),
+    F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2), clamped to [0, 1] against
+    floating-point overshoot.  R is the target's rotation.  With the trial
+    map A = Rz(beta) K Rz(delta), t = Rz(beta) t0 (``noise._pulse_pair``) the
+    quadratic term is <K, W>, W = Rz(-beta) (R m2) Rz(-delta), and the
+    derivatives follow from Rz(phi)' = G Rz(phi), G the z generator:
+    dW/dbeta = -G W, dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma)
+    D Rx(pi/2).
+    """
+    r = _affine_map(target.beta, target.gamma, target.delta, 0.0, 0.0)[0]
+    u0, u1, u2 = (r @ np.asarray(m1, dtype=float)).tolist()
+    c_rows = (r @ np.asarray(m2, dtype=float)).tolist()
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c_rows
+    la, lp = params.lambda_a, params.lambda_p
+
+    def fg(x) -> tuple[float, np.ndarray]:
+        beta, gamma, delta = x[0], x[1], x[2]
+        k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
+        cb, sb = math.cos(beta), math.sin(beta)
+        cd, sd = math.cos(delta), math.sin(delta)
+        x00, x01 = c00 * cd - c01 * sd, c00 * sd + c01 * cd
+        x10, x11 = c10 * cd - c11 * sd, c10 * sd + c11 * cd
+        w00, w01, w02 = cb * x00 + sb * x10, cb * x01 + sb * x11, cb * c02 + sb * c12
+        w10, w11, w12 = cb * x10 - sb * x00, cb * x11 - sb * x01, cb * c12 - sb * c02
+        w20, w21 = c20 * cd - c21 * sd, c20 * sd + c21 * cd
+        # (R m1).t = (Rz(-beta) R m1).t0
+        uy = cb * u1 - sb * u0
+        f = 0.5 * (
+            1.0 + t0y * uy + t0z * u2
+            + k00 * w00 + k02 * w02 + k11 * w11 + k20 * w20 + k22 * c22
+        )
+        d_beta = -t0y * (cb * u0 + sb * u1) + k00 * w10 + k02 * w12 - k11 * w01
+        d_gamma = k00 * w02 - k02 * w00 + k20 * c22 - k22 * w20
+        d_delta = k11 * w10 - k00 * w01 - k20 * w21
+        return min(max(f, 0.0), 1.0), np.array([0.5 * d_beta, 0.5 * d_gamma, 0.5 * d_delta])
+
+    return fg
+
+
+def _angles(e: EulerAngles) -> tuple[float, float, float]:
+    return e.beta, e.gamma, e.delta
 
 
 def fidelity(
@@ -97,22 +161,11 @@ def fidelity(
     """Overlap of the noisy trial output with the noiseless target output.
 
     F = <psi_t| rho_trial |psi_t> with |psi_t> = U(target) |psi(state)> and
-    rho_trial the closed-form noisy output of the trial decomposition.
-    Always lies in [0, 1] (floating-point overshoot is clamped).
+    rho_trial the noisy output of the trial decomposition.  Always lies in
+    [0, 1] (floating-point overshoot is clamped).
     """
-    psi_t = _target_output_state(target, state)
-    a, b = _closed_form_entries(
-        trial.beta,
-        trial.gamma,
-        trial.delta,
-        state.theta,
-        state.phi,
-        params.lambda_a,
-        params.lambda_p,
-    )
-    p0 = (psi_t[0].conjugate() * psi_t[0]).real
-    f = a * p0 + (1.0 - a) * (1.0 - p0) + 2.0 * (psi_t[0].conjugate() * b * psi_t[1]).real
-    return min(max(f, 0.0), 1.0)
+    n = state.bloch_vector()
+    return moment_objective(target, n, np.outer(n, n), params)(_angles(trial))[0]
 
 
 def prep_fidelity(
@@ -125,139 +178,15 @@ def prep_fidelity(
     return fidelity(target, EulerAngles(beta, gamma, 0.0), BlochState(0.0, 0.0), params)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return tuple(x), tuple(w)
-
-
-class _FixedQuadrature:
-    """Tensor Gauss-Legendre rule on [0, theta_max] x [0, 2 pi], nodes frozen.
-
-    Precomputes everything that does not depend on the trial angles, so each
-    objective evaluation is a handful of vectorized operations.
-    """
-
-    def __init__(self, order: int, dist: InitialStateDistribution):
-        x, w = _leggauss(order)
-        x = np.asarray(x)
-        w = np.asarray(w)
-        tmax = dist.theta_max
-        theta = 0.5 * tmax * (x + 1.0)
-        wt = 0.5 * tmax * w
-        phi = math.pi * (x + 1.0)
-        wp = math.pi * w
-        tg, pg = np.meshgrid(theta, phi, indexing="ij")
-        self.theta = tg.ravel()
-        self.phi = pg.ravel()
-        dens = np.sin(self.theta) / (TWO_PI * (1.0 - math.cos(tmax)))
-        self.weight = np.outer(wt, wp).ravel() * dens
-
-    def integrate(
-        self, target: EulerAngles, trial: EulerAngles, params: NoiseParams
-    ) -> float:
-        return float(np.dot(self.weight, _fidelity_nodes(target, trial, self.theta, self.phi, params)))
-
-
-def _fidelity_nodes(
-    target: EulerAngles,
-    trial: EulerAngles,
-    theta: np.ndarray,
-    phi: np.ndarray,
-    params: NoiseParams,
-) -> np.ndarray:
-    """Vectorized fidelity over node arrays (theta_i, phi_i)."""
-    u = compose_zyz(target)
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta) * np.exp(1j * phi)
-    psi0 = u[0, 0] * c + u[0, 1] * s
-    psi1 = u[1, 0] * c + u[1, 1] * s
-    a, b = _closed_form_entries_arrays(
-        trial.beta,
-        trial.gamma,
-        trial.delta,
-        theta,
-        phi,
-        params.lambda_a,
-        params.lambda_p,
-    )
-    p0 = np.abs(psi0) ** 2
-    f = a * p0 + (1.0 - a) * (1.0 - p0) + 2.0 * np.real(np.conj(psi0) * b * psi1)
-    return np.clip(f, 0.0, 1.0)
-
-
-_QUAD_START_ORDER = 16
-_QUAD_MAX_ORDER = 128
-_QUAD_CONVERGENCE = 1e-8
-_QUAD_ERROR_LIMIT = 1e-7
-
-
-def _adaptive_orders() -> list[int]:
-    orders = []
-    order = _QUAD_START_ORDER
-    while order <= _QUAD_MAX_ORDER:
-        orders.append(order)
-        order *= 2
-    return orders
-
-
-@lru_cache(maxsize=64)
-def _cached_rule(order: int, theta_max: float) -> _FixedQuadrature:
-    return _FixedQuadrature(order, InitialStateDistribution.spherical_cap(theta_max))
-
-
-def _adaptive_quadrature(
-    target: EulerAngles,
-    trial: EulerAngles,
-    dist: InitialStateDistribution,
-    params: NoiseParams,
-) -> tuple[float, int]:
-    """(value, certified_order): doubles the order until two successive
-    estimates agree below 1e-8; the coarser order of the agreeing pair is the
-    one certified.  Raises if even the capped order leaves > 1e-7."""
-    history: list[tuple[int, float]] = []
-    for order in _adaptive_orders():
-        cur = _cached_rule(order, dist.theta_max).integrate(target, trial, params)
-        if history and abs(cur - history[-1][1]) < _QUAD_CONVERGENCE:
-            return cur, history[-1][0]
-        history.append((order, cur))
-    if len(history) >= 2 and abs(history[-1][1] - history[-2][1]) <= _QUAD_ERROR_LIMIT:
-        return history[-1][1], history[-1][0]
-    raise NumericalAccuracyError(
-        f"quadrature did not converge below {_QUAD_ERROR_LIMIT} "
-        f"by order {_QUAD_MAX_ORDER}"
-    )
-
-
 def expected_fidelity(
     target: EulerAngles,
     trial: EulerAngles,
     dist: InitialStateDistribution,
     params: NoiseParams,
-    *,
-    mode: str = "gauss",
-    mc_samples: int = 4096,
-    rng: np.random.Generator | int | None = None,
 ) -> float:
-    """Average fidelity over the input-state distribution.
-
-    A point distribution reduces exactly to ``fidelity``.  mode="gauss" uses
-    adaptive tensor Gauss-Legendre quadrature; mode="monte-carlo" averages
-    over ``mc_samples`` draws from ``dist`` using ``rng``.
-    """
-    if dist.kind == "point":
-        return fidelity(target, trial, BlochState(dist.theta, dist.phi), params)
-    if mode == "gauss":
-        value, _ = _adaptive_quadrature(target, trial, dist, params)
-        return value
-    if mode == "monte-carlo":
-        if mc_samples < 1:
-            raise ValueError("mc_samples must be positive")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        theta, phi = dist.sample(rng, mc_samples)
-        return float(np.mean(_fidelity_nodes(target, trial, theta, phi, params)))
-    raise ValueError(f"unknown quadrature mode {mode!r}")
+    """Average fidelity over the input-state distribution, exact through the
+    distribution's moments; a point distribution equals ``fidelity``."""
+    return moment_objective(target, *dist.moments(), params)(_angles(trial))[0]
 
 
 def expected_fidelity_gradient(
@@ -265,32 +194,7 @@ def expected_fidelity_gradient(
     trial: EulerAngles,
     dist: InitialStateDistribution,
     params: NoiseParams,
-    *,
-    fd_step: float = 1e-6,
 ) -> np.ndarray:
-    """Central finite-difference gradient of the expected fidelity with
-    respect to (beta, gamma, delta)."""
-    x = np.array([trial.beta, trial.gamma, trial.delta])
-    if dist.kind == "point":
-        state = BlochState(dist.theta, dist.phi)
-
-        def f(v: np.ndarray) -> float:
-            return fidelity(target, EulerAngles(v[0], v[1], v[2]), state, params)
-
-    else:
-        # Certify the quadrature order once at the trial point and freeze it,
-        # so the rule's own error cancels between the +h and -h evaluations
-        # instead of polluting the difference.
-        _, order = _adaptive_quadrature(target, trial, dist, params)
-        rule = _cached_rule(order, dist.theta_max)
-
-        def f(v: np.ndarray) -> float:
-            return rule.integrate(target, EulerAngles(v[0], v[1], v[2]), params)
-
-    grad = np.empty(3)
-    for i in range(3):
-        hi, lo = x.copy(), x.copy()
-        hi[i] += fd_step
-        lo[i] -= fd_step
-        grad[i] = (f(hi) - f(lo)) / (2.0 * fd_step)
-    return grad
+    """Analytic gradient of the expected fidelity with respect to
+    (beta, gamma, delta)."""
+    return moment_objective(target, *dist.moments(), params)(_angles(trial))[1]

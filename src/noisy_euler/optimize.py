@@ -1,11 +1,13 @@
 """Quasi-Newton search for noise-aware decomposition angles.
 
-The optimizer maximizes a fidelity objective over the unwrapped (beta, gamma,
-delta) in R^3, seeded at the target's own angles so the result can never score
-below the default decomposition.  Gradients are central finite differences;
-descent is scipy's L-BFGS-B.  An optional multistart mode adds uniform-random
-seeds for rugged landscapes (damping probabilities near 1), keeping the best
-result by objective value with lowest-seed-index tie-breaking.
+The optimizer maximizes the exact moment objective
+(``objectives.moment_objective``) over the unwrapped (beta, gamma, delta) in
+R^3, seeded at the target's own angles so the result can never score below
+the default decomposition.  The objective returns its analytic gradient with
+its value; descent is scipy's L-BFGS-B.  An optional multistart mode adds
+uniform-random seeds for rugged landscapes (damping probabilities near 1),
+keeping the best result by objective value with lowest-seed-index
+tie-breaking.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -21,51 +23,34 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .gates import BlochState, EulerAngles, compose_zyz, validate_density_matrix
-from .noise import NoiseParams, noisy_gate_stepwise
-from .objectives import (
-    InitialStateDistribution,
-    _adaptive_quadrature,
-    _cached_rule,
-    fidelity,
-    prep_fidelity,
-)
+from .gates import BlochState, EulerAngles, validate_density_matrix
+from .noise import NoiseParams
+from .objectives import InitialStateDistribution, moment_objective
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for ``optimize_gate`` and ``optimize_prep``.
+    """Knobs for ``optimize_gate``, ``optimize_prep`` and
+    ``optimize_gate_mixed``.
 
     multistart_count = 0 disables multistart; N > 0 adds N uniform-random
-    seeds (drawn from ``rng_seed``) beside the target seed.  quadrature_mode
-    selects how expected fidelities are evaluated for non-point distributions:
-    "gauss" (deterministic tensor quadrature) or "monte-carlo" (mc_samples
-    draws, frozen per optimization run for a smooth objective).
+    seeds (drawn from ``rng_seed``) beside the target seed.
     """
 
     max_iterations: int = 500
     gradient_tolerance: float = 1e-9
-    fd_step: float = 1e-6
     multistart_count: int = 0
-    quadrature_mode: str = "gauss"
-    mc_samples: int = 4096
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
         if self.multistart_count < 0:
             raise ValueError("multistart_count must be >= 0")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be positive")
-        if self.quadrature_mode not in ("gauss", "monte-carlo"):
-            raise ValueError("quadrature_mode must be 'gauss' or 'monte-carlo'")
 
 
 @dataclass(frozen=True)
@@ -88,73 +73,28 @@ class OptimizationResult:
         return self.objective_value - self.objective_at_target_angles
 
 
-def _point_objective(target: EulerAngles, dist, params: NoiseParams):
-    state = BlochState(dist.theta, dist.phi)
-
-    def f(x: np.ndarray) -> float:
-        return fidelity(target, EulerAngles(x[0], x[1], x[2]), state, params)
-
-    return f
-
-
-def _quadrature_objective(target: EulerAngles, dist, params: NoiseParams, x0):
-    # Adapt once at the seed, then freeze the certified rule so the objective
-    # is smooth and deterministic during descent.
-    _, order = _adaptive_quadrature(target, EulerAngles(*x0), dist, params)
-    rule = _cached_rule(order, dist.theta_max)
-
-    def f(x: np.ndarray) -> float:
-        return rule.integrate(target, EulerAngles(x[0], x[1], x[2]), params)
-
-    return f
-
-
-def _mc_objective(target: EulerAngles, dist, params: NoiseParams, mc_samples, rng):
-    from .objectives import _fidelity_nodes
-
-    theta, phi = dist.sample(rng, mc_samples)
-
-    def f(x: np.ndarray) -> float:
-        return float(
-            np.mean(_fidelity_nodes(target, EulerAngles(x[0], x[1], x[2]), theta, phi, params))
-        )
-
-    return f
-
-
-def _central_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        hi, lo = x.copy(), x.copy()
-        hi[i] += h
-        lo[i] -= h
-        grad[i] = (f(hi) - f(lo)) / (2.0 * h)
-    return grad
-
-
-def _maximize(f, seeds: list[np.ndarray], cfg: OptimizerConfig):
-    """L-BFGS-B from each seed; returns (best_x, best_f, iterations,
-    converged) with max-objective, lowest-seed-index tie-breaking."""
+def _maximize(fg, seeds: list[np.ndarray], cfg: OptimizerConfig):
+    """L-BFGS-B from each seed on ``fg(x) -> (value, gradient)``; returns
+    (best_x, best_f, iterations, converged) with max-objective, lowest-seed-index
+    tie-breaking."""
 
     def neg(x):
-        return -f(x)
-
-    def neg_grad(x):
-        return -_central_gradient(f, x, cfg.fd_step)
+        f, g = fg(x)
+        return -f, -g
 
     best = None
     for x0 in seeds:
         x0 = np.asarray(x0, dtype=float)
-        g0 = _central_gradient(f, x0, cfg.fd_step)
+        f0, g0 = fg(x0)
         if np.max(np.abs(g0)) <= cfg.gradient_tolerance:
             # Same stopping test L-BFGS-B applies at the start point; skip
             # the call when it would terminate at iteration 0 anyway.
-            cand = (x0, f(x0), 0, True)
+            cand = (x0, f0, 0, True)
         else:
             res = minimize(
                 neg,
                 x0,
-                jac=neg_grad,
+                jac=True,
                 method="L-BFGS-B",
                 options={
                     "maxiter": cfg.max_iterations,
@@ -189,16 +129,9 @@ def optimize_gate(
 ) -> OptimizationResult:
     """Find decomposition angles maximizing the (expected) fidelity of the
     target gate under the given noise and input-state distribution."""
-    cfg = config or OptimizerConfig()
+    fg = moment_objective(target, *dist.moments(), params)
     x0 = np.array([target.beta, target.gamma, target.delta])
-    if dist.kind == "point":
-        f = _point_objective(target, dist, params)
-    elif cfg.quadrature_mode == "monte-carlo":
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
-        f = _mc_objective(target, dist, params, cfg.mc_samples, rng)
-    else:
-        f = _quadrature_objective(target, dist, params, x0)
-    return _finish(f, x0, cfg)
+    return _finish(fg, x0, config or OptimizerConfig())
 
 
 def optimize_prep(
@@ -208,14 +141,16 @@ def optimize_prep(
 ) -> OptimizationResult:
     """Two-angle state-preparation variant: optimize (beta, gamma) for
     preparing ``target_state`` from |0>, seeded at (phi_t, theta_t)."""
-    cfg = config or OptimizerConfig()
+    target = EulerAngles(target_state.phi, target_state.theta, 0.0)
+    n = BlochState(0.0, 0.0).bloch_vector()
+    fg3 = moment_objective(target, n, np.outer(n, n), params)
+
+    def fg(x: np.ndarray):
+        f, g = fg3((x[0], x[1], 0.0))
+        return f, g[:2]
+
     x0 = np.array([target_state.phi, target_state.theta])
-
-    def f(x: np.ndarray) -> float:
-        return prep_fidelity(target_state, x[0], x[1], params)
-
-    res = _finish(f, x0, cfg, delta=0.0)
-    return res
+    return _finish(fg, x0, config or OptimizerConfig(), delta=0.0)
 
 
 def optimize_gate_mixed(
@@ -225,26 +160,22 @@ def optimize_gate_mixed(
     config: OptimizerConfig | None = None,
 ) -> OptimizationResult:
     """Mixed-input variant: maximizes the Hilbert-Schmidt overlap
-    tr(U rho_in U^dag . rho_out(trial)) where rho_out is the stepwise noisy
-    output.  Used when tracking the noisy (rather than ideal) circuit state."""
-    cfg = config or OptimizerConfig()
+    tr(U rho_in U^dag . rho_out(trial)) of the noisy output with the ideal
+    one.  Used when tracking the noisy (rather than ideal) circuit state."""
     rho_in = validate_density_matrix(rho_in)
-    u = compose_zyz(target)
-    sigma = u @ rho_in @ u.conj().T
+    r = np.array(
+        [2.0 * rho_in[0, 1].real, -2.0 * rho_in[0, 1].imag, (rho_in[0, 0] - rho_in[1, 1]).real]
+    )
+    fg = moment_objective(target, r, np.outer(r, r), params)
     x0 = np.array([target.beta, target.gamma, target.delta])
-
-    def f(x: np.ndarray) -> float:
-        out = noisy_gate_stepwise(EulerAngles(x[0], x[1], x[2]), rho_in, params)
-        return float(np.real(np.trace(sigma @ out)))
-
-    return _finish(f, x0, cfg)
+    return _finish(fg, x0, config or OptimizerConfig())
 
 
-def _finish(f, x0: np.ndarray, cfg: OptimizerConfig, delta: float | None = None):
+def _finish(fg, x0: np.ndarray, cfg: OptimizerConfig, delta: float | None = None):
     """Run the seeded (multi)start search and package the result, enforcing
     the never-worse contract against the seed exactly."""
-    f_seed = f(np.asarray(x0, dtype=float))
-    best_x, best_f, iters, converged = _maximize(f, _multistart_seeds(x0, cfg), cfg)
+    f_seed = fg(np.asarray(x0, dtype=float))[0]
+    best_x, best_f, iters, converged = _maximize(fg, _multistart_seeds(x0, cfg), cfg)
     if best_f < f_seed:
         best_x, best_f = np.asarray(x0, dtype=float), f_seed
         iters, converged = 0, True

@@ -125,7 +125,7 @@ def test_04_target_angles_stationary_for_uniform_input():
         4,
         "uniform-average gradient vanishes at target angles",
         worst < 1e-5 and elapsed < 120.0,
-        f"worst FD-gradient norm {worst:.2e} over 50 targets x 3 noise levels, "
+        f"worst gradient norm {worst:.2e} over 50 targets x 3 noise levels, "
         f"{elapsed:.1f}s",
     )
 

@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line interface.
 
-These call cli.main() with argv lists; one test drives the installed console
-script through a real subprocess.
+These call cli.main() with argv lists; one test runs the declared console
+script entry point through a real subprocess.
 """
 
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +322,26 @@ def test_manifest_contents(tmp_path):
     assert any(p.endswith("mt.csv") for p in doc["outputs"])
 
 
+@pytest.mark.parametrize(
+    "key, value", [("fd_step", 1e-6), ("quadrature_mode", "gauss"), ("mc_samples", 4096)]
+)
+def test_manifest_with_removed_optimizer_key_exits_1(tmp_path, capsys, key, value):
+    """A manifest written before the finite-difference, quadrature and Monte
+    Carlo settings were removed replays as a clean runtime error naming the
+    key, not a traceback."""
+    args = ("prep-sweep", "--lambda-grid", "0.05", "--targets", "2", "--seed", "5")
+    run_cli("--output-dir", str(tmp_path), "--tag", "old", *args)
+    path = tmp_path / "old_manifest.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["optimizer"][key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run_cli("--output-dir", str(tmp_path / "replay"), "--from-manifest", str(path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
 def test_manifest_with_subcommand_rejected(tmp_path):
     run_cli("--output-dir", str(tmp_path), "--tag", "mx", *RB_SMALL)
     with pytest.raises(SystemExit) as exc:
@@ -331,11 +353,26 @@ def test_manifest_with_subcommand_rejected(tmp_path):
 # ------------------------------------------------------------- entry point
 
 def test_console_script_runs():
+    """The entry point declared in pyproject.toml's [project.scripts] runs;
+    it is resolved from the file, so no install is needed."""
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert list(scripts) == ["noisy-euler"]
+    module, attr = scripts["noisy-euler"].split(":")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
-        ["noisy-euler", "--version"], capture_output=True, text=True
+        [sys.executable, "-c",
+         f"import sys; from {module} import {attr}; sys.exit({attr}())", "--version"],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
-    assert "noisy-euler" in proc.stdout
+    assert proc.stdout.startswith("noisy-euler ")
 
 
 def test_module_entry_point(tmp_path):

@@ -1,5 +1,5 @@
 """Unit tests for fidelity objectives, input-state distributions and the
-adaptive quadrature used for expected fidelities."""
+exact moment objective behind expected fidelities and their gradients."""
 
 import math
 
@@ -11,6 +11,7 @@ from noisy_euler import (
     BlochState,
     EulerAngles,
     InitialStateDistribution,
+    LAMBDA_MAX,
     NoiseParams,
     bloch_from_statevector,
     bloch_to_density,
@@ -19,6 +20,7 @@ from noisy_euler import (
     expected_fidelity_gradient,
     extract_euler,
     fidelity,
+    moment_objective,
     named_gate,
     noisy_gate_stepwise,
     prep_fidelity,
@@ -196,41 +198,108 @@ def test_expected_fidelity_matches_scipy_dblquad(dist):
     assert abs(got - ref) < 1e-6
 
 
-def test_monte_carlo_agrees_with_quadrature():
+@pytest.mark.parametrize("dist", [
+    InitialStateDistribution.uniform_sphere(),
+    InitialStateDistribution.spherical_cap(1.0),
+    InitialStateDistribution.spherical_cap(0.2),
+])
+def test_sampled_average_agrees_with_exact_moments(dist):
+    """Oracle: a seeded Monte Carlo average of pointwise fidelity over
+    ``dist.sample`` estimates the exact moment-form value."""
     rng = np.random.default_rng(18)
     target, trial = random_angles(rng), random_angles(rng)
-    params = NoiseParams.from_lambda(0.05)
-    dist = InitialStateDistribution.uniform_sphere()
+    params = NoiseParams.from_lambdas(0.08, 0.03)
     exact = expected_fidelity(target, trial, dist, params)
-    n = 40000
-    mc = expected_fidelity(
-        target, trial, dist, params, mode="monte-carlo", mc_samples=n, rng=5
-    )
-    # fidelity values live in [0, 1], so SD <= 0.5
-    assert abs(mc - exact) < 3 * 0.5 / math.sqrt(n)
+    theta, phi = dist.sample(rng, 20000)
+    vals = np.array([
+        fidelity(target, trial, BlochState(t, p), params) for t, p in zip(theta, phi)
+    ])
+    sigma = vals.std(ddof=1) / math.sqrt(vals.size)
+    assert abs(vals.mean() - exact) < 5.0 * sigma
 
 
-def test_monte_carlo_deterministic_given_seed():
-    target = HADAMARD
-    trial = EulerAngles(0.1, 1.4, 3.0)
-    params = NoiseParams.from_lambda(0.02)
-    dist = InitialStateDistribution.spherical_cap(1.0)
-    a = expected_fidelity(target, trial, dist, params, mode="monte-carlo", rng=7)
-    b = expected_fidelity(target, trial, dist, params, mode="monte-carlo", rng=7)
-    assert a == b
+def test_cap_moments_match_samples():
+    rng = np.random.default_rng(19)
+    dist = InitialStateDistribution.spherical_cap(1.3)
+    m1, m2 = dist.moments()
+    theta, phi = dist.sample(rng, 200000)
+    n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    assert np.abs(n.mean(axis=1) - m1).max() < 5e-3
+    assert np.abs(n @ n.T / n.shape[1] - m2).max() < 5e-3
+    assert abs(np.trace(m2) - 1.0) < 1e-15
 
 
-def test_expected_fidelity_mode_validation():
-    dist = InitialStateDistribution.uniform_sphere()
-    params = NoiseParams.from_lambda(0.1)
-    with pytest.raises(ValueError):
-        expected_fidelity(HADAMARD, HADAMARD, dist, params, mode="trapezoid")
+def test_mixed_input_objective_matches_stepwise_channel():
+    """Oracle: for a mixed input with Bloch vector r the objective with
+    moments (r, r r^T) is tr(U rho U^dag . rho_out), rho_out from the
+    stepwise Kraus channel, down to the largest damping probability."""
+    rng = np.random.default_rng(21)
+    worst = 0.0
+    for lam in (0.0, 0.05, 0.5, LAMBDA_MAX):
+        for _ in range(50):
+            target, trial = random_angles(rng), random_angles(rng)
+            params = NoiseParams.from_lambdas(lam, rng.uniform(0.0, 1.0))
+            r = rng.normal(size=3)
+            r *= rng.uniform(0.0, 1.0) / np.linalg.norm(r)
+            rho = 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]])
+            u = compose_zyz(target)
+            sigma = u @ rho @ u.conj().T
+            oracle = float(np.real(np.trace(sigma @ noisy_gate_stepwise(trial, rho, params))))
+            fg = moment_objective(target, r, np.outer(r, r), params)
+            got, _ = fg((trial.beta, trial.gamma, trial.delta))
+            worst = max(worst, abs(got - oracle))
+    assert worst < 1e-14
 
 
 # ---------------------------------------------------------------- gradient
 
+def _mixed_moments(rng):
+    r = rng.normal(size=3)
+    r *= 0.6 / np.linalg.norm(r)
+    return r, np.outer(r, r)
+
+
+_PREP_STATE = BlochState(0.0, 0.0).bloch_vector()
+
+
+@pytest.mark.parametrize("kind", ["point", "cap", "uniform", "mixed", "prep"])
+def test_analytic_gradient_matches_fourth_order_difference(kind):
+    """The analytic gradient against a test-side 4th-order central
+    difference of the objective's own value."""
+    rng = np.random.default_rng(20)
+    h = 1e-3
+    for _ in range(20):
+        target, trial = random_angles(rng), random_angles(rng)
+        params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        if kind == "point":
+            state = random_state(rng)
+            m1, m2 = InitialStateDistribution.point(state.theta, state.phi).moments()
+        elif kind == "cap":
+            m1, m2 = InitialStateDistribution.spherical_cap(rng.uniform(0.05, 3.0)).moments()
+        elif kind == "uniform":
+            m1, m2 = InitialStateDistribution.uniform_sphere().moments()
+        elif kind == "mixed":
+            m1, m2 = _mixed_moments(rng)
+        else:
+            target = EulerAngles(target.beta, target.gamma, 0.0)
+            trial = EulerAngles(trial.beta, trial.gamma, 0.0)
+            m1, m2 = _PREP_STATE, np.outer(_PREP_STATE, _PREP_STATE)
+        fg = moment_objective(target, m1, m2, params)
+        x = np.array([trial.beta, trial.gamma, trial.delta])
+        grad = fg(x)[1]
+        for i in range(3):
+            step = np.zeros(3)
+            step[i] = h
+
+            def f(k):
+                return fg(x + k * step)[0]
+
+            ref = (8 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12 * h)
+            assert abs(grad[i] - ref) < 1e-10
+
+
 def test_gradient_matches_coarse_finite_difference():
-    """FD gradient at the default step agrees with an independent wider-step
+    """The analytic gradient agrees with an independent wider-step
     Richardson-style reference built from expected_fidelity calls."""
     rng = np.random.default_rng(20)
     target = HADAMARD
@@ -256,23 +325,25 @@ def test_gradient_matches_coarse_finite_difference():
 
 
 def test_gradient_point_distribution():
+    """expected_fidelity_gradient for a point input against a 4th-order
+    central difference of the public ``fidelity``."""
     rng = np.random.default_rng(22)
     target, trial = random_angles(rng), random_angles(rng)
     state = random_state(rng)
     params = NoiseParams.from_lambda(0.03)
     dist = InitialStateDistribution.point(state.theta, state.phi)
     grad = expected_fidelity_gradient(target, trial, dist, params)
-    h = 1e-6
+    h = 1e-3
     x = np.array([trial.beta, trial.gamma, trial.delta])
     for i in range(3):
-        hi, lo = x.copy(), x.copy()
-        hi[i] += h
-        lo[i] -= h
-        ref = (
-            fidelity(target, EulerAngles(*hi), state, params)
-            - fidelity(target, EulerAngles(*lo), state, params)
-        ) / (2 * h)
-        assert abs(grad[i] - ref) < 1e-12
+        step = np.zeros(3)
+        step[i] = h
+
+        def f(k):
+            return fidelity(target, EulerAngles(*(x + k * step)), state, params)
+
+        ref = (8 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12 * h)
+        assert abs(grad[i] - ref) < 1e-10
 
 
 def test_target_angles_stationary_under_uniform_average():

@@ -14,9 +14,11 @@ from noisy_euler import (
     NoiseParams,
     OptimizerConfig,
     bloch_to_density,
+    compose_zyz,
     extract_euler,
     fidelity,
     named_gate,
+    noisy_gate_stepwise,
     optimize_gate,
     optimize_gate_mixed,
     optimize_prep,
@@ -168,18 +170,6 @@ def test_cap_distribution_optimization_runs_and_improves():
     assert abs(res.improvement - res_point.improvement) < 5e-3
 
 
-def test_monte_carlo_mode_close_to_quadrature():
-    target = extract_euler(named_gate("h"))
-    dist = InitialStateDistribution.spherical_cap(1.0)
-    params = NoiseParams.from_lambda(0.08)
-    gauss = optimize_gate(target, dist, params, OptimizerConfig())
-    mc = optimize_gate(
-        target, dist, params,
-        OptimizerConfig(quadrature_mode="monte-carlo", mc_samples=20000, rng_seed=9),
-    )
-    assert abs(gauss.improvement - mc.improvement) < 5e-4
-
-
 # ------------------------------------------------------------------- prep
 
 def test_prep_zero_noise_no_change():
@@ -234,6 +224,24 @@ def test_mixed_input_agrees_with_pure_route():
     assert abs(pure.objective_value - mixed.objective_value) < 1e-8
 
 
+def test_mixed_input_objective_is_stepwise_overlap():
+    """The reported objectives are tr(U rho U^dag . rho_out) with rho_out
+    from the stepwise channel, at the seed and at the optimized angles."""
+    rho = 0.6 * bloch_to_density(BlochState(0.9, 0.3)) + 0.4 * bloch_to_density(
+        BlochState(2.5, 4.0)
+    )
+    target = extract_euler(named_gate("sx"))
+    params = NoiseParams.from_lambdas(0.08, 0.02)
+    u = compose_zyz(target)
+    sigma = u @ rho @ u.conj().T
+    res = optimize_gate_mixed(target, rho, params)
+    for angles, value in ((target, res.objective_at_target_angles),
+                          (res.angles_opt, res.objective_value)):
+        out = noisy_gate_stepwise(angles, rho, params)
+        assert abs(value - float(np.real(np.trace(sigma @ out)))) < 1e-14
+    assert res.improvement > 0.0
+
+
 def test_mixed_input_handles_impure_state():
     rho = 0.7 * bloch_to_density(BlochState(0.4, 0.0)) + 0.3 * bloch_to_density(
         BlochState(2.0, 1.0)
@@ -248,15 +256,9 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(fd_step=0.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(multistart_count=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(gradient_tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(mc_samples=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(quadrature_mode="simpson")
 
 
 def test_optimizer_config_with_seed():

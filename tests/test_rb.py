@@ -310,6 +310,20 @@ def test_drift_tiny_k_optimizer_is_noop():
     assert np.array_equal(res.opt.survivals, res.unopt.survivals)
 
 
+@pytest.mark.parametrize("track_noisy_state", [False, True])
+def test_tiny_drift_leaves_every_gate_at_its_seed(track_noisy_state):
+    """The rule behind "k = 1e-3 arms agree": at drift factor 1e-3 the
+    assumed damping is ~1e-7, every per-gate gradient at the seed lies inside
+    RB_GRADIENT_TOLERANCE, and the optimized arm runs the plain
+    decompositions bit for bit."""
+    cfg = small_config(
+        n_circuits=2, n_gates=20, depth_schedule=(1, 10, 20),
+        drift_factor=1e-3, track_noisy_state=track_noisy_state,
+    )
+    res = run_rb_experiment(cfg)
+    assert np.array_equal(res.opt.survivals, res.unopt.survivals)
+
+
 def test_drift_huge_k_scrambles_with_multistart():
     """With assumed damping saturated the objective is flat to the ulp; the
     multistart tie-break then picks essentially random angles and deep
