@@ -24,10 +24,10 @@ The composite channel has the closed form (for trace-1 input)
 On the Bloch vector n (rho = (I + n.sigma)/2) the channel is affine,
 n -> diag(e, e, 1-la) n + (0, 0, la) with e = sqrt(1-la) sqrt(1-lp), and the
 virtual R_z are rotations, so the whole noisy native gate is one affine map
-n -> A n + t (``_affine_map``); ``noisy_gate_closed_form`` renders its output
-for a pure input.  ``noisy_gate_stepwise`` applies the decomposition pulse by
-pulse on 2x2 density matrices and is kept as the independent route; the two
-agree to ~1e-15.
+n -> A n + t (``_affine_map``), the only form the objectives and the RB
+simulator use.  ``noisy_gate_stepwise`` is the oracle only: it applies the
+decomposition pulse by pulse on 2x2 density matrices, independently of the
+affine map, and the two agree to ~1e-15.
 """
 
 from __future__ import annotations
@@ -130,11 +130,8 @@ def phase_damping_kraus(lambda_p: float) -> list[np.ndarray]:
 def apply_channel(rho: np.ndarray, params: NoiseParams) -> np.ndarray:
     """Closed-form amplitude-then-phase damping of a density matrix."""
     rho = validate_density_matrix(rho)
-    return _channel_unchecked(rho, params.lambda_a, params.lambda_p)
-
-
-def _channel_unchecked(rho: np.ndarray, la: float, lp: float) -> np.ndarray:
-    off = math.sqrt(1.0 - la) * math.sqrt(1.0 - lp)
+    la = params.lambda_a
+    off = math.sqrt(1.0 - la) * math.sqrt(1.0 - params.lambda_p)
     return np.array(
         [
             [rho[0, 0] * (1.0 - la) + la, rho[0, 1] * off],
@@ -162,14 +159,13 @@ def noisy_gate_stepwise(
     rho2 = N(R_x(-pi/2) R_z(gamma) rho1 R_z(gamma)^dag R_x(-pi/2)^dag)
     out  = R_z(beta) rho2 R_z(beta)^dag
 
-    Accepts arbitrary mixed input states.
+    Accepts arbitrary mixed input states; the independent oracle for
+    ``_affine_map``.  ``apply_channel`` validates each pulse's input.
     """
-    rho = validate_density_matrix(rho)
-    la, lp = params.lambda_a, params.lambda_p
     u1 = _RX_PLUS @ rz(angles.delta)
-    rho = _channel_unchecked(u1 @ rho @ u1.conj().T, la, lp)
+    rho = apply_channel(u1 @ rho @ u1.conj().T, params)
     u2 = _RX_MINUS @ rz(angles.gamma)
-    rho = _channel_unchecked(u2 @ rho @ u2.conj().T, la, lp)
+    rho = apply_channel(u2 @ rho @ u2.conj().T, params)
     u3 = rz(angles.beta)
     return u3 @ rho @ u3.conj().T
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .gates import BlochState, EulerAngles, validate_density_matrix
+from .gates import BlochState, EulerAngles
 from .noise import NoiseParams
 from .objectives import InitialStateDistribution, moment_objective
 
@@ -155,17 +155,18 @@ def optimize_prep(
 
 def optimize_gate_mixed(
     target: EulerAngles,
-    rho_in: np.ndarray,
+    r: np.ndarray,
     params: NoiseParams,
     config: OptimizerConfig | None = None,
 ) -> OptimizationResult:
-    """Mixed-input variant: maximizes the Hilbert-Schmidt overlap
-    tr(U rho_in U^dag . rho_out(trial)) of the noisy output with the ideal
-    one.  Used when tracking the noisy (rather than ideal) circuit state."""
-    rho_in = validate_density_matrix(rho_in)
-    r = np.array(
-        [2.0 * rho_in[0, 1].real, -2.0 * rho_in[0, 1].imag, (rho_in[0, 0] - rho_in[1, 1]).real]
-    )
+    """Input given by its Bloch vector r: rho = (I + r.sigma)/2, pure (a
+    point input) at |r| = 1 and mixed for |r| < 1.  Maximizes the
+    Hilbert-Schmidt overlap tr(U rho U^dag . rho_out(trial)) of the noisy
+    output with the ideal one.  Raises ValueError unless r has shape (3,), is
+    finite and has |r| <= 1 + 1e-9."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3,) or not np.all(np.isfinite(r)) or np.linalg.norm(r) > 1.0 + 1e-9:
+        raise ValueError("r must be a finite Bloch vector of shape (3,) with |r| <= 1")
     fg = moment_objective(target, r, np.outer(r, r), params)
     x0 = np.array([target.beta, target.gamma, target.delta])
     return _finish(fg, x0, config or OptimizerConfig())

@@ -8,7 +8,14 @@ circuit continues.  Two arms share each gate stream:
 
   * "unopt": every gate uses its canonically extracted Euler angles.
   * "opt":   every gate's angles are re-optimized for the noiseless state the
-             ideal circuit would be in just before that gate.
+             ideal circuit would be in just before that gate or, with
+             ``track_noisy_state``, for the arm's own noisy state.
+
+States are Bloch vectors: Z rotations are virtual and noiseless, so each
+noisy native gate is exactly the affine map r -> A r + t (``noise._affine_map``),
+at zero noise the gate's rotation.  A circuit carries the ideal state and each
+arm's noisy state as real 3-vectors and reads survival as (1 + r_z)/2; the
+inverse gate comes from the running product of the gate unitaries.
 
 Drift model: the simulated hardware always runs at the configured noise; the
 optimizer instead sees the noise implied by coherence times 1/k of the true
@@ -31,16 +38,10 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .calibration import apply_readout_error, mitigate_readout
-from .gates import EulerAngles, bloch_from_statevector, compose_zyz, extract_euler
+from .gates import EulerAngles, compose_zyz, extract_euler
 from .io import fold_seed, parallel_map
-from .noise import NoiseParams, noisy_gate_stepwise
-from .objectives import InitialStateDistribution
-from .optimize import (
-    OptimizerConfig,
-    optimize_gate,
-    optimize_gate_mixed,
-    optimizer_config_with_seed,
-)
+from .noise import NoiseParams, _affine_map
+from .optimize import OptimizerConfig, optimize_gate_mixed, optimizer_config_with_seed
 
 TWO_PI = 2.0 * math.pi
 
@@ -194,28 +195,33 @@ def _measure(p0: float, cfg: RbConfig, rng: np.random.Generator) -> float:
     return float(p0)
 
 
+def _propagate(angles: EulerAngles, r: np.ndarray, la: float, lp: float) -> np.ndarray:
+    """r -> A r + t: the native gate under per-pulse damping (la, lp)."""
+    a, t = _affine_map(angles.beta, angles.gamma, angles.delta, la, lp)
+    return a @ r + t
+
+
 def _optimize_step(
     cfg: RbConfig,
     target: EulerAngles,
-    psi: np.ndarray,
-    rho_opt: np.ndarray,
+    n: np.ndarray,
+    r_opt: np.ndarray,
     assumed: NoiseParams,
     stream,
 ) -> EulerAngles:
+    """Angles for ``target`` re-optimized for the ideal state n, or for the
+    opt arm's noisy state r_opt when tracking the noisy state."""
     ocfg = optimizer_config_with_seed(cfg.optimizer, fold_seed(stream))
-    if cfg.track_noisy_state:
-        return optimize_gate_mixed(target, rho_opt, assumed, ocfg).angles_opt
-    state = bloch_from_statevector(psi)
-    dist = InitialStateDistribution.point(state.theta, state.phi)
-    return optimize_gate(target, dist, assumed, ocfg).angles_opt
+    r = r_opt if cfg.track_noisy_state else n
+    return optimize_gate_mixed(target, r, assumed, ocfg).angles_opt
 
 
 def _circuit_worker(cfg: RbConfig, circuit: int) -> np.ndarray:
     """Survival probabilities for one circuit: array (2, n_depths) in ARMS
     order.  All randomness derives from named streams of (rng_seed, circuit),
     so circuits are independent and order of execution is irrelevant."""
-    system = cfg.noise
-    assumed = system.assuming_drift(cfg.drift_factor)
+    la, lp = cfg.noise.lambda_a, cfg.noise.lambda_p
+    assumed = cfg.noise.assuming_drift(cfg.drift_factor)
     rng_gates = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([cfg.rng_seed, circuit, 0]))
     )
@@ -228,36 +234,31 @@ def _circuit_worker(cfg: RbConfig, circuit: int) -> np.ndarray:
 
     depth_set = frozenset(cfg.depth_schedule)
     out = np.empty((len(ARMS), len(cfg.depth_schedule)))
-    psi = np.array([1.0, 0.0], dtype=complex)
+    n = np.array([0.0, 0.0, 1.0])  # ideal state, |0>
+    r = {arm: n for arm in ARMS}  # noisy state of each arm
     net = np.eye(2, dtype=complex)
-    rho = {
-        "unopt": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-        "opt": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    }
 
     depth_index = 0
     for i in range(cfg.n_gates):
         gate = sample_random_gate(rng_gates)
         opt_angles = _optimize_step(
-            cfg, gate, psi, rho["opt"], assumed, [cfg.rng_seed, circuit, 2, i]
+            cfg, gate, n, r["opt"], assumed, [cfg.rng_seed, circuit, 2, i]
         )
-        rho["unopt"] = noisy_gate_stepwise(gate, rho["unopt"], system)
-        rho["opt"] = noisy_gate_stepwise(opt_angles, rho["opt"], system)
-        u = compose_zyz(gate)
-        psi = u @ psi
-        psi = psi / np.linalg.norm(psi)
-        net = u @ net
+        r["unopt"] = _propagate(gate, r["unopt"], la, lp)
+        r["opt"] = _propagate(opt_angles, r["opt"], la, lp)
+        n = _propagate(gate, n, 0.0, 0.0)
+        net = compose_zyz(gate) @ net
 
         depth = i + 1
         if depth in depth_set:
             inverse = extract_euler(net.conj().T)
             inv_opt = _optimize_step(
-                cfg, inverse, psi, rho["opt"], assumed, [cfg.rng_seed, circuit, 3, depth]
+                cfg, inverse, n, r["opt"], assumed, [cfg.rng_seed, circuit, 3, depth]
             )
             for ai, arm in enumerate(ARMS):
                 angles = inverse if arm == "unopt" else inv_opt
-                rho_final = noisy_gate_stepwise(angles, rho[arm], system)
-                p0 = min(max(float(np.real(rho_final[0, 0])), 0.0), 1.0)
+                z = _propagate(angles, r[arm], la, lp)[2]
+                p0 = min(max(0.5 * (1.0 + float(z)), 0.0), 1.0)
                 out[ai, depth_index] = _measure(p0, cfg, shot_rngs[arm])
             depth_index += 1
     return out

@@ -13,7 +13,6 @@ from noisy_euler import (
     InitialStateDistribution,
     NoiseParams,
     OptimizerConfig,
-    bloch_to_density,
     compose_zyz,
     extract_euler,
     fidelity,
@@ -212,6 +211,12 @@ def test_prep_matches_brute_force():
 
 # ------------------------------------------------------------ mixed input
 
+def density_from_bloch(r):
+    """rho = (I + r.sigma) / 2."""
+    x, y, z = r
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
+
+
 def test_mixed_input_agrees_with_pure_route():
     target = extract_euler(named_gate("h"))
     state = BlochState(1.0, 0.5)
@@ -219,7 +224,7 @@ def test_mixed_input_agrees_with_pure_route():
     pure = optimize_gate(
         target, InitialStateDistribution.point(state.theta, state.phi), params
     )
-    mixed = optimize_gate_mixed(target, bloch_to_density(state), params)
+    mixed = optimize_gate_mixed(target, state.bloch_vector(), params)
     assert angle_displacement(pure.angles_opt, mixed.angles_opt) < 1e-4
     assert abs(pure.objective_value - mixed.objective_value) < 1e-8
 
@@ -227,14 +232,13 @@ def test_mixed_input_agrees_with_pure_route():
 def test_mixed_input_objective_is_stepwise_overlap():
     """The reported objectives are tr(U rho U^dag . rho_out) with rho_out
     from the stepwise channel, at the seed and at the optimized angles."""
-    rho = 0.6 * bloch_to_density(BlochState(0.9, 0.3)) + 0.4 * bloch_to_density(
-        BlochState(2.5, 4.0)
-    )
+    r = 0.6 * BlochState(0.9, 0.3).bloch_vector() + 0.4 * BlochState(2.5, 4.0).bloch_vector()
+    rho = density_from_bloch(r)
     target = extract_euler(named_gate("sx"))
     params = NoiseParams.from_lambdas(0.08, 0.02)
     u = compose_zyz(target)
     sigma = u @ rho @ u.conj().T
-    res = optimize_gate_mixed(target, rho, params)
+    res = optimize_gate_mixed(target, r, params)
     for angles, value in ((target, res.objective_at_target_angles),
                           (res.angles_opt, res.objective_value)):
         out = noisy_gate_stepwise(angles, rho, params)
@@ -243,11 +247,26 @@ def test_mixed_input_objective_is_stepwise_overlap():
 
 
 def test_mixed_input_handles_impure_state():
-    rho = 0.7 * bloch_to_density(BlochState(0.4, 0.0)) + 0.3 * bloch_to_density(
-        BlochState(2.0, 1.0)
-    )
-    res = optimize_gate_mixed(IDENTITY, rho, NoiseParams.from_lambda(0.05))
+    """A Bloch vector inside the ball: never worse than the seed, and the
+    objective is the stepwise overlap with the (identity) target output."""
+    r = 0.7 * BlochState(0.4, 0.0).bloch_vector() + 0.3 * BlochState(2.0, 1.0).bloch_vector()
+    assert np.linalg.norm(r) < 0.99
+    params = NoiseParams.from_lambda(0.05)
+    res = optimize_gate_mixed(IDENTITY, r, params)
     assert res.objective_value >= res.objective_at_target_angles
+    rho = density_from_bloch(r)
+    out = noisy_gate_stepwise(res.angles_opt, rho, params)
+    assert abs(res.objective_value - float(np.real(np.trace(rho @ out)))) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "r",
+    [np.zeros(2), np.zeros((3, 1)), np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.0, 1.01])],
+    ids=["shape-2", "shape-3x1", "nan", "norm-1.01"],
+)
+def test_mixed_input_rejects_invalid_bloch_vector(r):
+    with pytest.raises(ValueError):
+        optimize_gate_mixed(IDENTITY, r, NoiseParams.from_lambda(0.05))
 
 
 # ------------------------------------------------------------------ config

@@ -15,7 +15,10 @@ from noisy_euler import (
     RbConfig,
     build_inverse_gate,
     compose_zyz,
+    extract_euler,
     fit_decay,
+    noisy_gate_stepwise,
+    rb,
     run_drift_sweep,
     run_rb_experiment,
     sample_random_gate,
@@ -279,6 +282,68 @@ def test_track_noisy_state_variant_runs():
     res = run_rb_experiment(cfg)
     combined = np.sqrt(res.unopt.stderr ** 2 + res.opt.stderr ** 2)
     assert np.all(res.opt.mean >= res.unopt.mean - 2 * combined)
+
+
+def _bloch(rho):
+    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
+@pytest.mark.parametrize("track_noisy_state", [False, True])
+def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_state):
+    """Replay both arms on 2x2 density matrices through the stepwise oracle,
+    with the same seeded gate stream, the angles the optimizer returned and
+    inverses from a running product: every survival agrees with the affine
+    Bloch-vector simulator to 1e-12, and so does the state the optimizer
+    was handed (the ideal state, or the opt arm's noisy state)."""
+    calls = []
+    original = rb.optimize_gate_mixed
+
+    def recording(target, r, params, config=None):
+        res = original(target, r, params, config)
+        calls.append((np.array(r), res.angles_opt))
+        return res
+
+    monkeypatch.setattr(rb, "optimize_gate_mixed", recording)
+    cfg = small_config(
+        n_circuits=2, n_gates=30, depth_schedule=(1, 10, 20, 30),
+        track_noisy_state=track_noisy_state,
+    )
+    res = run_rb_experiment(cfg)
+
+    recorded = iter(calls)
+    ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+    def optimized():
+        r_seen, angles = next(recorded)
+        expected = _bloch(rho["opt"] if track_noisy_state else ideal)
+        assert np.abs(r_seen - expected).max() < 1e-12
+        return angles
+
+    for circuit in range(cfg.n_circuits):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([cfg.rng_seed, circuit, 0]))
+        )
+        rho = {"unopt": ket0, "opt": ket0}
+        ideal = ket0
+        net = np.eye(2, dtype=complex)
+        column = 0
+        for i in range(cfg.n_gates):
+            gate = sample_random_gate(rng)
+            opt_angles = optimized()
+            rho["unopt"] = noisy_gate_stepwise(gate, rho["unopt"], cfg.noise)
+            rho["opt"] = noisy_gate_stepwise(opt_angles, rho["opt"], cfg.noise)
+            u = compose_zyz(gate)
+            ideal = u @ ideal @ u.conj().T
+            net = u @ net
+            if i + 1 in cfg.depth_schedule:
+                inverse = extract_euler(net.conj().T)
+                angles = {"unopt": inverse, "opt": optimized()}
+                for arm in rb.ARMS:
+                    final = noisy_gate_stepwise(angles[arm], rho[arm], cfg.noise)
+                    survival = res.arm(arm).survivals[circuit, column]
+                    assert abs(final[0, 0].real - survival) < 1e-12
+                column += 1
+    assert next(recorded, None) is None
 
 
 # ------------------------------------------------------------------- drift
