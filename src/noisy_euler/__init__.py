@@ -19,7 +19,6 @@ from .gates import (
     EulerAngles,
     NAMED_GATES,
     apply_unitary,
-    bloch_from_statevector,
     bloch_to_density,
     compose_native,
     compose_zyz,
@@ -35,7 +34,6 @@ from .noise import (
     LAMBDA_MAX,
     NoiseParams,
     amplitude_damping_kraus,
-    apply_channel,
     apply_channel_kraus,
     calibration_fidelity,
     damping_probabilities,
@@ -49,14 +47,12 @@ from .objectives import (
     expected_fidelity_gradient,
     fidelity,
     moment_objective,
-    prep_fidelity,
 )
 from .optimize import (
     OptimizationResult,
     OptimizerConfig,
     optimize_gate,
     optimize_gate_mixed,
-    optimize_prep,
 )
 from .calibration import (
     BUNDLED_DEVICES,
@@ -76,7 +72,6 @@ from .rb import (
     RbArmResult,
     RbConfig,
     RbRunResult,
-    build_inverse_gate,
     fit_decay,
     run_drift_sweep,
     run_rb_experiment,
@@ -97,7 +92,6 @@ __all__ = [
     "EulerAngles",
     "NAMED_GATES",
     "apply_unitary",
-    "bloch_from_statevector",
     "bloch_to_density",
     "compose_native",
     "compose_zyz",
@@ -111,7 +105,6 @@ __all__ = [
     "LAMBDA_MAX",
     "NoiseParams",
     "amplitude_damping_kraus",
-    "apply_channel",
     "apply_channel_kraus",
     "calibration_fidelity",
     "damping_probabilities",
@@ -123,12 +116,10 @@ __all__ = [
     "expected_fidelity_gradient",
     "fidelity",
     "moment_objective",
-    "prep_fidelity",
     "OptimizationResult",
     "OptimizerConfig",
     "optimize_gate",
     "optimize_gate_mixed",
-    "optimize_prep",
     "BUNDLED_DEVICES",
     "DeviceSpec",
     "DeviceSpecError",
@@ -144,7 +135,6 @@ __all__ = [
     "RbArmResult",
     "RbConfig",
     "RbRunResult",
-    "build_inverse_gate",
     "fit_decay",
     "run_drift_sweep",
     "run_rb_experiment",

@@ -2,8 +2,9 @@
 
 prep_improvement_sweep: for each damping level lambda (applied as
 lambda_a = lambda_p = lambda), draw target states uniformly on the Bloch
-sphere, optimize the two preparation angles against the noise model, and
-record the fidelity gained over the default decomposition.
+sphere, optimize the preparation gate's decomposition for the known input
+|0> against the noise model, and record the fidelity gained over the default
+decomposition.
 
 knowledge_sweep: for each (lambda, theta_max) cell, draw a Haar-random target
 gate, optimize its decomposition for an input state known only to lie in the
@@ -26,12 +27,7 @@ from .gates import BlochState, EulerAngles, extract_euler
 from .io import fold_seed, parallel_map
 from .noise import NoiseParams
 from .objectives import InitialStateDistribution, fidelity
-from .optimize import (
-    OptimizerConfig,
-    optimize_gate,
-    optimize_prep,
-    optimizer_config_with_seed,
-)
+from .optimize import OptimizerConfig, optimize_gate, optimizer_config_with_seed
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,6 +97,7 @@ def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRo
 def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam = item
     params = NoiseParams.from_lambda(lam)
+    ground = InitialStateDistribution.point(0.0, 0.0)
     imps = np.empty(cfg.targets_per_point)
     for t in range(cfg.targets_per_point):
         rng = np.random.Generator(
@@ -108,11 +105,13 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
         )
         z = rng.uniform(-1.0, 1.0)
         phi = rng.uniform(0.0, TWO_PI)
-        target = BlochState(math.acos(z), phi)
+        # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
+        # |0> as a phase only, so delta stays at its seed 0.
+        target = EulerAngles(phi, math.acos(z), 0.0)
         ocfg = optimizer_config_with_seed(
             cfg.optimizer, fold_seed([cfg.rng_seed, 0, li, t, 1])
         )
-        res = optimize_prep(target, params, ocfg)
+        res = optimize_gate(target, ground, params, ocfg)
         imps[t] = res.improvement
     return _row_stats(lam, None, imps)
 

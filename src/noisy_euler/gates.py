@@ -137,21 +137,6 @@ class BlochState:
         )
 
 
-def bloch_from_statevector(psi: np.ndarray) -> BlochState:
-    """Bloch angles of a (not necessarily normalized) 2-vector, global phase
-    dropped."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError("state vector must have shape (2,)")
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
-        raise ValueError("state vector is numerically zero")
-    a, b = psi / norm
-    theta = 2.0 * math.atan2(abs(b), abs(a))
-    phi = cmath.phase(b) - cmath.phase(a) if abs(b) > 0 and abs(a) > 0 else 0.0
-    return BlochState(theta, phi % TWO_PI)
-
-
 def compose_zyz(angles: EulerAngles) -> np.ndarray:
     """e^{i alpha} R_z(beta) R_y(gamma) R_z(delta) evaluated at face value."""
     b, g, d = angles.beta, angles.gamma, angles.delta

@@ -26,8 +26,9 @@ n -> diag(e, e, 1-la) n + (0, 0, la) with e = sqrt(1-la) sqrt(1-lp), and the
 virtual R_z are rotations, so the whole noisy native gate is one affine map
 n -> A n + t (``_affine_map``), the only form the objectives and the RB
 simulator use.  ``noisy_gate_stepwise`` is the oracle only: it applies the
-decomposition pulse by pulse on 2x2 density matrices, independently of the
-affine map, and the two agree to ~1e-15.
+decomposition pulse by pulse on 2x2 density matrices through the Kraus sums
+(``apply_channel_kraus``), independently of the affine map, and the two agree
+to ~1e-15.
 """
 
 from __future__ import annotations
@@ -127,24 +128,9 @@ def phase_damping_kraus(lambda_p: float) -> list[np.ndarray]:
     ]
 
 
-def apply_channel(rho: np.ndarray, params: NoiseParams) -> np.ndarray:
-    """Closed-form amplitude-then-phase damping of a density matrix."""
-    rho = validate_density_matrix(rho)
-    la = params.lambda_a
-    off = math.sqrt(1.0 - la) * math.sqrt(1.0 - params.lambda_p)
-    return np.array(
-        [
-            [rho[0, 0] * (1.0 - la) + la, rho[0, 1] * off],
-            [rho[1, 0] * off, rho[1, 1] * (1.0 - la)],
-        ]
-    )
-
-
 def apply_channel_kraus(rho: np.ndarray, params: NoiseParams) -> np.ndarray:
-    """Kraus-sum route: sum_i P_i (sum_j A_j rho A_j^dag) P_i^dag.
-
-    Independent of ``apply_channel``; kept as the oracle implementation.
-    """
+    """Amplitude-then-phase damping of a density matrix as the Kraus sum
+    sum_i P_i (sum_j A_j rho A_j^dag) P_i^dag; the oracle's channel."""
     rho = validate_density_matrix(rho)
     amp = sum(a @ rho @ a.conj().T for a in amplitude_damping_kraus(params.lambda_a))
     return sum(p @ amp @ p.conj().T for p in phase_damping_kraus(params.lambda_p))
@@ -159,13 +145,14 @@ def noisy_gate_stepwise(
     rho2 = N(R_x(-pi/2) R_z(gamma) rho1 R_z(gamma)^dag R_x(-pi/2)^dag)
     out  = R_z(beta) rho2 R_z(beta)^dag
 
-    Accepts arbitrary mixed input states; the independent oracle for
-    ``_affine_map``.  ``apply_channel`` validates each pulse's input.
+    with N the Kraus sum of ``apply_channel_kraus``, which validates each
+    pulse's input.  Accepts arbitrary mixed input states; the independent
+    oracle for ``_affine_map``.
     """
     u1 = _RX_PLUS @ rz(angles.delta)
-    rho = apply_channel(u1 @ rho @ u1.conj().T, params)
+    rho = apply_channel_kraus(u1 @ rho @ u1.conj().T, params)
     u2 = _RX_MINUS @ rz(angles.gamma)
-    rho = apply_channel(u2 @ rho @ u2.conj().T, params)
+    rho = apply_channel_kraus(u2 @ rho @ u2.conj().T, params)
     u3 = rz(angles.beta)
     return u3 @ rho @ u3.conj().T
 

@@ -15,14 +15,14 @@ its moments m1 = E[n] and m2 = E[n n^T]:
 ``moment_objective`` evaluates this exactly, with its analytic gradient in
 the trial angles; every objective in the package is a case of it.
 
-Supported input-state distributions:
+Input-state distributions come in two kinds:
 
   * point(theta, phi)        - a single known state (delta function)
-  * uniform_sphere()         - p(theta, phi) = sin(theta) / (4 pi)
   * spherical_cap(theta_max) - uniform over the polar cap theta < theta_max,
                                p = sin(theta) / (2 pi (1 - cos(theta_max)))
 
-A spherical cap with theta_max = pi is the uniform sphere.
+``uniform_sphere()`` is the cap with theta_max = pi, p = sin(theta) / (4 pi).
+State preparation is the point |0>.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class InitialStateDistribution:
     """Distribution of input states on the Bloch sphere.
 
     Build with the ``point``, ``uniform_sphere`` or ``spherical_cap``
-    constructors; ``kind`` is one of "point", "uniform", "cap".
+    constructors; ``kind`` is "point" or "cap".
     """
 
     kind: str
@@ -58,7 +58,7 @@ class InitialStateDistribution:
 
     @classmethod
     def uniform_sphere(cls) -> "InitialStateDistribution":
-        return cls("uniform", theta_max=math.pi)
+        return cls.spherical_cap(math.pi)
 
     @classmethod
     def spherical_cap(cls, theta_max: float) -> "InitialStateDistribution":
@@ -166,16 +166,6 @@ def fidelity(
     """
     n = state.bloch_vector()
     return moment_objective(target, n, np.outer(n, n), params)(_angles(trial))[0]
-
-
-def prep_fidelity(
-    target_state: BlochState, beta: float, gamma: float, params: NoiseParams
-) -> float:
-    """Fidelity of preparing |psi(theta_t, phi_t)> from |0> with the two-angle
-    decomposition (beta, gamma, 0); the noiseless preparation uses
-    beta = phi_t, gamma = theta_t."""
-    target = EulerAngles(target_state.phi, target_state.theta, 0.0)
-    return fidelity(target, EulerAngles(beta, gamma, 0.0), BlochState(0.0, 0.0), params)
 
 
 def expected_fidelity(

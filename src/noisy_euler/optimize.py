@@ -1,13 +1,17 @@
 """Quasi-Newton search for noise-aware decomposition angles.
 
-The optimizer maximizes the exact moment objective
-(``objectives.moment_objective``) over the unwrapped (beta, gamma, delta) in
-R^3, seeded at the target's own angles so the result can never score below
-the default decomposition.  The objective returns its analytic gradient with
-its value; descent is scipy's L-BFGS-B.  An optional multistart mode adds
-uniform-random seeds for rugged landscapes (damping probabilities near 1),
-keeping the best result by objective value with lowest-seed-index
-tie-breaking.
+Two entry points share one search: ``optimize_gate`` takes the input as an
+``InitialStateDistribution`` (a point, a cap, the uniform sphere; state
+preparation is the point |0>, where delta stays at its seed because the
+objective does not depend on it), and ``optimize_gate_mixed`` takes the
+input's Bloch vector, as randomized benchmarking tracks it.  Both maximize
+the exact moment objective (``objectives.moment_objective``) over the
+unwrapped (beta, gamma, delta) in R^3, seeded at the target's own angles so
+the result can never score below the default decomposition.  The objective
+returns its analytic gradient with its value; descent is scipy's L-BFGS-B.
+An optional multistart mode adds uniform-random seeds for rugged landscapes
+(damping probabilities near 1), keeping the best result by objective value
+with lowest-seed-index tie-breaking.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -23,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .gates import BlochState, EulerAngles
+from .gates import EulerAngles
 from .noise import NoiseParams
 from .objectives import InitialStateDistribution, moment_objective
 
@@ -32,8 +36,7 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for ``optimize_gate``, ``optimize_prep`` and
-    ``optimize_gate_mixed``.
+    """Knobs for ``optimize_gate`` and ``optimize_gate_mixed``.
 
     multistart_count = 0 disables multistart; N > 0 adds N uniform-random
     seeds (drawn from ``rng_seed``) beside the target seed.
@@ -134,25 +137,6 @@ def optimize_gate(
     return _finish(fg, x0, config or OptimizerConfig())
 
 
-def optimize_prep(
-    target_state: BlochState,
-    params: NoiseParams,
-    config: OptimizerConfig | None = None,
-) -> OptimizationResult:
-    """Two-angle state-preparation variant: optimize (beta, gamma) for
-    preparing ``target_state`` from |0>, seeded at (phi_t, theta_t)."""
-    target = EulerAngles(target_state.phi, target_state.theta, 0.0)
-    n = BlochState(0.0, 0.0).bloch_vector()
-    fg3 = moment_objective(target, n, np.outer(n, n), params)
-
-    def fg(x: np.ndarray):
-        f, g = fg3((x[0], x[1], 0.0))
-        return f, g[:2]
-
-    x0 = np.array([target_state.phi, target_state.theta])
-    return _finish(fg, x0, config or OptimizerConfig(), delta=0.0)
-
-
 def optimize_gate_mixed(
     target: EulerAngles,
     r: np.ndarray,
@@ -172,7 +156,7 @@ def optimize_gate_mixed(
     return _finish(fg, x0, config or OptimizerConfig())
 
 
-def _finish(fg, x0: np.ndarray, cfg: OptimizerConfig, delta: float | None = None):
+def _finish(fg, x0: np.ndarray, cfg: OptimizerConfig):
     """Run the seeded (multi)start search and package the result, enforcing
     the never-worse contract against the seed exactly."""
     f_seed = fg(np.asarray(x0, dtype=float))[0]
@@ -181,12 +165,8 @@ def _finish(fg, x0: np.ndarray, cfg: OptimizerConfig, delta: float | None = None
         best_x, best_f = np.asarray(x0, dtype=float), f_seed
         iters, converged = 0, True
     w = _wrap_angles(best_x)
-    if delta is None and w.size == 3:
-        angles = EulerAngles(w[0], w[1], w[2])
-    else:
-        angles = EulerAngles(w[0], w[1], 0.0 if delta is None else delta)
     return OptimizationResult(
-        angles_opt=angles,
+        angles_opt=EulerAngles(w[0], w[1], w[2]),
         objective_value=best_f,
         objective_at_target_angles=f_seed,
         iterations=iters,

@@ -174,17 +174,6 @@ def sample_random_gate(rng: np.random.Generator) -> EulerAngles:
     return extract_euler(u)
 
 
-def build_inverse_gate(prefix) -> EulerAngles:
-    """Euler angles of (G_d ... G_1)^dagger for a gate-sequence prefix."""
-    prefix = list(prefix)
-    if not prefix:
-        raise ValueError("prefix must be nonempty")
-    net = np.eye(2, dtype=complex)
-    for gate in prefix:
-        net = compose_zyz(gate) @ net
-    return extract_euler(net.conj().T)
-
-
 def _measure(p0: float, cfg: RbConfig, rng: np.random.Generator) -> float:
     if cfg.readout is not None:
         p0 = apply_readout_error(p0, cfg.readout[0], cfg.readout[1])

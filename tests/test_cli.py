@@ -375,6 +375,17 @@ def test_console_script_runs():
     assert proc.stdout.startswith("noisy-euler ")
 
 
+def test_public_api_exports_resolve():
+    """Every name in noisy_euler.__all__ is an attribute of the package and
+    is listed once, so ``from noisy_euler import *`` works."""
+    import noisy_euler
+
+    names = noisy_euler.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(noisy_euler, name)]
+    assert missing == []
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "noisy_euler.cli",

@@ -11,7 +11,6 @@ from noisy_euler import (
     EulerAngles,
     NAMED_GATES,
     apply_unitary,
-    bloch_from_statevector,
     bloch_to_density,
     compose_native,
     compose_zyz,
@@ -161,18 +160,6 @@ def test_state_vector_normalized_with_real_first_component():
         psi = s.state_vector()
         assert abs(np.vdot(psi, psi).real - 1.0) < 1e-15
         assert psi[0].imag == 0.0 and psi[0].real >= 0.0
-
-
-def test_bloch_from_statevector_roundtrip():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        s = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        # arbitrary global phase must not matter
-        psi = cmath.exp(1j * rng.uniform(0, 6)) * s.state_vector()
-        r = bloch_from_statevector(psi)
-        assert abs(r.theta - s.theta) < 1e-12
-        dphi = (r.phi - s.phi) % (2 * math.pi)
-        assert min(dphi, 2 * math.pi - dphi) < 1e-10 or s.theta < 1e-12
 
 
 def test_bloch_to_density_is_projector():

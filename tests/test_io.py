@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from noisy_euler.io import (
     JOBS_ENV_VAR,
+    WORKER_THREAD_VARS,
     effective_jobs,
     fold_seed,
     format_value,
@@ -144,3 +146,20 @@ def test_parallel_map_order_and_equivalence():
 def test_parallel_map_empty_and_single():
     assert parallel_map(_square, [], jobs=4) == []
     assert parallel_map(_square, [3], jobs=4) == [9]
+
+
+def _env_value(name):
+    return os.environ.get(name)
+
+
+def test_parallel_map_workers_get_single_threaded_blas(monkeypatch):
+    """Unset BLAS thread variables read "1" in the workers, a value the
+    caller set is kept, and the caller's environment is left as it was."""
+    for name in WORKER_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    before = dict(os.environ)
+    got = parallel_map(_env_value, list(WORKER_THREAD_VARS), jobs=2)
+    expect = ["3" if name == "OMP_NUM_THREADS" else "1" for name in WORKER_THREAD_VARS]
+    assert got == expect
+    assert dict(os.environ) == before

@@ -12,7 +12,6 @@ from noisy_euler import (
     LAMBDA_MAX,
     NoiseParams,
     amplitude_damping_kraus,
-    apply_channel,
     apply_channel_kraus,
     bloch_to_density,
     calibration_fidelity,
@@ -110,16 +109,6 @@ def test_kraus_operators_complete():
             assert np.abs(total - np.eye(2)).max() < 1e-15
 
 
-def test_channel_matches_kraus_composition():
-    rng = np.random.default_rng(2)
-    for _ in range(300):
-        rho = random_density(rng)
-        p = NoiseParams.from_lambdas(rng.uniform(0, 1), rng.uniform(0, 1))
-        fast = apply_channel(rho, p)
-        slow = apply_channel_kraus(rho, p)
-        assert np.abs(fast - slow).max() < 1e-15
-
-
 def test_channel_kraus_order_irrelevant():
     # amplitude and phase damping commute, so the composition order is moot
     rng = np.random.default_rng(4)
@@ -128,7 +117,7 @@ def test_channel_kraus_order_irrelevant():
     amp = lambda r: sum(k @ r @ k.conj().T for k in amplitude_damping_kraus(0.3))
     php = lambda r: sum(k @ r @ k.conj().T for k in phase_damping_kraus(0.6))
     assert np.abs(amp(php(rho)) - php(amp(rho))).max() < 1e-15
-    assert np.abs(amp(php(rho)) - apply_channel(rho, p)).max() < 1e-15
+    assert np.abs(amp(php(rho)) - apply_channel_kraus(rho, p)).max() < 1e-15
 
 
 def test_channel_preserves_density_matrices():
@@ -136,26 +125,26 @@ def test_channel_preserves_density_matrices():
     for _ in range(100):
         rho = random_density(rng)
         p = NoiseParams.from_lambdas(rng.uniform(0, 1), rng.uniform(0, 1))
-        validate_density_matrix(apply_channel(rho, p))
+        validate_density_matrix(apply_channel_kraus(rho, p))
 
 
 def test_channel_fixed_point_is_ground_state():
     rho = np.diag([1.0, 0.0]).astype(complex)
     p = NoiseParams.from_lambdas(0.4, 0.7)
-    assert np.abs(apply_channel(rho, p) - rho).max() == 0.0
+    assert np.abs(apply_channel_kraus(rho, p) - rho).max() == 0.0
 
 
 def test_channel_identity_at_zero_noise():
     rng = np.random.default_rng(8)
     rho = random_density(rng)
     p = NoiseParams.from_lambda(0.0)
-    assert np.abs(apply_channel(rho, p) - rho).max() == 0.0
+    assert np.abs(apply_channel_kraus(rho, p) - rho).max() == 0.0
 
 
 def test_channel_full_amplitude_damping_resets():
     rng = np.random.default_rng(10)
     rho = random_density(rng)
-    out = apply_channel(rho, NoiseParams.from_lambdas(1.0 - 1e-15, 0.0))
+    out = apply_channel_kraus(rho, NoiseParams.from_lambdas(1.0 - 1e-15, 0.0))
     assert abs(out[0, 0].real - 1.0) < 1e-14
 
 
@@ -247,7 +236,7 @@ def test_calibration_fidelity_oracle_pulse_simulation():
         p = NoiseParams.from_lambdas(rng.uniform(0, 0.5), rng.uniform(0, 0.5))
         alpha = rng.uniform(-math.pi, math.pi)
         rho = np.diag([1.0, 0.0]).astype(complex)
-        rho = apply_channel(rx(alpha) @ rho @ rx(alpha).conj().T, p)
+        rho = apply_channel_kraus(rx(alpha) @ rho @ rx(alpha).conj().T, p)
         expect = float(np.real(minus_y.conj() @ rho @ minus_y))
         assert abs(calibration_fidelity(alpha, p) - expect) < 1e-14
 

@@ -13,7 +13,6 @@ from noisy_euler import (
     InitialStateDistribution,
     LAMBDA_MAX,
     NoiseParams,
-    bloch_from_statevector,
     bloch_to_density,
     compose_zyz,
     expected_fidelity,
@@ -23,7 +22,6 @@ from noisy_euler import (
     moment_objective,
     named_gate,
     noisy_gate_stepwise,
-    prep_fidelity,
     state_fidelity,
 )
 
@@ -75,19 +73,22 @@ def test_fidelity_orthogonal_target_is_zero():
     assert fidelity(x_gate, identity, BlochState(0.0, 0.0), noiseless) < 1e-14
 
 
+# Preparing the state (theta, phi) from |0> scores the trial (beta, gamma, 0)
+# against the target EulerAngles(phi, theta, 0) at the input |0>.
+GROUND = BlochState(0.0, 0.0)
+
+
 def test_prep_fidelity_matches_state_route():
     rng = np.random.default_rng(4)
     for _ in range(100):
         target = random_state(rng)
         beta, gamma = rng.uniform(-math.pi, math.pi, 2)
         params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
-        rho = noisy_gate_stepwise(
-            EulerAngles(beta, gamma, 0.0),
-            bloch_to_density(BlochState(0.0, 0.0)),
-            params,
-        )
+        trial = EulerAngles(beta, gamma, 0.0)
+        rho = noisy_gate_stepwise(trial, bloch_to_density(GROUND), params)
         oracle = state_fidelity(target, rho)
-        assert abs(prep_fidelity(target, beta, gamma, params) - oracle) < 1e-13
+        prep = fidelity(EulerAngles(target.phi, target.theta, 0.0), trial, GROUND, params)
+        assert abs(prep - oracle) < 1e-13
 
 
 def test_prep_fidelity_noiseless_seed_is_one():
@@ -95,7 +96,8 @@ def test_prep_fidelity_noiseless_seed_is_one():
     p0 = NoiseParams.from_lambda(0.0)
     for _ in range(50):
         t = random_state(rng)
-        assert prep_fidelity(t, t.phi, t.theta, p0) > 1.0 - 1e-13
+        seed = EulerAngles(t.phi, t.theta, 0.0)
+        assert fidelity(seed, seed, GROUND, p0) > 1.0 - 1e-13
 
 
 # ----------------------------------------------------------- distributions
@@ -150,6 +152,9 @@ def test_cap_sampling_stays_inside_and_matches_cdf():
 
 
 def test_uniform_sampling_moments():
+    assert InitialStateDistribution.uniform_sphere() == InitialStateDistribution.spherical_cap(
+        math.pi
+    )
     rng = np.random.default_rng(10)
     theta, _ = InitialStateDistribution.uniform_sphere().sample(rng, 50000)
     z = np.cos(theta)

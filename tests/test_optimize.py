@@ -20,8 +20,6 @@ from noisy_euler import (
     noisy_gate_stepwise,
     optimize_gate,
     optimize_gate_mixed,
-    optimize_prep,
-    prep_fidelity,
 )
 from noisy_euler.optimize import optimizer_config_with_seed
 
@@ -170,20 +168,32 @@ def test_cap_distribution_optimization_runs_and_improves():
 
 
 # ------------------------------------------------------------------- prep
+#
+# Preparing the state (theta, phi) from |0> is optimize_gate on the target
+# EulerAngles(phi, theta, 0) at the known input |0>, where Rz(delta) acts
+# only as a phase: the delta gradient is exactly 0, so delta stays at 0.
+
+GROUND = InitialStateDistribution.point(0.0, 0.0)
+
+
+def prep_target(t: BlochState) -> EulerAngles:
+    return EulerAngles(t.phi, t.theta, 0.0)
+
 
 def test_prep_zero_noise_no_change():
     rng = np.random.default_rng(8)
     p0 = NoiseParams.from_lambda(0.0)
     for _ in range(10):
         t = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        res = optimize_prep(t, p0)
+        res = optimize_gate(prep_target(t), GROUND, p0)
         assert res.improvement == 0.0
         assert res.objective_at_target_angles > 1.0 - 1e-13
+        assert res.angles_opt.delta == 0.0
 
 
 def test_prep_improves_under_noise():
     t = BlochState(2.0, 1.3)
-    res = optimize_prep(t, NoiseParams.from_lambda(0.05))
+    res = optimize_gate(prep_target(t), GROUND, NoiseParams.from_lambda(0.05))
     assert res.improvement > 1e-4
     assert res.angles_opt.delta == 0.0
 
@@ -191,22 +201,28 @@ def test_prep_improves_under_noise():
 def test_prep_seed_objective_is_seed_fidelity():
     t = BlochState(0.8, 4.0)
     params = NoiseParams.from_lambdas(0.03, 0.06)
-    res = optimize_prep(t, params)
-    assert res.objective_at_target_angles == prep_fidelity(t, t.phi, t.theta, params)
+    target = prep_target(t)
+    res = optimize_gate(target, GROUND, params)
+    assert res.objective_at_target_angles == fidelity(
+        target, target, BlochState(0.0, 0.0), params
+    )
+    assert res.angles_opt.delta == 0.0
 
 
 def test_prep_matches_brute_force():
     t = BlochState(1.9, 0.4)
     params = NoiseParams.from_lambda(0.08)
+    target = prep_target(t)
 
     def neg(x):
-        return -prep_fidelity(t, x[0], x[1], params)
+        return -fidelity(target, EulerAngles(x[0], x[1], 0.0), BlochState(0.0, 0.0), params)
 
     ref = sciopt.differential_evolution(
         neg, bounds=[(0, 2 * math.pi)] * 2, seed=5, tol=1e-12, maxiter=300
     )
-    res = optimize_prep(t, params)
+    res = optimize_gate(target, GROUND, params)
     assert res.objective_value >= -ref.fun - 1e-9
+    assert res.angles_opt.delta == 0.0
 
 
 # ------------------------------------------------------------ mixed input

@@ -13,7 +13,6 @@ from noisy_euler import (
     NoiseParams,
     OptimizerConfig,
     RbConfig,
-    build_inverse_gate,
     compose_zyz,
     extract_euler,
     fit_decay,
@@ -98,30 +97,6 @@ def test_gate_stream_deterministic():
     a = [sample_random_gate(np.random.default_rng(9)) for _ in range(5)]
     b = [sample_random_gate(np.random.default_rng(9)) for _ in range(5)]
     assert a == b
-
-
-# ----------------------------------------------------------------- inverse
-
-def test_inverse_gate_undoes_prefix():
-    rng = np.random.default_rng(3)
-    gates = [sample_random_gate(rng) for _ in range(50)]
-    net = np.eye(2, dtype=complex)
-    for g in gates:
-        net = compose_zyz(g) @ net
-    inv = build_inverse_gate(gates)
-    assert np.abs(compose_zyz(inv) @ net - np.eye(2)).max() < 1e-10
-
-
-def test_inverse_gate_single():
-    rng = np.random.default_rng(4)
-    g = sample_random_gate(rng)
-    inv = build_inverse_gate([g])
-    assert np.abs(compose_zyz(inv) - compose_zyz(g).conj().T).max() < 1e-12
-
-
-def test_inverse_gate_empty_prefix():
-    with pytest.raises(ValueError):
-        build_inverse_gate([])
 
 
 # --------------------------------------------------------------- decay fit
