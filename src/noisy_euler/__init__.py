@@ -43,8 +43,6 @@ from .noise import (
 )
 from .objectives import (
     InitialStateDistribution,
-    expected_fidelity,
-    expected_fidelity_gradient,
     fidelity,
     moment_objective,
 )
@@ -52,7 +50,6 @@ from .optimize import (
     OptimizationResult,
     OptimizerConfig,
     optimize_gate,
-    optimize_gate_mixed,
 )
 from .calibration import (
     BUNDLED_DEVICES,
@@ -112,14 +109,11 @@ __all__ = [
     "noisy_gate_stepwise",
     "phase_damping_kraus",
     "InitialStateDistribution",
-    "expected_fidelity",
-    "expected_fidelity_gradient",
     "fidelity",
     "moment_objective",
     "OptimizationResult",
     "OptimizerConfig",
     "optimize_gate",
-    "optimize_gate_mixed",
     "BUNDLED_DEVICES",
     "DeviceSpec",
     "DeviceSpecError",

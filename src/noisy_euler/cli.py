@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -205,6 +206,40 @@ def _parse_dist_args(args, parser) -> dict:
 
 # ------------------------------------------------- config dict round-trip
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_JSON_KINDS = {
+    "a boolean": lambda v: isinstance(v, bool),
+    "an integer": _is_integer,
+    "a number": _is_number,
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+
+def _checked(d, where: str, **kinds: str) -> dict:
+    """``d`` itself, once it is known to be a JSON object in which each key
+    of ``kinds`` that is present holds a value of that kind (a key of
+    ``_JSON_KINDS``, or one followed by " or null"); otherwise a ValueError
+    that names ``where`` and the key, so that a hand-edited manifest ends in
+    an error line rather than a TypeError deep inside a constructor."""
+    if not isinstance(d, dict):
+        raise ValueError(f"manifest {where} must be an object, got {d!r}")
+    for key, kind in kinds.items():
+        if key not in d:
+            continue
+        base = kind.removesuffix(" or null")
+        if not ((d[key] is None and base != kind) or _JSON_KINDS[base](d[key])):
+            raise ValueError(f"manifest {where}.{key} must be {kind}, got {d[key]!r}")
+    return d
+
+
 def _noise_to_dict(p: NoiseParams) -> dict:
     return {
         "t1": p.t1,
@@ -216,8 +251,10 @@ def _noise_to_dict(p: NoiseParams) -> dict:
 
 
 def _noise_from_dict(d: dict) -> NoiseParams:
-    if d.get("t1") is not None:
+    if _checked(d, "config.noise", t1="a number or null").get("t1") is not None:
+        _checked(d, "config.noise", t2="a number", t_star="a number")
         return NoiseParams.from_times(d["t1"], d["t2"], d["t_star"])
+    _checked(d, "config.noise", lambda_a="a number", lambda_p="a number")
     return NoiseParams.from_lambdas(d["lambda_a"], d["lambda_p"])
 
 
@@ -233,7 +270,10 @@ def _optimizer_dict(args, rng_seed: int) -> dict:
 def _optimizer_from_dict(d: dict) -> OptimizerConfig:
     """OptimizerConfig from a manifest's ``optimizer`` entry; a key the
     config does not have (say, from a manifest written by an older version)
-    is a ValueError that names it."""
+    is a ValueError that names it, and so is a value of the wrong type."""
+    _checked(d, "config.optimizer", max_iterations="an integer",
+             gradient_tolerance="a number", multistart_count="an integer",
+             rng_seed="an integer")
     known = [f.name for f in dataclasses.fields(OptimizerConfig)]
     unknown = sorted(set(d) - set(known))
     if unknown:
@@ -245,6 +285,7 @@ def _optimizer_from_dict(d: dict) -> OptimizerConfig:
 
 
 def _dist_from_dict(d: dict) -> InitialStateDistribution:
+    _checked(d, "config.dist", theta="a number", phi="a number", theta_max="a number")
     kind = d["kind"]
     if kind == "point":
         return InitialStateDistribution.point(d["theta"], d["phi"])
@@ -256,6 +297,12 @@ def _dist_from_dict(d: dict) -> InitialStateDistribution:
 
 
 def _rb_config_from_dict(d: dict) -> RbConfig:
+    _checked(d, "config", n_circuits="an integer", n_gates="an integer",
+             depth_schedule="a list of integers", shots="an integer or null",
+             drift_factor="a number", readout="a list of numbers or null",
+             rng_seed="an integer", k_grid="a list of numbers",
+             mitigate="a boolean", track_noisy_state="a boolean",
+             jobs="an integer or null")
     return RbConfig(
         noise=_noise_from_dict(d["noise"]),
         n_circuits=d["n_circuits"],
@@ -264,14 +311,17 @@ def _rb_config_from_dict(d: dict) -> RbConfig:
         shots=d["shots"],
         drift_factor=d.get("drift_factor", 1.0),
         readout=tuple(d["readout"]) if d.get("readout") else None,
-        mitigate=bool(d.get("mitigate", False)),
+        mitigate=d.get("mitigate", False),
         rng_seed=d["rng_seed"],
         optimizer=_optimizer_from_dict(d["optimizer"]),
-        track_noisy_state=bool(d.get("track_noisy_state", False)),
+        track_noisy_state=d.get("track_noisy_state", False),
     )
 
 
 def _sweep_config_from_dict(d: dict) -> SweepConfig:
+    _checked(d, "config", lambda_grid="a list of numbers", targets_per_point="an integer",
+             theta_max_grid="a list of numbers or null", rng_seed="an integer",
+             jobs="an integer or null")
     return SweepConfig(
         lambda_grid=tuple(d["lambda_grid"]),
         targets_per_point=d["targets_per_point"],
@@ -326,10 +376,12 @@ def _finish_run(outdir: Path, tag: str, command: str, config: dict, summary: dic
 
 def _run_optimize(config: dict, outdir: Path, tag: str) -> int:
     t0 = time.monotonic()
+    if len(_checked(config, "config", gate="a list of numbers")["gate"]) not in (3, 4):
+        raise ValueError("manifest config.gate must list 3 or 4 angles")
     gate = EulerAngles(*config["gate"])
     result = optimize_gate(
         gate,
-        _dist_from_dict(config["dist"]),
+        *_dist_from_dict(config["dist"]).moments(),
         _noise_from_dict(config["noise"]),
         _optimizer_from_dict(config["optimizer"]),
     )
@@ -408,35 +460,20 @@ def _sweep_rows(result) -> list[list]:
     ]
 
 
-def _run_prep_sweep(config: dict, outdir: Path, tag: str) -> int:
+def _run_sweep(command: str, config: dict, outdir: Path, tag: str) -> int:
     t0 = time.monotonic()
     cfg = _sweep_config_from_dict(config)
-    result = prep_improvement_sweep(cfg, jobs=effective_jobs(config.get("jobs")))
+    sweep = prep_improvement_sweep if command == "prep-sweep" else knowledge_sweep
+    result = sweep(cfg, jobs=effective_jobs(config.get("jobs")))
     summary = {
         "experiment_id": tag,
-        "command": "prep-sweep",
+        "command": command,
         "config": config,
         "rng_seed": cfg.rng_seed,
         "n_rows": len(result.rows),
     }
     return _finish_run(
-        outdir, tag, "prep-sweep", config, summary, _sweep_rows(result), SWEEP_HEADER, t0
-    )
-
-
-def _run_knowledge(config: dict, outdir: Path, tag: str) -> int:
-    t0 = time.monotonic()
-    cfg = _sweep_config_from_dict(config)
-    result = knowledge_sweep(cfg, jobs=effective_jobs(config.get("jobs")))
-    summary = {
-        "experiment_id": tag,
-        "command": "knowledge",
-        "config": config,
-        "rng_seed": cfg.rng_seed,
-        "n_rows": len(result.rows),
-    }
-    return _finish_run(
-        outdir, tag, "knowledge", config, summary, _sweep_rows(result), SWEEP_HEADER, t0
+        outdir, tag, command, config, summary, _sweep_rows(result), SWEEP_HEADER, t0
     )
 
 
@@ -444,8 +481,8 @@ _RUNNERS = {
     "optimize": _run_optimize,
     "rb": _run_rb,
     "drift": _run_drift,
-    "prep-sweep": _run_prep_sweep,
-    "knowledge": _run_knowledge,
+    "prep-sweep": functools.partial(_run_sweep, "prep-sweep"),
+    "knowledge": functools.partial(_run_sweep, "knowledge"),
 }
 
 
@@ -504,7 +541,7 @@ def _cmd_prep_sweep(args, parser) -> int:
         "optimizer": _optimizer_dict(args, rng_seed=args.seed),
         "jobs": args.jobs,
     }
-    return _run_prep_sweep(config, Path(args.output_dir), args.tag or "prep-sweep")
+    return _run_sweep("prep-sweep", config, Path(args.output_dir), args.tag or "prep-sweep")
 
 
 def _cmd_knowledge(args, parser) -> int:
@@ -520,7 +557,7 @@ def _cmd_knowledge(args, parser) -> int:
         "optimizer": _optimizer_dict(args, rng_seed=args.seed),
         "jobs": args.jobs,
     }
-    return _run_knowledge(config, Path(args.output_dir), args.tag or "knowledge")
+    return _run_sweep("knowledge", config, Path(args.output_dir), args.tag or "knowledge")
 
 
 def _cmd_validate(args, parser) -> int:
@@ -637,11 +674,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_from_manifest(args) -> int:
     doc = load_manifest(args.from_manifest)
     command = doc["command"]
-    runner = _RUNNERS.get(command)
+    runner = _RUNNERS.get(command) if isinstance(command, str) else None
     if runner is None:
         raise ValueError(f"manifest command {command!r} is not replayable")
     tag = args.tag or doc.get("tag") or command
-    return runner(doc["config"], Path(args.output_dir), tag)
+    return runner(_checked(doc["config"], "config"), Path(args.output_dir), tag)
 
 
 def main(argv=None) -> int:

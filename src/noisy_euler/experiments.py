@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .gates import BlochState, EulerAngles, extract_euler
 from .io import fold_seed, parallel_map
 from .noise import NoiseParams
 from .objectives import InitialStateDistribution, fidelity
-from .optimize import OptimizerConfig, optimize_gate, optimizer_config_with_seed
+from .optimize import OptimizerConfig, optimize_gate
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,7 +97,7 @@ def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRo
 def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam = item
     params = NoiseParams.from_lambda(lam)
-    ground = InitialStateDistribution.point(0.0, 0.0)
+    ground = InitialStateDistribution.point(0.0, 0.0).moments()
     imps = np.empty(cfg.targets_per_point)
     for t in range(cfg.targets_per_point):
         rng = np.random.Generator(
@@ -108,10 +108,8 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
         # |0> as a phase only, so delta stays at its seed 0.
         target = EulerAngles(phi, math.acos(z), 0.0)
-        ocfg = optimizer_config_with_seed(
-            cfg.optimizer, fold_seed([cfg.rng_seed, 0, li, t, 1])
-        )
-        res = optimize_gate(target, ground, params, ocfg)
+        ocfg = replace(cfg.optimizer, rng_seed=fold_seed([cfg.rng_seed, 0, li, t, 1]))
+        res = optimize_gate(target, *ground, params, ocfg)
         imps[t] = res.improvement
     return _row_stats(lam, None, imps)
 
@@ -120,16 +118,15 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam, mi, theta_max = item
     params = NoiseParams.from_lambda(lam)
     dist = InitialStateDistribution.spherical_cap(theta_max)
+    moments = dist.moments()
     imps = np.empty(cfg.targets_per_point)
     for r in range(cfg.targets_per_point):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.rng_seed, 1, li, mi, r]))
         )
         target = _haar_gate(rng)
-        ocfg = optimizer_config_with_seed(
-            cfg.optimizer, fold_seed([cfg.rng_seed, 1, li, mi, r, 1])
-        )
-        res = optimize_gate(target, dist, params, ocfg)
+        ocfg = replace(cfg.optimizer, rng_seed=fold_seed([cfg.rng_seed, 1, li, mi, r, 1]))
+        res = optimize_gate(target, *moments, params, ocfg)
         theta, phi = dist.sample(rng, 1)
         state = BlochState(float(theta[0]), float(phi[0]))
         imps[r] = fidelity(target, res.angles_opt, state, params) - fidelity(

@@ -3,7 +3,6 @@
 ``fidelity`` scores a trial decomposition (beta, gamma, delta) against a
 target unitary for one known pure input state: the overlap between the target
 output state and the noisy output of the trial decomposition.
-``expected_fidelity`` averages that score over a distribution of input states.
 
 The noisy gate is the affine Bloch-vector map n -> A n + t and the target a
 rotation R, so the score of one pure input is 1/2 (1 + (R n).(A n + t)),
@@ -13,7 +12,9 @@ its moments m1 = E[n] and m2 = E[n n^T]:
     F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2)
 
 ``moment_objective`` evaluates this exactly, with its analytic gradient in
-the trial angles; every objective in the package is a case of it.
+the trial angles; every objective in the package is a case of it, and the
+average over a distribution ``dist`` is
+``moment_objective(target, *dist.moments(), params)``.
 
 Input-state distributions come in two kinds:
 
@@ -148,10 +149,6 @@ def moment_objective(
     return fg
 
 
-def _angles(e: EulerAngles) -> tuple[float, float, float]:
-    return e.beta, e.gamma, e.delta
-
-
 def fidelity(
     target: EulerAngles,
     trial: EulerAngles,
@@ -165,26 +162,6 @@ def fidelity(
     [0, 1] (floating-point overshoot is clamped).
     """
     n = state.bloch_vector()
-    return moment_objective(target, n, np.outer(n, n), params)(_angles(trial))[0]
+    x = (trial.beta, trial.gamma, trial.delta)
+    return moment_objective(target, n, np.outer(n, n), params)(x)[0]
 
-
-def expected_fidelity(
-    target: EulerAngles,
-    trial: EulerAngles,
-    dist: InitialStateDistribution,
-    params: NoiseParams,
-) -> float:
-    """Average fidelity over the input-state distribution, exact through the
-    distribution's moments; a point distribution equals ``fidelity``."""
-    return moment_objective(target, *dist.moments(), params)(_angles(trial))[0]
-
-
-def expected_fidelity_gradient(
-    target: EulerAngles,
-    trial: EulerAngles,
-    dist: InitialStateDistribution,
-    params: NoiseParams,
-) -> np.ndarray:
-    """Analytic gradient of the expected fidelity with respect to
-    (beta, gamma, delta)."""
-    return moment_objective(target, *dist.moments(), params)(_angles(trial))[1]

@@ -1,17 +1,18 @@
 """Quasi-Newton search for noise-aware decomposition angles.
 
-Two entry points share one search: ``optimize_gate`` takes the input as an
-``InitialStateDistribution`` (a point, a cap, the uniform sphere; state
-preparation is the point |0>, where delta stays at its seed because the
-objective does not depend on it), and ``optimize_gate_mixed`` takes the
-input's Bloch vector, as randomized benchmarking tracks it.  Both maximize
-the exact moment objective (``objectives.moment_objective``) over the
-unwrapped (beta, gamma, delta) in R^3, seeded at the target's own angles so
-the result can never score below the default decomposition.  The objective
-returns its analytic gradient with its value; descent is scipy's L-BFGS-B.
-An optional multistart mode adds uniform-random seeds for rugged landscapes
-(damping probabilities near 1), keeping the best result by objective value
-with lowest-seed-index tie-breaking.
+One entry point, ``optimize_gate``, takes the input through its Bloch-vector
+moments m1 = E[n] and m2 = E[n n^T]: a point, a cap or the uniform sphere
+via ``InitialStateDistribution.moments()``, a Bloch vector r (as randomized
+benchmarking tracks it) as (r, r r^T), and state preparation as the point
+|0>, where delta stays at its seed because the objective does not depend on
+it.  It maximizes the exact moment objective
+(``objectives.moment_objective``) over the unwrapped (beta, gamma, delta) in
+R^3, seeded at the target's own angles so the result can never score below
+the default decomposition.  The objective returns its analytic gradient with
+its value; descent is scipy's L-BFGS-B.  An optional multistart mode adds
+uniform-random seeds for rugged landscapes (damping probabilities near 1),
+keeping the best result by objective value with lowest-seed-index
+tie-breaking.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -22,21 +23,21 @@ output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .gates import EulerAngles
 from .noise import NoiseParams
-from .objectives import InitialStateDistribution, moment_objective
+from .objectives import moment_objective
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for ``optimize_gate`` and ``optimize_gate_mixed``.
+    """Knobs for ``optimize_gate``.
 
     multistart_count = 0 disables multistart; N > 0 adds N uniform-random
     seeds (drawn from ``rng_seed``) beside the target seed.
@@ -76,22 +77,47 @@ class OptimizationResult:
         return self.objective_value - self.objective_at_target_angles
 
 
-def _maximize(fg, seeds: list[np.ndarray], cfg: OptimizerConfig):
-    """L-BFGS-B from each seed on ``fg(x) -> (value, gradient)``; returns
-    (best_x, best_f, iterations, converged) with max-objective, lowest-seed-index
-    tie-breaking."""
+def optimize_gate(
+    target: EulerAngles,
+    m1: np.ndarray,
+    m2: np.ndarray,
+    params: NoiseParams,
+    config: OptimizerConfig | None = None,
+) -> OptimizationResult:
+    """Find decomposition angles maximizing the fidelity of the target gate
+    for inputs with Bloch-vector moments m1 = E[n] and m2 = E[n n^T]
+    (``InitialStateDistribution.moments()``; a Bloch vector r: r, r r^T).
+
+    L-BFGS-B runs from the target seed and from each multistart seed; the
+    best candidate wins, lowest seed index on ties, and the seed itself is
+    the fallback.  A start whose gradient already meets the tolerance is
+    kept without a call, the stopping test L-BFGS-B applies at its start
+    point.  Raises ValueError unless m1 has shape (3,), is finite and has
+    |m1| <= 1 + 1e-9, and m2 is finite with shape (3, 3).
+    """
+    m1 = np.asarray(m1, dtype=float)
+    m2 = np.asarray(m2, dtype=float)
+    if m1.shape != (3,) or not np.all(np.isfinite(m1)) or np.linalg.norm(m1) > 1.0 + 1e-9:
+        raise ValueError("m1 must be a finite Bloch vector of shape (3,) with |m1| <= 1")
+    if m2.shape != (3, 3) or not np.all(np.isfinite(m2)):
+        raise ValueError("m2 must be a finite matrix of shape (3, 3)")
+    cfg = config or OptimizerConfig()
+    fg = moment_objective(target, m1, m2, params)
 
     def neg(x):
         f, g = fg(x)
         return -f, -g
 
+    seed = np.array([target.beta, target.gamma, target.delta])
+    f_seed, g_seed = fg(seed)
+    starts = [seed]
+    if cfg.multistart_count > 0:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
+        starts += [rng.uniform(0.0, TWO_PI, 3) for _ in range(cfg.multistart_count)]
     best = None
-    for x0 in seeds:
-        x0 = np.asarray(x0, dtype=float)
-        f0, g0 = fg(x0)
+    for i, x0 in enumerate(starts):
+        f0, g0 = (f_seed, g_seed) if i == 0 else fg(x0)
         if np.max(np.abs(g0)) <= cfg.gradient_tolerance:
-            # Same stopping test L-BFGS-B applies at the start point; skip
-            # the call when it would terminate at iteration 0 anyway.
             cand = (x0, f0, 0, True)
         else:
             res = minimize(
@@ -108,72 +134,14 @@ def _maximize(fg, seeds: list[np.ndarray], cfg: OptimizerConfig):
             cand = (res.x, float(-res.fun), int(res.nit), bool(res.success))
         if best is None or cand[1] > best[1]:
             best = cand
-    return best
-
-
-def _multistart_seeds(x0: np.ndarray, cfg: OptimizerConfig) -> list[np.ndarray]:
-    seeds = [np.asarray(x0, dtype=float)]
-    if cfg.multistart_count > 0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
-        for _ in range(cfg.multistart_count):
-            seeds.append(rng.uniform(0.0, TWO_PI, x0.size))
-    return seeds
-
-
-def _wrap_angles(x: np.ndarray) -> np.ndarray:
-    return np.mod(x, TWO_PI)
-
-
-def optimize_gate(
-    target: EulerAngles,
-    dist: InitialStateDistribution,
-    params: NoiseParams,
-    config: OptimizerConfig | None = None,
-) -> OptimizationResult:
-    """Find decomposition angles maximizing the (expected) fidelity of the
-    target gate under the given noise and input-state distribution."""
-    fg = moment_objective(target, *dist.moments(), params)
-    x0 = np.array([target.beta, target.gamma, target.delta])
-    return _finish(fg, x0, config or OptimizerConfig())
-
-
-def optimize_gate_mixed(
-    target: EulerAngles,
-    r: np.ndarray,
-    params: NoiseParams,
-    config: OptimizerConfig | None = None,
-) -> OptimizationResult:
-    """Input given by its Bloch vector r: rho = (I + r.sigma)/2, pure (a
-    point input) at |r| = 1 and mixed for |r| < 1.  Maximizes the
-    Hilbert-Schmidt overlap tr(U rho U^dag . rho_out(trial)) of the noisy
-    output with the ideal one.  Raises ValueError unless r has shape (3,), is
-    finite and has |r| <= 1 + 1e-9."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,) or not np.all(np.isfinite(r)) or np.linalg.norm(r) > 1.0 + 1e-9:
-        raise ValueError("r must be a finite Bloch vector of shape (3,) with |r| <= 1")
-    fg = moment_objective(target, r, np.outer(r, r), params)
-    x0 = np.array([target.beta, target.gamma, target.delta])
-    return _finish(fg, x0, config or OptimizerConfig())
-
-
-def _finish(fg, x0: np.ndarray, cfg: OptimizerConfig):
-    """Run the seeded (multi)start search and package the result, enforcing
-    the never-worse contract against the seed exactly."""
-    f_seed = fg(np.asarray(x0, dtype=float))[0]
-    best_x, best_f, iters, converged = _maximize(fg, _multistart_seeds(x0, cfg), cfg)
-    if best_f < f_seed:
-        best_x, best_f = np.asarray(x0, dtype=float), f_seed
-        iters, converged = 0, True
-    w = _wrap_angles(best_x)
+    if best[1] < f_seed:
+        best = (seed, f_seed, 0, True)
+    x, f, iterations, converged = best
+    w = np.mod(x, TWO_PI)
     return OptimizationResult(
         angles_opt=EulerAngles(w[0], w[1], w[2]),
-        objective_value=best_f,
+        objective_value=f,
         objective_at_target_angles=f_seed,
-        iterations=iters,
+        iterations=iterations,
         converged=converged,
     )
-
-
-def optimizer_config_with_seed(cfg: OptimizerConfig, seed: int) -> OptimizerConfig:
-    """Copy of ``cfg`` with a new rng_seed (multistart determinism helper)."""
-    return replace(cfg, rng_seed=seed)

@@ -30,7 +30,6 @@ confusion matrix, in that order.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -41,7 +40,7 @@ from .calibration import apply_readout_error, mitigate_readout
 from .gates import EulerAngles, compose_zyz, extract_euler
 from .io import fold_seed, parallel_map
 from .noise import NoiseParams, _affine_map
-from .optimize import OptimizerConfig, optimize_gate_mixed, optimizer_config_with_seed
+from .optimize import OptimizerConfig, optimize_gate
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,15 +199,17 @@ def _optimize_step(
 ) -> EulerAngles:
     """Angles for ``target`` re-optimized for the ideal state n, or for the
     opt arm's noisy state r_opt when tracking the noisy state."""
-    ocfg = optimizer_config_with_seed(cfg.optimizer, fold_seed(stream))
+    ocfg = replace(cfg.optimizer, rng_seed=fold_seed(stream))
     r = r_opt if cfg.track_noisy_state else n
-    return optimize_gate_mixed(target, r, assumed, ocfg).angles_opt
+    return optimize_gate(target, r, np.outer(r, r), assumed, ocfg).angles_opt
 
 
-def _circuit_worker(cfg: RbConfig, circuit: int) -> np.ndarray:
-    """Survival probabilities for one circuit: array (2, n_depths) in ARMS
-    order.  All randomness derives from named streams of (rng_seed, circuit),
-    so circuits are independent and order of execution is irrelevant."""
+def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
+    """Survival probabilities for one (config, circuit) pair: array
+    (2, n_depths) in ARMS order.  All randomness derives from named streams
+    of (rng_seed, circuit), so circuits are independent and order of
+    execution is irrelevant."""
+    cfg, circuit = item
     la, lp = cfg.noise.lambda_a, cfg.noise.lambda_p
     assumed = cfg.noise.assuming_drift(cfg.drift_factor)
     rng_gates = np.random.Generator(
@@ -254,31 +255,34 @@ def _circuit_worker(cfg: RbConfig, circuit: int) -> np.ndarray:
 
 
 def run_rb_experiment(cfg: RbConfig, jobs: int = 1) -> RbRunResult:
-    """Simulate all circuits, reduce to per-depth means and standard errors
-    per arm, and fit the decay ansatz when the schedule has >= 3 depths."""
-    worker = functools.partial(_circuit_worker, cfg)
-    per_circuit = parallel_map(worker, range(cfg.n_circuits), jobs)
-    data = np.stack(per_circuit)  # (n_circuits, 2, n_depths)
-    arms = []
-    for ai, arm in enumerate(ARMS):
-        survivals = data[:, ai, :]
-        mean = survivals.mean(axis=0)
-        if cfg.n_circuits > 1:
-            stderr = survivals.std(axis=0, ddof=1) / math.sqrt(cfg.n_circuits)
-        else:
-            stderr = np.zeros_like(mean)
-        fit = fit_decay(cfg.depth_schedule, mean) if len(cfg.depth_schedule) >= 3 else None
-        arms.append(RbArmResult(arm, survivals, mean, stderr, fit))
-    return RbRunResult(cfg, cfg.depth_schedule, arms[0], arms[1])
+    """Simulate all circuits at ``cfg.drift_factor`` (the one-k case of
+    ``run_drift_sweep``), reduce to per-depth means and standard errors per
+    arm, and fit the decay ansatz when the schedule has >= 3 depths."""
+    return run_drift_sweep(cfg, [cfg.drift_factor], jobs)[0][1]
 
 
 def run_drift_sweep(cfg: RbConfig, k_values, jobs: int = 1) -> list[tuple[float, RbRunResult]]:
-    """run_rb_experiment for each drift factor k; the gate streams depend
-    only on rng_seed, so the unoptimized arm is identical across k."""
+    """``run_rb_experiment`` for each drift factor k, with all (k, circuit)
+    pairs in one ``parallel_map``; the gate streams depend only on rng_seed,
+    so the unoptimized arm is identical across k."""
+    cfgs = [replace(cfg, drift_factor=float(k)) for k in k_values]
+    n = cfg.n_circuits
+    items = [(c, circuit) for c in cfgs for circuit in range(n)]
+    per_circuit = parallel_map(_circuit_worker, items, jobs)
     results = []
-    for k in k_values:
-        k = float(k)
-        results.append((k, run_rb_experiment(replace(cfg, drift_factor=k), jobs=jobs)))
+    for ki, c in enumerate(cfgs):
+        data = np.stack(per_circuit[ki * n:(ki + 1) * n])  # (n_circuits, 2, n_depths)
+        arms = []
+        for ai, arm in enumerate(ARMS):
+            survivals = data[:, ai, :]
+            mean = survivals.mean(axis=0)
+            if n > 1:
+                stderr = survivals.std(axis=0, ddof=1) / math.sqrt(n)
+            else:
+                stderr = np.zeros_like(mean)
+            fit = fit_decay(cfg.depth_schedule, mean) if len(cfg.depth_schedule) >= 3 else None
+            arms.append(RbArmResult(arm, survivals, mean, stderr, fit))
+        results.append((c.drift_factor, RbRunResult(c, cfg.depth_schedule, arms[0], arms[1])))
     return results
 
 

@@ -342,6 +342,40 @@ def test_manifest_with_removed_optimizer_key_exits_1(tmp_path, capsys, key, valu
     assert err.startswith("error:") and repr(key) in err
 
 
+PREP_SMALL = ("prep-sweep", "--lambda-grid", "0.05", "--targets", "2", "--seed", "5")
+
+
+@pytest.mark.parametrize(
+    "args, edit, key",
+    [
+        (PREP_SMALL, lambda doc: doc.__setitem__("config", [1, 2]), "config"),
+        (PREP_SMALL, lambda doc: doc["config"].update(optimizer=None), "optimizer"),
+        (PREP_SMALL, lambda doc: doc["config"]["optimizer"].update(max_iterations="5"),
+         "max_iterations"),
+        (PREP_SMALL, lambda doc: doc["config"].update(targets_per_point="3"),
+         "targets_per_point"),
+        (RB_SMALL, lambda doc: doc["config"].update(track_noisy_state="false"),
+         "track_noisy_state"),
+    ],
+    ids=["config-list", "optimizer-null", "max-iterations-string", "targets-string",
+         "flag-string"],
+)
+def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, key):
+    """A config value of the wrong JSON type replays as one error line that
+    names its key, not a TypeError traceback (or, for a boolean given as a
+    string, a silently truthy flag)."""
+    run_cli("--output-dir", str(tmp_path), "--tag", "bad", *args)
+    path = tmp_path / "bad_manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run_cli("--output-dir", str(tmp_path / "replay"), "--from-manifest", str(path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+
 def test_manifest_with_subcommand_rejected(tmp_path):
     run_cli("--output-dir", str(tmp_path), "--tag", "mx", *RB_SMALL)
     with pytest.raises(SystemExit) as exc:

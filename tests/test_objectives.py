@@ -15,8 +15,6 @@ from noisy_euler import (
     NoiseParams,
     bloch_to_density,
     compose_zyz,
-    expected_fidelity,
-    expected_fidelity_gradient,
     extract_euler,
     fidelity,
     moment_objective,
@@ -30,6 +28,13 @@ HADAMARD = extract_euler(named_gate("h"))
 
 def random_angles(rng):
     return EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
+
+
+def averaged(target, trial, dist, params):
+    """(F, dF/dx) averaged over ``dist`` at the trial angles, through the
+    distribution's moments."""
+    fg = moment_objective(target, *dist.moments(), params)
+    return fg((trial.beta, trial.gamma, trial.delta))
 
 
 def random_state(rng):
@@ -177,7 +182,7 @@ def test_point_expected_fidelity_equals_fidelity():
         state = random_state(rng)
         params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
         dist = InitialStateDistribution.point(state.theta, state.phi)
-        assert expected_fidelity(target, trial, dist, params) == fidelity(
+        assert averaged(target, trial, dist, params)[0] == fidelity(
             target, trial, state, params
         )
 
@@ -199,7 +204,7 @@ def test_expected_fidelity_matches_scipy_dblquad(dist):
         integrand, 0.0, dist.theta_max, 0.0, 2 * math.pi,
         epsabs=1e-10, epsrel=1e-10,
     )
-    got = expected_fidelity(target, trial, dist, params)
+    got = averaged(target, trial, dist, params)[0]
     assert abs(got - ref) < 1e-6
 
 
@@ -214,7 +219,7 @@ def test_sampled_average_agrees_with_exact_moments(dist):
     rng = np.random.default_rng(18)
     target, trial = random_angles(rng), random_angles(rng)
     params = NoiseParams.from_lambdas(0.08, 0.03)
-    exact = expected_fidelity(target, trial, dist, params)
+    exact = averaged(target, trial, dist, params)[0]
     theta, phi = dist.sample(rng, 20000)
     vals = np.array([
         fidelity(target, trial, BlochState(t, p), params) for t, p in zip(theta, phi)
@@ -305,20 +310,18 @@ def test_analytic_gradient_matches_fourth_order_difference(kind):
 
 def test_gradient_matches_coarse_finite_difference():
     """The analytic gradient agrees with an independent wider-step
-    Richardson-style reference built from expected_fidelity calls."""
+    Richardson-style reference built from averaged objective values."""
     rng = np.random.default_rng(20)
     target = HADAMARD
     trial = EulerAngles(0.3, 1.2, 2.5)
     params = NoiseParams.from_lambda(0.05)
     dist = InitialStateDistribution.spherical_cap(1.2)
-    grad = expected_fidelity_gradient(target, trial, dist, params)
+    grad = averaged(target, trial, dist, params)[1]
     x = np.array([trial.beta, trial.gamma, trial.delta])
     h = 1e-4
     for i in range(3):
         def f(v):
-            return expected_fidelity(
-                target, EulerAngles(v[0], v[1], v[2]), dist, params
-            )
+            return averaged(target, EulerAngles(v[0], v[1], v[2]), dist, params)[0]
         hi1, lo1, hi2, lo2 = x.copy(), x.copy(), x.copy(), x.copy()
         hi1[i] += h
         lo1[i] -= h
@@ -330,14 +333,14 @@ def test_gradient_matches_coarse_finite_difference():
 
 
 def test_gradient_point_distribution():
-    """expected_fidelity_gradient for a point input against a 4th-order
+    """The averaged gradient for a point input against a 4th-order
     central difference of the public ``fidelity``."""
     rng = np.random.default_rng(22)
     target, trial = random_angles(rng), random_angles(rng)
     state = random_state(rng)
     params = NoiseParams.from_lambda(0.03)
     dist = InitialStateDistribution.point(state.theta, state.phi)
-    grad = expected_fidelity_gradient(target, trial, dist, params)
+    grad = averaged(target, trial, dist, params)[1]
     h = 1e-3
     x = np.array([trial.beta, trial.gamma, trial.delta])
     for i in range(3):
@@ -360,5 +363,5 @@ def test_target_angles_stationary_under_uniform_average():
         params = NoiseParams.from_lambda(lam)
         for _ in range(5):
             target = random_angles(rng)
-            grad = expected_fidelity_gradient(target, target, dist, params)
+            grad = averaged(target, target, dist, params)[1]
             assert np.linalg.norm(grad) < 1e-5

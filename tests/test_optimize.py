@@ -1,7 +1,6 @@
 """Unit tests for the seeded decomposition optimizer."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +18,11 @@ from noisy_euler import (
     named_gate,
     noisy_gate_stepwise,
     optimize_gate,
-    optimize_gate_mixed,
 )
-from noisy_euler.optimize import optimizer_config_with_seed
+from noisy_euler import optimize
 
 IDENTITY = EulerAngles(0.0, 0.0, 0.0)
-PLUS = InitialStateDistribution.point(math.pi / 2, 0.0)
+PLUS = InitialStateDistribution.point(math.pi / 2, 0.0).moments()
 
 
 def angle_displacement(a: EulerAngles, b: EulerAngles) -> float:
@@ -50,7 +48,7 @@ def test_zero_noise_returns_seed_exactly():
         dist = InitialStateDistribution.point(
             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         )
-        res = optimize_gate(target, dist, p0)
+        res = optimize_gate(target, *dist.moments(), p0)
         assert res.improvement == 0.0
         assert angle_displacement(res.angles_opt, target.wrapped()) < 1e-12
         assert res.converged
@@ -64,13 +62,13 @@ def test_never_worse_than_seed():
             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         )
         params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
-        res = optimize_gate(target, dist, params)
+        res = optimize_gate(target, *dist.moments(), params)
         assert res.objective_value >= res.objective_at_target_angles
         assert res.improvement >= 0.0
 
 
 def test_optimized_angles_beat_seed_at_moderate_noise():
-    res = optimize_gate(IDENTITY, PLUS, NoiseParams.from_lambda(0.05))
+    res = optimize_gate(IDENTITY, *PLUS, NoiseParams.from_lambda(0.05))
     assert res.improvement > 1e-3
     assert angle_displacement(res.angles_opt, IDENTITY) > 1e-3
 
@@ -92,7 +90,7 @@ def test_optimum_matches_derivative_free_global_search():
         polish=True,
         maxiter=300,
     )
-    res = optimize_gate(IDENTITY, PLUS, params)
+    res = optimize_gate(IDENTITY, *PLUS, params)
     assert res.objective_value >= -ref.fun - 1e-9
 
 
@@ -101,7 +99,7 @@ def test_grid_oracle_never_beats_optimizer():
     state = BlochState(1.1, 0.7)
     target = extract_euler(named_gate("h"))
     res = optimize_gate(
-        target, InitialStateDistribution.point(state.theta, state.phi), params
+        target, *InitialStateDistribution.point(state.theta, state.phi).moments(), params
     )
     grid = np.linspace(0.0, 2 * math.pi, 25, endpoint=False)
     best = 0.0
@@ -121,24 +119,24 @@ def test_uniform_average_cannot_be_improved():
         params = NoiseParams.from_lambda(lam)
         for _ in range(5):
             target = random_angles(rng)
-            res = optimize_gate(target, dist, params)
+            res = optimize_gate(target, *dist.moments(), params)
             assert res.improvement < 1e-7
 
 
 def test_results_deterministic():
     cfg = OptimizerConfig(multistart_count=3, rng_seed=11)
     params = NoiseParams.from_lambda(0.07)
-    a = optimize_gate(IDENTITY, PLUS, params, cfg)
-    b = optimize_gate(IDENTITY, PLUS, params, cfg)
+    a = optimize_gate(IDENTITY, *PLUS, params, cfg)
+    b = optimize_gate(IDENTITY, *PLUS, params, cfg)
     assert a.angles_opt == b.angles_opt
     assert a.objective_value == b.objective_value
 
 
 def test_multistart_never_hurts():
     params = NoiseParams.from_lambda(0.05)
-    plain = optimize_gate(IDENTITY, PLUS, params, OptimizerConfig())
+    plain = optimize_gate(IDENTITY, *PLUS, params, OptimizerConfig())
     multi = optimize_gate(
-        IDENTITY, PLUS, params, OptimizerConfig(multistart_count=8, rng_seed=1)
+        IDENTITY, *PLUS, params, OptimizerConfig(multistart_count=8, rng_seed=1)
     )
     assert multi.objective_value >= plain.objective_value - 1e-12
 
@@ -150,7 +148,7 @@ def test_optimized_angles_wrapped_into_range():
         dist = InitialStateDistribution.point(
             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         )
-        res = optimize_gate(target, dist, NoiseParams.from_lambda(0.1))
+        res = optimize_gate(target, *dist.moments(), NoiseParams.from_lambda(0.1))
         for v in (res.angles_opt.beta, res.angles_opt.gamma, res.angles_opt.delta):
             assert 0.0 <= v < 2 * math.pi
 
@@ -159,11 +157,11 @@ def test_cap_distribution_optimization_runs_and_improves():
     target = extract_euler(named_gate("h"))
     dist = InitialStateDistribution.spherical_cap(0.3)
     params = NoiseParams.from_lambda(0.05)
-    res = optimize_gate(target, dist, params)
+    res = optimize_gate(target, *dist.moments(), params)
     assert res.improvement > 0.0
     # a small cap behaves nearly like its central point
     point = InitialStateDistribution.point(0.0, 0.0)
-    res_point = optimize_gate(target, point, params)
+    res_point = optimize_gate(target, *point.moments(), params)
     assert abs(res.improvement - res_point.improvement) < 5e-3
 
 
@@ -173,7 +171,7 @@ def test_cap_distribution_optimization_runs_and_improves():
 # EulerAngles(phi, theta, 0) at the known input |0>, where Rz(delta) acts
 # only as a phase: the delta gradient is exactly 0, so delta stays at 0.
 
-GROUND = InitialStateDistribution.point(0.0, 0.0)
+GROUND = InitialStateDistribution.point(0.0, 0.0).moments()
 
 
 def prep_target(t: BlochState) -> EulerAngles:
@@ -185,7 +183,7 @@ def test_prep_zero_noise_no_change():
     p0 = NoiseParams.from_lambda(0.0)
     for _ in range(10):
         t = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        res = optimize_gate(prep_target(t), GROUND, p0)
+        res = optimize_gate(prep_target(t), *GROUND, p0)
         assert res.improvement == 0.0
         assert res.objective_at_target_angles > 1.0 - 1e-13
         assert res.angles_opt.delta == 0.0
@@ -193,7 +191,7 @@ def test_prep_zero_noise_no_change():
 
 def test_prep_improves_under_noise():
     t = BlochState(2.0, 1.3)
-    res = optimize_gate(prep_target(t), GROUND, NoiseParams.from_lambda(0.05))
+    res = optimize_gate(prep_target(t), *GROUND, NoiseParams.from_lambda(0.05))
     assert res.improvement > 1e-4
     assert res.angles_opt.delta == 0.0
 
@@ -202,7 +200,7 @@ def test_prep_seed_objective_is_seed_fidelity():
     t = BlochState(0.8, 4.0)
     params = NoiseParams.from_lambdas(0.03, 0.06)
     target = prep_target(t)
-    res = optimize_gate(target, GROUND, params)
+    res = optimize_gate(target, *GROUND, params)
     assert res.objective_at_target_angles == fidelity(
         target, target, BlochState(0.0, 0.0), params
     )
@@ -220,12 +218,16 @@ def test_prep_matches_brute_force():
     ref = sciopt.differential_evolution(
         neg, bounds=[(0, 2 * math.pi)] * 2, seed=5, tol=1e-12, maxiter=300
     )
-    res = optimize_gate(target, GROUND, params)
+    res = optimize_gate(target, *GROUND, params)
     assert res.objective_value >= -ref.fun - 1e-9
     assert res.angles_opt.delta == 0.0
 
 
 # ------------------------------------------------------------ mixed input
+#
+# A Bloch vector r enters optimize_gate as the moments (r, r r^T): pure (a
+# point input) at |r| = 1 and mixed for |r| < 1.  The objective is then the
+# Hilbert-Schmidt overlap tr(U rho U^dag . rho_out(trial)).
 
 def density_from_bloch(r):
     """rho = (I + r.sigma) / 2."""
@@ -238,9 +240,10 @@ def test_mixed_input_agrees_with_pure_route():
     state = BlochState(1.0, 0.5)
     params = NoiseParams.from_lambda(0.05)
     pure = optimize_gate(
-        target, InitialStateDistribution.point(state.theta, state.phi), params
+        target, *InitialStateDistribution.point(state.theta, state.phi).moments(), params
     )
-    mixed = optimize_gate_mixed(target, state.bloch_vector(), params)
+    r = state.bloch_vector()
+    mixed = optimize_gate(target, r, np.outer(r, r), params)
     assert angle_displacement(pure.angles_opt, mixed.angles_opt) < 1e-4
     assert abs(pure.objective_value - mixed.objective_value) < 1e-8
 
@@ -254,7 +257,7 @@ def test_mixed_input_objective_is_stepwise_overlap():
     params = NoiseParams.from_lambdas(0.08, 0.02)
     u = compose_zyz(target)
     sigma = u @ rho @ u.conj().T
-    res = optimize_gate_mixed(target, r, params)
+    res = optimize_gate(target, r, np.outer(r, r), params)
     for angles, value in ((target, res.objective_at_target_angles),
                           (res.angles_opt, res.objective_value)):
         out = noisy_gate_stepwise(angles, rho, params)
@@ -268,7 +271,7 @@ def test_mixed_input_handles_impure_state():
     r = 0.7 * BlochState(0.4, 0.0).bloch_vector() + 0.3 * BlochState(2.0, 1.0).bloch_vector()
     assert np.linalg.norm(r) < 0.99
     params = NoiseParams.from_lambda(0.05)
-    res = optimize_gate_mixed(IDENTITY, r, params)
+    res = optimize_gate(IDENTITY, r, np.outer(r, r), params)
     assert res.objective_value >= res.objective_at_target_angles
     rho = density_from_bloch(r)
     out = noisy_gate_stepwise(res.angles_opt, rho, params)
@@ -282,7 +285,41 @@ def test_mixed_input_handles_impure_state():
 )
 def test_mixed_input_rejects_invalid_bloch_vector(r):
     with pytest.raises(ValueError):
-        optimize_gate_mixed(IDENTITY, r, NoiseParams.from_lambda(0.05))
+        optimize_gate(IDENTITY, r, np.eye(3) / 3.0, NoiseParams.from_lambda(0.05))
+
+
+@pytest.mark.parametrize(
+    "m2",
+    [np.eye(2), np.ones(3), np.diag([0.0, np.inf, 1.0])],
+    ids=["shape-2x2", "shape-3", "inf"],
+)
+def test_optimize_gate_rejects_invalid_second_moment(m2):
+    with pytest.raises(ValueError):
+        optimize_gate(IDENTITY, np.array([0.0, 0.0, 1.0]), m2, NoiseParams.from_lambda(0.05))
+
+
+def test_zero_noise_evaluates_seed_once(monkeypatch):
+    """One objective evaluation at the seed serves the gradient-tolerance
+    skip, the first candidate and the never-worse fallback: at zero noise
+    the seed's gradient vanishes, so that is the only evaluation."""
+    seen = []
+    original = optimize.moment_objective
+
+    def counting(*args):
+        fg = original(*args)
+
+        def recorded(x):
+            seen.append(np.array(x, dtype=float))
+            return fg(x)
+
+        return recorded
+
+    monkeypatch.setattr(optimize, "moment_objective", counting)
+    target = extract_euler(named_gate("h"))
+    res = optimize_gate(target, *PLUS, NoiseParams.from_lambda(0.0))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], [target.beta, target.gamma, target.delta])
+    assert res.iterations == 0 and res.improvement == 0.0
 
 
 # ------------------------------------------------------------------ config
@@ -294,11 +331,3 @@ def test_optimizer_config_validation():
         OptimizerConfig(multistart_count=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(gradient_tolerance=0.0)
-
-
-def test_optimizer_config_with_seed():
-    cfg = OptimizerConfig(multistart_count=4, rng_seed=1)
-    cfg2 = optimizer_config_with_seed(cfg, 99)
-    assert cfg2.rng_seed == 99
-    assert cfg2.multistart_count == 4
-    assert replace(cfg2, rng_seed=1) == cfg

@@ -271,14 +271,15 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
     Bloch-vector simulator to 1e-12, and so does the state the optimizer
     was handed (the ideal state, or the opt arm's noisy state)."""
     calls = []
-    original = rb.optimize_gate_mixed
+    original = rb.optimize_gate
 
-    def recording(target, r, params, config=None):
-        res = original(target, r, params, config)
-        calls.append((np.array(r), res.angles_opt))
+    def recording(target, m1, m2, params, config=None):
+        assert np.array_equal(m2, np.outer(m1, m1))
+        res = original(target, m1, m2, params, config)
+        calls.append((np.array(m1), res.angles_opt))
         return res
 
-    monkeypatch.setattr(rb, "optimize_gate_mixed", recording)
+    monkeypatch.setattr(rb, "optimize_gate", recording)
     cfg = small_config(
         n_circuits=2, n_gates=30, depth_schedule=(1, 10, 20, 30),
         track_noisy_state=track_noisy_state,
@@ -330,6 +331,18 @@ def test_drift_k1_matches_plain_rb():
     assert k == 1.0
     assert np.array_equal(plain.opt.survivals, drifted.opt.survivals)
     assert np.array_equal(plain.unopt.survivals, drifted.unopt.survivals)
+
+
+def test_drift_sweep_jobs_invariant():
+    """All (k, circuit) pairs go through one pool; the worker count changes
+    no survival at any k."""
+    cfg = small_config(n_circuits=2, n_gates=20, depth_schedule=(1, 10, 20))
+    serial = run_drift_sweep(cfg, [0.5, 2.0], jobs=1)
+    pooled = run_drift_sweep(cfg, [0.5, 2.0], jobs=2)
+    assert [k for k, _ in pooled] == [k for k, _ in serial] == [0.5, 2.0]
+    for (_, a), (_, b) in zip(serial, pooled):
+        for arm in rb.ARMS:
+            assert np.array_equal(a.arm(arm).survivals, b.arm(arm).survivals)
 
 
 def test_drift_unopt_baseline_horizontal():
