@@ -12,8 +12,9 @@ A device spec is a JSON document:
       ]
     }
 
-T1/T2 are in microseconds, the pulse duration in nanoseconds; gate_error is
-the vendor-reported error rate, stored verbatim and unused by the noise model.
+Every key shown is required and no other is accepted.  T1/T2 are in
+microseconds, the pulse duration in nanoseconds; gate_error is the
+vendor-reported error rate, stored verbatim and unused by the noise model.
 Snapshots for three public devices (rome, bogota, aspen8) ship with the
 package and load via ``bundled_device``.
 
@@ -29,13 +30,13 @@ result back into [0, 1].
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
+from .io import from_jsonable
 from .noise import NoiseParams
 
 BUNDLED_DEVICES = ("rome", "bogota", "aspen8")
@@ -62,7 +63,16 @@ class DeviceSpec:
     device_name: str
     calibration_date: str
     qubits: tuple[QubitSpec, ...]
-    warnings: tuple[str, ...] = ()
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """Advisory notes on physically suspect entries: T2 > 2*T1 cannot
+        arise from this noise model."""
+        return tuple(
+            f"qubit {q.id}: T2 = {q.t2_us} us exceeds 2*T1 = {2 * q.t1_us} us"
+            for q in self.qubits
+            if q.t2_us > 2.0 * q.t1_us
+        )
 
     def qubit(self, qubit_id: int) -> QubitSpec:
         for q in self.qubits:
@@ -74,67 +84,36 @@ class DeviceSpec:
         )
 
 
-def _require(obj: dict, field: str, kind, where: str):
-    if field not in obj:
-        raise DeviceSpecError(f"{where}: missing field {field!r}")
-    value = obj[field]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DeviceSpecError(f"{where}.{field}: expected a number, got {value!r}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise DeviceSpecError(f"{where}.{field}: must be finite")
-    elif not isinstance(value, kind):
-        raise DeviceSpecError(
-            f"{where}.{field}: expected {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
 def parse_device_spec(doc: dict, source: str = "device spec") -> DeviceSpec:
-    """Validate a parsed JSON document; collects advisory warnings (e.g.
-    T2 > 2*T1, which is unphysical for this noise model) without failing."""
-    if not isinstance(doc, dict):
-        raise DeviceSpecError(f"{source}: top level must be an object")
-    name = _require(doc, "device_name", str, source)
-    date = _require(doc, "calibration_date", str, source)
-    if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", date):
+    """Validate a parsed JSON document.  Keys and JSON types are checked
+    against ``DeviceSpec`` and ``QubitSpec`` by ``io.from_jsonable``, then
+    the values themselves; advisory findings are left to
+    ``DeviceSpec.warnings`` and do not fail."""
+    try:
+        spec = from_jsonable(DeviceSpec, doc, source)
+    except ValueError as exc:
+        raise DeviceSpecError(str(exc)) from None
+    if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", spec.calibration_date):
         raise DeviceSpecError(
-            f"{source}.calibration_date: expected YYYY-MM-DD, got {date!r}"
+            f"{source}.calibration_date: expected YYYY-MM-DD, "
+            f"got {spec.calibration_date!r}"
         )
-    raw_qubits = _require(doc, "qubits", list, source)
-    if not raw_qubits:
+    if not spec.qubits:
         raise DeviceSpecError(f"{source}.qubits: must contain at least one qubit")
-    qubits = []
-    warnings = []
     seen: set[int] = set()
-    for i, q in enumerate(raw_qubits):
+    for i, q in enumerate(spec.qubits):
         where = f"{source}.qubits[{i}]"
-        if not isinstance(q, dict):
-            raise DeviceSpecError(f"{where}: expected an object")
-        qid = _require(q, "id", int, where)
-        if qid in seen:
-            raise DeviceSpecError(f"{where}.id: duplicate qubit id {qid}")
-        seen.add(qid)
-        t1 = _require(q, "t1_us", float, where)
-        t2 = _require(q, "t2_us", float, where)
-        pulse = _require(q, "pulse_duration_ns", float, where)
-        p10 = _require(q, "p_meas1_prep0", float, where)
-        p01 = _require(q, "p_meas0_prep1", float, where)
-        gerr = _require(q, "gate_error", float, where)
-        if t1 <= 0 or t2 <= 0:
+        if q.id in seen:
+            raise DeviceSpecError(f"{where}.id: duplicate qubit id {q.id}")
+        seen.add(q.id)
+        if q.t1_us <= 0 or q.t2_us <= 0:
             raise DeviceSpecError(f"{where}: T1 and T2 must be positive")
-        if pulse < 0:
+        if q.pulse_duration_ns < 0:
             raise DeviceSpecError(f"{where}.pulse_duration_ns: must be >= 0")
-        for pname, p in (("p_meas1_prep0", p10), ("p_meas0_prep1", p01)):
-            if not 0.0 <= p <= 1.0:
+        for pname in ("p_meas1_prep0", "p_meas0_prep1"):
+            if not 0.0 <= getattr(q, pname) <= 1.0:
                 raise DeviceSpecError(f"{where}.{pname}: must lie in [0, 1]")
-        if t2 > 2.0 * t1:
-            warnings.append(
-                f"qubit {qid}: T2 = {t2} us exceeds 2*T1 = {2 * t1} us"
-            )
-        qubits.append(QubitSpec(qid, t1, t2, pulse, p10, p01, gerr))
-    return DeviceSpec(name, date, tuple(qubits), tuple(warnings))
+    return spec
 
 
 def load_device_spec(path) -> DeviceSpec:

@@ -11,7 +11,9 @@ Subcommands:
 
 Every run emits a manifest JSON recording the command, resolved config, seed,
 package version and output paths; ``noisy-euler --from-manifest PATH`` replays
-it and reproduces the CSV outputs byte-for-byte.  All randomness flows from
+it and reproduces the CSV outputs byte-for-byte.  A replayed config is decoded
+against the config dataclasses, so an unknown key or a value of the wrong JSON
+type is an error that names its path.  All randomness flows from
 the --seed flag through named sub-streams.  The NOISY_EULER_JOBS environment
 variable overrides --jobs.
 
@@ -42,6 +44,7 @@ from .experiments import SweepConfig, knowledge_sweep, prep_improvement_sweep
 from .gates import EulerAngles, NAMED_GATES, extract_euler, named_gate
 from .io import (
     effective_jobs,
+    from_jsonable,
     load_manifest,
     save_manifest,
     to_jsonable,
@@ -204,131 +207,52 @@ def _parse_dist_args(args, parser) -> dict:
     parser.error("specify the input state: --state theta,phi or --dist SPEC")
 
 
-# ------------------------------------------------- config dict round-trip
+# ---------------------------------------------------------- config decoding
+#
+# A run's config is plain JSON, from the flags or a manifest, decoded by
+# io.from_jsonable: an RbConfig, SweepConfig or _OptimizeRun plus run-level
+# keys ("jobs"; drift's "k_grid"; optimize's kind-tagged "dist").
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+@dataclasses.dataclass(frozen=True)
+class _OptimizeRun:
+    gate: tuple[float, ...]  # beta, gamma, delta[, global phase]
+    noise: NoiseParams
+    optimizer: OptimizerConfig = OptimizerConfig()
+    rng_seed: int = 0
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-_JSON_KINDS = {
-    "a boolean": lambda v: isinstance(v, bool),
-    "an integer": _is_integer,
-    "a number": _is_number,
-    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
-    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+# Each dist kind's constructor and the keys it takes, in argument order.
+_DISTS = {
+    "point": (InitialStateDistribution.point, ("theta", "phi")),
+    "uniform": (InitialStateDistribution.uniform_sphere, ()),
+    "cap": (InitialStateDistribution.spherical_cap, ("theta_max",)),
 }
 
 
-def _checked(d, where: str, **kinds: str) -> dict:
-    """``d`` itself, once it is known to be a JSON object in which each key
-    of ``kinds`` that is present holds a value of that kind (a key of
-    ``_JSON_KINDS``, or one followed by " or null"); otherwise a ValueError
-    that names ``where`` and the key, so that a hand-edited manifest ends in
-    an error line rather than a TypeError deep inside a constructor."""
-    if not isinstance(d, dict):
-        raise ValueError(f"manifest {where} must be an object, got {d!r}")
-    for key, kind in kinds.items():
-        if key not in d:
-            continue
-        base = kind.removesuffix(" or null")
-        if not ((d[key] is None and base != kind) or _JSON_KINDS[base](d[key])):
-            raise ValueError(f"manifest {where}.{key} must be {kind}, got {d[key]!r}")
-    return d
-
-
-def _noise_to_dict(p: NoiseParams) -> dict:
-    return {
-        "t1": p.t1,
-        "t2": p.t2,
-        "t_star": p.t_star,
-        "lambda_a": p.lambda_a,
-        "lambda_p": p.lambda_p,
-    }
-
-
-def _noise_from_dict(d: dict) -> NoiseParams:
-    if _checked(d, "config.noise", t1="a number or null").get("t1") is not None:
-        _checked(d, "config.noise", t2="a number", t_star="a number")
-        return NoiseParams.from_times(d["t1"], d["t2"], d["t_star"])
-    _checked(d, "config.noise", lambda_a="a number", lambda_p="a number")
-    return NoiseParams.from_lambdas(d["lambda_a"], d["lambda_p"])
-
-
-def _optimizer_dict(args, rng_seed: int) -> dict:
-    return {
-        "max_iterations": args.max_iterations,
-        "gradient_tolerance": args.gradient_tolerance,
-        "multistart_count": args.multistart,
-        "rng_seed": rng_seed,
-    }
-
-
-def _optimizer_from_dict(d: dict) -> OptimizerConfig:
-    """OptimizerConfig from a manifest's ``optimizer`` entry; a key the
-    config does not have (say, from a manifest written by an older version)
-    is a ValueError that names it, and so is a value of the wrong type."""
-    _checked(d, "config.optimizer", max_iterations="an integer",
-             gradient_tolerance="a number", multistart_count="an integer",
-             rng_seed="an integer")
-    known = [f.name for f in dataclasses.fields(OptimizerConfig)]
-    unknown = sorted(set(d) - set(known))
-    if unknown:
-        raise ValueError(
-            f"optimizer config has unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"known keys: {', '.join(known)}"
-        )
-    return OptimizerConfig(**d)
-
-
-def _dist_from_dict(d: dict) -> InitialStateDistribution:
-    _checked(d, "config.dist", theta="a number", phi="a number", theta_max="a number")
-    kind = d["kind"]
-    if kind == "point":
-        return InitialStateDistribution.point(d["theta"], d["phi"])
-    if kind == "uniform":
-        return InitialStateDistribution.uniform_sphere()
-    if kind == "cap":
-        return InitialStateDistribution.spherical_cap(d["theta_max"])
-    raise ValueError(f"unknown distribution kind {kind!r}")
-
-
-def _rb_config_from_dict(d: dict) -> RbConfig:
-    _checked(d, "config", n_circuits="an integer", n_gates="an integer",
-             depth_schedule="a list of integers", shots="an integer or null",
-             drift_factor="a number", readout="a list of numbers or null",
-             rng_seed="an integer", k_grid="a list of numbers",
-             mitigate="a boolean", track_noisy_state="a boolean",
-             jobs="an integer or null")
-    return RbConfig(
-        noise=_noise_from_dict(d["noise"]),
-        n_circuits=d["n_circuits"],
-        n_gates=d["n_gates"],
-        depth_schedule=tuple(d["depth_schedule"]),
-        shots=d["shots"],
-        drift_factor=d.get("drift_factor", 1.0),
-        readout=tuple(d["readout"]) if d.get("readout") else None,
-        mitigate=d.get("mitigate", False),
-        rng_seed=d["rng_seed"],
-        optimizer=_optimizer_from_dict(d["optimizer"]),
-        track_noisy_state=d.get("track_noisy_state", False),
+def _dist_from_dict(d) -> InitialStateDistribution:
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if isinstance(kind, str) and kind in _DISTS and set(d) == {"kind", *_DISTS[kind][1]}:
+        build, keys = _DISTS[kind]
+        return build(*(from_jsonable(float, d[key], f"config.dist.{key}") for key in keys))
+    raise ValueError(
+        "config.dist must be {'kind': 'point', 'theta': ..., 'phi': ...}, {'kind': "
+        f"'uniform'}} or {{'kind': 'cap', 'theta_max': ...}}, got {d!r}"
     )
 
 
-def _sweep_config_from_dict(d: dict) -> SweepConfig:
-    _checked(d, "config", lambda_grid="a list of numbers", targets_per_point="an integer",
-             theta_max_grid="a list of numbers or null", rng_seed="an integer",
-             jobs="an integer or null")
-    return SweepConfig(
-        lambda_grid=tuple(d["lambda_grid"]),
-        targets_per_point=d["targets_per_point"],
-        theta_max_grid=tuple(d.get("theta_max_grid") or ()),
-        rng_seed=d["rng_seed"],
-        optimizer=_optimizer_from_dict(d["optimizer"]),
-    )
+def _decode(tp, config: dict, *run_keys: str):
+    """``tp`` decoded from ``config`` less its run-level keys ``run_keys``."""
+    return from_jsonable(tp, {k: v for k, v in config.items() if k not in run_keys}, "config")
+
+
+def _jobs(config: dict) -> int:
+    return effective_jobs(from_jsonable(int | None, config.get("jobs"), "config.jobs"))
+
+
+def _optimizer_json(args) -> dict:
+    return to_jsonable(OptimizerConfig(
+        args.max_iterations, args.gradient_tolerance, args.multistart, args.seed
+    ))
 
 
 # ---------------------------------------------------------------- runners
@@ -347,17 +271,16 @@ def _rb_rows(tag: str, result, include_circuits: bool) -> list[list]:
     return rows
 
 
-def _fit_doc(fit) -> dict | None:
-    return to_jsonable(fit) if fit is not None else None
-
-
 def _finish_run(outdir: Path, tag: str, command: str, config: dict, summary: dict,
                 csv_rows, csv_header, t0: float) -> int:
+    """Write the CSV (if any), the summary (``summary`` plus the run's tag,
+    command and config) and the manifest."""
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
     if csv_rows is not None:
         csv_path = write_csv(outdir / f"{tag}.csv", csv_header, csv_rows)
         outputs.append(csv_path)
+    summary = {"experiment_id": tag, "command": command, "config": config, **summary}
     summary_path = write_json(outdir / f"{tag}_summary.json", summary)
     outputs.append(summary_path)
     manifest_path = save_manifest(
@@ -376,15 +299,12 @@ def _finish_run(outdir: Path, tag: str, command: str, config: dict, summary: dic
 
 def _run_optimize(config: dict, outdir: Path, tag: str) -> int:
     t0 = time.monotonic()
-    if len(_checked(config, "config", gate="a list of numbers")["gate"]) not in (3, 4):
-        raise ValueError("manifest config.gate must list 3 or 4 angles")
-    gate = EulerAngles(*config["gate"])
-    result = optimize_gate(
-        gate,
-        *_dist_from_dict(config["dist"]).moments(),
-        _noise_from_dict(config["noise"]),
-        _optimizer_from_dict(config["optimizer"]),
-    )
+    run = _decode(_OptimizeRun, config, "dist")
+    if len(run.gate) not in (3, 4):
+        raise ValueError(f"config.gate must list 3 or 4 angles, got {list(run.gate)}")
+    gate = EulerAngles(*run.gate)
+    dist = _dist_from_dict(config.get("dist"))
+    result = optimize_gate(gate, *dist.moments(), run.noise, run.optimizer)
     a = result.angles_opt
     print(f"target angles  (beta, gamma, delta) = "
           f"({gate.beta:.12g}, {gate.gamma:.12g}, {gate.delta:.12g})")
@@ -395,9 +315,6 @@ def _run_optimize(config: dict, outdir: Path, tag: str) -> int:
     print(f"improvement = {result.improvement:.12g}")
     print(f"iterations = {result.iterations}, converged = {result.converged}")
     summary = {
-        "experiment_id": tag,
-        "command": "optimize",
-        "config": config,
         "angles_opt": [a.beta, a.gamma, a.delta, a.global_phase],
         "objective_value": result.objective_value,
         "objective_at_target_angles": result.objective_at_target_angles,
@@ -410,15 +327,12 @@ def _run_optimize(config: dict, outdir: Path, tag: str) -> int:
 
 def _run_rb(config: dict, outdir: Path, tag: str) -> int:
     t0 = time.monotonic()
-    cfg = _rb_config_from_dict(config)
-    result = run_rb_experiment(cfg, jobs=effective_jobs(config.get("jobs")))
+    cfg = _decode(RbConfig, config, "jobs")
+    result = run_rb_experiment(cfg, jobs=_jobs(config))
     rows = _rb_rows(tag, result, include_circuits=True)
     summary = {
-        "experiment_id": tag,
-        "command": "rb",
-        "config": config,
         "rng_seed": cfg.rng_seed,
-        "fits": {"unopt": _fit_doc(result.unopt.fit), "opt": _fit_doc(result.opt.fit)},
+        "fits": {"unopt": result.unopt.fit, "opt": result.opt.fit},
     }
     if result.unopt.fit is not None and result.opt.fit is not None:
         summary["error_rate_reduction"] = (
@@ -429,26 +343,15 @@ def _run_rb(config: dict, outdir: Path, tag: str) -> int:
 
 def _run_drift(config: dict, outdir: Path, tag: str) -> int:
     t0 = time.monotonic()
-    cfg = _rb_config_from_dict(config)
-    runs = run_drift_sweep(cfg, config["k_grid"], jobs=effective_jobs(config.get("jobs")))
+    cfg = _decode(RbConfig, config, "jobs", "k_grid")
+    k_grid = from_jsonable(tuple[float, ...], config.get("k_grid"), "config.k_grid")
+    runs = run_drift_sweep(cfg, k_grid, jobs=_jobs(config))
     rows = []
     for k, result in runs:
         rows.extend(_rb_rows(tag, result, include_circuits=False))
     summary = {
-        "experiment_id": tag,
-        "command": "drift",
-        "config": config,
         "rng_seed": cfg.rng_seed,
-        "runs": [
-            {
-                "k": k,
-                "fits": {
-                    "unopt": _fit_doc(result.unopt.fit),
-                    "opt": _fit_doc(result.opt.fit),
-                },
-            }
-            for k, result in runs
-        ],
+        "runs": [{"k": k, "fits": {"unopt": r.unopt.fit, "opt": r.opt.fit}} for k, r in runs],
     }
     return _finish_run(outdir, tag, "drift", config, summary, rows, RB_HEADER, t0)
 
@@ -462,16 +365,10 @@ def _sweep_rows(result) -> list[list]:
 
 def _run_sweep(command: str, config: dict, outdir: Path, tag: str) -> int:
     t0 = time.monotonic()
-    cfg = _sweep_config_from_dict(config)
+    cfg = _decode(SweepConfig, config, "jobs")
     sweep = prep_improvement_sweep if command == "prep-sweep" else knowledge_sweep
-    result = sweep(cfg, jobs=effective_jobs(config.get("jobs")))
-    summary = {
-        "experiment_id": tag,
-        "command": command,
-        "config": config,
-        "rng_seed": cfg.rng_seed,
-        "n_rows": len(result.rows),
-    }
+    result = sweep(cfg, jobs=_jobs(config))
+    summary = {"rng_seed": cfg.rng_seed, "n_rows": len(result.rows)}
     return _finish_run(
         outdir, tag, command, config, summary, _sweep_rows(result), SWEEP_HEADER, t0
     )
@@ -494,8 +391,8 @@ def _cmd_optimize(args, parser) -> int:
     config = {
         "gate": [gate.beta, gate.gamma, gate.delta, gate.global_phase],
         "dist": _parse_dist_args(args, parser),
-        "noise": _noise_to_dict(noise),
-        "optimizer": _optimizer_dict(args, rng_seed=args.seed),
+        "noise": to_jsonable(noise),
+        "optimizer": _optimizer_json(args),
         "rng_seed": args.seed,
     }
     return _run_optimize(config, Path(args.output_dir), args.tag or "optimize")
@@ -507,7 +404,7 @@ def _rb_like_config(args, parser) -> dict:
     if args.mitigate and readout is None:
         parser.error("--mitigate requires --readout")
     return {
-        "noise": _noise_to_dict(noise),
+        "noise": to_jsonable(noise),
         "n_circuits": args.circuits,
         "n_gates": args.gates,
         "depth_schedule": _parse_depths(args.depths, parser),
@@ -515,7 +412,7 @@ def _rb_like_config(args, parser) -> dict:
         "readout": list(readout) if readout is not None else None,
         "mitigate": args.mitigate,
         "rng_seed": args.seed,
-        "optimizer": _optimizer_dict(args, rng_seed=args.seed),
+        "optimizer": _optimizer_json(args),
         "track_noisy_state": args.track_noisy_state,
         "jobs": args.jobs,
     }
@@ -533,31 +430,21 @@ def _cmd_drift(args, parser) -> int:
     return _run_drift(config, Path(args.output_dir), args.tag or "drift")
 
 
-def _cmd_prep_sweep(args, parser) -> int:
+def _cmd_sweep(command: str, args, parser) -> int:
     config = {
         "lambda_grid": _parse_grid(args.lambda_grid, parser, "--lambda-grid"),
         "targets_per_point": args.targets,
         "rng_seed": args.seed,
-        "optimizer": _optimizer_dict(args, rng_seed=args.seed),
+        "optimizer": _optimizer_json(args),
         "jobs": args.jobs,
     }
-    return _run_sweep("prep-sweep", config, Path(args.output_dir), args.tag or "prep-sweep")
-
-
-def _cmd_knowledge(args, parser) -> int:
-    if args.theta_max_grid is None:
-        caps = [float(v) for v in np.linspace(math.pi / 25.0, math.pi, 25)]
-    else:
-        caps = _parse_grid(args.theta_max_grid, parser, "--theta-max-grid")
-    config = {
-        "lambda_grid": _parse_grid(args.lambda_grid, parser, "--lambda-grid"),
-        "theta_max_grid": caps,
-        "targets_per_point": args.targets,
-        "rng_seed": args.seed,
-        "optimizer": _optimizer_dict(args, rng_seed=args.seed),
-        "jobs": args.jobs,
-    }
-    return _run_sweep("knowledge", config, Path(args.output_dir), args.tag or "knowledge")
+    if command == "knowledge":
+        config["theta_max_grid"] = (
+            [float(v) for v in np.linspace(math.pi / 25.0, math.pi, 25)]
+            if args.theta_max_grid is None
+            else _parse_grid(args.theta_max_grid, parser, "--theta-max-grid")
+        )
+    return _run_sweep(command, config, Path(args.output_dir), args.tag or command)
 
 
 def _cmd_validate(args, parser) -> int:
@@ -577,8 +464,8 @@ _COMMANDS = {
     "optimize": _cmd_optimize,
     "rb": _cmd_rb,
     "drift": _cmd_drift,
-    "prep-sweep": _cmd_prep_sweep,
-    "knowledge": _cmd_knowledge,
+    "prep-sweep": functools.partial(_cmd_sweep, "prep-sweep"),
+    "knowledge": functools.partial(_cmd_sweep, "knowledge"),
     "validate": _cmd_validate,
 }
 
@@ -678,7 +565,7 @@ def _run_from_manifest(args) -> int:
     if runner is None:
         raise ValueError(f"manifest command {command!r} is not replayable")
     tag = args.tag or doc.get("tag") or command
-    return runner(_checked(doc["config"], "config"), Path(args.output_dir), tag)
+    return runner(doc["config"], Path(args.output_dir), tag)
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,12 @@
 
 CSV output follows RFC 4180 (CRLF line endings, UTF-8) with floats printed at
 17 significant digits, so identical runs produce byte-identical files.  JSON
-output is sorted-key, two-space indented.  ``parallel_map`` preserves input
-order, so the worker count never changes results, only wall time.
+output is sorted-key, two-space indented.  ``from_jsonable`` is the inverse of
+``to_jsonable`` for the frozen config dataclasses: it reads their field
+annotations, so a manifest or device spec with an unknown key or a value of
+the wrong JSON type is rejected with the key's path.  ``parallel_map``
+preserves input order, so the worker count never changes results, only wall
+time.
 """
 
 from __future__ import annotations
@@ -14,8 +18,11 @@ import math
 import multiprocessing
 import numbers
 import os
+import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -91,6 +98,59 @@ def to_jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
+def _json_kind(tp) -> str:
+    """What a JSON value decoded as ``tp`` must be, for error messages."""
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        return "a list" if args[-1] is Ellipsis else f"a list of {len(args)} items"
+    return {float: "a finite number", int: "an integer", bool: "a boolean",
+            str: "a string"}[tp]
+
+
+def from_jsonable(tp, value, where: str):
+    """Decode the parsed JSON ``value`` as ``tp``, the inverse of
+    ``to_jsonable`` for the config dataclasses.
+
+    A dataclass is read from an object by its fields' annotations: an
+    unknown key is an error, and a missing key takes the field's default or,
+    without one, is an error.  ``X | None`` admits null, tuples are read from
+    lists, a ``float`` is any finite number, and ``int``, ``bool`` and ``str``
+    must be exactly that JSON type.  Faults, including a ValueError from a
+    dataclass's own checks, raise ValueError naming the path from ``where``.
+    """
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object, got {value!r}")
+        known = {f.name: f for f in fields(tp) if f.init}
+        unknown = sorted(set(value) - set(known))
+        if unknown:
+            raise ValueError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}; "
+                             f"known keys: {', '.join(known)}")
+        for name, f in known.items():
+            if name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{where} is missing key {name!r}")
+        hints = typing.get_type_hints(tp)
+        kwargs = {k: from_jsonable(hints[k], v, f"{where}.{k}") for k, v in value.items()}
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        (inner,) = (a for a in args if a is not type(None))
+        return None if value is None else from_jsonable(inner, value, where)
+    if typing.get_origin(tp) is tuple and isinstance(value, list):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) == len(value):
+            return tuple(from_jsonable(t, v, f"{where}[{i}]")
+                         for i, (t, v) in enumerate(zip(items, value)))
+    elif tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # finite, and no integer too large for a float
+    elif tp in (int, bool, str) and type(value) is tp:
+        return value
+    raise ValueError(f"{where} must be {_json_kind(tp)}, got {value!r}")
+
+
 def write_json(path, obj) -> Path:
     path = Path(path)
     text = json.dumps(to_jsonable(obj), indent=2, sort_keys=True)
@@ -131,6 +191,8 @@ def load_manifest(path) -> dict:
     for key in ("command", "config"):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"{path}: not a run manifest (missing {key!r})")
+    if not isinstance(doc["config"], dict):
+        raise ValueError(f"{path}: manifest config must be an object, got {doc['config']!r}")
     return doc
 
 

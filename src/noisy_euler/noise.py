@@ -81,6 +81,14 @@ class NoiseParams:
             if not math.isfinite(lam) or lam < 0.0 or lam > 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
             object.__setattr__(self, name, _clamp(lam))
+        # A decoded manifest reaches this constructor directly: times, if
+        # given, must be all three and must produce the probabilities.
+        times = (self.t1, self.t2, self.t_star)
+        if times != (None, None, None) and (None in times or not np.allclose(
+            (self.lambda_a, self.lambda_p), damping_probabilities(*times), rtol=1e-9, atol=0
+        )):
+            raise ValueError("t1, t2 and t_star must be all given, and yield lambda_a and "
+                             "lambda_p, or all null")
 
     @classmethod
     def from_times(cls, t1: float, t2: float, t_star: float) -> "NoiseParams":

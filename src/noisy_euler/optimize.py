@@ -53,8 +53,8 @@ class OptimizerConfig:
             raise ValueError("max_iterations must be positive")
         if self.multistart_count < 0:
             raise ValueError("multistart_count must be >= 0")
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
+        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
+            raise ValueError("gradient_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)

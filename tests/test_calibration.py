@@ -118,6 +118,10 @@ def test_parse_rejects_bad_types():
         parse_device_spec(doc_with(qubit={"t1_us": True}))
     with pytest.raises(DeviceSpecError):
         parse_device_spec(doc_with(qubit={"t1_us": math.nan}))
+    with pytest.raises(DeviceSpecError, match="color"):
+        parse_device_spec(doc_with(qubit={"color": "blue"}))
+    with pytest.raises(DeviceSpecError, match=r"qubits\[0\]\.id"):
+        parse_device_spec(doc_with(qubit={"id": True}))
 
 
 def test_parse_rejects_bad_date():

@@ -343,6 +343,7 @@ def test_manifest_with_removed_optimizer_key_exits_1(tmp_path, capsys, key, valu
 
 
 PREP_SMALL = ("prep-sweep", "--lambda-grid", "0.05", "--targets", "2", "--seed", "5")
+CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
 
 
 @pytest.mark.parametrize(
@@ -356,9 +357,17 @@ PREP_SMALL = ("prep-sweep", "--lambda-grid", "0.05", "--targets", "2", "--seed",
          "targets_per_point"),
         (RB_SMALL, lambda doc: doc["config"].update(track_noisy_state="false"),
          "track_noisy_state"),
+        (RB_SMALL, lambda doc: doc["config"].update(n_circut=5), "n_circut"),
+        (RB_SMALL, lambda doc: doc["config"]["noise"].update(lambda_x=0.1), "lambda_x"),
+        (RB_SMALL, lambda doc: doc["config"]["noise"].update(lambda_a="0.1"), "lambda_a"),
+        (PREP_SMALL,
+         lambda doc: doc["config"]["optimizer"].update(gradient_tolerance=math.nan),
+         "gradient_tolerance"),
+        (CAP_SMALL, lambda doc: doc["config"].update(dist={"kind": "cap"}), "theta_max"),
     ],
     ids=["config-list", "optimizer-null", "max-iterations-string", "targets-string",
-         "flag-string"],
+         "flag-string", "unknown-top-level-key", "unknown-noise-key",
+         "lambda-string-beside-times", "gradient-tolerance-nan", "cap-without-theta-max"],
 )
 def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, key):
     """A config value of the wrong JSON type replays as one error line that
@@ -374,6 +383,17 @@ def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, ke
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+
+def test_optimize_nan_gradient_tolerance_exits_1(tmp_path, capsys):
+    """A NaN tolerance is refused before it reaches a manifest, which could
+    not be replayed."""
+    rc = run_cli("--output-dir", str(tmp_path), "optimize", "--gate", "h",
+                 "--state", "1,0.5", "--lambda", "0.05", "--gradient-tolerance", "nan")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "optimize_manifest.json").exists()
 
 
 def test_manifest_with_subcommand_rejected(tmp_path):
@@ -421,11 +441,17 @@ def test_public_api_exports_resolve():
 
 
 def test_module_entry_point(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "noisy_euler.cli",
          "--output-dir", str(tmp_path), "--tag", "mod", *RB_SMALL],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "mod.csv").exists()

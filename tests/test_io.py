@@ -9,12 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from noisy_euler import (
+    NoiseParams,
+    OptimizerConfig,
+    RbConfig,
+    SweepConfig,
+    bundled_device,
+)
 from noisy_euler.io import (
     JOBS_ENV_VAR,
     WORKER_THREAD_VARS,
     effective_jobs,
     fold_seed,
     format_value,
+    from_jsonable,
     load_manifest,
     parallel_map,
     save_manifest,
@@ -74,6 +82,65 @@ def test_to_jsonable_recurses():
     assert to_jsonable(np.float64(0.5)) == 0.5
 
 
+ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        ROME_Q3,
+        NoiseParams.from_lambdas(0.02, 0.01),
+        OptimizerConfig(max_iterations=50, gradient_tolerance=1e-7,
+                        multistart_count=2, rng_seed=9),
+        RbConfig(noise=ROME_Q3, n_circuits=2, n_gates=12, depth_schedule=(1, 5, 9),
+                 shots=100, drift_factor=2.0, readout=(0.02, 0.05), mitigate=True),
+        RbConfig(noise=ROME_Q3, readout=None),
+        SweepConfig(lambda_grid=(0.0, 0.05), targets_per_point=3),
+        SweepConfig(lambda_grid=(0.1,), theta_max_grid=(0.5, math.pi)),
+        bundled_device("rome"),
+    ],
+    ids=["noise-times", "noise-lambdas", "optimizer", "rb-readout", "rb-no-readout",
+         "sweep", "sweep-caps", "device-rome"],
+)
+def test_from_jsonable_inverts_to_jsonable(obj):
+    text = json.dumps(to_jsonable(obj))
+    assert from_jsonable(type(obj), json.loads(text), "x") == obj
+
+
+@pytest.mark.parametrize(
+    "tp, value, match",
+    [
+        (OptimizerConfig, {"max_iteration": 5}, r"x has unknown key\(s\) 'max_iteration'"),
+        (OptimizerConfig, {"rng_seed": True}, r"x\.rng_seed must be an integer"),
+        (OptimizerConfig, {"gradient_tolerance": math.nan}, r"x\.gradient_tolerance must"),
+        (OptimizerConfig, {"max_iterations": 5.0}, r"x\.max_iterations must be an integer"),
+        (OptimizerConfig, [1], r"x must be an object"),
+        (SweepConfig, {}, r"x is missing key 'lambda_grid'"),
+        (SweepConfig, {"lambda_grid": [0.1, "0.2"]}, r"x\.lambda_grid\[1\] must be a finite"),
+        (SweepConfig, {"lambda_grid": 0.1}, r"x\.lambda_grid must be a list"),
+        (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1}, "readout": [0.1]},
+         r"x\.readout must be a list of 2 items"),
+        (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1}, "mitigate": 1},
+         r"x\.mitigate must be a boolean"),
+        (float, 10**400, "must be a finite number"),
+        (OptimizerConfig, {"gradient_tolerance": -1.0},
+         r"x: gradient_tolerance must be positive"),
+        (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1, "t1": 1.0}},
+         r"x\.noise: t1, t2 and t_star must be all given"),
+    ],
+)
+def test_from_jsonable_rejects_with_path(tp, value, match):
+    with pytest.raises(ValueError, match=match):
+        from_jsonable(tp, value, "x")
+
+
+def test_from_jsonable_defaults_and_conversions():
+    cfg = from_jsonable(SweepConfig, {"lambda_grid": [0, 0.1]}, "x")
+    assert cfg == SweepConfig(lambda_grid=(0.0, 0.1))
+    assert type(cfg.lambda_grid[0]) is float
+    assert from_jsonable(int | None, None, "x") is None
+
+
 def test_write_json_sorted_and_newline(tmp_path):
     path = write_json(tmp_path / "d.json", {"b": 1, "a": 2})
     text = path.read_text()
@@ -105,6 +172,9 @@ def test_load_manifest_rejects_non_manifest(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"foo": 1}')
     with pytest.raises(ValueError, match="command"):
+        load_manifest(path)
+    path.write_text('{"command": "rb", "config": [1, 2]}')
+    with pytest.raises(ValueError, match="config must be an object"):
         load_manifest(path)
 
 

@@ -72,6 +72,19 @@ def test_noise_params_validation():
         NoiseParams.from_lambdas(0.0, 1.5)
 
 
+def test_noise_params_times_must_produce_lambdas():
+    """A manifest decodes straight into the constructor, so times that
+    disagree with the probabilities, or only some of the three times, are
+    rejected rather than leaving the simulator and ``assuming_drift`` with
+    different noise."""
+    p = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
+    assert NoiseParams(p.lambda_a, p.lambda_p, p.t1, p.t2, p.t_star) == p
+    with pytest.raises(ValueError, match="t1, t2 and t_star"):
+        NoiseParams(0.1, p.lambda_p, p.t1, p.t2, p.t_star)
+    with pytest.raises(ValueError, match="t1, t2 and t_star"):
+        NoiseParams(p.lambda_a, p.lambda_p, t1=p.t1)
+
+
 def test_lambda_clamp_below_one():
     p = NoiseParams.from_times(1e-9, 1e-9, 1.0)  # t >> T: lambda -> 1
     assert p.lambda_a == LAMBDA_MAX < 1.0

@@ -331,3 +331,7 @@ def test_optimizer_config_validation():
         OptimizerConfig(multistart_count=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(gradient_tolerance=0.0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(gradient_tolerance=math.nan)
+    with pytest.raises(ValueError):
+        OptimizerConfig(gradient_tolerance=math.inf)
