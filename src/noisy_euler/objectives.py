@@ -11,9 +11,9 @@ its moments m1 = E[n] and m2 = E[n n^T]:
 
     F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2)
 
-``moment_objective`` evaluates this exactly, with its analytic gradient in
-the trial angles; every objective in the package is a case of it, and the
-average over a distribution ``dist`` is
+``moment_objective`` evaluates this exactly, with its analytic gradient and
+Hessian in the trial angles; every objective in the package is a case of it,
+and the average over a distribution ``dist`` is
 ``moment_objective(target, *dist.moments(), params)``.
 
 Input-state distributions come in two kinds:
@@ -52,6 +52,14 @@ class InitialStateDistribution:
     phi: float = 0.0
     theta_max: float = math.pi
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("point", "cap"):
+            raise ValueError(f"kind must be 'point' or 'cap', got {self.kind!r}")
+        if self.kind == "cap" and not (
+            math.isfinite(self.theta_max) and 0.0 < self.theta_max <= math.pi
+        ):
+            raise ValueError("theta_max must lie in (0, pi]")
+
     @classmethod
     def point(cls, theta: float, phi: float) -> "InitialStateDistribution":
         s = BlochState(theta, phi)
@@ -63,8 +71,6 @@ class InitialStateDistribution:
 
     @classmethod
     def spherical_cap(cls, theta_max: float) -> "InitialStateDistribution":
-        if not math.isfinite(theta_max) or not 0.0 < theta_max <= math.pi:
-            raise ValueError("theta_max must lie in (0, pi]")
         return cls("cap", theta_max=theta_max)
 
     def density(self, theta, phi):
@@ -110,14 +116,16 @@ def moment_objective(
     """The fidelity objective for inputs with Bloch-vector moments m1 = E[n]
     and m2 = E[n n^T] (a pure state n: n, n n^T; a mixed state r: r, r r^T).
 
-    Returns ``fg(x) -> (F, dF/dx)`` for trial angles x = (beta, gamma, delta),
-    F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2), clamped to [0, 1] against
-    floating-point overshoot.  R is the target's rotation.  With the trial
-    map A = Rz(beta) K Rz(delta), t = Rz(beta) t0 (``noise._pulse_pair``) the
-    quadratic term is <K, W>, W = Rz(-beta) (R m2) Rz(-delta), and the
-    derivatives follow from Rz(phi)' = G Rz(phi), G the z generator:
-    dW/dbeta = -G W, dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma)
-    D Rx(pi/2).
+    Returns ``fg(x) -> (F, dF/dx, d2F/dx2)`` for trial angles
+    x = (beta, gamma, delta): F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2), its
+    gradient as a 3-tuple and its symmetric Hessian as a 3-tuple of rows, all
+    plain floats.  F is not clamped: rounding can put it a few ulp outside
+    [0, 1], which ``fidelity`` and ``optimize_gate`` clamp when they report it.
+    R is the target's rotation.  With the trial map A = Rz(beta) K Rz(delta),
+    t = Rz(beta) t0 (``noise._pulse_pair``) the quadratic term is <K, W>,
+    W = Rz(-beta) (R m2) Rz(-delta), and both derivatives follow from
+    Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
+    dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
     """
     r = _affine_map(target.beta, target.gamma, target.delta, 0.0, 0.0)[0]
     u0, u1, u2 = (r @ np.asarray(m1, dtype=float)).tolist()
@@ -125,7 +133,7 @@ def moment_objective(
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c_rows
     la, lp = params.lambda_a, params.lambda_p
 
-    def fg(x) -> tuple[float, np.ndarray]:
+    def fg(x):
         beta, gamma, delta = x[0], x[1], x[2]
         k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
         cb, sb = math.cos(beta), math.sin(beta)
@@ -141,10 +149,18 @@ def moment_objective(
             1.0 + t0y * uy + t0z * u2
             + k00 * w00 + k02 * w02 + k11 * w11 + k20 * w20 + k22 * c22
         )
-        d_beta = -t0y * (cb * u0 + sb * u1) + k00 * w10 + k02 * w12 - k11 * w01
-        d_gamma = k00 * w02 - k02 * w00 + k20 * c22 - k22 * w20
-        d_delta = k11 * w10 - k00 * w01 - k20 * w21
-        return min(max(f, 0.0), 1.0), np.array([0.5 * d_beta, 0.5 * d_gamma, 0.5 * d_delta])
+        g = (
+            0.5 * (-t0y * (cb * u0 + sb * u1) + k00 * w10 + k02 * w12 - k11 * w01),
+            0.5 * (k00 * w02 - k02 * w00 + k20 * c22 - k22 * w20),
+            0.5 * (k11 * w10 - k00 * w01 - k20 * w21),
+        )
+        h_bb = -0.5 * (t0y * uy + k00 * w00 + k02 * w02 + k11 * w11)
+        h_bg = 0.5 * (k00 * w12 - k02 * w10)
+        h_bd = -0.5 * (k00 * w11 + k11 * w00)
+        h_gg = -0.5 * (k00 * w00 + k02 * w02 + k20 * w20 + k22 * c22)
+        h_gd = 0.5 * (k02 * w01 + k22 * w21)
+        h_dd = -0.5 * (k00 * w00 + k11 * w11 + k20 * w20)
+        return f, g, ((h_bb, h_bg, h_bd), (h_bg, h_gg, h_gd), (h_bd, h_gd, h_dd))
 
     return fg
 
@@ -163,5 +179,6 @@ def fidelity(
     """
     n = state.bloch_vector()
     x = (trial.beta, trial.gamma, trial.delta)
-    return moment_objective(target, n, np.outer(n, n), params)(x)[0]
+    f = moment_objective(target, n, np.outer(n, n), params)(x)[0]
+    return min(max(f, 0.0), 1.0)
 

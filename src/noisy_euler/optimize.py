@@ -1,4 +1,4 @@
-"""Quasi-Newton search for noise-aware decomposition angles.
+"""Newton search for noise-aware decomposition angles.
 
 One entry point, ``optimize_gate``, takes the input through its Bloch-vector
 moments m1 = E[n] and m2 = E[n n^T]: a point, a cap or the uniform sphere
@@ -8,11 +8,14 @@ benchmarking tracks it) as (r, r r^T), and state preparation as the point
 it.  It maximizes the exact moment objective
 (``objectives.moment_objective``) over the unwrapped (beta, gamma, delta) in
 R^3, seeded at the target's own angles so the result can never score below
-the default decomposition.  The objective returns its analytic gradient with
-its value; descent is scipy's L-BFGS-B.  An optional multistart mode adds
-uniform-random seeds for rugged landscapes (damping probabilities near 1),
-keeping the best result by objective value with lowest-seed-index
-tie-breaking.
+the default decomposition.  The objective returns its analytic gradient and
+Hessian with its value, and the ascent is a damped Newton search on them
+(``_newton``; Nocedal & Wright, *Numerical Optimization*, ch. 3: modified
+Newton with a backtracking line search).  It runs on plain Python floats:
+with three variables, numpy's per-call overhead would outweigh the
+arithmetic.  An optional multistart mode adds uniform-random seeds for
+rugged landscapes (damping probabilities near 1), keeping the best result
+by objective value with lowest-seed-index tie-breaking.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -23,16 +26,27 @@ output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gates import EulerAngles
 from .noise import NoiseParams
 from .objectives import moment_objective
 
 TWO_PI = 2.0 * math.pi
+
+# The Newton search's constants: the Armijo sufficient-increase factor; the
+# least shift mu of -H tried when -H is not positive definite, small so that
+# near a saddle mu lands just above the escape direction's curvature instead
+# of stalling the escape; the step-halving budget of one line search; and the
+# allowance for F's rounding in the Armijo test (a few ulp of F ~ 1), without
+# which a final step that meets the tolerance can be rejected by one ulp.
+ARMIJO = 1e-4
+SHIFT_MIN = 1e-8
+MAX_HALVINGS = 40
+ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -49,6 +63,10 @@ class OptimizerConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("max_iterations", "multistart_count"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.multistart_count < 0:
@@ -88,12 +106,12 @@ def optimize_gate(
     for inputs with Bloch-vector moments m1 = E[n] and m2 = E[n n^T]
     (``InitialStateDistribution.moments()``; a Bloch vector r: r, r r^T).
 
-    L-BFGS-B runs from the target seed and from each multistart seed; the
-    best candidate wins, lowest seed index on ties, and the seed itself is
-    the fallback.  A start whose gradient already meets the tolerance is
-    kept without a call, the stopping test L-BFGS-B applies at its start
-    point.  Raises ValueError unless m1 has shape (3,), is finite and has
-    |m1| <= 1 + 1e-9, and m2 is finite with shape (3, 3).
+    The Newton search (``_newton``) runs from the target seed and from each
+    multistart seed; the best candidate wins, lowest seed index on ties, and
+    the seed itself is the fallback.  A start whose gradient already meets
+    the tolerance is kept without a search.  Raises ValueError unless m1 has
+    shape (3,), is finite and has |m1| <= 1 + 1e-9, and m2 is finite with
+    shape (3, 3).
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
@@ -104,44 +122,103 @@ def optimize_gate(
     cfg = config or OptimizerConfig()
     fg = moment_objective(target, m1, m2, params)
 
-    def neg(x):
-        f, g = fg(x)
-        return -f, -g
-
-    seed = np.array([target.beta, target.gamma, target.delta])
-    f_seed, g_seed = fg(seed)
+    seed = (target.beta, target.gamma, target.delta)
+    at_seed = fg(seed)
     starts = [seed]
     if cfg.multistart_count > 0:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
-        starts += [rng.uniform(0.0, TWO_PI, 3) for _ in range(cfg.multistart_count)]
+        starts += [tuple(rng.uniform(0.0, TWO_PI, 3).tolist())
+                   for _ in range(cfg.multistart_count)]
     best = None
     for i, x0 in enumerate(starts):
-        f0, g0 = (f_seed, g_seed) if i == 0 else fg(x0)
-        if np.max(np.abs(g0)) <= cfg.gradient_tolerance:
+        f0, g0, h0 = at_seed if i == 0 else fg(x0)
+        if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= cfg.gradient_tolerance:
             cand = (x0, f0, 0, True)
         else:
-            res = minimize(
-                neg,
-                x0,
-                jac=True,
-                method="L-BFGS-B",
-                options={
-                    "maxiter": cfg.max_iterations,
-                    "gtol": cfg.gradient_tolerance,
-                    "ftol": 1e-15,
-                },
-            )
-            cand = (res.x, float(-res.fun), int(res.nit), bool(res.success))
+            cand = _newton(fg, x0, f0, g0, h0, cfg)
         if best is None or cand[1] > best[1]:
             best = cand
+    f_seed = at_seed[0]
     if best[1] < f_seed:
         best = (seed, f_seed, 0, True)
     x, f, iterations, converged = best
     w = np.mod(x, TWO_PI)
     return OptimizationResult(
         angles_opt=EulerAngles(w[0], w[1], w[2]),
-        objective_value=f,
-        objective_at_target_angles=f_seed,
+        objective_value=min(max(f, 0.0), 1.0),
+        objective_at_target_angles=min(max(f_seed, 0.0), 1.0),
         iterations=iterations,
         converged=converged,
     )
+
+
+def _newton(fg, x, f, g, h, cfg: OptimizerConfig):
+    """Damped Newton ascent of ``fg`` from x, given F, its gradient g and
+    its Hessian h at x; returns (x, F, iterations, converged).
+
+    Each step solves (mu I - H) p = g (``_ascent_step``) and backtracks from
+    t = 1 until F(x + t p) >= F(x) + ARMIJO t g.p - ROUNDING.  F is compared
+    unclamped.  The search converges once max|g| <= gradient_tolerance.  It
+    stops unconverged after max_iterations steps, when no step length passes
+    the Armijo test, and when an accepted step does not strictly increase F:
+    F can no longer resolve the remaining gain, and more steps would spin.
+    """
+    tol = cfg.gradient_tolerance
+    for it in range(1, cfg.max_iterations + 1):
+        p0, p1, p2 = _ascent_step(g, h)
+        slope = g[0] * p0 + g[1] * p1 + g[2] * p2
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            xn = (x[0] + t * p0, x[1] + t * p1, x[2] + t * p2)
+            fn, gn, hn = fg(xn)
+            if fn >= f + ARMIJO * t * slope - ROUNDING:
+                break
+            t *= 0.5
+        else:
+            return x, f, it - 1, False
+        increased = fn > f
+        x, f, g, h = xn, fn, gn, hn
+        if max(abs(g[0]), abs(g[1]), abs(g[2])) <= tol:
+            return x, f, it, True
+        if not increased:
+            return x, f, it, False
+    return x, f, cfg.max_iterations, False
+
+
+def _ascent_step(g, h):
+    """The modified Newton step p solving (mu I - H) p = g, scaled to
+    |p| <= pi.
+
+    mu starts at 0 when -H has a positive diagonal, else at SHIFT_MIN minus
+    its least diagonal entry, and doubles (at least to SHIFT_MIN) until the
+    Cholesky factorization L L^T of mu I - H succeeds (Nocedal & Wright,
+    Alg. 3.3).  mu I - H is then positive definite, so g.p > 0.
+    """
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = h
+    least = -max(h00, h11, h22)
+    mu = 0.0 if least > 0.0 else SHIFT_MIN - least
+    while True:
+        d0 = mu - h00
+        if d0 > 0.0:
+            l00 = math.sqrt(d0)
+            l10, l20 = -h01 / l00, -h02 / l00
+            d1 = mu - h11 - l10 * l10
+            if d1 > 0.0:
+                l11 = math.sqrt(d1)
+                l21 = (-h12 - l20 * l10) / l11
+                d2 = mu - h22 - l20 * l20 - l21 * l21
+                if d2 > 0.0:
+                    l22 = math.sqrt(d2)
+                    break
+        mu = max(2.0 * mu, SHIFT_MIN)
+    y0 = g[0] / l00
+    y1 = (g[1] - l10 * y0) / l11
+    y2 = (g[2] - l20 * y0 - l21 * y1) / l22
+    p2 = y2 / l22
+    p1 = (y1 - l21 * p2) / l11
+    p0 = (y0 - l10 * p1 - l20 * p2) / l00
+    norm = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+    if norm > math.pi:
+        scale = math.pi / norm
+        return p0 * scale, p1 * scale, p2 * scale
+    return p0, p1, p2

@@ -47,9 +47,11 @@ TWO_PI = 2.0 * math.pi
 ARMS = ("unopt", "opt")
 
 # Per-gate optimizations use a looser gradient tolerance than the standalone
-# optimizer default.  This is the usual quasi-Newton library default, and it
-# is what makes a vanishing assumed-noise model (drift factor -> 0) leave
-# every gate at its seed instead of chasing O(lambda_assumed) gradients.
+# optimizer default.  The Newton search keeps a gate at its seed when the
+# seed's gradient already meets it, which is what makes a vanishing
+# assumed-noise model (drift factor -> 0) leave every gate at its seed instead
+# of chasing O(lambda_assumed) gradients; a search that starts stops at the
+# first iterate that meets it.
 RB_GRADIENT_TOLERANCE = 1e-5
 
 RB_OPTIMIZER = OptimizerConfig(gradient_tolerance=RB_GRADIENT_TOLERANCE)

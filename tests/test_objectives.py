@@ -111,6 +111,7 @@ def test_point_constructor_canonicalizes():
     d = InitialStateDistribution.point(-0.4, 1.0)
     assert d.kind == "point"
     assert abs(d.theta - 0.4) < 1e-15
+    assert d.theta_max == 0.0
 
 
 def test_cap_constructor_validation():
@@ -120,6 +121,20 @@ def test_cap_constructor_validation():
         InitialStateDistribution.spherical_cap(3.5)
     with pytest.raises(ValueError):
         InitialStateDistribution.spherical_cap(math.nan)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "banana"},
+    {"kind": "cap", "theta_max": 7.0},
+    {"kind": "cap", "theta_max": 0.0},
+    {"kind": "cap", "theta_max": math.nan},
+], ids=["unknown-kind", "cap-7", "cap-0", "cap-nan"])
+def test_direct_constructor_validation(kwargs):
+    """The dataclass constructor checks what the class methods check: an
+    unknown kind would otherwise read as the uniform sphere, and a cap
+    outside (0, pi] would give moments of no distribution."""
+    with pytest.raises(ValueError):
+        InitialStateDistribution(**kwargs)
 
 
 @pytest.mark.parametrize("dist", [
@@ -256,12 +271,31 @@ def test_mixed_input_objective_matches_stepwise_channel():
             sigma = u @ rho @ u.conj().T
             oracle = float(np.real(np.trace(sigma @ noisy_gate_stepwise(trial, rho, params))))
             fg = moment_objective(target, r, np.outer(r, r), params)
-            got, _ = fg((trial.beta, trial.gamma, trial.delta))
+            got = fg((trial.beta, trial.gamma, trial.delta))[0]
             worst = max(worst, abs(got - oracle))
     assert worst < 1e-14
 
 
 # ---------------------------------------------------------------- gradient
+
+def _moments(kind, rng, target, trial):
+    """(target, trial, m1, m2) for one random problem of the given input kind;
+    prep pins delta to 0 at the input |0>."""
+    if kind == "point":
+        state = random_state(rng)
+        m1, m2 = InitialStateDistribution.point(state.theta, state.phi).moments()
+    elif kind == "cap":
+        m1, m2 = InitialStateDistribution.spherical_cap(rng.uniform(0.05, 3.0)).moments()
+    elif kind == "uniform":
+        m1, m2 = InitialStateDistribution.uniform_sphere().moments()
+    elif kind == "mixed":
+        m1, m2 = _mixed_moments(rng)
+    else:
+        target = EulerAngles(target.beta, target.gamma, 0.0)
+        trial = EulerAngles(trial.beta, trial.gamma, 0.0)
+        m1, m2 = _PREP_STATE, np.outer(_PREP_STATE, _PREP_STATE)
+    return target, trial, m1, m2
+
 
 def _mixed_moments(rng):
     r = rng.normal(size=3)
@@ -281,19 +315,7 @@ def test_analytic_gradient_matches_fourth_order_difference(kind):
     for _ in range(20):
         target, trial = random_angles(rng), random_angles(rng)
         params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
-        if kind == "point":
-            state = random_state(rng)
-            m1, m2 = InitialStateDistribution.point(state.theta, state.phi).moments()
-        elif kind == "cap":
-            m1, m2 = InitialStateDistribution.spherical_cap(rng.uniform(0.05, 3.0)).moments()
-        elif kind == "uniform":
-            m1, m2 = InitialStateDistribution.uniform_sphere().moments()
-        elif kind == "mixed":
-            m1, m2 = _mixed_moments(rng)
-        else:
-            target = EulerAngles(target.beta, target.gamma, 0.0)
-            trial = EulerAngles(trial.beta, trial.gamma, 0.0)
-            m1, m2 = _PREP_STATE, np.outer(_PREP_STATE, _PREP_STATE)
+        target, trial, m1, m2 = _moments(kind, rng, target, trial)
         fg = moment_objective(target, m1, m2, params)
         x = np.array([trial.beta, trial.gamma, trial.delta])
         grad = fg(x)[1]
@@ -306,6 +328,31 @@ def test_analytic_gradient_matches_fourth_order_difference(kind):
 
             ref = (8 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12 * h)
             assert abs(grad[i] - ref) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["point", "cap", "uniform", "mixed", "prep"])
+def test_analytic_hessian_matches_fourth_order_difference(kind):
+    """The analytic Hessian is symmetric and matches a test-side 4th-order
+    central difference of the analytic gradient."""
+    rng = np.random.default_rng(23)
+    h = 1e-3
+    for _ in range(20):
+        target, trial = random_angles(rng), random_angles(rng)
+        params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        target, trial, m1, m2 = _moments(kind, rng, target, trial)
+        fg = moment_objective(target, m1, m2, params)
+        x = np.array([trial.beta, trial.gamma, trial.delta])
+        hess = np.array(fg(x)[2])
+        assert np.array_equal(hess, hess.T)
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = h
+
+            def g(k):
+                return np.array(fg(x + k * step)[1])
+
+            ref = (8 * (g(1) - g(-1)) - (g(2) - g(-2))) / (12 * h)
+            assert np.abs(hess[:, j] - ref).max() < 1e-10
 
 
 def test_gradient_matches_coarse_finite_difference():

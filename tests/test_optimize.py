@@ -12,12 +12,16 @@ from noisy_euler import (
     InitialStateDistribution,
     NoiseParams,
     OptimizerConfig,
+    bundled_device,
     compose_zyz,
     extract_euler,
     fidelity,
+    moment_objective,
     named_gate,
+    noise_params_for,
     noisy_gate_stepwise,
     optimize_gate,
+    sample_random_gate,
 )
 from noisy_euler import optimize
 
@@ -163,6 +167,42 @@ def test_cap_distribution_optimization_runs_and_improves():
     point = InitialStateDistribution.point(0.0, 0.0)
     res_point = optimize_gate(target, *point.moments(), params)
     assert abs(res.improvement - res_point.improvement) < 5e-3
+
+
+def test_newton_reaches_lbfgsb_oracle():
+    """Oracle: scipy's L-BFGS-B from the same seed on the same objective, at
+    the standalone tolerance, over rome q3 point inputs to random RB gates
+    and random caps.  The Newton search must reach the oracle's objective,
+    report ``converged`` only where the gradient meets the tolerance, and
+    never fall below the seed."""
+    params = noise_params_for(bundled_device("rome").qubit(3))
+    cfg = OptimizerConfig(gradient_tolerance=1e-9)
+    rng = np.random.default_rng(31)
+    for i in range(200):
+        target = sample_random_gate(rng)
+        if i % 2 == 0:
+            dist = InitialStateDistribution.point(
+                math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
+            )
+        else:
+            dist = InitialStateDistribution.spherical_cap(rng.uniform(0.05, math.pi))
+        m1, m2 = dist.moments()
+        fg = moment_objective(target, m1, m2, params)
+
+        def neg(x):
+            f, g, _ = fg(x)
+            return -f, -np.array(g)
+
+        ref = sciopt.minimize(
+            neg, [target.beta, target.gamma, target.delta], jac=True, method="L-BFGS-B",
+            options={"maxiter": 500, "gtol": 1e-9, "ftol": 1e-15},
+        )
+        res = optimize_gate(target, m1, m2, params, cfg)
+        assert res.objective_value >= -ref.fun - 1e-12
+        assert res.objective_value >= res.objective_at_target_angles
+        if res.converged:
+            a = res.angles_opt
+            assert np.abs(fg((a.beta, a.gamma, a.delta))[1]).max() <= 1e-9
 
 
 # ------------------------------------------------------------------- prep
@@ -335,3 +375,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(gradient_tolerance=math.nan)
     with pytest.raises(ValueError):
         OptimizerConfig(gradient_tolerance=math.inf)
+    for bad in (2.5, 3.0, True, "5"):
+        with pytest.raises(ValueError):
+            OptimizerConfig(max_iterations=bad)
+        with pytest.raises(ValueError):
+            OptimizerConfig(multistart_count=bad)
