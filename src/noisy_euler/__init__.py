@@ -18,16 +18,11 @@ from .gates import (
     BlochState,
     EulerAngles,
     NAMED_GATES,
-    apply_unitary,
-    bloch_to_density,
-    compose_native,
     compose_zyz,
     extract_euler,
     named_gate,
     rx,
-    ry,
     rz,
-    state_fidelity,
     validate_density_matrix,
 )
 from .noise import (
@@ -35,9 +30,7 @@ from .noise import (
     NoiseParams,
     amplitude_damping_kraus,
     apply_channel_kraus,
-    calibration_fidelity,
     damping_probabilities,
-    noisy_gate_closed_form,
     noisy_gate_stepwise,
     phase_damping_kraus,
 )
@@ -88,24 +81,17 @@ __all__ = [
     "BlochState",
     "EulerAngles",
     "NAMED_GATES",
-    "apply_unitary",
-    "bloch_to_density",
-    "compose_native",
     "compose_zyz",
     "extract_euler",
     "named_gate",
     "rx",
-    "ry",
     "rz",
-    "state_fidelity",
     "validate_density_matrix",
     "LAMBDA_MAX",
     "NoiseParams",
     "amplitude_damping_kraus",
     "apply_channel_kraus",
-    "calibration_fidelity",
     "damping_probabilities",
-    "noisy_gate_closed_form",
     "noisy_gate_stepwise",
     "phase_damping_kraus",
     "InitialStateDistribution",

@@ -13,9 +13,8 @@ Every run emits a manifest JSON recording the command, resolved config, seed,
 package version and output paths; ``noisy-euler --from-manifest PATH`` replays
 it and reproduces the CSV outputs byte-for-byte.  A replayed config is decoded
 against the config dataclasses, so an unknown key or a value of the wrong JSON
-type is an error that names its path.  All randomness flows from
-the --seed flag through named sub-streams.  The NOISY_EULER_JOBS environment
-variable overrides --jobs.
+type is an error that names its path.  All randomness flows from the --seed
+flag through named sub-streams, so --jobs changes only the wall time.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -43,7 +42,6 @@ from .calibration import (
 from .experiments import SweepConfig, knowledge_sweep, prep_improvement_sweep
 from .gates import EulerAngles, NAMED_GATES, extract_euler, named_gate
 from .io import (
-    effective_jobs,
     from_jsonable,
     load_manifest,
     save_manifest,
@@ -246,7 +244,8 @@ def _decode(tp, config: dict, *run_keys: str):
 
 
 def _jobs(config: dict) -> int:
-    return effective_jobs(from_jsonable(int | None, config.get("jobs"), "config.jobs"))
+    jobs = from_jsonable(int | None, config.get("jobs"), "config.jobs")
+    return 1 if jobs is None else jobs
 
 
 def _optimizer_json(args) -> dict:

@@ -56,8 +56,10 @@ class SweepConfig:
             raise ValueError("lambda values must lie in [0, 1)")
         caps = tuple(float(v) for v in self.theta_max_grid)
         object.__setattr__(self, "theta_max_grid", caps)
-        if any(not (0.0 < tm <= math.pi + 1e-12) for tm in caps):
-            raise ValueError("theta_max values must lie in (0, pi]")
+        for tm in caps:  # each knowledge cell builds this cap; fail before any runs
+            InitialStateDistribution.spherical_cap(tm)
+        if not isinstance(self.targets_per_point, int) or isinstance(self.targets_per_point, bool):
+            raise ValueError("targets_per_point must be an int")
         if self.targets_per_point < 1:
             raise ValueError("targets_per_point must be >= 1")
 

@@ -53,12 +53,6 @@ def rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def ry(theta: float) -> np.ndarray:
-    """Rotation about the y axis: cos(theta/2) I - i sin(theta/2) Y."""
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class EulerAngles:
     """ZYZ Euler angles (beta, gamma, delta) plus a carried global phase.
@@ -80,26 +74,6 @@ class EulerAngles:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"EulerAngles.{name} must be finite")
 
-    def wrapped(self) -> "EulerAngles":
-        """Wrap each angle into [0, 2*pi) without changing the noisy-pulse
-        trajectory (2*pi shifts only move the global phase, absorbed here)."""
-        flips = 0
-        wrapped = []
-        for x in (self.beta, self.gamma, self.delta):
-            w = x % TWO_PI
-            flips += round((x - w) / TWO_PI)
-            wrapped.append(w)
-        phase = (self.global_phase + math.pi * (flips % 2)) % TWO_PI
-        return EulerAngles(*wrapped, global_phase=phase)
-
-    def canonical(self) -> "EulerAngles":
-        """Canonical representative of the same unitary (gamma in [0, pi]).
-
-        Note this may select a different native-pulse trajectory for the same
-        unitary; use ``wrapped`` when the trajectory must be preserved.
-        """
-        return extract_euler(compose_zyz(self))
-
 
 @dataclass(frozen=True)
 class BlochState:
@@ -120,15 +94,6 @@ class BlochState:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi % TWO_PI)
 
-    def state_vector(self) -> np.ndarray:
-        """|psi> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-        return np.array(
-            [
-                math.cos(0.5 * self.theta),
-                cmath.exp(1j * self.phi) * math.sin(0.5 * self.theta),
-            ]
-        )
-
     def bloch_vector(self) -> np.ndarray:
         """n = (sin theta cos phi, sin theta sin phi, cos theta)."""
         st = math.sin(self.theta)
@@ -147,20 +112,6 @@ def compose_zyz(angles: EulerAngles) -> np.ndarray:
             [cmath.exp(-0.5j * (b + d)) * c, -cmath.exp(-0.5j * (b - d)) * s],
             [cmath.exp(0.5j * (b - d)) * s, cmath.exp(0.5j * (b + d)) * c],
         ]
-    )
-
-
-def compose_native(angles: EulerAngles) -> np.ndarray:
-    """The native five-step form; identical to ``compose_zyz`` because the
-    R_x(-pi/2) R_z(gamma) R_x(pi/2) = R_y(gamma) identity is exact."""
-    phase = cmath.exp(1j * angles.global_phase)
-    return (
-        phase
-        * rz(angles.beta)
-        @ rx(-0.5 * math.pi)
-        @ rz(angles.gamma)
-        @ rx(0.5 * math.pi)
-        @ rz(angles.delta)
     )
 
 
@@ -225,26 +176,6 @@ def validate_density_matrix(
     if m - math.sqrt(disc) < -psd_tol:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     return rho
-
-
-def bloch_to_density(state: BlochState) -> np.ndarray:
-    """Rank-1 projector |psi(theta, phi)><psi(theta, phi)|."""
-    psi = state.state_vector()
-    return np.outer(psi, psi.conj())
-
-
-def apply_unitary(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """U rho U^dag for a validated density matrix."""
-    u = _check_unitary(u)
-    rho = validate_density_matrix(rho)
-    return u @ rho @ u.conj().T
-
-
-def state_fidelity(state: BlochState, rho: np.ndarray) -> float:
-    """<psi| rho |psi> for a pure reference state; real by Hermiticity."""
-    rho = validate_density_matrix(rho)
-    psi = state.state_vector()
-    return float(np.real(psi.conj() @ rho @ psi))
 
 
 _SQRT_HALF = math.sqrt(0.5)

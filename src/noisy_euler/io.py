@@ -6,8 +6,8 @@ output is sorted-key, two-space indented.  ``from_jsonable`` is the inverse of
 ``to_jsonable`` for the frozen config dataclasses: it reads their field
 annotations, so a manifest or device spec with an unknown key or a value of
 the wrong JSON type is rejected with the key's path.  ``parallel_map``
-preserves input order, so the worker count never changes results, only wall
-time.
+preserves input order, so the worker count (the CLI's --jobs) never changes
+results, only wall time.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FORMAT = "%.17g"
-
-JOBS_ENV_VAR = "NOISY_EULER_JOBS"
 
 # BLAS/OpenMP pool sizes that parallel_map's workers get where the caller left
 # them unset: each worker is one process on one core, and a BLAS pool per
@@ -200,20 +198,6 @@ def fold_seed(entropy) -> int:
     """Deterministic 64-bit integer from a named seed-sequence path, for
     handing a derived seed to a component that wants a plain int."""
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def effective_jobs(requested: int | None) -> int:
-    """Worker count for parallel_map; the NOISY_EULER_JOBS environment
-    variable overrides any requested value."""
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
-    if requested is None:
-        return 1
-    return max(1, int(requested))
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:

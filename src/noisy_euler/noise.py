@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import BlochState, EulerAngles, rx, rz, validate_density_matrix
+from .gates import EulerAngles, rx, rz, validate_density_matrix
 
 # Damping probabilities are clamped to [0, 1 - 1e-15] so sqrt(1 - lambda)
 # never vanishes exactly and extreme drift factors stay finite.
@@ -206,35 +206,3 @@ def _affine_map(beta: float, gamma: float, delta: float, la: float, lp: float):
     rb = _rz3(beta)
     k = np.array([[k00, 0.0, k02], [0.0, k11, 0.0], [k20, 0.0, k22]])
     return rb @ k @ _rz3(delta), rb @ np.array([0.0, t0y, t0z])
-
-
-def noisy_gate_closed_form(
-    angles: EulerAngles, state: BlochState, params: NoiseParams
-) -> np.ndarray:
-    """Closed-form output density matrix of the noisy native gate on a pure
-    input state, rendered from the Bloch vector A n + t; agrees with
-    ``noisy_gate_stepwise`` to machine precision."""
-    a, t = _affine_map(
-        angles.beta, angles.gamma, angles.delta, params.lambda_a, params.lambda_p
-    )
-    x, y, z = a @ state.bloch_vector() + t
-    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
-
-
-def calibration_fidelity(alpha: float, params: NoiseParams, sign: int = 1) -> float:
-    """Survival of |0> through R_x(alpha), one decoherence step, then the
-    recovery pulse R_x(sign * pi/2):
-
-        F(alpha) = 1/2 (1 + sign * sqrt(1-la) sqrt(1-lp) sin(alpha))
-
-    maximized at alpha = sign * pi/2.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return 0.5 * (
-        1.0
-        + sign
-        * math.sqrt(1.0 - params.lambda_a)
-        * math.sqrt(1.0 - params.lambda_p)
-        * math.sin(alpha)
-    )

@@ -73,14 +73,6 @@ class InitialStateDistribution:
     def spherical_cap(cls, theta_max: float) -> "InitialStateDistribution":
         return cls("cap", theta_max=theta_max)
 
-    def density(self, theta, phi):
-        """Probability density p(theta, phi) with measure d(theta) d(phi)."""
-        if self.kind == "point":
-            raise ValueError("a point distribution has no density")
-        norm = TWO_PI * (1.0 - math.cos(self.theta_max))
-        inside = np.asarray(theta) < self.theta_max
-        return np.where(inside, np.sin(theta) / norm, 0.0)
-
     def sample(self, rng: np.random.Generator, n: int):
         """Draw n states; returns (theta, phi) arrays.
 

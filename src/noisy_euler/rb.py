@@ -80,6 +80,10 @@ class RbConfig:
     track_noisy_state: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_circuits", "n_gates") + (() if self.shots is None else ("shots",)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int")
         if self.n_circuits < 1:
             raise ValueError("n_circuits must be >= 1")
         if self.n_gates < 1:
@@ -94,10 +98,8 @@ class RbConfig:
             raise ValueError("depth_schedule must be strictly increasing")
         if depths[-1] > self.n_gates:
             raise ValueError("max depth exceeds n_gates")
-        if self.shots is not None and int(self.shots) < 1:
+        if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1, or None for exact probabilities")
-        if self.shots is not None:
-            object.__setattr__(self, "shots", int(self.shots))
         if not (math.isfinite(self.drift_factor) and self.drift_factor > 0):
             raise ValueError("drift_factor must be positive and finite")
         if self.readout is not None:

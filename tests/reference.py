@@ -1,0 +1,47 @@
+"""Reference formulas that several test modules compare the package against.
+
+Each is written out from the physics, not taken from the package, so a
+comparison with it stays an independent check.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+
+def state_vector(state) -> np.ndarray:
+    """|psi> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> of a BlochState,
+    built from its angles rather than its Bloch vector."""
+    return np.array([
+        math.cos(0.5 * state.theta),
+        cmath.exp(1j * state.phi) * math.sin(0.5 * state.theta),
+    ])
+
+
+def projector(state) -> np.ndarray:
+    """The pure density matrix |psi><psi| of a BlochState."""
+    psi = state_vector(state)
+    return np.outer(psi, psi.conj())
+
+
+def bloch_density(v) -> np.ndarray:
+    """The density matrix 1/2 (I + v.sigma) of a Bloch vector v."""
+    x, y, z = v
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
+
+
+def cap_density(theta_max: float, theta: float) -> float:
+    """Density of the uniform polar cap theta < theta_max in the measure
+    d(theta) d(phi): sin(theta) / (2 pi (1 - cos(theta_max)))."""
+    if theta >= theta_max:
+        return 0.0
+    return math.sin(theta) / (2.0 * math.pi * (1.0 - math.cos(theta_max)))
+
+
+def calibration_signal(alpha: float, params) -> float:
+    """Survival of |0> through R_x(alpha), one damping step, then the
+    recovery pulse R_x(pi/2): 1/2 (1 + sqrt(1-la) sqrt(1-lp) sin(alpha)),
+    maximized at alpha = pi/2."""
+    shrink = math.sqrt(1.0 - params.lambda_a) * math.sqrt(1.0 - params.lambda_p)
+    return 0.5 * (1.0 + shrink * math.sin(alpha))

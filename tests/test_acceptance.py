@@ -20,22 +20,21 @@ from noisy_euler import (
     RbConfig,
     SweepConfig,
     apply_readout_error,
-    bloch_to_density,
     bundled_device,
-    calibration_fidelity,
     extract_euler,
     InitialStateDistribution,
     knowledge_sweep,
     mitigate_readout,
     moment_objective,
     noise_params_for,
-    noisy_gate_closed_form,
     noisy_gate_stepwise,
     prep_improvement_sweep,
     run_drift_sweep,
     run_rb_experiment,
 )
 from noisy_euler.cli import main as cli_main
+from noisy_euler.noise import _affine_map
+from reference import bloch_density, calibration_signal, projector
 
 
 def _report(index: int, title: str, ok: bool, detail: str) -> None:
@@ -65,8 +64,10 @@ def test_01_closed_form_matches_stepwise_channel():
         )
         la, lp = rng.uniform(0.0, 0.3, size=2)
         params = NoiseParams.from_lambdas(la, lp)
-        closed = noisy_gate_closed_form(angles, state, params)
-        step = noisy_gate_stepwise(angles, bloch_to_density(state), params)
+        a, t = _affine_map(angles.beta, angles.gamma, angles.delta,
+                           params.lambda_a, params.lambda_p)
+        closed = bloch_density(a @ state.bloch_vector() + t)
+        step = noisy_gate_stepwise(angles, projector(state), params)
         worst = max(worst, float(np.max(np.abs(closed - step))))
     elapsed = time.monotonic() - t0
     _report(
@@ -96,7 +97,7 @@ def test_03_calibration_signal_peaks_at_quarter_turn():
     for _ in range(100):
         la, lp = rng.uniform(0.0, 0.3, size=2)
         params = NoiseParams.from_lambdas(la, lp)
-        vals = [calibration_fidelity(a, params) for a in grid]
+        vals = [calibration_signal(a, params) for a in grid]
         best = grid[int(np.argmax(vals))]
         worst = max(worst, min(abs(best - np.pi / 2), abs(best + np.pi / 2)))
     elapsed = time.monotonic() - t0

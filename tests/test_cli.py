@@ -194,13 +194,17 @@ def test_rb_rerun_byte_identical(tmp_path):
     assert (d1 / "rr.csv").read_bytes() == (d2 / "rr.csv").read_bytes()
 
 
-def test_rb_jobs_env_override(tmp_path, monkeypatch):
-    d1 = tmp_path / "a"
-    d2 = tmp_path / "b"
+def test_rb_jobs_flag_and_manifest_replay(tmp_path):
+    """--jobs 2 writes the bytes --jobs 1 writes, and so does a replay of
+    the manifest that records "jobs": 2."""
+    d1, d2, d3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     run_cli("--output-dir", str(d1), "--tag", "rj", *RB_SMALL, "--jobs", "1")
-    monkeypatch.setenv("NOISY_EULER_JOBS", "2")
-    run_cli("--output-dir", str(d2), "--tag", "rj", *RB_SMALL, "--jobs", "1")
-    assert (d1 / "rj.csv").read_bytes() == (d2 / "rj.csv").read_bytes()
+    run_cli("--output-dir", str(d2), "--tag", "rj", *RB_SMALL, "--jobs", "2")
+    manifest = d2 / "rj_manifest.json"
+    assert json.loads(manifest.read_text(encoding="utf-8"))["config"]["jobs"] == 2
+    assert run_cli("--output-dir", str(d3), "--from-manifest", str(manifest)) == 0
+    expect = (d1 / "rj.csv").read_bytes()
+    assert (d2 / "rj.csv").read_bytes() == expect == (d3 / "rj.csv").read_bytes()
 
 
 def test_rb_shots_and_readout_flags(tmp_path):

@@ -17,9 +17,7 @@ from noisy_euler import (
     bundled_device,
 )
 from noisy_euler.io import (
-    JOBS_ENV_VAR,
     WORKER_THREAD_VARS,
-    effective_jobs,
     fold_seed,
     format_value,
     from_jsonable,
@@ -182,24 +180,6 @@ def test_fold_seed_deterministic_and_distinct():
     assert fold_seed([1, 2, 3]) == fold_seed([1, 2, 3])
     assert fold_seed([1, 2, 3]) != fold_seed([1, 2, 4])
     assert 0 <= fold_seed([0]) < 2 ** 64
-
-
-def test_effective_jobs_plain():
-    assert effective_jobs(None) == 1
-    assert effective_jobs(4) == 4
-    assert effective_jobs(0) == 1
-    assert effective_jobs(-2) == 1
-
-
-def test_effective_jobs_env_override(monkeypatch):
-    monkeypatch.setenv(JOBS_ENV_VAR, "3")
-    assert effective_jobs(8) == 3
-    assert effective_jobs(None) == 3
-    monkeypatch.setenv(JOBS_ENV_VAR, "0")
-    assert effective_jobs(8) == 1
-    monkeypatch.setenv(JOBS_ENV_VAR, "lots")
-    with pytest.raises(ValueError):
-        effective_jobs(8)
 
 
 def _square(x):

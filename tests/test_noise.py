@@ -1,5 +1,5 @@
-"""Unit tests for the damping channel, its closed form, and calibration
-fidelity."""
+"""Unit tests for the damping channel, its closed form, and the calibration
+signal."""
 
 import math
 
@@ -13,20 +13,28 @@ from noisy_euler import (
     NoiseParams,
     amplitude_damping_kraus,
     apply_channel_kraus,
-    bloch_to_density,
-    calibration_fidelity,
+    compose_zyz,
     damping_probabilities,
-    noisy_gate_closed_form,
     noisy_gate_stepwise,
     phase_damping_kraus,
+    rx,
     validate_density_matrix,
 )
+from noisy_euler.noise import _affine_map
+from reference import bloch_density, calibration_signal, projector
+
+
+def closed_form(ang, st, p):
+    """The affine map A n + t that RB and the objective run, rendered as a
+    density matrix."""
+    a, t = _affine_map(ang.beta, ang.gamma, ang.delta, p.lambda_a, p.lambda_p)
+    return bloch_density(a @ st.bloch_vector() + t)
 
 
 def random_density(rng):
     """Random mixed state: convex blend of two pure states."""
-    a = bloch_to_density(BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
-    b = bloch_to_density(BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
+    a = projector(BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
+    b = projector(BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
     w = rng.uniform()
     return w * a + (1 - w) * b
 
@@ -170,8 +178,8 @@ def test_closed_form_matches_stepwise_bulk():
         ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
         st = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         p = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
-        closed = noisy_gate_closed_form(ang, st, p)
-        step = noisy_gate_stepwise(ang, bloch_to_density(st), p)
+        closed = closed_form(ang, st, p)
+        step = noisy_gate_stepwise(ang, projector(st), p)
         worst = max(worst, np.abs(closed - step).max())
     assert worst < 1e-12
 
@@ -182,8 +190,8 @@ def test_closed_form_extreme_lambdas():
         ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
         st = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         p = NoiseParams.from_lambdas(la, lp)
-        closed = noisy_gate_closed_form(ang, st, p)
-        step = noisy_gate_stepwise(ang, bloch_to_density(st), p)
+        closed = closed_form(ang, st, p)
+        step = noisy_gate_stepwise(ang, projector(st), p)
         assert np.abs(closed - step).max() < 1e-12
 
 
@@ -193,18 +201,17 @@ def test_closed_form_output_is_density_matrix():
         ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
         st = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         p = NoiseParams.from_lambdas(rng.uniform(0, 1), rng.uniform(0, 1))
-        validate_density_matrix(noisy_gate_closed_form(ang, st, p))
+        validate_density_matrix(closed_form(ang, st, p))
 
 
 def test_noiseless_gate_is_exact_unitary_action():
-    from noisy_euler import apply_unitary, compose_native
-
     rng = np.random.default_rng(18)
     ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
     st = BlochState(0.9, 0.4)
     p = NoiseParams.from_lambda(0.0)
-    expect = apply_unitary(compose_native(ang), bloch_to_density(st))
-    assert np.abs(noisy_gate_closed_form(ang, st, p) - expect).max() < 1e-14
+    u, rho = compose_zyz(ang), projector(st)
+    expect = u @ rho @ u.conj().T
+    assert np.abs(closed_form(ang, st, p) - expect).max() < 1e-14
 
 
 def test_global_phase_never_matters():
@@ -212,8 +219,7 @@ def test_global_phase_never_matters():
     p = NoiseParams.from_lambdas(0.1, 0.2)
     a = EulerAngles(0.5, 1.0, 1.5, global_phase=0.0)
     b = EulerAngles(0.5, 1.0, 1.5, global_phase=2.7)
-    assert np.abs(noisy_gate_closed_form(a, st, p)
-                  - noisy_gate_closed_form(b, st, p)).max() == 0.0
+    assert np.abs(closed_form(a, st, p) - closed_form(b, st, p)).max() == 0.0
 
 
 def test_two_pi_shift_same_channel():
@@ -222,27 +228,14 @@ def test_two_pi_shift_same_channel():
     p = NoiseParams.from_lambdas(0.05, 0.02)
     a = EulerAngles(0.5, 1.0, 1.5)
     b = EulerAngles(0.5 + 2 * math.pi, 1.0, 1.5 - 2 * math.pi)
-    assert np.abs(noisy_gate_closed_form(a, st, p)
-                  - noisy_gate_closed_form(b, st, p)).max() < 1e-15
+    assert np.abs(closed_form(a, st, p) - closed_form(b, st, p)).max() < 1e-15
 
 
 # ------------------------------------------------------------- calibration
 
-def test_calibration_fidelity_formula():
-    p = NoiseParams.from_lambdas(0.2, 0.1)
-    shrink = math.sqrt(1 - 0.2) * math.sqrt(1 - 0.1)
-    for alpha in np.linspace(-math.pi, math.pi, 17):
-        expect = 0.5 * (1.0 + shrink * math.sin(alpha))
-        assert abs(calibration_fidelity(alpha, p) - expect) < 1e-15
-        expect_neg = 0.5 * (1.0 - shrink * math.sin(alpha))
-        assert abs(calibration_fidelity(alpha, p, sign=-1) - expect_neg) < 1e-15
-
-
 def test_calibration_fidelity_oracle_pulse_simulation():
     # independent route: pulse |0> by Rx(alpha), damp, project on the -y
     # eigenstate the ideal half-pi pulse would reach
-    from noisy_euler import rx
-
     rng = np.random.default_rng(20)
     minus_y = np.array([1.0, -1j]) / math.sqrt(2)
     for _ in range(50):
@@ -251,17 +244,12 @@ def test_calibration_fidelity_oracle_pulse_simulation():
         rho = np.diag([1.0, 0.0]).astype(complex)
         rho = apply_channel_kraus(rx(alpha) @ rho @ rx(alpha).conj().T, p)
         expect = float(np.real(minus_y.conj() @ rho @ minus_y))
-        assert abs(calibration_fidelity(alpha, p) - expect) < 1e-14
+        assert abs(calibration_signal(alpha, p) - expect) < 1e-14
 
 
 def test_calibration_fidelity_argmax_at_half_pi():
     for la, lp in [(0.01, 0.02), (0.3, 0.1), (0.0, 0.0)]:
         p = NoiseParams.from_lambdas(la, lp)
         grid = np.arange(-math.pi, math.pi, 1e-3)
-        vals = np.array([calibration_fidelity(a, p) for a in grid])
+        vals = np.array([calibration_signal(a, p) for a in grid])
         assert abs(grid[np.argmax(vals)] - math.pi / 2) <= 1e-3
-
-
-def test_calibration_fidelity_sign_validation():
-    with pytest.raises(ValueError):
-        calibration_fidelity(0.1, NoiseParams.from_lambda(0.1), sign=2)

@@ -13,15 +13,14 @@ from noisy_euler import (
     InitialStateDistribution,
     LAMBDA_MAX,
     NoiseParams,
-    bloch_to_density,
     compose_zyz,
     extract_euler,
     fidelity,
     moment_objective,
     named_gate,
     noisy_gate_stepwise,
-    state_fidelity,
 )
+from reference import cap_density, projector, state_vector
 
 HADAMARD = extract_euler(named_gate("h"))
 
@@ -51,8 +50,8 @@ def test_fidelity_matches_stepwise_oracle():
         target, trial = random_angles(rng), random_angles(rng)
         state = random_state(rng)
         params = NoiseParams.from_lambdas(rng.uniform(0, 0.5), rng.uniform(0, 0.5))
-        psi_t = compose_zyz(target) @ state.state_vector()
-        rho = noisy_gate_stepwise(trial, bloch_to_density(state), params)
+        psi_t = compose_zyz(target) @ state_vector(state)
+        rho = noisy_gate_stepwise(trial, projector(state), params)
         oracle = float(np.real(psi_t.conj() @ rho @ psi_t))
         assert abs(fidelity(target, trial, state, params) - oracle) < 1e-13
 
@@ -90,8 +89,9 @@ def test_prep_fidelity_matches_state_route():
         beta, gamma = rng.uniform(-math.pi, math.pi, 2)
         params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
         trial = EulerAngles(beta, gamma, 0.0)
-        rho = noisy_gate_stepwise(trial, bloch_to_density(GROUND), params)
-        oracle = state_fidelity(target, rho)
+        rho = noisy_gate_stepwise(trial, projector(GROUND), params)
+        psi = state_vector(target)
+        oracle = float(np.real(psi.conj() @ rho @ psi))
         prep = fidelity(EulerAngles(target.phi, target.theta, 0.0), trial, GROUND, params)
         assert abs(prep - oracle) < 1e-13
 
@@ -146,15 +146,10 @@ def test_density_normalized(dist):
     # integrate only over the cap: the density drops to zero outside and the
     # step would defeat the adaptive integrator
     total, err = integrate.dblquad(
-        lambda phi, theta: float(dist.density(theta, phi)),
+        lambda phi, theta: cap_density(dist.theta_max, theta),
         0.0, dist.theta_max - 1e-15, 0.0, 2 * math.pi,
     )
     assert abs(total - 1.0) < 1e-8
-
-
-def test_point_density_raises():
-    with pytest.raises(ValueError):
-        InitialStateDistribution.point(0.1, 0.2).density(0.1, 0.2)
 
 
 def test_cap_sampling_stays_inside_and_matches_cdf():
@@ -213,7 +208,7 @@ def test_expected_fidelity_matches_scipy_dblquad(dist):
 
     def integrand(phi, theta):
         f = fidelity(target, trial, BlochState(theta, phi), params)
-        return f * float(dist.density(theta, phi))
+        return f * cap_density(dist.theta_max, theta)
 
     ref, err = integrate.dblquad(
         integrand, 0.0, dist.theta_max, 0.0, 2 * math.pi,

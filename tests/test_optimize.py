@@ -54,7 +54,7 @@ def test_zero_noise_returns_seed_exactly():
         )
         res = optimize_gate(target, *dist.moments(), p0)
         assert res.improvement == 0.0
-        assert angle_displacement(res.angles_opt, target.wrapped()) < 1e-12
+        assert angle_displacement(res.angles_opt, target) < 1e-12
         assert res.converged
 
 

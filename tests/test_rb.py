@@ -169,6 +169,11 @@ def test_rb_config_validation():
         small_config(mitigate=True)  # no readout given
     with pytest.raises(ValueError):
         small_config(n_circuits=0)
+    # a non-integer count fails here, not inside a circuit worker
+    for name, value in (("n_circuits", 2.0), ("n_circuits", True), ("n_gates", 40.0),
+                        ("shots", 100.0), ("shots", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            small_config(**{name: value})
 
 
 def test_rb_run_shapes_and_accessors():
