@@ -248,6 +248,15 @@ def _jobs(config: dict) -> int:
     return 1 if jobs is None else jobs
 
 
+def _plain_tag(tag: str) -> str:
+    """``tag``, the basename of a run's outputs, if it names a file in the
+    output directory and nothing else."""
+    if tag in (".", "..") or "/" in tag or "\\" in tag:
+        raise ValueError(f"tag must be a plain file name (no '/' or '\\', not '.' or '..'), "
+                         f"got {tag!r}")
+    return tag
+
+
 def _optimizer_json(args) -> dict:
     return to_jsonable(OptimizerConfig(
         args.max_iterations, args.gradient_tolerance, args.multistart, args.seed
@@ -563,13 +572,18 @@ def _run_from_manifest(args) -> int:
     runner = _RUNNERS.get(command) if isinstance(command, str) else None
     if runner is None:
         raise ValueError(f"manifest command {command!r} is not replayable")
-    tag = args.tag or doc.get("tag") or command
-    return runner(doc["config"], Path(args.output_dir), tag)
+    tag = args.tag or from_jsonable(str | None, doc.get("tag"), "tag") or command
+    return runner(doc["config"], Path(args.output_dir), _plain_tag(tag))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.tag is not None:
+        try:
+            _plain_tag(args.tag)
+        except ValueError as exc:
+            parser.error(f"--tag: {exc}")
     try:
         if args.from_manifest is not None:
             if args.command is not None:

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .calibration import apply_readout_error, mitigate_readout
 from .gates import EulerAngles, compose_zyz, extract_euler
@@ -118,7 +117,8 @@ class DecayFit:
 
     error_rate is the per-gate error 1 - f(1); error_rate_approx is the
     small-a approximation a/2.  degenerate marks data the model cannot
-    distinguish: "all-one" (a = 0) or "all-half" (a = inf).
+    distinguish: "all-one" (a = 0) or "all-half" (a = inf).  A fit whose
+    least-squares infimum lies at a = inf has a = inf and degenerate None.
     """
 
     a: float
@@ -142,13 +142,6 @@ class RbRunResult:
     depths: tuple[int, ...]
     unopt: RbArmResult
     opt: RbArmResult
-
-    def arm(self, name: str) -> RbArmResult:
-        if name == "unopt":
-            return self.unopt
-        if name == "opt":
-            return self.opt
-        raise KeyError(f"unknown arm {name!r}; expected 'unopt' or 'opt'")
 
 
 def _sample_axis_angle(rng: np.random.Generator) -> tuple[np.ndarray, float]:
@@ -291,13 +284,27 @@ def run_drift_sweep(cfg: RbConfig, k_values, jobs: int = 1) -> list[tuple[float,
 
 
 def fit_decay(depths, fidelities) -> DecayFit:
-    """Least-squares fit of f(x) = (1 + e^{-a x}) / 2, a >= 0."""
+    """Least-squares fit of f(x) = (1 + e^{-a x}) / 2, a >= 0.
+
+    With z = 2y - 1 the fit minimizes S(a) = sum (e^{-a x} - z)^2.  S'(0) < 0
+    outside the all-one case, so the minimum is bracketed by halving or
+    doubling from the log-linear guess and then bisected on the sign of S'
+    down to adjacent floats.  If S still falls where e^{-a min x} underflows
+    (the survival at the shallowest depth is at or below 1/2), its infimum is
+    at a = inf and error_rate is 1/2.
+    """
     x = np.asarray(depths, dtype=float)
     y = np.asarray(fidelities, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("depths and fidelities must be 1-D and equally long")
     if x.size < 3:
         raise ValueError("need at least 3 points to fit the decay")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("depths must be finite")
+    if np.any(x < 1.0):
+        raise ValueError("depths must be >= 1")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("fidelities must be finite")
     if np.any((y < 0.0) | (y > 1.0)):
         raise ValueError("fidelities must lie in [0, 1]")
     if np.all(np.abs(y - 1.0) <= 1e-9):
@@ -305,15 +312,25 @@ def fit_decay(depths, fidelities) -> DecayFit:
     if np.all(np.abs(y - 0.5) <= 1e-9):
         return DecayFit(math.inf, 0.5, math.inf, degenerate="all-half")
 
-    def residuals(p):
-        return 0.5 * (1.0 + np.exp(-p[0] * x)) - y
+    z = 2.0 * y - 1.0
+
+    def falling(a: float) -> bool:  # S'(a) = -2 sum x e^{-a x} (e^{-a x} - z) < 0
+        e = np.exp(-a * x)
+        return float(np.dot(x * e, e - z)) > 0.0
 
     # log-linear starting point: ln(2f - 1) = -a x
-    z = np.clip(2.0 * y - 1.0, 1e-12, None)
-    slope = np.polyfit(x, np.log(z), 1)[0]
-    a0 = max(1e-12, -float(slope))
-    res = least_squares(
-        residuals, x0=[a0], bounds=([0.0], [np.inf]), ftol=1e-15, xtol=1e-15, gtol=1e-15
-    )
-    a = float(res.x[0])
-    return DecayFit(a, 0.5 * -math.expm1(-a), 0.5 * a)
+    slope = np.polyfit(x, np.log(np.clip(z, 1e-12, None)), 1)[0]
+    lo = hi = max(1e-12, -float(slope))
+    while not falling(lo):
+        lo, hi = 0.5 * lo, lo
+    while falling(hi):
+        lo, hi = hi, 2.0 * hi
+        if math.exp(-hi * x.min()) == 0.0:
+            lo = hi = math.inf
+            break
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if falling(mid):
+            lo = mid
+        else:
+            hi = mid
+    return DecayFit(hi, 0.5 * -math.expm1(-hi), 0.5 * hi)

@@ -389,6 +389,35 @@ def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, ke
     assert err.startswith("error:") and err.count("\n") == 1 and key in err
 
 
+@pytest.mark.parametrize(
+    "tag", ["../escaped", "sub/name", "a\\b", ".", "..", ["a", 1], 7],
+    ids=["parent-dir", "subdir", "backslash", "dot", "dotdot", "list", "int"],
+)
+def test_manifest_with_bad_tag_exits_1(tmp_path, capsys, tag):
+    """A replayed tag names files inside --output-dir or nothing: a path, a
+    dot name or a non-string exits 1 with one error line and writes nothing."""
+    run_cli("--output-dir", str(tmp_path), "--tag", "tg", *PREP_SMALL)
+    path = tmp_path / "tg_manifest.json"
+    doc = json.loads(path.read_text())
+    doc["tag"] = tag
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run_cli("--output-dir", str(tmp_path / "replay" / "out"), "--from-manifest", str(path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "tag" in err
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
+        "tg.csv", "tg_manifest.json", "tg_summary.json"]
+
+
+@pytest.mark.parametrize("tag", ["../escaped", "sub/name", "a\\b", ".", ".."])
+def test_usage_error_bad_tag(tmp_path, tag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--output-dir", str(tmp_path), "--tag", tag, *PREP_SMALL)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_optimize_nan_gradient_tolerance_exits_1(tmp_path, capsys):
     """A NaN tolerance is refused before it reaches a manifest, which could
     not be replayed."""

@@ -1,6 +1,12 @@
-"""The package namespace and ``noisy_euler.__all__`` agree."""
+"""The package namespace and ``noisy_euler.__all__`` agree, and importing
+the package loads numpy but not scipy."""
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import noisy_euler
 
@@ -18,3 +24,23 @@ def test_public_surface_is_consistent():
     namespace = {}
     exec("from noisy_euler import *", namespace)
     assert set(listed) <= namespace.keys()
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: a fresh interpreter runs an rb
+    command, decay fit included, without loading any scipy module."""
+    src = Path(noisy_euler.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from noisy_euler import cli\n"
+        f"rc = cli.main(['--output-dir', {str(tmp_path)!r}, 'rb', '--lambda', '0.01',\n"
+        "               '--circuits', '1', '--gates', '6', '--depths', '1,3,6'])\n"
+        "assert rc == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "rb_summary.json").read_text())["fits"]["unopt"]["a"] > 0

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import least_squares
 
 from noisy_euler import (
     DecayFit,
@@ -150,6 +151,68 @@ def test_fit_decay_validation():
         fit_decay([1, 2, 3], [1.0, 0.9])  # length mismatch
     with pytest.raises(ValueError):
         fit_decay([1, 2, 3], [1.0, 0.9, 1.2])  # outside [0, 1]
+    for depths, fidelities, fault in (
+        ([1, math.nan, 9], [0.9, 0.8, 0.7], "depths must be finite"),
+        ([1, 5, math.inf], [0.9, 0.8, 0.7], "depths must be finite"),
+        ([0, -5, -9], [0.9, 0.8, 0.7], "depths must be >= 1"),
+        ([1, 5, 9], [0.9, math.nan, 0.7], "fidelities must be finite"),
+    ):
+        with pytest.raises(ValueError, match=fault):
+            fit_decay(depths, fidelities)
+
+
+def test_fit_decay_below_half_fits_a_at_infinity():
+    """When the shallowest survival is at or below 1/2, S(a) falls all the
+    way to a = inf, and the fit says so instead of stopping at some large a."""
+    fit = fit_decay([1, 5, 9], [0.4, 0.45, 0.3])
+    assert math.isinf(fit.a)
+    assert fit.error_rate == 0.5
+    assert fit.degenerate is None
+
+
+def _oracle_a(depths, fidelities):
+    """The fit by scipy's least_squares from the same log-linear start."""
+    x = np.asarray(depths, dtype=float)
+    y = np.asarray(fidelities, dtype=float)
+    slope = np.polyfit(x, np.log(np.clip(2.0 * y - 1.0, 1e-12, None)), 1)[0]
+    res = least_squares(
+        lambda p: 0.5 * (1.0 + np.exp(-p[0] * x)) - y, x0=[max(1e-12, -float(slope))],
+        bounds=([0.0], [np.inf]), ftol=1e-15, xtol=1e-15, gtol=1e-15,
+    )
+    return float(res.x[0])
+
+
+def _sum_of_squares(a, depths, fidelities):
+    z = 2.0 * np.asarray(fidelities) - 1.0
+    return float(np.sum((np.exp(-a * np.asarray(depths)) - z) ** 2))
+
+
+def test_fit_decay_matches_least_squares_oracle():
+    """Exact series agree with least_squares to 1e-12.  On noisy series and
+    RB arm means, where least_squares stops a little early, a agrees to 1e-6
+    and the bisection's sum of squares is not above the oracle's beyond
+    float rounding."""
+    for depths in (np.arange(1, 247, 7), np.arange(1, 100, 3)):
+        for a_true in np.geomspace(1e-5, 0.5, 12):
+            y = 0.5 * (1.0 + np.exp(-a_true * depths))
+            a = fit_decay(depths, y).a
+            assert abs(a - _oracle_a(depths, y)) <= 1e-12 * a
+
+    rng = np.random.default_rng(11)
+    depths = np.arange(1, 247, 7)
+    series = []
+    for _ in range(200):
+        a_true = 10.0 ** rng.uniform(-4.0, -1.5)
+        noise = rng.normal(0.0, 10.0 ** rng.uniform(-5.0, -2.0), depths.size)
+        series.append((depths, np.clip(0.5 * (1.0 + np.exp(-a_true * depths)) + noise, 0.0, 1.0)))
+    for _, res in run_drift_sweep(small_config(), [0.5, 1.0, 2.0]):
+        series += [(res.depths, res.unopt.mean), (res.depths, res.opt.mean)]
+    for depths, y in series:
+        fit = fit_decay(depths, y)
+        oracle = _oracle_a(depths, y)
+        assert fit.degenerate is None
+        assert abs(fit.a - oracle) <= 1e-6 * oracle
+        assert _sum_of_squares(fit.a, depths, y) <= _sum_of_squares(oracle, depths, y) * (1 + 1e-9)
 
 
 # ------------------------------------------------------------------ config
@@ -185,10 +248,6 @@ def test_rb_run_shapes_and_accessors():
         assert arm.mean.shape == (5,)
         assert arm.stderr.shape == (5,)
         assert np.all((arm.survivals >= 0.0) & (arm.survivals <= 1.0))
-    assert res.arm("unopt") is res.unopt
-    assert res.arm("opt") is res.opt
-    with pytest.raises(KeyError):
-        res.arm("middle")
 
 
 # -------------------------------------------------------------- simulation
@@ -321,7 +380,7 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
                 angles = {"unopt": inverse, "opt": optimized()}
                 for arm in rb.ARMS:
                     final = noisy_gate_stepwise(angles[arm], rho[arm], cfg.noise)
-                    survival = res.arm(arm).survivals[circuit, column]
+                    survival = getattr(res, arm).survivals[circuit, column]
                     assert abs(final[0, 0].real - survival) < 1e-12
                 column += 1
     assert next(recorded, None) is None
@@ -347,7 +406,7 @@ def test_drift_sweep_jobs_invariant():
     assert [k for k, _ in pooled] == [k for k, _ in serial] == [0.5, 2.0]
     for (_, a), (_, b) in zip(serial, pooled):
         for arm in rb.ARMS:
-            assert np.array_equal(a.arm(arm).survivals, b.arm(arm).survivals)
+            assert np.array_equal(getattr(a, arm).survivals, getattr(b, arm).survivals)
 
 
 def test_drift_unopt_baseline_horizontal():
