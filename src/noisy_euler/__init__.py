@@ -41,7 +41,6 @@ from .objectives import (
 )
 from .optimize import (
     OptimizationResult,
-    OptimizerConfig,
     optimize_gate,
 )
 from .calibration import (
@@ -98,7 +97,6 @@ __all__ = [
     "fidelity",
     "moment_objective",
     "OptimizationResult",
-    "OptimizerConfig",
     "optimize_gate",
     "BUNDLED_DEVICES",
     "DeviceSpec",

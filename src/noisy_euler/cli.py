@@ -51,8 +51,8 @@ from .io import (
 )
 from .noise import NoiseParams
 from .objectives import InitialStateDistribution
-from .optimize import OptimizerConfig, optimize_gate
-from .rb import RB_GRADIENT_TOLERANCE, RbConfig, run_drift_sweep, run_rb_experiment
+from .optimize import optimize_gate
+from .rb import RbConfig, run_drift_sweep, run_rb_experiment
 
 RB_HEADER = ("experiment_id", "k", "circuit_index", "depth", "arm", "fidelity", "stderr")
 SWEEP_HEADER = ("lambda", "theta_max", "mean_improvement", "stderr", "n_samples")
@@ -215,7 +215,7 @@ def _parse_dist_args(args, parser) -> dict:
 class _OptimizeRun:
     gate: tuple[float, ...]  # beta, gamma, delta[, global phase]
     noise: NoiseParams
-    optimizer: OptimizerConfig = OptimizerConfig()
+    multistart: int = 0
     rng_seed: int = 0
 
 
@@ -255,12 +255,6 @@ def _plain_tag(tag: str) -> str:
         raise ValueError(f"tag must be a plain file name (no '/' or '\\', not '.' or '..'), "
                          f"got {tag!r}")
     return tag
-
-
-def _optimizer_json(args) -> dict:
-    return to_jsonable(OptimizerConfig(
-        args.max_iterations, args.gradient_tolerance, args.multistart, args.seed
-    ))
 
 
 # ---------------------------------------------------------------- runners
@@ -312,7 +306,7 @@ def _run_optimize(config: dict, outdir: Path, tag: str) -> int:
         raise ValueError(f"config.gate must list 3 or 4 angles, got {list(run.gate)}")
     gate = EulerAngles(*run.gate)
     dist = _dist_from_dict(config.get("dist"))
-    result = optimize_gate(gate, *dist.moments(), run.noise, run.optimizer)
+    result = optimize_gate(gate, *dist.moments(), run.noise, run.multistart, run.rng_seed)
     a = result.angles_opt
     print(f"target angles  (beta, gamma, delta) = "
           f"({gate.beta:.12g}, {gate.gamma:.12g}, {gate.delta:.12g})")
@@ -400,7 +394,7 @@ def _cmd_optimize(args, parser) -> int:
         "gate": [gate.beta, gate.gamma, gate.delta, gate.global_phase],
         "dist": _parse_dist_args(args, parser),
         "noise": to_jsonable(noise),
-        "optimizer": _optimizer_json(args),
+        "multistart": args.multistart,
         "rng_seed": args.seed,
     }
     return _run_optimize(config, Path(args.output_dir), args.tag or "optimize")
@@ -420,7 +414,7 @@ def _rb_like_config(args, parser) -> dict:
         "readout": list(readout) if readout is not None else None,
         "mitigate": args.mitigate,
         "rng_seed": args.seed,
-        "optimizer": _optimizer_json(args),
+        "multistart": args.multistart,
         "track_noisy_state": args.track_noisy_state,
         "jobs": args.jobs,
     }
@@ -443,7 +437,7 @@ def _cmd_sweep(command: str, args, parser) -> int:
         "lambda_grid": _parse_grid(args.lambda_grid, parser, "--lambda-grid"),
         "targets_per_point": args.targets,
         "rng_seed": args.seed,
-        "optimizer": _optimizer_json(args),
+        "multistart": args.multistart,
         "jobs": args.jobs,
     }
     if command == "knowledge":
@@ -489,9 +483,7 @@ def _add_noise_flags(sp) -> None:
     sp.add_argument("--lambda-p", type=float, help="phase damping probability")
 
 
-def _add_optimizer_flags(sp, gtol_default: float) -> None:
-    sp.add_argument("--max-iterations", type=int, default=500)
-    sp.add_argument("--gradient-tolerance", type=float, default=gtol_default)
+def _add_multistart_flag(sp) -> None:
     sp.add_argument("--multistart", type=int, default=0,
                     help="extra uniform-random starts beside the target seed")
 
@@ -510,7 +502,7 @@ def _add_rb_flags(sp, gates_default: int, depths_default: str) -> None:
                     help="optimize against the noisy circuit state instead of the ideal one")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
-    _add_optimizer_flags(sp, RB_GRADIENT_TOLERANCE)
+    _add_multistart_flag(sp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dist", help="'point:theta,phi', 'uniform', or 'cap:theta_max'")
     _add_noise_flags(sp)
     sp.add_argument("--seed", type=int, default=0)
-    _add_optimizer_flags(sp, 1e-9)
+    _add_multistart_flag(sp)
 
     sp = sub.add_parser("rb", help="randomized-benchmarking simulation")
     _add_rb_flags(sp, gates_default=246, depths_default="1:246:7")
@@ -549,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--targets", type=int, default=100, help="sampled targets per grid point")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
-    _add_optimizer_flags(sp, 1e-9)
+    _add_multistart_flag(sp)
 
     sp = sub.add_parser("knowledge", help="improvement vs damping and state uncertainty")
     sp.add_argument("--lambda-grid", default="0:0.1:25")
@@ -558,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--targets", type=int, default=100, help="sampled targets per grid cell")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
-    _add_optimizer_flags(sp, 1e-9)
+    _add_multistart_flag(sp)
 
     sp = sub.add_parser("validate", help="validate a device calibration file")
     sp.add_argument("path", help="device spec JSON file")

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import BlochState, EulerAngles, extract_euler
-from .io import fold_seed, parallel_map
+from .io import parallel_map
 from .noise import NoiseParams
 from .objectives import InitialStateDistribution, fidelity
-from .optimize import OptimizerConfig, optimize_gate
+from .optimize import optimize_gate
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,13 +39,14 @@ class SweepConfig:
     lambda_grid entries are equal amplitude/phase damping probabilities.
     theta_max_grid (knowledge sweep only) lists polar-cap sizes in (0, pi].
     targets_per_point is the number of sampled targets per grid cell.
+    multistart adds that many uniform-random starts to each optimization.
     """
 
     lambda_grid: tuple[float, ...]
     targets_per_point: int = 100
     theta_max_grid: tuple[float, ...] = ()
     rng_seed: int = 0
-    optimizer: OptimizerConfig = OptimizerConfig()
+    multistart: int = 0
 
     def __post_init__(self) -> None:
         lams = tuple(float(v) for v in self.lambda_grid)
@@ -58,10 +59,14 @@ class SweepConfig:
         object.__setattr__(self, "theta_max_grid", caps)
         for tm in caps:  # each knowledge cell builds this cap; fail before any runs
             InitialStateDistribution.spherical_cap(tm)
-        if not isinstance(self.targets_per_point, int) or isinstance(self.targets_per_point, bool):
-            raise ValueError("targets_per_point must be an int")
+        for name in ("targets_per_point", "multistart"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int")
         if self.targets_per_point < 1:
             raise ValueError("targets_per_point must be >= 1")
+        if self.multistart < 0:
+            raise ValueError("multistart must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,7 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
         # |0> as a phase only, so delta stays at its seed 0.
         target = EulerAngles(phi, math.acos(z), 0.0)
-        ocfg = replace(cfg.optimizer, rng_seed=fold_seed([cfg.rng_seed, 0, li, t, 1]))
-        res = optimize_gate(target, *ground, params, ocfg)
+        res = optimize_gate(target, *ground, params, cfg.multistart, [cfg.rng_seed, 0, li, t, 1])
         imps[t] = res.improvement
     return _row_stats(lam, None, imps)
 
@@ -127,8 +131,9 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
             np.random.PCG64(np.random.SeedSequence([cfg.rng_seed, 1, li, mi, r]))
         )
         target = _haar_gate(rng)
-        ocfg = replace(cfg.optimizer, rng_seed=fold_seed([cfg.rng_seed, 1, li, mi, r, 1]))
-        res = optimize_gate(target, *moments, params, ocfg)
+        res = optimize_gate(
+            target, *moments, params, cfg.multistart, [cfg.rng_seed, 1, li, mi, r, 1]
+        )
         theta, phi = dist.sample(rng, 1)
         state = BlochState(float(theta[0]), float(phi[0]))
         imps[r] = fidelity(target, res.angles_opt, state, params) - fidelity(

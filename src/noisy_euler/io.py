@@ -194,12 +194,6 @@ def load_manifest(path) -> dict:
     return doc
 
 
-def fold_seed(entropy) -> int:
-    """Deterministic 64-bit integer from a named seed-sequence path, for
-    handing a derived seed to a component that wants a plain int."""
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
 def parallel_map(fn, items, jobs: int = 1) -> list:
     """Order-preserving map over items; jobs > 1 uses a process pool.
 

@@ -115,9 +115,9 @@ class NoiseParams:
             raise ValueError("drift factor k must be positive and finite")
         if self.t1 is not None and self.t2 is not None and self.t_star is not None:
             return NoiseParams.from_times(self.t1 / k, self.t2 / k, self.t_star)
-        la = -math.expm1(k * math.log1p(-self.lambda_a)) if self.lambda_a < 1 else 1.0
-        lp = -math.expm1(k * math.log1p(-self.lambda_p)) if self.lambda_p < 1 else 1.0
-        return NoiseParams.from_lambdas(_clamp(la), _clamp(lp))
+        la = -math.expm1(k * math.log1p(-self.lambda_a))
+        lp = -math.expm1(k * math.log1p(-self.lambda_p))
+        return NoiseParams.from_lambdas(la, lp)
 
 
 def amplitude_damping_kraus(lambda_a: float) -> list[np.ndarray]:

@@ -13,9 +13,12 @@ Hessian with its value, and the ascent is a damped Newton search on them
 (``_newton``; Nocedal & Wright, *Numerical Optimization*, ch. 3: modified
 Newton with a backtracking line search).  It runs on plain Python floats:
 with three variables, numpy's per-call overhead would outweigh the
-arithmetic.  An optional multistart mode adds uniform-random seeds for
-rugged landscapes (damping probabilities near 1), keeping the best result
-by objective value with lowest-seed-index tie-breaking.
+arithmetic.  Every search runs to one fixed rule, max|g| <=
+GRADIENT_TOLERANCE within MAX_ITERATIONS steps: Newton converges
+quadratically near the optimum, so the tight tolerance costs few steps.  An
+optional multistart mode adds uniform-random seeds for rugged landscapes
+(damping probabilities near 1), keeping the best result by objective value
+with lowest-seed-index tie-breaking.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -37,42 +40,19 @@ from .objectives import moment_objective
 
 TWO_PI = 2.0 * math.pi
 
-# The Newton search's constants: the Armijo sufficient-increase factor; the
-# least shift mu of -H tried when -H is not positive definite, small so that
-# near a saddle mu lands just above the escape direction's curvature instead
-# of stalling the escape; the step-halving budget of one line search; and the
-# allowance for F's rounding in the Armijo test (a few ulp of F ~ 1), without
-# which a final step that meets the tolerance can be rejected by one ulp.
+# The Newton search's constants: the max|g| at which it has converged and its
+# step budget; the Armijo sufficient-increase factor; the least shift mu of -H
+# tried when -H is not positive definite, small so that near a saddle mu lands
+# just above the escape direction's curvature instead of stalling the escape;
+# the step-halving budget of one line search; and the allowance for F's
+# rounding in the Armijo test (a few ulp of F ~ 1), without which a final
+# step that meets the tolerance can be rejected by one ulp.
+GRADIENT_TOLERANCE = 1e-9
+MAX_ITERATIONS = 500
 ARMIJO = 1e-4
 SHIFT_MIN = 1e-8
 MAX_HALVINGS = 40
 ROUNDING = 4.0 * sys.float_info.epsilon
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs for ``optimize_gate``.
-
-    multistart_count = 0 disables multistart; N > 0 adds N uniform-random
-    seeds (drawn from ``rng_seed``) beside the target seed.
-    """
-
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-9
-    multistart_count: int = 0
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("max_iterations", "multistart_count"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.multistart_count < 0:
-            raise ValueError("multistart_count must be >= 0")
-        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
-            raise ValueError("gradient_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -100,47 +80,53 @@ def optimize_gate(
     m1: np.ndarray,
     m2: np.ndarray,
     params: NoiseParams,
-    config: OptimizerConfig | None = None,
+    multistart: int = 0,
+    seed=0,
+    *,
+    start_tolerance: float = GRADIENT_TOLERANCE,
 ) -> OptimizationResult:
     """Find decomposition angles maximizing the fidelity of the target gate
     for inputs with Bloch-vector moments m1 = E[n] and m2 = E[n n^T]
     (``InitialStateDistribution.moments()``; a Bloch vector r: r, r r^T).
 
     The Newton search (``_newton``) runs from the target seed and from each
-    multistart seed; the best candidate wins, lowest seed index on ties, and
-    the seed itself is the fallback.  A start whose gradient already meets
-    the tolerance is kept without a search.  Raises ValueError unless m1 has
-    shape (3,), is finite and has |m1| <= 1 + 1e-9, and m2 is finite with
-    shape (3, 3).
+    of ``multistart`` uniform-random starts, drawn from
+    ``np.random.SeedSequence(seed)`` (an int or a sequence of ints, read
+    only when multistart > 0); the best candidate wins, lowest start index
+    on ties, and the seed itself is the fallback.  A start whose max|g| is
+    within ``start_tolerance`` is kept without a search; every search that
+    starts runs to GRADIENT_TOLERANCE.  Raises ValueError unless multistart
+    is an int >= 0, m1 has shape (3,), is finite and has |m1| <= 1 + 1e-9,
+    and m2 is finite with shape (3, 3).
     """
+    if not isinstance(multistart, int) or isinstance(multistart, bool) or multistart < 0:
+        raise ValueError(f"multistart must be an int >= 0, got {multistart!r}")
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
     if m1.shape != (3,) or not np.all(np.isfinite(m1)) or np.linalg.norm(m1) > 1.0 + 1e-9:
         raise ValueError("m1 must be a finite Bloch vector of shape (3,) with |m1| <= 1")
     if m2.shape != (3, 3) or not np.all(np.isfinite(m2)):
         raise ValueError("m2 must be a finite matrix of shape (3, 3)")
-    cfg = config or OptimizerConfig()
     fg = moment_objective(target, m1, m2, params)
 
-    seed = (target.beta, target.gamma, target.delta)
-    at_seed = fg(seed)
-    starts = [seed]
-    if cfg.multistart_count > 0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
-        starts += [tuple(rng.uniform(0.0, TWO_PI, 3).tolist())
-                   for _ in range(cfg.multistart_count)]
+    x_seed = (target.beta, target.gamma, target.delta)
+    at_seed = fg(x_seed)
+    starts = [x_seed]
+    if multistart > 0:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        starts += [tuple(rng.uniform(0.0, TWO_PI, 3).tolist()) for _ in range(multistart)]
     best = None
     for i, x0 in enumerate(starts):
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
-        if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= cfg.gradient_tolerance:
+        if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= start_tolerance:
             cand = (x0, f0, 0, True)
         else:
-            cand = _newton(fg, x0, f0, g0, h0, cfg)
+            cand = _newton(fg, x0, f0, g0, h0)
         if best is None or cand[1] > best[1]:
             best = cand
     f_seed = at_seed[0]
     if best[1] < f_seed:
-        best = (seed, f_seed, 0, True)
+        best = (x_seed, f_seed, 0, True)
     x, f, iterations, converged = best
     w = np.mod(x, TWO_PI)
     return OptimizationResult(
@@ -152,19 +138,18 @@ def optimize_gate(
     )
 
 
-def _newton(fg, x, f, g, h, cfg: OptimizerConfig):
+def _newton(fg, x, f, g, h):
     """Damped Newton ascent of ``fg`` from x, given F, its gradient g and
     its Hessian h at x; returns (x, F, iterations, converged).
 
     Each step solves (mu I - H) p = g (``_ascent_step``) and backtracks from
     t = 1 until F(x + t p) >= F(x) + ARMIJO t g.p - ROUNDING.  F is compared
-    unclamped.  The search converges once max|g| <= gradient_tolerance.  It
-    stops unconverged after max_iterations steps, when no step length passes
+    unclamped.  The search converges once max|g| <= GRADIENT_TOLERANCE.  It
+    stops unconverged after MAX_ITERATIONS steps, when no step length passes
     the Armijo test, and when an accepted step does not strictly increase F:
     F can no longer resolve the remaining gain, and more steps would spin.
     """
-    tol = cfg.gradient_tolerance
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         p0, p1, p2 = _ascent_step(g, h)
         slope = g[0] * p0 + g[1] * p1 + g[2] * p2
         t = 1.0
@@ -178,11 +163,11 @@ def _newton(fg, x, f, g, h, cfg: OptimizerConfig):
             return x, f, it - 1, False
         increased = fn > f
         x, f, g, h = xn, fn, gn, hn
-        if max(abs(g[0]), abs(g[1]), abs(g[2])) <= tol:
+        if max(abs(g[0]), abs(g[1]), abs(g[2])) <= GRADIENT_TOLERANCE:
             return x, f, it, True
         if not increased:
             return x, f, it, False
-    return x, f, cfg.max_iterations, False
+    return x, f, MAX_ITERATIONS, False
 
 
 def _ascent_step(g, h):

@@ -37,23 +37,20 @@ import numpy as np
 
 from .calibration import apply_readout_error, mitigate_readout
 from .gates import EulerAngles, compose_zyz, extract_euler
-from .io import fold_seed, parallel_map
+from .io import parallel_map
 from .noise import NoiseParams, _affine_map
-from .optimize import OptimizerConfig, optimize_gate
+from .optimize import optimize_gate
 
 TWO_PI = 2.0 * math.pi
 
 ARMS = ("unopt", "opt")
 
-# Per-gate optimizations use a looser gradient tolerance than the standalone
-# optimizer default.  The Newton search keeps a gate at its seed when the
-# seed's gradient already meets it, which is what makes a vanishing
-# assumed-noise model (drift factor -> 0) leave every gate at its seed instead
-# of chasing O(lambda_assumed) gradients; a search that starts stops at the
-# first iterate that meets it.
+# RB's seed-skip rule: a per-gate start whose max|g| is within this tolerance
+# is kept without a search (``optimize_gate``'s start_tolerance).  This is
+# what makes a vanishing assumed-noise model (drift factor -> 0) leave every
+# gate at its seed instead of chasing O(lambda_assumed) gradients.  A search
+# that starts runs to the optimizer's own GRADIENT_TOLERANCE.
 RB_GRADIENT_TOLERANCE = 1e-5
-
-RB_OPTIMIZER = OptimizerConfig(gradient_tolerance=RB_GRADIENT_TOLERANCE)
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,8 @@ class RbConfig:
     shots=None measures exact probabilities (no binomial sampling).
     readout is an optional (p_meas1_prep0, p_meas0_prep1) pair; mitigate
     inverts it after shot sampling.  drift_factor k scales the coherence
-    times the optimizer assumes: assumed T = true T / k.
+    times the optimizer assumes: assumed T = true T / k.  multistart adds
+    that many uniform-random starts to each per-gate search.
     """
 
     noise: NoiseParams
@@ -75,11 +73,12 @@ class RbConfig:
     readout: tuple[float, float] | None = None
     mitigate: bool = False
     rng_seed: int = 0
-    optimizer: OptimizerConfig = RB_OPTIMIZER
+    multistart: int = 0
     track_noisy_state: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("n_circuits", "n_gates") + (() if self.shots is None else ("shots",)):
+        ints = ("n_circuits", "n_gates", "multistart")
+        for name in ints + (() if self.shots is None else ("shots",)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int")
@@ -87,6 +86,8 @@ class RbConfig:
             raise ValueError("n_circuits must be >= 1")
         if self.n_gates < 1:
             raise ValueError("n_gates must be >= 1")
+        if self.multistart < 0:
+            raise ValueError("multistart must be >= 0")
         depths = tuple(int(d) for d in self.depth_schedule)
         object.__setattr__(self, "depth_schedule", depths)
         if not depths:
@@ -195,10 +196,13 @@ def _optimize_step(
     stream,
 ) -> EulerAngles:
     """Angles for ``target`` re-optimized for the ideal state n, or for the
-    opt arm's noisy state r_opt when tracking the noisy state."""
-    ocfg = replace(cfg.optimizer, rng_seed=fold_seed(stream))
+    opt arm's noisy state r_opt when tracking the noisy state; ``stream``
+    seeds the multistart draws."""
     r = r_opt if cfg.track_noisy_state else n
-    return optimize_gate(target, r, np.outer(r, r), assumed, ocfg).angles_opt
+    return optimize_gate(
+        target, r, np.outer(r, r), assumed, cfg.multistart, stream,
+        start_tolerance=RB_GRADIENT_TOLERANCE,
+    ).angles_opt
 
 
 def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:

@@ -16,7 +16,6 @@ from noisy_euler import (
     BlochState,
     EulerAngles,
     NoiseParams,
-    OptimizerConfig,
     RbConfig,
     SweepConfig,
     apply_readout_error,
@@ -154,7 +153,6 @@ def test_06_robust_to_coherence_drift():
         n_gates=300,
         depth_schedule=(100, 200, 300),
         rng_seed=0,
-        optimizer=OptimizerConfig(gradient_tolerance=1e-5),
     )
     ks = list(np.geomspace(0.1, 100.0, 13))
     never_worse = True
@@ -179,7 +177,7 @@ def test_06_robust_to_coherence_drift():
         n_gates=300,
         depth_schedule=(300,),
         rng_seed=0,
-        optimizer=OptimizerConfig(gradient_tolerance=1e-5, multistart_count=8),
+        multistart=8,
     )
     [(_, res_hi)] = run_drift_sweep(cfg_hi, [1e6])
     scrambled_mean = float(res_hi.opt.mean[0])

@@ -330,20 +330,23 @@ def test_manifest_contents(tmp_path):
     "key, value", [("fd_step", 1e-6), ("quadrature_mode", "gauss"), ("mc_samples", 4096)]
 )
 def test_manifest_with_removed_optimizer_key_exits_1(tmp_path, capsys, key, value):
-    """A manifest written before the finite-difference, quadrature and Monte
-    Carlo settings were removed replays as a clean runtime error naming the
-    key, not a traceback."""
+    """A manifest written before the optimizer block was replaced by
+    ``multistart``, and before that block lost its finite-difference,
+    quadrature and Monte Carlo settings, replays as one error line naming
+    'optimizer', not a traceback."""
     args = ("prep-sweep", "--lambda-grid", "0.05", "--targets", "2", "--seed", "5")
     run_cli("--output-dir", str(tmp_path), "--tag", "old", *args)
     path = tmp_path / "old_manifest.json"
     doc = json.loads(path.read_text())
-    doc["config"]["optimizer"][key] = value
+    del doc["config"]["multistart"]
+    doc["config"]["optimizer"] = {"max_iterations": 500, "gradient_tolerance": 1e-9,
+                                  "multistart_count": 0, "rng_seed": 5, key: value}
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = run_cli("--output-dir", str(tmp_path / "replay"), "--from-manifest", str(path))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "'optimizer'" in err
 
 
 PREP_SMALL = ("prep-sweep", "--lambda-grid", "0.05", "--targets", "2", "--seed", "5")
@@ -355,8 +358,7 @@ CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
     [
         (PREP_SMALL, lambda doc: doc.__setitem__("config", [1, 2]), "config"),
         (PREP_SMALL, lambda doc: doc["config"].update(optimizer=None), "optimizer"),
-        (PREP_SMALL, lambda doc: doc["config"]["optimizer"].update(max_iterations="5"),
-         "max_iterations"),
+        (PREP_SMALL, lambda doc: doc["config"].update(multistart="5"), "multistart"),
         (PREP_SMALL, lambda doc: doc["config"].update(targets_per_point="3"),
          "targets_per_point"),
         (RB_SMALL, lambda doc: doc["config"].update(track_noisy_state="false"),
@@ -364,14 +366,12 @@ CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
         (RB_SMALL, lambda doc: doc["config"].update(n_circut=5), "n_circut"),
         (RB_SMALL, lambda doc: doc["config"]["noise"].update(lambda_x=0.1), "lambda_x"),
         (RB_SMALL, lambda doc: doc["config"]["noise"].update(lambda_a="0.1"), "lambda_a"),
-        (PREP_SMALL,
-         lambda doc: doc["config"]["optimizer"].update(gradient_tolerance=math.nan),
-         "gradient_tolerance"),
+        (RB_SMALL, lambda doc: doc["config"].update(multistart=-1), "multistart"),
         (CAP_SMALL, lambda doc: doc["config"].update(dist={"kind": "cap"}), "theta_max"),
     ],
-    ids=["config-list", "optimizer-null", "max-iterations-string", "targets-string",
+    ids=["config-list", "optimizer-null", "multistart-string", "targets-string",
          "flag-string", "unknown-top-level-key", "unknown-noise-key",
-         "lambda-string-beside-times", "gradient-tolerance-nan", "cap-without-theta-max"],
+         "lambda-string-beside-times", "multistart-negative", "cap-without-theta-max"],
 )
 def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, key):
     """A config value of the wrong JSON type replays as one error line that
@@ -418,15 +418,15 @@ def test_usage_error_bad_tag(tmp_path, tag):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_optimize_nan_gradient_tolerance_exits_1(tmp_path, capsys):
-    """A NaN tolerance is refused before it reaches a manifest, which could
-    not be replayed."""
-    rc = run_cli("--output-dir", str(tmp_path), "optimize", "--gate", "h",
-                 "--state", "1,0.5", "--lambda", "0.05", "--gradient-tolerance", "nan")
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not (tmp_path / "optimize_manifest.json").exists()
+@pytest.mark.parametrize("flag", ["--gradient-tolerance", "--max-iterations"])
+@pytest.mark.parametrize("args", [CAP_SMALL, RB_SMALL, PREP_SMALL],
+                         ids=["optimize", "rb", "prep-sweep"])
+def test_usage_error_removed_optimizer_flag(tmp_path, args, flag):
+    """The search's convergence rule is fixed; its old flags are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--output-dir", str(tmp_path), *args, flag, "5")
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_with_subcommand_rejected(tmp_path):

@@ -11,14 +11,12 @@ import pytest
 
 from noisy_euler import (
     NoiseParams,
-    OptimizerConfig,
     RbConfig,
     SweepConfig,
     bundled_device,
 )
 from noisy_euler.io import (
     WORKER_THREAD_VARS,
-    fold_seed,
     format_value,
     from_jsonable,
     load_manifest,
@@ -88,8 +86,7 @@ ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
     [
         ROME_Q3,
         NoiseParams.from_lambdas(0.02, 0.01),
-        OptimizerConfig(max_iterations=50, gradient_tolerance=1e-7,
-                        multistart_count=2, rng_seed=9),
+        RbConfig(noise=ROME_Q3, multistart=2, rng_seed=9),
         RbConfig(noise=ROME_Q3, n_circuits=2, n_gates=12, depth_schedule=(1, 5, 9),
                  shots=100, drift_factor=2.0, readout=(0.02, 0.05), mitigate=True),
         RbConfig(noise=ROME_Q3, readout=None),
@@ -97,7 +94,7 @@ ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
         SweepConfig(lambda_grid=(0.1,), theta_max_grid=(0.5, math.pi)),
         bundled_device("rome"),
     ],
-    ids=["noise-times", "noise-lambdas", "optimizer", "rb-readout", "rb-no-readout",
+    ids=["noise-times", "noise-lambdas", "rb-multistart", "rb-readout", "rb-no-readout",
          "sweep", "sweep-caps", "device-rome"],
 )
 def test_from_jsonable_inverts_to_jsonable(obj):
@@ -108,11 +105,15 @@ def test_from_jsonable_inverts_to_jsonable(obj):
 @pytest.mark.parametrize(
     "tp, value, match",
     [
-        (OptimizerConfig, {"max_iteration": 5}, r"x has unknown key\(s\) 'max_iteration'"),
-        (OptimizerConfig, {"rng_seed": True}, r"x\.rng_seed must be an integer"),
-        (OptimizerConfig, {"gradient_tolerance": math.nan}, r"x\.gradient_tolerance must"),
-        (OptimizerConfig, {"max_iterations": 5.0}, r"x\.max_iterations must be an integer"),
-        (OptimizerConfig, [1], r"x must be an object"),
+        (SweepConfig, {"lambda_grid": [0.1], "multistart_count": 5},
+         r"x has unknown key\(s\) 'multistart_count'"),
+        (SweepConfig, {"lambda_grid": [0.1], "multistart": True},
+         r"x\.multistart must be an integer"),
+        (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1}, "multistart": "2"},
+         r"x\.multistart must be an integer"),
+        (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1}, "multistart": 5.0},
+         r"x\.multistart must be an integer"),
+        (RbConfig, [1], r"x must be an object"),
         (SweepConfig, {}, r"x is missing key 'lambda_grid'"),
         (SweepConfig, {"lambda_grid": [0.1, "0.2"]}, r"x\.lambda_grid\[1\] must be a finite"),
         (SweepConfig, {"lambda_grid": 0.1}, r"x\.lambda_grid must be a list"),
@@ -121,8 +122,8 @@ def test_from_jsonable_inverts_to_jsonable(obj):
         (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1}, "mitigate": 1},
          r"x\.mitigate must be a boolean"),
         (float, 10**400, "must be a finite number"),
-        (OptimizerConfig, {"gradient_tolerance": -1.0},
-         r"x: gradient_tolerance must be positive"),
+        (SweepConfig, {"lambda_grid": [0.1], "multistart": -1},
+         r"x: multistart must be >= 0"),
         (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1, "t1": 1.0}},
          r"x\.noise: t1, t2 and t_star must be all given"),
     ],
@@ -174,12 +175,6 @@ def test_load_manifest_rejects_non_manifest(tmp_path):
     path.write_text('{"command": "rb", "config": [1, 2]}')
     with pytest.raises(ValueError, match="config must be an object"):
         load_manifest(path)
-
-
-def test_fold_seed_deterministic_and_distinct():
-    assert fold_seed([1, 2, 3]) == fold_seed([1, 2, 3])
-    assert fold_seed([1, 2, 3]) != fold_seed([1, 2, 4])
-    assert 0 <= fold_seed([0]) < 2 ** 64
 
 
 def _square(x):

@@ -11,7 +11,8 @@ from noisy_euler import (
     EulerAngles,
     InitialStateDistribution,
     NoiseParams,
-    OptimizerConfig,
+    RbConfig,
+    SweepConfig,
     bundled_device,
     compose_zyz,
     extract_euler,
@@ -128,20 +129,17 @@ def test_uniform_average_cannot_be_improved():
 
 
 def test_results_deterministic():
-    cfg = OptimizerConfig(multistart_count=3, rng_seed=11)
     params = NoiseParams.from_lambda(0.07)
-    a = optimize_gate(IDENTITY, *PLUS, params, cfg)
-    b = optimize_gate(IDENTITY, *PLUS, params, cfg)
+    a = optimize_gate(IDENTITY, *PLUS, params, 3, 11)
+    b = optimize_gate(IDENTITY, *PLUS, params, 3, 11)
     assert a.angles_opt == b.angles_opt
     assert a.objective_value == b.objective_value
 
 
 def test_multistart_never_hurts():
     params = NoiseParams.from_lambda(0.05)
-    plain = optimize_gate(IDENTITY, *PLUS, params, OptimizerConfig())
-    multi = optimize_gate(
-        IDENTITY, *PLUS, params, OptimizerConfig(multistart_count=8, rng_seed=1)
-    )
+    plain = optimize_gate(IDENTITY, *PLUS, params)
+    multi = optimize_gate(IDENTITY, *PLUS, params, 8, 1)
     assert multi.objective_value >= plain.objective_value - 1e-12
 
 
@@ -176,7 +174,6 @@ def test_newton_reaches_lbfgsb_oracle():
     report ``converged`` only where the gradient meets the tolerance, and
     never fall below the seed."""
     params = noise_params_for(bundled_device("rome").qubit(3))
-    cfg = OptimizerConfig(gradient_tolerance=1e-9)
     rng = np.random.default_rng(31)
     for i in range(200):
         target = sample_random_gate(rng)
@@ -197,7 +194,7 @@ def test_newton_reaches_lbfgsb_oracle():
             neg, [target.beta, target.gamma, target.delta], jac=True, method="L-BFGS-B",
             options={"maxiter": 500, "gtol": 1e-9, "ftol": 1e-15},
         )
-        res = optimize_gate(target, m1, m2, params, cfg)
+        res = optimize_gate(target, m1, m2, params)
         assert res.objective_value >= -ref.fun - 1e-12
         assert res.objective_value >= res.objective_at_target_angles
         if res.converged:
@@ -365,18 +362,15 @@ def test_zero_noise_evaluates_seed_once(monkeypatch):
 # ------------------------------------------------------------------ config
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(multistart_count=-1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gradient_tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gradient_tolerance=math.nan)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gradient_tolerance=math.inf)
-    for bad in (2.5, 3.0, True, "5"):
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iterations=bad)
-        with pytest.raises(ValueError):
-            OptimizerConfig(multistart_count=bad)
+    """The optimizer's one setting, the multistart count, is refused unless
+    it is an int >= 0, wherever it is given."""
+    params = NoiseParams.from_lambda(0.05)
+    hosts = (
+        lambda n: RbConfig(noise=params, multistart=n),
+        lambda n: SweepConfig(lambda_grid=(0.05,), multistart=n),
+        lambda n: optimize_gate(IDENTITY, *PLUS, params, n),
+    )
+    for host in hosts:
+        for bad in (-1, 2.5, 3.0, True, "5"):
+            with pytest.raises(ValueError, match="multistart must"):
+                host(bad)

@@ -1,10 +1,13 @@
-"""The README's library examples run as written."""
+"""The README's library examples run as written, and its CLI flags exist."""
 
+import argparse
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from noisy_euler.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +29,19 @@ def test_readme_quick_start_runs(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_flags_exist():
+    """Every --flag the README names is accepted by the CLI parser, on the
+    global parser or on some subcommand, so a removed flag cannot linger in
+    the docs."""
+    parsers = [build_parser()]
+    known = set()
+    for parser in parsers:  # grows as subcommand parsers are found
+        for action in parser._actions:
+            known.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert named and named <= known, sorted(named - known)
