@@ -129,6 +129,17 @@ def _parse_depths(text: str, parser) -> list[int]:
         parser.error(f"--depths: cannot parse {text!r}")
 
 
+def _seed(text: str) -> int:
+    """--seed: an int >= 0, the root of every named random stream."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {seed}")
+    return seed
+
+
 def _parse_shots(text: str, parser) -> int | None:
     if text.strip().lower() in ("inf", "infinite", "exact"):
         return None
@@ -217,6 +228,13 @@ class _OptimizeRun:
     noise: NoiseParams
     multistart: int = 0
     rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        # optimize_gate reads the seed only for multistart draws; refuse a bad
+        # one either way, as RbConfig and SweepConfig do.
+        seed = self.rng_seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"rng_seed must be an int >= 0, got {seed!r}")
 
 
 # Each dist kind's constructor and the keys it takes, in argument order.
@@ -500,7 +518,7 @@ def _add_rb_flags(sp, gates_default: int, depths_default: str) -> None:
                     help="invert the readout confusion matrix on measured counts")
     sp.add_argument("--track-noisy-state", action="store_true",
                     help="optimize against the noisy circuit state instead of the ideal one")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--jobs", type=int, default=1)
     _add_multistart_flag(sp)
 
@@ -523,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", help="'theta,phi' known input state")
     sp.add_argument("--dist", help="'point:theta,phi', 'uniform', or 'cap:theta_max'")
     _add_noise_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     _add_multistart_flag(sp)
 
     sp = sub.add_parser("rb", help="randomized-benchmarking simulation")
@@ -539,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda-grid", default="0:0.1:100",
                     help="'start:stop:count[log]' or comma list")
     sp.add_argument("--targets", type=int, default=100, help="sampled targets per grid point")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--jobs", type=int, default=1)
     _add_multistart_flag(sp)
 
@@ -548,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-max-grid",
                     help="'start:stop:count[log]' or comma list (default: 25 caps up to pi)")
     sp.add_argument("--targets", type=int, default=100, help="sampled targets per grid cell")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--jobs", type=int, default=1)
     _add_multistart_flag(sp)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import BlochState, EulerAngles, extract_euler
+from .gates import BlochState, EulerAngles, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams
 from .objectives import InitialStateDistribution, fidelity
@@ -59,12 +59,14 @@ class SweepConfig:
         object.__setattr__(self, "theta_max_grid", caps)
         for tm in caps:  # each knowledge cell builds this cap; fail before any runs
             InitialStateDistribution.spherical_cap(tm)
-        for name in ("targets_per_point", "multistart"):
+        for name in ("targets_per_point", "rng_seed", "multistart"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int")
         if self.targets_per_point < 1:
             raise ValueError("targets_per_point must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.multistart < 0:
             raise ValueError("multistart must be >= 0")
 
@@ -87,12 +89,9 @@ class SweepResult:
 
 def _haar_gate(rng: np.random.Generator) -> EulerAngles:
     """Haar-random SU(2) element via a uniform unit quaternion."""
-    v = rng.normal(size=4)
-    w, x, y, z = v / np.linalg.norm(v)
-    u = np.array(
-        [[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=complex
-    )
-    return extract_euler(u)
+    w, x, y, z = rng.normal(size=4).tolist()
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    return _zyz_from_quaternion(w / norm, x / norm, y / norm, z / norm)
 
 
 def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRow:

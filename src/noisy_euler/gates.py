@@ -137,14 +137,32 @@ def extract_euler(u: np.ndarray) -> EulerAngles:
     # det(e^{i alpha} V) = e^{2 i alpha} for V in SU(2)
     alpha = 0.5 * cmath.phase(np.linalg.det(u))
     v = np.exp(-1j * alpha) * u
-    gamma = 2.0 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))
+    # V = [[w - iz, -y - ix], [y - ix, w + iz]]
+    return _zyz_from_quaternion(
+        v[1, 1].real, -v[1, 0].imag, v[1, 0].real, v[1, 1].imag, alpha
+    )
+
+
+def _zyz_from_quaternion(
+    w: float, x: float, y: float, z: float, alpha: float = 0.0
+) -> EulerAngles:
+    """Canonical ZYZ Euler angles of e^{i alpha} V, where V = w I - i (x X +
+    y Y + z Z) = [[w - iz, -y - ix], [y - ix, w + iz]] is the SU(2) image of
+    the quaternion (w, x, y, z); the rule behind ``extract_euler``.
+
+    V = R_z(beta) R_y(gamma) R_z(delta) gives w + iz = cos(gamma/2)
+    e^{i (beta+delta)/2} and y - ix = sin(gamma/2) e^{i (beta-delta)/2}.
+    Every angle is an atan2 of a ratio, so the quaternion need not be
+    normalized.
+    """
+    gamma = 2.0 * math.atan2(math.hypot(y, x), math.hypot(w, z))
     if gamma <= GAMMA_TIE_TOL:
-        beta, delta = 2.0 * cmath.phase(v[1, 1]), 0.0
+        beta, delta = 2.0 * math.atan2(z, w), 0.0
     elif gamma >= math.pi - GAMMA_TIE_TOL:
-        beta, delta = 2.0 * cmath.phase(v[1, 0]), 0.0
+        beta, delta = 2.0 * math.atan2(-x, y), 0.0
     else:
-        half_sum = cmath.phase(v[1, 1])
-        half_diff = cmath.phase(v[1, 0])
+        half_sum = math.atan2(z, w)
+        half_diff = math.atan2(-x, y)
         beta = half_sum + half_diff
         delta = half_sum - half_diff
     # Wrap beta, delta into [0, 2*pi); each 2*pi shift flips the SU(2) sign.

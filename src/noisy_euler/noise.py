@@ -24,11 +24,13 @@ The composite channel has the closed form (for trace-1 input)
 On the Bloch vector n (rho = (I + n.sigma)/2) the channel is affine,
 n -> diag(e, e, 1-la) n + (0, 0, la) with e = sqrt(1-la) sqrt(1-lp), and the
 virtual R_z are rotations, so the whole noisy native gate is one affine map
-n -> A n + t (``_affine_map``), the only form the objectives and the RB
-simulator use.  ``noisy_gate_stepwise`` is the oracle only: it applies the
-decomposition pulse by pulse on 2x2 density matrices through the Kraus sums
-(``apply_channel_kraus``), independently of the affine map, and the two agree
-to ~1e-15.
+n -> A n + t.  ``_apply`` evaluates it on one Bloch vector in plain floats,
+n -> Rz(beta) (K Rz(delta) n + t0) with K and t0 from ``_pulse_pair``; it is
+the only form the RB simulator and the objectives' set-up use, and at zero
+noise it is the gate's rotation.  ``noisy_gate_stepwise`` is the oracle only:
+it applies the decomposition pulse by pulse on 2x2 density matrices through
+the Kraus sums (``apply_channel_kraus``), independently of the affine map,
+and the two agree to ~1e-15.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def noisy_gate_stepwise(
 
     with N the Kraus sum of ``apply_channel_kraus``, which validates each
     pulse's input.  Accepts arbitrary mixed input states; the independent
-    oracle for ``_affine_map``.
+    oracle for ``_apply``.
     """
     u1 = _RX_PLUS @ rz(angles.delta)
     rho = apply_channel_kraus(u1 @ rho @ u1.conj().T, params)
@@ -167,12 +169,6 @@ def noisy_gate_stepwise(
 
 _RX_PLUS = rx(0.5 * math.pi)
 _RX_MINUS = rx(-0.5 * math.pi)
-
-
-def _rz3(phi: float) -> np.ndarray:
-    """Bloch-vector (SO(3)) image of R_z(phi)."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _pulse_pair(gamma: float, la: float, lp: float):
@@ -197,12 +193,14 @@ def _pulse_pair(gamma: float, la: float, lp: float):
     return ee * cg, ee * sg, ek, -ek * sg, ek * cg, e * la, la
 
 
-def _affine_map(beta: float, gamma: float, delta: float, la: float, lp: float):
-    """(A, t): the noisy native gate as the affine Bloch-vector map
-    n -> A n + t, exact for pure and mixed inputs, with A = Rz(beta) K Rz(delta)
-    and t = Rz(beta) t0 (see ``_pulse_pair``).  At zero noise A is the gate's
-    rotation."""
+def _apply(beta: float, gamma: float, delta: float, la: float, lp: float, r):
+    """The noisy native gate's affine map n -> A n + t at the Bloch vector
+    r, as a float 3-tuple: Rz(beta) (K Rz(delta) r + t0), with K and t0 from
+    ``_pulse_pair``, so A = Rz(beta) K Rz(delta) and t = Rz(beta) t0.  Exact
+    for pure and mixed inputs; at zero noise it is the gate's rotation."""
     k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
-    rb = _rz3(beta)
-    k = np.array([[k00, 0.0, k02], [0.0, k11, 0.0], [k20, 0.0, k22]])
-    return rb @ k @ _rz3(delta), rb @ np.array([0.0, t0y, t0z])
+    cd, sd = math.cos(delta), math.sin(delta)
+    x, y, z = cd * r[0] - sd * r[1], sd * r[0] + cd * r[1], r[2]
+    x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
+    cb, sb = math.cos(beta), math.sin(beta)
+    return cb * x - sb * y, sb * x + cb * y, z

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import BlochState, EulerAngles
-from .noise import NoiseParams, _affine_map, _pulse_pair
+from .noise import NoiseParams, _apply, _pulse_pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,10 +119,13 @@ def moment_objective(
     Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
     """
-    r = _affine_map(target.beta, target.gamma, target.delta, 0.0, 0.0)[0]
-    u0, u1, u2 = (r @ np.asarray(m1, dtype=float)).tolist()
-    c_rows = (r @ np.asarray(m2, dtype=float)).tolist()
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c_rows
+    angles = (target.beta, target.gamma, target.delta)
+    u0, u1, u2 = _apply(*angles, 0.0, 0.0, np.asarray(m1, dtype=float).tolist())
+    m2 = np.asarray(m2, dtype=float).tolist()
+    # R m2, one column at a time
+    (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = (
+        _apply(*angles, 0.0, 0.0, (m2[0][j], m2[1][j], m2[2][j])) for j in range(3)
+    )
     la, lp = params.lambda_a, params.lambda_p
 
     def fg(x):
@@ -169,8 +172,8 @@ def fidelity(
     rho_trial the noisy output of the trial decomposition.  Always lies in
     [0, 1] (floating-point overshoot is clamped).
     """
-    n = state.bloch_vector()
+    n = state.bloch_vector().tolist()
     x = (trial.beta, trial.gamma, trial.delta)
-    f = moment_objective(target, n, np.outer(n, n), params)(x)[0]
+    f = moment_objective(target, n, [[a * b for b in n] for a in n], params)(x)[0]
     return min(max(f, 0.0), 1.0)
 

@@ -25,6 +25,17 @@ def projector(state) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def angle_gap(a: float, b: float) -> float:
+    """Distance between two angles modulo 2 pi."""
+    return abs((a - b + math.pi) % (2 * math.pi) - math.pi)
+
+
+def quaternion_unitary(w, x, y, z) -> np.ndarray:
+    """V = w I - i (x X + y Y + z Z), the SU(2) image of the quaternion
+    (w, x, y, z) under i, j, k -> -iX, -iY, -iZ."""
+    return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
+
+
 def bloch_density(v) -> np.ndarray:
     """The density matrix 1/2 (I + v.sigma) of a Bloch vector v."""
     x, y, z = v

@@ -32,7 +32,7 @@ from noisy_euler import (
     run_rb_experiment,
 )
 from noisy_euler.cli import main as cli_main
-from noisy_euler.noise import _affine_map
+from noisy_euler.noise import _apply
 from reference import bloch_density, calibration_signal, projector
 
 
@@ -63,9 +63,9 @@ def test_01_closed_form_matches_stepwise_channel():
         )
         la, lp = rng.uniform(0.0, 0.3, size=2)
         params = NoiseParams.from_lambdas(la, lp)
-        a, t = _affine_map(angles.beta, angles.gamma, angles.delta,
-                           params.lambda_a, params.lambda_p)
-        closed = bloch_density(a @ state.bloch_vector() + t)
+        closed = bloch_density(_apply(angles.beta, angles.gamma, angles.delta,
+                                      params.lambda_a, params.lambda_p,
+                                      state.bloch_vector()))
         step = noisy_gate_stepwise(angles, projector(state), params)
         worst = max(worst, float(np.max(np.abs(closed - step))))
     elapsed = time.monotonic() - t0

@@ -368,10 +368,14 @@ CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
         (RB_SMALL, lambda doc: doc["config"]["noise"].update(lambda_a="0.1"), "lambda_a"),
         (RB_SMALL, lambda doc: doc["config"].update(multistart=-1), "multistart"),
         (CAP_SMALL, lambda doc: doc["config"].update(dist={"kind": "cap"}), "theta_max"),
+        (RB_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
+        (PREP_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
+        (CAP_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
     ],
     ids=["config-list", "optimizer-null", "multistart-string", "targets-string",
          "flag-string", "unknown-top-level-key", "unknown-noise-key",
-         "lambda-string-beside-times", "multistart-negative", "cap-without-theta-max"],
+         "lambda-string-beside-times", "multistart-negative", "cap-without-theta-max",
+         "rb-seed-negative", "sweep-seed-negative", "optimize-seed-negative"],
 )
 def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, key):
     """A config value of the wrong JSON type replays as one error line that
@@ -415,6 +419,25 @@ def test_usage_error_bad_tag(tmp_path, tag):
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), "--tag", tag, *PREP_SMALL)
     assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    RB_SMALL,
+    ("drift", "--lambda", "0.01", "--circuits", "1", "--gates", "6", "--depths", "2:6:2",
+     "--k-grid", "1,10"),
+    PREP_SMALL,
+    ("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "0.5", "--targets", "2"),
+    CAP_SMALL,
+    CAP_SMALL + ("--multistart", "2"),
+], ids=["rb", "drift", "prep-sweep", "knowledge", "optimize", "optimize-multistart"])
+def test_usage_error_negative_seed(tmp_path, capsys, args):
+    """A negative --seed is refused by the parser, before anything runs or
+    is written, with or without multistart draws to seed."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--output-dir", str(tmp_path), *args, "--seed", "-1")
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -17,6 +17,8 @@ from noisy_euler import (
     rz,
     validate_density_matrix,
 )
+from noisy_euler.gates import GAMMA_TIE_TOL, _zyz_from_quaternion
+from reference import angle_gap, quaternion_unitary
 
 I2 = np.eye(2)
 
@@ -111,6 +113,53 @@ def test_extract_euler_gamma_pi_tie():
     assert abs(ang.gamma - math.pi) < 1e-9
     assert ang.delta == 0.0
     assert np.abs(compose_zyz(ang) - u).max() < 1e-12
+
+
+def quaternion_cases():
+    """(w, x, y, z, alpha): random unit quaternions with random global
+    phases, then ones at gamma = 0 and pi and within GAMMA_TIE_TOL of each
+    (inside and just outside the tie band), from w + iz = cos(gamma/2)
+    e^{i (beta+delta)/2} and y - ix = sin(gamma/2) e^{i (beta-delta)/2}."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(500):
+        q = rng.normal(size=4)
+        cases.append((*(q / np.linalg.norm(q)).tolist(), rng.uniform(0.0, 2 * math.pi)))
+    for gamma in (0.0, 0.5 * GAMMA_TIE_TOL, 2 * GAMMA_TIE_TOL,
+                  math.pi - 2 * GAMMA_TIE_TOL, math.pi - 0.5 * GAMMA_TIE_TOL, math.pi):
+        for half_sum, half_diff in ((0.35, 1.45), (-2.9, -0.6), (3.1, 2.2)):
+            c, s = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+            cases.append((c * math.cos(half_sum), -s * math.sin(half_diff),
+                          s * math.cos(half_diff), c * math.sin(half_sum), 0.0))
+    return cases
+
+
+def test_quaternion_angles_match_extract_euler():
+    """The closed-form ZYZ angles of a quaternion are the ones extract_euler
+    finds for its unitary: the same gamma, the same tie branch, the same
+    beta and delta, so both compose to the same unitary, global phase
+    included.  That is the quaternion's own unitary except inside the tie
+    bands, where both drop the off-diagonal or diagonal of size
+    <= GAMMA_TIE_TOL / 2."""
+    worst_u = worst_angle = 0.0
+    for w, x, y, z, alpha in quaternion_cases():
+        u = np.exp(1j * alpha) * quaternion_unitary(w, x, y, z)
+        fast, ref = _zyz_from_quaternion(w, x, y, z, alpha), extract_euler(u)
+        worst_u = max(worst_u, np.abs(compose_zyz(fast) - compose_zyz(ref)).max())
+        tie = min(fast.gamma, math.pi - fast.gamma) <= GAMMA_TIE_TOL
+        assert np.abs(compose_zyz(fast) - u).max() < (GAMMA_TIE_TOL if tie else 1e-12)
+        assert (fast.gamma <= GAMMA_TIE_TOL) == (ref.gamma <= GAMMA_TIE_TOL)
+        assert (fast.gamma >= math.pi - GAMMA_TIE_TOL) == (ref.gamma >= math.pi - GAMMA_TIE_TOL)
+        assert (fast.delta == 0.0) == (ref.delta == 0.0)
+        worst_angle = max(
+            worst_angle, abs(fast.gamma - ref.gamma), angle_gap(fast.beta, ref.beta),
+            angle_gap(fast.delta, ref.delta), angle_gap(fast.global_phase, ref.global_phase),
+        )
+        for a in (fast.beta, fast.delta, fast.global_phase):
+            assert 0.0 <= a < 2 * math.pi
+        assert 0.0 <= fast.gamma <= math.pi
+    assert worst_u < 1e-12
+    assert worst_angle < 1e-12
 
 
 def test_extract_euler_rejects_non_unitary():

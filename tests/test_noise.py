@@ -20,15 +20,16 @@ from noisy_euler import (
     rx,
     validate_density_matrix,
 )
-from noisy_euler.noise import _affine_map
+from noisy_euler.noise import _apply
 from reference import bloch_density, calibration_signal, projector
 
 
 def closed_form(ang, st, p):
     """The affine map A n + t that RB and the objective run, rendered as a
     density matrix."""
-    a, t = _affine_map(ang.beta, ang.gamma, ang.delta, p.lambda_a, p.lambda_p)
-    return bloch_density(a @ st.bloch_vector() + t)
+    return bloch_density(
+        _apply(ang.beta, ang.gamma, ang.delta, p.lambda_a, p.lambda_p, st.bloch_vector())
+    )
 
 
 def random_density(rng):

@@ -25,6 +25,7 @@ from noisy_euler import (
     sample_random_gate,
 )
 from noisy_euler import optimize
+from noisy_euler.cli import _OptimizeRun
 
 IDENTITY = EulerAngles(0.0, 0.0, 0.0)
 PLUS = InitialStateDistribution.point(math.pi / 2, 0.0).moments()
@@ -374,3 +375,19 @@ def test_optimizer_config_validation():
         for bad in (-1, 2.5, 3.0, True, "5"):
             with pytest.raises(ValueError, match="multistart must"):
                 host(bad)
+
+
+@pytest.mark.parametrize("host", [
+    lambda s: RbConfig(noise=NoiseParams.from_lambda(0.05), rng_seed=s),
+    lambda s: SweepConfig(lambda_grid=(0.05,), rng_seed=s),
+    lambda s: _OptimizeRun(gate=(0.0, 0.0, 0.0), noise=NoiseParams.from_lambda(0.05),
+                           rng_seed=s),
+], ids=["RbConfig", "SweepConfig", "optimize-run"])
+def test_seed_validated_at_construction(host):
+    """The root of every named random stream is refused unless it is an int
+    >= 0, by each config that carries one, at construction and naming its
+    key, not later inside np.random.SeedSequence when a stream is drawn."""
+    for bad in (-1, 2.5, 3.0, True, "5"):
+        with pytest.raises(ValueError, match="rng_seed must"):
+            host(bad)
+    host(0)

@@ -23,7 +23,9 @@ from noisy_euler import (
     run_rb_experiment,
     sample_random_gate,
 )
+from noisy_euler.gates import _zyz_from_quaternion
 from noisy_euler.optimize import GRADIENT_TOLERANCE
+from reference import angle_gap, quaternion_unitary
 
 ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
 
@@ -93,6 +95,28 @@ def test_sampled_gate_image_of_zero_is_not_uniform():
         zs[i] = 2.0 * abs(psi[0]) ** 2 - 1.0
     se = zs.std(ddof=1) / math.sqrt(n)
     assert abs(zs.mean() - 1.0 / 3.0) < 4 * se
+
+
+def test_quaternion_net_matches_unitary_product():
+    """RB carries the net rotation of a circuit as the Hamilton product of
+    its gates' quaternions.  Over a 246-gate stream that stays the product of
+    the gates' unitaries compose_zyz(gate) to 1e-12, sign included, and the
+    conjugate's angles are the ones extract_euler finds for the product's
+    adjoint, so the inverse gate is the same."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0, 0, 0])))
+    net, product = (1.0, 0.0, 0.0, 0.0), np.eye(2, dtype=complex)
+    worst_u = worst_angle = 0.0
+    for _ in range(246):
+        q = rb._sample_quaternion(rng)
+        net = rb._hamilton(q, net)
+        product = compose_zyz(_zyz_from_quaternion(*q)) @ product
+        worst_u = max(worst_u, np.abs(quaternion_unitary(*net) - product).max())
+        w, x, y, z = net
+        inverse, ref = _zyz_from_quaternion(w, -x, -y, -z), extract_euler(product.conj().T)
+        worst_angle = max(worst_angle, abs(inverse.gamma - ref.gamma),
+                          angle_gap(inverse.beta, ref.beta), angle_gap(inverse.delta, ref.delta))
+    assert worst_u < 1e-12
+    assert worst_angle < 1e-12
 
 
 def test_gate_stream_deterministic():
