@@ -26,7 +26,7 @@ import numpy as np
 from .gates import BlochState, EulerAngles, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams
-from .objectives import InitialStateDistribution, fidelity
+from .objectives import InitialStateDistribution, moment_objective
 from .optimize import optimize_gate
 
 TWO_PI = 2.0 * math.pi
@@ -134,10 +134,13 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
             target, *moments, params, cfg.multistart, [cfg.rng_seed, 1, li, mi, r, 1]
         )
         theta, phi = dist.sample(rng, 1)
-        state = BlochState(float(theta[0]), float(phi[0]))
-        imps[r] = fidelity(target, res.angles_opt, state, params) - fidelity(
-            target, target, state, params
+        # objectives.fidelity of both decompositions, from one point objective
+        n = BlochState(float(theta[0]), float(phi[0])).bloch_vector().tolist()
+        fg = moment_objective(target, n, [[a * b for b in n] for a in n], params)
+        f_opt, f_seed = (
+            min(max(fg((a.beta, a.gamma, a.delta))[0], 0.0), 1.0) for a in (res.angles_opt, target)
         )
+        imps[r] = f_opt - f_seed
     return _row_stats(lam, theta_max, imps)
 
 

@@ -155,16 +155,7 @@ def _zyz_from_quaternion(
     Every angle is an atan2 of a ratio, so the quaternion need not be
     normalized.
     """
-    gamma = 2.0 * math.atan2(math.hypot(y, x), math.hypot(w, z))
-    if gamma <= GAMMA_TIE_TOL:
-        beta, delta = 2.0 * math.atan2(z, w), 0.0
-    elif gamma >= math.pi - GAMMA_TIE_TOL:
-        beta, delta = 2.0 * math.atan2(-x, y), 0.0
-    else:
-        half_sum = math.atan2(z, w)
-        half_diff = math.atan2(-x, y)
-        beta = half_sum + half_diff
-        delta = half_sum - half_diff
+    beta, gamma, delta = _zyz_angles(w, x, y, z)
     # Wrap beta, delta into [0, 2*pi); each 2*pi shift flips the SU(2) sign.
     flips = 0
     bw = beta % TWO_PI
@@ -173,6 +164,33 @@ def _zyz_from_quaternion(
     flips += round((delta - dw) / TWO_PI)
     alpha = (alpha + math.pi * (flips % 2)) % TWO_PI
     return EulerAngles(bw, gamma, dw, global_phase=alpha)
+
+
+def _zyz_angles(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The float core of ``_zyz_from_quaternion``: (beta, gamma, delta) with
+    V(w, x, y, z) = +-R_z(beta) R_y(gamma) R_z(delta), gamma in [0, pi] and
+    beta, delta in (-2 pi, 2 pi] not yet wrapped, ties at ``GAMMA_TIE_TOL``
+    broken by delta = 0."""
+    gamma = 2.0 * math.atan2(math.hypot(y, x), math.hypot(w, z))
+    if gamma <= GAMMA_TIE_TOL:
+        return 2.0 * math.atan2(z, w), gamma, 0.0
+    if gamma >= math.pi - GAMMA_TIE_TOL:
+        return 2.0 * math.atan2(-x, y), gamma, 0.0
+    half_sum = math.atan2(z, w)
+    half_diff = math.atan2(-x, y)
+    return half_sum + half_diff, gamma, half_sum - half_diff
+
+
+def _hamilton(p, q) -> tuple[float, float, float, float]:
+    """Quaternion product p q, the SU(2) product V(p) V(q)."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
 
 
 def validate_density_matrix(

@@ -20,6 +20,15 @@ optional multistart mode adds uniform-random seeds for rugged landscapes
 (damping probabilities near 1), keeping the best result by objective value
 with lowest-seed-index tie-breaking.
 
+For a Bloch-vector input (rank-1 moments, m2 = m1 m1^T exactly) off the z
+axis, the search from the target starts at the best point of the target's
+stabilizer circle instead (``_circle_start``): every V_phi = Rot(R m1, phi) U
+sends m1 where U does, so F is nearly flat along that circle, and the
+optimum often lies far along it from the target or on the other Euler
+branch, where Newton's first steps would overshoot and backtrack.  An input
+along z keeps the plain start: its circle only shifts delta, which F does
+not see.
+
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
 through a different pulse trajectory, which generally has a different noisy
@@ -34,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import EulerAngles
-from .noise import NoiseParams
+from .gates import EulerAngles, _hamilton, _zyz_angles
+from .noise import NoiseParams, _apply
 from .objectives import moment_objective
 
 TWO_PI = 2.0 * math.pi
@@ -54,6 +63,13 @@ SHIFT_MIN = 1e-8
 MAX_HALVINGS = 40
 ROUNDING = 4.0 * sys.float_info.epsilon
 
+# Points of the stabilizer circle scored per Euler branch (``_circle_start``).
+# On the 956 searches of two Fig. 3 `rb` runs (rome q3, seeds 0 and 1), 1, 2,
+# 3, 4, 6 and 8 points took a mean of 17.1, 13.9, 10.6, 9.0, 7.3 and 6.4
+# Newton steps and 25.4, 22.9, 20.9, 20.8, 22.4 and 25.2 evaluations per
+# search, against 25.0 and 35.7 from the target alone; 3 and 4 tie in time.
+CIRCLE_POINTS = 3
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -61,7 +77,9 @@ class OptimizationResult:
 
     objective_value >= objective_at_target_angles always holds: the search is
     seeded at the target angles and falls back to them if no candidate beats
-    the seed.
+    the seed.  ``iterations`` counts the winning candidate's Newton steps,
+    taken after the stabilizer-circle start where there is one; the circle's
+    own evaluations are not counted.
     """
 
     angles_opt: EulerAngles
@@ -99,11 +117,23 @@ def optimize_gate(
     is an int >= 0, m1 has shape (3,), is finite and has |m1| <= 1 + 1e-9,
     and m2 is finite with shape (3, 3).
 
+    When m2 == m1 m1^T exactly (a point input or a mixed Bloch vector r, as
+    randomized benchmarking passes them) and m1 has a nonzero x or y
+    component, a seed that is not skipped is first replaced by the best of
+    2 CIRCLE_POINTS points on the target's stabilizer circle, on both Euler
+    branches, the target winning ties (``_circle_start``).  That point is
+    kept if its max|g| is within GRADIENT_TOLERANCE and searched from
+    otherwise.  Distinct equal-F optima exist, so the angles found may
+    differ from those of a search from the target by up to pi while F agrees
+    to about 1e-13.
+
     The seeded search is global in practice: 16 extra starts never beat it
     on 1,200 problems (lambda from 1e-3 to 1 - 1e-15, half points and half
-    caps).  Multistart changes a result only where the assumed noise is
-    saturated (lambda -> 1, as in a drift scan's k = 1e6 arm): F is flat to
-    the ulp there, and the tie-break among starts scrambles the angles.
+    caps), and on point inputs it reaches a dense circle search
+    (``tests/reference.py``).  Multistart changes a result only where the
+    assumed noise is saturated (lambda -> 1, as in a drift scan's k = 1e6
+    arm): F is flat to the ulp there, and the tie-break among starts
+    scrambles the angles.
     """
     if not isinstance(multistart, int) or isinstance(multistart, bool) or multistart < 0:
         raise ValueError(f"multistart must be an int >= 0, got {multistart!r}")
@@ -111,8 +141,10 @@ def optimize_gate(
     n = m1.tolist() if m1.shape == (3,) else None
     if n is None or not all(map(math.isfinite, n)) or math.hypot(*n) > 1.0 + 1e-9:
         raise ValueError("m1 must be a finite Bloch vector of shape (3,) with |m1| <= 1")
-    if m2.shape != (3, 3) or not all(map(math.isfinite, m2.ravel().tolist())):
+    flat = m2.ravel().tolist()
+    if m2.shape != (3, 3) or not all(map(math.isfinite, flat)):
         raise ValueError("m2 must be a finite matrix of shape (3, 3)")
+    circle = (n[0] != 0.0 or n[1] != 0.0) and flat == [a * b for a in n for b in n]
     fg = moment_objective(target, m1, m2, params)
 
     x_seed = (target.beta, target.gamma, target.delta)
@@ -124,7 +156,11 @@ def optimize_gate(
     best = None
     for i, x0 in enumerate(starts):
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
-        if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= start_tolerance:
+        tolerance = start_tolerance
+        if i == 0 and circle and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
+            x0, (f0, g0, h0) = _circle_start(fg, x0, at_seed, _apply(*x0, 0.0, 0.0, n))
+            tolerance = GRADIENT_TOLERANCE
+        if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= tolerance:
             cand = (x0, f0, 0, True)
         else:
             cand = _newton(fg, x0, f0, g0, h0)
@@ -141,6 +177,37 @@ def optimize_gate(
         iterations=iterations,
         converged=converged,
     )
+
+
+def _circle_start(fg, x, at_x, u):
+    """The best point of the target's stabilizer circle, as (x, fg(x)),
+    given the target angles x, fg there and u = R m1 != 0.
+
+    V_phi = Rot(u, phi) U fixes m1's image, so the whole circle is optimal
+    at zero noise.  It is scored at phi = 2 pi k / CIRCLE_POINTS on both
+    Euler branches, (beta, gamma, delta) and (beta + pi, -gamma, delta + pi),
+    one unitary through two pulse trajectories; the first best F wins, so
+    the target (k = 0, first branch) wins ties.  V_phi is the quaternion
+    product (cos phi/2, sin phi/2 u/|u|) q, q the target's quaternion.
+    """
+    beta, gamma, delta = x
+    norm = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    ux, uy, uz = u[0] / norm, u[1] / norm, u[2] / norm
+    c, s = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+    plus, minus = 0.5 * (beta + delta), 0.5 * (beta - delta)
+    q = (c * math.cos(plus), -s * math.sin(minus), s * math.cos(minus), c * math.sin(plus))
+    points = [(beta + math.pi, -gamma, delta + math.pi)]
+    for k in range(1, CIRCLE_POINTS):
+        half = math.pi * k / CIRCLE_POINTS
+        sh = math.sin(half)
+        b, g, d = _zyz_angles(*_hamilton((math.cos(half), sh * ux, sh * uy, sh * uz), q))
+        points += [(b, g, d), (b + math.pi, -g, d + math.pi)]
+    best = (x, at_x)
+    for p in points:
+        at = fg(p)
+        if at[0] > best[1][0]:
+            best = (p, at)
+    return best
 
 
 def _newton(fg, x, f, g, h):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import apply_readout_error, mitigate_readout
-from .gates import EulerAngles, _zyz_from_quaternion
+from .gates import EulerAngles, _hamilton, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams, _apply
 from .optimize import optimize_gate
@@ -167,18 +167,6 @@ def _sample_quaternion(rng: np.random.Generator) -> tuple[float, float, float, f
 def sample_random_gate(rng: np.random.Generator) -> EulerAngles:
     """Random rotation: uniform axis, uniform angle, as Euler angles."""
     return _zyz_from_quaternion(*_sample_quaternion(rng))
-
-
-def _hamilton(p, q) -> tuple[float, float, float, float]:
-    """Quaternion product p q, the SU(2) product V(p) V(q)."""
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return (
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
 
 
 def _measure(p0: float, cfg: RbConfig, rng: np.random.Generator) -> float:

@@ -56,3 +56,45 @@ def calibration_signal(alpha: float, params) -> float:
     maximized at alpha = pi/2."""
     shrink = math.sqrt(1.0 - params.lambda_a) * math.sqrt(1.0 - params.lambda_p)
     return 0.5 * (1.0 + shrink * math.sin(alpha))
+
+
+def circle_optimum(target, r, params, points: int = 64) -> float:
+    """The best fidelity of ``target`` for the Bloch-vector input r on the
+    target's stabilizer circle: the decompositions V_phi = Rot(m, phi) U,
+    m the direction of U r, which all send r where U does.
+
+    V_phi is scored at phi = 2 pi k / points on both Euler branches of
+    ``extract_euler(V_phi)``, (beta, gamma, delta) and (beta + pi, -gamma,
+    delta + pi), with the package's objective; scipy's L-BFGS-B then polishes
+    the best point of each branch.  Returns the largest F found, clamped to
+    [0, 1] as ``optimize_gate`` reports it.
+    """
+    from scipy import optimize as sciopt
+
+    from noisy_euler import compose_zyz, extract_euler, moment_objective
+
+    r = np.asarray(r, dtype=float)
+    fg = moment_objective(target, r, np.outer(r, r), params)
+    u = compose_zyz(target)
+    out = u @ bloch_density(r) @ u.conj().T
+    m = np.array([2.0 * out[1, 0].real, 2.0 * out[1, 0].imag, (out[0, 0] - out[1, 1]).real])
+    m /= np.linalg.norm(m)
+    best = [(-math.inf, None), (-math.inf, None)]
+    for k in range(points):
+        half = math.pi * k / points
+        a = extract_euler(quaternion_unitary(math.cos(half), *(math.sin(half) * m)) @ u)
+        for branch, x in enumerate([
+            (a.beta, a.gamma, a.delta), (a.beta + math.pi, -a.gamma, a.delta + math.pi)
+        ]):
+            best[branch] = max(best[branch], (fg(x)[0], x))
+
+    def neg(x):
+        f, g, _ = fg(x)
+        return -f, -np.array(g)
+
+    f_best = max(f for f, _ in best)
+    for _, x in best:
+        ref = sciopt.minimize(neg, x, jac=True, method="L-BFGS-B",
+                              options={"maxiter": 1000, "gtol": 1e-12, "ftol": 1e-16})
+        f_best = max(f_best, -ref.fun)
+    return min(max(f_best, 0.0), 1.0)

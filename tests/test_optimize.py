@@ -26,6 +26,7 @@ from noisy_euler import (
 )
 from noisy_euler import optimize
 from noisy_euler.cli import _OptimizeRun
+from reference import circle_optimum
 
 IDENTITY = EulerAngles(0.0, 0.0, 0.0)
 PLUS = InitialStateDistribution.point(math.pi / 2, 0.0).moments()
@@ -201,6 +202,103 @@ def test_newton_reaches_lbfgsb_oracle():
         if res.converged:
             a = res.angles_opt
             assert np.abs(fg((a.beta, a.gamma, a.delta))[1]).max() <= 1e-9
+
+
+# --------------------------------------------------- stabilizer circle
+#
+# A Bloch-vector input off the z axis starts the search from the best point
+# of the target's stabilizer circle.  240 seeded problems: 80 point inputs to
+# random RB gates at rome q3, 30 point inputs at each lambda of
+# CIRCLE_LAMBDAS and 40 mixed inputs with |r| in [0.5, 1).
+
+CIRCLE_LAMBDAS = (1e-3, 0.02, 0.1, 0.3)
+
+
+@pytest.fixture(scope="module")
+def circle_problems():
+    """(target, r, params, optimize_gate's result, the oracle's F, the F of
+    the plain Newton search from the target) per problem."""
+    rome = noise_params_for(bundled_device("rome").qubit(3))
+    lams = [NoiseParams.from_lambda(lam) for lam in CIRCLE_LAMBDAS]
+    rng = np.random.default_rng(47)
+    out = []
+    for i in range(240):
+        target = sample_random_gate(rng)
+        r = BlochState(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi))
+        r = r.bloch_vector()
+        if i < 80:
+            params = rome
+        elif i < 200:
+            params = lams[(i - 80) // 30]
+        else:
+            r *= rng.uniform(0.5, 1.0)
+            params = (rome, *lams)[i % 5]
+        fg = moment_objective(target, r, np.outer(r, r), params)
+        x_seed = (target.beta, target.gamma, target.delta)
+        at_seed = fg(x_seed)
+        plain = at_seed[0]
+        if np.abs(at_seed[1]).max() > optimize.GRADIENT_TOLERANCE:
+            plain = optimize._newton(fg, x_seed, *at_seed)[1]
+        res = optimize_gate(target, r, np.outer(r, r), params)
+        out.append((target, r, params, res, circle_optimum(target, r, params),
+                    min(max(plain, 0.0), 1.0)))
+    return out
+
+
+def test_circle_start_reaches_dense_circle_oracle(circle_problems):
+    """The search reaches a dense circle search with a polish (the global
+    optimum at these inputs) and the plain search from the target.  Only F
+    is compared: equal-F optima with angles up to pi apart are common."""
+    for target, r, params, res, oracle, plain in circle_problems:
+        assert res.objective_value >= oracle - 1e-12, (target, r, params)
+        assert res.objective_value >= plain - 1e-12, (target, r, params)
+        assert res.objective_value >= res.objective_at_target_angles
+
+
+def test_circle_start_shortens_the_search(circle_problems):
+    """Every search converges, and the circle start cuts the mean Newton
+    step count on these problems from 16.8 (the search from the target) to
+    7.81; the bound leaves a margin of about 15%."""
+    assert all(res.converged for _, _, _, res, _, _ in circle_problems)
+    assert np.mean([res.iterations for _, _, _, res, _, _ in circle_problems]) <= 9.0
+
+
+def test_circle_start_only_for_bloch_vectors_off_z(monkeypatch):
+    """The points scored before the search are the target and its circle,
+    all zero-noise optima.  An input along z, a cap and moments that are not
+    exactly rank-1 run the plain search from the target, bit for bit."""
+    params = NoiseParams.from_lambda(0.05)
+    target = extract_euler(named_gate("h"))
+    state = BlochState(1.1, 0.7)
+    m1, m2 = InitialStateDistribution.point(state.theta, state.phi).moments()
+    seen = []
+    original = optimize.moment_objective
+
+    def recording(*args):
+        fg = original(*args)
+
+        def recorded(x):
+            seen.append(x)
+            return fg(x)
+
+        return recorded
+
+    monkeypatch.setattr(optimize, "moment_objective", recording)
+    optimize_gate(target, m1, m2, params)
+    monkeypatch.undo()
+    exact = moment_objective(target, m1, m2, NoiseParams.from_lambda(0.0))
+    circle = seen[:2 * optimize.CIRCLE_POINTS]
+    assert circle[0] == (target.beta, target.gamma, target.delta)
+    assert all(exact(x)[0] > 1.0 - 1e-14 for x in circle)
+    assert max(angle_displacement(EulerAngles(*x), target) for x in circle) > 1.0
+
+    for m1, m2 in (GROUND, InitialStateDistribution.spherical_cap(0.5).moments(),
+                   (m1, m2 * (1.0 - 1e-12))):
+        fg = moment_objective(target, m1, m2, params)
+        x_seed = (target.beta, target.gamma, target.delta)
+        x = optimize._newton(fg, x_seed, *fg(x_seed))[0]
+        res = optimize_gate(target, m1, m2, params)
+        assert res.angles_opt == EulerAngles(*(v % (2 * math.pi) for v in x))
 
 
 # ------------------------------------------------------------------- prep

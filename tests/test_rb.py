@@ -23,7 +23,7 @@ from noisy_euler import (
     run_rb_experiment,
     sample_random_gate,
 )
-from noisy_euler.gates import _zyz_from_quaternion
+from noisy_euler.gates import _hamilton, _zyz_from_quaternion
 from noisy_euler.optimize import GRADIENT_TOLERANCE
 from reference import angle_gap, quaternion_unitary
 
@@ -108,7 +108,7 @@ def test_quaternion_net_matches_unitary_product():
     worst_u = worst_angle = 0.0
     for _ in range(246):
         q = rb._sample_quaternion(rng)
-        net = rb._hamilton(q, net)
+        net = _hamilton(q, net)
         product = compose_zyz(_zyz_from_quaternion(*q)) @ product
         worst_u = max(worst_u, np.abs(quaternion_unitary(*net) - product).max())
         w, x, y, z = net
