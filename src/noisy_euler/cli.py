@@ -9,14 +9,21 @@ Subcommands:
   knowledge   improvement vs damping and initial-state uncertainty -> CSV
   validate    check a device calibration file and report warnings
 
-Every run emits a manifest JSON recording the command, resolved config, seed,
-package version and output paths; ``noisy-euler --from-manifest PATH`` replays
-it and reproduces the CSV outputs byte-for-byte.  A replayed config is decoded
-against the config dataclasses, so an unknown key or a value of the wrong JSON
-type is an error that names its path.  All randomness flows from the --seed
-flag through named sub-streams, so --jobs changes only the wall time.
+Every run takes one path: flags -> config -> ``_run``.  argparse parses each
+flag's value with its ``type``; ``_config`` builds the run's plain-JSON
+config from the flags, after the two checks that span several flags or read
+a file (``_resolve_noise``, ``_resolve_readout``); and ``_run`` decodes the
+config against the config dataclasses, runs it, times it and writes the CSV,
+the summary and a manifest recording the command, config, seed, package
+version and output paths.  ``noisy-euler --from-manifest PATH`` enters the
+path at the recorded config, so a fresh run is the replay of its own manifest
+and a replay reproduces the CSV and summary byte-for-byte.  In a replayed
+config an unknown key or a value of the wrong JSON type is an error that
+names its path.  All randomness flows from the --seed flag through named
+sub-streams, so --jobs changes only the wall time.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error.
+Exit codes: 0 success; 1 config or runtime error; 2 usage error, which names
+the flag.
 """
 
 from __future__ import annotations
@@ -60,73 +67,88 @@ SWEEP_HEADER = ("lambda", "theta_max", "mean_improvement", "stderr", "n_samples"
 
 # ---------------------------------------------------------------- parsing
 
-def _parse_pair(text: str, parser, flag: str) -> tuple[float, float]:
+def _flag_type(convert):
+    """``convert`` as an argparse ``type``: its ValueError becomes "cannot
+    parse TEXT (reason)", where argparse would print only the converter's name."""
+    @functools.wraps(convert)
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"cannot parse {text!r} ({exc})") from None
+    return parse
+
+
+@_flag_type
+def _pair(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 2:
-        parser.error(f"{flag} expects two comma-separated numbers, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        parser.error(f"{flag}: cannot parse {text!r}")
+        raise argparse.ArgumentTypeError(f"expects two comma-separated numbers, got {text!r}")
+    return [float(p) for p in parts]
 
 
-def _parse_gate(text: str, parser) -> EulerAngles:
+@_flag_type
+def _gate(text: str) -> list[float]:
+    """--gate: a named gate or 'beta,gamma,delta[,phase]', as the config's
+    [beta, gamma, delta, phase]."""
     name = text.strip().lower()
     if name in NAMED_GATES:
-        return extract_euler(named_gate(name))
-    parts = text.split(",")
-    if len(parts) not in (3, 4):
-        parser.error(
-            f"--gate expects a named gate ({', '.join(sorted(NAMED_GATES))}) "
+        gate = extract_euler(named_gate(name))
+    elif len(text.split(",")) in (3, 4):
+        gate = EulerAngles(*(float(p) for p in text.split(",")))
+    else:
+        raise argparse.ArgumentTypeError(
+            f"expects a named gate ({', '.join(sorted(NAMED_GATES))}) "
             f"or 'beta,gamma,delta[,phase]', got {text!r}"
         )
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError:
-        parser.error(f"--gate: cannot parse {text!r}")
-    phase = vals[3] if len(vals) == 4 else 0.0
-    return EulerAngles(vals[0], vals[1], vals[2], phase)
+    return [gate.beta, gate.gamma, gate.delta, gate.global_phase]
 
 
-def _parse_grid(text: str, parser, flag: str) -> list[float]:
+def _state(text: str) -> dict:
+    """--state 'theta,phi', as the config's point dist."""
+    theta, phi = _pair(text)
+    return {"kind": "point", "theta": theta, "phi": phi}
+
+
+@_flag_type
+def _dist(text: str) -> dict:
+    text = text.strip()
+    if text == "uniform":
+        return {"kind": "uniform"}
+    if text.startswith("cap:"):
+        return {"kind": "cap", "theta_max": float(text[4:])}
+    if text.startswith("point:"):
+        return _state(text[6:])
+    raise argparse.ArgumentTypeError("expects 'point:theta,phi', 'uniform', or 'cap:theta_max'")
+
+
+@_flag_type
+def _grid(text: str) -> list[float]:
     """'start:stop:COUNT', 'start:stop:COUNTlog', or comma-separated values."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            parser.error(f"{flag} expects 'start:stop:count[log]' or a comma list")
-        count_s, scale = parts[2], "lin"
-        if count_s.endswith("log"):
-            scale, count_s = "log", count_s[:-3]
-        elif count_s.endswith("lin"):
-            count_s = count_s[:-3]
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(count_s)
-        except ValueError:
-            parser.error(f"{flag}: cannot parse {text!r}")
-        if count < 1:
-            parser.error(f"{flag}: count must be >= 1")
-        if scale == "log":
-            if start <= 0 or stop <= 0:
-                parser.error(f"{flag}: log grids need positive endpoints")
-            grid = np.geomspace(start, stop, count)
-        else:
-            grid = np.linspace(start, stop, count)
-        return [float(v) for v in grid]
-    try:
+    if ":" not in text:
         return [float(t) for t in text.split(",")]
-    except ValueError:
-        parser.error(f"{flag}: cannot parse {text!r}")
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("expects 'start:stop:count[log]' or a comma list")
+    count = parts[2]
+    log = count.endswith("log")
+    if log or count.endswith("lin"):
+        count = count[:-3]
+    start, stop, count = float(parts[0]), float(parts[1]), int(count)
+    if count < 1:
+        raise argparse.ArgumentTypeError("count must be >= 1")
+    if log and (start <= 0 or stop <= 0):
+        raise argparse.ArgumentTypeError("log grids need positive endpoints")
+    return [float(v) for v in (np.geomspace if log else np.linspace)(start, stop, count)]
 
 
-def _parse_depths(text: str, parser) -> list[int]:
+@_flag_type
+def _depths(text: str) -> list[int]:
     """'start:stop:step' (stop inclusive) or comma-separated depths."""
-    try:
-        if ":" in text:
-            a, b, s = (int(t) for t in text.split(":"))
-            return list(range(a, b + 1, s))
-        return [int(t) for t in text.split(",")]
-    except ValueError:
-        parser.error(f"--depths: cannot parse {text!r}")
+    if ":" in text:
+        a, b, s = (int(t) for t in text.split(":"))
+        return list(range(a, b + 1, s))
+    return [int(t) for t in text.split(",")]
 
 
 def _seed(text: str) -> int:
@@ -140,13 +162,25 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _parse_shots(text: str, parser) -> int | None:
+def _shots(text: str) -> int | None:
     if text.strip().lower() in ("inf", "infinite", "exact"):
         return None
     try:
         return int(text)
     except ValueError:
-        parser.error(f"--shots expects an integer or 'inf', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects an integer or 'inf', got {text!r}") from None
+
+
+def _readout(text: str):
+    """--readout: 'device' (resolved by _resolve_readout) or 'p10,p01'."""
+    return "device" if text.strip().lower() == "device" else _pair(text)
+
+
+def _tag(text: str) -> str:
+    try:
+        return _plain_tag(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_noise(args, parser) -> tuple[NoiseParams, tuple[float, float] | None]:
@@ -184,36 +218,14 @@ def _resolve_noise(args, parser) -> tuple[NoiseParams, tuple[float, float] | Non
     )
 
 
-def _resolve_readout(args, parser, device_readout) -> tuple[float, float] | None:
-    if args.readout is None:
-        return None
-    if args.readout.strip().lower() == "device":
-        if device_readout is None:
-            parser.error("--readout device requires --device and --qubit")
-        return device_readout
-    return _parse_pair(args.readout, parser, "--readout")
-
-
-def _parse_dist_args(args, parser) -> dict:
-    if args.dist is not None and args.state is not None:
-        parser.error("--state and --dist are mutually exclusive")
-    if args.dist is not None:
-        text = args.dist.strip()
-        if text == "uniform":
-            return {"kind": "uniform"}
-        if text.startswith("cap:"):
-            try:
-                return {"kind": "cap", "theta_max": float(text[4:])}
-            except ValueError:
-                parser.error(f"--dist: cannot parse {text!r}")
-        if text.startswith("point:"):
-            theta, phi = _parse_pair(text[6:], parser, "--dist")
-            return {"kind": "point", "theta": theta, "phi": phi}
-        parser.error("--dist expects 'point:theta,phi', 'uniform', or 'cap:theta_max'")
-    if args.state is not None:
-        theta, phi = _parse_pair(args.state, parser, "--state")
-        return {"kind": "point", "theta": theta, "phi": phi}
-    parser.error("specify the input state: --state theta,phi or --dist SPEC")
+def _resolve_readout(args, parser, device_readout) -> list[float] | None:
+    """The --readout pair, with 'device' read from --device/--qubit."""
+    readout = device_readout if args.readout == "device" else args.readout
+    if args.readout == "device" and device_readout is None:
+        parser.error("--readout device requires --device and --qubit")
+    if args.mitigate and readout is None:
+        parser.error("--mitigate requires --readout")
+    return None if readout is None else list(readout)
 
 
 # ---------------------------------------------------------- config decoding
@@ -263,6 +275,8 @@ def _decode(tp, config: dict, *run_keys: str):
 
 def _jobs(config: dict) -> int:
     jobs = from_jsonable(int | None, config.get("jobs"), "config.jobs")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"config.jobs must be an int >= 1, got {jobs}")
     return 1 if jobs is None else jobs
 
 
@@ -276,49 +290,12 @@ def _plain_tag(tag: str) -> str:
 
 
 # ---------------------------------------------------------------- runners
+#
+# A runner decodes a config, runs it and returns (summary, CSV header, CSV
+# rows), the last two None without a CSV.  It looks up the package functions
+# it calls as this module's globals, so patching them here reaches each call.
 
-def _rb_rows(tag: str, result, include_circuits: bool) -> list[list]:
-    rows = []
-    k = result.config.drift_factor
-    if include_circuits:
-        for ci in range(result.config.n_circuits):
-            for di, depth in enumerate(result.depths):
-                for arm in (result.unopt, result.opt):
-                    rows.append([tag, k, ci, depth, arm.arm, arm.survivals[ci, di], None])
-    for di, depth in enumerate(result.depths):
-        for arm in (result.unopt, result.opt):
-            rows.append([tag, k, None, depth, arm.arm, arm.mean[di], arm.stderr[di]])
-    return rows
-
-
-def _finish_run(outdir: Path, tag: str, command: str, config: dict, summary: dict,
-                csv_rows, csv_header, t0: float) -> int:
-    """Write the CSV (if any), the summary (``summary`` plus the run's tag,
-    command and config) and the manifest."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    if csv_rows is not None:
-        csv_path = write_csv(outdir / f"{tag}.csv", csv_header, csv_rows)
-        outputs.append(csv_path)
-    summary = {"experiment_id": tag, "command": command, "config": config, **summary}
-    summary_path = write_json(outdir / f"{tag}_summary.json", summary)
-    outputs.append(summary_path)
-    manifest_path = save_manifest(
-        outdir / f"{tag}_manifest.json",
-        command=command,
-        config=config,
-        rng_seed=config.get("rng_seed", 0),
-        outputs=outputs,
-        duration_seconds=time.monotonic() - t0,
-        tag=tag,
-    )
-    for path in (*outputs, manifest_path):
-        print(f"wrote {path}")
-    return 0
-
-
-def _run_optimize(config: dict, outdir: Path, tag: str) -> int:
-    t0 = time.monotonic()
+def _optimize(command: str, config: dict, tag: str):
     run = _decode(_OptimizeRun, config, "dist")
     if len(run.gate) not in (3, 4):
         raise ValueError(f"config.gate must list 3 or 4 angles, got {list(run.gate)}")
@@ -342,14 +319,26 @@ def _run_optimize(config: dict, outdir: Path, tag: str) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    return _finish_run(outdir, tag, "optimize", config, summary, None, None, t0)
+    return summary, None, None
 
 
-def _run_rb(config: dict, outdir: Path, tag: str) -> int:
-    t0 = time.monotonic()
+def _rb_rows(tag: str, result, include_circuits: bool) -> list[list]:
+    rows = []
+    k = result.config.drift_factor
+    if include_circuits:
+        for ci in range(result.config.n_circuits):
+            for di, depth in enumerate(result.depths):
+                for arm in (result.unopt, result.opt):
+                    rows.append([tag, k, ci, depth, arm.arm, arm.survivals[ci, di], None])
+    for di, depth in enumerate(result.depths):
+        for arm in (result.unopt, result.opt):
+            rows.append([tag, k, None, depth, arm.arm, arm.mean[di], arm.stderr[di]])
+    return rows
+
+
+def _rb(command: str, config: dict, tag: str):
     cfg = _decode(RbConfig, config, "jobs")
     result = run_rb_experiment(cfg, jobs=_jobs(config))
-    rows = _rb_rows(tag, result, include_circuits=True)
     summary = {
         "rng_seed": cfg.rng_seed,
         "fits": {"unopt": result.unopt.fit, "opt": result.opt.fit},
@@ -358,117 +347,109 @@ def _run_rb(config: dict, outdir: Path, tag: str) -> int:
         summary["error_rate_reduction"] = (
             result.unopt.fit.error_rate - result.opt.fit.error_rate
         )
-    return _finish_run(outdir, tag, "rb", config, summary, rows, RB_HEADER, t0)
+    return summary, RB_HEADER, _rb_rows(tag, result, include_circuits=True)
 
 
-def _run_drift(config: dict, outdir: Path, tag: str) -> int:
-    t0 = time.monotonic()
+def _drift(command: str, config: dict, tag: str):
     cfg = _decode(RbConfig, config, "jobs", "k_grid")
     k_grid = from_jsonable(tuple[float, ...], config.get("k_grid"), "config.k_grid")
     runs = run_drift_sweep(cfg, k_grid, jobs=_jobs(config))
-    rows = []
-    for k, result in runs:
-        rows.extend(_rb_rows(tag, result, include_circuits=False))
+    rows = [row for _, result in runs for row in _rb_rows(tag, result, include_circuits=False)]
     summary = {
         "rng_seed": cfg.rng_seed,
         "runs": [{"k": k, "fits": {"unopt": r.unopt.fit, "opt": r.opt.fit}} for k, r in runs],
     }
-    return _finish_run(outdir, tag, "drift", config, summary, rows, RB_HEADER, t0)
+    return summary, RB_HEADER, rows
 
 
-def _sweep_rows(result) -> list[list]:
-    return [
-        [row.lam, row.theta_max, row.mean_improvement, row.stderr, row.n_samples]
-        for row in result.rows
-    ]
-
-
-def _run_sweep(command: str, config: dict, outdir: Path, tag: str) -> int:
-    t0 = time.monotonic()
+def _sweep(command: str, config: dict, tag: str):
     cfg = _decode(SweepConfig, config, "jobs")
     sweep = prep_improvement_sweep if command == "prep-sweep" else knowledge_sweep
     result = sweep(cfg, jobs=_jobs(config))
-    summary = {"rng_seed": cfg.rng_seed, "n_rows": len(result.rows)}
-    return _finish_run(
-        outdir, tag, command, config, summary, _sweep_rows(result), SWEEP_HEADER, t0
-    )
+    rows = [[row.lam, row.theta_max, row.mean_improvement, row.stderr, row.n_samples]
+            for row in result.rows]
+    return {"rng_seed": cfg.rng_seed, "n_rows": len(result.rows)}, SWEEP_HEADER, rows
 
 
 _RUNNERS = {
-    "optimize": _run_optimize,
-    "rb": _run_rb,
-    "drift": _run_drift,
-    "prep-sweep": functools.partial(_run_sweep, "prep-sweep"),
-    "knowledge": functools.partial(_run_sweep, "knowledge"),
+    "optimize": _optimize,
+    "rb": _rb,
+    "drift": _drift,
+    "prep-sweep": _sweep,
+    "knowledge": _sweep,
 }
+
+
+def _run(command: str, config: dict, outdir: Path, tag: str) -> int:
+    """Run ``config`` as ``command``, fresh or replayed, and write the CSV
+    (if any), the summary (the runner's plus the run's tag, command and
+    config) and the manifest that replays it."""
+    t0 = time.monotonic()
+    summary, header, rows = _RUNNERS[command](command, config, tag)
+    outdir.mkdir(parents=True, exist_ok=True)
+    outputs = [] if rows is None else [write_csv(outdir / f"{tag}.csv", header, rows)]
+    summary = {"experiment_id": tag, "command": command, "config": config, **summary}
+    outputs.append(write_json(outdir / f"{tag}_summary.json", summary))
+    manifest_path = save_manifest(
+        outdir / f"{tag}_manifest.json",
+        command=command,
+        config=config,
+        rng_seed=config.get("rng_seed", 0),
+        outputs=outputs,
+        duration_seconds=time.monotonic() - t0,
+        tag=tag,
+    )
+    for path in (*outputs, manifest_path):
+        print(f"wrote {path}")
+    return 0
 
 
 # ------------------------------------------------------------ subcommands
 
-def _cmd_optimize(args, parser) -> int:
-    noise, _ = _resolve_noise(args, parser)
-    gate = _parse_gate(args.gate, parser)
+def _config(args, noise: NoiseParams | None, readout: list[float] | None) -> dict:
+    """The config of a fresh run, from its subcommand's flags and the noise
+    and readout that _resolve_noise and _resolve_readout made of them."""
+    if args.command in ("prep-sweep", "knowledge"):
+        config = {
+            "lambda_grid": args.lambda_grid,
+            "targets_per_point": args.targets,
+            "rng_seed": args.seed,
+            "multistart": args.multistart,
+            "jobs": args.jobs,
+        }
+        if args.command == "knowledge":
+            config["theta_max_grid"] = args.theta_max_grid
+        return config
+    if args.command == "optimize":
+        return {
+            "gate": args.gate,
+            "dist": args.state or args.dist,
+            "noise": to_jsonable(noise),
+            "multistart": args.multistart,
+            "rng_seed": args.seed,
+        }
     config = {
-        "gate": [gate.beta, gate.gamma, gate.delta, gate.global_phase],
-        "dist": _parse_dist_args(args, parser),
-        "noise": to_jsonable(noise),
-        "multistart": args.multistart,
-        "rng_seed": args.seed,
-    }
-    return _run_optimize(config, Path(args.output_dir), args.tag or "optimize")
-
-
-def _rb_like_config(args, parser) -> dict:
-    noise, device_readout = _resolve_noise(args, parser)
-    readout = _resolve_readout(args, parser, device_readout)
-    if args.mitigate and readout is None:
-        parser.error("--mitigate requires --readout")
-    return {
         "noise": to_jsonable(noise),
         "n_circuits": args.circuits,
         "n_gates": args.gates,
-        "depth_schedule": _parse_depths(args.depths, parser),
-        "shots": _parse_shots(args.shots, parser),
-        "readout": list(readout) if readout is not None else None,
+        "depth_schedule": args.depths,
+        "shots": args.shots,
+        "readout": readout,
         "mitigate": args.mitigate,
         "rng_seed": args.seed,
         "multistart": args.multistart,
         "track_noisy_state": args.track_noisy_state,
         "jobs": args.jobs,
     }
+    if args.command == "rb":
+        config["drift_factor"] = args.k
+    else:
+        config["k_grid"] = args.k_grid
+    return config
 
 
-def _cmd_rb(args, parser) -> int:
-    config = _rb_like_config(args, parser)
-    config["drift_factor"] = args.k
-    return _run_rb(config, Path(args.output_dir), args.tag or "rb")
-
-
-def _cmd_drift(args, parser) -> int:
-    config = _rb_like_config(args, parser)
-    config["k_grid"] = _parse_grid(args.k_grid, parser, "--k-grid")
-    return _run_drift(config, Path(args.output_dir), args.tag or "drift")
-
-
-def _cmd_sweep(command: str, args, parser) -> int:
-    config = {
-        "lambda_grid": _parse_grid(args.lambda_grid, parser, "--lambda-grid"),
-        "targets_per_point": args.targets,
-        "rng_seed": args.seed,
-        "multistart": args.multistart,
-        "jobs": args.jobs,
-    }
-    if command == "knowledge":
-        config["theta_max_grid"] = (
-            [float(v) for v in np.linspace(math.pi / 25.0, math.pi, 25)]
-            if args.theta_max_grid is None
-            else _parse_grid(args.theta_max_grid, parser, "--theta-max-grid")
-        )
-    return _run_sweep(command, config, Path(args.output_dir), args.tag or command)
-
-
-def _cmd_validate(args, parser) -> int:
-    spec = load_device_spec(args.path)
+def _validate(path: str) -> int:
+    spec = load_device_spec(path)
     print(
         f"{spec.device_name} ({spec.calibration_date}): "
         f"{len(spec.qubits)} qubits, qubit ids {[q.id for q in spec.qubits]}"
@@ -480,48 +461,7 @@ def _cmd_validate(args, parser) -> int:
     return 0
 
 
-_COMMANDS = {
-    "optimize": _cmd_optimize,
-    "rb": _cmd_rb,
-    "drift": _cmd_drift,
-    "prep-sweep": functools.partial(_cmd_sweep, "prep-sweep"),
-    "knowledge": functools.partial(_cmd_sweep, "knowledge"),
-    "validate": _cmd_validate,
-}
-
-
 # ------------------------------------------------------------------ parser
-
-def _add_noise_flags(sp) -> None:
-    sp.add_argument("--device", help=f"bundled device {BUNDLED_DEVICES} or a spec JSON path")
-    sp.add_argument("--qubit", type=int, help="qubit id within --device")
-    sp.add_argument("--lambda", dest="lam", type=float,
-                    help="equal amplitude and phase damping probability")
-    sp.add_argument("--lambda-a", type=float, help="amplitude damping probability")
-    sp.add_argument("--lambda-p", type=float, help="phase damping probability")
-
-
-def _add_multistart_flag(sp) -> None:
-    sp.add_argument("--multistart", type=int, default=0,
-                    help="extra uniform-random starts beside the target seed")
-
-
-def _add_rb_flags(sp, gates_default: int, depths_default: str) -> None:
-    _add_noise_flags(sp)
-    sp.add_argument("--circuits", type=int, default=10)
-    sp.add_argument("--gates", type=int, default=gates_default)
-    sp.add_argument("--depths", default=depths_default,
-                    help="'start:stop:step' (stop inclusive) or comma list")
-    sp.add_argument("--shots", default="inf", help="shots per measurement, or 'inf'")
-    sp.add_argument("--readout", help="'device' or 'p10,p01' confusion probabilities")
-    sp.add_argument("--mitigate", action="store_true",
-                    help="invert the readout confusion matrix on measured counts")
-    sp.add_argument("--track-noisy-state", action="store_true",
-                    help="optimize against the noisy circuit state instead of the ideal one")
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
-    _add_multistart_flag(sp)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -532,43 +472,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--from-manifest", metavar="PATH",
                         help="replay a recorded run from its manifest JSON")
     parser.add_argument("--output-dir", default=".", help="directory for output files")
-    parser.add_argument("--tag", help="basename for output files (default: command name)")
+    parser.add_argument("--tag", type=_tag,
+                        help="basename for output files (default: command name)")
     sub = parser.add_subparsers(dest="command")
 
-    sp = sub.add_parser("optimize", help="optimize one gate decomposition")
-    sp.add_argument("--gate", required=True,
-                    help="named gate (i, x, y, z, h, s, t, sx) or 'beta,gamma,delta[,phase]'")
-    sp.add_argument("--state", help="'theta,phi' known input state")
-    sp.add_argument("--dist", help="'point:theta,phi', 'uniform', or 'cap:theta_max'")
-    _add_noise_flags(sp)
-    sp.add_argument("--seed", type=_seed, default=0)
-    _add_multistart_flag(sp)
+    # Flags that several subcommands share, as argparse parent parsers.
+    noise = argparse.ArgumentParser(add_help=False)
+    noise.add_argument("--device", help=f"bundled device {BUNDLED_DEVICES} or a spec JSON path")
+    noise.add_argument("--qubit", type=int, help="qubit id within --device")
+    noise.add_argument("--lambda", dest="lam", type=float,
+                       help="equal amplitude and phase damping probability")
+    noise.add_argument("--lambda-a", type=float, help="amplitude damping probability")
+    noise.add_argument("--lambda-p", type=float, help="phase damping probability")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=0)
+    seeded.add_argument("--multistart", type=int, default=0,
+                        help="extra uniform-random starts beside the target seed")
+    jobs = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    jobs.add_argument("--jobs", type=int, default=1)
+    rb_like = argparse.ArgumentParser(add_help=False, parents=[noise, jobs])
+    rb_like.add_argument("--circuits", type=int, default=10)
+    rb_like.add_argument("--shots", type=_shots, default="inf",
+                         help="shots per measurement, or 'inf'")
+    rb_like.add_argument("--readout", type=_readout,
+                         help="'device' or 'p10,p01' confusion probabilities")
+    rb_like.add_argument("--mitigate", action="store_true",
+                         help="invert the readout confusion matrix on measured counts")
+    rb_like.add_argument("--track-noisy-state", action="store_true",
+                         help="optimize against the noisy circuit state instead of the ideal one")
 
-    sp = sub.add_parser("rb", help="randomized-benchmarking simulation")
-    _add_rb_flags(sp, gates_default=246, depths_default="1:246:7")
+    sp = sub.add_parser("optimize", parents=[noise, seeded],
+                        help="optimize one gate decomposition")
+    sp.add_argument("--gate", type=_gate, required=True,
+                    help="named gate (i, x, y, z, h, s, t, sx) or 'beta,gamma,delta[,phase]'")
+    state = sp.add_mutually_exclusive_group(required=True)
+    state.add_argument("--state", type=_state, help="'theta,phi' known input state")
+    state.add_argument("--dist", type=_dist,
+                       help="'point:theta,phi', 'uniform', or 'cap:theta_max'")
+
+    depths_help = "'start:stop:step' (stop inclusive) or comma list"
+    sp = sub.add_parser("rb", parents=[rb_like], help="randomized-benchmarking simulation")
+    sp.add_argument("--gates", type=int, default=246)
+    sp.add_argument("--depths", type=_depths, default="1:246:7", help=depths_help)
     sp.add_argument("--k", type=float, default=1.0, help="coherence drift factor")
 
-    sp = sub.add_parser("drift", help="RB over a grid of drift factors")
-    _add_rb_flags(sp, gates_default=300, depths_default="100:300:100")
-    sp.add_argument("--k-grid", default="1e-3:1e6:19log",
+    sp = sub.add_parser("drift", parents=[rb_like], help="RB over a grid of drift factors")
+    sp.add_argument("--gates", type=int, default=300)
+    sp.add_argument("--depths", type=_depths, default="100:300:100", help=depths_help)
+    sp.add_argument("--k-grid", type=_grid, default="1e-3:1e6:19log",
                     help="'start:stop:count[log]' or comma list of drift factors")
 
-    sp = sub.add_parser("prep-sweep", help="state-preparation improvement vs damping")
-    sp.add_argument("--lambda-grid", default="0:0.1:100",
+    sp = sub.add_parser("prep-sweep", parents=[jobs],
+                        help="state-preparation improvement vs damping")
+    sp.add_argument("--lambda-grid", type=_grid, default="0:0.1:100",
                     help="'start:stop:count[log]' or comma list")
     sp.add_argument("--targets", type=int, default=100, help="sampled targets per grid point")
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
-    _add_multistart_flag(sp)
 
-    sp = sub.add_parser("knowledge", help="improvement vs damping and state uncertainty")
-    sp.add_argument("--lambda-grid", default="0:0.1:25")
-    sp.add_argument("--theta-max-grid",
+    sp = sub.add_parser("knowledge", parents=[jobs],
+                        help="improvement vs damping and state uncertainty")
+    sp.add_argument("--lambda-grid", type=_grid, default="0:0.1:25")
+    sp.add_argument("--theta-max-grid", type=_grid,
+                    default=[float(v) for v in np.linspace(math.pi / 25.0, math.pi, 25)],
                     help="'start:stop:count[log]' or comma list (default: 25 caps up to pi)")
     sp.add_argument("--targets", type=int, default=100, help="sampled targets per grid cell")
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
-    _add_multistart_flag(sp)
 
     sp = sub.add_parser("validate", help="validate a device calibration file")
     sp.add_argument("path", help="device spec JSON file")
@@ -576,32 +542,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_from_manifest(args) -> int:
-    doc = load_manifest(args.from_manifest)
-    command = doc["command"]
-    runner = _RUNNERS.get(command) if isinstance(command, str) else None
-    if runner is None:
-        raise ValueError(f"manifest command {command!r} is not replayable")
-    tag = args.tag or from_jsonable(str | None, doc.get("tag"), "tag") or command
-    return runner(doc["config"], Path(args.output_dir), _plain_tag(tag))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tag is not None:
-        try:
-            _plain_tag(args.tag)
-        except ValueError as exc:
-            parser.error(f"--tag: {exc}")
+    if args.from_manifest is not None and args.command is not None:
+        parser.error("--from-manifest replaces the subcommand")
+    if args.from_manifest is None and args.command is None:
+        parser.error("a subcommand is required (or --from-manifest)")
     try:
+        if args.command == "validate":
+            return _validate(args.path)
         if args.from_manifest is not None:
-            if args.command is not None:
-                parser.error("--from-manifest replaces the subcommand")
-            return _run_from_manifest(args)
-        if args.command is None:
-            parser.error("a subcommand is required (or --from-manifest)")
-        return _COMMANDS[args.command](args, parser)
+            doc = load_manifest(args.from_manifest)
+            command, config = doc["command"], doc["config"]
+            if not (isinstance(command, str) and command in _RUNNERS):
+                raise ValueError(f"manifest command {command!r} is not replayable")
+            tag = args.tag or from_jsonable(str | None, doc.get("tag"), "tag") or command
+        else:
+            # Only optimize, rb and drift have noise flags; only rb and drift --readout.
+            noise, readout = _resolve_noise(args, parser) if "device" in args else (None, None)
+            if "readout" in args:
+                readout = _resolve_readout(args, parser, readout)
+            command, config = args.command, _config(args, noise, readout)
+            tag = args.tag or command
+        return _run(command, config, Path(args.output_dir), _plain_tag(tag))
     except (
         DeviceSpecError,
         np.linalg.LinAlgError,

@@ -94,7 +94,9 @@ class RbConfig:
             raise ValueError("rng_seed must be >= 0")
         if self.multistart < 0:
             raise ValueError("multistart must be >= 0")
-        depths = tuple(int(d) for d in self.depth_schedule)
+        depths = tuple(self.depth_schedule)
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in depths):
+            raise ValueError(f"depth_schedule must list ints, got {self.depth_schedule!r}")
         object.__setattr__(self, "depth_schedule", depths)
         if not depths:
             raise ValueError("depth_schedule must be nonempty")
@@ -179,11 +181,6 @@ def _measure(p0: float, cfg: RbConfig, rng: np.random.Generator) -> float:
     return float(p0)
 
 
-def _propagate(angles: EulerAngles, r, la: float, lp: float) -> tuple[float, float, float]:
-    """r -> A r + t: the native gate under per-pulse damping (la, lp)."""
-    return _apply(angles.beta, angles.gamma, angles.delta, la, lp, r)
-
-
 def _optimize_step(
     cfg: RbConfig,
     target: EulerAngles,
@@ -233,9 +230,9 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
         opt_angles = _optimize_step(
             cfg, gate, n, r["opt"], assumed, [cfg.rng_seed, circuit, 2, i]
         )
-        r["unopt"] = _propagate(gate, r["unopt"], la, lp)
-        r["opt"] = _propagate(opt_angles, r["opt"], la, lp)
-        n = _propagate(gate, n, 0.0, 0.0)
+        r["unopt"] = _apply(gate.beta, gate.gamma, gate.delta, la, lp, r["unopt"])
+        r["opt"] = _apply(opt_angles.beta, opt_angles.gamma, opt_angles.delta, la, lp, r["opt"])
+        n = _apply(gate.beta, gate.gamma, gate.delta, 0.0, 0.0, n)
         net = _hamilton(q, net)
 
         depth = i + 1
@@ -246,7 +243,7 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
             )
             for ai, arm in enumerate(ARMS):
                 angles = inverse if arm == "unopt" else inv_opt
-                z = _propagate(angles, r[arm], la, lp)[2]
+                z = _apply(angles.beta, angles.gamma, angles.delta, la, lp, r[arm])[2]
                 p0 = min(max(0.5 * (1.0 + z), 0.0), 1.0)
                 out[ai, depth_index] = _measure(p0, cfg, shot_rngs[arm])
             depth_index += 1

@@ -291,6 +291,30 @@ def test_sweep_manifest_replay(tmp_path):
     assert (d1 / "pr.csv").read_bytes() == (d2 / "pr.csv").read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ("optimize", "--gate", "h", "--state", "1.047,0", "--device", "rome", "--qubit", "3"),
+    ("optimize", "--gate", "0.3,1.2,2.1,0.5", "--dist", "cap:0.5", "--lambda", "0.02",
+     "--multistart", "2", "--seed", "9"),
+    RB_SMALL + ("--readout", "device", "--mitigate", "--shots", "500"),
+    ("drift", "--lambda", "0.01", "--circuits", "2", "--gates", "12", "--depths", "4:12:4",
+     "--k-grid", "1e-2:1e2:3log", "--seed", "3"),
+    ("prep-sweep", "--lambda-grid", "0:0.1:3", "--targets", "3", "--seed", "2"),
+    ("knowledge", "--lambda-grid", "0.02,0.05", "--theta-max-grid", "0.4:3.1:2",
+     "--targets", "3", "--seed", "2"),
+], ids=["optimize-state", "optimize-cap", "rb", "drift", "prep-sweep", "knowledge"])
+def test_replay_reproduces_csv_and_summary(tmp_path, args):
+    """A fresh run and the replay of its manifest take the same path from the
+    config on, so the replay's CSV (where the command writes one) and
+    summary are byte-identical to the fresh run's."""
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli("--output-dir", str(d1), "--tag", "one", *args) == 0
+    assert run_cli("--output-dir", str(d2), "--from-manifest", str(d1 / "one_manifest.json")) == 0
+    names = ["one_summary.json"] + (["one.csv"] if args[0] != "optimize" else [])
+    assert sorted(p.name for p in d2.iterdir()) == sorted(names + ["one_manifest.json"])
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
 # ---------------------------------------------------------------- validate
 
 def test_validate_reports_warnings(capsys):
@@ -371,11 +395,12 @@ CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
         (RB_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
         (PREP_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
         (CAP_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
+        (PREP_SMALL, lambda doc: doc["config"].update(jobs=0), "config.jobs"),
     ],
     ids=["config-list", "optimizer-null", "multistart-string", "targets-string",
          "flag-string", "unknown-top-level-key", "unknown-noise-key",
          "lambda-string-beside-times", "multistart-negative", "cap-without-theta-max",
-         "rb-seed-negative", "sweep-seed-negative", "optimize-seed-negative"],
+         "rb-seed-negative", "sweep-seed-negative", "optimize-seed-negative", "jobs-zero"],
 )
 def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, key):
     """A config value of the wrong JSON type replays as one error line that
@@ -438,6 +463,37 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
         run_cli("--output-dir", str(tmp_path), *args, "--seed", "-1")
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("optimize", "--gate", "q", "--state", "0,0", "--lambda", "0"), "--gate"),
+    (RB_SMALL + ("--depths", "1:x:3"), "--depths"),
+    (RB_SMALL + ("--shots", "many"), "--shots"),
+    (("drift", "--lambda", "0.01", "--k-grid", "1:2:0"), "--k-grid"),
+    (("prep-sweep", "--lambda-grid", "0:0.1:0"), "--lambda-grid"),
+    (("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "a,b"), "--theta-max-grid"),
+    (("optimize", "--gate", "h", "--state", "1", "--lambda", "0"), "--state"),
+    (("optimize", "--gate", "h", "--dist", "cap:x", "--lambda", "0"), "--dist"),
+    (RB_SMALL + ("--readout", "0.1"), "--readout"),
+], ids=["gate", "depths", "shots", "k-grid", "lambda-grid", "theta-max-grid", "state",
+        "dist", "readout"])
+def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
+    """A flag value that does not parse is a usage error naming the flag,
+    raised before anything runs or is written."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--output-dir", str(tmp_path), *args)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_jobs_below_1_exits_1(tmp_path, capsys):
+    """--jobs 0 is refused by the config, as a manifest's "jobs": 0 is: one
+    error line naming config.jobs, before any work or output."""
+    assert run_cli("--output-dir", str(tmp_path), *PREP_SMALL, "--jobs", "0") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "config.jobs" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -262,6 +262,11 @@ def test_rb_config_validation():
                         ("shots", 100.0), ("shots", True)):
         with pytest.raises(ValueError, match=f"{name} must be an int"):
             small_config(**{name: value})
+    # a non-integer depth is refused, not truncated: (1.9, 5.7) once ran depths (1, 5)
+    for depths in ((1.9, 5.7), (1.0, 5.0), (True, 5)):
+        with pytest.raises(ValueError, match="depth_schedule must list ints"):
+            small_config(n_gates=10, depth_schedule=depths)
+    assert small_config(depth_schedule=[1, 10]).depth_schedule == (1, 10)
 
 
 def test_rb_run_shapes_and_accessors():
