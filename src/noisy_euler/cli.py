@@ -10,9 +10,11 @@ Subcommands:
   validate    check a device calibration file and report warnings
 
 Every run takes one path: flags -> config -> ``_run``.  argparse parses each
-flag's value with its ``type``; ``_config`` builds the run's plain-JSON
-config from the flags, after the two checks that span several flags or read
-a file (``_resolve_noise``, ``_resolve_readout``); and ``_run`` decodes the
+flag's value with its ``type`` and stores it under the config key it fills
+(the flag's dest); ``_flag_type`` is the one place a value that does not
+parse becomes a usage error.  ``_config`` picks the run's plain-JSON config
+out of the flags, after the two checks that span several flags or read a
+file (``_resolve_noise``, ``_resolve_readout``); and ``_run`` decodes the
 config against the config dataclasses, runs it, times it and writes the CSV,
 the summary and a manifest recording the command, config, seed, package
 version and output paths.  ``noisy-euler --from-manifest PATH`` enters the
@@ -41,7 +43,6 @@ import numpy as np
 from . import __version__
 from .calibration import (
     BUNDLED_DEVICES,
-    DeviceSpecError,
     bundled_device,
     load_device_spec,
     noise_params_for,
@@ -79,11 +80,10 @@ def _flag_type(convert):
     return parse
 
 
-@_flag_type
 def _pair(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expects two comma-separated numbers, got {text!r}")
+        raise ValueError("expects two comma-separated numbers")
     return [float(p) for p in parts]
 
 
@@ -97,14 +97,14 @@ def _gate(text: str) -> list[float]:
     elif len(text.split(",")) in (3, 4):
         gate = EulerAngles(*(float(p) for p in text.split(",")))
     else:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expects a named gate ({', '.join(sorted(NAMED_GATES))}) "
-            f"or 'beta,gamma,delta[,phase]', got {text!r}"
+            "or 'beta,gamma,delta[,phase]'"
         )
     return [gate.beta, gate.gamma, gate.delta, gate.global_phase]
 
 
-def _state(text: str) -> dict:
+def _point(text: str) -> dict:
     """--state 'theta,phi', as the config's point dist."""
     theta, phi = _pair(text)
     return {"kind": "point", "theta": theta, "phi": phi}
@@ -118,8 +118,8 @@ def _dist(text: str) -> dict:
     if text.startswith("cap:"):
         return {"kind": "cap", "theta_max": float(text[4:])}
     if text.startswith("point:"):
-        return _state(text[6:])
-    raise argparse.ArgumentTypeError("expects 'point:theta,phi', 'uniform', or 'cap:theta_max'")
+        return _point(text[6:])
+    raise ValueError("expects 'point:theta,phi', 'uniform', or 'cap:theta_max'")
 
 
 @_flag_type
@@ -129,16 +129,16 @@ def _grid(text: str) -> list[float]:
         return [float(t) for t in text.split(",")]
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expects 'start:stop:count[log]' or a comma list")
+        raise ValueError("expects 'start:stop:count[log]' or a comma list")
     count = parts[2]
     log = count.endswith("log")
     if log or count.endswith("lin"):
         count = count[:-3]
     start, stop, count = float(parts[0]), float(parts[1]), int(count)
     if count < 1:
-        raise argparse.ArgumentTypeError("count must be >= 1")
+        raise ValueError("count must be >= 1")
     if log and (start <= 0 or stop <= 0):
-        raise argparse.ArgumentTypeError("log grids need positive endpoints")
+        raise ValueError("log grids need positive endpoints")
     return [float(v) for v in (np.geomspace if log else np.linspace)(start, stop, count)]
 
 
@@ -151,42 +151,38 @@ def _depths(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
+@_flag_type
 def _seed(text: str) -> int:
     """--seed: an int >= 0, the root of every named random stream."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    seed = int(text)
     if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {seed}")
+        raise ValueError(f"must be an int >= 0, got {seed}")
     return seed
 
 
+@_flag_type
 def _shots(text: str) -> int | None:
-    if text.strip().lower() in ("inf", "infinite", "exact"):
+    """--shots: an int, or 'inf' for exact survival probabilities."""
+    text = text.strip().lower()
+    if text in ("inf", "infinite", "exact"):
         return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects an integer or 'inf', got {text!r}") from None
+    if not text.lstrip("+-").isdecimal():
+        raise ValueError("expects an integer or 'inf'")
+    return int(text)
 
 
+@_flag_type
 def _readout(text: str):
     """--readout: 'device' (resolved by _resolve_readout) or 'p10,p01'."""
     return "device" if text.strip().lower() == "device" else _pair(text)
-
-
-def _tag(text: str) -> str:
-    try:
-        return _plain_tag(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_noise(args, parser) -> tuple[NoiseParams, tuple[float, float] | None]:
     """Noise from --device/--qubit or explicit --lambda flags, plus the
     device qubit's readout probabilities when a device was given."""
     lam_flags = [v for v in (args.lam, args.lambda_a, args.lambda_p) if v is not None]
+    if args.qubit is not None and args.device is None:
+        parser.error("--qubit requires --device")
     if args.device is not None and lam_flags:
         parser.error("--device and --lambda/--lambda-a/--lambda-p are mutually exclusive")
     if args.device is not None:
@@ -406,46 +402,26 @@ def _run(command: str, config: dict, outdir: Path, tag: str) -> int:
 
 # ------------------------------------------------------------ subcommands
 
+# Each command's config keys.  Every flag stores its value under the key it
+# fills (its argparse dest); "noise" and "readout" are the values that
+# _resolve_noise and _resolve_readout make of the noise and readout flags.
+_SWEEP_KEYS = ("lambda_grid", "targets_per_point", "rng_seed", "multistart", "jobs")
+_RB_KEYS = ("noise", "n_circuits", "n_gates", "depth_schedule", "shots", "readout",
+            "mitigate", "rng_seed", "multistart", "track_noisy_state", "jobs")
+_CONFIG_KEYS = {
+    "optimize": ("gate", "dist", "noise", "multistart", "rng_seed"),
+    "rb": (*_RB_KEYS, "drift_factor"),
+    "drift": (*_RB_KEYS, "k_grid"),
+    "prep-sweep": _SWEEP_KEYS,
+    "knowledge": (*_SWEEP_KEYS, "theta_max_grid"),
+}
+
+
 def _config(args, noise: NoiseParams | None, readout: list[float] | None) -> dict:
     """The config of a fresh run, from its subcommand's flags and the noise
     and readout that _resolve_noise and _resolve_readout made of them."""
-    if args.command in ("prep-sweep", "knowledge"):
-        config = {
-            "lambda_grid": args.lambda_grid,
-            "targets_per_point": args.targets,
-            "rng_seed": args.seed,
-            "multistart": args.multistart,
-            "jobs": args.jobs,
-        }
-        if args.command == "knowledge":
-            config["theta_max_grid"] = args.theta_max_grid
-        return config
-    if args.command == "optimize":
-        return {
-            "gate": args.gate,
-            "dist": args.state or args.dist,
-            "noise": to_jsonable(noise),
-            "multistart": args.multistart,
-            "rng_seed": args.seed,
-        }
-    config = {
-        "noise": to_jsonable(noise),
-        "n_circuits": args.circuits,
-        "n_gates": args.gates,
-        "depth_schedule": args.depths,
-        "shots": args.shots,
-        "readout": readout,
-        "mitigate": args.mitigate,
-        "rng_seed": args.seed,
-        "multistart": args.multistart,
-        "track_noisy_state": args.track_noisy_state,
-        "jobs": args.jobs,
-    }
-    if args.command == "rb":
-        config["drift_factor"] = args.k
-    else:
-        config["k_grid"] = args.k_grid
-    return config
+    values = {**vars(args), "noise": to_jsonable(noise), "readout": readout}
+    return {key: values[key] for key in _CONFIG_KEYS[args.command]}
 
 
 def _validate(path: str) -> int:
@@ -472,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--from-manifest", metavar="PATH",
                         help="replay a recorded run from its manifest JSON")
     parser.add_argument("--output-dir", default=".", help="directory for output files")
-    parser.add_argument("--tag", type=_tag,
+    parser.add_argument("--tag", type=_flag_type(_plain_tag),
                         help="basename for output files (default: command name)")
     sub = parser.add_subparsers(dest="command")
 
@@ -485,13 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--lambda-a", type=float, help="amplitude damping probability")
     noise.add_argument("--lambda-p", type=float, help="phase damping probability")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_seed, default=0)
+    seeded.add_argument("--seed", dest="rng_seed", type=_seed, default=0)
     seeded.add_argument("--multistart", type=int, default=0,
                         help="extra uniform-random starts beside the target seed")
     jobs = argparse.ArgumentParser(add_help=False, parents=[seeded])
     jobs.add_argument("--jobs", type=int, default=1)
     rb_like = argparse.ArgumentParser(add_help=False, parents=[noise, jobs])
-    rb_like.add_argument("--circuits", type=int, default=10)
+    rb_like.add_argument("--circuits", dest="n_circuits", type=int, default=10)
     rb_like.add_argument("--shots", type=_shots, default="inf",
                          help="shots per measurement, or 'inf'")
     rb_like.add_argument("--readout", type=_readout,
@@ -506,19 +482,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gate", type=_gate, required=True,
                     help="named gate (i, x, y, z, h, s, t, sx) or 'beta,gamma,delta[,phase]'")
     state = sp.add_mutually_exclusive_group(required=True)
-    state.add_argument("--state", type=_state, help="'theta,phi' known input state")
+    state.add_argument("--state", dest="dist", metavar="STATE", type=_flag_type(_point),
+                       help="'theta,phi' known input state")
     state.add_argument("--dist", type=_dist,
                        help="'point:theta,phi', 'uniform', or 'cap:theta_max'")
 
     depths_help = "'start:stop:step' (stop inclusive) or comma list"
     sp = sub.add_parser("rb", parents=[rb_like], help="randomized-benchmarking simulation")
-    sp.add_argument("--gates", type=int, default=246)
-    sp.add_argument("--depths", type=_depths, default="1:246:7", help=depths_help)
-    sp.add_argument("--k", type=float, default=1.0, help="coherence drift factor")
+    sp.add_argument("--gates", dest="n_gates", type=int, default=246)
+    sp.add_argument("--depths", dest="depth_schedule", type=_depths, default="1:246:7",
+                    help=depths_help)
+    sp.add_argument("--k", dest="drift_factor", type=float, default=1.0,
+                    help="coherence drift factor")
 
     sp = sub.add_parser("drift", parents=[rb_like], help="RB over a grid of drift factors")
-    sp.add_argument("--gates", type=int, default=300)
-    sp.add_argument("--depths", type=_depths, default="100:300:100", help=depths_help)
+    sp.add_argument("--gates", dest="n_gates", type=int, default=300)
+    sp.add_argument("--depths", dest="depth_schedule", type=_depths, default="100:300:100",
+                    help=depths_help)
     sp.add_argument("--k-grid", type=_grid, default="1e-3:1e6:19log",
                     help="'start:stop:count[log]' or comma list of drift factors")
 
@@ -526,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="state-preparation improvement vs damping")
     sp.add_argument("--lambda-grid", type=_grid, default="0:0.1:100",
                     help="'start:stop:count[log]' or comma list")
-    sp.add_argument("--targets", type=int, default=100, help="sampled targets per grid point")
+    sp.add_argument("--targets", dest="targets_per_point", type=int, default=100,
+                    help="sampled targets per grid point")
 
     sp = sub.add_parser("knowledge", parents=[jobs],
                         help="improvement vs damping and state uncertainty")
@@ -534,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-max-grid", type=_grid,
                     default=[float(v) for v in np.linspace(math.pi / 25.0, math.pi, 25)],
                     help="'start:stop:count[log]' or comma list (default: 25 caps up to pi)")
-    sp.add_argument("--targets", type=int, default=100, help="sampled targets per grid cell")
+    sp.add_argument("--targets", dest="targets_per_point", type=int, default=100,
+                    help="sampled targets per grid cell")
 
     sp = sub.add_parser("validate", help="validate a device calibration file")
     sp.add_argument("path", help="device spec JSON file")
@@ -566,13 +548,7 @@ def main(argv=None) -> int:
             command, config = args.command, _config(args, noise, readout)
             tag = args.tag or command
         return _run(command, config, Path(args.output_dir), _plain_tag(tag))
-    except (
-        DeviceSpecError,
-        np.linalg.LinAlgError,
-        OSError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except (np.linalg.LinAlgError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -106,9 +106,7 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     ground = InitialStateDistribution.point(0.0, 0.0).moments()
     imps = np.empty(cfg.targets_per_point)
     for t in range(cfg.targets_per_point):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([cfg.rng_seed, 0, li, t]))
-        )
+        rng = np.random.default_rng([cfg.rng_seed, 0, li, t])
         z = rng.uniform(-1.0, 1.0)
         phi = rng.uniform(0.0, TWO_PI)
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
@@ -126,9 +124,7 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     moments = dist.moments()
     imps = np.empty(cfg.targets_per_point)
     for r in range(cfg.targets_per_point):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([cfg.rng_seed, 1, li, mi, r]))
-        )
+        rng = np.random.default_rng([cfg.rng_seed, 1, li, mi, r])
         target = _haar_gate(rng)
         res = optimize_gate(
             target, *moments, params, cfg.multistart, [cfg.rng_seed, 1, li, mi, r, 1]

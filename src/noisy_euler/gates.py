@@ -39,6 +39,8 @@ TWO_PI = 2.0 * math.pi
 GAMMA_TIE_TOL = 1e-9
 
 _UNITARY_TOL = 1e-10
+_DENSITY_TOL = 1e-9  # Hermiticity and unit trace of a density matrix
+_PSD_TOL = 1e-12  # how far below 0 a density matrix's eigenvalue may fall
 
 
 def rz(phi: float) -> np.ndarray:
@@ -193,23 +195,21 @@ def _hamilton(p, q) -> tuple[float, float, float, float]:
     )
 
 
-def validate_density_matrix(
-    rho: np.ndarray, tol: float = 1e-9, psd_tol: float = 1e-12
-) -> np.ndarray:
-    """Check Hermiticity, unit trace (within ``tol``) and positivity (within
-    ``psd_tol``) of a 2x2 density matrix; returns the array unchanged."""
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, unit trace (within ``_DENSITY_TOL``) and positivity
+    (within ``_PSD_TOL``) of a 2x2 density matrix; returns the array unchanged."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError("density matrix must be 2x2")
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if np.abs(rho - rho.conj().T).max() > _DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > tol:
+    if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > _DENSITY_TOL:
         raise ValueError("density matrix trace differs from 1 beyond tolerance")
     # analytic 2x2 eigenvalues: m +- sqrt(m^2 - det)
     m = 0.5 * (rho[0, 0].real + rho[1, 1].real)
     det = (rho[0, 0].real * rho[1, 1].real) - (rho[0, 1] * rho[1, 0]).real
     disc = max(m * m - det, 0.0)
-    if m - math.sqrt(disc) < -psd_tol:
+    if m - math.sqrt(disc) < -_PSD_TOL:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     return rho
 

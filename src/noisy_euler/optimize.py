@@ -109,7 +109,7 @@ def optimize_gate(
 
     The Newton search (``_newton``) runs from the target seed and from each
     of ``multistart`` uniform-random starts, drawn from
-    ``np.random.SeedSequence(seed)`` (an int or a sequence of ints, read
+    ``np.random.default_rng(seed)`` (an int or a sequence of ints, read
     only when multistart > 0); the best candidate wins, lowest start index
     on ties, and the seed itself is the fallback.  A start whose max|g| is
     within ``start_tolerance`` is kept without a search; every search that
@@ -151,7 +151,7 @@ def optimize_gate(
     at_seed = fg(x_seed)
     starts = [x_seed]
     if multistart > 0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng = np.random.default_rng(seed)
         starts += [tuple(rng.uniform(0.0, TWO_PI, 3).tolist()) for _ in range(multistart)]
     best = None
     for i, x0 in enumerate(starts):

@@ -207,14 +207,9 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     cfg, circuit = item
     la, lp = cfg.noise.lambda_a, cfg.noise.lambda_p
     assumed = cfg.noise.assuming_drift(cfg.drift_factor)
-    rng_gates = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([cfg.rng_seed, circuit, 0]))
-    )
+    rng_gates = np.random.default_rng([cfg.rng_seed, circuit, 0])
     shot_rngs = {
-        arm: np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([cfg.rng_seed, circuit, 1, ai]))
-        )
-        for ai, arm in enumerate(ARMS)
+        arm: np.random.default_rng([cfg.rng_seed, circuit, 1, ai]) for ai, arm in enumerate(ARMS)
     }
 
     depth_set = frozenset(cfg.depth_schedule)

@@ -56,6 +56,17 @@ def test_usage_error_unknown_qubit():
     assert exc.value.code == 2
 
 
+def test_usage_error_qubit_without_device(tmp_path, capsys):
+    """--qubit names a qubit of --device; alone it is a usage error, not a
+    run at the --lambda noise."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--output-dir", str(tmp_path), "optimize", "--gate", "h", "--state", "1,0",
+                "--lambda", "0.01", "--qubit", "3")
+    assert exc.value.code == 2
+    assert "--qubit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_state_and_dist_conflict():
     with pytest.raises(SystemExit) as exc:
         run_cli("optimize", "--gate", "h", "--state", "0,0",
@@ -476,8 +487,9 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     (("optimize", "--gate", "h", "--state", "1", "--lambda", "0"), "--state"),
     (("optimize", "--gate", "h", "--dist", "cap:x", "--lambda", "0"), "--dist"),
     (RB_SMALL + ("--readout", "0.1"), "--readout"),
+    (PREP_SMALL + ("--seed", "x"), "--seed"),
 ], ids=["gate", "depths", "shots", "k-grid", "lambda-grid", "theta-max-grid", "state",
-        "dist", "readout"])
+        "dist", "readout", "seed"])
 def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
     """A flag value that does not parse is a usage error naming the flag,
     raised before anything runs or is written."""
