@@ -151,13 +151,15 @@ def _depths(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
-@_flag_type
-def _seed(text: str) -> int:
-    """--seed: an int >= 0, the root of every named random stream."""
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"must be an int >= 0, got {seed}")
-    return seed
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for an int flag that must be >= ``minimum``."""
+    @_flag_type
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"must be an int >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 @_flag_type
@@ -177,9 +179,10 @@ def _readout(text: str):
     return "device" if text.strip().lower() == "device" else _pair(text)
 
 
-def _resolve_noise(args, parser) -> tuple[NoiseParams, tuple[float, float] | None]:
+def _resolve_noise(args) -> tuple[NoiseParams, tuple[float, float] | None]:
     """Noise from --device/--qubit or explicit --lambda flags, plus the
     device qubit's readout probabilities when a device was given."""
+    parser = args.parser
     lam_flags = [v for v in (args.lam, args.lambda_a, args.lambda_p) if v is not None]
     if args.qubit is not None and args.device is None:
         parser.error("--qubit requires --device")
@@ -214,8 +217,9 @@ def _resolve_noise(args, parser) -> tuple[NoiseParams, tuple[float, float] | Non
     )
 
 
-def _resolve_readout(args, parser, device_readout) -> list[float] | None:
+def _resolve_readout(args, device_readout) -> list[float] | None:
     """The --readout pair, with 'device' read from --device/--qubit."""
+    parser = args.parser
     readout = device_readout if args.readout == "device" else args.readout
     if args.readout == "device" and device_readout is None:
         parser.error("--readout device requires --device and --qubit")
@@ -234,15 +238,6 @@ def _resolve_readout(args, parser, device_readout) -> list[float] | None:
 class _OptimizeRun:
     gate: tuple[float, ...]  # beta, gamma, delta[, global phase]
     noise: NoiseParams
-    multistart: int = 0
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        # optimize_gate reads the seed only for multistart draws; refuse a bad
-        # one either way, as RbConfig and SweepConfig do.
-        seed = self.rng_seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"rng_seed must be an int >= 0, got {seed!r}")
 
 
 # Each dist kind's constructor and the keys it takes, in argument order.
@@ -297,7 +292,7 @@ def _optimize(command: str, config: dict, tag: str):
         raise ValueError(f"config.gate must list 3 or 4 angles, got {list(run.gate)}")
     gate = EulerAngles(*run.gate)
     dist = _dist_from_dict(config.get("dist"))
-    result = optimize_gate(gate, *dist.moments(), run.noise, run.multistart, run.rng_seed)
+    result = optimize_gate(gate, *dist.moments(), run.noise)
     a = result.angles_opt
     print(f"target angles  (beta, gamma, delta) = "
           f"({gate.beta:.12g}, {gate.gamma:.12g}, {gate.delta:.12g})")
@@ -405,11 +400,11 @@ def _run(command: str, config: dict, outdir: Path, tag: str) -> int:
 # Each command's config keys.  Every flag stores its value under the key it
 # fills (its argparse dest); "noise" and "readout" are the values that
 # _resolve_noise and _resolve_readout make of the noise and readout flags.
-_SWEEP_KEYS = ("lambda_grid", "targets_per_point", "rng_seed", "multistart", "jobs")
+_SWEEP_KEYS = ("lambda_grid", "targets_per_point", "rng_seed", "jobs")
 _RB_KEYS = ("noise", "n_circuits", "n_gates", "depth_schedule", "shots", "readout",
             "mitigate", "rng_seed", "multistart", "track_noisy_state", "jobs")
 _CONFIG_KEYS = {
-    "optimize": ("gate", "dist", "noise", "multistart", "rng_seed"),
+    "optimize": ("gate", "dist", "noise"),
     "rb": (*_RB_KEYS, "drift_factor"),
     "drift": (*_RB_KEYS, "k_grid"),
     "prep-sweep": _SWEEP_KEYS,
@@ -460,13 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="equal amplitude and phase damping probability")
     noise.add_argument("--lambda-a", type=float, help="amplitude damping probability")
     noise.add_argument("--lambda-p", type=float, help="phase damping probability")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", dest="rng_seed", type=_seed, default=0)
-    seeded.add_argument("--multistart", type=int, default=0,
-                        help="extra uniform-random starts beside the target seed")
-    jobs = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    jobs.add_argument("--jobs", type=int, default=1)
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--seed", dest="rng_seed", type=_int_at_least(0), default=0)
+    jobs.add_argument("--jobs", type=_int_at_least(1), default=1)
     rb_like = argparse.ArgumentParser(add_help=False, parents=[noise, jobs])
+    rb_like.add_argument("--multistart", type=_int_at_least(0), default=0,
+                         help="extra uniform-random starts beside the target seed")
     rb_like.add_argument("--circuits", dest="n_circuits", type=int, default=10)
     rb_like.add_argument("--shots", type=_shots, default="inf",
                          help="shots per measurement, or 'inf'")
@@ -477,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     rb_like.add_argument("--track-noisy-state", action="store_true",
                          help="optimize against the noisy circuit state instead of the ideal one")
 
-    sp = sub.add_parser("optimize", parents=[noise, seeded],
+    sp = sub.add_parser("optimize", parents=[noise],
                         help="optimize one gate decomposition")
     sp.add_argument("--gate", type=_gate, required=True,
                     help="named gate (i, x, y, z, h, s, t, sx) or 'beta,gamma,delta[,phase]'")
@@ -521,6 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="validate a device calibration file")
     sp.add_argument("path", help="device spec JSON file")
 
+    for sp in sub.choices.values():  # main's cross-flag errors print its usage
+        sp.set_defaults(parser=sp)
     return parser
 
 
@@ -542,9 +538,9 @@ def main(argv=None) -> int:
             tag = args.tag or from_jsonable(str | None, doc.get("tag"), "tag") or command
         else:
             # Only optimize, rb and drift have noise flags; only rb and drift --readout.
-            noise, readout = _resolve_noise(args, parser) if "device" in args else (None, None)
+            noise, readout = _resolve_noise(args) if "device" in args else (None, None)
             if "readout" in args:
-                readout = _resolve_readout(args, parser, readout)
+                readout = _resolve_readout(args, readout)
             command, config = args.command, _config(args, noise, readout)
             tag = args.tag or command
         return _run(command, config, Path(args.output_dir), _plain_tag(tag))

@@ -39,14 +39,12 @@ class SweepConfig:
     lambda_grid entries are equal amplitude/phase damping probabilities.
     theta_max_grid (knowledge sweep only) lists polar-cap sizes in (0, pi].
     targets_per_point is the number of sampled targets per grid cell.
-    multistart adds that many uniform-random starts to each optimization.
     """
 
     lambda_grid: tuple[float, ...]
     targets_per_point: int = 100
     theta_max_grid: tuple[float, ...] = ()
     rng_seed: int = 0
-    multistart: int = 0
 
     def __post_init__(self) -> None:
         lams = tuple(float(v) for v in self.lambda_grid)
@@ -59,7 +57,7 @@ class SweepConfig:
         object.__setattr__(self, "theta_max_grid", caps)
         for tm in caps:  # each knowledge cell builds this cap; fail before any runs
             InitialStateDistribution.spherical_cap(tm)
-        for name in ("targets_per_point", "rng_seed", "multistart"):
+        for name in ("targets_per_point", "rng_seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int")
@@ -67,8 +65,6 @@ class SweepConfig:
             raise ValueError("targets_per_point must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
-        if self.multistart < 0:
-            raise ValueError("multistart must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
         # |0> as a phase only, so delta stays at its seed 0.
         target = EulerAngles(phi, math.acos(z), 0.0)
-        res = optimize_gate(target, *ground, params, cfg.multistart, [cfg.rng_seed, 0, li, t, 1])
+        res = optimize_gate(target, *ground, params)
         imps[t] = res.improvement
     return _row_stats(lam, None, imps)
 
@@ -126,9 +122,7 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     for r in range(cfg.targets_per_point):
         rng = np.random.default_rng([cfg.rng_seed, 1, li, mi, r])
         target = _haar_gate(rng)
-        res = optimize_gate(
-            target, *moments, params, cfg.multistart, [cfg.rng_seed, 1, li, mi, r, 1]
-        )
+        res = optimize_gate(target, *moments, params)
         theta, phi = dist.sample(rng, 1)
         # objectives.fidelity of both decompositions, from one point objective
         n = BlochState(float(theta[0]), float(phi[0])).bloch_vector().tolist()

@@ -127,13 +127,13 @@ def optimize_gate(
     differ from those of a search from the target by up to pi while F agrees
     to about 1e-13.
 
-    The seeded search is global in practice: 16 extra starts never beat it
-    on 1,200 problems (lambda from 1e-3 to 1 - 1e-15, half points and half
-    caps), and on point inputs it reaches a dense circle search
-    (``tests/reference.py``).  Multistart changes a result only where the
-    assumed noise is saturated (lambda -> 1, as in a drift scan's k = 1e6
-    arm): F is flat to the ulp there, and the tie-break among starts
-    scrambles the angles.
+    The seeded search is global in practice: on 1,200 problems (lambda
+    from 1e-3 to 0.999; points, caps, preparations) 16 extra starts raised
+    F by at most 8e-16 for lambda <= 0.9 and 7e-9 at 0.999, yet returned
+    another equal-F unitary in 470; on point inputs it reaches a dense
+    circle search (``tests/reference.py``).  Only RB passes multistart, for
+    the saturated drift arm (k = 1e6): F is flat to the ulp there, and the
+    drift check looks for the angles the tie-break scrambles.
     """
     if not isinstance(multistart, int) or isinstance(multistart, bool) or multistart < 0:
         raise ValueError(f"multistart must be an int >= 0, got {multistart!r}")

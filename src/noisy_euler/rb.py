@@ -118,6 +118,10 @@ class RbConfig:
             object.__setattr__(self, "readout", (float(p10), float(p01)))
         if self.mitigate and self.readout is None:
             raise ValueError("mitigate requires readout probabilities")
+        # calibration.mitigate_readout's singularity test: det = 1 - p10 - p01
+        if self.mitigate and abs(1.0 - self.readout[0] - self.readout[1]) < 1e-12:
+            raise ValueError("mitigate requires an invertible readout confusion matrix "
+                             f"(p_meas1_prep0 + p_meas0_prep1 = {sum(self.readout)})")
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,9 @@ def test_usage_error_qubit_without_device(tmp_path, capsys):
         run_cli("--output-dir", str(tmp_path), "optimize", "--gate", "h", "--state", "1,0",
                 "--lambda", "0.01", "--qubit", "3")
     assert exc.value.code == 2
-    assert "--qubit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # a usage error spanning several flags prints its subcommand's usage
+    assert err.startswith("usage: noisy-euler optimize ") and "--qubit" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -86,10 +88,11 @@ def test_usage_error_bad_gate():
     assert exc.value.code == 2
 
 
-def test_usage_error_mitigate_without_readout():
+def test_usage_error_mitigate_without_readout(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(*RB_SMALL, "--mitigate")
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: noisy-euler rb ")
 
 
 def test_usage_error_no_subcommand():
@@ -304,8 +307,7 @@ def test_sweep_manifest_replay(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ("optimize", "--gate", "h", "--state", "1.047,0", "--device", "rome", "--qubit", "3"),
-    ("optimize", "--gate", "0.3,1.2,2.1,0.5", "--dist", "cap:0.5", "--lambda", "0.02",
-     "--multistart", "2", "--seed", "9"),
+    ("optimize", "--gate", "0.3,1.2,2.1,0.5", "--dist", "cap:0.5", "--lambda", "0.02"),
     RB_SMALL + ("--readout", "device", "--mitigate", "--shots", "500"),
     ("drift", "--lambda", "0.01", "--circuits", "2", "--gates", "12", "--depths", "4:12:4",
      "--k-grid", "1e-2:1e2:3log", "--seed", "3"),
@@ -373,7 +375,6 @@ def test_manifest_with_removed_optimizer_key_exits_1(tmp_path, capsys, key, valu
     run_cli("--output-dir", str(tmp_path), "--tag", "old", *args)
     path = tmp_path / "old_manifest.json"
     doc = json.loads(path.read_text())
-    del doc["config"]["multistart"]
     doc["config"]["optimizer"] = {"max_iterations": 500, "gradient_tolerance": 1e-9,
                                   "multistart_count": 0, "rng_seed": 5, key: value}
     path.write_text(json.dumps(doc))
@@ -464,12 +465,10 @@ def test_usage_error_bad_tag(tmp_path, tag):
      "--k-grid", "1,10"),
     PREP_SMALL,
     ("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "0.5", "--targets", "2"),
-    CAP_SMALL,
-    CAP_SMALL + ("--multistart", "2"),
-], ids=["rb", "drift", "prep-sweep", "knowledge", "optimize", "optimize-multistart"])
+], ids=["rb", "drift", "prep-sweep", "knowledge"])
 def test_usage_error_negative_seed(tmp_path, capsys, args):
     """A negative --seed is refused by the parser, before anything runs or
-    is written, with or without multistart draws to seed."""
+    is written."""
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), *args, "--seed", "-1")
     assert exc.value.code == 2
@@ -488,11 +487,14 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     (("optimize", "--gate", "h", "--dist", "cap:x", "--lambda", "0"), "--dist"),
     (RB_SMALL + ("--readout", "0.1"), "--readout"),
     (PREP_SMALL + ("--seed", "x"), "--seed"),
+    (RB_SMALL + ("--multistart", "-1"), "--multistart"),
+    (PREP_SMALL + ("--jobs", "0"), "--jobs"),
 ], ids=["gate", "depths", "shots", "k-grid", "lambda-grid", "theta-max-grid", "state",
-        "dist", "readout", "seed"])
+        "dist", "readout", "seed", "multistart", "jobs"])
 def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
-    """A flag value that does not parse is a usage error naming the flag,
-    raised before anything runs or is written."""
+    """A flag value that does not parse, or an int below the flag's minimum,
+    is a usage error naming the flag, raised before anything runs or is
+    written."""
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), *args)
     assert exc.value.code == 2
@@ -500,13 +502,37 @@ def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_jobs_below_1_exits_1(tmp_path, capsys):
-    """--jobs 0 is refused by the config, as a manifest's "jobs": 0 is: one
-    error line naming config.jobs, before any work or output."""
-    assert run_cli("--output-dir", str(tmp_path), *PREP_SMALL, "--jobs", "0") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and "config.jobs" in err
+@pytest.mark.parametrize("args, flag", [
+    (("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "0.5", "--multistart", "2"),
+     "--multistart"),
+    (PREP_SMALL + ("--multistart", "2"), "--multistart"),
+    (CAP_SMALL + ("--multistart", "2"), "--multistart"),
+    (CAP_SMALL + ("--seed", "3"), "--seed"),
+], ids=["knowledge-multistart", "prep-sweep-multistart", "optimize-multistart", "optimize-seed"])
+def test_usage_error_flag_only_rb_takes(tmp_path, capsys, args, flag):
+    """Only rb and drift draw random extra starts, so only they take
+    --multistart; optimize draws nothing and takes no --seed either."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--output-dir", str(tmp_path), *args)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pre_change_sweep_manifest_with_multistart_exits_1(tmp_path, capsys):
+    """A prep-sweep manifest written while sweeps still took a multistart
+    count carries "multistart": 0; it replays as one error line naming it."""
+    run_cli("--output-dir", str(tmp_path), "--tag", "old", *PREP_SMALL)
+    path = tmp_path / "old_manifest.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["multistart"] = 0
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run_cli("--output-dir", str(tmp_path / "replay"), "--from-manifest", str(path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "'multistart'" in err
+    assert not (tmp_path / "replay").exists()
 
 
 @pytest.mark.parametrize("flag", ["--gradient-tolerance", "--max-iterations"])

@@ -107,8 +107,8 @@ def test_from_jsonable_inverts_to_jsonable(obj):
     [
         (SweepConfig, {"lambda_grid": [0.1], "multistart_count": 5},
          r"x has unknown key\(s\) 'multistart_count'"),
-        (SweepConfig, {"lambda_grid": [0.1], "multistart": True},
-         r"x\.multistart must be an integer"),
+        (SweepConfig, {"lambda_grid": [0.1], "multistart": 0},
+         r"x has unknown key\(s\) 'multistart'"),
         (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1}, "multistart": "2"},
          r"x\.multistart must be an integer"),
         (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1}, "multistart": 5.0},
@@ -122,8 +122,8 @@ def test_from_jsonable_inverts_to_jsonable(obj):
         (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1}, "mitigate": 1},
          r"x\.mitigate must be a boolean"),
         (float, 10**400, "must be a finite number"),
-        (SweepConfig, {"lambda_grid": [0.1], "multistart": -1},
-         r"x: multistart must be >= 0"),
+        (SweepConfig, {"lambda_grid": [0.1], "targets_per_point": 0},
+         r"x: targets_per_point must be >= 1"),
         (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1, "t1": 1.0}},
          r"x\.noise: t1, t2 and t_star must be all given"),
     ],

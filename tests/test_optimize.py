@@ -25,7 +25,6 @@ from noisy_euler import (
     sample_random_gate,
 )
 from noisy_euler import optimize
-from noisy_euler.cli import _OptimizeRun
 from reference import circle_optimum
 
 IDENTITY = EulerAngles(0.0, 0.0, 0.0)
@@ -466,7 +465,6 @@ def test_optimizer_config_validation():
     params = NoiseParams.from_lambda(0.05)
     hosts = (
         lambda n: RbConfig(noise=params, multistart=n),
-        lambda n: SweepConfig(lambda_grid=(0.05,), multistart=n),
         lambda n: optimize_gate(IDENTITY, *PLUS, params, n),
     )
     for host in hosts:
@@ -478,9 +476,7 @@ def test_optimizer_config_validation():
 @pytest.mark.parametrize("host", [
     lambda s: RbConfig(noise=NoiseParams.from_lambda(0.05), rng_seed=s),
     lambda s: SweepConfig(lambda_grid=(0.05,), rng_seed=s),
-    lambda s: _OptimizeRun(gate=(0.0, 0.0, 0.0), noise=NoiseParams.from_lambda(0.05),
-                           rng_seed=s),
-], ids=["RbConfig", "SweepConfig", "optimize-run"])
+], ids=["RbConfig", "SweepConfig"])
 def test_seed_validated_at_construction(host):
     """The root of every named random stream is refused unless it is an int
     >= 0, by each config that carries one, at construction and naming its

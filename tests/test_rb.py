@@ -257,6 +257,12 @@ def test_rb_config_validation():
         small_config(mitigate=True)  # no readout given
     with pytest.raises(ValueError):
         small_config(n_circuits=0)
+    # a singular confusion matrix cannot be inverted: refused here, not at the
+    # first measured depth
+    for readout in ((0.6, 0.4), (0.5, 0.5), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="invertible readout"):
+            small_config(readout=readout, mitigate=True)
+    small_config(readout=(0.6, 0.4))  # without mitigation it only corrupts
     # a non-integer count fails here, not inside a circuit worker
     for name, value in (("n_circuits", 2.0), ("n_circuits", True), ("n_gates", 40.0),
                         ("shots", 100.0), ("shots", True)):
