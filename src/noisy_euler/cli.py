@@ -70,7 +70,9 @@ SWEEP_HEADER = ("lambda", "theta_max", "mean_improvement", "stderr", "n_samples"
 
 def _flag_type(convert):
     """``convert`` as an argparse ``type``: its ValueError becomes "cannot
-    parse TEXT (reason)", where argparse would print only the converter's name."""
+    parse TEXT (reason)", where argparse would print only the converter's name;
+    an ArgumentTypeError, for a value that parses but is out of range, passes
+    through as it is."""
     @functools.wraps(convert)
     def parse(text: str):
         try:
@@ -89,19 +91,18 @@ def _pair(text: str) -> list[float]:
 
 @_flag_type
 def _gate(text: str) -> list[float]:
-    """--gate: a named gate or 'beta,gamma,delta[,phase]', as the config's
-    [beta, gamma, delta, phase]."""
+    """--gate: a named gate or 'beta,gamma,delta', as the config's
+    [beta, gamma, delta]."""
     name = text.strip().lower()
     if name in NAMED_GATES:
         gate = extract_euler(named_gate(name))
-    elif len(text.split(",")) in (3, 4):
+    elif len(text.split(",")) == 3:
         gate = EulerAngles(*(float(p) for p in text.split(",")))
     else:
         raise ValueError(
-            f"expects a named gate ({', '.join(sorted(NAMED_GATES))}) "
-            "or 'beta,gamma,delta[,phase]'"
+            f"expects a named gate ({', '.join(sorted(NAMED_GATES))}) or 'beta,gamma,delta'"
         )
-    return [gate.beta, gate.gamma, gate.delta, gate.global_phase]
+    return [gate.beta, gate.gamma, gate.delta]
 
 
 def _point(text: str) -> dict:
@@ -152,12 +153,13 @@ def _depths(text: str) -> list[int]:
 
 
 def _int_at_least(minimum: int):
-    """An argparse ``type`` for an int flag that must be >= ``minimum``."""
+    """An argparse ``type`` for an int flag that must be >= ``minimum``:
+    "cannot parse" for text that is no int, a range error for a smaller int."""
     @_flag_type
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
-            raise ValueError(f"must be an int >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be an int >= {minimum}, got {value}")
         return value
     return parse
 
@@ -236,7 +238,7 @@ def _resolve_readout(args, device_readout) -> list[float] | None:
 
 @dataclasses.dataclass(frozen=True)
 class _OptimizeRun:
-    gate: tuple[float, ...]  # beta, gamma, delta[, global phase]
+    gate: tuple[float, float, float]  # beta, gamma, delta
     noise: NoiseParams
 
 
@@ -288,8 +290,6 @@ def _plain_tag(tag: str) -> str:
 
 def _optimize(command: str, config: dict, tag: str):
     run = _decode(_OptimizeRun, config, "dist")
-    if len(run.gate) not in (3, 4):
-        raise ValueError(f"config.gate must list 3 or 4 angles, got {list(run.gate)}")
     gate = EulerAngles(*run.gate)
     dist = _dist_from_dict(config.get("dist"))
     result = optimize_gate(gate, *dist.moments(), run.noise)
@@ -303,7 +303,7 @@ def _optimize(command: str, config: dict, tag: str):
     print(f"improvement = {result.improvement:.12g}")
     print(f"iterations = {result.iterations}, converged = {result.converged}")
     summary = {
-        "angles_opt": [a.beta, a.gamma, a.delta, a.global_phase],
+        "angles_opt": [a.beta, a.gamma, a.delta],
         "objective_value": result.objective_value,
         "objective_at_target_angles": result.objective_at_target_angles,
         "improvement": result.improvement,
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", parents=[noise],
                         help="optimize one gate decomposition")
     sp.add_argument("--gate", type=_gate, required=True,
-                    help="named gate (i, x, y, z, h, s, t, sx) or 'beta,gamma,delta[,phase]'")
+                    help="named gate (i, x, y, z, h, s, t, sx) or 'beta,gamma,delta'")
     state = sp.add_mutually_exclusive_group(required=True)
     state.add_argument("--state", dest="dist", metavar="STATE", type=_flag_type(_point),
                        help="'theta,phi' known input state")

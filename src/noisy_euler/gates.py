@@ -21,7 +21,8 @@ R_z factors are virtual frame changes.
 
 Matrices are plain complex ndarrays of shape (2, 2); pure states on the Bloch
 sphere are ``BlochState(theta, phi)`` with ``|psi> = cos(theta/2)|0> +
-e^{i phi} sin(theta/2)|1>``.
+e^{i phi} sin(theta/2)|1>``.  The phase alpha reaches no density matrix,
+so the package carries only (beta, gamma, delta).
 """
 
 from __future__ import annotations
@@ -57,22 +58,20 @@ def rx(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EulerAngles:
-    """ZYZ Euler angles (beta, gamma, delta) plus a carried global phase.
+    """ZYZ Euler angles (beta, gamma, delta) of R_z(beta) R_y(gamma) R_z(delta).
 
     ``compose_zyz`` evaluates the angles at face value, so any real values are
-    meaningful; shifting an angle by 2*pi only flips the (physically
-    irrelevant) global phase.  ``extract_euler`` returns the canonical
-    representative with beta, delta in [0, 2*pi), gamma in [0, pi] and
-    global_phase in [0, 2*pi).
+    meaningful; shifting an angle by 2*pi only flips the SU(2) sign, which no
+    density matrix sees.  ``extract_euler`` returns the canonical
+    representative with beta, delta in [0, 2*pi) and gamma in [0, pi].
     """
 
     beta: float
     gamma: float
     delta: float
-    global_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("beta", "gamma", "delta", "global_phase"):
+        for name in ("beta", "gamma", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"EulerAngles.{name} must be finite")
 
@@ -105,11 +104,10 @@ class BlochState:
 
 
 def compose_zyz(angles: EulerAngles) -> np.ndarray:
-    """e^{i alpha} R_z(beta) R_y(gamma) R_z(delta) evaluated at face value."""
+    """R_z(beta) R_y(gamma) R_z(delta) evaluated at face value, in SU(2)."""
     b, g, d = angles.beta, angles.gamma, angles.delta
     c, s = math.cos(0.5 * g), math.sin(0.5 * g)
-    phase = cmath.exp(1j * angles.global_phase)
-    return phase * np.array(
+    return np.array(
         [
             [cmath.exp(-0.5j * (b + d)) * c, -cmath.exp(-0.5j * (b - d)) * s],
             [cmath.exp(0.5j * (b - d)) * s, cmath.exp(0.5j * (b + d)) * c],
@@ -127,45 +125,35 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def extract_euler(u: np.ndarray) -> EulerAngles:
-    """Canonical ZYZ Euler angles of a 2x2 unitary, global phase included.
+    """Canonical ZYZ Euler angles of a 2x2 unitary U.
 
-    ``compose_zyz(extract_euler(U))`` reproduces U elementwise (including the
-    global phase) to ~1e-10.  At the degenerate points gamma ~ 0 or ~ pi
-    (within ``GAMMA_TIE_TOL``) only the sum beta + delta (resp. difference
-    beta - delta) is physical; the tie is broken by delta = 0 with the whole
-    z rotation folded into beta.
+    U / det(U)^{1/2} is in SU(2), and ``compose_zyz(extract_euler(U))``
+    equals it up to sign to ~1e-10, so it reproduces U up to a global phase.
+    beta, delta are in [0, 2*pi) and gamma in [0, pi].  At the degenerate
+    points gamma ~ 0 or ~ pi (within ``GAMMA_TIE_TOL``) only the sum
+    beta + delta (resp. difference beta - delta) is physical; the tie is
+    broken by delta = 0 with the whole z rotation folded into beta.
     """
     u = _check_unitary(u)
     # det(e^{i alpha} V) = e^{2 i alpha} for V in SU(2)
-    alpha = 0.5 * cmath.phase(np.linalg.det(u))
-    v = np.exp(-1j * alpha) * u
+    v = np.exp(-0.5j * cmath.phase(np.linalg.det(u))) * u
     # V = [[w - iz, -y - ix], [y - ix, w + iz]]
-    return _zyz_from_quaternion(
-        v[1, 1].real, -v[1, 0].imag, v[1, 0].real, v[1, 1].imag, alpha
-    )
+    return _zyz_from_quaternion(v[1, 1].real, -v[1, 0].imag, v[1, 0].real, v[1, 1].imag)
 
 
-def _zyz_from_quaternion(
-    w: float, x: float, y: float, z: float, alpha: float = 0.0
-) -> EulerAngles:
-    """Canonical ZYZ Euler angles of e^{i alpha} V, where V = w I - i (x X +
-    y Y + z Z) = [[w - iz, -y - ix], [y - ix, w + iz]] is the SU(2) image of
-    the quaternion (w, x, y, z); the rule behind ``extract_euler``.
+def _zyz_from_quaternion(w: float, x: float, y: float, z: float) -> EulerAngles:
+    """Canonical ZYZ Euler angles of V = w I - i (x X + y Y + z Z) =
+    [[w - iz, -y - ix], [y - ix, w + iz]], the SU(2) image of the quaternion
+    (w, x, y, z); the rule behind ``extract_euler``.
 
     V = R_z(beta) R_y(gamma) R_z(delta) gives w + iz = cos(gamma/2)
     e^{i (beta+delta)/2} and y - ix = sin(gamma/2) e^{i (beta-delta)/2}.
     Every angle is an atan2 of a ratio, so the quaternion need not be
-    normalized.
+    normalized.  These are ``_zyz_angles`` with beta and delta wrapped into
+    [0, 2*pi); each wrap may flip the sign, so the angles compose to +-V.
     """
     beta, gamma, delta = _zyz_angles(w, x, y, z)
-    # Wrap beta, delta into [0, 2*pi); each 2*pi shift flips the SU(2) sign.
-    flips = 0
-    bw = beta % TWO_PI
-    flips += round((beta - bw) / TWO_PI)
-    dw = delta % TWO_PI
-    flips += round((delta - dw) / TWO_PI)
-    alpha = (alpha + math.pi * (flips % 2)) % TWO_PI
-    return EulerAngles(bw, gamma, dw, global_phase=alpha)
+    return EulerAngles(beta % TWO_PI, gamma, delta % TWO_PI)
 
 
 def _zyz_angles(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:

@@ -152,7 +152,7 @@ def optimize_gate(
     starts = [x_seed]
     if multistart > 0:
         rng = np.random.default_rng(seed)
-        starts += [tuple(rng.uniform(0.0, TWO_PI, 3).tolist()) for _ in range(multistart)]
+        starts += [tuple(x) for x in rng.uniform(0.0, TWO_PI, (multistart, 3)).tolist()]
     best = None
     for i, x0 in enumerate(starts):
         f0, g0, h0 = at_seed if i == 0 else fg(x0)

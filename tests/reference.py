@@ -30,6 +30,19 @@ def angle_gap(a: float, b: float) -> float:
     return abs((a - b + math.pi) % (2 * math.pi) - math.pi)
 
 
+def same_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Whether a = e^{i theta} b elementwise within tol for some theta, the
+    phase read off the overlap tr(b^dag a)."""
+    overlap = np.trace(b.conj().T @ a)
+    return bool(np.abs(a - overlap / abs(overlap) * b).max() < tol)
+
+
+def sign_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest elementwise distance between a and +b or -b, whichever is
+    nearer: the distance of two SU(2) matrices up to their sign only."""
+    return float(min(np.abs(a - b).max(), np.abs(a + b).max()))
+
+
 def quaternion_unitary(w, x, y, z) -> np.ndarray:
     """V = w I - i (x X + y Y + z Z), the SU(2) image of the quaternion
     (w, x, y, z) under i, j, k -> -iX, -iY, -iZ."""

@@ -156,6 +156,9 @@ def test_optimize_explicit_angle_gate(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "improvement" in out
+    summary = json.loads((tmp_path / "optimize_summary.json").read_text())
+    assert summary["config"]["gate"] == [0.3, 1.2, 2.1]
+    assert len(summary["angles_opt"]) == 3
 
 
 # ---------------------------------------------------------------------- rb
@@ -307,7 +310,7 @@ def test_sweep_manifest_replay(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ("optimize", "--gate", "h", "--state", "1.047,0", "--device", "rome", "--qubit", "3"),
-    ("optimize", "--gate", "0.3,1.2,2.1,0.5", "--dist", "cap:0.5", "--lambda", "0.02"),
+    ("optimize", "--gate", "0.3,1.2,2.1", "--dist", "cap:0.5", "--lambda", "0.02"),
     RB_SMALL + ("--readout", "device", "--mitigate", "--shots", "500"),
     ("drift", "--lambda", "0.01", "--circuits", "2", "--gates", "12", "--depths", "4:12:4",
      "--k-grid", "1e-2:1e2:3log", "--seed", "3"),
@@ -394,7 +397,7 @@ CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
     [
         (PREP_SMALL, lambda doc: doc.__setitem__("config", [1, 2]), "config"),
         (PREP_SMALL, lambda doc: doc["config"].update(optimizer=None), "optimizer"),
-        (PREP_SMALL, lambda doc: doc["config"].update(multistart="5"), "multistart"),
+        (RB_SMALL, lambda doc: doc["config"].update(multistart="5"), "config.multistart"),
         (PREP_SMALL, lambda doc: doc["config"].update(targets_per_point="3"),
          "targets_per_point"),
         (RB_SMALL, lambda doc: doc["config"].update(track_noisy_state="false"),
@@ -406,13 +409,14 @@ CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
         (CAP_SMALL, lambda doc: doc["config"].update(dist={"kind": "cap"}), "theta_max"),
         (RB_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
         (PREP_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
-        (CAP_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
+        (CAP_SMALL, lambda doc: doc["config"]["gate"].append(1.0), "config.gate"),
         (PREP_SMALL, lambda doc: doc["config"].update(jobs=0), "config.jobs"),
     ],
     ids=["config-list", "optimizer-null", "multistart-string", "targets-string",
          "flag-string", "unknown-top-level-key", "unknown-noise-key",
          "lambda-string-beside-times", "multistart-negative", "cap-without-theta-max",
-         "rb-seed-negative", "sweep-seed-negative", "optimize-seed-negative", "jobs-zero"],
+         "rb-seed-negative", "sweep-seed-negative", "optimize-gate-four-angles",
+         "jobs-zero"],
 )
 def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, key):
     """A config value of the wrong JSON type replays as one error line that
@@ -472,12 +476,14 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), *args, "--seed", "-1")
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--seed: must be an int >= 0, got -1" in err and "cannot parse" not in err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args, flag", [
     (("optimize", "--gate", "q", "--state", "0,0", "--lambda", "0"), "--gate"),
+    (("optimize", "--gate", "0.3,1.2,2.1,1.0", "--state", "0,0", "--lambda", "0"), "--gate"),
     (RB_SMALL + ("--depths", "1:x:3"), "--depths"),
     (RB_SMALL + ("--shots", "many"), "--shots"),
     (("drift", "--lambda", "0.01", "--k-grid", "1:2:0"), "--k-grid"),
@@ -489,16 +495,19 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     (PREP_SMALL + ("--seed", "x"), "--seed"),
     (RB_SMALL + ("--multistart", "-1"), "--multistart"),
     (PREP_SMALL + ("--jobs", "0"), "--jobs"),
-], ids=["gate", "depths", "shots", "k-grid", "lambda-grid", "theta-max-grid", "state",
-        "dist", "readout", "seed", "multistart", "jobs"])
+], ids=["gate", "gate-four-angles", "depths", "shots", "k-grid", "lambda-grid",
+        "theta-max-grid", "state", "dist", "readout", "seed", "multistart", "jobs"])
 def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
     """A flag value that does not parse, or an int below the flag's minimum,
     is a usage error naming the flag, raised before anything runs or is
-    written."""
+    written.  Only the int that parses but is out of range (the multistart
+    and jobs cases) is not reported as "cannot parse"."""
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), *args)
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    assert ("cannot parse" in err) == (flag not in ("--multistart", "--jobs"))
     assert list(tmp_path.iterdir()) == []
 
 

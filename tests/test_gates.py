@@ -18,7 +18,7 @@ from noisy_euler import (
     validate_density_matrix,
 )
 from noisy_euler.gates import GAMMA_TIE_TOL, _zyz_from_quaternion
-from reference import angle_gap, quaternion_unitary
+from reference import angle_gap, quaternion_unitary, same_up_to_phase, sign_gap
 
 I2 = np.eye(2)
 
@@ -66,10 +66,9 @@ def test_x_basis_conjugation_turns_z_into_y():
 def test_native_form_equals_zyz_exactly():
     rng = np.random.default_rng(7)
     for _ in range(300):
-        ang = EulerAngles(*rng.uniform(-2 * math.pi, 2 * math.pi, 3),
-                          global_phase=rng.uniform(0, 2 * math.pi))
-        native = (cmath.exp(1j * ang.global_phase) * rz(ang.beta) @ rx(-0.5 * math.pi)
-                  @ rz(ang.gamma) @ rx(0.5 * math.pi) @ rz(ang.delta))
+        ang = EulerAngles(*rng.uniform(-2 * math.pi, 2 * math.pi, 3))
+        native = (rz(ang.beta) @ rx(-0.5 * math.pi) @ rz(ang.gamma)
+                  @ rx(0.5 * math.pi) @ rz(ang.delta))
         assert np.abs(native - compose_zyz(ang)).max() < 2e-15
 
 
@@ -78,17 +77,28 @@ def test_extract_euler_roundtrip_haar():
     for _ in range(500):
         u = haar_unitary(rng)
         ang = extract_euler(u)
-        assert np.abs(compose_zyz(ang) - u).max() < 1e-12
+        assert same_up_to_phase(compose_zyz(ang), u, 1e-12)
         assert 0.0 <= ang.beta < 2 * math.pi
         assert 0.0 <= ang.gamma <= math.pi
         assert 0.0 <= ang.delta < 2 * math.pi
-        assert 0.0 <= ang.global_phase < 2 * math.pi
+
+
+def test_extract_euler_ignores_global_phase():
+    """The angles carry no phase: e^{i theta} U has exactly the angles of U."""
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        u = haar_unitary(rng)
+        ang = extract_euler(u)
+        shifted = extract_euler(cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)) * u)
+        assert abs(shifted.gamma - ang.gamma) < 1e-12
+        assert angle_gap(shifted.beta, ang.beta) < 1e-12
+        assert angle_gap(shifted.delta, ang.delta) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_GATES))
 def test_extract_euler_roundtrip_named(name):
     u = named_gate(name)
-    assert np.abs(compose_zyz(extract_euler(u)) - u).max() < 1e-12
+    assert same_up_to_phase(compose_zyz(extract_euler(u)), u, 1e-12)
 
 
 def test_extract_euler_hadamard_angles():
@@ -104,7 +114,7 @@ def test_extract_euler_pure_z_rotation_ties(phi):
     ang = extract_euler(rz(phi))
     assert ang.gamma == 0.0
     assert ang.delta == 0.0
-    assert np.abs(compose_zyz(ang) - rz(phi)).max() < 1e-12
+    assert sign_gap(compose_zyz(ang), rz(phi)) < 1e-12
 
 
 def test_extract_euler_gamma_pi_tie():
@@ -136,26 +146,26 @@ def quaternion_cases():
 
 def test_quaternion_angles_match_extract_euler():
     """The closed-form ZYZ angles of a quaternion are the ones extract_euler
-    finds for its unitary: the same gamma, the same tie branch, the same
-    beta and delta, so both compose to the same unitary, global phase
-    included.  That is the quaternion's own unitary except inside the tie
-    bands, where both drop the off-diagonal or diagonal of size
-    <= GAMMA_TIE_TOL / 2."""
+    finds for its unitary times any phase: the same gamma, the same tie
+    branch, the same beta and delta, so both compose to the same SU(2)
+    matrix up to sign.  That is the quaternion's own unitary, up to sign,
+    except inside the tie bands, where both drop the off-diagonal or
+    diagonal of size <= GAMMA_TIE_TOL / 2."""
     worst_u = worst_angle = 0.0
     for w, x, y, z, alpha in quaternion_cases():
-        u = np.exp(1j * alpha) * quaternion_unitary(w, x, y, z)
-        fast, ref = _zyz_from_quaternion(w, x, y, z, alpha), extract_euler(u)
-        worst_u = max(worst_u, np.abs(compose_zyz(fast) - compose_zyz(ref)).max())
+        v = quaternion_unitary(w, x, y, z)
+        fast, ref = _zyz_from_quaternion(w, x, y, z), extract_euler(np.exp(1j * alpha) * v)
+        worst_u = max(worst_u, sign_gap(compose_zyz(fast), compose_zyz(ref)))
         tie = min(fast.gamma, math.pi - fast.gamma) <= GAMMA_TIE_TOL
-        assert np.abs(compose_zyz(fast) - u).max() < (GAMMA_TIE_TOL if tie else 1e-12)
+        assert sign_gap(compose_zyz(fast), v) < (GAMMA_TIE_TOL if tie else 1e-12)
         assert (fast.gamma <= GAMMA_TIE_TOL) == (ref.gamma <= GAMMA_TIE_TOL)
         assert (fast.gamma >= math.pi - GAMMA_TIE_TOL) == (ref.gamma >= math.pi - GAMMA_TIE_TOL)
         assert (fast.delta == 0.0) == (ref.delta == 0.0)
         worst_angle = max(
             worst_angle, abs(fast.gamma - ref.gamma), angle_gap(fast.beta, ref.beta),
-            angle_gap(fast.delta, ref.delta), angle_gap(fast.global_phase, ref.global_phase),
+            angle_gap(fast.delta, ref.delta),
         )
-        for a in (fast.beta, fast.delta, fast.global_phase):
+        for a in (fast.beta, fast.delta):
             assert 0.0 <= a < 2 * math.pi
         assert 0.0 <= fast.gamma <= math.pi
     assert worst_u < 1e-12
@@ -174,6 +184,10 @@ def test_euler_angles_require_finite():
         EulerAngles(math.nan, 0.0, 0.0)
     with pytest.raises(ValueError):
         EulerAngles(0.0, math.inf, 0.0)
+    with pytest.raises(ValueError):
+        EulerAngles(0.0, 0.0, -math.inf)
+    with pytest.raises(TypeError):  # three angles and no phase
+        EulerAngles(0.0, 0.0, 0.0, 1.0)
 
 
 def test_bloch_state_canonicalization():

@@ -215,14 +215,6 @@ def test_noiseless_gate_is_exact_unitary_action():
     assert np.abs(closed_form(ang, st, p) - expect).max() < 1e-14
 
 
-def test_global_phase_never_matters():
-    st = BlochState(1.2, 0.3)
-    p = NoiseParams.from_lambdas(0.1, 0.2)
-    a = EulerAngles(0.5, 1.0, 1.5, global_phase=0.0)
-    b = EulerAngles(0.5, 1.0, 1.5, global_phase=2.7)
-    assert np.abs(closed_form(a, st, p) - closed_form(b, st, p)).max() == 0.0
-
-
 def test_two_pi_shift_same_channel():
     # 2*pi shifts flip the SU(2) sign only; the channel output is unchanged
     st = BlochState(1.2, 5.3)

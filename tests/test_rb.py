@@ -25,7 +25,7 @@ from noisy_euler import (
 )
 from noisy_euler.gates import _hamilton, _zyz_from_quaternion
 from noisy_euler.optimize import GRADIENT_TOLERANCE
-from reference import angle_gap, quaternion_unitary
+from reference import angle_gap, quaternion_unitary, sign_gap
 
 ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
 
@@ -67,7 +67,7 @@ def test_sampled_gate_axis_and_angle_marginals():
     axis_z = np.empty(n)
     for i in range(n):
         ang = sample_random_gate(rng)
-        v = np.exp(-1j * ang.global_phase) * compose_zyz(ang)
+        v = compose_zyz(ang)  # +-V: the sign flip is the (omega, axis) flip below
         c = np.clip(v.trace().real / 2.0, -1.0, 1.0)
         omega = 2.0 * math.acos(c)  # in [0, 2 pi]
         s = math.sin(omega / 2.0)
@@ -100,9 +100,10 @@ def test_sampled_gate_image_of_zero_is_not_uniform():
 def test_quaternion_net_matches_unitary_product():
     """RB carries the net rotation of a circuit as the Hamilton product of
     its gates' quaternions.  Over a 246-gate stream that stays the product of
-    the gates' unitaries compose_zyz(gate) to 1e-12, sign included, and the
-    conjugate's angles are the ones extract_euler finds for the product's
-    adjoint, so the inverse gate is the same."""
+    the gates' SU(2) matrices compose_zyz(gate) to 1e-12 up to sign (each
+    gate's angles compose to +-its quaternion's matrix), and the conjugate's
+    angles are the ones extract_euler finds for the product's adjoint, so
+    the inverse gate is the same."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0, 0, 0])))
     net, product = (1.0, 0.0, 0.0, 0.0), np.eye(2, dtype=complex)
     worst_u = worst_angle = 0.0
@@ -110,7 +111,7 @@ def test_quaternion_net_matches_unitary_product():
         q = rb._sample_quaternion(rng)
         net = _hamilton(q, net)
         product = compose_zyz(_zyz_from_quaternion(*q)) @ product
-        worst_u = max(worst_u, np.abs(quaternion_unitary(*net) - product).max())
+        worst_u = max(worst_u, sign_gap(quaternion_unitary(*net), product))
         w, x, y, z = net
         inverse, ref = _zyz_from_quaternion(w, -x, -y, -z), extract_euler(product.conj().T)
         worst_angle = max(worst_angle, abs(inverse.gamma - ref.gamma),
