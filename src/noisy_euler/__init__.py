@@ -18,7 +18,6 @@ from .gates import (
     BlochState,
     EulerAngles,
     NAMED_GATES,
-    compose_zyz,
     extract_euler,
     named_gate,
     rx,
@@ -36,7 +35,6 @@ from .noise import (
 )
 from .objectives import (
     InitialStateDistribution,
-    fidelity,
     moment_objective,
 )
 from .optimize import (
@@ -64,7 +62,6 @@ from .rb import (
     fit_decay,
     run_drift_sweep,
     run_rb_experiment,
-    sample_random_gate,
 )
 from .experiments import (
     SweepConfig,
@@ -80,7 +77,6 @@ __all__ = [
     "BlochState",
     "EulerAngles",
     "NAMED_GATES",
-    "compose_zyz",
     "extract_euler",
     "named_gate",
     "rx",
@@ -94,7 +90,6 @@ __all__ = [
     "noisy_gate_stepwise",
     "phase_damping_kraus",
     "InitialStateDistribution",
-    "fidelity",
     "moment_objective",
     "OptimizationResult",
     "optimize_gate",
@@ -116,7 +111,6 @@ __all__ = [
     "fit_decay",
     "run_drift_sweep",
     "run_rb_experiment",
-    "sample_random_gate",
     "SweepConfig",
     "SweepResult",
     "SweepRow",

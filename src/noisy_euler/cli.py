@@ -137,7 +137,7 @@ def _grid(text: str) -> list[float]:
         count = count[:-3]
     start, stop, count = float(parts[0]), float(parts[1]), int(count)
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise argparse.ArgumentTypeError(f"count must be >= 1, got {count}")
     if log and (start <= 0 or stop <= 0):
         raise ValueError("log grids need positive endpoints")
     return [float(v) for v in (np.geomspace if log else np.linspace)(start, stop, count)]
@@ -212,7 +212,7 @@ def _resolve_noise(args) -> tuple[NoiseParams, tuple[float, float] | None]:
             parser.error("--lambda is mutually exclusive with --lambda-a/--lambda-p")
         return NoiseParams.from_lambda(args.lam), None
     if args.lambda_a is not None and args.lambda_p is not None:
-        return NoiseParams.from_lambdas(args.lambda_a, args.lambda_p), None
+        return NoiseParams(args.lambda_a, args.lambda_p), None
     parser.error(
         "specify the noise model: --device NAME --qubit N, or --lambda L, "
         "or both --lambda-a and --lambda-p"
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     rb_like = argparse.ArgumentParser(add_help=False, parents=[noise, jobs])
     rb_like.add_argument("--multistart", type=_int_at_least(0), default=0,
                          help="extra uniform-random starts beside the target seed")
-    rb_like.add_argument("--circuits", dest="n_circuits", type=int, default=10)
+    rb_like.add_argument("--circuits", dest="n_circuits", type=_int_at_least(1), default=10)
     rb_like.add_argument("--shots", type=_shots, default="inf",
                          help="shots per measurement, or 'inf'")
     rb_like.add_argument("--readout", type=_readout,
@@ -483,14 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     depths_help = "'start:stop:step' (stop inclusive) or comma list"
     sp = sub.add_parser("rb", parents=[rb_like], help="randomized-benchmarking simulation")
-    sp.add_argument("--gates", dest="n_gates", type=int, default=246)
+    sp.add_argument("--gates", dest="n_gates", type=_int_at_least(1), default=246)
     sp.add_argument("--depths", dest="depth_schedule", type=_depths, default="1:246:7",
                     help=depths_help)
     sp.add_argument("--k", dest="drift_factor", type=float, default=1.0,
                     help="coherence drift factor")
 
     sp = sub.add_parser("drift", parents=[rb_like], help="RB over a grid of drift factors")
-    sp.add_argument("--gates", dest="n_gates", type=int, default=300)
+    sp.add_argument("--gates", dest="n_gates", type=_int_at_least(1), default=300)
     sp.add_argument("--depths", dest="depth_schedule", type=_depths, default="100:300:100",
                     help=depths_help)
     sp.add_argument("--k-grid", type=_grid, default="1e-3:1e6:19log",
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="state-preparation improvement vs damping")
     sp.add_argument("--lambda-grid", type=_grid, default="0:0.1:100",
                     help="'start:stop:count[log]' or comma list")
-    sp.add_argument("--targets", dest="targets_per_point", type=int, default=100,
+    sp.add_argument("--targets", dest="targets_per_point", type=_int_at_least(1), default=100,
                     help="sampled targets per grid point")
 
     sp = sub.add_parser("knowledge", parents=[jobs],
@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-max-grid", type=_grid,
                     default=[float(v) for v in np.linspace(math.pi / 25.0, math.pi, 25)],
                     help="'start:stop:count[log]' or comma list (default: 25 caps up to pi)")
-    sp.add_argument("--targets", dest="targets_per_point", type=int, default=100,
+    sp.add_argument("--targets", dest="targets_per_point", type=_int_at_least(1), default=100,
                     help="sampled targets per grid cell")
 
     sp = sub.add_parser("validate", help="validate a device calibration file")

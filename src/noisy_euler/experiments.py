@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import BlochState, EulerAngles, _zyz_from_quaternion
+from .gates import EulerAngles, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams
 from .objectives import InitialStateDistribution, moment_objective
 from .optimize import optimize_gate
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     for t in range(cfg.targets_per_point):
         rng = np.random.default_rng([cfg.rng_seed, 0, li, t])
         z = rng.uniform(-1.0, 1.0)
-        phi = rng.uniform(0.0, TWO_PI)
+        phi = rng.uniform(0.0, math.tau)
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
         # |0> as a phase only, so delta stays at its seed 0.
         target = EulerAngles(phi, math.acos(z), 0.0)
@@ -124,9 +122,9 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
         target = _haar_gate(rng)
         res = optimize_gate(target, *moments, params)
         theta, phi = dist.sample(rng, 1)
-        # objectives.fidelity of both decompositions, from one point objective
-        n = BlochState(float(theta[0]), float(phi[0])).bloch_vector().tolist()
-        fg = moment_objective(target, n, [[a * b for b in n] for a in n], params)
+        # the fidelity of both decompositions on the sampled state
+        point = InitialStateDistribution.point(float(theta[0]), float(phi[0]))
+        fg = moment_objective(target, *point.moments(), params)
         f_opt, f_seed = (
             min(max(fg((a.beta, a.gamma, a.delta))[0], 0.0), 1.0) for a in (res.angles_opt, target)
         )

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 # Tie-break width for gamma ~ 0 or ~ pi in extract_euler, where the ZYZ
 # factorization degenerates and only beta + delta (or beta - delta) is defined.
 GAMMA_TIE_TOL = 1e-9
@@ -60,10 +58,10 @@ def rx(theta: float) -> np.ndarray:
 class EulerAngles:
     """ZYZ Euler angles (beta, gamma, delta) of R_z(beta) R_y(gamma) R_z(delta).
 
-    ``compose_zyz`` evaluates the angles at face value, so any real values are
-    meaningful; shifting an angle by 2*pi only flips the SU(2) sign, which no
-    density matrix sees.  ``extract_euler`` returns the canonical
-    representative with beta, delta in [0, 2*pi) and gamma in [0, pi].
+    The product is taken at face value, so any real values are meaningful;
+    shifting an angle by 2*pi only flips the SU(2) sign, which no density
+    matrix sees.  ``extract_euler`` returns the canonical representative with
+    beta, delta in [0, 2*pi) and gamma in [0, pi].
     """
 
     beta: float
@@ -87,13 +85,13 @@ class BlochState:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("BlochState angles must be finite")
-        theta = self.theta % TWO_PI
+        theta = self.theta % math.tau
         phi = self.phi
         if theta > math.pi:
-            theta = TWO_PI - theta
+            theta = math.tau - theta
             phi += math.pi
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi % TWO_PI)
+        object.__setattr__(self, "phi", phi % math.tau)
 
     def bloch_vector(self) -> np.ndarray:
         """n = (sin theta cos phi, sin theta sin phi, cos theta)."""
@@ -101,18 +99,6 @@ class BlochState:
         return np.array(
             [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
         )
-
-
-def compose_zyz(angles: EulerAngles) -> np.ndarray:
-    """R_z(beta) R_y(gamma) R_z(delta) evaluated at face value, in SU(2)."""
-    b, g, d = angles.beta, angles.gamma, angles.delta
-    c, s = math.cos(0.5 * g), math.sin(0.5 * g)
-    return np.array(
-        [
-            [cmath.exp(-0.5j * (b + d)) * c, -cmath.exp(-0.5j * (b - d)) * s],
-            [cmath.exp(0.5j * (b - d)) * s, cmath.exp(0.5j * (b + d)) * c],
-        ]
-    )
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -127,8 +113,9 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 def extract_euler(u: np.ndarray) -> EulerAngles:
     """Canonical ZYZ Euler angles of a 2x2 unitary U.
 
-    U / det(U)^{1/2} is in SU(2), and ``compose_zyz(extract_euler(U))``
-    equals it up to sign to ~1e-10, so it reproduces U up to a global phase.
+    U / det(U)^{1/2} is in SU(2), and R_z(beta) R_y(gamma) R_z(delta) at the
+    returned angles equals it up to sign to ~1e-10, so it reproduces U up to
+    a global phase.
     beta, delta are in [0, 2*pi) and gamma in [0, pi].  At the degenerate
     points gamma ~ 0 or ~ pi (within ``GAMMA_TIE_TOL``) only the sum
     beta + delta (resp. difference beta - delta) is physical; the tie is
@@ -153,7 +140,7 @@ def _zyz_from_quaternion(w: float, x: float, y: float, z: float) -> EulerAngles:
     [0, 2*pi); each wrap may flip the sign, so the angles compose to +-V.
     """
     beta, gamma, delta = _zyz_angles(w, x, y, z)
-    return EulerAngles(beta % TWO_PI, gamma, delta % TWO_PI)
+    return EulerAngles(beta % math.tau, gamma, delta % math.tau)
 
 
 def _zyz_angles(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:

@@ -69,7 +69,8 @@ def damping_probabilities(t1: float, t2: float, t_star: float) -> tuple[float, f
 @dataclass(frozen=True)
 class NoiseParams:
     """Per-pulse damping probabilities, optionally carrying the times that
-    produced them.  Construct via ``from_times`` or ``from_lambdas``."""
+    produced them.  Construct as ``NoiseParams(lambda_a, lambda_p)`` or via
+    ``from_times``."""
 
     lambda_a: float
     lambda_p: float
@@ -98,10 +99,6 @@ class NoiseParams:
         return cls(la, lp, t1=t1, t2=t2, t_star=t_star)
 
     @classmethod
-    def from_lambdas(cls, lambda_a: float, lambda_p: float) -> "NoiseParams":
-        return cls(lambda_a, lambda_p)
-
-    @classmethod
     def from_lambda(cls, lam: float) -> "NoiseParams":
         """Equal amplitude and phase damping probability."""
         return cls(lam, lam)
@@ -119,7 +116,7 @@ class NoiseParams:
             return NoiseParams.from_times(self.t1 / k, self.t2 / k, self.t_star)
         la = -math.expm1(k * math.log1p(-self.lambda_a))
         lp = -math.expm1(k * math.log1p(-self.lambda_p))
-        return NoiseParams.from_lambdas(la, lp)
+        return NoiseParams(la, lp)
 
 
 def amplitude_damping_kraus(lambda_a: float) -> list[np.ndarray]:

@@ -1,7 +1,7 @@
-"""Fidelity objectives for noise-aware gate decomposition.
+"""Fidelity objective for noise-aware gate decomposition.
 
-``fidelity`` scores a trial decomposition (beta, gamma, delta) against a
-target unitary for one known pure input state: the overlap between the target
+The fidelity of a trial decomposition (beta, gamma, delta) of a target
+unitary, for one known pure input state, is the overlap between the target
 output state and the noisy output of the trial decomposition.
 
 The noisy gate is the affine Bloch-vector map n -> A n + t and the target a
@@ -14,7 +14,8 @@ its moments m1 = E[n] and m2 = E[n n^T]:
 ``moment_objective`` evaluates this exactly, with its analytic gradient and
 Hessian in the trial angles; every objective in the package is a case of it,
 and the average over a distribution ``dist`` is
-``moment_objective(target, *dist.moments(), params)``.
+``moment_objective(target, *dist.moments(), params)``; for one known state
+``dist`` is ``InitialStateDistribution.point(theta, phi)``.
 
 Input-state distributions come in two kinds:
 
@@ -35,8 +36,6 @@ import numpy as np
 
 from .gates import BlochState, EulerAngles
 from .noise import NoiseParams, _apply, _pulse_pair
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class InitialStateDistribution:
             return np.full(n, self.theta), np.full(n, self.phi)
         u = rng.uniform(0.0, 1.0, n)
         theta = np.arccos(1.0 - u * (1.0 - math.cos(self.theta_max)))
-        phi = rng.uniform(0.0, TWO_PI, n)
+        phi = rng.uniform(0.0, math.tau, n)
         return theta, phi
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +111,7 @@ def moment_objective(
     x = (beta, gamma, delta): F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2), its
     gradient as a 3-tuple and its symmetric Hessian as a 3-tuple of rows, all
     plain floats.  F is not clamped: rounding can put it a few ulp outside
-    [0, 1], which ``fidelity`` and ``optimize_gate`` clamp when they report it.
+    [0, 1], which ``optimize_gate`` clamps when it reports it.
     R is the target's rotation.  With the trial map A = Rz(beta) K Rz(delta),
     t = Rz(beta) t0 (``noise._pulse_pair``) the quadratic term is <K, W>,
     W = Rz(-beta) (R m2) Rz(-delta), and both derivatives follow from
@@ -158,22 +157,3 @@ def moment_objective(
         return f, g, ((h_bb, h_bg, h_bd), (h_bg, h_gg, h_gd), (h_bd, h_gd, h_dd))
 
     return fg
-
-
-def fidelity(
-    target: EulerAngles,
-    trial: EulerAngles,
-    state: BlochState,
-    params: NoiseParams,
-) -> float:
-    """Overlap of the noisy trial output with the noiseless target output.
-
-    F = <psi_t| rho_trial |psi_t> with |psi_t> = U(target) |psi(state)> and
-    rho_trial the noisy output of the trial decomposition.  Always lies in
-    [0, 1] (floating-point overshoot is clamped).
-    """
-    n = state.bloch_vector().tolist()
-    x = (trial.beta, trial.gamma, trial.delta)
-    f = moment_objective(target, n, [[a * b for b in n] for a in n], params)(x)[0]
-    return min(max(f, 0.0), 1.0)
-

@@ -47,8 +47,6 @@ from .gates import EulerAngles, _hamilton, _zyz_angles
 from .noise import NoiseParams, _apply
 from .objectives import moment_objective
 
-TWO_PI = 2.0 * math.pi
-
 # The Newton search's constants: the max|g| at which it has converged and its
 # step budget; the Armijo sufficient-increase factor; the least shift mu of -H
 # tried when -H is not positive definite, small so that near a saddle mu lands
@@ -152,7 +150,7 @@ def optimize_gate(
     starts = [x_seed]
     if multistart > 0:
         rng = np.random.default_rng(seed)
-        starts += [tuple(x) for x in rng.uniform(0.0, TWO_PI, (multistart, 3)).tolist()]
+        starts += [tuple(x) for x in rng.uniform(0.0, math.tau, (multistart, 3)).tolist()]
     best = None
     for i, x0 in enumerate(starts):
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
@@ -171,7 +169,7 @@ def optimize_gate(
         best = (x_seed, f_seed, 0, True)
     x, f, iterations, converged = best
     return OptimizationResult(
-        angles_opt=EulerAngles(x[0] % TWO_PI, x[1] % TWO_PI, x[2] % TWO_PI),
+        angles_opt=EulerAngles(x[0] % math.tau, x[1] % math.tau, x[2] % math.tau),
         objective_value=min(max(f, 0.0), 1.0),
         objective_at_target_angles=min(max(f_seed, 0.0), 1.0),
         iterations=iterations,

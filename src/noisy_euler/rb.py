@@ -45,8 +45,6 @@ from .io import parallel_map
 from .noise import NoiseParams, _apply
 from .optimize import optimize_gate
 
-TWO_PI = 2.0 * math.pi
-
 ARMS = ("unopt", "opt")
 
 # RB's seed-skip rule: a per-gate start whose max|g| is within this tolerance
@@ -162,17 +160,12 @@ def _sample_quaternion(rng: np.random.Generator) -> tuple[float, float, float, f
     uniform on [0, 2 pi) about an axis n uniform on the sphere (z uniform on
     [-1, 1], azimuth uniform)."""
     z = rng.uniform(-1.0, 1.0)
-    azimuth = rng.uniform(0.0, TWO_PI)
-    angle = rng.uniform(0.0, TWO_PI)
+    azimuth = rng.uniform(0.0, math.tau)
+    angle = rng.uniform(0.0, math.tau)
     s = math.sqrt(max(0.0, 1.0 - z * z))
     nx, ny = s * math.cos(azimuth), s * math.sin(azimuth)
     h = math.sin(0.5 * angle)
     return math.cos(0.5 * angle), h * nx, h * ny, h * z
-
-
-def sample_random_gate(rng: np.random.Generator) -> EulerAngles:
-    """Random rotation: uniform axis, uniform angle, as Euler angles."""
-    return _zyz_from_quaternion(*_sample_quaternion(rng))
 
 
 def _measure(p0: float, cfg: RbConfig, rng: np.random.Generator) -> float:

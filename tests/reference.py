@@ -25,6 +25,29 @@ def projector(state) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def zyz_unitary(angles) -> np.ndarray:
+    """R_z(beta) R_y(gamma) R_z(delta) of EulerAngles, in SU(2), multiplied
+    out entry by entry from R_z(phi) = diag(e^{-i phi/2}, e^{i phi/2}) and
+    R_y(gamma) = [[cos(gamma/2), -sin(gamma/2)], [sin(gamma/2), cos(gamma/2)]]."""
+    b, g, d = angles.beta, angles.gamma, angles.delta
+    c, s = math.cos(0.5 * g), math.sin(0.5 * g)
+    return np.array([
+        [cmath.exp(-0.5j * (b + d)) * c, -cmath.exp(-0.5j * (b - d)) * s],
+        [cmath.exp(0.5j * (b - d)) * s, cmath.exp(0.5j * (b + d)) * c],
+    ])
+
+
+def point_fidelity(target, trial, state, params) -> float:
+    """<psi_t| rho_trial |psi_t> for the pure input |psi> of a BlochState:
+    |psi_t> = U(target) |psi>, and rho_trial the noisy output of the trial
+    angles from the pulse-by-pulse Kraus channel ``noisy_gate_stepwise``."""
+    from noisy_euler import noisy_gate_stepwise
+
+    psi_t = zyz_unitary(target) @ state_vector(state)
+    rho = noisy_gate_stepwise(trial, projector(state), params)
+    return float(np.real(psi_t.conj() @ rho @ psi_t))
+
+
 def angle_gap(a: float, b: float) -> float:
     """Distance between two angles modulo 2 pi."""
     return abs((a - b + math.pi) % (2 * math.pi) - math.pi)
@@ -84,11 +107,11 @@ def circle_optimum(target, r, params, points: int = 64) -> float:
     """
     from scipy import optimize as sciopt
 
-    from noisy_euler import compose_zyz, extract_euler, moment_objective
+    from noisy_euler import extract_euler, moment_objective
 
     r = np.asarray(r, dtype=float)
     fg = moment_objective(target, r, np.outer(r, r), params)
-    u = compose_zyz(target)
+    u = zyz_unitary(target)
     out = u @ bloch_density(r) @ u.conj().T
     m = np.array([2.0 * out[1, 0].real, 2.0 * out[1, 0].imag, (out[0, 0] - out[1, 1]).real])
     m /= np.linalg.norm(m)

@@ -62,7 +62,7 @@ def test_01_closed_form_matches_stepwise_channel():
             math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * np.pi)
         )
         la, lp = rng.uniform(0.0, 0.3, size=2)
-        params = NoiseParams.from_lambdas(la, lp)
+        params = NoiseParams(la, lp)
         closed = bloch_density(_apply(angles.beta, angles.gamma, angles.delta,
                                       params.lambda_a, params.lambda_p,
                                       state.bloch_vector()))
@@ -95,7 +95,7 @@ def test_03_calibration_signal_peaks_at_quarter_turn():
     worst = 0.0
     for _ in range(100):
         la, lp = rng.uniform(0.0, 0.3, size=2)
-        params = NoiseParams.from_lambdas(la, lp)
+        params = NoiseParams(la, lp)
         vals = [calibration_signal(a, params) for a in grid]
         best = grid[int(np.argmax(vals))]
         worst = max(worst, min(abs(best - np.pi / 2), abs(best + np.pi / 2)))

@@ -495,19 +495,26 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     (PREP_SMALL + ("--seed", "x"), "--seed"),
     (RB_SMALL + ("--multistart", "-1"), "--multistart"),
     (PREP_SMALL + ("--jobs", "0"), "--jobs"),
+    (RB_SMALL + ("--circuits", "0"), "--circuits"),
+    (RB_SMALL + ("--gates", "0"), "--gates"),
+    (PREP_SMALL + ("--targets", "0"), "--targets"),
 ], ids=["gate", "gate-four-angles", "depths", "shots", "k-grid", "lambda-grid",
-        "theta-max-grid", "state", "dist", "readout", "seed", "multistart", "jobs"])
+        "theta-max-grid", "state", "dist", "readout", "seed", "multistart", "jobs",
+        "circuits", "gates", "targets"])
 def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
-    """A flag value that does not parse, or an int below the flag's minimum,
+    """A flag value that does not parse, or a count below the flag's minimum,
     is a usage error naming the flag, raised before anything runs or is
-    written.  Only the int that parses but is out of range (the multistart
-    and jobs cases) is not reported as "cannot parse"."""
+    written.  A value that parses but is out of range (the grid counts of 0
+    and the int flags below their minimum) is not reported as "cannot
+    parse"."""
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), *args)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err
-    assert ("cannot parse" in err) == (flag not in ("--multistart", "--jobs"))
+    out_of_range = ("--k-grid", "--lambda-grid", "--multistart", "--jobs", "--circuits",
+                    "--gates", "--targets")
+    assert ("cannot parse" in err) == (flag not in out_of_range)
     assert list(tmp_path.iterdir()) == []
 
 

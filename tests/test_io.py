@@ -85,7 +85,7 @@ ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
     "obj",
     [
         ROME_Q3,
-        NoiseParams.from_lambdas(0.02, 0.01),
+        NoiseParams(0.02, 0.01),
         RbConfig(noise=ROME_Q3, multistart=2, rng_seed=9),
         RbConfig(noise=ROME_Q3, n_circuits=2, n_gates=12, depth_schedule=(1, 5, 9),
                  shots=100, drift_factor=2.0, readout=(0.02, 0.05), mitigate=True),

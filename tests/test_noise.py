@@ -13,7 +13,6 @@ from noisy_euler import (
     NoiseParams,
     amplitude_damping_kraus,
     apply_channel_kraus,
-    compose_zyz,
     damping_probabilities,
     noisy_gate_stepwise,
     phase_damping_kraus,
@@ -21,7 +20,7 @@ from noisy_euler import (
     validate_density_matrix,
 )
 from noisy_euler.noise import _apply
-from reference import bloch_density, calibration_signal, projector
+from reference import bloch_density, calibration_signal, projector, zyz_unitary
 
 
 def closed_form(ang, st, p):
@@ -68,7 +67,7 @@ def test_damping_probabilities_validation():
 def test_noise_params_constructors_agree():
     t1, t2, ts = 46.4e-6, 105e-6, 35.6e-9
     a = NoiseParams.from_times(t1, t2, ts)
-    b = NoiseParams.from_lambdas(a.lambda_a, a.lambda_p)
+    b = NoiseParams(a.lambda_a, a.lambda_p)
     assert a.lambda_a == b.lambda_a and a.lambda_p == b.lambda_p
     c = NoiseParams.from_lambda(0.05)
     assert c.lambda_a == 0.05 and c.lambda_p == 0.05
@@ -76,9 +75,9 @@ def test_noise_params_constructors_agree():
 
 def test_noise_params_validation():
     with pytest.raises(ValueError):
-        NoiseParams.from_lambdas(-0.1, 0.0)
+        NoiseParams(-0.1, 0.0)
     with pytest.raises(ValueError):
-        NoiseParams.from_lambdas(0.0, 1.5)
+        NoiseParams(0.0, 1.5)
 
 
 def test_noise_params_times_must_produce_lambdas():
@@ -135,7 +134,7 @@ def test_channel_kraus_order_irrelevant():
     # amplitude and phase damping commute, so the composition order is moot
     rng = np.random.default_rng(4)
     rho = random_density(rng)
-    p = NoiseParams.from_lambdas(0.3, 0.6)
+    p = NoiseParams(0.3, 0.6)
     amp = lambda r: sum(k @ r @ k.conj().T for k in amplitude_damping_kraus(0.3))
     php = lambda r: sum(k @ r @ k.conj().T for k in phase_damping_kraus(0.6))
     assert np.abs(amp(php(rho)) - php(amp(rho))).max() < 1e-15
@@ -146,13 +145,13 @@ def test_channel_preserves_density_matrices():
     rng = np.random.default_rng(6)
     for _ in range(100):
         rho = random_density(rng)
-        p = NoiseParams.from_lambdas(rng.uniform(0, 1), rng.uniform(0, 1))
+        p = NoiseParams(rng.uniform(0, 1), rng.uniform(0, 1))
         validate_density_matrix(apply_channel_kraus(rho, p))
 
 
 def test_channel_fixed_point_is_ground_state():
     rho = np.diag([1.0, 0.0]).astype(complex)
-    p = NoiseParams.from_lambdas(0.4, 0.7)
+    p = NoiseParams(0.4, 0.7)
     assert np.abs(apply_channel_kraus(rho, p) - rho).max() == 0.0
 
 
@@ -166,7 +165,7 @@ def test_channel_identity_at_zero_noise():
 def test_channel_full_amplitude_damping_resets():
     rng = np.random.default_rng(10)
     rho = random_density(rng)
-    out = apply_channel_kraus(rho, NoiseParams.from_lambdas(1.0 - 1e-15, 0.0))
+    out = apply_channel_kraus(rho, NoiseParams(1.0 - 1e-15, 0.0))
     assert abs(out[0, 0].real - 1.0) < 1e-14
 
 
@@ -178,7 +177,7 @@ def test_closed_form_matches_stepwise_bulk():
     for _ in range(2000):
         ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
         st = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        p = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        p = NoiseParams(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
         closed = closed_form(ang, st, p)
         step = noisy_gate_stepwise(ang, projector(st), p)
         worst = max(worst, np.abs(closed - step).max())
@@ -190,7 +189,7 @@ def test_closed_form_extreme_lambdas():
     for la, lp in [(0.0, 0.0), (0.999, 0.999), (1e-9, 0.5), (0.5, 1e-9)]:
         ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
         st = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        p = NoiseParams.from_lambdas(la, lp)
+        p = NoiseParams(la, lp)
         closed = closed_form(ang, st, p)
         step = noisy_gate_stepwise(ang, projector(st), p)
         assert np.abs(closed - step).max() < 1e-12
@@ -201,7 +200,7 @@ def test_closed_form_output_is_density_matrix():
     for _ in range(100):
         ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
         st = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        p = NoiseParams.from_lambdas(rng.uniform(0, 1), rng.uniform(0, 1))
+        p = NoiseParams(rng.uniform(0, 1), rng.uniform(0, 1))
         validate_density_matrix(closed_form(ang, st, p))
 
 
@@ -210,7 +209,7 @@ def test_noiseless_gate_is_exact_unitary_action():
     ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
     st = BlochState(0.9, 0.4)
     p = NoiseParams.from_lambda(0.0)
-    u, rho = compose_zyz(ang), projector(st)
+    u, rho = zyz_unitary(ang), projector(st)
     expect = u @ rho @ u.conj().T
     assert np.abs(closed_form(ang, st, p) - expect).max() < 1e-14
 
@@ -218,7 +217,7 @@ def test_noiseless_gate_is_exact_unitary_action():
 def test_two_pi_shift_same_channel():
     # 2*pi shifts flip the SU(2) sign only; the channel output is unchanged
     st = BlochState(1.2, 5.3)
-    p = NoiseParams.from_lambdas(0.05, 0.02)
+    p = NoiseParams(0.05, 0.02)
     a = EulerAngles(0.5, 1.0, 1.5)
     b = EulerAngles(0.5 + 2 * math.pi, 1.0, 1.5 - 2 * math.pi)
     assert np.abs(closed_form(a, st, p) - closed_form(b, st, p)).max() < 1e-15
@@ -232,7 +231,7 @@ def test_calibration_fidelity_oracle_pulse_simulation():
     rng = np.random.default_rng(20)
     minus_y = np.array([1.0, -1j]) / math.sqrt(2)
     for _ in range(50):
-        p = NoiseParams.from_lambdas(rng.uniform(0, 0.5), rng.uniform(0, 0.5))
+        p = NoiseParams(rng.uniform(0, 0.5), rng.uniform(0, 0.5))
         alpha = rng.uniform(-math.pi, math.pi)
         rho = np.diag([1.0, 0.0]).astype(complex)
         rho = apply_channel_kraus(rx(alpha) @ rho @ rx(alpha).conj().T, p)
@@ -242,7 +241,7 @@ def test_calibration_fidelity_oracle_pulse_simulation():
 
 def test_calibration_fidelity_argmax_at_half_pi():
     for la, lp in [(0.01, 0.02), (0.3, 0.1), (0.0, 0.0)]:
-        p = NoiseParams.from_lambdas(la, lp)
+        p = NoiseParams(la, lp)
         grid = np.arange(-math.pi, math.pi, 1e-3)
         vals = np.array([calibration_signal(a, p) for a in grid])
         assert abs(grid[np.argmax(vals)] - math.pi / 2) <= 1e-3

@@ -1,5 +1,5 @@
-"""Unit tests for fidelity objectives, input-state distributions and the
-exact moment objective behind expected fidelities and their gradients."""
+"""Unit tests for the exact moment objective behind point and expected
+fidelities, its gradients, and input-state distributions."""
 
 import math
 
@@ -13,14 +13,12 @@ from noisy_euler import (
     InitialStateDistribution,
     LAMBDA_MAX,
     NoiseParams,
-    compose_zyz,
     extract_euler,
-    fidelity,
     moment_objective,
     named_gate,
     noisy_gate_stepwise,
 )
-from reference import cap_density, projector, state_vector
+from reference import cap_density, point_fidelity, projector, state_vector, zyz_unitary
 
 HADAMARD = extract_euler(named_gate("h"))
 
@@ -36,6 +34,12 @@ def averaged(target, trial, dist, params):
     return fg((trial.beta, trial.gamma, trial.delta))
 
 
+def point_objective(target, trial, state, params) -> float:
+    """F of the trial angles for the one known input ``state``."""
+    dist = InitialStateDistribution.point(state.theta, state.phi)
+    return averaged(target, trial, dist, params)[0]
+
+
 def random_state(rng):
     return BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
 
@@ -49,11 +53,9 @@ def test_fidelity_matches_stepwise_oracle():
     for _ in range(300):
         target, trial = random_angles(rng), random_angles(rng)
         state = random_state(rng)
-        params = NoiseParams.from_lambdas(rng.uniform(0, 0.5), rng.uniform(0, 0.5))
-        psi_t = compose_zyz(target) @ state_vector(state)
-        rho = noisy_gate_stepwise(trial, projector(state), params)
-        oracle = float(np.real(psi_t.conj() @ rho @ psi_t))
-        assert abs(fidelity(target, trial, state, params) - oracle) < 1e-13
+        params = NoiseParams(rng.uniform(0, 0.5), rng.uniform(0, 0.5))
+        oracle = point_fidelity(target, trial, state, params)
+        assert abs(point_objective(target, trial, state, params) - oracle) < 1e-13
 
 
 def test_fidelity_bounds_and_perfect_case():
@@ -61,12 +63,12 @@ def test_fidelity_bounds_and_perfect_case():
     for _ in range(200):
         target, trial = random_angles(rng), random_angles(rng)
         state = random_state(rng)
-        params = NoiseParams.from_lambdas(rng.uniform(0, 1), rng.uniform(0, 1))
-        f = fidelity(target, trial, state, params)
+        params = NoiseParams(rng.uniform(0, 1), rng.uniform(0, 1))
+        f = point_objective(target, trial, state, params)
         assert 0.0 <= f <= 1.0
     noiseless = NoiseParams.from_lambda(0.0)
     target = random_angles(rng)
-    assert fidelity(target, target, random_state(rng), noiseless) > 1.0 - 1e-14
+    assert point_objective(target, target, random_state(rng), noiseless) > 1.0 - 1e-14
 
 
 def test_fidelity_orthogonal_target_is_zero():
@@ -74,7 +76,7 @@ def test_fidelity_orthogonal_target_is_zero():
     identity = EulerAngles(0.0, 0.0, 0.0)
     x_gate = extract_euler(named_gate("x"))
     # acting on |0>: identity keeps |0>, X reaches |1>
-    assert fidelity(x_gate, identity, BlochState(0.0, 0.0), noiseless) < 1e-14
+    assert point_objective(x_gate, identity, BlochState(0.0, 0.0), noiseless) < 1e-14
 
 
 # Preparing the state (theta, phi) from |0> scores the trial (beta, gamma, 0)
@@ -87,12 +89,12 @@ def test_prep_fidelity_matches_state_route():
     for _ in range(100):
         target = random_state(rng)
         beta, gamma = rng.uniform(-math.pi, math.pi, 2)
-        params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        params = NoiseParams(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
         trial = EulerAngles(beta, gamma, 0.0)
         rho = noisy_gate_stepwise(trial, projector(GROUND), params)
         psi = state_vector(target)
         oracle = float(np.real(psi.conj() @ rho @ psi))
-        prep = fidelity(EulerAngles(target.phi, target.theta, 0.0), trial, GROUND, params)
+        prep = point_objective(EulerAngles(target.phi, target.theta, 0.0), trial, GROUND, params)
         assert abs(prep - oracle) < 1e-13
 
 
@@ -102,7 +104,7 @@ def test_prep_fidelity_noiseless_seed_is_one():
     for _ in range(50):
         t = random_state(rng)
         seed = EulerAngles(t.phi, t.theta, 0.0)
-        assert fidelity(seed, seed, GROUND, p0) > 1.0 - 1e-13
+        assert point_objective(seed, seed, GROUND, p0) > 1.0 - 1e-13
 
 
 # ----------------------------------------------------------- distributions
@@ -186,15 +188,17 @@ def test_point_sampling_is_constant():
 # ------------------------------------------------------- expected fidelity
 
 def test_point_expected_fidelity_equals_fidelity():
+    """A point distribution's moments are the pure state's (n, n n^T)."""
     rng = np.random.default_rng(14)
     for _ in range(50):
         target, trial = random_angles(rng), random_angles(rng)
         state = random_state(rng)
-        params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
-        dist = InitialStateDistribution.point(state.theta, state.phi)
-        assert averaged(target, trial, dist, params)[0] == fidelity(
-            target, trial, state, params
-        )
+        params = NoiseParams(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        n = state.bloch_vector()
+        fg = moment_objective(target, n, np.outer(n, n), params)
+        assert point_objective(target, trial, state, params) == fg(
+            (trial.beta, trial.gamma, trial.delta)
+        )[0]
 
 
 @pytest.mark.parametrize("dist", [
@@ -204,10 +208,10 @@ def test_point_expected_fidelity_equals_fidelity():
 def test_expected_fidelity_matches_scipy_dblquad(dist):
     rng = np.random.default_rng(16)
     target, trial = random_angles(rng), random_angles(rng)
-    params = NoiseParams.from_lambdas(0.08, 0.03)
+    params = NoiseParams(0.08, 0.03)
 
     def integrand(phi, theta):
-        f = fidelity(target, trial, BlochState(theta, phi), params)
+        f = point_objective(target, trial, BlochState(theta, phi), params)
         return f * cap_density(dist.theta_max, theta)
 
     ref, err = integrate.dblquad(
@@ -228,11 +232,11 @@ def test_sampled_average_agrees_with_exact_moments(dist):
     ``dist.sample`` estimates the exact moment-form value."""
     rng = np.random.default_rng(18)
     target, trial = random_angles(rng), random_angles(rng)
-    params = NoiseParams.from_lambdas(0.08, 0.03)
+    params = NoiseParams(0.08, 0.03)
     exact = averaged(target, trial, dist, params)[0]
     theta, phi = dist.sample(rng, 20000)
     vals = np.array([
-        fidelity(target, trial, BlochState(t, p), params) for t, p in zip(theta, phi)
+        point_objective(target, trial, BlochState(t, p), params) for t, p in zip(theta, phi)
     ])
     sigma = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) < 5.0 * sigma
@@ -258,11 +262,11 @@ def test_mixed_input_objective_matches_stepwise_channel():
     for lam in (0.0, 0.05, 0.5, LAMBDA_MAX):
         for _ in range(50):
             target, trial = random_angles(rng), random_angles(rng)
-            params = NoiseParams.from_lambdas(lam, rng.uniform(0.0, 1.0))
+            params = NoiseParams(lam, rng.uniform(0.0, 1.0))
             r = rng.normal(size=3)
             r *= rng.uniform(0.0, 1.0) / np.linalg.norm(r)
             rho = 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]])
-            u = compose_zyz(target)
+            u = zyz_unitary(target)
             sigma = u @ rho @ u.conj().T
             oracle = float(np.real(np.trace(sigma @ noisy_gate_stepwise(trial, rho, params))))
             fg = moment_objective(target, r, np.outer(r, r), params)
@@ -309,7 +313,7 @@ def test_analytic_gradient_matches_fourth_order_difference(kind):
     h = 1e-3
     for _ in range(20):
         target, trial = random_angles(rng), random_angles(rng)
-        params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        params = NoiseParams(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
         target, trial, m1, m2 = _moments(kind, rng, target, trial)
         fg = moment_objective(target, m1, m2, params)
         x = np.array([trial.beta, trial.gamma, trial.delta])
@@ -333,7 +337,7 @@ def test_analytic_hessian_matches_fourth_order_difference(kind):
     h = 1e-3
     for _ in range(20):
         target, trial = random_angles(rng), random_angles(rng)
-        params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        params = NoiseParams(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
         target, trial, m1, m2 = _moments(kind, rng, target, trial)
         fg = moment_objective(target, m1, m2, params)
         x = np.array([trial.beta, trial.gamma, trial.delta])
@@ -376,7 +380,7 @@ def test_gradient_matches_coarse_finite_difference():
 
 def test_gradient_point_distribution():
     """The averaged gradient for a point input against a 4th-order
-    central difference of the public ``fidelity``."""
+    central difference of the stepwise Kraus oracle's fidelity."""
     rng = np.random.default_rng(22)
     target, trial = random_angles(rng), random_angles(rng)
     state = random_state(rng)
@@ -390,7 +394,7 @@ def test_gradient_point_distribution():
         step[i] = h
 
         def f(k):
-            return fidelity(target, EulerAngles(*(x + k * step)), state, params)
+            return point_fidelity(target, EulerAngles(*(x + k * step)), state, params)
 
         ref = (8 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12 * h)
         assert abs(grad[i] - ref) < 1e-10

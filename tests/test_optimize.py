@@ -14,18 +14,17 @@ from noisy_euler import (
     RbConfig,
     SweepConfig,
     bundled_device,
-    compose_zyz,
     extract_euler,
-    fidelity,
     moment_objective,
     named_gate,
     noise_params_for,
     noisy_gate_stepwise,
     optimize_gate,
-    sample_random_gate,
 )
 from noisy_euler import optimize
-from reference import circle_optimum
+from noisy_euler.gates import _zyz_from_quaternion
+from noisy_euler.rb import _sample_quaternion
+from reference import circle_optimum, zyz_unitary
 
 IDENTITY = EulerAngles(0.0, 0.0, 0.0)
 PLUS = InitialStateDistribution.point(math.pi / 2, 0.0).moments()
@@ -67,7 +66,7 @@ def test_never_worse_than_seed():
         dist = InitialStateDistribution.point(
             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         )
-        params = NoiseParams.from_lambdas(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        params = NoiseParams(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
         res = optimize_gate(target, *dist.moments(), params)
         assert res.objective_value >= res.objective_at_target_angles
         assert res.improvement >= 0.0
@@ -83,10 +82,10 @@ def test_optimum_matches_derivative_free_global_search():
     """Oracle: scipy differential evolution over the full angle cube must not
     find a decomposition the seeded local search missed."""
     params = NoiseParams.from_lambda(0.01)
-    state = BlochState(math.pi / 2, 0.0)
+    fg = moment_objective(IDENTITY, *PLUS, params)
 
     def neg(x):
-        return -fidelity(IDENTITY, EulerAngles(x[0], x[1], x[2]), state, params)
+        return -fg(x)[0]
 
     ref = sciopt.differential_evolution(
         neg,
@@ -104,15 +103,15 @@ def test_grid_oracle_never_beats_optimizer():
     params = NoiseParams.from_lambda(0.02)
     state = BlochState(1.1, 0.7)
     target = extract_euler(named_gate("h"))
-    res = optimize_gate(
-        target, *InitialStateDistribution.point(state.theta, state.phi).moments(), params
-    )
+    moments = InitialStateDistribution.point(state.theta, state.phi).moments()
+    res = optimize_gate(target, *moments, params)
+    fg = moment_objective(target, *moments, params)
     grid = np.linspace(0.0, 2 * math.pi, 25, endpoint=False)
     best = 0.0
     for b in grid:
         for g in grid:
             for d in grid:
-                best = max(best, fidelity(target, EulerAngles(b, g, d), state, params))
+                best = max(best, fg((b, g, d))[0])
     assert res.objective_value >= best - 1e-12
 
 
@@ -177,7 +176,7 @@ def test_newton_reaches_lbfgsb_oracle():
     params = noise_params_for(bundled_device("rome").qubit(3))
     rng = np.random.default_rng(31)
     for i in range(200):
-        target = sample_random_gate(rng)
+        target = _zyz_from_quaternion(*_sample_quaternion(rng))
         if i % 2 == 0:
             dist = InitialStateDistribution.point(
                 math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
@@ -222,7 +221,7 @@ def circle_problems():
     rng = np.random.default_rng(47)
     out = []
     for i in range(240):
-        target = sample_random_gate(rng)
+        target = _zyz_from_quaternion(*_sample_quaternion(rng))
         r = BlochState(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi))
         r = r.bloch_vector()
         if i < 80:
@@ -333,12 +332,11 @@ def test_prep_improves_under_noise():
 
 def test_prep_seed_objective_is_seed_fidelity():
     t = BlochState(0.8, 4.0)
-    params = NoiseParams.from_lambdas(0.03, 0.06)
+    params = NoiseParams(0.03, 0.06)
     target = prep_target(t)
     res = optimize_gate(target, *GROUND, params)
-    assert res.objective_at_target_angles == fidelity(
-        target, target, BlochState(0.0, 0.0), params
-    )
+    f_seed = moment_objective(target, *GROUND, params)((target.beta, target.gamma, target.delta))[0]
+    assert res.objective_at_target_angles == min(max(f_seed, 0.0), 1.0)
     assert res.angles_opt.delta == 0.0
 
 
@@ -346,9 +344,10 @@ def test_prep_matches_brute_force():
     t = BlochState(1.9, 0.4)
     params = NoiseParams.from_lambda(0.08)
     target = prep_target(t)
+    fg = moment_objective(target, *GROUND, params)
 
     def neg(x):
-        return -fidelity(target, EulerAngles(x[0], x[1], 0.0), BlochState(0.0, 0.0), params)
+        return -fg((x[0], x[1], 0.0))[0]
 
     ref = sciopt.differential_evolution(
         neg, bounds=[(0, 2 * math.pi)] * 2, seed=5, tol=1e-12, maxiter=300
@@ -389,8 +388,8 @@ def test_mixed_input_objective_is_stepwise_overlap():
     r = 0.6 * BlochState(0.9, 0.3).bloch_vector() + 0.4 * BlochState(2.5, 4.0).bloch_vector()
     rho = density_from_bloch(r)
     target = extract_euler(named_gate("sx"))
-    params = NoiseParams.from_lambdas(0.08, 0.02)
-    u = compose_zyz(target)
+    params = NoiseParams(0.08, 0.02)
+    u = zyz_unitary(target)
     sigma = u @ rho @ u.conj().T
     res = optimize_gate(target, r, np.outer(r, r), params)
     for angles, value in ((target, res.objective_at_target_angles),

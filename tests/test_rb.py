@@ -13,7 +13,6 @@ from noisy_euler import (
     EulerAngles,
     NoiseParams,
     RbConfig,
-    compose_zyz,
     extract_euler,
     fit_decay,
     moment_objective,
@@ -21,11 +20,10 @@ from noisy_euler import (
     rb,
     run_drift_sweep,
     run_rb_experiment,
-    sample_random_gate,
 )
 from noisy_euler.gates import _hamilton, _zyz_from_quaternion
 from noisy_euler.optimize import GRADIENT_TOLERANCE
-from reference import angle_gap, quaternion_unitary, sign_gap
+from reference import angle_gap, quaternion_unitary, sign_gap, zyz_unitary
 
 ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
 
@@ -45,11 +43,17 @@ def small_config(**overrides):
 
 # ------------------------------------------------------------ gate sampling
 
+def rb_gate(rng) -> EulerAngles:
+    """One gate of an RB stream, in Euler angles, drawn as the harness draws
+    it: a rotation by a uniform angle about a uniform axis."""
+    return _zyz_from_quaternion(*rb._sample_quaternion(rng))
+
+
 def test_sampled_gates_are_valid_unitaries():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        ang = sample_random_gate(rng)
-        u = compose_zyz(ang)
+        ang = rb_gate(rng)
+        u = zyz_unitary(ang)
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
 
 
@@ -66,8 +70,8 @@ def test_sampled_gate_axis_and_angle_marginals():
     omegas = np.empty(n)
     axis_z = np.empty(n)
     for i in range(n):
-        ang = sample_random_gate(rng)
-        v = compose_zyz(ang)  # +-V: the sign flip is the (omega, axis) flip below
+        ang = rb_gate(rng)
+        v = zyz_unitary(ang)  # +-V: the sign flip is the (omega, axis) flip below
         c = np.clip(v.trace().real / 2.0, -1.0, 1.0)
         omega = 2.0 * math.acos(c)  # in [0, 2 pi]
         s = math.sin(omega / 2.0)
@@ -90,7 +94,7 @@ def test_sampled_gate_image_of_zero_is_not_uniform():
     n = 30000
     zs = np.empty(n)
     for i in range(n):
-        u = compose_zyz(sample_random_gate(rng))
+        u = zyz_unitary(rb_gate(rng))
         psi = u[:, 0]
         zs[i] = 2.0 * abs(psi[0]) ** 2 - 1.0
     se = zs.std(ddof=1) / math.sqrt(n)
@@ -100,7 +104,7 @@ def test_sampled_gate_image_of_zero_is_not_uniform():
 def test_quaternion_net_matches_unitary_product():
     """RB carries the net rotation of a circuit as the Hamilton product of
     its gates' quaternions.  Over a 246-gate stream that stays the product of
-    the gates' SU(2) matrices compose_zyz(gate) to 1e-12 up to sign (each
+    the gates' SU(2) matrices R_z(beta) R_y(gamma) R_z(delta) to 1e-12 up to sign (each
     gate's angles compose to +-its quaternion's matrix), and the conjugate's
     angles are the ones extract_euler finds for the product's adjoint, so
     the inverse gate is the same."""
@@ -110,7 +114,7 @@ def test_quaternion_net_matches_unitary_product():
     for _ in range(246):
         q = rb._sample_quaternion(rng)
         net = _hamilton(q, net)
-        product = compose_zyz(_zyz_from_quaternion(*q)) @ product
+        product = zyz_unitary(_zyz_from_quaternion(*q)) @ product
         worst_u = max(worst_u, sign_gap(quaternion_unitary(*net), product))
         w, x, y, z = net
         inverse, ref = _zyz_from_quaternion(w, -x, -y, -z), extract_euler(product.conj().T)
@@ -121,8 +125,8 @@ def test_quaternion_net_matches_unitary_product():
 
 
 def test_gate_stream_deterministic():
-    a = [sample_random_gate(np.random.default_rng(9)) for _ in range(5)]
-    b = [sample_random_gate(np.random.default_rng(9)) for _ in range(5)]
+    a = [rb_gate(np.random.default_rng(9)) for _ in range(5)]
+    b = [rb_gate(np.random.default_rng(9)) for _ in range(5)]
     assert a == b
 
 
@@ -405,11 +409,11 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
         net = np.eye(2, dtype=complex)
         column = 0
         for i in range(cfg.n_gates):
-            gate = sample_random_gate(rng)
+            gate = rb_gate(rng)
             opt_angles = optimized()
             rho["unopt"] = noisy_gate_stepwise(gate, rho["unopt"], cfg.noise)
             rho["opt"] = noisy_gate_stepwise(opt_angles, rho["opt"], cfg.noise)
-            u = compose_zyz(gate)
+            u = zyz_unitary(gate)
             ideal = u @ ideal @ u.conj().T
             net = u @ net
             if i + 1 in cfg.depth_schedule:
