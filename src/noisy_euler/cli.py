@@ -145,11 +145,15 @@ def _grid(text: str) -> list[float]:
 
 @_flag_type
 def _depths(text: str) -> list[int]:
-    """'start:stop:step' (stop inclusive) or comma-separated depths."""
+    """'start:stop:step' (stop inclusive) or a comma list: increasing depths >= 1."""
     if ":" in text:
         a, b, s = (int(t) for t in text.split(":"))
-        return list(range(a, b + 1, s))
-    return [int(t) for t in text.split(",")]
+        depths = list(range(a, b + 1, s)) if s >= 1 else []
+    else:
+        depths = [int(t) for t in text.split(",")]
+    if not depths or depths[0] < 1 or any(b <= a for a, b in zip(depths, depths[1:])):
+        raise argparse.ArgumentTypeError(f"must be strictly increasing and >= 1, got {text!r}")
+    return depths
 
 
 def _int_at_least(minimum: int):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import EulerAngles, _zyz_from_quaternion
+from .gates import EulerAngles, _bloch_vector, _point_moments, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams
 from .objectives import InitialStateDistribution, moment_objective
@@ -121,10 +121,9 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
         rng = np.random.default_rng([cfg.rng_seed, 1, li, mi, r])
         target = _haar_gate(rng)
         res = optimize_gate(target, *moments, params)
+        # both decompositions' fidelity on the sampled state (canonical angles)
         theta, phi = dist.sample(rng, 1)
-        # the fidelity of both decompositions on the sampled state
-        point = InitialStateDistribution.point(float(theta[0]), float(phi[0]))
-        fg = moment_objective(target, *point.moments(), params)
+        fg = moment_objective(target, *_point_moments(_bloch_vector(theta[0], phi[0])), params)
         f_opt, f_seed = (
             min(max(fg((a.beta, a.gamma, a.delta))[0], 0.0), 1.0) for a in (res.angles_opt, target)
         )

@@ -95,10 +95,18 @@ class BlochState:
 
     def bloch_vector(self) -> np.ndarray:
         """n = (sin theta cos phi, sin theta sin phi, cos theta)."""
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return np.array(_bloch_vector(self.theta, self.phi))
+
+
+def _bloch_vector(theta: float, phi: float) -> tuple[float, float, float]:
+    """``BlochState.bloch_vector`` in floats, for angles already canonical."""
+    st = math.sin(theta)
+    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+
+
+def _point_moments(n):
+    """The moments (n, n n^T) of the one Bloch vector n, in floats."""
+    return n, [[a * b for b in n] for a in n]
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:

@@ -24,13 +24,13 @@ The composite channel has the closed form (for trace-1 input)
 On the Bloch vector n (rho = (I + n.sigma)/2) the channel is affine,
 n -> diag(e, e, 1-la) n + (0, 0, la) with e = sqrt(1-la) sqrt(1-lp), and the
 virtual R_z are rotations, so the whole noisy native gate is one affine map
-n -> A n + t.  ``_apply`` evaluates it on one Bloch vector in plain floats,
-n -> Rz(beta) (K Rz(delta) n + t0) with K and t0 from ``_pulse_pair``; it is
-the only form the RB simulator and the objectives' set-up use, and at zero
-noise it is the gate's rotation.  ``noisy_gate_stepwise`` is the oracle only:
-it applies the decomposition pulse by pulse on 2x2 density matrices through
-the Kraus sums (``apply_channel_kraus``), independently of the affine map,
-and the two agree to ~1e-15.
+n -> A n + t, which ``_apply`` evaluates in plain floats at one Bloch vector
+and ``_apply_all`` at several: n -> Rz(beta) (K Rz(delta) n + t0), K and t0
+from ``_pulse_pair``.  It is the only form the RB simulator and the
+objectives' set-up use, and at zero noise it is the gate's rotation.
+``noisy_gate_stepwise``, the oracle only, applies the decomposition pulse by
+pulse on 2x2 density matrices through the Kraus sums (``apply_channel_kraus``),
+independently of the affine map, and the two agree to ~1e-15.
 """
 
 from __future__ import annotations
@@ -191,13 +191,18 @@ def _pulse_pair(gamma: float, la: float, lp: float):
 
 
 def _apply(beta: float, gamma: float, delta: float, la: float, lp: float, r):
-    """The noisy native gate's affine map n -> A n + t at the Bloch vector
-    r, as a float 3-tuple: Rz(beta) (K Rz(delta) r + t0), with K and t0 from
-    ``_pulse_pair``, so A = Rz(beta) K Rz(delta) and t = Rz(beta) t0.  Exact
-    for pure and mixed inputs; at zero noise it is the gate's rotation."""
+    """``_apply_all`` at the one Bloch vector r, as a float 3-tuple."""
+    return next(_apply_all(beta, gamma, delta, la, lp, (r,)))
+
+
+def _apply_all(beta: float, gamma: float, delta: float, la: float, lp: float, rs):
+    """The noisy native gate's affine map n -> A n + t, Rz(beta) (K Rz(delta)
+    r + t0), at each Bloch vector r in rs, its frame (K, t0 from ``_pulse_pair``)
+    built once.  Exact for pure and mixed inputs; at zero noise a rotation."""
     k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
     cd, sd = math.cos(delta), math.sin(delta)
-    x, y, z = cd * r[0] - sd * r[1], sd * r[0] + cd * r[1], r[2]
-    x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
     cb, sb = math.cos(beta), math.sin(beta)
-    return cb * x - sb * y, sb * x + cb * y, z
+    for r in rs:
+        x, y, z = cd * r[0] - sd * r[1], sd * r[0] + cd * r[1], r[2]
+        x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
+        yield cb * x - sb * y, sb * x + cb * y, z

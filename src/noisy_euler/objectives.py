@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import BlochState, EulerAngles
-from .noise import NoiseParams, _apply, _pulse_pair
+from .gates import BlochState, EulerAngles, _point_moments
+from .noise import NoiseParams, _apply_all, _pulse_pair
 
 
 @dataclass(frozen=True)
@@ -93,19 +93,22 @@ class InitialStateDistribution:
         (1 - E[z^2]) / 2 with zero mean in x, y and zero cross moments.
         """
         if self.kind == "point":
-            n = BlochState(self.theta, self.phi).bloch_vector()
-            return n, np.outer(n, n)
+            m1, m2 = _point_moments(BlochState(self.theta, self.phi).bloch_vector().tolist())
+            return np.array(m1), np.array(m2)
         c = math.cos(self.theta_max)
         zz = (1.0 + c + c * c) / 3.0
         xx = 0.5 * (1.0 - zz)
         return np.array([0.0, 0.0, 0.5 * (1.0 + c)]), np.diag([xx, xx, zz])
 
 
-def moment_objective(
-    target: EulerAngles, m1: np.ndarray, m2: np.ndarray, params: NoiseParams
-):
+def _tolist(m):
+    return m.tolist() if isinstance(m, np.ndarray) else m
+
+
+def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     """The fidelity objective for inputs with Bloch-vector moments m1 = E[n]
-    and m2 = E[n n^T] (a pure state n: n, n n^T; a mixed state r: r, r r^T).
+    and m2 = E[n n^T] (a pure state n: n, n n^T; a mixed state r: r, r r^T),
+    any real sequences of shape (3,) and (3, 3) (an ndarray via ``tolist()``).
 
     Returns ``fg(x) -> (F, dF/dx, d2F/dx2)`` for trial angles
     x = (beta, gamma, delta): F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2), its
@@ -117,13 +120,10 @@ def moment_objective(
     W = Rz(-beta) (R m2) Rz(-delta), and both derivatives follow from
     Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
+    The set-up builds R's frame once, for m1 and m2's columns (``_apply_all``).
     """
-    angles = (target.beta, target.gamma, target.delta)
-    u0, u1, u2 = _apply(*angles, 0.0, 0.0, np.asarray(m1, dtype=float).tolist())
-    m2 = np.asarray(m2, dtype=float).tolist()
-    # R m2, one column at a time
-    (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = (
-        _apply(*angles, 0.0, 0.0, (m2[0][j], m2[1][j], m2[2][j])) for j in range(3)
+    (u0, u1, u2), (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = _apply_all(
+        target.beta, target.gamma, target.delta, 0.0, 0.0, (_tolist(m1), *zip(*_tolist(m2)))
     )
     la, lp = params.lambda_a, params.lambda_p
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .gates import EulerAngles, _hamilton, _zyz_angles
 from .noise import NoiseParams, _apply
-from .objectives import moment_objective
+from .objectives import _tolist, moment_objective
 
 # The Newton search's constants: the max|g| at which it has converged and its
 # step budget; the Armijo sufficient-increase factor; the least shift mu of -H
@@ -93,8 +93,8 @@ class OptimizationResult:
 
 def optimize_gate(
     target: EulerAngles,
-    m1: np.ndarray,
-    m2: np.ndarray,
+    m1,
+    m2,
     params: NoiseParams,
     multistart: int = 0,
     seed=0,
@@ -102,8 +102,9 @@ def optimize_gate(
     start_tolerance: float = GRADIENT_TOLERANCE,
 ) -> OptimizationResult:
     """Find decomposition angles maximizing the fidelity of the target gate
-    for inputs with Bloch-vector moments m1 = E[n] and m2 = E[n n^T]
-    (``InitialStateDistribution.moments()``; a Bloch vector r: r, r r^T).
+    for inputs with Bloch-vector moments m1 = E[n] and m2 = E[n n^T], any real
+    (3,) and (3, 3) sequences (``InitialStateDistribution.moments()``; r, r r^T
+    for a Bloch vector r); ``moment_objective``'s set-up builds R's frame once.
 
     The Newton search (``_newton``) runs from the target seed and from each
     of ``multistart`` uniform-random starts, drawn from
@@ -135,15 +136,20 @@ def optimize_gate(
     """
     if not isinstance(multistart, int) or isinstance(multistart, bool) or multistart < 0:
         raise ValueError(f"multistart must be an int >= 0, got {multistart!r}")
-    m1, m2 = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
-    n = m1.tolist() if m1.shape == (3,) else None
-    if n is None or not all(map(math.isfinite, n)) or math.hypot(*n) > 1.0 + 1e-9:
+    n, rows = _tolist(m1), _tolist(m2)
+    m1_ok = m2_ok = False  # stay False for an input that is no sequence of reals
+    try:
+        m1_ok = len(n) == 3 and math.hypot(*n) <= 1.0 + 1e-9
+        flat = [v for row in rows for v in row]
+        m2_ok = list(map(len, rows)) == [3, 3, 3] and all(map(math.isfinite, flat))
+    except TypeError:
+        pass
+    if not m1_ok:
         raise ValueError("m1 must be a finite Bloch vector of shape (3,) with |m1| <= 1")
-    flat = m2.ravel().tolist()
-    if m2.shape != (3, 3) or not all(map(math.isfinite, flat)):
+    if not m2_ok:
         raise ValueError("m2 must be a finite matrix of shape (3, 3)")
     circle = (n[0] != 0.0 or n[1] != 0.0) and flat == [a * b for a in n for b in n]
-    fg = moment_objective(target, m1, m2, params)
+    fg = moment_objective(target, n, rows, params)
 
     x_seed = (target.beta, target.gamma, target.delta)
     at_seed = fg(x_seed)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import apply_readout_error, mitigate_readout
-from .gates import EulerAngles, _hamilton, _zyz_from_quaternion
+from .gates import EulerAngles, _hamilton, _point_moments, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams, _apply
 from .optimize import optimize_gate
@@ -190,10 +190,8 @@ def _optimize_step(
     opt arm's noisy state r_opt when tracking the noisy state; ``stream``
     seeds the multistart draws."""
     r = r_opt if cfg.track_noisy_state else n
-    return optimize_gate(
-        target, r, [[a * b for b in r] for a in r], assumed, cfg.multistart, stream,
-        start_tolerance=RB_GRADIENT_TOLERANCE,
-    ).angles_opt
+    return optimize_gate(target, *_point_moments(r), assumed, cfg.multistart, stream,
+                         start_tolerance=RB_GRADIENT_TOLERANCE).angles_opt
 
 
 def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:

@@ -389,6 +389,8 @@ def test_manifest_with_removed_optimizer_key_exits_1(tmp_path, capsys, key, valu
 
 
 PREP_SMALL = ("prep-sweep", "--lambda-grid", "0.05", "--targets", "2", "--seed", "5")
+# the --depths range error, which names the flag as every usage error does
+DEPTHS_RANGE = "--depths: must be strictly increasing and >= 1"
 CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
 
 
@@ -498,22 +500,32 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     (RB_SMALL + ("--circuits", "0"), "--circuits"),
     (RB_SMALL + ("--gates", "0"), "--gates"),
     (PREP_SMALL + ("--targets", "0"), "--targets"),
+    (RB_SMALL + ("--depths", "1:246:0"), DEPTHS_RANGE),
+    (RB_SMALL + ("--depths", "12:1:-4"), DEPTHS_RANGE),
+    (RB_SMALL + ("--depths", "0,5"), DEPTHS_RANGE),
+    (RB_SMALL + ("--depths", "0:12:4"), DEPTHS_RANGE),
+    (RB_SMALL + ("--depths", "5:1:1"), DEPTHS_RANGE),
+    (RB_SMALL + ("--depths", "5,3"), DEPTHS_RANGE),
+    (RB_SMALL + ("--depths", "4,4"), DEPTHS_RANGE),
 ], ids=["gate", "gate-four-angles", "depths", "shots", "k-grid", "lambda-grid",
         "theta-max-grid", "state", "dist", "readout", "seed", "multistart", "jobs",
-        "circuits", "gates", "targets"])
+        "circuits", "gates", "targets", "depths-step-0", "depths-step-negative",
+        "depths-list-below-1", "depths-range-below-1", "depths-empty-range",
+        "depths-decreasing", "depths-repeated"])
 def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
     """A flag value that does not parse, or a count below the flag's minimum,
     is a usage error naming the flag, raised before anything runs or is
-    written.  A value that parses but is out of range (the grid counts of 0
-    and the int flags below their minimum) is not reported as "cannot
-    parse"."""
+    written.  A value that parses but is out of range (the grid counts of 0,
+    the int flags below their minimum, and depths that are not strictly
+    increasing from 1 up, by a step below 1 or in an empty range) is not
+    reported as "cannot parse"."""
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), *args)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err
     out_of_range = ("--k-grid", "--lambda-grid", "--multistart", "--jobs", "--circuits",
-                    "--gates", "--targets")
+                    "--gates", "--targets", DEPTHS_RANGE)
     assert ("cannot parse" in err) == (flag not in out_of_range)
     assert list(tmp_path.iterdir()) == []
 

@@ -19,7 +19,7 @@ from noisy_euler import (
     rx,
     validate_density_matrix,
 )
-from noisy_euler.noise import _apply
+from noisy_euler.noise import _apply, _apply_all, _pulse_pair
 from reference import bloch_density, calibration_signal, projector, zyz_unitary
 
 
@@ -221,6 +221,46 @@ def test_two_pi_shift_same_channel():
     a = EulerAngles(0.5, 1.0, 1.5)
     b = EulerAngles(0.5 + 2 * math.pi, 1.0, 1.5 - 2 * math.pi)
     assert np.abs(closed_form(a, st, p) - closed_form(b, st, p)).max() < 1e-15
+
+
+def one_vector_map(beta, gamma, delta, la, lp, r):
+    """The gate's affine map at r with its frame built for r alone, in the
+    float operations, and their order, of the package's one-vector form:
+    what a shared frame must reproduce bit for bit to keep outputs
+    byte-identical."""
+    k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
+    cd, sd = math.cos(delta), math.sin(delta)
+    x, y, z = cd * r[0] - sd * r[1], sd * r[0] + cd * r[1], r[2]
+    x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
+    cb, sb = math.cos(beta), math.sin(beta)
+    return cb * x - sb * y, sb * x + cb * y, z
+
+
+def bits(vectors):
+    return [tuple(map(float.hex, v)) for v in vectors]
+
+
+def test_shared_frame_equals_one_vector_map_exactly():
+    """``_apply_all`` builds a gate's frame once for several vectors, as the
+    objective's set-up does at zero noise for m1 and the columns of m2.  Each
+    image equals ``_apply``'s and the one-vector map's at that vector to the
+    bit, signed zeros included, at gamma = 0 and pi as well as at random
+    angles, and with noise as well as without."""
+    rng = np.random.default_rng(33)
+    for i in range(1200):
+        beta, gamma, delta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 3).tolist()
+        gamma = (0.0, math.pi, -math.pi, gamma)[i % 4]
+        la, lp = (0.0, 0.0) if i % 3 else rng.uniform(0.0, 0.5, 2).tolist()
+        vectors = rng.uniform(-1.0, 1.0, (4, 3)).tolist()
+        vectors[0] = [0.0, -0.0, 1.0]
+        vectors[1] = [-0.0, 0.0, -0.0]
+        vectors[2][i % 3] = -0.0
+        vectors[3][(i + 1) % 3] = 0.0
+        images = list(_apply_all(beta, gamma, delta, la, lp, vectors))
+        singles = [_apply(beta, gamma, delta, la, lp, v) for v in vectors]
+        assert images == singles
+        assert bits(images) == bits(singles)
+        assert bits(images) == bits(one_vector_map(beta, gamma, delta, la, lp, v) for v in vectors)
 
 
 # ------------------------------------------------------------- calibration

@@ -432,6 +432,63 @@ def test_optimize_gate_rejects_invalid_second_moment(m2):
         optimize_gate(IDENTITY, np.array([0.0, 0.0, 1.0]), m2, NoiseParams.from_lambda(0.05))
 
 
+@pytest.mark.parametrize("m1, m2, message", [
+    ([[0.0], [0.0], [1.0]], np.eye(3) / 3.0, "m1 must"),
+    ([[0.0], [0.0, 0.0], [1.0]], np.eye(3) / 3.0, "m1 must"),
+    (0.5, np.eye(3) / 3.0, "m1 must"),
+    (["x", "y", "z"], np.eye(3) / 3.0, "m1 must"),
+    ([0.0, 0.0, 1j], np.eye(3) / 3.0, "m1 must"),
+    ([0.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "m2 must"),
+    ([0.0, 0.0, 1.0], [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "m2 must"),
+    ([0.0, 0.0, 1.0], [[[1.0], [0.0], [0.0]]] * 3, "m2 must"),
+    ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], "m2 must"),
+    ((0.0, 0.0, 1.0), ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, math.nan)), "m2 must"),
+], ids=["m1-3x1", "m1-ragged", "m1-scalar", "m1-text", "m1-complex", "m2-ragged",
+        "m2-ragged-nine", "m2-3x3x1", "m2-vector", "m2-tuple-nan"])
+def test_optimize_gate_rejects_nested_sequence_input(m1, m2, message):
+    """Nested lists and tuples are checked like arrays: a ragged or
+    wrongly shaped input, or an entry that is no finite real, raises the
+    ValueError of the input at fault, never a TypeError."""
+    with pytest.raises(ValueError, match=message):
+        optimize_gate(IDENTITY, m1, m2, NoiseParams.from_lambda(0.05))
+
+
+def test_moment_input_forms_give_identical_results():
+    """ndarrays, tuples and lists of the same moments, and integer entries
+    for integral values, give == objective values and == optimization
+    results: every form is read into the same floats.  A point's moments
+    are the pure state's (n, n n^T) to the bit."""
+    rng = np.random.default_rng(41)
+    params = NoiseParams(0.04, 0.09)
+    for i in range(30):
+        target = random_angles(rng)
+        if i % 3 == 0:
+            state = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            m1, m2 = InitialStateDistribution.point(state.theta, state.phi).moments()
+            n = state.bloch_vector()
+            assert m1.tobytes() == n.tobytes() and m2.tobytes() == np.outer(n, n).tobytes()
+        elif i % 3 == 1:
+            m1, m2 = InitialStateDistribution.spherical_cap(rng.uniform(0.1, math.pi)).moments()
+        else:
+            r = 0.8 * BlochState(rng.uniform(0.0, math.pi), 1.0).bloch_vector()
+            m1, m2 = r, np.outer(r, r)
+        forms = [
+            (m1, m2),
+            (tuple(m1.tolist()), tuple(map(tuple, m2.tolist()))),
+            (m1.tolist(), m2.tolist()),
+            (list(m1), list(m2)),
+        ]
+        x = tuple(rng.uniform(-math.pi, math.pi, 3))
+        values = [moment_objective(target, a, b, params)(x) for a, b in forms]
+        assert all(v == values[0] for v in values)
+        results = [optimize_gate(target, a, b, params) for a, b in forms]
+        assert all(res == results[0] for res in results)
+    ground = InitialStateDistribution.point(0.0, 0.0).moments()
+    integral = ([0, 0, 1], [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    target = EulerAngles(0.7, 2.0, 0.0)
+    assert optimize_gate(target, *integral, params) == optimize_gate(target, *ground, params)
+
+
 def test_zero_noise_evaluates_seed_once(monkeypatch):
     """One objective evaluation at the seed serves the gradient-tolerance
     skip, the first candidate and the never-worse fallback: at zero noise
