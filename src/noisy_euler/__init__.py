@@ -48,7 +48,6 @@ from .calibration import (
     QubitSpec,
     apply_readout_error,
     bundled_device,
-    confusion_matrix,
     load_device_spec,
     mitigate_readout,
     noise_params_for,
@@ -99,7 +98,6 @@ __all__ = [
     "QubitSpec",
     "apply_readout_error",
     "bundled_device",
-    "confusion_matrix",
     "load_device_spec",
     "mitigate_readout",
     "noise_params_for",

@@ -18,13 +18,17 @@ vendor-reported error rate, stored verbatim and unused by the noise model.
 Snapshots for three public devices (rome, bogota, aspen8) ship with the
 package and load via ``bundled_device``.
 
-Readout error is a 2x2 confusion matrix
+Readout error is the 2x2 confusion matrix
 
     M = [[1 - p_meas1_prep0, p_meas0_prep1],
          [p_meas1_prep0, 1 - p_meas0_prep1]]
 
-applied to the ideal outcome distribution; mitigation inverts M and clips the
-result back into [0, 1].
+acting on the ideal outcome distribution (p0, 1 - p0).  On one qubit that is
+the affine map of the scalar p0
+
+    p' = p_meas0_prep1 + (1 - p_meas1_prep0 - p_meas0_prep1) p0,
+
+and mitigation is its inverse, clipped back into [0, 1].
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
 
 from .io import from_jsonable
 from .noise import NoiseParams
@@ -148,54 +150,42 @@ def noise_params_for(qubit: QubitSpec) -> NoiseParams:
     )
 
 
-def confusion_matrix(p_meas1_prep0: float, p_meas0_prep1: float) -> np.ndarray:
-    """Readout confusion matrix acting on (p_measure_0, p_measure_1)."""
-    for name, p in (
-        ("p_meas1_prep0", p_meas1_prep0),
-        ("p_meas0_prep1", p_meas0_prep1),
-    ):
+def _readout_slope(p10: float, p01: float, invertible: bool = False) -> float:
+    """Slope 1 - p10 - p01 of the readout map, after checking that both
+    probabilities lie in [0, 1] and, with ``invertible``, that the map has an
+    inverse (|slope| >= 1e-12)."""
+    for name, p in (("p_meas1_prep0", p10), ("p_meas0_prep1", p01)):
         if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-    return np.array(
-        [
-            [1.0 - p_meas1_prep0, p_meas0_prep1],
-            [p_meas1_prep0, 1.0 - p_meas0_prep1],
-        ]
-    )
+            raise ValueError(f"readout {name} must lie in [0, 1]")
+    slope = 1.0 - p10 - p01
+    if invertible and abs(slope) < 1e-12:
+        raise ValueError("mitigate requires an invertible readout confusion matrix "
+                         f"(p_meas1_prep0 + p_meas0_prep1 = {p10 + p01})")
+    return slope
 
 
-def apply_readout_error(
-    p0: float, p_meas1_prep0: float, p_meas0_prep1: float
-) -> float:
-    """Probability of measuring 0 after the confusion matrix corrupts an
-    ideal outcome distribution (p0, 1 - p0)."""
+def apply_readout_error(p0: float, p_meas1_prep0: float, p_meas0_prep1: float) -> float:
+    """Probability of measuring 0 after M corrupts an ideal outcome
+    distribution (p0, 1 - p0)."""
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
-    m = confusion_matrix(p_meas1_prep0, p_meas0_prep1)
-    return float(m[0, 0] * p0 + m[0, 1] * (1.0 - p0))
+    _readout_slope(p_meas1_prep0, p_meas0_prep1)
+    return (1.0 - p_meas1_prep0) * p0 + p_meas0_prep1 * (1.0 - p0)
 
 
 def mitigate_readout(
     p0_measured: float, p_meas1_prep0: float, p_meas0_prep1: float
 ) -> tuple[float, bool]:
-    """Invert the confusion matrix on a measured distribution.
+    """Invert the readout map on a measured P(0).
 
     Returns (p0_mitigated, clipped): the inverse can land outside [0, 1] for
     shot-sampled inputs, in which case the value is clipped and flagged.
-    Raises a numerical error when the matrix is singular
-    (p_meas1_prep0 + p_meas0_prep1 = 1).
+    Raises ValueError when the map has no inverse (the two probabilities sum
+    to 1).
     """
     if not 0.0 <= p0_measured <= 1.0:
         raise ValueError("p0_measured must lie in [0, 1]")
-    m = confusion_matrix(p_meas1_prep0, p_meas0_prep1)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < 1e-12:
-        raise np.linalg.LinAlgError(
-            "readout confusion matrix is singular "
-            f"(p_meas1_prep0 + p_meas0_prep1 = "
-            f"{p_meas1_prep0 + p_meas0_prep1}); cannot mitigate"
-        )
-    vec = np.array([p0_measured, 1.0 - p0_measured])
-    p0 = float(np.linalg.solve(m, vec)[0])
+    slope = _readout_slope(p_meas1_prep0, p_meas0_prep1, invertible=True)
+    p0 = (p0_measured - p_meas0_prep1) / slope
     clipped = not 0.0 <= p0 <= 1.0
     return min(max(p0, 0.0), 1.0), clipped

@@ -548,7 +548,7 @@ def main(argv=None) -> int:
             command, config = args.command, _config(args, noise, readout)
             tag = args.tag or command
         return _run(command, config, Path(args.output_dir), _plain_tag(tag))
-    except (np.linalg.LinAlgError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

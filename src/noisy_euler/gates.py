@@ -113,6 +113,8 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix has non-finite entries")
     if np.abs(u @ u.conj().T - np.eye(2)).max() > _UNITARY_TOL:
         raise ValueError("matrix is not unitary within 1e-10")
     return u
@@ -131,7 +133,7 @@ def extract_euler(u: np.ndarray) -> EulerAngles:
     """
     u = _check_unitary(u)
     # det(e^{i alpha} V) = e^{2 i alpha} for V in SU(2)
-    v = np.exp(-0.5j * cmath.phase(np.linalg.det(u))) * u
+    v = np.exp(-0.5j * cmath.phase(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])) * u
     # V = [[w - iz, -y - ix], [y - ix, w + iz]]
     return _zyz_from_quaternion(v[1, 1].real, -v[1, 0].imag, v[1, 0].real, v[1, 1].imag)
 
@@ -179,11 +181,14 @@ def _hamilton(p, q) -> tuple[float, float, float, float]:
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace (within ``_DENSITY_TOL``) and positivity
-    (within ``_PSD_TOL``) of a 2x2 density matrix; returns the array unchanged."""
+    """Check finiteness, Hermiticity, unit trace (within ``_DENSITY_TOL``) and
+    positivity (within ``_PSD_TOL``) of a 2x2 density matrix; returns the
+    array unchanged."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError("density matrix must be 2x2")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     if np.abs(rho - rho.conj().T).max() > _DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > _DENSITY_TOL:

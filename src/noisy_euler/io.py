@@ -69,7 +69,8 @@ def write_csv(path, header, rows) -> Path:
 
 def to_jsonable(obj):
     """Recursively convert dataclasses, numpy values, paths and non-finite
-    floats into plain JSON-serializable types."""
+    floats into plain JSON-serializable types.  A set is refused: its order
+    follows the string hash, which changes between interpreter runs."""
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, (bool, np.bool_)):
@@ -78,7 +79,7 @@ def to_jsonable(obj):
         return to_jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
+    if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, Path):
         return str(obj)

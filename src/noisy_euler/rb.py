@@ -4,7 +4,8 @@ Per circuit: sample N gates with uniform rotation axis and uniform angle.
 At each scheduled depth d the net rotation of the first d gates is undone by
 the two-pulse decomposition of its exact inverse (applied with the same noise
 as any other gate) and the probability of measuring |0> is recorded, then the
-circuit continues.  Two arms share each gate stream:
+circuit continues.  Two arms share each gate stream, and each gate and each
+inverse is one step of both arms:
 
   * "unopt": every gate uses its canonically extracted Euler angles.
   * "opt":   every gate's angles are re-optimized for the noiseless state the
@@ -27,9 +28,9 @@ ones (``NoiseParams.assuming_drift``).  k = 1 means calibration is exact,
 k < 1 means the optimizer under-trusts the hardware, and large k drives the
 assumed damping toward 1 where the optimized angles carry no information.
 
-Survival probabilities can be corrupted by a readout confusion matrix,
-sampled at a finite shot count, and optionally mitigated by inverting the
-confusion matrix, in that order.
+Survival probabilities can be corrupted by readout error (an affine map of
+P(0), ``calibration.apply_readout_error``), sampled at a finite shot count,
+and optionally mitigated by that map's inverse, in that order.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import apply_readout_error, mitigate_readout
+from .calibration import _readout_slope, apply_readout_error, mitigate_readout
 from .gates import EulerAngles, _hamilton, _point_moments, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams, _apply
@@ -109,17 +110,11 @@ class RbConfig:
         if not (math.isfinite(self.drift_factor) and self.drift_factor > 0):
             raise ValueError("drift_factor must be positive and finite")
         if self.readout is not None:
-            p10, p01 = self.readout
-            for name, p in (("p_meas1_prep0", p10), ("p_meas0_prep1", p01)):
-                if not 0.0 <= float(p) <= 1.0:
-                    raise ValueError(f"readout {name} must lie in [0, 1]")
-            object.__setattr__(self, "readout", (float(p10), float(p01)))
+            p10, p01 = (float(p) for p in self.readout)
+            _readout_slope(p10, p01, invertible=self.mitigate)
+            object.__setattr__(self, "readout", (p10, p01))
         if self.mitigate and self.readout is None:
             raise ValueError("mitigate requires readout probabilities")
-        # calibration.mitigate_readout's singularity test: det = 1 - p10 - p01
-        if self.mitigate and abs(1.0 - self.readout[0] - self.readout[1]) < 1e-12:
-            raise ValueError("mitigate requires an invertible readout confusion matrix "
-                             f"(p_meas1_prep0 + p_meas0_prep1 = {sum(self.readout)})")
 
 
 @dataclass(frozen=True)
@@ -170,28 +165,12 @@ def _sample_quaternion(rng: np.random.Generator) -> tuple[float, float, float, f
 
 def _measure(p0: float, cfg: RbConfig, rng: np.random.Generator) -> float:
     if cfg.readout is not None:
-        p0 = apply_readout_error(p0, cfg.readout[0], cfg.readout[1])
+        p0 = apply_readout_error(p0, *cfg.readout)
     if cfg.shots is not None:
         p0 = float(rng.binomial(cfg.shots, p0)) / cfg.shots
-    if cfg.readout is not None and cfg.mitigate:
-        p0, _ = mitigate_readout(p0, cfg.readout[0], cfg.readout[1])
+    if cfg.mitigate:
+        p0, _ = mitigate_readout(p0, *cfg.readout)
     return float(p0)
-
-
-def _optimize_step(
-    cfg: RbConfig,
-    target: EulerAngles,
-    n: tuple[float, float, float],
-    r_opt: tuple[float, float, float],
-    assumed: NoiseParams,
-    stream,
-) -> EulerAngles:
-    """Angles for ``target`` re-optimized for the ideal state n, or for the
-    opt arm's noisy state r_opt when tracking the noisy state; ``stream``
-    seeds the multistart draws."""
-    r = r_opt if cfg.track_noisy_state else n
-    return optimize_gate(target, *_point_moments(r), assumed, cfg.multistart, stream,
-                         start_tolerance=RB_GRADIENT_TOLERANCE).angles_opt
 
 
 def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
@@ -203,40 +182,37 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     la, lp = cfg.noise.lambda_a, cfg.noise.lambda_p
     assumed = cfg.noise.assuming_drift(cfg.drift_factor)
     rng_gates = np.random.default_rng([cfg.rng_seed, circuit, 0])
-    shot_rngs = {
-        arm: np.random.default_rng([cfg.rng_seed, circuit, 1, ai]) for ai, arm in enumerate(ARMS)
-    }
-
-    depth_set = frozenset(cfg.depth_schedule)
-    out = np.empty((len(ARMS), len(cfg.depth_schedule)))
+    shot_rngs = [np.random.default_rng([cfg.rng_seed, circuit, 1, ai]) for ai in range(len(ARMS))]
+    column = {depth: j for j, depth in enumerate(cfg.depth_schedule)}
+    out = np.empty((len(ARMS), len(column)))
     n = (0.0, 0.0, 1.0)  # ideal state, |0>
-    r = {arm: n for arm in ARMS}  # noisy state of each arm
+    arms = (n, n)  # noisy state of each arm, in ARMS order
     net = (1.0, 0.0, 0.0, 0.0)  # quaternion of the gates so far
 
-    depth_index = 0
+    def step(target: EulerAngles, stream) -> tuple:
+        """The next ``arms``: unopt runs ``target``'s angles, opt runs them
+        re-optimized for n, or for its own state under track_noisy_state;
+        ``stream`` seeds the multistart draws."""
+        unopt, opt = arms
+        m1, m2 = _point_moments(opt if cfg.track_noisy_state else n)
+        a = optimize_gate(target, m1, m2, assumed, cfg.multistart, stream,
+                          start_tolerance=RB_GRADIENT_TOLERANCE).angles_opt
+        return (_apply(target.beta, target.gamma, target.delta, la, lp, unopt),
+                _apply(a.beta, a.gamma, a.delta, la, lp, opt))
+
     for i in range(cfg.n_gates):
         q = _sample_quaternion(rng_gates)
         gate = _zyz_from_quaternion(*q)
-        opt_angles = _optimize_step(
-            cfg, gate, n, r["opt"], assumed, [cfg.rng_seed, circuit, 2, i]
-        )
-        r["unopt"] = _apply(gate.beta, gate.gamma, gate.delta, la, lp, r["unopt"])
-        r["opt"] = _apply(opt_angles.beta, opt_angles.gamma, opt_angles.delta, la, lp, r["opt"])
+        arms = step(gate, [cfg.rng_seed, circuit, 2, i])
         n = _apply(gate.beta, gate.gamma, gate.delta, 0.0, 0.0, n)
         net = _hamilton(q, net)
 
         depth = i + 1
-        if depth in depth_set:
+        if depth in column:
             inverse = _zyz_from_quaternion(net[0], -net[1], -net[2], -net[3])
-            inv_opt = _optimize_step(
-                cfg, inverse, n, r["opt"], assumed, [cfg.rng_seed, circuit, 3, depth]
-            )
-            for ai, arm in enumerate(ARMS):
-                angles = inverse if arm == "unopt" else inv_opt
-                z = _apply(angles.beta, angles.gamma, angles.delta, la, lp, r[arm])[2]
-                p0 = min(max(0.5 * (1.0 + z), 0.0), 1.0)
-                out[ai, depth_index] = _measure(p0, cfg, shot_rngs[arm])
-            depth_index += 1
+            for ai, r in enumerate(step(inverse, [cfg.rng_seed, circuit, 3, depth])):
+                p0 = min(max(0.5 * (1.0 + r[2]), 0.0), 1.0)
+                out[ai, column[depth]] = _measure(p0, cfg, shot_rngs[ai])
     return out
 
 

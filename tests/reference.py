@@ -134,3 +134,21 @@ def circle_optimum(target, r, params, points: int = 64) -> float:
                               options={"maxiter": 1000, "gtol": 1e-12, "ftol": 1e-16})
         f_best = max(f_best, -ref.fun)
     return min(max(f_best, 0.0), 1.0)
+
+
+def readout_matrix(p10: float, p01: float) -> np.ndarray:
+    """The readout confusion matrix M = [[1 - p10, p01], [p10, 1 - p01]]
+    acting on the outcome distribution (P(0), P(1))."""
+    return np.array([[1.0 - p10, p01], [p10, 1.0 - p01]])
+
+
+def readout_apply(p0: float, p10: float, p01: float) -> float:
+    """P(0) read out from the ideal distribution (p0, 1 - p0) through M."""
+    return float((readout_matrix(p10, p01) @ np.array([p0, 1.0 - p0]))[0])
+
+
+def readout_mitigate(p0_measured: float, p10: float, p01: float) -> float:
+    """P(0) of the distribution x with M x = (p0_measured, 1 - p0_measured),
+    by a linear solve, unclipped."""
+    return float(np.linalg.solve(readout_matrix(p10, p01),
+                                 np.array([p0_measured, 1.0 - p0_measured]))[0])

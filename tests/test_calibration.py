@@ -12,12 +12,12 @@ from noisy_euler import (
     DeviceSpecError,
     apply_readout_error,
     bundled_device,
-    confusion_matrix,
     load_device_spec,
     mitigate_readout,
     noise_params_for,
     parse_device_spec,
 )
+from reference import readout_apply, readout_mitigate
 
 GOOD_DOC = {
     "device_name": "testchip",
@@ -242,17 +242,9 @@ def test_bundled_names_constant():
 
 # ----------------------------------------------------------------- readout
 
-def test_confusion_matrix_columns_sum_to_one():
-    m = confusion_matrix(0.03, 0.08)
-    assert np.abs(m.sum(axis=0) - 1.0).max() < 1e-15
-    assert m[0, 0] == 0.97 and m[1, 1] == 0.92
-
-
-def test_confusion_matrix_validation():
-    with pytest.raises(ValueError):
-        confusion_matrix(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        confusion_matrix(0.0, 1.1)
+# probabilities out of [0, 1] or NaN: p0 first, then p10 and p01
+BAD_READOUT = ((-0.1, 0.0, 0.0), (1.1, 0.0, 0.0), (math.nan, 0.0, 0.0), (0.5, -0.1, 0.0),
+               (0.5, 0.0, 1.1), (0.5, math.nan, 0.0), (0.5, 0.0, math.nan))
 
 
 def test_apply_readout_error_formula():
@@ -260,6 +252,24 @@ def test_apply_readout_error_formula():
     q = bundled_device("rome").qubit(3)
     assert abs(apply_readout_error(1.0, q.p_meas1_prep0, q.p_meas0_prep1) - 0.973) < 1e-15
     assert abs(apply_readout_error(0.0, 0.027, 0.05) - 0.05) < 1e-15
+    for p0, p10, p01 in BAD_READOUT:
+        with pytest.raises(ValueError, match="must lie in"):
+            apply_readout_error(p0, p10, p01)
+
+
+def test_readout_matches_matrix_oracle():
+    # the affine map of p0 and its inverse agree with M and a linear solve
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        p0 = rng.uniform()
+        p10, p01 = rng.uniform(0.0, 0.4, 2)
+        measured = apply_readout_error(p0, p10, p01)
+        assert abs(measured - readout_apply(p0, p10, p01)) < 1e-12
+        p_meas = rng.uniform()  # a shot-sampled frequency, maybe out of the band
+        expected = readout_mitigate(p_meas, p10, p01)
+        recovered, clipped = mitigate_readout(p_meas, p10, p01)
+        assert clipped == (not 0.0 <= expected <= 1.0)
+        assert abs(recovered - min(max(expected, 0.0), 1.0)) < 1e-12
 
 
 def test_mitigate_inverts_apply():
@@ -281,5 +291,8 @@ def test_mitigate_clips_out_of_range():
 
 
 def test_mitigate_singular_matrix_raises():
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(ValueError, match="invertible"):
         mitigate_readout(0.5, 0.6, 0.4)  # p10 + p01 = 1 collapses the matrix
+    for p0, p10, p01 in BAD_READOUT:
+        with pytest.raises(ValueError, match="must lie in"):
+            mitigate_readout(p0, p10, p01)

@@ -176,6 +176,11 @@ def test_extract_euler_rejects_non_unitary():
         extract_euler(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         extract_euler(np.eye(3))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_euler(np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_euler(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_euler_angles_require_finite():
@@ -209,6 +214,11 @@ def test_validate_density_matrix_rejects_bad_inputs():
         validate_density_matrix(np.diag([1.2, -0.2]))  # negative eigenvalue
     with pytest.raises(ValueError):
         validate_density_matrix(np.eye(3) / 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density_matrix(np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density_matrix(np.array([[1.0, bad], [bad, 0.0]]))
 
 
 def test_named_gate_unknown_raises():

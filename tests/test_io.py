@@ -78,6 +78,13 @@ def test_to_jsonable_recurses():
     assert to_jsonable(np.float64(0.5)) == 0.5
 
 
+def test_to_jsonable_refuses_sets():
+    # a set's order follows the string hash, so it would not rerun byte for byte
+    for obj in ({"alpha", "beta"}, frozenset({1}), {"k": {"a"}}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            to_jsonable(obj)
+
+
 ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
 
 

@@ -24,7 +24,7 @@ from noisy_euler import (
 from noisy_euler import optimize
 from noisy_euler.gates import _zyz_from_quaternion
 from noisy_euler.rb import _sample_quaternion
-from reference import circle_optimum, zyz_unitary
+from reference import angle_gap, bloch_density, circle_optimum, zyz_unitary
 
 IDENTITY = EulerAngles(0.0, 0.0, 0.0)
 PLUS = InitialStateDistribution.point(math.pi / 2, 0.0).moments()
@@ -297,6 +297,35 @@ def test_circle_start_only_for_bloch_vectors_off_z(monkeypatch):
         x = optimize._newton(fg, x_seed, *fg(x_seed))[0]
         res = optimize_gate(target, m1, m2, params)
         assert res.angles_opt == EulerAngles(*(v % (2 * math.pi) for v in x))
+
+
+def test_equal_fidelity_partner_optima():
+    """A fixed point input at rome q3 with two distinct optima: the circle-
+    started search and the plain Newton search from the target reach the
+    same F and send the input to the same noisy output (Kraus oracle), yet
+    realize unitaries far apart.  The partner flips gamma and keeps delta:
+    (beta, gamma, delta) -> (beta', -gamma mod 2 pi, delta).  No fidelity
+    measured with the assumed model can tell the two apart."""
+    params = noise_params_for(bundled_device("rome").qubit(3))
+    target = EulerAngles(1.2932692357031992, 0.6848579984023541, 4.400448881227426)
+    state = BlochState(2.772981985208332, 4.584560380312186)
+    r = state.bloch_vector()
+    fg = moment_objective(target, r, np.outer(r, r), params)
+    x_seed = (target.beta, target.gamma, target.delta)
+    x_plain, f_plain, _, converged = optimize._newton(fg, x_seed, *fg(x_seed))
+    res = optimize_gate(target, r, np.outer(r, r), params)
+    assert converged and res.converged
+    a, b = res.angles_opt, EulerAngles(*(v % (2 * math.pi) for v in x_plain))
+    assert abs(fg((a.beta, a.gamma, a.delta))[0] - f_plain) <= 2.2e-16
+    rho_in = bloch_density(r)
+    out_a = noisy_gate_stepwise(a, rho_in, params)
+    out_b = noisy_gate_stepwise(b, rho_in, params)
+    assert np.abs(out_a - out_b).max() <= 1e-9
+    distance = 1.0 - abs(np.trace(zyz_unitary(a).conj().T @ zyz_unitary(b))) / 2.0
+    assert 0.45 <= distance <= 0.96
+    assert angle_gap(a.gamma, -b.gamma) <= 1e-7
+    assert angle_gap(a.delta, b.delta) <= 1e-7
+    assert angle_gap(a.beta, b.beta) > 0.1
 
 
 # ------------------------------------------------------------------- prep
