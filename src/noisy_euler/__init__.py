@@ -34,8 +34,9 @@ from .noise import (
     phase_damping_kraus,
 )
 from .objectives import (
-    InitialStateDistribution,
+    cap_moments,
     moment_objective,
+    point_moments,
 )
 from .optimize import (
     OptimizationResult,
@@ -88,8 +89,9 @@ __all__ = [
     "damping_probabilities",
     "noisy_gate_stepwise",
     "phase_damping_kraus",
-    "InitialStateDistribution",
+    "cap_moments",
     "moment_objective",
+    "point_moments",
     "OptimizationResult",
     "optimize_gate",
     "BUNDLED_DEVICES",

@@ -58,7 +58,7 @@ from .io import (
     write_json,
 )
 from .noise import NoiseParams
-from .objectives import InitialStateDistribution
+from .objectives import cap_moments, point_moments
 from .optimize import optimize_gate
 from .rb import RbConfig, run_drift_sweep, run_rb_experiment
 
@@ -117,7 +117,12 @@ def _dist(text: str) -> dict:
     if text == "uniform":
         return {"kind": "uniform"}
     if text.startswith("cap:"):
-        return {"kind": "cap", "theta_max": float(text[4:])}
+        theta_max = float(text[4:])
+        try:
+            cap_moments(theta_max)
+        except ValueError as exc:  # it parses, but is no cap
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return {"kind": "cap", "theta_max": theta_max}
     if text.startswith("point:"):
         return _point(text[6:])
     raise ValueError("expects 'point:theta,phi', 'uniform', or 'cap:theta_max'")
@@ -170,13 +175,32 @@ def _int_at_least(minimum: int):
 
 @_flag_type
 def _shots(text: str) -> int | None:
-    """--shots: an int, or 'inf' for exact survival probabilities."""
+    """--shots: an int >= 1, or 'inf' for exact survival probabilities."""
     text = text.strip().lower()
     if text in ("inf", "infinite", "exact"):
         return None
     if not text.lstrip("+-").isdecimal():
         raise ValueError("expects an integer or 'inf'")
-    return int(text)
+    return _int_at_least(1)(text)
+
+
+def _drift_factor(value: float) -> float:
+    """``value`` if it is a drift factor (positive and finite), else a range
+    error."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value!r}")
+    return value
+
+
+@_flag_type
+def _k(text: str) -> float:
+    """--k: one drift factor."""
+    return _drift_factor(float(text))
+
+
+def _k_grid(text: str) -> list[float]:
+    """--k-grid: a ``_grid`` of drift factors."""
+    return [_drift_factor(k) for k in _grid(text)]
 
 
 @_flag_type
@@ -246,19 +270,24 @@ class _OptimizeRun:
     noise: NoiseParams
 
 
-# Each dist kind's constructor and the keys it takes, in argument order.
+# Each dist kind's moment function and the keys it takes, in argument order.
 _DISTS = {
-    "point": (InitialStateDistribution.point, ("theta", "phi")),
-    "uniform": (InitialStateDistribution.uniform_sphere, ()),
-    "cap": (InitialStateDistribution.spherical_cap, ("theta_max",)),
+    "point": (point_moments, ("theta", "phi")),
+    "uniform": (lambda: cap_moments(math.pi), ()),
+    "cap": (cap_moments, ("theta_max",)),
 }
 
 
-def _dist_from_dict(d) -> InitialStateDistribution:
+def _dist_from_dict(d):
+    """The moments (m1, m2) of the config's dist."""
     kind = d.get("kind") if isinstance(d, dict) else None
     if isinstance(kind, str) and kind in _DISTS and set(d) == {"kind", *_DISTS[kind][1]}:
-        build, keys = _DISTS[kind]
-        return build(*(from_jsonable(float, d[key], f"config.dist.{key}") for key in keys))
+        moments, keys = _DISTS[kind]
+        values = [from_jsonable(float, d[key], f"config.dist.{key}") for key in keys]
+        try:
+            return moments(*values)
+        except ValueError as exc:
+            raise ValueError(f"config.dist: {exc}") from None
     raise ValueError(
         "config.dist must be {'kind': 'point', 'theta': ..., 'phi': ...}, {'kind': "
         f"'uniform'}} or {{'kind': 'cap', 'theta_max': ...}}, got {d!r}"
@@ -295,8 +324,7 @@ def _plain_tag(tag: str) -> str:
 def _optimize(command: str, config: dict, tag: str):
     run = _decode(_OptimizeRun, config, "dist")
     gate = EulerAngles(*run.gate)
-    dist = _dist_from_dict(config.get("dist"))
-    result = optimize_gate(gate, *dist.moments(), run.noise)
+    result = optimize_gate(gate, *_dist_from_dict(config.get("dist")), run.noise)
     a = result.angles_opt
     print(f"target angles  (beta, gamma, delta) = "
           f"({gate.beta:.12g}, {gate.gamma:.12g}, {gate.delta:.12g})")
@@ -490,14 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gates", dest="n_gates", type=_int_at_least(1), default=246)
     sp.add_argument("--depths", dest="depth_schedule", type=_depths, default="1:246:7",
                     help=depths_help)
-    sp.add_argument("--k", dest="drift_factor", type=float, default=1.0,
+    sp.add_argument("--k", dest="drift_factor", type=_k, default=1.0,
                     help="coherence drift factor")
 
     sp = sub.add_parser("drift", parents=[rb_like], help="RB over a grid of drift factors")
     sp.add_argument("--gates", dest="n_gates", type=_int_at_least(1), default=300)
     sp.add_argument("--depths", dest="depth_schedule", type=_depths, default="100:300:100",
                     help=depths_help)
-    sp.add_argument("--k-grid", type=_grid, default="1e-3:1e6:19log",
+    sp.add_argument("--k-grid", type=_k_grid, default="1e-3:1e6:19log",
                     help="'start:stop:count[log]' or comma list of drift factors")
 
     sp = sub.add_parser("prep-sweep", parents=[jobs],

@@ -26,7 +26,7 @@ import numpy as np
 from .gates import EulerAngles, _bloch_vector, _point_moments, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams
-from .objectives import InitialStateDistribution, moment_objective
+from .objectives import cap_moments, moment_objective, point_moments
 from .optimize import optimize_gate
 
 
@@ -53,8 +53,8 @@ class SweepConfig:
             raise ValueError("lambda values must lie in [0, 1)")
         caps = tuple(float(v) for v in self.theta_max_grid)
         object.__setattr__(self, "theta_max_grid", caps)
-        for tm in caps:  # each knowledge cell builds this cap; fail before any runs
-            InitialStateDistribution.spherical_cap(tm)
+        for tm in caps:  # each knowledge cell takes this cap's moments; fail before any runs
+            cap_moments(tm)
         for name in ("targets_per_point", "rng_seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -94,10 +94,20 @@ def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRo
     return SweepRow(lam, theta_max, float(imps.mean()), stderr, n)
 
 
+def _cap_sample(rng: np.random.Generator, theta_max: float, n: int):
+    """n states drawn uniformly from the polar cap theta < theta_max, as
+    (theta, phi) arrays, by inverting the CDF of cos(theta):
+    theta = arccos(1 - u (1 - cos(theta_max))) for u uniform on [0, 1)."""
+    u = rng.uniform(0.0, 1.0, n)
+    theta = np.arccos(1.0 - u * (1.0 - math.cos(theta_max)))
+    phi = rng.uniform(0.0, math.tau, n)
+    return theta, phi
+
+
 def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam = item
     params = NoiseParams.from_lambda(lam)
-    ground = InitialStateDistribution.point(0.0, 0.0).moments()
+    ground = point_moments(0.0, 0.0)
     imps = np.empty(cfg.targets_per_point)
     for t in range(cfg.targets_per_point):
         rng = np.random.default_rng([cfg.rng_seed, 0, li, t])
@@ -114,15 +124,14 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
 def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam, mi, theta_max = item
     params = NoiseParams.from_lambda(lam)
-    dist = InitialStateDistribution.spherical_cap(theta_max)
-    moments = dist.moments()
+    moments = cap_moments(theta_max)
     imps = np.empty(cfg.targets_per_point)
     for r in range(cfg.targets_per_point):
         rng = np.random.default_rng([cfg.rng_seed, 1, li, mi, r])
         target = _haar_gate(rng)
         res = optimize_gate(target, *moments, params)
         # both decompositions' fidelity on the sampled state (canonical angles)
-        theta, phi = dist.sample(rng, 1)
+        theta, phi = _cap_sample(rng, theta_max, 1)
         fg = moment_objective(target, *_point_moments(_bloch_vector(theta[0], phi[0])), params)
         f_opt, f_seed = (
             min(max(fg((a.beta, a.gamma, a.delta))[0], 0.0), 1.0) for a in (res.angles_opt, target)

@@ -48,12 +48,7 @@ def format_value(value) -> str:
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
-        x = float(value)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return FLOAT_FORMAT % x
+        return FLOAT_FORMAT % float(value)
     raise TypeError(f"cannot format {type(value).__name__} as a CSV cell")
 
 

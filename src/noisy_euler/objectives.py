@@ -12,93 +12,48 @@ its moments m1 = E[n] and m2 = E[n n^T]:
     F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2)
 
 ``moment_objective`` evaluates this exactly, with its analytic gradient and
-Hessian in the trial angles; every objective in the package is a case of it,
-and the average over a distribution ``dist`` is
-``moment_objective(target, *dist.moments(), params)``; for one known state
-``dist`` is ``InitialStateDistribution.point(theta, phi)``.
+Hessian in the trial angles; every objective in the package is a case of it:
 
-Input-state distributions come in two kinds:
+  * point_moments(theta, phi) - a single known state (delta function)
+  * cap_moments(theta_max)    - uniform over the polar cap theta < theta_max,
+                                p = sin(theta) / (2 pi (1 - cos(theta_max)))
 
-  * point(theta, phi)        - a single known state (delta function)
-  * spherical_cap(theta_max) - uniform over the polar cap theta < theta_max,
-                               p = sin(theta) / (2 pi (1 - cos(theta_max)))
-
-``uniform_sphere()`` is the cap with theta_max = pi, p = sin(theta) / (4 pi).
-State preparation is the point |0>.
+so a cap's average is ``moment_objective(target, *cap_moments(theta_max),
+params)``.  theta_max = pi is the uniform sphere, p = sin(theta) / (4 pi),
+and state preparation is the point |0>.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import BlochState, EulerAngles, _point_moments
+from .gates import BlochState, EulerAngles, _bloch_vector, _point_moments
 from .noise import NoiseParams, _apply_all, _pulse_pair
 
 
-@dataclass(frozen=True)
-class InitialStateDistribution:
-    """Distribution of input states on the Bloch sphere.
+def point_moments(theta: float, phi: float):
+    """(E[n], E[n n^T]) = (n, n n^T) of the one known state (theta, phi),
+    any finite angles (canonicalized through ``BlochState``), in floats."""
+    s = BlochState(theta, phi)
+    return _point_moments(_bloch_vector(s.theta, s.phi))
 
-    Build with the ``point``, ``uniform_sphere`` or ``spherical_cap``
-    constructors; ``kind`` is "point" or "cap".
+
+def cap_moments(theta_max: float):
+    """(E[n], E[n n^T]) of the uniform distribution over the polar cap
+    theta < theta_max, theta_max in (0, pi], as float lists.
+
+    With c = cos(theta_max), E[z] = (1 + c) / 2, E[z^2] = (1 + c + c^2) / 3
+    and, by symmetry about z, E[x^2] = E[y^2] = (1 - E[z^2]) / 2 with zero
+    mean in x, y and zero cross moments.
     """
-
-    kind: str
-    theta: float = 0.0
-    phi: float = 0.0
-    theta_max: float = math.pi
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("point", "cap"):
-            raise ValueError(f"kind must be 'point' or 'cap', got {self.kind!r}")
-        if self.kind == "cap" and not (
-            math.isfinite(self.theta_max) and 0.0 < self.theta_max <= math.pi
-        ):
-            raise ValueError("theta_max must lie in (0, pi]")
-
-    @classmethod
-    def point(cls, theta: float, phi: float) -> "InitialStateDistribution":
-        s = BlochState(theta, phi)
-        return cls("point", theta=s.theta, phi=s.phi, theta_max=0.0)
-
-    @classmethod
-    def uniform_sphere(cls) -> "InitialStateDistribution":
-        return cls.spherical_cap(math.pi)
-
-    @classmethod
-    def spherical_cap(cls, theta_max: float) -> "InitialStateDistribution":
-        return cls("cap", theta_max=theta_max)
-
-    def sample(self, rng: np.random.Generator, n: int):
-        """Draw n states; returns (theta, phi) arrays.
-
-        Cap sampling inverts the CDF of cos(theta):
-        theta = arccos(1 - u (1 - cos(theta_max))).
-        """
-        if self.kind == "point":
-            return np.full(n, self.theta), np.full(n, self.phi)
-        u = rng.uniform(0.0, 1.0, n)
-        theta = np.arccos(1.0 - u * (1.0 - math.cos(self.theta_max)))
-        phi = rng.uniform(0.0, math.tau, n)
-        return theta, phi
-
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(E[n], E[n n^T]) of the input Bloch vector n.
-
-        A cap with c = cos(theta_max) has E[z] = (1 + c) / 2,
-        E[z^2] = (1 + c + c^2) / 3 and, by symmetry about z, E[x^2] = E[y^2] =
-        (1 - E[z^2]) / 2 with zero mean in x, y and zero cross moments.
-        """
-        if self.kind == "point":
-            m1, m2 = _point_moments(BlochState(self.theta, self.phi).bloch_vector().tolist())
-            return np.array(m1), np.array(m2)
-        c = math.cos(self.theta_max)
-        zz = (1.0 + c + c * c) / 3.0
-        xx = 0.5 * (1.0 - zz)
-        return np.array([0.0, 0.0, 0.5 * (1.0 + c)]), np.diag([xx, xx, zz])
+    if not (math.isfinite(theta_max) and 0.0 < theta_max <= math.pi):
+        raise ValueError("theta_max must lie in (0, pi]")
+    c = math.cos(theta_max)
+    zz = (1.0 + c + c * c) / 3.0
+    xx = 0.5 * (1.0 - zz)
+    return [0.0, 0.0, 0.5 * (1.0 + c)], [[xx, 0.0, 0.0], [0.0, xx, 0.0], [0.0, 0.0, zz]]
 
 
 def _tolist(m):

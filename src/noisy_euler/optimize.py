@@ -2,7 +2,7 @@
 
 One entry point, ``optimize_gate``, takes the input through its Bloch-vector
 moments m1 = E[n] and m2 = E[n n^T]: a point, a cap or the uniform sphere
-via ``InitialStateDistribution.moments()``, a Bloch vector r (as randomized
+via ``point_moments`` or ``cap_moments``, a Bloch vector r (as randomized
 benchmarking tracks it) as (r, r r^T), and state preparation as the point
 |0>, where delta stays at its seed because the objective does not depend on
 it.  It maximizes the exact moment objective
@@ -103,7 +103,7 @@ def optimize_gate(
 ) -> OptimizationResult:
     """Find decomposition angles maximizing the fidelity of the target gate
     for inputs with Bloch-vector moments m1 = E[n] and m2 = E[n n^T], any real
-    (3,) and (3, 3) sequences (``InitialStateDistribution.moments()``; r, r r^T
+    (3,) and (3, 3) sequences (``point_moments``, ``cap_moments``; r, r r^T
     for a Bloch vector r); ``moment_objective``'s set-up builds R's frame once.
 
     The Newton search (``_newton``) runs from the target seed and from each

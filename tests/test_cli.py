@@ -391,6 +391,11 @@ def test_manifest_with_removed_optimizer_key_exits_1(tmp_path, capsys, key, valu
 PREP_SMALL = ("prep-sweep", "--lambda-grid", "0.05", "--targets", "2", "--seed", "5")
 # the --depths range error, which names the flag as every usage error does
 DEPTHS_RANGE = "--depths: must be strictly increasing and >= 1"
+# the other range errors, which name their flag too
+SHOTS_RANGE = "--shots: must be an int >= 1"
+DIST_RANGE = "--dist: theta_max must lie in (0, pi]"
+K_RANGE = "--k: must be positive and finite"
+K_GRID_RANGE = "--k-grid: must be positive and finite"
 CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
 
 
@@ -409,6 +414,10 @@ CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
         (RB_SMALL, lambda doc: doc["config"]["noise"].update(lambda_a="0.1"), "lambda_a"),
         (RB_SMALL, lambda doc: doc["config"].update(multistart=-1), "multistart"),
         (CAP_SMALL, lambda doc: doc["config"].update(dist={"kind": "cap"}), "theta_max"),
+        (CAP_SMALL, lambda doc: doc["config"]["dist"].update(theta_max=0.0),
+         "config.dist: theta_max must lie in (0, pi]"),
+        (CAP_SMALL, lambda doc: doc["config"]["dist"].update(theta_max=4.0),
+         "config.dist: theta_max must lie in (0, pi]"),
         (RB_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
         (PREP_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
         (CAP_SMALL, lambda doc: doc["config"]["gate"].append(1.0), "config.gate"),
@@ -418,7 +427,7 @@ CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
          "flag-string", "unknown-top-level-key", "unknown-noise-key",
          "lambda-string-beside-times", "multistart-negative", "cap-without-theta-max",
          "rb-seed-negative", "sweep-seed-negative", "optimize-gate-four-angles",
-         "jobs-zero"],
+         "jobs-zero", "cap-zero", "cap-above-pi"],
 )
 def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, key):
     """A config value of the wrong JSON type replays as one error line that
@@ -507,25 +516,40 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     (RB_SMALL + ("--depths", "5:1:1"), DEPTHS_RANGE),
     (RB_SMALL + ("--depths", "5,3"), DEPTHS_RANGE),
     (RB_SMALL + ("--depths", "4,4"), DEPTHS_RANGE),
+    (RB_SMALL + ("--shots", "0"), SHOTS_RANGE),
+    (RB_SMALL + ("--shots", "-3"), SHOTS_RANGE),
+    (("optimize", "--gate", "h", "--dist", "cap:0", "--lambda", "0.01"), DIST_RANGE),
+    (("optimize", "--gate", "h", "--dist", "cap:4", "--lambda", "0.01"), DIST_RANGE),
+    (("optimize", "--gate", "h", "--dist", "cap:nan", "--lambda", "0.01"), DIST_RANGE),
+    (RB_SMALL + ("--k", "-1"), K_RANGE),
+    (RB_SMALL + ("--k", "0"), K_RANGE),
+    (RB_SMALL + ("--k", "inf"), K_RANGE),
+    (("drift", "--lambda", "0.01", "--k-grid", "0,1"), K_GRID_RANGE),
+    (("drift", "--lambda", "0.01", "--k-grid", "1,nan"), K_GRID_RANGE),
+    (("drift", "--lambda", "0.01", "--k-grid", "0:1e3:4"), K_GRID_RANGE),
 ], ids=["gate", "gate-four-angles", "depths", "shots", "k-grid", "lambda-grid",
         "theta-max-grid", "state", "dist", "readout", "seed", "multistart", "jobs",
         "circuits", "gates", "targets", "depths-step-0", "depths-step-negative",
         "depths-list-below-1", "depths-range-below-1", "depths-empty-range",
-        "depths-decreasing", "depths-repeated"])
+        "depths-decreasing", "depths-repeated", "shots-0", "shots-negative", "dist-cap-0",
+        "dist-cap-4", "dist-cap-nan", "k-negative", "k-0", "k-inf", "k-grid-0",
+        "k-grid-nan", "k-grid-range-from-0"])
 def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
     """A flag value that does not parse, or a count below the flag's minimum,
     is a usage error naming the flag, raised before anything runs or is
     written.  A value that parses but is out of range (the grid counts of 0,
-    the int flags below their minimum, and depths that are not strictly
-    increasing from 1 up, by a step below 1 or in an empty range) is not
-    reported as "cannot parse"."""
+    the int flags and --shots below their minimum, depths that are not
+    strictly increasing from 1 up, by a step below 1 or in an empty range, a
+    --dist cap outside (0, pi], and drift factors that are not positive and
+    finite) is not reported as "cannot parse"."""
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), *args)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err
     out_of_range = ("--k-grid", "--lambda-grid", "--multistart", "--jobs", "--circuits",
-                    "--gates", "--targets", DEPTHS_RANGE)
+                    "--gates", "--targets", DEPTHS_RANGE, SHOTS_RANGE, DIST_RANGE, K_RANGE,
+                    K_GRID_RANGE)
     assert ("cannot parse" in err) == (flag not in out_of_range)
     assert list(tmp_path.iterdir()) == []
 

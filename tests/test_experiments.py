@@ -26,7 +26,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(lambda_grid=(0.1,), theta_max_grid=(4.0,))
     with pytest.raises(ValueError):
-        # the cap rule of InitialStateDistribution, not a looser one
+        # the cap rule of cap_moments, not a looser one
         SweepConfig(lambda_grid=(0.1,), theta_max_grid=(0.5, math.pi + 1e-13))
     with pytest.raises(ValueError):
         SweepConfig(lambda_grid=(0.1,), targets_per_point=0)

@@ -1,5 +1,5 @@
 """Unit tests for the exact moment objective behind point and expected
-fidelities, its gradients, and input-state distributions."""
+fidelities, its gradients, and the moments of input-state distributions."""
 
 import math
 
@@ -10,14 +10,16 @@ from scipy import integrate
 from noisy_euler import (
     BlochState,
     EulerAngles,
-    InitialStateDistribution,
     LAMBDA_MAX,
     NoiseParams,
+    cap_moments,
     extract_euler,
     moment_objective,
     named_gate,
     noisy_gate_stepwise,
+    point_moments,
 )
+from noisy_euler.experiments import _cap_sample
 from reference import cap_density, point_fidelity, projector, state_vector, zyz_unitary
 
 HADAMARD = extract_euler(named_gate("h"))
@@ -27,17 +29,21 @@ def random_angles(rng):
     return EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
 
 
-def averaged(target, trial, dist, params):
-    """(F, dF/dx) averaged over ``dist`` at the trial angles, through the
-    distribution's moments."""
-    fg = moment_objective(target, *dist.moments(), params)
+def averaged(target, trial, moments, params):
+    """(F, dF/dx) averaged over the input with ``moments`` (m1, m2) at the
+    trial angles."""
+    fg = moment_objective(target, *moments, params)
     return fg((trial.beta, trial.gamma, trial.delta))
 
 
 def point_objective(target, trial, state, params) -> float:
     """F of the trial angles for the one known input ``state``."""
-    dist = InitialStateDistribution.point(state.theta, state.phi)
-    return averaged(target, trial, dist, params)[0]
+    return averaged(target, trial, point_moments(state.theta, state.phi), params)[0]
+
+
+def cap(theta_max):
+    """A cap case: theta_max with its moments."""
+    return theta_max, cap_moments(theta_max)
 
 
 def random_state(rng):
@@ -110,54 +116,67 @@ def test_prep_fidelity_noiseless_seed_is_one():
 # ----------------------------------------------------------- distributions
 
 def test_point_constructor_canonicalizes():
-    d = InitialStateDistribution.point(-0.4, 1.0)
-    assert d.kind == "point"
-    assert abs(d.theta - 0.4) < 1e-15
-    assert d.theta_max == 0.0
+    """point_moments reads the angles through BlochState: theta = -0.4 is
+    the state (0.4, phi + pi)."""
+    (m1, m2), (r1, r2) = point_moments(-0.4, 1.0), point_moments(0.4, 1.0 + math.pi)
+    assert np.abs(np.subtract(m1, r1)).max() < 1e-15
+    assert np.abs(np.subtract(m2, r2)).max() < 1e-15
+    assert abs(m1[2] - math.cos(0.4)) < 1e-15
 
 
 def test_cap_constructor_validation():
-    with pytest.raises(ValueError):
-        InitialStateDistribution.spherical_cap(0.0)
-    with pytest.raises(ValueError):
-        InitialStateDistribution.spherical_cap(3.5)
-    with pytest.raises(ValueError):
-        InitialStateDistribution.spherical_cap(math.nan)
+    """cap_moments takes theta_max in (0, pi], pi (the uniform sphere)
+    included."""
+    for theta_max in (3.5, -0.5, math.inf):
+        with pytest.raises(ValueError, match=r"theta_max must lie in \(0, pi\]"):
+            cap_moments(theta_max)
+    assert cap_moments(math.pi)[0] == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"kind": "banana"},
-    {"kind": "cap", "theta_max": 7.0},
-    {"kind": "cap", "theta_max": 0.0},
-    {"kind": "cap", "theta_max": math.nan},
-], ids=["unknown-kind", "cap-7", "cap-0", "cap-nan"])
-def test_direct_constructor_validation(kwargs):
-    """The dataclass constructor checks what the class methods check: an
-    unknown kind would otherwise read as the uniform sphere, and a cap
-    outside (0, pi] would give moments of no distribution."""
+@pytest.mark.parametrize("theta_max", [7.0, 0.0, math.nan], ids=["cap-7", "cap-0", "cap-nan"])
+def test_direct_constructor_validation(theta_max):
+    """A cap outside (0, pi] would give moments of no distribution."""
     with pytest.raises(ValueError):
-        InitialStateDistribution(**kwargs)
+        cap_moments(theta_max)
 
 
-@pytest.mark.parametrize("dist", [
-    InitialStateDistribution.uniform_sphere(),
-    InitialStateDistribution.spherical_cap(0.7),
-    InitialStateDistribution.spherical_cap(math.pi),
-])
+@pytest.mark.parametrize("theta_max", [0.2, 1.3, math.pi])
+def test_cap_moments_match_quadrature(theta_max):
+    """Oracle: E[n] and E[n n^T] integrated by scipy dblquad against the
+    test-side cap density agree with the closed form."""
+    def n(theta, phi):
+        st = math.sin(theta)
+        return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+
+    def expect(f):
+        value, _ = integrate.dblquad(
+            lambda phi, theta: f(n(theta, phi)) * cap_density(theta_max, theta),
+            0.0, theta_max, 0.0, 2 * math.pi, epsabs=1e-13, epsrel=1e-13,
+        )
+        return value
+
+    m1, m2 = cap_moments(theta_max)
+    for i in range(3):
+        assert abs(expect(lambda v: v[i]) - m1[i]) < 1e-10
+        for j in range(3):
+            assert abs(expect(lambda v: v[i] * v[j]) - m2[i][j]) < 1e-10
+
+
+@pytest.mark.parametrize("dist", [cap(math.pi), cap(0.7), cap(2.5)])
 def test_density_normalized(dist):
     # integrate only over the cap: the density drops to zero outside and the
     # step would defeat the adaptive integrator
+    theta_max, _ = dist
     total, err = integrate.dblquad(
-        lambda phi, theta: cap_density(dist.theta_max, theta),
-        0.0, dist.theta_max - 1e-15, 0.0, 2 * math.pi,
+        lambda phi, theta: cap_density(theta_max, theta),
+        0.0, theta_max - 1e-15, 0.0, 2 * math.pi,
     )
     assert abs(total - 1.0) < 1e-8
 
 
 def test_cap_sampling_stays_inside_and_matches_cdf():
     rng = np.random.default_rng(8)
-    dist = InitialStateDistribution.spherical_cap(0.9)
-    theta, phi = dist.sample(rng, 20000)
+    theta, phi = _cap_sample(rng, 0.9, 20000)
     assert theta.max() <= 0.9 + 1e-12
     assert theta.min() >= 0.0
     assert phi.min() >= 0.0 and phi.max() < 2 * math.pi
@@ -169,20 +188,11 @@ def test_cap_sampling_stays_inside_and_matches_cdf():
 
 
 def test_uniform_sampling_moments():
-    assert InitialStateDistribution.uniform_sphere() == InitialStateDistribution.spherical_cap(
-        math.pi
-    )
     rng = np.random.default_rng(10)
-    theta, _ = InitialStateDistribution.uniform_sphere().sample(rng, 50000)
+    theta, _ = _cap_sample(rng, math.pi, 50000)
     z = np.cos(theta)
     assert abs(z.mean()) < 4.0 / math.sqrt(3 * 50000) * 3
     assert abs((z ** 2).mean() - 1.0 / 3.0) < 0.01
-
-
-def test_point_sampling_is_constant():
-    rng = np.random.default_rng(12)
-    theta, phi = InitialStateDistribution.point(0.3, 0.4).sample(rng, 5)
-    assert np.all(theta == 0.3) and np.all(phi == 0.4)
 
 
 # ------------------------------------------------------- expected fidelity
@@ -201,40 +211,35 @@ def test_point_expected_fidelity_equals_fidelity():
         )[0]
 
 
-@pytest.mark.parametrize("dist", [
-    InitialStateDistribution.uniform_sphere(),
-    InitialStateDistribution.spherical_cap(0.6),
-])
+@pytest.mark.parametrize("dist", [cap(math.pi), cap(0.6)])
 def test_expected_fidelity_matches_scipy_dblquad(dist):
     rng = np.random.default_rng(16)
     target, trial = random_angles(rng), random_angles(rng)
     params = NoiseParams(0.08, 0.03)
+    theta_max, moments = dist
 
     def integrand(phi, theta):
         f = point_objective(target, trial, BlochState(theta, phi), params)
-        return f * cap_density(dist.theta_max, theta)
+        return f * cap_density(theta_max, theta)
 
     ref, err = integrate.dblquad(
-        integrand, 0.0, dist.theta_max, 0.0, 2 * math.pi,
+        integrand, 0.0, theta_max, 0.0, 2 * math.pi,
         epsabs=1e-10, epsrel=1e-10,
     )
-    got = averaged(target, trial, dist, params)[0]
+    got = averaged(target, trial, moments, params)[0]
     assert abs(got - ref) < 1e-6
 
 
-@pytest.mark.parametrize("dist", [
-    InitialStateDistribution.uniform_sphere(),
-    InitialStateDistribution.spherical_cap(1.0),
-    InitialStateDistribution.spherical_cap(0.2),
-])
+@pytest.mark.parametrize("dist", [cap(math.pi), cap(1.0), cap(0.2)])
 def test_sampled_average_agrees_with_exact_moments(dist):
-    """Oracle: a seeded Monte Carlo average of pointwise fidelity over
-    ``dist.sample`` estimates the exact moment-form value."""
+    """Oracle: a seeded Monte Carlo average of pointwise fidelity over the
+    knowledge sweep's cap draw estimates the exact moment-form value."""
     rng = np.random.default_rng(18)
     target, trial = random_angles(rng), random_angles(rng)
     params = NoiseParams(0.08, 0.03)
-    exact = averaged(target, trial, dist, params)[0]
-    theta, phi = dist.sample(rng, 20000)
+    theta_max, moments = dist
+    exact = averaged(target, trial, moments, params)[0]
+    theta, phi = _cap_sample(rng, theta_max, 20000)
     vals = np.array([
         point_objective(target, trial, BlochState(t, p), params) for t, p in zip(theta, phi)
     ])
@@ -244,9 +249,8 @@ def test_sampled_average_agrees_with_exact_moments(dist):
 
 def test_cap_moments_match_samples():
     rng = np.random.default_rng(19)
-    dist = InitialStateDistribution.spherical_cap(1.3)
-    m1, m2 = dist.moments()
-    theta, phi = dist.sample(rng, 200000)
+    m1, m2 = cap_moments(1.3)
+    theta, phi = _cap_sample(rng, 1.3, 200000)
     n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     assert np.abs(n.mean(axis=1) - m1).max() < 5e-3
     assert np.abs(n @ n.T / n.shape[1] - m2).max() < 5e-3
@@ -282,11 +286,11 @@ def _moments(kind, rng, target, trial):
     prep pins delta to 0 at the input |0>."""
     if kind == "point":
         state = random_state(rng)
-        m1, m2 = InitialStateDistribution.point(state.theta, state.phi).moments()
+        m1, m2 = point_moments(state.theta, state.phi)
     elif kind == "cap":
-        m1, m2 = InitialStateDistribution.spherical_cap(rng.uniform(0.05, 3.0)).moments()
+        m1, m2 = cap_moments(rng.uniform(0.05, 3.0))
     elif kind == "uniform":
-        m1, m2 = InitialStateDistribution.uniform_sphere().moments()
+        m1, m2 = cap_moments(math.pi)
     elif kind == "mixed":
         m1, m2 = _mixed_moments(rng)
     else:
@@ -361,7 +365,7 @@ def test_gradient_matches_coarse_finite_difference():
     target = HADAMARD
     trial = EulerAngles(0.3, 1.2, 2.5)
     params = NoiseParams.from_lambda(0.05)
-    dist = InitialStateDistribution.spherical_cap(1.2)
+    dist = cap_moments(1.2)
     grad = averaged(target, trial, dist, params)[1]
     x = np.array([trial.beta, trial.gamma, trial.delta])
     h = 1e-4
@@ -385,8 +389,7 @@ def test_gradient_point_distribution():
     target, trial = random_angles(rng), random_angles(rng)
     state = random_state(rng)
     params = NoiseParams.from_lambda(0.03)
-    dist = InitialStateDistribution.point(state.theta, state.phi)
-    grad = averaged(target, trial, dist, params)[1]
+    grad = averaged(target, trial, point_moments(state.theta, state.phi), params)[1]
     h = 1e-3
     x = np.array([trial.beta, trial.gamma, trial.delta])
     for i in range(3):
@@ -404,7 +407,7 @@ def test_target_angles_stationary_under_uniform_average():
     """For an isotropic input distribution the exact decomposition is a
     stationary point of the expected fidelity, at any damping level."""
     rng = np.random.default_rng(24)
-    dist = InitialStateDistribution.uniform_sphere()
+    dist = cap_moments(math.pi)
     for lam in (1e-3, 1e-2, 1e-1):
         params = NoiseParams.from_lambda(lam)
         for _ in range(5):

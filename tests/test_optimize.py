@@ -9,17 +9,18 @@ from scipy import optimize as sciopt
 from noisy_euler import (
     BlochState,
     EulerAngles,
-    InitialStateDistribution,
     NoiseParams,
     RbConfig,
     SweepConfig,
     bundled_device,
+    cap_moments,
     extract_euler,
     moment_objective,
     named_gate,
     noise_params_for,
     noisy_gate_stepwise,
     optimize_gate,
+    point_moments,
 )
 from noisy_euler import optimize
 from noisy_euler.gates import _zyz_from_quaternion
@@ -27,7 +28,7 @@ from noisy_euler.rb import _sample_quaternion
 from reference import angle_gap, bloch_density, circle_optimum, zyz_unitary
 
 IDENTITY = EulerAngles(0.0, 0.0, 0.0)
-PLUS = InitialStateDistribution.point(math.pi / 2, 0.0).moments()
+PLUS = point_moments(math.pi / 2, 0.0)
 
 
 def angle_displacement(a: EulerAngles, b: EulerAngles) -> float:
@@ -50,10 +51,10 @@ def test_zero_noise_returns_seed_exactly():
     p0 = NoiseParams.from_lambda(0.0)
     for _ in range(20):
         target = random_angles(rng)
-        dist = InitialStateDistribution.point(
+        moments = point_moments(
             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         )
-        res = optimize_gate(target, *dist.moments(), p0)
+        res = optimize_gate(target, *moments, p0)
         assert res.improvement == 0.0
         assert angle_displacement(res.angles_opt, target) < 1e-12
         assert res.converged
@@ -63,11 +64,11 @@ def test_never_worse_than_seed():
     rng = np.random.default_rng(2)
     for _ in range(30):
         target = random_angles(rng)
-        dist = InitialStateDistribution.point(
+        moments = point_moments(
             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         )
         params = NoiseParams(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
-        res = optimize_gate(target, *dist.moments(), params)
+        res = optimize_gate(target, *moments, params)
         assert res.objective_value >= res.objective_at_target_angles
         assert res.improvement >= 0.0
 
@@ -103,7 +104,7 @@ def test_grid_oracle_never_beats_optimizer():
     params = NoiseParams.from_lambda(0.02)
     state = BlochState(1.1, 0.7)
     target = extract_euler(named_gate("h"))
-    moments = InitialStateDistribution.point(state.theta, state.phi).moments()
+    moments = point_moments(state.theta, state.phi)
     res = optimize_gate(target, *moments, params)
     fg = moment_objective(target, *moments, params)
     grid = np.linspace(0.0, 2 * math.pi, 25, endpoint=False)
@@ -119,12 +120,12 @@ def test_uniform_average_cannot_be_improved():
     """The exact decomposition is optimal on average over a uniform input
     sphere, so the optimizer must return (essentially) the seed."""
     rng = np.random.default_rng(4)
-    dist = InitialStateDistribution.uniform_sphere()
+    moments = cap_moments(math.pi)
     for lam in (0.01, 0.1):
         params = NoiseParams.from_lambda(lam)
         for _ in range(5):
             target = random_angles(rng)
-            res = optimize_gate(target, *dist.moments(), params)
+            res = optimize_gate(target, *moments, params)
             assert res.improvement < 1e-7
 
 
@@ -147,23 +148,22 @@ def test_optimized_angles_wrapped_into_range():
     rng = np.random.default_rng(6)
     for _ in range(10):
         target = random_angles(rng)
-        dist = InitialStateDistribution.point(
+        moments = point_moments(
             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         )
-        res = optimize_gate(target, *dist.moments(), NoiseParams.from_lambda(0.1))
+        res = optimize_gate(target, *moments, NoiseParams.from_lambda(0.1))
         for v in (res.angles_opt.beta, res.angles_opt.gamma, res.angles_opt.delta):
             assert 0.0 <= v < 2 * math.pi
 
 
 def test_cap_distribution_optimization_runs_and_improves():
     target = extract_euler(named_gate("h"))
-    dist = InitialStateDistribution.spherical_cap(0.3)
+    moments = cap_moments(0.3)
     params = NoiseParams.from_lambda(0.05)
-    res = optimize_gate(target, *dist.moments(), params)
+    res = optimize_gate(target, *moments, params)
     assert res.improvement > 0.0
     # a small cap behaves nearly like its central point
-    point = InitialStateDistribution.point(0.0, 0.0)
-    res_point = optimize_gate(target, *point.moments(), params)
+    res_point = optimize_gate(target, *point_moments(0.0, 0.0), params)
     assert abs(res.improvement - res_point.improvement) < 5e-3
 
 
@@ -178,12 +178,11 @@ def test_newton_reaches_lbfgsb_oracle():
     for i in range(200):
         target = _zyz_from_quaternion(*_sample_quaternion(rng))
         if i % 2 == 0:
-            dist = InitialStateDistribution.point(
+            m1, m2 = point_moments(
                 math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
             )
         else:
-            dist = InitialStateDistribution.spherical_cap(rng.uniform(0.05, math.pi))
-        m1, m2 = dist.moments()
+            m1, m2 = cap_moments(rng.uniform(0.05, math.pi))
         fg = moment_objective(target, m1, m2, params)
 
         def neg(x):
@@ -268,7 +267,7 @@ def test_circle_start_only_for_bloch_vectors_off_z(monkeypatch):
     params = NoiseParams.from_lambda(0.05)
     target = extract_euler(named_gate("h"))
     state = BlochState(1.1, 0.7)
-    m1, m2 = InitialStateDistribution.point(state.theta, state.phi).moments()
+    m1, m2 = point_moments(state.theta, state.phi)
     seen = []
     original = optimize.moment_objective
 
@@ -290,8 +289,7 @@ def test_circle_start_only_for_bloch_vectors_off_z(monkeypatch):
     assert all(exact(x)[0] > 1.0 - 1e-14 for x in circle)
     assert max(angle_displacement(EulerAngles(*x), target) for x in circle) > 1.0
 
-    for m1, m2 in (GROUND, InitialStateDistribution.spherical_cap(0.5).moments(),
-                   (m1, m2 * (1.0 - 1e-12))):
+    for m1, m2 in (GROUND, cap_moments(0.5), (m1, np.multiply(m2, 1.0 - 1e-12))):
         fg = moment_objective(target, m1, m2, params)
         x_seed = (target.beta, target.gamma, target.delta)
         x = optimize._newton(fg, x_seed, *fg(x_seed))[0]
@@ -334,7 +332,7 @@ def test_equal_fidelity_partner_optima():
 # EulerAngles(phi, theta, 0) at the known input |0>, where Rz(delta) acts
 # only as a phase: the delta gradient is exactly 0, so delta stays at 0.
 
-GROUND = InitialStateDistribution.point(0.0, 0.0).moments()
+GROUND = point_moments(0.0, 0.0)
 
 
 def prep_target(t: BlochState) -> EulerAngles:
@@ -403,7 +401,7 @@ def test_mixed_input_agrees_with_pure_route():
     state = BlochState(1.0, 0.5)
     params = NoiseParams.from_lambda(0.05)
     pure = optimize_gate(
-        target, *InitialStateDistribution.point(state.theta, state.phi).moments(), params
+        target, *point_moments(state.theta, state.phi), params
     )
     r = state.bloch_vector()
     mixed = optimize_gate(target, r, np.outer(r, r), params)
@@ -493,11 +491,11 @@ def test_moment_input_forms_give_identical_results():
         target = random_angles(rng)
         if i % 3 == 0:
             state = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-            m1, m2 = InitialStateDistribution.point(state.theta, state.phi).moments()
+            m1, m2 = map(np.array, point_moments(state.theta, state.phi))
             n = state.bloch_vector()
             assert m1.tobytes() == n.tobytes() and m2.tobytes() == np.outer(n, n).tobytes()
         elif i % 3 == 1:
-            m1, m2 = InitialStateDistribution.spherical_cap(rng.uniform(0.1, math.pi)).moments()
+            m1, m2 = map(np.array, cap_moments(rng.uniform(0.1, math.pi)))
         else:
             r = 0.8 * BlochState(rng.uniform(0.0, math.pi), 1.0).bloch_vector()
             m1, m2 = r, np.outer(r, r)
@@ -512,7 +510,7 @@ def test_moment_input_forms_give_identical_results():
         assert all(v == values[0] for v in values)
         results = [optimize_gate(target, a, b, params) for a, b in forms]
         assert all(res == results[0] for res in results)
-    ground = InitialStateDistribution.point(0.0, 0.0).moments()
+    ground = point_moments(0.0, 0.0)
     integral = ([0, 0, 1], [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     target = EulerAngles(0.7, 2.0, 0.0)
     assert optimize_gate(target, *integral, params) == optimize_gate(target, *ground, params)
