@@ -9,23 +9,23 @@ Subcommands:
   knowledge   improvement vs damping and initial-state uncertainty -> CSV
   validate    check a device calibration file and report warnings
 
-Every run takes one path: flags -> config -> ``_run``.  argparse parses each
-flag's value with its ``type`` and stores it under the config key it fills
-(the flag's dest); ``_flag_type`` is the one place a value that does not
-parse becomes a usage error.  ``_config`` picks the run's plain-JSON config
-out of the flags, after the two checks that span several flags or read a
-file (``_resolve_noise``, ``_resolve_readout``); and ``_run`` decodes the
-config against the config dataclasses, runs it, times it and writes the CSV,
-the summary and a manifest recording the command, config, seed, package
-version and output paths.  ``noisy-euler --from-manifest PATH`` enters the
-path at the recorded config, so a fresh run is the replay of its own manifest
-and a replay reproduces the CSV and summary byte-for-byte.  In a replayed
-config an unknown key or a value of the wrong JSON type is an error that
-names its path.  All randomness flows from the --seed flag through named
+Every run takes one path: flags -> config -> ``_job`` -> ``_run``.  argparse
+parses each flag's value with its ``type`` and stores it under the config key
+it fills (the flag's dest); ``_flag_type`` makes a value that does not parse a
+usage error.  ``_config`` picks the run's plain-JSON config out of the flags,
+after ``_resolve_noise`` and ``_resolve_readout`` have read the flags that
+span several keys or a file.  ``_job`` decodes the config against the config
+dataclasses, which hold every range rule, before anything runs; ``_run`` runs
+it, times it and writes the CSV, the summary and a manifest recording the
+command, config, seed, package version and output paths.  ``noisy-euler
+--from-manifest PATH`` enters the path at the recorded config, so a fresh run
+is the replay of its own manifest and a replay reproduces the CSV and summary
+byte-for-byte.  All randomness flows from the --seed flag through named
 sub-streams, so --jobs changes only the wall time.
 
-Exit codes: 0 success; 1 config or runtime error; 2 usage error, which names
-the flag.
+Exit codes: 0 success; 1 runtime error, or a replayed config that is refused
+(the error names its ``config.KEY`` path); 2 usage error, including a fresh
+config that is refused, which names the flag that filled the key.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -71,9 +72,8 @@ SWEEP_HEADER = ("lambda", "theta_max", "mean_improvement", "stderr", "n_samples"
 def _flag_type(convert):
     """``convert`` as an argparse ``type``: its ValueError becomes "cannot
     parse TEXT (reason)", where argparse would print only the converter's name;
-    an ArgumentTypeError, for a value that parses but is out of range, passes
-    through as it is."""
-    @functools.wraps(convert)
+    an ArgumentTypeError passes through as it is."""
+    @functools.wraps(convert, updated=())  # a builtin's class dict stays out
     def parse(text: str):
         try:
             return convert(text)
@@ -117,12 +117,7 @@ def _dist(text: str) -> dict:
     if text == "uniform":
         return {"kind": "uniform"}
     if text.startswith("cap:"):
-        theta_max = float(text[4:])
-        try:
-            cap_moments(theta_max)
-        except ValueError as exc:  # it parses, but is no cap
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return {"kind": "cap", "theta_max": theta_max}
+        return {"kind": "cap", "theta_max": float(text[4:])}
     if text.startswith("point:"):
         return _point(text[6:])
     raise ValueError("expects 'point:theta,phi', 'uniform', or 'cap:theta_max'")
@@ -150,57 +145,19 @@ def _grid(text: str) -> list[float]:
 
 @_flag_type
 def _depths(text: str) -> list[int]:
-    """'start:stop:step' (stop inclusive) or a comma list: increasing depths >= 1."""
+    """'start:stop:step' (stop inclusive; a step below 1 gives no depths) or a
+    comma list."""
     if ":" in text:
         a, b, s = (int(t) for t in text.split(":"))
-        depths = list(range(a, b + 1, s)) if s >= 1 else []
-    else:
-        depths = [int(t) for t in text.split(",")]
-    if not depths or depths[0] < 1 or any(b <= a for a, b in zip(depths, depths[1:])):
-        raise argparse.ArgumentTypeError(f"must be strictly increasing and >= 1, got {text!r}")
-    return depths
-
-
-def _int_at_least(minimum: int):
-    """An argparse ``type`` for an int flag that must be >= ``minimum``:
-    "cannot parse" for text that is no int, a range error for a smaller int."""
-    @_flag_type
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an int >= {minimum}, got {value}")
-        return value
-    return parse
+        return list(range(a, b + 1, s)) if s >= 1 else []
+    return [int(t) for t in text.split(",")]
 
 
 @_flag_type
 def _shots(text: str) -> int | None:
-    """--shots: an int >= 1, or 'inf' for exact survival probabilities."""
+    """--shots: an int, or 'inf' for exact survival probabilities."""
     text = text.strip().lower()
-    if text in ("inf", "infinite", "exact"):
-        return None
-    if not text.lstrip("+-").isdecimal():
-        raise ValueError("expects an integer or 'inf'")
-    return _int_at_least(1)(text)
-
-
-def _drift_factor(value: float) -> float:
-    """``value`` if it is a drift factor (positive and finite), else a range
-    error."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value!r}")
-    return value
-
-
-@_flag_type
-def _k(text: str) -> float:
-    """--k: one drift factor."""
-    return _drift_factor(float(text))
-
-
-def _k_grid(text: str) -> list[float]:
-    """--k-grid: a ``_grid`` of drift factors."""
-    return [_drift_factor(k) for k in _grid(text)]
+    return None if text in ("inf", "infinite", "exact") else int(text)
 
 
 @_flag_type
@@ -209,14 +166,21 @@ def _readout(text: str):
     return "device" if text.strip().lower() == "device" else _pair(text)
 
 
+def _refuse(parser, exc: ValueError, dests) -> None:
+    """Exit 2 through ``parser`` with the config's refusal ``exc``, naming
+    the flags whose dest is in ``dests``."""
+    flags = "/".join(o for a in parser._actions if a.dest in dests for o in a.option_strings)
+    parser.error(f"argument {flags}: {str(exc).removeprefix('config.')}")
+
+
 def _resolve_noise(args) -> tuple[NoiseParams, tuple[float, float] | None]:
     """Noise from --device/--qubit or explicit --lambda flags, plus the
     device qubit's readout probabilities when a device was given."""
     parser = args.parser
-    lam_flags = [v for v in (args.lam, args.lambda_a, args.lambda_p) if v is not None]
+    lam_dests = [d for d in ("lam", "lambda_a", "lambda_p") if getattr(args, d) is not None]
     if args.qubit is not None and args.device is None:
         parser.error("--qubit requires --device")
-    if args.device is not None and lam_flags:
+    if args.device is not None and lam_dests:
         parser.error("--device and --lambda/--lambda-a/--lambda-p are mutually exclusive")
     if args.device is not None:
         if args.qubit is None:
@@ -238,24 +202,27 @@ def _resolve_noise(args) -> tuple[NoiseParams, tuple[float, float] | None]:
     if args.lam is not None:
         if args.lambda_a is not None or args.lambda_p is not None:
             parser.error("--lambda is mutually exclusive with --lambda-a/--lambda-p")
-        return NoiseParams.from_lambda(args.lam), None
-    if args.lambda_a is not None and args.lambda_p is not None:
-        return NoiseParams(args.lambda_a, args.lambda_p), None
-    parser.error(
-        "specify the noise model: --device NAME --qubit N, or --lambda L, "
-        "or both --lambda-a and --lambda-p"
-    )
+        lams = (args.lam, args.lam)
+    elif args.lambda_a is not None and args.lambda_p is not None:
+        lams = (args.lambda_a, args.lambda_p)
+    else:
+        parser.error(
+            "specify the noise model: --device NAME --qubit N, or --lambda L, "
+            "or both --lambda-a and --lambda-p"
+        )
+    try:
+        return NoiseParams(*lams), None
+    except ValueError as exc:
+        _refuse(parser, exc, lam_dests)
 
 
 def _resolve_readout(args, device_readout) -> list[float] | None:
     """The --readout pair, with 'device' read from --device/--qubit."""
-    parser = args.parser
-    readout = device_readout if args.readout == "device" else args.readout
-    if args.readout == "device" and device_readout is None:
-        parser.error("--readout device requires --device and --qubit")
-    if args.mitigate and readout is None:
-        parser.error("--mitigate requires --readout")
-    return None if readout is None else list(readout)
+    if args.readout != "device":
+        return args.readout
+    if device_readout is None:
+        args.parser.error("--readout device requires --device and --qubit")
+    return list(device_readout)
 
 
 # ---------------------------------------------------------- config decoding
@@ -317,14 +284,14 @@ def _plain_tag(tag: str) -> str:
 
 # ---------------------------------------------------------------- runners
 #
-# A runner decodes a config, runs it and returns (summary, CSV header, CSV
-# rows), the last two None without a CSV.  It looks up the package functions
-# it calls as this module's globals, so patching them here reaches each call.
+# ``_job`` decodes a config into a runner: a call that runs it, given the
+# run's tag, and returns (summary, CSV header, CSV rows), the last two None
+# without a CSV.  Every refusal of the config happens in ``_job``, before
+# anything runs or is written.  It looks up the package functions it calls as
+# this module's globals, so patching them here reaches each call.
 
-def _optimize(command: str, config: dict, tag: str):
-    run = _decode(_OptimizeRun, config, "dist")
-    gate = EulerAngles(*run.gate)
-    result = optimize_gate(gate, *_dist_from_dict(config.get("dist")), run.noise)
+def _optimize(gate: EulerAngles, moments, noise: NoiseParams, tag: str):
+    result = optimize_gate(gate, *moments, noise)
     a = result.angles_opt
     print(f"target angles  (beta, gamma, delta) = "
           f"({gate.beta:.12g}, {gate.gamma:.12g}, {gate.delta:.12g})")
@@ -359,9 +326,8 @@ def _rb_rows(tag: str, result, include_circuits: bool) -> list[list]:
     return rows
 
 
-def _rb(command: str, config: dict, tag: str):
-    cfg = _decode(RbConfig, config, "jobs")
-    result = run_rb_experiment(cfg, jobs=_jobs(config))
+def _rb(cfg: RbConfig, jobs: int, tag: str):
+    result = run_rb_experiment(cfg, jobs=jobs)
     summary = {
         "rng_seed": cfg.rng_seed,
         "fits": {"unopt": result.unopt.fit, "opt": result.opt.fit},
@@ -373,10 +339,8 @@ def _rb(command: str, config: dict, tag: str):
     return summary, RB_HEADER, _rb_rows(tag, result, include_circuits=True)
 
 
-def _drift(command: str, config: dict, tag: str):
-    cfg = _decode(RbConfig, config, "jobs", "k_grid")
-    k_grid = from_jsonable(tuple[float, ...], config.get("k_grid"), "config.k_grid")
-    runs = run_drift_sweep(cfg, k_grid, jobs=_jobs(config))
+def _drift(cfg: RbConfig, k_grid: tuple[float, ...], jobs: int, tag: str):
+    runs = run_drift_sweep(cfg, k_grid, jobs=jobs)
     rows = [row for _, result in runs for row in _rb_rows(tag, result, include_circuits=False)]
     summary = {
         "rng_seed": cfg.rng_seed,
@@ -385,30 +349,41 @@ def _drift(command: str, config: dict, tag: str):
     return summary, RB_HEADER, rows
 
 
-def _sweep(command: str, config: dict, tag: str):
-    cfg = _decode(SweepConfig, config, "jobs")
-    sweep = prep_improvement_sweep if command == "prep-sweep" else knowledge_sweep
-    result = sweep(cfg, jobs=_jobs(config))
+def _sweep(sweep, cfg: SweepConfig, jobs: int, tag: str):
+    result = sweep(cfg, jobs=jobs)
     rows = [[row.lam, row.theta_max, row.mean_improvement, row.stderr, row.n_samples]
             for row in result.rows]
     return {"rng_seed": cfg.rng_seed, "n_rows": len(result.rows)}, SWEEP_HEADER, rows
 
 
-_RUNNERS = {
-    "optimize": _optimize,
-    "rb": _rb,
-    "drift": _drift,
-    "prep-sweep": _sweep,
-    "knowledge": _sweep,
-}
+def _job(command: str, config: dict):
+    """The runner of ``config`` as ``command``, decoded and checked."""
+    if command == "optimize":
+        run = _decode(_OptimizeRun, config, "dist")
+        moments = _dist_from_dict(config.get("dist"))
+        return functools.partial(_optimize, EulerAngles(*run.gate), moments, run.noise)
+    jobs = _jobs(config)
+    if command == "rb":
+        return functools.partial(_rb, _decode(RbConfig, config, "jobs"), jobs)
+    if command == "drift":
+        cfg = _decode(RbConfig, config, "jobs", "k_grid")
+        k_grid = from_jsonable(tuple[float, ...], config.get("k_grid"), "config.k_grid")
+        try:  # each k is the drift_factor of one RbConfig
+            for k in k_grid:
+                dataclasses.replace(cfg, drift_factor=k)
+        except ValueError as exc:
+            raise ValueError(f"config.k_grid: {exc}") from None
+        return functools.partial(_drift, cfg, k_grid, jobs)
+    sweep = prep_improvement_sweep if command == "prep-sweep" else knowledge_sweep
+    return functools.partial(_sweep, sweep, _decode(SweepConfig, config, "jobs"), jobs)
 
 
-def _run(command: str, config: dict, outdir: Path, tag: str) -> int:
-    """Run ``config`` as ``command``, fresh or replayed, and write the CSV
-    (if any), the summary (the runner's plus the run's tag, command and
-    config) and the manifest that replays it."""
+def _run(command: str, config: dict, runner, outdir: Path, tag: str) -> int:
+    """Run ``config`` as ``command`` through its ``runner``, fresh or
+    replayed, and write the CSV (if any), the summary (the runner's plus the
+    run's tag, command and config) and the manifest that replays it."""
     t0 = time.monotonic()
-    summary, header, rows = _RUNNERS[command](command, config, tag)
+    summary, header, rows = runner(tag)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = [] if rows is None else [write_csv(outdir / f"{tag}.csv", header, rows)]
     summary = {"experiment_id": tag, "command": command, "config": config, **summary}
@@ -479,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="basename for output files (default: command name)")
     sub = parser.add_subparsers(dest="command")
 
+    int_flag = _flag_type(int)
     # Flags that several subcommands share, as argparse parent parsers.
     noise = argparse.ArgumentParser(add_help=False)
     noise.add_argument("--device", help=f"bundled device {BUNDLED_DEVICES} or a spec JSON path")
@@ -488,12 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--lambda-a", type=float, help="amplitude damping probability")
     noise.add_argument("--lambda-p", type=float, help="phase damping probability")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--seed", dest="rng_seed", type=_int_at_least(0), default=0)
-    jobs.add_argument("--jobs", type=_int_at_least(1), default=1)
+    jobs.add_argument("--seed", dest="rng_seed", type=int_flag, default=0)
+    jobs.add_argument("--jobs", type=int_flag, default=1)
     rb_like = argparse.ArgumentParser(add_help=False, parents=[noise, jobs])
-    rb_like.add_argument("--multistart", type=_int_at_least(0), default=0,
+    rb_like.add_argument("--multistart", type=int_flag, default=0,
                          help="extra uniform-random starts beside the target seed")
-    rb_like.add_argument("--circuits", dest="n_circuits", type=_int_at_least(1), default=10)
+    rb_like.add_argument("--circuits", dest="n_circuits", type=int_flag, default=10)
     rb_like.add_argument("--shots", type=_shots, default="inf",
                          help="shots per measurement, or 'inf'")
     rb_like.add_argument("--readout", type=_readout,
@@ -515,24 +491,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     depths_help = "'start:stop:step' (stop inclusive) or comma list"
     sp = sub.add_parser("rb", parents=[rb_like], help="randomized-benchmarking simulation")
-    sp.add_argument("--gates", dest="n_gates", type=_int_at_least(1), default=246)
+    sp.add_argument("--gates", dest="n_gates", type=int_flag, default=246)
     sp.add_argument("--depths", dest="depth_schedule", type=_depths, default="1:246:7",
                     help=depths_help)
-    sp.add_argument("--k", dest="drift_factor", type=_k, default=1.0,
+    sp.add_argument("--k", dest="drift_factor", type=_flag_type(float), default=1.0,
                     help="coherence drift factor")
 
     sp = sub.add_parser("drift", parents=[rb_like], help="RB over a grid of drift factors")
-    sp.add_argument("--gates", dest="n_gates", type=_int_at_least(1), default=300)
+    sp.add_argument("--gates", dest="n_gates", type=int_flag, default=300)
     sp.add_argument("--depths", dest="depth_schedule", type=_depths, default="100:300:100",
                     help=depths_help)
-    sp.add_argument("--k-grid", type=_k_grid, default="1e-3:1e6:19log",
+    sp.add_argument("--k-grid", type=_grid, default="1e-3:1e6:19log",
                     help="'start:stop:count[log]' or comma list of drift factors")
 
     sp = sub.add_parser("prep-sweep", parents=[jobs],
                         help="state-preparation improvement vs damping")
     sp.add_argument("--lambda-grid", type=_grid, default="0:0.1:100",
                     help="'start:stop:count[log]' or comma list")
-    sp.add_argument("--targets", dest="targets_per_point", type=_int_at_least(1), default=100,
+    sp.add_argument("--targets", dest="targets_per_point", type=int_flag, default=100,
                     help="sampled targets per grid point")
 
     sp = sub.add_parser("knowledge", parents=[jobs],
@@ -541,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-max-grid", type=_grid,
                     default=[float(v) for v in np.linspace(math.pi / 25.0, math.pi, 25)],
                     help="'start:stop:count[log]' or comma list (default: 25 caps up to pi)")
-    sp.add_argument("--targets", dest="targets_per_point", type=_int_at_least(1), default=100,
+    sp.add_argument("--targets", dest="targets_per_point", type=int_flag, default=100,
                     help="sampled targets per grid cell")
 
     sp = sub.add_parser("validate", help="validate a device calibration file")
@@ -565,9 +541,10 @@ def main(argv=None) -> int:
         if args.from_manifest is not None:
             doc = load_manifest(args.from_manifest)
             command, config = doc["command"], doc["config"]
-            if not (isinstance(command, str) and command in _RUNNERS):
+            if not (isinstance(command, str) and command in _CONFIG_KEYS):
                 raise ValueError(f"manifest command {command!r} is not replayable")
             tag = args.tag or from_jsonable(str | None, doc.get("tag"), "tag") or command
+            runner = _job(command, config)
         else:
             # Only optimize, rb and drift have noise flags; only rb and drift --readout.
             noise, readout = _resolve_noise(args) if "device" in args else (None, None)
@@ -575,7 +552,11 @@ def main(argv=None) -> int:
                 readout = _resolve_readout(args, readout)
             command, config = args.command, _config(args, noise, readout)
             tag = args.tag or command
-        return _run(command, config, Path(args.output_dir), _plain_tag(tag))
+            try:
+                runner = _job(command, config)
+            except ValueError as exc:  # a refused key names the flag that filled it
+                _refuse(args.parser, exc, re.findall(r"^config\.(\w+)", str(exc)))
+        return _run(command, config, runner, Path(args.output_dir), _plain_tag(tag))
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,20 +49,22 @@ class SweepConfig:
         object.__setattr__(self, "lambda_grid", lams)
         if not lams:
             raise ValueError("lambda_grid must be nonempty")
-        if any(not (0.0 <= lam < 1.0) for lam in lams):
-            raise ValueError("lambda values must lie in [0, 1)")
+        for lam in lams:
+            if not 0.0 <= lam < 1.0:
+                raise ValueError(f"lambda_grid entries must lie in [0, 1), got {lam!r}")
         caps = tuple(float(v) for v in self.theta_max_grid)
         object.__setattr__(self, "theta_max_grid", caps)
         for tm in caps:  # each knowledge cell takes this cap's moments; fail before any runs
-            cap_moments(tm)
-        for name in ("targets_per_point", "rng_seed"):
+            try:
+                cap_moments(tm)
+            except ValueError as exc:
+                raise ValueError(f"theta_max_grid entry {tm!r}: {exc}") from None
+        for name, least in (("targets_per_point", 1), ("rng_seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int")
-        if self.targets_per_point < 1:
-            raise ValueError("targets_per_point must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -90,8 +90,9 @@ class BlochState:
         if theta > math.pi:
             theta = math.tau - theta
             phi += math.pi
+        phi %= math.tau  # a tiny negative phi rounds up to exactly 2*pi
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi % math.tau)
+        object.__setattr__(self, "phi", 0.0 if phi == math.tau else phi)
 
     def bloch_vector(self) -> np.ndarray:
         """n = (sin theta cos phi, sin theta sin phi, cos theta)."""

@@ -110,7 +110,9 @@ def from_jsonable(tp, value, where: str):
     without one, is an error.  ``X | None`` admits null, tuples are read from
     lists, a ``float`` is any finite number, and ``int``, ``bool`` and ``str``
     must be exactly that JSON type.  Faults, including a ValueError from a
-    dataclass's own checks, raise ValueError naming the path from ``where``.
+    dataclass's own checks, raise ValueError naming the path from ``where``;
+    a check whose message begins with a field's name ("rng_seed must be ...")
+    names that field's path ("config.rng_seed must be ...").
     """
     if is_dataclass(tp):
         if not isinstance(value, dict):
@@ -128,7 +130,8 @@ def from_jsonable(tp, value, where: str):
         try:
             return tp(**kwargs)
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+            field = str(exc).split(" ", 1)[0]
+            raise ValueError(f"{where}.{exc}" if field in known else f"{where}: {exc}") from None
     args = typing.get_args(tp)
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         (inner,) = (a for a in args if a is not type(None))

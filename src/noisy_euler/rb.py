@@ -80,35 +80,27 @@ class RbConfig:
     track_noisy_state: bool = False
 
     def __post_init__(self) -> None:
-        ints = ("n_circuits", "n_gates", "rng_seed", "multistart")
-        for name in ints + (() if self.shots is None else ("shots",)):
+        for name, least in (("n_circuits", 1), ("n_gates", 1), ("rng_seed", 0),
+                            ("multistart", 0), ("shots", 1)):
             value = getattr(self, name)
+            if name == "shots" and value is None:
+                continue
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int")
-        if self.n_circuits < 1:
-            raise ValueError("n_circuits must be >= 1")
-        if self.n_gates < 1:
-            raise ValueError("n_gates must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
-        if self.multistart < 0:
-            raise ValueError("multistart must be >= 0")
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         depths = tuple(self.depth_schedule)
         if not all(isinstance(d, int) and not isinstance(d, bool) for d in depths):
             raise ValueError(f"depth_schedule must list ints, got {self.depth_schedule!r}")
         object.__setattr__(self, "depth_schedule", depths)
-        if not depths:
-            raise ValueError("depth_schedule must be nonempty")
-        if depths[0] < 1:
-            raise ValueError("depths must be >= 1")
-        if any(b <= a for a, b in zip(depths, depths[1:])):
-            raise ValueError("depth_schedule must be strictly increasing")
+        if not depths or depths[0] < 1 or any(b <= a for a, b in zip(depths, depths[1:])):
+            raise ValueError("depth_schedule must be nonempty, strictly increasing and >= 1, "
+                             f"got {depths}")
         if depths[-1] > self.n_gates:
-            raise ValueError("max depth exceeds n_gates")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1, or None for exact probabilities")
+            raise ValueError(f"depth_schedule must not exceed n_gates = {self.n_gates}, "
+                             f"got depth {depths[-1]}")
         if not (math.isfinite(self.drift_factor) and self.drift_factor > 0):
-            raise ValueError("drift_factor must be positive and finite")
+            raise ValueError(f"drift_factor must be positive and finite, got {self.drift_factor!r}")
         if self.readout is not None:
             p10, p01 = (float(p) for p in self.readout)
             _readout_slope(p10, p01, invertible=self.mitigate)

@@ -4,6 +4,7 @@ These call cli.main() with argv lists; one test runs the declared console
 script entry point through a real subprocess.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from noisy_euler import cli
 from noisy_euler.cli import main
 
 
@@ -389,14 +391,17 @@ def test_manifest_with_removed_optimizer_key_exits_1(tmp_path, capsys, key, valu
 
 
 PREP_SMALL = ("prep-sweep", "--lambda-grid", "0.05", "--targets", "2", "--seed", "5")
-# the --depths range error, which names the flag as every usage error does
-DEPTHS_RANGE = "--depths: must be strictly increasing and >= 1"
-# the other range errors, which name their flag too
-SHOTS_RANGE = "--shots: must be an int >= 1"
-DIST_RANGE = "--dist: theta_max must lie in (0, pi]"
-K_RANGE = "--k: must be positive and finite"
-K_GRID_RANGE = "--k-grid: must be positive and finite"
+# refusals of a fresh run's config, which name the flag that filled the key
+DEPTHS_RANGE = "--depths: depth_schedule must be nonempty, strictly increasing and >= 1"
+SHOTS_RANGE = "--shots: shots must be >= 1"
+DIST_RANGE = "--state/--dist: dist: theta_max must lie in (0, pi]"
+K_RANGE = "--k: drift_factor must be positive and finite"
+K_GRID_RANGE = "--k-grid: k_grid: drift_factor must be positive and finite"
 CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
+KNOWLEDGE_SMALL = ("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "0.5",
+                   "--targets", "2")
+DRIFT_SMALL = ("drift", "--lambda", "0.01", "--circuits", "1", "--gates", "6",
+               "--depths", "2:6:2", "--k-grid", "1,10")
 
 
 @pytest.mark.parametrize(
@@ -422,12 +427,21 @@ CAP_SMALL = ("optimize", "--gate", "h", "--dist", "cap:0.7", "--lambda", "0.05")
         (PREP_SMALL, lambda doc: doc["config"].update(rng_seed=-1), "rng_seed"),
         (CAP_SMALL, lambda doc: doc["config"]["gate"].append(1.0), "config.gate"),
         (PREP_SMALL, lambda doc: doc["config"].update(jobs=0), "config.jobs"),
+        (RB_SMALL, lambda doc: doc["config"].update(depth_schedule=[1, 5, 13]),
+         "config.depth_schedule must not exceed n_gates"),
+        (PREP_SMALL, lambda doc: doc["config"].update(lambda_grid=[1.5]),
+         "config.lambda_grid entries must lie in [0, 1)"),
+        (KNOWLEDGE_SMALL, lambda doc: doc["config"].update(theta_max_grid=[0.0]),
+         "config.theta_max_grid entry 0.0: theta_max must lie in (0, pi]"),
+        (DRIFT_SMALL, lambda doc: doc["config"].update(k_grid=[0.0]),
+         "config.k_grid: drift_factor must be positive and finite"),
     ],
     ids=["config-list", "optimizer-null", "multistart-string", "targets-string",
          "flag-string", "unknown-top-level-key", "unknown-noise-key",
          "lambda-string-beside-times", "multistart-negative", "cap-without-theta-max",
          "rb-seed-negative", "sweep-seed-negative", "optimize-gate-four-angles",
-         "jobs-zero", "cap-zero", "cap-above-pi"],
+         "jobs-zero", "cap-zero", "cap-above-pi", "depths-past-n-gates", "lambda-grid-1.5",
+         "theta-max-grid-0", "k-grid-0"],
 )
 def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, key):
     """A config value of the wrong JSON type replays as one error line that
@@ -474,41 +488,38 @@ def test_usage_error_bad_tag(tmp_path, tag):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("args", [
-    RB_SMALL,
-    ("drift", "--lambda", "0.01", "--circuits", "1", "--gates", "6", "--depths", "2:6:2",
-     "--k-grid", "1,10"),
-    PREP_SMALL,
-    ("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "0.5", "--targets", "2"),
-], ids=["rb", "drift", "prep-sweep", "knowledge"])
+@pytest.mark.parametrize("args", [RB_SMALL, DRIFT_SMALL, PREP_SMALL, KNOWLEDGE_SMALL],
+                         ids=["rb", "drift", "prep-sweep", "knowledge"])
 def test_usage_error_negative_seed(tmp_path, capsys, args):
-    """A negative --seed is refused by the parser, before anything runs or
-    is written."""
+    """A negative --seed is refused by the run's config, as a usage error
+    naming the flag, before anything runs or is written."""
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), *args, "--seed", "-1")
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--seed: must be an int >= 0, got -1" in err and "cannot parse" not in err
+    assert "--seed: rng_seed must be >= 0, got -1" in err and "cannot parse" not in err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args, flag", [
-    (("optimize", "--gate", "q", "--state", "0,0", "--lambda", "0"), "--gate"),
-    (("optimize", "--gate", "0.3,1.2,2.1,1.0", "--state", "0,0", "--lambda", "0"), "--gate"),
-    (RB_SMALL + ("--depths", "1:x:3"), "--depths"),
-    (RB_SMALL + ("--shots", "many"), "--shots"),
-    (("drift", "--lambda", "0.01", "--k-grid", "1:2:0"), "--k-grid"),
-    (("prep-sweep", "--lambda-grid", "0:0.1:0"), "--lambda-grid"),
-    (("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "a,b"), "--theta-max-grid"),
-    (("optimize", "--gate", "h", "--state", "1", "--lambda", "0"), "--state"),
-    (("optimize", "--gate", "h", "--dist", "cap:x", "--lambda", "0"), "--dist"),
-    (RB_SMALL + ("--readout", "0.1"), "--readout"),
-    (PREP_SMALL + ("--seed", "x"), "--seed"),
-    (RB_SMALL + ("--multistart", "-1"), "--multistart"),
-    (PREP_SMALL + ("--jobs", "0"), "--jobs"),
-    (RB_SMALL + ("--circuits", "0"), "--circuits"),
-    (RB_SMALL + ("--gates", "0"), "--gates"),
-    (PREP_SMALL + ("--targets", "0"), "--targets"),
+    (("optimize", "--gate", "q", "--state", "0,0", "--lambda", "0"), "--gate: cannot parse"),
+    (("optimize", "--gate", "0.3,1.2,2.1,1.0", "--state", "0,0", "--lambda", "0"),
+     "--gate: cannot parse"),
+    (RB_SMALL + ("--depths", "1:x:3"), "--depths: cannot parse"),
+    (RB_SMALL + ("--shots", "many"), "--shots: cannot parse"),
+    (("drift", "--lambda", "0.01", "--k-grid", "1:2:0"), "--k-grid: count must be >= 1"),
+    (("prep-sweep", "--lambda-grid", "0:0.1:0"), "--lambda-grid: count must be >= 1"),
+    (("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "a,b"),
+     "--theta-max-grid: cannot parse"),
+    (("optimize", "--gate", "h", "--state", "1", "--lambda", "0"), "--state: cannot parse"),
+    (("optimize", "--gate", "h", "--dist", "cap:x", "--lambda", "0"), "--dist: cannot parse"),
+    (RB_SMALL + ("--readout", "0.1"), "--readout: cannot parse"),
+    (PREP_SMALL + ("--seed", "x"), "--seed: cannot parse"),
+    (RB_SMALL + ("--multistart", "-1"), "--multistart: multistart must be >= 0"),
+    (PREP_SMALL + ("--jobs", "0"), "--jobs: jobs must be an int >= 1"),
+    (RB_SMALL + ("--circuits", "0"), "--circuits: n_circuits must be >= 1"),
+    (RB_SMALL + ("--gates", "0"), "--gates: n_gates must be >= 1"),
+    (PREP_SMALL + ("--targets", "0"), "--targets: targets_per_point must be >= 1"),
     (RB_SMALL + ("--depths", "1:246:0"), DEPTHS_RANGE),
     (RB_SMALL + ("--depths", "12:1:-4"), DEPTHS_RANGE),
     (RB_SMALL + ("--depths", "0,5"), DEPTHS_RANGE),
@@ -520,38 +531,66 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     (RB_SMALL + ("--shots", "-3"), SHOTS_RANGE),
     (("optimize", "--gate", "h", "--dist", "cap:0", "--lambda", "0.01"), DIST_RANGE),
     (("optimize", "--gate", "h", "--dist", "cap:4", "--lambda", "0.01"), DIST_RANGE),
-    (("optimize", "--gate", "h", "--dist", "cap:nan", "--lambda", "0.01"), DIST_RANGE),
+    (("optimize", "--gate", "h", "--dist", "cap:nan", "--lambda", "0.01"),
+     "--state/--dist: dist.theta_max must be a finite number"),
     (RB_SMALL + ("--k", "-1"), K_RANGE),
     (RB_SMALL + ("--k", "0"), K_RANGE),
-    (RB_SMALL + ("--k", "inf"), K_RANGE),
+    (RB_SMALL + ("--k", "inf"), "--k: drift_factor must be a finite number"),
     (("drift", "--lambda", "0.01", "--k-grid", "0,1"), K_GRID_RANGE),
-    (("drift", "--lambda", "0.01", "--k-grid", "1,nan"), K_GRID_RANGE),
+    (("drift", "--lambda", "0.01", "--k-grid", "1,nan"),
+     "--k-grid: k_grid[1] must be a finite number"),
     (("drift", "--lambda", "0.01", "--k-grid", "0:1e3:4"), K_GRID_RANGE),
+    (("optimize", "--gate", "h", "--state", "nan,0", "--lambda", "0.01"),
+     "--state/--dist: dist.theta must be a finite number"),
+    (("optimize", "--gate", "h", "--dist", "point:0.3,inf", "--lambda", "0.01"),
+     "--state/--dist: dist.phi must be a finite number"),
+    (("optimize", "--gate", "h", "--state", "0,0", "--lambda", "2"),
+     "--lambda: lambda_a must lie in [0, 1]"),
+    (("optimize", "--gate", "h", "--state", "0,0", "--lambda-a", "0.01", "--lambda-p", "-1"),
+     "--lambda-p: lambda_p must lie in [0, 1]"),
+    (("prep-sweep", "--lambda-grid", "0,1.5"),
+     "--lambda-grid: lambda_grid entries must lie in [0, 1)"),
+    (("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "0,1"),
+     "--theta-max-grid: theta_max_grid entry 0.0: theta_max must lie in (0, pi]"),
+    (("rb", "--lambda", "0.01", "--depths", "1:20:5", "--gates", "10"),
+     "--depths: depth_schedule must not exceed n_gates = 10"),
+    (RB_SMALL + ("--readout", "1.2,0"), "--readout: readout p_meas1_prep0 must lie in [0, 1]"),
 ], ids=["gate", "gate-four-angles", "depths", "shots", "k-grid", "lambda-grid",
         "theta-max-grid", "state", "dist", "readout", "seed", "multistart", "jobs",
         "circuits", "gates", "targets", "depths-step-0", "depths-step-negative",
         "depths-list-below-1", "depths-range-below-1", "depths-empty-range",
         "depths-decreasing", "depths-repeated", "shots-0", "shots-negative", "dist-cap-0",
         "dist-cap-4", "dist-cap-nan", "k-negative", "k-0", "k-inf", "k-grid-0",
-        "k-grid-nan", "k-grid-range-from-0"])
+        "k-grid-nan", "k-grid-range-from-0", "state-nan", "dist-point-inf", "lambda-2",
+        "lambda-p-negative", "lambda-grid-1.5", "theta-max-grid-0", "depths-past-n-gates",
+        "readout-1.2"])
 def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
-    """A flag value that does not parse, or a count below the flag's minimum,
-    is a usage error naming the flag, raised before anything runs or is
-    written.  A value that parses but is out of range (the grid counts of 0,
-    the int flags and --shots below their minimum, depths that are not
-    strictly increasing from 1 up, by a step below 1 or in an empty range, a
-    --dist cap outside (0, pi], and drift factors that are not positive and
-    finite) is not reported as "cannot parse"."""
+    """A flag value that does not parse, or that the run's config refuses, is
+    a usage error naming the flag, raised before anything runs or is
+    written.  Only a value that does not parse is reported as "cannot parse";
+    a refused one (a grid count of 0, a count or seed below its minimum,
+    depths that are not strictly increasing from 1 up or pass --gates, a
+    --dist cap outside (0, pi], a non-finite angle or value, a drift factor
+    that is not positive, a damping or readout probability outside [0, 1])
+    names the config key it fills."""
     with pytest.raises(SystemExit) as exc:
         run_cli("--output-dir", str(tmp_path), *args)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err
-    out_of_range = ("--k-grid", "--lambda-grid", "--multistart", "--jobs", "--circuits",
-                    "--gates", "--targets", DEPTHS_RANGE, SHOTS_RANGE, DIST_RANGE, K_RANGE,
-                    K_GRID_RANGE)
-    assert ("cannot parse" in err) == (flag not in out_of_range)
+    assert ("cannot parse" in err) == ("cannot parse" in flag)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(cli._CONFIG_KEYS))
+def test_every_config_key_but_noise_is_a_flag_dest(command):
+    """A fresh run names the flag whose dest is the refused config key; so
+    every key of a command's config but "noise" (made of several flags) is
+    the dest of one of its subcommand's flags."""
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions if a.option_strings}
+    assert set(cli._CONFIG_KEYS[command]) - {"noise"} <= dests
 
 
 @pytest.mark.parametrize("args, flag", [

@@ -205,6 +205,21 @@ def test_bloch_state_canonicalization():
         BlochState(math.nan)
 
 
+@pytest.mark.parametrize("theta, phi", [
+    (0.3, -1e-20),  # phi % 2pi rounds up to exactly 2pi
+    (-1e-20, 0.3),
+    (-0.4, 1.0),
+    (math.pi + 0.4, -0.5),
+    (math.pi, 0.0),
+    (7.0, 20.0),
+    (0.0, math.tau),
+])
+def test_bloch_state_canonicalizing_twice_is_identity(theta, phi):
+    s = BlochState(theta, phi)
+    assert 0.0 <= s.theta <= math.pi and 0.0 <= s.phi < math.tau
+    assert BlochState(s.theta, s.phi) == s
+
+
 def test_validate_density_matrix_rejects_bad_inputs():
     with pytest.raises(ValueError):
         validate_density_matrix(np.array([[1.0, 0.5], [0.1, 0.0]]))  # not Hermitian

@@ -130,7 +130,7 @@ def test_from_jsonable_inverts_to_jsonable(obj):
          r"x\.mitigate must be a boolean"),
         (float, 10**400, "must be a finite number"),
         (SweepConfig, {"lambda_grid": [0.1], "targets_per_point": 0},
-         r"x: targets_per_point must be >= 1"),
+         r"x\.targets_per_point must be >= 1"),
         (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1, "t1": 1.0}},
          r"x\.noise: t1, t2 and t_star must be all given"),
     ],
