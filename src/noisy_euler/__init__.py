@@ -20,18 +20,11 @@ from .gates import (
     NAMED_GATES,
     extract_euler,
     named_gate,
-    rx,
-    rz,
-    validate_density_matrix,
 )
 from .noise import (
     LAMBDA_MAX,
     NoiseParams,
-    amplitude_damping_kraus,
-    apply_channel_kraus,
     damping_probabilities,
-    noisy_gate_stepwise,
-    phase_damping_kraus,
 )
 from .objectives import (
     cap_moments,
@@ -79,16 +72,9 @@ __all__ = [
     "NAMED_GATES",
     "extract_euler",
     "named_gate",
-    "rx",
-    "rz",
-    "validate_density_matrix",
     "LAMBDA_MAX",
     "NoiseParams",
-    "amplitude_damping_kraus",
-    "apply_channel_kraus",
     "damping_probabilities",
-    "noisy_gate_stepwise",
-    "phase_damping_kraus",
     "cap_moments",
     "moment_objective",
     "point_moments",

@@ -358,6 +358,10 @@ def _sweep(sweep, cfg: SweepConfig, jobs: int, tag: str):
 
 def _job(command: str, config: dict):
     """The runner of ``config`` as ``command``, decoded and checked."""
+    unknown = sorted(set(config) - set(_CONFIG_KEYS[command]))
+    if unknown:
+        raise ValueError(f"config has key(s) {', '.join(map(repr, unknown))} that {command} "
+                         f"does not take; its keys: {', '.join(_CONFIG_KEYS[command])}")
     if command == "optimize":
         run = _decode(_OptimizeRun, config, "dist")
         moments = _dist_from_dict(config.get("dist"))
@@ -374,8 +378,11 @@ def _job(command: str, config: dict):
         except ValueError as exc:
             raise ValueError(f"config.k_grid: {exc}") from None
         return functools.partial(_drift, cfg, k_grid, jobs)
+    cfg = _decode(SweepConfig, config, "jobs")
+    if command == "knowledge" and not cfg.theta_max_grid:
+        raise ValueError("config.theta_max_grid must be nonempty")
     sweep = prep_improvement_sweep if command == "prep-sweep" else knowledge_sweep
-    return functools.partial(_sweep, sweep, _decode(SweepConfig, config, "jobs"), jobs)
+    return functools.partial(_sweep, sweep, cfg, jobs)
 
 
 def _run(command: str, config: dict, runner, outdir: Path, tag: str) -> int:

@@ -1,4 +1,5 @@
-"""Single-qubit rotations, ZYZ Euler decompositions, and Bloch-sphere helpers.
+"""ZYZ Euler decompositions of single-qubit unitaries, the angle and state
+types, and the named gates.
 
 Conventions used throughout the package:
 
@@ -38,20 +39,6 @@ import numpy as np
 GAMMA_TIE_TOL = 1e-9
 
 _UNITARY_TOL = 1e-10
-_DENSITY_TOL = 1e-9  # Hermiticity and unit trace of a density matrix
-_PSD_TOL = 1e-12  # how far below 0 a density matrix's eigenvalue may fall
-
-
-def rz(phi: float) -> np.ndarray:
-    """Rotation about the z axis: diag(e^{-i phi/2}, e^{i phi/2})."""
-    h = 0.5 * phi
-    return np.array([[cmath.exp(-1j * h), 0.0], [0.0, cmath.exp(1j * h)]])
-
-
-def rx(theta: float) -> np.ndarray:
-    """Rotation about the x axis: cos(theta/2) I - i sin(theta/2) X."""
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return np.array([[c, -1j * s], [-1j * s, c]])
 
 
 @dataclass(frozen=True)
@@ -94,13 +81,9 @@ class BlochState:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", 0.0 if phi == math.tau else phi)
 
-    def bloch_vector(self) -> np.ndarray:
-        """n = (sin theta cos phi, sin theta sin phi, cos theta)."""
-        return np.array(_bloch_vector(self.theta, self.phi))
-
 
 def _bloch_vector(theta: float, phi: float) -> tuple[float, float, float]:
-    """``BlochState.bloch_vector`` in floats, for angles already canonical."""
+    """n = (sin theta cos phi, sin theta sin phi, cos theta), in floats."""
     st = math.sin(theta)
     return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
@@ -179,28 +162,6 @@ def _hamilton(p, q) -> tuple[float, float, float, float]:
         a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
         a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
     )
-
-
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check finiteness, Hermiticity, unit trace (within ``_DENSITY_TOL``) and
-    positivity (within ``_PSD_TOL``) of a 2x2 density matrix; returns the
-    array unchanged."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("density matrix must be 2x2")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
-    if np.abs(rho - rho.conj().T).max() > _DENSITY_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > _DENSITY_TOL:
-        raise ValueError("density matrix trace differs from 1 beyond tolerance")
-    # analytic 2x2 eigenvalues: m +- sqrt(m^2 - det)
-    m = 0.5 * (rho[0, 0].real + rho[1, 1].real)
-    det = (rho[0, 0].real * rho[1, 1].real) - (rho[0, 1] * rho[1, 0]).real
-    disc = max(m * m - det, 0.0)
-    if m - math.sqrt(disc) < -_PSD_TOL:
-        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-    return rho
 
 
 _SQRT_HALF = math.sqrt(0.5)

@@ -28,9 +28,6 @@ n -> A n + t, which ``_apply`` evaluates in plain floats at one Bloch vector
 and ``_apply_all`` at several: n -> Rz(beta) (K Rz(delta) n + t0), K and t0
 from ``_pulse_pair``.  It is the only form the RB simulator and the
 objectives' set-up use, and at zero noise it is the gate's rotation.
-``noisy_gate_stepwise``, the oracle only, applies the decomposition pulse by
-pulse on 2x2 density matrices through the Kraus sums (``apply_channel_kraus``),
-independently of the affine map, and the two agree to ~1e-15.
 """
 
 from __future__ import annotations
@@ -38,9 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gates import EulerAngles, rx, rz, validate_density_matrix
 
 # Damping probabilities are clamped to [0, 1 - 1e-15] so sqrt(1 - lambda)
 # never vanishes exactly and extreme drift factors stay finite.
@@ -85,10 +79,12 @@ class NoiseParams:
                 raise ValueError(f"{name} must lie in [0, 1]")
             object.__setattr__(self, name, _clamp(lam))
         # A decoded manifest reaches this constructor directly: times, if
-        # given, must be all three and must produce the probabilities.
+        # given, must be all three and must produce the probabilities, each
+        # within 1e-9 of its value from the times, relative to that value.
         times = (self.t1, self.t2, self.t_star)
-        if times != (None, None, None) and (None in times or not np.allclose(
-            (self.lambda_a, self.lambda_p), damping_probabilities(*times), rtol=1e-9, atol=0
+        if times != (None, None, None) and (None in times or any(
+            abs(lam - want) > 1e-9 * abs(want)
+            for lam, want in zip((self.lambda_a, self.lambda_p), damping_probabilities(*times))
         )):
             raise ValueError("t1, t2 and t_star must be all given, and yield lambda_a and "
                              "lambda_p, or all null")
@@ -117,55 +113,6 @@ class NoiseParams:
         la = -math.expm1(k * math.log1p(-self.lambda_a))
         lp = -math.expm1(k * math.log1p(-self.lambda_p))
         return NoiseParams(la, lp)
-
-
-def amplitude_damping_kraus(lambda_a: float) -> list[np.ndarray]:
-    """Kraus operators {A0, A1} of amplitude damping."""
-    return [
-        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lambda_a)]], dtype=complex),
-        np.array([[0.0, math.sqrt(lambda_a)], [0.0, 0.0]], dtype=complex),
-    ]
-
-
-def phase_damping_kraus(lambda_p: float) -> list[np.ndarray]:
-    """Kraus operators {P0, P1} of phase damping."""
-    return [
-        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lambda_p)]], dtype=complex),
-        np.array([[0.0, 0.0], [0.0, math.sqrt(lambda_p)]], dtype=complex),
-    ]
-
-
-def apply_channel_kraus(rho: np.ndarray, params: NoiseParams) -> np.ndarray:
-    """Amplitude-then-phase damping of a density matrix as the Kraus sum
-    sum_i P_i (sum_j A_j rho A_j^dag) P_i^dag; the oracle's channel."""
-    rho = validate_density_matrix(rho)
-    amp = sum(a @ rho @ a.conj().T for a in amplitude_damping_kraus(params.lambda_a))
-    return sum(p @ amp @ p.conj().T for p in phase_damping_kraus(params.lambda_p))
-
-
-def noisy_gate_stepwise(
-    angles: EulerAngles, rho: np.ndarray, params: NoiseParams
-) -> np.ndarray:
-    """Pulse-by-pulse noisy application of the native decomposition.
-
-    rho1 = N(R_x(pi/2) R_z(delta) rho R_z(delta)^dag R_x(pi/2)^dag)
-    rho2 = N(R_x(-pi/2) R_z(gamma) rho1 R_z(gamma)^dag R_x(-pi/2)^dag)
-    out  = R_z(beta) rho2 R_z(beta)^dag
-
-    with N the Kraus sum of ``apply_channel_kraus``, which validates each
-    pulse's input.  Accepts arbitrary mixed input states; the independent
-    oracle for ``_apply``.
-    """
-    u1 = _RX_PLUS @ rz(angles.delta)
-    rho = apply_channel_kraus(u1 @ rho @ u1.conj().T, params)
-    u2 = _RX_MINUS @ rz(angles.gamma)
-    rho = apply_channel_kraus(u2 @ rho @ u2.conj().T, params)
-    u3 = rz(angles.beta)
-    return u3 @ rho @ u3.conj().T
-
-
-_RX_PLUS = rx(0.5 * math.pi)
-_RX_MINUS = rx(-0.5 * math.pi)
 
 
 def _pulse_pair(gamma: float, la: float, lp: float):

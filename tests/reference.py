@@ -1,7 +1,10 @@
 """Reference formulas that several test modules compare the package against.
 
 Each is written out from the physics, not taken from the package, so a
-comparison with it stays an independent check.
+comparison with it stays an independent check.  The Kraus oracle
+(``noisy_gate_stepwise`` and the helpers above it) reads EulerAngles,
+NoiseParams and BlochState only through their attributes and calls no
+package function.
 """
 
 import cmath
@@ -37,12 +40,99 @@ def zyz_unitary(angles) -> np.ndarray:
     ])
 
 
+def rz(phi: float) -> np.ndarray:
+    """Rotation about the z axis: diag(e^{-i phi/2}, e^{i phi/2})."""
+    return np.array([[cmath.exp(-0.5j * phi), 0.0], [0.0, cmath.exp(0.5j * phi)]])
+
+
+def rx(theta: float) -> np.ndarray:
+    """Rotation about the x axis: cos(theta/2) I - i sin(theta/2) X."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def bloch_vector(state) -> np.ndarray:
+    """n = (sin theta cos phi, sin theta sin phi, cos theta) of a BlochState."""
+    st = math.sin(state.theta)
+    return np.array([st * math.cos(state.phi), st * math.sin(state.phi), math.cos(state.theta)])
+
+
+DENSITY_TOL = 1e-9  # Hermiticity and unit trace of a density matrix
+PSD_TOL = 1e-12  # how far below 0 a density matrix's eigenvalue may fall
+
+
+def validate_density_matrix(rho) -> np.ndarray:
+    """Check finiteness, Hermiticity, unit trace (within ``DENSITY_TOL``) and
+    positivity (within ``PSD_TOL``) of a 2x2 density matrix; returns it as a
+    complex array."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError("density matrix must be 2x2")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
+    if np.abs(rho - rho.conj().T).max() > DENSITY_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > DENSITY_TOL:
+        raise ValueError("density matrix trace differs from 1 beyond tolerance")
+    # analytic 2x2 eigenvalues: m +- sqrt(m^2 - det)
+    m = 0.5 * (rho[0, 0].real + rho[1, 1].real)
+    det = rho[0, 0].real * rho[1, 1].real - (rho[0, 1] * rho[1, 0]).real
+    if m - math.sqrt(max(m * m - det, 0.0)) < -PSD_TOL:
+        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+    return rho
+
+
+def amplitude_damping_kraus(lambda_a: float) -> list[np.ndarray]:
+    """Kraus operators A0 = [[1, 0], [0, sqrt(1 - la)]], A1 = [[0, sqrt(la)],
+    [0, 0]] of amplitude damping."""
+    return [
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lambda_a)]], dtype=complex),
+        np.array([[0.0, math.sqrt(lambda_a)], [0.0, 0.0]], dtype=complex),
+    ]
+
+
+def phase_damping_kraus(lambda_p: float) -> list[np.ndarray]:
+    """Kraus operators P0 = [[1, 0], [0, sqrt(1 - lp)]], P1 = [[0, 0],
+    [0, sqrt(lp)]] of phase damping."""
+    return [
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lambda_p)]], dtype=complex),
+        np.array([[0.0, 0.0], [0.0, math.sqrt(lambda_p)]], dtype=complex),
+    ]
+
+
+def apply_channel_kraus(rho, params) -> np.ndarray:
+    """Amplitude-then-phase damping of a density matrix as the Kraus sum
+    sum_i P_i (sum_j A_j rho A_j^dag) P_i^dag, after checking its input."""
+    rho = validate_density_matrix(rho)
+    amp = sum(a @ rho @ a.conj().T for a in amplitude_damping_kraus(params.lambda_a))
+    return sum(p @ amp @ p.conj().T for p in phase_damping_kraus(params.lambda_p))
+
+
+RX_PLUS = rx(0.5 * math.pi)
+RX_MINUS = rx(-0.5 * math.pi)
+
+
+def noisy_gate_stepwise(angles, rho, params) -> np.ndarray:
+    """The noisy native gate of EulerAngles on a density matrix, pulse by
+    pulse, with the damping of NoiseParams after each physical pulse:
+
+    rho1 = N(R_x(pi/2) R_z(delta) rho R_z(delta)^dag R_x(pi/2)^dag)
+    rho2 = N(R_x(-pi/2) R_z(gamma) rho1 R_z(gamma)^dag R_x(-pi/2)^dag)
+    out  = R_z(beta) rho2 R_z(beta)^dag
+
+    with N the Kraus sum of ``apply_channel_kraus``.  Accepts mixed inputs."""
+    u1 = RX_PLUS @ rz(angles.delta)
+    rho = apply_channel_kraus(u1 @ rho @ u1.conj().T, params)
+    u2 = RX_MINUS @ rz(angles.gamma)
+    rho = apply_channel_kraus(u2 @ rho @ u2.conj().T, params)
+    u3 = rz(angles.beta)
+    return u3 @ rho @ u3.conj().T
+
+
 def point_fidelity(target, trial, state, params) -> float:
     """<psi_t| rho_trial |psi_t> for the pure input |psi> of a BlochState:
     |psi_t> = U(target) |psi>, and rho_trial the noisy output of the trial
     angles from the pulse-by-pulse Kraus channel ``noisy_gate_stepwise``."""
-    from noisy_euler import noisy_gate_stepwise
-
     psi_t = zyz_unitary(target) @ state_vector(state)
     rho = noisy_gate_stepwise(trial, projector(state), params)
     return float(np.real(psi_t.conj() @ rho @ psi_t))

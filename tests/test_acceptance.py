@@ -26,14 +26,19 @@ from noisy_euler import (
     mitigate_readout,
     moment_objective,
     noise_params_for,
-    noisy_gate_stepwise,
     prep_improvement_sweep,
     run_drift_sweep,
     run_rb_experiment,
 )
 from noisy_euler.cli import main as cli_main
 from noisy_euler.noise import _apply
-from reference import bloch_density, calibration_signal, projector
+from reference import (
+    bloch_density,
+    bloch_vector,
+    calibration_signal,
+    noisy_gate_stepwise,
+    projector,
+)
 
 
 def _report(index: int, title: str, ok: bool, detail: str) -> None:
@@ -65,7 +70,7 @@ def test_01_closed_form_matches_stepwise_channel():
         params = NoiseParams(la, lp)
         closed = bloch_density(_apply(angles.beta, angles.gamma, angles.delta,
                                       params.lambda_a, params.lambda_p,
-                                      state.bloch_vector()))
+                                      bloch_vector(state)))
         step = noisy_gate_stepwise(angles, projector(state), params)
         worst = max(worst, float(np.max(np.abs(closed - step))))
     elapsed = time.monotonic() - t0

@@ -435,13 +435,20 @@ DRIFT_SMALL = ("drift", "--lambda", "0.01", "--circuits", "1", "--gates", "6",
          "config.theta_max_grid entry 0.0: theta_max must lie in (0, pi]"),
         (DRIFT_SMALL, lambda doc: doc["config"].update(k_grid=[0.0]),
          "config.k_grid: drift_factor must be positive and finite"),
+        (KNOWLEDGE_SMALL, lambda doc: doc.__setitem__("command", "prep-sweep"),
+         "'theta_max_grid' that prep-sweep does not take"),
+        (DRIFT_SMALL, lambda doc: doc["config"].update(drift_factor=5.0),
+         "'drift_factor' that drift does not take"),
+        (KNOWLEDGE_SMALL, lambda doc: doc["config"].update(theta_max_grid=[]),
+         "config.theta_max_grid must be nonempty"),
     ],
     ids=["config-list", "optimizer-null", "multistart-string", "targets-string",
          "flag-string", "unknown-top-level-key", "unknown-noise-key",
          "lambda-string-beside-times", "multistart-negative", "cap-without-theta-max",
          "rb-seed-negative", "sweep-seed-negative", "optimize-gate-four-angles",
          "jobs-zero", "cap-zero", "cap-above-pi", "depths-past-n-gates", "lambda-grid-1.5",
-         "theta-max-grid-0", "k-grid-0"],
+         "theta-max-grid-0", "k-grid-0", "prep-sweep-theta-max-grid", "drift-drift-factor",
+         "knowledge-empty-theta-max-grid"],
 )
 def test_manifest_with_malformed_config_exits_1(tmp_path, capsys, args, edit, key):
     """A config value of the wrong JSON type replays as one error line that

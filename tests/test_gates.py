@@ -12,12 +12,18 @@ from noisy_euler import (
     NAMED_GATES,
     extract_euler,
     named_gate,
-    rx,
-    rz,
-    validate_density_matrix,
 )
 from noisy_euler.gates import GAMMA_TIE_TOL, _zyz_from_quaternion
-from reference import angle_gap, quaternion_unitary, same_up_to_phase, sign_gap, zyz_unitary
+from reference import (
+    angle_gap,
+    quaternion_unitary,
+    rx,
+    rz,
+    same_up_to_phase,
+    sign_gap,
+    validate_density_matrix,
+    zyz_unitary,
+)
 
 I2 = np.eye(2)
 

@@ -11,23 +11,29 @@ from noisy_euler import (
     EulerAngles,
     LAMBDA_MAX,
     NoiseParams,
-    amplitude_damping_kraus,
-    apply_channel_kraus,
     damping_probabilities,
-    noisy_gate_stepwise,
-    phase_damping_kraus,
-    rx,
-    validate_density_matrix,
 )
 from noisy_euler.noise import _apply, _apply_all, _pulse_pair
-from reference import bloch_density, calibration_signal, projector, zyz_unitary
+from reference import (
+    amplitude_damping_kraus,
+    apply_channel_kraus,
+    bloch_density,
+    bloch_vector,
+    calibration_signal,
+    noisy_gate_stepwise,
+    phase_damping_kraus,
+    projector,
+    rx,
+    validate_density_matrix,
+    zyz_unitary,
+)
 
 
 def closed_form(ang, st, p):
     """The affine map A n + t that RB and the objective run, rendered as a
     density matrix."""
     return bloch_density(
-        _apply(ang.beta, ang.gamma, ang.delta, p.lambda_a, p.lambda_p, st.bloch_vector())
+        _apply(ang.beta, ang.gamma, ang.delta, p.lambda_a, p.lambda_p, bloch_vector(st))
     )
 
 
@@ -91,6 +97,11 @@ def test_noise_params_times_must_produce_lambdas():
         NoiseParams(0.1, p.lambda_p, p.t1, p.t2, p.t_star)
     with pytest.raises(ValueError, match="t1, t2 and t_star"):
         NoiseParams(p.lambda_a, p.lambda_p, t1=p.t1)
+    # agreement is |lambda - lambda(times)| <= 1e-9 lambda(times)
+    near = NoiseParams(p.lambda_a * (1 + 5e-10), p.lambda_p, p.t1, p.t2, p.t_star)
+    assert near.lambda_a == p.lambda_a * (1 + 5e-10)
+    with pytest.raises(ValueError, match="t1, t2 and t_star"):
+        NoiseParams(p.lambda_a * (1 + 2e-9), p.lambda_p, p.t1, p.t2, p.t_star)
 
 
 def test_lambda_clamp_below_one():

@@ -16,11 +16,18 @@ from noisy_euler import (
     extract_euler,
     moment_objective,
     named_gate,
-    noisy_gate_stepwise,
     point_moments,
 )
 from noisy_euler.experiments import _cap_sample
-from reference import cap_density, point_fidelity, projector, state_vector, zyz_unitary
+from reference import (
+    bloch_vector,
+    cap_density,
+    noisy_gate_stepwise,
+    point_fidelity,
+    projector,
+    state_vector,
+    zyz_unitary,
+)
 
 HADAMARD = extract_euler(named_gate("h"))
 
@@ -204,7 +211,7 @@ def test_point_expected_fidelity_equals_fidelity():
         target, trial = random_angles(rng), random_angles(rng)
         state = random_state(rng)
         params = NoiseParams(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
-        n = state.bloch_vector()
+        n = bloch_vector(state)
         fg = moment_objective(target, n, np.outer(n, n), params)
         assert point_objective(target, trial, state, params) == fg(
             (trial.beta, trial.gamma, trial.delta)
@@ -306,7 +313,7 @@ def _mixed_moments(rng):
     return r, np.outer(r, r)
 
 
-_PREP_STATE = BlochState(0.0, 0.0).bloch_vector()
+_PREP_STATE = bloch_vector(BlochState(0.0, 0.0))
 
 
 @pytest.mark.parametrize("kind", ["point", "cap", "uniform", "mixed", "prep"])

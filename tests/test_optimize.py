@@ -18,14 +18,20 @@ from noisy_euler import (
     moment_objective,
     named_gate,
     noise_params_for,
-    noisy_gate_stepwise,
     optimize_gate,
     point_moments,
 )
 from noisy_euler import optimize
 from noisy_euler.gates import _zyz_from_quaternion
 from noisy_euler.rb import _sample_quaternion
-from reference import angle_gap, bloch_density, circle_optimum, zyz_unitary
+from reference import (
+    angle_gap,
+    bloch_density,
+    bloch_vector,
+    circle_optimum,
+    noisy_gate_stepwise,
+    zyz_unitary,
+)
 
 IDENTITY = EulerAngles(0.0, 0.0, 0.0)
 PLUS = point_moments(math.pi / 2, 0.0)
@@ -221,8 +227,8 @@ def circle_problems():
     out = []
     for i in range(240):
         target = _zyz_from_quaternion(*_sample_quaternion(rng))
-        r = BlochState(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi))
-        r = r.bloch_vector()
+        r = bloch_vector(BlochState(math.acos(rng.uniform(-1.0, 1.0)),
+                                    rng.uniform(0.0, 2 * math.pi)))
         if i < 80:
             params = rome
         elif i < 200:
@@ -307,7 +313,7 @@ def test_equal_fidelity_partner_optima():
     params = noise_params_for(bundled_device("rome").qubit(3))
     target = EulerAngles(1.2932692357031992, 0.6848579984023541, 4.400448881227426)
     state = BlochState(2.772981985208332, 4.584560380312186)
-    r = state.bloch_vector()
+    r = bloch_vector(state)
     fg = moment_objective(target, r, np.outer(r, r), params)
     x_seed = (target.beta, target.gamma, target.delta)
     x_plain, f_plain, _, converged = optimize._newton(fg, x_seed, *fg(x_seed))
@@ -403,7 +409,7 @@ def test_mixed_input_agrees_with_pure_route():
     pure = optimize_gate(
         target, *point_moments(state.theta, state.phi), params
     )
-    r = state.bloch_vector()
+    r = bloch_vector(state)
     mixed = optimize_gate(target, r, np.outer(r, r), params)
     assert angle_displacement(pure.angles_opt, mixed.angles_opt) < 1e-4
     assert abs(pure.objective_value - mixed.objective_value) < 1e-8
@@ -412,7 +418,7 @@ def test_mixed_input_agrees_with_pure_route():
 def test_mixed_input_objective_is_stepwise_overlap():
     """The reported objectives are tr(U rho U^dag . rho_out) with rho_out
     from the stepwise channel, at the seed and at the optimized angles."""
-    r = 0.6 * BlochState(0.9, 0.3).bloch_vector() + 0.4 * BlochState(2.5, 4.0).bloch_vector()
+    r = 0.6 * bloch_vector(BlochState(0.9, 0.3)) + 0.4 * bloch_vector(BlochState(2.5, 4.0))
     rho = density_from_bloch(r)
     target = extract_euler(named_gate("sx"))
     params = NoiseParams(0.08, 0.02)
@@ -429,7 +435,7 @@ def test_mixed_input_objective_is_stepwise_overlap():
 def test_mixed_input_handles_impure_state():
     """A Bloch vector inside the ball: never worse than the seed, and the
     objective is the stepwise overlap with the (identity) target output."""
-    r = 0.7 * BlochState(0.4, 0.0).bloch_vector() + 0.3 * BlochState(2.0, 1.0).bloch_vector()
+    r = 0.7 * bloch_vector(BlochState(0.4, 0.0)) + 0.3 * bloch_vector(BlochState(2.0, 1.0))
     assert np.linalg.norm(r) < 0.99
     params = NoiseParams.from_lambda(0.05)
     res = optimize_gate(IDENTITY, r, np.outer(r, r), params)
@@ -492,12 +498,12 @@ def test_moment_input_forms_give_identical_results():
         if i % 3 == 0:
             state = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
             m1, m2 = map(np.array, point_moments(state.theta, state.phi))
-            n = state.bloch_vector()
+            n = bloch_vector(state)
             assert m1.tobytes() == n.tobytes() and m2.tobytes() == np.outer(n, n).tobytes()
         elif i % 3 == 1:
             m1, m2 = map(np.array, cap_moments(rng.uniform(0.1, math.pi)))
         else:
-            r = 0.8 * BlochState(rng.uniform(0.0, math.pi), 1.0).bloch_vector()
+            r = 0.8 * bloch_vector(BlochState(rng.uniform(0.0, math.pi), 1.0))
             m1, m2 = r, np.outer(r, r)
         forms = [
             (m1, m2),

@@ -9,12 +9,18 @@ import types
 from pathlib import Path
 
 import noisy_euler
+from noisy_euler import gates, noise
+
+# The Kraus oracle and its helpers, which live in tests/reference.py.
+ORACLE_NAMES = ("noisy_gate_stepwise", "apply_channel_kraus", "amplitude_damping_kraus",
+                "phase_damping_kraus", "rx", "rz", "validate_density_matrix")
 
 
 def test_public_surface_is_consistent():
     """Every name in __all__ resolves and is listed once, every public
-    non-module name the package binds is listed, and a star import works, so
-    a half-finished removal or addition fails here."""
+    non-module name the package binds is listed, a star import works, and
+    no oracle name is back in the package, so a half-finished removal or
+    addition fails here."""
     listed = noisy_euler.__all__
     assert len(listed) == len(set(listed))
     assert [name for name in listed if not hasattr(noisy_euler, name)] == []
@@ -24,6 +30,8 @@ def test_public_surface_is_consistent():
     namespace = {}
     exec("from noisy_euler import *", namespace)
     assert set(listed) <= namespace.keys()
+    assert [(m.__name__, n) for m in (noisy_euler, gates, noise) for n in ORACLE_NAMES
+            if hasattr(m, n)] == []
 
 
 def test_cli_run_imports_no_scipy(tmp_path):

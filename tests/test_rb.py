@@ -16,14 +16,13 @@ from noisy_euler import (
     extract_euler,
     fit_decay,
     moment_objective,
-    noisy_gate_stepwise,
     rb,
     run_drift_sweep,
     run_rb_experiment,
 )
 from noisy_euler.gates import _hamilton, _zyz_from_quaternion
 from noisy_euler.optimize import GRADIENT_TOLERANCE
-from reference import angle_gap, quaternion_unitary, sign_gap, zyz_unitary
+from reference import angle_gap, noisy_gate_stepwise, quaternion_unitary, sign_gap, zyz_unitary
 
 ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
 
