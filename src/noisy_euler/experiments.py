@@ -13,6 +13,14 @@ actual input state from the cap and score optimized minus default fidelity on
 it.  theta_max = pi means no knowledge; theta_max -> 0 reduces to preparing
 the state gate|0>, whose improvement statistics match the preparation sweep
 because a Haar gate sends |0> to a uniformly random state.
+
+Each cell (one lambda, or one (lambda, theta_max) pair) is one unit of
+``parallel_map`` and draws all its targets from one stream made once for
+the cell: default_rng([rng_seed, 0, li]) for the preparation sweep, whose
+targets draw z then phi, and default_rng([rng_seed, 1, li, mi]) for the
+knowledge sweep, whose targets draw a Haar gate then a cap sample.  Target r
+of a cell depends only on the targets before it, so a cell's first k
+targets do not depend on targets_per_point.
 """
 
 from __future__ import annotations
@@ -96,23 +104,23 @@ def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRo
     return SweepRow(lam, theta_max, float(imps.mean()), stderr, n)
 
 
-def _cap_sample(rng: np.random.Generator, theta_max: float, n: int):
-    """n states drawn uniformly from the polar cap theta < theta_max, as
-    (theta, phi) arrays, by inverting the CDF of cos(theta):
-    theta = arccos(1 - u (1 - cos(theta_max))) for u uniform on [0, 1)."""
-    u = rng.uniform(0.0, 1.0, n)
-    theta = np.arccos(1.0 - u * (1.0 - math.cos(theta_max)))
-    phi = rng.uniform(0.0, math.tau, n)
-    return theta, phi
+def _cap_sample(rng: np.random.Generator, theta_max: float) -> tuple[float, float]:
+    """One state drawn uniformly from the polar cap theta < theta_max, as
+    (theta, phi) floats, by inverting the CDF of cos(theta):
+    theta = acos(1 - u (1 - cos(theta_max))) for u = rng.uniform() on
+    [0, 1), then phi = rng.uniform(0, 2 pi)."""
+    u = rng.uniform()
+    theta = math.acos(1.0 - u * (1.0 - math.cos(theta_max)))
+    return theta, rng.uniform(0.0, math.tau)
 
 
 def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam = item
     params = NoiseParams.from_lambda(lam)
     ground = point_moments(0.0, 0.0)
+    rng = np.random.default_rng([cfg.rng_seed, 0, li])
     imps = np.empty(cfg.targets_per_point)
     for t in range(cfg.targets_per_point):
-        rng = np.random.default_rng([cfg.rng_seed, 0, li, t])
         z = rng.uniform(-1.0, 1.0)
         phi = rng.uniform(0.0, math.tau)
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
@@ -127,14 +135,14 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam, mi, theta_max = item
     params = NoiseParams.from_lambda(lam)
     moments = cap_moments(theta_max)
+    rng = np.random.default_rng([cfg.rng_seed, 1, li, mi])
     imps = np.empty(cfg.targets_per_point)
     for r in range(cfg.targets_per_point):
-        rng = np.random.default_rng([cfg.rng_seed, 1, li, mi, r])
         target = _haar_gate(rng)
         res = optimize_gate(target, *moments, params)
         # both decompositions' fidelity on the sampled state (canonical angles)
-        theta, phi = _cap_sample(rng, theta_max, 1)
-        fg = moment_objective(target, *_point_moments(_bloch_vector(theta[0], phi[0])), params)
+        n = _bloch_vector(*_cap_sample(rng, theta_max))
+        fg = moment_objective(target, *_point_moments(n), params)
         f_opt, f_seed = (
             min(max(fg((a.beta, a.gamma, a.delta))[0], 0.0), 1.0) for a in (res.angles_opt, target)
         )

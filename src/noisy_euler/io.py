@@ -15,13 +15,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 import numbers
 import os
 import sys
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -200,11 +198,15 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     input order and workers share no state.  Workers are spawned, not
     forked, so each loads numpy afresh; each ``WORKER_THREAD_VARS`` entry the
     caller left unset reads "1" in the workers, and ``os.environ`` is
-    restored afterwards.  fn must be picklable by reference.
+    restored afterwards.  fn must be picklable by reference.  The pool's
+    modules are imported only here, so a serial run does not load them.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     added = [name for name in WORKER_THREAD_VARS if name not in os.environ]
     os.environ.update(dict.fromkeys(added, "1"))
     try:

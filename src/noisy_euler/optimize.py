@@ -108,8 +108,10 @@ def optimize_gate(
 
     The Newton search (``_newton``) runs from the target seed and from each
     of ``multistart`` uniform-random starts, drawn from
-    ``np.random.default_rng(seed)`` (an int or a sequence of ints, read
-    only when multistart > 0); the best candidate wins, lowest start index
+    ``np.random.default_rng(seed)``, read only when multistart > 0: seed is
+    an int, a sequence of ints or a Generator, which is drawn from in place
+    (exactly 3 * multistart uniforms a call, so one Generator can feed a
+    sequence of calls); the best candidate wins, lowest start index
     on ties, and the seed itself is the fallback.  A start whose max|g| is
     within ``start_tolerance`` is kept without a search; every search that
     starts runs to GRADIENT_TOLERANCE.  Raises ValueError unless multistart

@@ -169,11 +169,17 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     """Survival probabilities for one (config, circuit) pair: array
     (2, n_depths) in ARMS order.  All randomness derives from named streams
     of (rng_seed, circuit), so circuits are independent and order of
-    execution is irrelevant."""
+    execution is irrelevant: the gates from [rng_seed, circuit, 0], each
+    arm's shots from [rng_seed, circuit, 1, arm], the gate steps' multistart
+    draws from one stream [rng_seed, circuit, 2] that each gate step reads in
+    turn (3 * multistart uniforms a step, so gate i reads the i-th block),
+    and each inverse step's from its own [rng_seed, circuit, 3, depth], so a
+    depth's survival does not depend on which other depths are scheduled."""
     cfg, circuit = item
     la, lp = cfg.noise.lambda_a, cfg.noise.lambda_p
     assumed = cfg.noise.assuming_drift(cfg.drift_factor)
     rng_gates = np.random.default_rng([cfg.rng_seed, circuit, 0])
+    rng_starts = np.random.default_rng([cfg.rng_seed, circuit, 2])
     shot_rngs = [np.random.default_rng([cfg.rng_seed, circuit, 1, ai]) for ai in range(len(ARMS))]
     column = {depth: j for j, depth in enumerate(cfg.depth_schedule)}
     out = np.empty((len(ARMS), len(column)))
@@ -184,7 +190,7 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     def step(target: EulerAngles, stream) -> tuple:
         """The next ``arms``: unopt runs ``target``'s angles, opt runs them
         re-optimized for n, or for its own state under track_noisy_state;
-        ``stream`` seeds the multistart draws."""
+        ``stream`` (a Generator or a key) seeds the multistart draws."""
         unopt, opt = arms
         m1, m2 = _point_moments(opt if cfg.track_noisy_state else n)
         a = optimize_gate(target, m1, m2, assumed, cfg.multistart, stream,
@@ -195,7 +201,7 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     for i in range(cfg.n_gates):
         q = _sample_quaternion(rng_gates)
         gate = _zyz_from_quaternion(*q)
-        arms = step(gate, [cfg.rng_seed, circuit, 2, i])
+        arms = step(gate, rng_starts)
         n = _apply(gate.beta, gate.gamma, gate.delta, 0.0, 0.0, n)
         net = _hamilton(q, net)
 

@@ -1,6 +1,7 @@
 """Unit tests for the preparation and state-knowledge sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from noisy_euler import (
     knowledge_sweep,
     prep_improvement_sweep,
 )
+from noisy_euler import experiments
 from noisy_euler.experiments import _haar_gate
+from noisy_euler.optimize import optimize_gate
 from reference import zyz_unitary
 
 
@@ -85,6 +88,34 @@ def test_prep_sweep_deterministic_and_jobs_invariant():
     b = prep_improvement_sweep(cfg)
     c = prep_improvement_sweep(cfg, jobs=2)
     assert a.rows == b.rows == c.rows
+
+
+def recorded_targets(monkeypatch, sweep, cfg):
+    """Each cell's targets, in draw order, as the sweep passes them to
+    optimize_gate."""
+    targets = []
+
+    def record(target, *args, **kwargs):
+        targets.append(target)
+        return optimize_gate(target, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "optimize_gate", record)
+    sweep(cfg)
+    k = cfg.targets_per_point
+    return [targets[i:i + k] for i in range(0, len(targets), k)]
+
+
+@pytest.mark.parametrize("sweep", [prep_improvement_sweep, knowledge_sweep])
+def test_first_targets_of_a_cell_ignore_targets_per_point(monkeypatch, sweep):
+    """One stream per cell: target r depends only on the targets before it,
+    so a cell's first 3 targets are the same at 3 and at 5 targets."""
+    cfg = SweepConfig(lambda_grid=(0.0, 0.05), theta_max_grid=(0.4, math.pi),
+                      targets_per_point=3, rng_seed=4)
+    three = recorded_targets(monkeypatch, sweep, cfg)
+    five = recorded_targets(monkeypatch, sweep, replace(cfg, targets_per_point=5))
+    assert len(three) == len(five) == (2 if sweep is prep_improvement_sweep else 4)
+    assert [cell[:3] for cell in five] == three
+    assert all(len(set(cell)) == 5 for cell in five)
 
 
 def test_prep_sweep_seed_changes_samples():

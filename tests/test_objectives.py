@@ -181,9 +181,15 @@ def test_density_normalized(dist):
     assert abs(total - 1.0) < 1e-8
 
 
+def cap_samples(rng, theta_max, n):
+    """n states from the knowledge sweep's one-state cap sampler, drawn one
+    call at a time from rng, as (theta, phi) arrays."""
+    return np.array([_cap_sample(rng, theta_max) for _ in range(n)]).T
+
+
 def test_cap_sampling_stays_inside_and_matches_cdf():
     rng = np.random.default_rng(8)
-    theta, phi = _cap_sample(rng, 0.9, 20000)
+    theta, phi = cap_samples(rng, 0.9, 20000)
     assert theta.max() <= 0.9 + 1e-12
     assert theta.min() >= 0.0
     assert phi.min() >= 0.0 and phi.max() < 2 * math.pi
@@ -196,7 +202,7 @@ def test_cap_sampling_stays_inside_and_matches_cdf():
 
 def test_uniform_sampling_moments():
     rng = np.random.default_rng(10)
-    theta, _ = _cap_sample(rng, math.pi, 50000)
+    theta, _ = cap_samples(rng, math.pi, 50000)
     z = np.cos(theta)
     assert abs(z.mean()) < 4.0 / math.sqrt(3 * 50000) * 3
     assert abs((z ** 2).mean() - 1.0 / 3.0) < 0.01
@@ -246,7 +252,7 @@ def test_sampled_average_agrees_with_exact_moments(dist):
     params = NoiseParams(0.08, 0.03)
     theta_max, moments = dist
     exact = averaged(target, trial, moments, params)[0]
-    theta, phi = _cap_sample(rng, theta_max, 20000)
+    theta, phi = cap_samples(rng, theta_max, 20000)
     vals = np.array([
         point_objective(target, trial, BlochState(t, p), params) for t, p in zip(theta, phi)
     ])
@@ -257,7 +263,7 @@ def test_sampled_average_agrees_with_exact_moments(dist):
 def test_cap_moments_match_samples():
     rng = np.random.default_rng(19)
     m1, m2 = cap_moments(1.3)
-    theta, phi = _cap_sample(rng, 1.3, 200000)
+    theta, phi = cap_samples(rng, 1.3, 200000)
     n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     assert np.abs(n.mean(axis=1) - m1).max() < 5e-3
     assert np.abs(n @ n.T / n.shape[1] - m2).max() < 5e-3

@@ -143,6 +143,18 @@ def test_results_deterministic():
     assert a.objective_value == b.objective_value
 
 
+def test_multistart_generator_seed_consumes_three_uniforms_per_start():
+    """A Generator seed is drawn from in place, exactly 3 * multistart
+    uniforms a call, so RB can feed one circuit's gate steps from one
+    stream; an int seed gives the starts of a fresh default_rng(seed)."""
+    params = NoiseParams.from_lambda(0.07)
+    gen, ref = np.random.default_rng(11), np.random.default_rng(11)
+    first = optimize_gate(IDENTITY, *PLUS, params, multistart=2, seed=gen)
+    ref.uniform(size=6)
+    assert gen.bit_generator.state == ref.bit_generator.state
+    assert first.angles_opt == optimize_gate(IDENTITY, *PLUS, params, 2, 11).angles_opt
+
+
 def test_multistart_never_hurts():
     params = NoiseParams.from_lambda(0.05)
     plain = optimize_gate(IDENTITY, *PLUS, params)

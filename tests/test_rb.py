@@ -317,6 +317,22 @@ def test_rb_jobs_equivalence():
     assert np.array_equal(serial.opt.survivals, parallel.opt.survivals)
 
 
+def test_multistart_streams_ignore_schedule_and_jobs():
+    """With multistart draws, the gate steps read one stream per circuit and
+    each inverse its own per-depth stream: scheduling depth 4 as well does
+    not change the depth-8 survivals, and neither does the worker count.
+    At k = 100 the assumed model is far off, so the starts move the angles."""
+    cfg = small_config(n_circuits=2, n_gates=8, depth_schedule=(4, 8), multistart=2,
+                       drift_factor=100.0)
+    both = run_rb_experiment(cfg)
+    last = run_rb_experiment(replace(cfg, depth_schedule=(8,)))
+    pooled = run_rb_experiment(cfg, jobs=2)
+    for arm in rb.ARMS:
+        survivals = getattr(both, arm).survivals
+        assert np.array_equal(survivals[:, 1:], getattr(last, arm).survivals)
+        assert np.array_equal(survivals, getattr(pooled, arm).survivals)
+
+
 def test_survival_decays_with_depth():
     cfg = small_config(n_circuits=4)
     res = run_rb_experiment(cfg)
