@@ -75,7 +75,8 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     W = Rz(-beta) (R m2) Rz(-delta), and both derivatives follow from
     Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
-    The set-up builds R's frame once, for m1 and m2's columns (``_apply_all``).
+    The set-up builds R's frame once, for m1 and m2's columns (``_apply_all``),
+    and keeps u = R m1 as ``fg.image``.
     """
     (u0, u1, u2), (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = _apply_all(
         target.beta, target.gamma, target.delta, 0.0, 0.0, (_tolist(m1), *zip(*_tolist(m2)))
@@ -111,4 +112,5 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
         h_dd = -0.5 * (k00 * w00 + k11 * w11 + k20 * w20)
         return f, g, ((h_bb, h_bg, h_bd), (h_bg, h_gg, h_gd), (h_bd, h_gd, h_dd))
 
+    fg.image = (u0, u1, u2)
     return fg

@@ -1,33 +1,36 @@
-"""Newton search for noise-aware decomposition angles.
+"""Noise-aware decomposition angles: a closed form for a known input state,
+a Newton search for every other input.
 
 One entry point, ``optimize_gate``, takes the input through its Bloch-vector
 moments m1 = E[n] and m2 = E[n n^T]: a point, a cap or the uniform sphere
 via ``point_moments`` or ``cap_moments``, a Bloch vector r (as randomized
 benchmarking tracks it) as (r, r r^T), and state preparation as the point
-|0>, where delta stays at its seed because the objective does not depend on
-it.  It maximizes the exact moment objective
+|0>.  It maximizes the exact moment objective
 (``objectives.moment_objective``) over the unwrapped (beta, gamma, delta) in
 R^3, seeded at the target's own angles so the result can never score below
-the default decomposition.  The objective returns its analytic gradient and
-Hessian with its value, and the ascent is a damped Newton search on them
-(``_newton``; Nocedal & Wright, *Numerical Optimization*, ch. 3: modified
-Newton with a backtracking line search).  It runs on plain Python floats:
-with three variables, numpy's per-call overhead would outweigh the
-arithmetic.  Every search runs to one fixed rule, max|g| <=
+the default decomposition.
+
+For a rank-1 input (m2 = m1 m1^T exactly: a point, a mixed Bloch vector, a
+preparation) the maximum has a closed form (``_point_optimum``).  The best
+beta and, for each delta, the best gamma follow from the output's geometry,
+and the best delta is one of two explicit candidates, so no iteration is
+needed.  Up to four angle triples reach that maximum, one per choice of two
+signs; the one whose unitary is nearest the target's wins, so the result
+depends only on the target's unitary, the input and the assumed model, not
+on a search path.
+
+For every other input (caps, moments that are not exactly rank-1) and for
+the optional uniform-random starts, the objective returns its analytic
+gradient and Hessian with its value, and the ascent is a damped Newton
+search on them (``_newton``; Nocedal & Wright, *Numerical Optimization*,
+ch. 3: modified Newton with a backtracking line search).  It runs on plain
+Python floats: with three variables, numpy's per-call overhead would
+outweigh the arithmetic.  Every search runs to one fixed rule, max|g| <=
 GRADIENT_TOLERANCE within MAX_ITERATIONS steps: Newton converges
 quadratically near the optimum, so the tight tolerance costs few steps.  An
 optional multistart mode adds uniform-random seeds for rugged landscapes
 (damping probabilities near 1), keeping the best result by objective value
 with lowest-seed-index tie-breaking.
-
-For a Bloch-vector input (rank-1 moments, m2 = m1 m1^T exactly) off the z
-axis, the search from the target starts at the best point of the target's
-stabilizer circle instead (``_circle_start``): every V_phi = Rot(R m1, phi) U
-sends m1 where U does, so F is nearly flat along that circle, and the
-optimum often lies far along it from the target or on the other Euler
-branch, where Newton's first steps would overshoot and backtrack.  An input
-along z keeps the plain start: its circle only shifts delta, which F does
-not see.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -43,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import EulerAngles, _hamilton, _zyz_angles
-from .noise import NoiseParams, _apply
+from .gates import EulerAngles
+from .noise import NoiseParams
 from .objectives import _tolist, moment_objective
 
 # The Newton search's constants: the max|g| at which it has converged and its
@@ -61,13 +64,6 @@ SHIFT_MIN = 1e-8
 MAX_HALVINGS = 40
 ROUNDING = 4.0 * sys.float_info.epsilon
 
-# Points of the stabilizer circle scored per Euler branch (``_circle_start``).
-# On the 956 searches of two Fig. 3 `rb` runs (rome q3, seeds 0 and 1), 1, 2,
-# 3, 4, 6 and 8 points took a mean of 17.1, 13.9, 10.6, 9.0, 7.3 and 6.4
-# Newton steps and 25.4, 22.9, 20.9, 20.8, 22.4 and 25.2 evaluations per
-# search, against 25.0 and 35.7 from the target alone; 3 and 4 tie in time.
-CIRCLE_POINTS = 3
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -75,9 +71,9 @@ class OptimizationResult:
 
     objective_value >= objective_at_target_angles always holds: the search is
     seeded at the target angles and falls back to them if no candidate beats
-    the seed.  ``iterations`` counts the winning candidate's Newton steps,
-    taken after the stabilizer-circle start where there is one; the circle's
-    own evaluations are not counted.
+    the seed.  ``iterations`` counts the winning candidate's Newton steps.  A
+    start kept without a search, the closed-form point of a rank-1 input
+    among them, reports iterations = 0 and converged = True.
     """
 
     angles_opt: EulerAngles
@@ -106,35 +102,32 @@ def optimize_gate(
     (3,) and (3, 3) sequences (``point_moments``, ``cap_moments``; r, r r^T
     for a Bloch vector r); ``moment_objective``'s set-up builds R's frame once.
 
-    The Newton search (``_newton``) runs from the target seed and from each
-    of ``multistart`` uniform-random starts, drawn from
-    ``np.random.default_rng(seed)``, read only when multistart > 0: seed is
-    an int, a sequence of ints or a Generator, which is drawn from in place
-    (exactly 3 * multistart uniforms a call, so one Generator can feed a
-    sequence of calls); the best candidate wins, lowest start index
-    on ties, and the seed itself is the fallback.  A start whose max|g| is
-    within ``start_tolerance`` is kept without a search; every search that
-    starts runs to GRADIENT_TOLERANCE.  Raises ValueError unless multistart
-    is an int >= 0, m1 has shape (3,), is finite and has |m1| <= 1 + 1e-9,
-    and m2 is finite with shape (3, 3).
+    The target seed and each of ``multistart`` uniform-random starts are
+    candidates, the random ones drawn from ``np.random.default_rng(seed)``,
+    read only when multistart > 0: seed is an int, a sequence of ints or a
+    Generator, which is drawn from in place (exactly 3 * multistart uniforms
+    a call, so one Generator can feed a sequence of calls); the best
+    candidate wins, lowest start index on ties, and the seed itself is the
+    fallback.  A start whose max|g| is within ``start_tolerance`` is kept
+    without a search.  Raises ValueError unless multistart is an int >= 0,
+    m1 has shape (3,), is finite and has |m1| <= 1 + 1e-9, and m2 is finite
+    with shape (3, 3).
 
-    When m2 == m1 m1^T exactly (a point input or a mixed Bloch vector r, as
-    randomized benchmarking passes them) and m1 has a nonzero x or y
-    component, a seed that is not skipped is first replaced by the best of
-    2 CIRCLE_POINTS points on the target's stabilizer circle, on both Euler
-    branches, the target winning ties (``_circle_start``).  That point is
-    kept if its max|g| is within GRADIENT_TOLERANCE and searched from
-    otherwise.  Distinct equal-F optima exist, so the angles found may
-    differ from those of a search from the target by up to pi while F agrees
-    to about 1e-13.
+    When m2 == m1 m1^T exactly (a point input, a mixed Bloch vector r as
+    randomized benchmarking passes it, a preparation from |0>), a seed that
+    is not skipped is replaced by the closed-form optimum
+    (``_point_optimum``), the partner nearest the target among equal-F
+    optima, which is kept if its max|g| is within GRADIENT_TOLERANCE.
+    Every other start that is not skipped runs the Newton search
+    (``_newton``) to GRADIENT_TOLERANCE.
 
     The seeded search is global in practice: on 1,200 problems (lambda
     from 1e-3 to 0.999; points, caps, preparations) 16 extra starts raised
     F by at most 8e-16 for lambda <= 0.9 and 7e-9 at 0.999, yet returned
-    another equal-F unitary in 470; on point inputs it reaches a dense
-    circle search (``tests/reference.py``).  Only RB passes multistart, for
-    the saturated drift arm (k = 1e6): F is flat to the ulp there, and the
-    drift check looks for the angles the tie-break scrambles.
+    another equal-F unitary in 470; on point inputs the closed form reaches
+    a dense circle search (``tests/reference.py``).  Only RB passes
+    multistart, for the saturated drift arm (k = 1e6): F is flat to the ulp
+    there, and the drift check looks for the angles the tie-break scrambles.
     """
     if not isinstance(multistart, int) or isinstance(multistart, bool) or multistart < 0:
         raise ValueError(f"multistart must be an int >= 0, got {multistart!r}")
@@ -150,7 +143,7 @@ def optimize_gate(
         raise ValueError("m1 must be a finite Bloch vector of shape (3,) with |m1| <= 1")
     if not m2_ok:
         raise ValueError("m2 must be a finite matrix of shape (3, 3)")
-    circle = (n[0] != 0.0 or n[1] != 0.0) and flat == [a * b for a in n for b in n]
+    rank_one = flat == [a * b for a in n for b in n]
     fg = moment_objective(target, n, rows, params)
 
     x_seed = (target.beta, target.gamma, target.delta)
@@ -163,8 +156,9 @@ def optimize_gate(
     for i, x0 in enumerate(starts):
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
         tolerance = start_tolerance
-        if i == 0 and circle and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
-            x0, (f0, g0, h0) = _circle_start(fg, x0, at_seed, _apply(*x0, 0.0, 0.0, n))
+        if i == 0 and rank_one and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
+            x0 = _point_optimum(target, n, fg.image, params.lambda_a, params.lambda_p)
+            f0, g0, h0 = fg(x0)
             tolerance = GRADIENT_TOLERANCE
         if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= tolerance:
             cand = (x0, f0, 0, True)
@@ -185,35 +179,82 @@ def optimize_gate(
     )
 
 
-def _circle_start(fg, x, at_x, u):
-    """The best point of the target's stabilizer circle, as (x, fg(x)),
-    given the target angles x, fg there and u = R m1 != 0.
+def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
+    """The angles (beta, gamma, delta) of the global maximum of F for the
+    rank-1 input n (m2 = n n^T, |n| <= 1), in closed form, given u = R n.
 
-    V_phi = Rot(u, phi) U fixes m1's image, so the whole circle is optimal
-    at zero noise.  It is scored at phi = 2 pi k / CIRCLE_POINTS on both
-    Euler branches, (beta, gamma, delta) and (beta + pi, -gamma, delta + pi),
-    one unitary through two pulse trajectories; the first best F wins, so
-    the target (k = 0, first branch) wins ties.  V_phi is the quaternion
-    product (cos phi/2, sin phi/2 u/|u|) q, q the target's quaternion.
+    Let v = Rz(delta) n = (v_x, s, n_z), r^2 = |n|^2 - s^2 and
+    psi = atan2(n_z, v_x) - gamma.  With e, E = e^2 and ek = e (1 - la) as
+    in ``noise._pulse_pair``, the gate sends n to Rz(beta) (E r cos psi, y,
+    ek r sin psi + la), y = ek s + e la.  The best beta turns that output's
+    xy part onto u's, and sin psi takes the sign of u_z, so with
+    mu = |u_xy| and c = cos^2 psi
+
+        2F - 1 = u_z la + |u_z| ek r sqrt(1 - c) + mu sqrt(E^2 r^2 c + y^2),
+
+    concave in c, with its maximum at
+    c* = (mu^2 E^4 r^2 - u_z^2 ek^2 y^2) / (E^2 r^2 (mu^2 E^2 + u_z^2 ek^2))
+    clamped to [0, 1].  What is left depends on s alone, over [-rho, rho]
+    with rho = |n_xy|.  r is even in s, and at every c the value grows with
+    y^2, which is larger at s than at -s for s >= 0, so the maximum has
+    s >= 0.  On [0, rho], where c* > 0, the value grows with E^2 r^2 + y^2,
+    a quadratic in s that does not decrease there: its vertex la / (la - lp)
+    is a minimum at s <= 0 when la < lp and lies at s >= 1 >= rho when
+    la > lp.  Where c* = 0 the value is |u_z| ek r + mu y, concave and
+    stationary only at s = mu (|u| = |n|).  The value is differentiable
+    for r > 0, so the maximum is at s = rho or s = mu < rho; rho wins ties.
+
+    The signs of v_x and cos psi give up to four angle triples of equal F,
+    distinct unitaries through distinct pulse trajectories.  The one nearest
+    the target wins, by the largest |<q_target, q>| = |tr(U_target^dag U)| / 2,
+    the first of (+, +), (+, -), (-, +), (-, -) on ties, so the result
+    depends only on the target's unitary, the input and the model.  An input
+    along z keeps delta = 0.0: Rz(delta) only turns it about its own axis.
     """
-    beta, gamma, delta = x
-    norm = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    ux, uy, uz = u[0] / norm, u[1] / norm, u[2] / norm
-    c, s = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
-    plus, minus = 0.5 * (beta + delta), 0.5 * (beta - delta)
-    q = (c * math.cos(plus), -s * math.sin(minus), s * math.cos(minus), c * math.sin(plus))
-    points = [(beta + math.pi, -gamma, delta + math.pi)]
-    for k in range(1, CIRCLE_POINTS):
-        half = math.pi * k / CIRCLE_POINTS
-        sh = math.sin(half)
-        b, g, d = _zyz_angles(*_hamilton((math.cos(half), sh * ux, sh * uy, sh * uz), q))
-        points += [(b, g, d), (b + math.pi, -g, d + math.pi)]
-    best = (x, at_x)
-    for p in points:
-        at = fg(p)
-        if at[0] > best[1][0]:
-            best = (p, at)
-    return best
+    nx, ny, nz = n
+    ux, uy, uz = u
+    e = math.sqrt(1.0 - la) * math.sqrt(1.0 - lp)
+    ee, ek, el = e * e, e * (1.0 - la), e * la
+    ee2 = ee * ee
+    rho, mu2 = math.hypot(nx, ny), ux * ux + uy * uy
+    mu = math.sqrt(mu2)
+    p, q = mu2 * ee2 * ee2, uz * uz * ek * ek  # mu^2 E^4, u_z^2 ek^2
+
+    def cut(s):
+        """(r^2, y, c*) at s."""
+        r2 = nz * nz + (rho - s) * (rho + s)
+        y = ek * s + el
+        den = ee2 * r2 * (mu2 * ee2 + q)
+        return r2, y, min(max((p * r2 - q * y * y) / den, 0.0), 1.0) if den > 0.0 else 0.0
+
+    def value(s):
+        r2, y, c = cut(s)
+        return abs(uz) * ek * math.sqrt(r2 * (1.0 - c)) + mu * math.sqrt(ee2 * r2 * c + y * y)
+
+    s = max((rho, min(mu, rho)), key=value)
+
+    r2, y, c = cut(s)
+    r, w = math.sqrt(r2), math.sqrt((rho - s) * (rho + s))
+    sin_psi, cos_psi = math.sqrt(1.0 - c), math.sqrt(c)
+    if uz < 0.0:
+        sin_psi = -sin_psi
+    phase = math.atan2(uy, ux)
+    tc, ts = math.cos(0.5 * target.gamma), math.sin(0.5 * target.gamma)
+    t_plus, t_minus = target.beta + target.delta, target.beta - target.delta
+    best = None
+    for vx in (w, -w) if w > 0.0 else (w,):
+        delta = math.atan2(s, vx) - math.atan2(ny, nx) if rho > 0.0 else 0.0
+        phi = math.atan2(nz, vx)
+        for cp in (cos_psi, -cos_psi) if cos_psi > 0.0 else (cos_psi,):
+            beta = phase - math.atan2(y, ee * r * cp)
+            gamma = phi - math.atan2(sin_psi, cp)
+            overlap = abs(
+                tc * math.cos(0.5 * gamma) * math.cos(0.5 * (t_plus - beta - delta))
+                + ts * math.sin(0.5 * gamma) * math.cos(0.5 * (t_minus - beta + delta))
+            )
+            if best is None or overlap > best[0]:
+                best = (overlap, (beta, gamma, delta))
+    return best[1]
 
 
 def _newton(fg, x, f, g, h):

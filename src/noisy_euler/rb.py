@@ -49,10 +49,11 @@ from .optimize import optimize_gate
 ARMS = ("unopt", "opt")
 
 # RB's seed-skip rule: a per-gate start whose max|g| is within this tolerance
-# is kept without a search (``optimize_gate``'s start_tolerance).  This is
-# what makes a vanishing assumed-noise model (drift factor -> 0) leave every
-# gate at its seed instead of chasing O(lambda_assumed) gradients.  A search
-# that starts runs to the optimizer's own GRADIENT_TOLERANCE.
+# is kept as it is (``optimize_gate``'s start_tolerance).  This is what
+# makes a vanishing assumed-noise model (drift factor -> 0) leave every gate
+# at its seed instead of chasing O(lambda_assumed) gradients.  A start that
+# is not skipped ends within the optimizer's own GRADIENT_TOLERANCE: the
+# target seed at the closed-form optimum, a multistart start by a search.
 RB_GRADIENT_TOLERANCE = 1e-5
 
 

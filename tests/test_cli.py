@@ -158,6 +158,7 @@ def test_optimize_explicit_angle_gate(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "improvement" in out
+    assert "iterations = 0, converged = True" in out  # a point input's closed form
     summary = json.loads((tmp_path / "optimize_summary.json").read_text())
     assert summary["config"]["gate"] == [0.3, 1.2, 2.1]
     assert len(summary["angles_opt"]) == 3

@@ -1,6 +1,7 @@
 """Unit tests for the seeded decomposition optimizer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from noisy_euler import (
     noise_params_for,
     optimize_gate,
     point_moments,
+    run_rb_experiment,
 )
-from noisy_euler import optimize
+from noisy_euler import optimize, rb
 from noisy_euler.gates import _zyz_from_quaternion
+from noisy_euler.noise import _apply
 from noisy_euler.rb import _sample_quaternion
 from reference import (
-    angle_gap,
     bloch_density,
     bloch_vector,
     circle_optimum,
@@ -188,7 +190,8 @@ def test_cap_distribution_optimization_runs_and_improves():
 def test_newton_reaches_lbfgsb_oracle():
     """Oracle: scipy's L-BFGS-B from the same seed on the same objective, at
     the standalone tolerance, over rome q3 point inputs to random RB gates
-    and random caps.  The Newton search must reach the oracle's objective,
+    and random caps.  The optimizer (the closed form on the point inputs,
+    the Newton search on the caps) must reach the oracle's objective,
     report ``converged`` only where the gradient meets the tolerance, and
     never fall below the seed."""
     params = noise_params_for(bundled_device("rome").qubit(3))
@@ -219,14 +222,27 @@ def test_newton_reaches_lbfgsb_oracle():
             assert np.abs(fg((a.beta, a.gamma, a.delta))[1]).max() <= 1e-9
 
 
-# --------------------------------------------------- stabilizer circle
+# ------------------------------------------------- closed-form point optimum
 #
-# A Bloch-vector input off the z axis starts the search from the best point
-# of the target's stabilizer circle.  240 seeded problems: 80 point inputs to
-# random RB gates at rome q3, 30 point inputs at each lambda of
-# CIRCLE_LAMBDAS and 40 mixed inputs with |r| in [0.5, 1).
+# A rank-1 input (m2 = m1 m1^T exactly) gets its optimum in closed form.  240
+# seeded problems: 80 point inputs to random RB gates at rome q3, 30 point
+# inputs at each lambda of CIRCLE_LAMBDAS and 40 mixed inputs with |r| in
+# [0.5, 1).  The oracles are a dense search of the target's stabilizer circle
+# with a polish (``reference.circle_optimum``) and the plain Newton search
+# from the target.
 
 CIRCLE_LAMBDAS = (1e-3, 0.02, 0.1, 0.3)
+
+
+def plain_newton(target, m1, m2, params) -> float:
+    """F of the Newton search from the target alone, clamped as reported."""
+    fg = moment_objective(target, m1, m2, params)
+    x_seed = (target.beta, target.gamma, target.delta)
+    at_seed = fg(x_seed)
+    f = at_seed[0]
+    if np.abs(at_seed[1]).max() > optimize.GRADIENT_TOLERANCE:
+        f = optimize._newton(fg, x_seed, *at_seed)[1]
+    return min(max(f, 0.0), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -248,100 +264,209 @@ def circle_problems():
         else:
             r *= rng.uniform(0.5, 1.0)
             params = (rome, *lams)[i % 5]
-        fg = moment_objective(target, r, np.outer(r, r), params)
-        x_seed = (target.beta, target.gamma, target.delta)
-        at_seed = fg(x_seed)
-        plain = at_seed[0]
-        if np.abs(at_seed[1]).max() > optimize.GRADIENT_TOLERANCE:
-            plain = optimize._newton(fg, x_seed, *at_seed)[1]
         res = optimize_gate(target, r, np.outer(r, r), params)
         out.append((target, r, params, res, circle_optimum(target, r, params),
-                    min(max(plain, 0.0), 1.0)))
+                    plain_newton(target, r, np.outer(r, r), params)))
     return out
 
 
-def test_circle_start_reaches_dense_circle_oracle(circle_problems):
-    """The search reaches a dense circle search with a polish (the global
-    optimum at these inputs) and the plain search from the target.  Only F
-    is compared: equal-F optima with angles up to pi apart are common."""
+def test_point_optimum_reaches_dense_circle_oracle(circle_problems):
+    """The closed form reaches a dense circle search with a polish (the
+    global optimum at these inputs) and the plain search from the target,
+    without a Newton step.  Only F is compared: equal-F optima with angles up
+    to pi apart are common."""
     for target, r, params, res, oracle, plain in circle_problems:
         assert res.objective_value >= oracle - 1e-12, (target, r, params)
         assert res.objective_value >= plain - 1e-12, (target, r, params)
         assert res.objective_value >= res.objective_at_target_angles
+        assert res.iterations == 0 and res.converged
 
 
-def test_circle_start_shortens_the_search(circle_problems):
-    """Every search converges, and the circle start cuts the mean Newton
-    step count on these problems from 16.8 (the search from the target) to
-    7.81; the bound leaves a margin of about 15%."""
-    assert all(res.converged for _, _, _, res, _, _ in circle_problems)
-    assert np.mean([res.iterations for _, _, _, res, _, _ in circle_problems]) <= 9.0
-
-
-def test_circle_start_only_for_bloch_vectors_off_z(monkeypatch):
-    """The points scored before the search are the target and its circle,
-    all zero-noise optima.  An input along z, a cap and moments that are not
-    exactly rank-1 run the plain search from the target, bit for bit."""
-    params = NoiseParams.from_lambda(0.05)
-    target = extract_euler(named_gate("h"))
-    state = BlochState(1.1, 0.7)
-    m1, m2 = point_moments(state.theta, state.phi)
-    seen = []
-    original = optimize.moment_objective
+def test_point_optimum_takes_two_evaluations(monkeypatch):
+    """An RB gate step that is not seed-skipped evaluates the objective
+    exactly twice, at the seed and at the closed-form point; a skipped one
+    once, at the seed."""
+    seen, steps = [], []
+    original_objective = optimize.moment_objective
 
     def recording(*args):
-        fg = original(*args)
+        fg = original_objective(*args)
 
         def recorded(x):
             seen.append(x)
             return fg(x)
 
+        recorded.image = fg.image
         return recorded
 
     monkeypatch.setattr(optimize, "moment_objective", recording)
-    optimize_gate(target, m1, m2, params)
-    monkeypatch.undo()
-    exact = moment_objective(target, m1, m2, NoiseParams.from_lambda(0.0))
-    circle = seen[:2 * optimize.CIRCLE_POINTS]
-    assert circle[0] == (target.beta, target.gamma, target.delta)
-    assert all(exact(x)[0] > 1.0 - 1e-14 for x in circle)
-    assert max(angle_displacement(EulerAngles(*x), target) for x in circle) > 1.0
+    original = rb.optimize_gate
 
-    for m1, m2 in (GROUND, cap_moments(0.5), (m1, np.multiply(m2, 1.0 - 1e-12))):
+    def step(target, m1, m2, params, *args, **kwargs):
+        fg = moment_objective(target, m1, m2, params)
+        g = fg((target.beta, target.gamma, target.delta))[1]
+        before = len(seen)
+        res = original(target, m1, m2, params, *args, **kwargs)
+        steps.append((max(map(abs, g)) > rb.RB_GRADIENT_TOLERANCE, len(seen) - before))
+        return res
+
+    monkeypatch.setattr(rb, "optimize_gate", step)
+    cfg = RbConfig(noise=noise_params_for(bundled_device("rome").qubit(3)), n_circuits=2,
+                   n_gates=40, depth_schedule=(1, 10, 20, 30, 40), rng_seed=5)
+    for track_noisy_state in (False, True):
+        run_rb_experiment(replace(cfg, track_noisy_state=track_noisy_state))
+    unskipped = [calls for started, calls in steps if started]
+    assert len(unskipped) > 100
+    assert all(calls == 2 for calls in unskipped)
+    assert all(calls == 1 for started, calls in steps if not started)
+
+
+def test_newton_only_for_moments_not_rank_one():
+    """A cap and moments that are not exactly rank-1 run the plain Newton
+    search from the target, bit for bit."""
+    params = NoiseParams.from_lambda(0.05)
+    target = extract_euler(named_gate("h"))
+    state = BlochState(1.1, 0.7)
+    m1, m2 = point_moments(state.theta, state.phi)
+    for m1, m2 in (cap_moments(0.5), (m1, np.multiply(m2, 1.0 - 1e-12))):
         fg = moment_objective(target, m1, m2, params)
         x_seed = (target.beta, target.gamma, target.delta)
-        x = optimize._newton(fg, x_seed, *fg(x_seed))[0]
+        x, _, iterations, _ = optimize._newton(fg, x_seed, *fg(x_seed))
         res = optimize_gate(target, m1, m2, params)
+        assert iterations > 0
         assert res.angles_opt == EulerAngles(*(v % (2 * math.pi) for v in x))
 
 
+def overlap(a: EulerAngles, b: EulerAngles) -> float:
+    """|tr(U_a^dag U_b)| / 2, the |<q_a, q_b>| of the two unitaries."""
+    return abs(np.trace(zyz_unitary(a).conj().T @ zyz_unitary(b))) / 2.0
+
+
 def test_equal_fidelity_partner_optima():
-    """A fixed point input at rome q3 with two distinct optima: the circle-
-    started search and the plain Newton search from the target reach the
-    same F and send the input to the same noisy output (Kraus oracle), yet
-    realize unitaries far apart.  The partner flips gamma and keeps delta:
-    (beta, gamma, delta) -> (beta', -gamma mod 2 pi, delta).  No fidelity
-    measured with the assumed model can tell the two apart."""
+    """A fixed point input at rome q3 with two distinct optima: the result
+    and its partner (beta + 2 atan2(Y, X) - pi, -gamma, delta), (X, Y) the xy
+    part of the pulse pair's output, reach the same F and send the input to
+    the same noisy output (Kraus oracle), yet realize unitaries far apart.
+    No fidelity measured with the assumed model can tell the two apart, so
+    the rule picks the one nearer the target, by |<q_target, q>|."""
     params = noise_params_for(bundled_device("rome").qubit(3))
     target = EulerAngles(1.2932692357031992, 0.6848579984023541, 4.400448881227426)
     state = BlochState(2.772981985208332, 4.584560380312186)
     r = bloch_vector(state)
     fg = moment_objective(target, r, np.outer(r, r), params)
-    x_seed = (target.beta, target.gamma, target.delta)
-    x_plain, f_plain, _, converged = optimize._newton(fg, x_seed, *fg(x_seed))
     res = optimize_gate(target, r, np.outer(r, r), params)
-    assert converged and res.converged
-    a, b = res.angles_opt, EulerAngles(*(v % (2 * math.pi) for v in x_plain))
-    assert abs(fg((a.beta, a.gamma, a.delta))[0] - f_plain) <= 2.2e-16
+    a = res.angles_opt
+    x, y, _ = _apply(0.0, a.gamma, a.delta, params.lambda_a, params.lambda_p, r)
+    b = EulerAngles(*(v % (2 * math.pi) for v in (
+        a.beta + 2.0 * math.atan2(y, x) - math.pi, -a.gamma, a.delta)))
+    at_a, at_b = fg((a.beta, a.gamma, a.delta)), fg((b.beta, b.gamma, b.delta))
+    assert abs(at_a[0] - at_b[0]) <= 2.2e-16
+    assert max(map(abs, at_a[1] + at_b[1])) <= optimize.GRADIENT_TOLERANCE
     rho_in = bloch_density(r)
     out_a = noisy_gate_stepwise(a, rho_in, params)
     out_b = noisy_gate_stepwise(b, rho_in, params)
     assert np.abs(out_a - out_b).max() <= 1e-9
-    distance = 1.0 - abs(np.trace(zyz_unitary(a).conj().T @ zyz_unitary(b))) / 2.0
-    assert 0.45 <= distance <= 0.96
-    assert angle_gap(a.gamma, -b.gamma) <= 1e-7
-    assert angle_gap(a.delta, b.delta) <= 1e-7
-    assert angle_gap(a.beta, b.beta) > 0.1
+    assert 0.45 <= 1.0 - overlap(a, b) <= 0.96
+    assert overlap(target, a) > overlap(target, b)
+    assert res.objective_value >= plain_newton(target, r, np.outer(r, r), params)
+
+
+def edge_targets(rng, count):
+    return [_zyz_from_quaternion(*_sample_quaternion(rng)) for _ in range(count)]
+
+
+def check_point_optimum(target, r, params):
+    """The closed form is kept without a search and reaches the stabilizer
+    circle oracle and the plain search; returns the result."""
+    r = np.asarray(r, dtype=float)
+    res = optimize_gate(target, r, np.outer(r, r), params)
+    a = res.angles_opt
+    g = moment_objective(target, r, np.outer(r, r), params)((a.beta, a.gamma, a.delta))[1]
+    assert max(map(abs, g)) <= optimize.GRADIENT_TOLERANCE
+    assert res.iterations == 0 and res.converged
+    assert res.objective_value >= circle_optimum(target, r, params) - 1e-12
+    assert res.objective_value >= plain_newton(target, r, np.outer(r, r), params) - 1e-12
+    return res
+
+
+@pytest.mark.parametrize("la, lp", [
+    (0.08, 0.02), (0.02, 0.08), (0.05, 0.05), (0.999, 0.999), (0.3, 0.0), (0.0, 0.3),
+], ids=["la>lp", "la<lp", "la=lp", "lambda-0.999", "no-dephasing", "no-damping"])
+def test_point_optimum_edge_noise(la, lp):
+    """Interior vertex (la > lp), none (la < lp), a linear E^2 r^2 + y^2
+    (la = lp), near-total damping, and each damping alone, on pure and mixed
+    inputs."""
+    rng = np.random.default_rng(53)
+    params = NoiseParams(la, lp)
+    for i, target in enumerate(edge_targets(rng, 12)):
+        r = bloch_vector(BlochState(math.acos(rng.uniform(-1.0, 1.0)),
+                                    rng.uniform(0.0, 2 * math.pi)))
+        if i % 3 == 2:
+            r *= rng.uniform(0.05, 1.0)
+        check_point_optimum(target, r, params)
+
+
+def test_point_optimum_target_sends_input_to_pole():
+    """mu = 0: the target sends n to +-z, so F depends on beta only through
+    rounding."""
+    rng = np.random.default_rng(59)
+    params = NoiseParams(0.06, 0.03)
+    for i in range(8):
+        theta, phi = rng.uniform(0.2, 3.0), rng.uniform(0.0, 2 * math.pi)
+        flip = math.pi if i % 2 else 0.0
+        target = EulerAngles(rng.uniform(0.0, 2 * math.pi), flip - theta, -phi)
+        r = bloch_vector(BlochState(theta, phi))
+        u = moment_objective(target, r, np.outer(r, r), params).image
+        assert math.hypot(u[0], u[1]) < 1e-15
+        check_point_optimum(target, r, params)
+
+
+def test_point_optimum_input_in_xy_plane():
+    """n_z = 0.  A z rotation keeps R n in the xy plane, and then the
+    optimum sends n to v = Rz(delta) n = (0, +-rho, 0): r = 0 and s = +-rho,
+    where the closed form must hold exactly.  Other targets mix in."""
+    rng = np.random.default_rng(61)
+    for params in (NoiseParams(0.05, 0.02), NoiseParams(0.02, 0.05)):
+        for i, target in enumerate(edge_targets(rng, 12)):
+            if i % 2 == 0:
+                target = EulerAngles(target.beta, 0.0, target.delta)
+            phi = rng.uniform(0.0, 2 * math.pi)
+            r = [math.cos(phi), math.sin(phi), 0.0]
+            a = check_point_optimum(target, r, params).angles_opt
+            if i % 2 == 0:
+                assert abs(math.cos(a.delta) * r[0] - math.sin(a.delta) * r[1]) < 1e-12
+
+
+@pytest.mark.parametrize("z", [1.0, -1.0, 0.6, -0.3])
+def test_point_optimum_input_along_z_keeps_delta(z):
+    """An input along +-z (a preparation from |0> at z = 1) leaves delta at
+    exactly 0.0: Rz(delta) only turns it about its own axis."""
+    rng = np.random.default_rng(67)
+    params = NoiseParams(0.07, 0.04)
+    for target in edge_targets(rng, 6):
+        res = check_point_optimum(target, [0.0, 0.0, z], params)
+        assert res.angles_opt.delta == 0.0
+
+
+def test_point_optimum_depends_only_on_the_unitary():
+    """Both Euler branches of one target unitary, (beta, gamma, delta) and
+    (beta + pi, -gamma, delta + pi), give the same angles when neither seed
+    is skipped: the closed form and its partner rule see only the unitary,
+    and the branches differ only in the rounding of R m1."""
+    rng = np.random.default_rng(71)
+    params = noise_params_for(bundled_device("rome").qubit(3))
+    for _ in range(40):
+        t = _zyz_from_quaternion(*_sample_quaternion(rng))
+        other = EulerAngles(t.beta + math.pi, -t.gamma, t.delta + math.pi)
+        r = bloch_vector(BlochState(math.acos(rng.uniform(-1.0, 1.0)),
+                                    rng.uniform(0.0, 2 * math.pi)))
+        results = []
+        for target in (t, other):
+            fg = moment_objective(target, r, np.outer(r, r), params)
+            g = fg((target.beta, target.gamma, target.delta))[1]
+            assert max(map(abs, g)) > optimize.GRADIENT_TOLERANCE
+            results.append(optimize_gate(target, r, np.outer(r, r), params))
+        assert angle_displacement(results[0].angles_opt, results[1].angles_opt) <= 1e-12
 
 
 # ------------------------------------------------------------------- prep
