@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import EulerAngles, _bloch_vector, _point_moments, _zyz_from_quaternion
+from .gates import EulerAngles, _bloch_vector, _zyz_from_quaternion
 from .io import parallel_map
-from .noise import NoiseParams
-from .objectives import cap_moments, moment_objective, point_moments
+from .noise import NoiseParams, _apply
+from .objectives import cap_moments, point_moments
 from .optimize import optimize_gate
 
 
@@ -107,11 +107,18 @@ def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRo
 def _cap_sample(rng: np.random.Generator, theta_max: float) -> tuple[float, float]:
     """One state drawn uniformly from the polar cap theta < theta_max, as
     (theta, phi) floats, by inverting the CDF of cos(theta):
-    theta = acos(1 - u (1 - cos(theta_max))) for u = rng.uniform() on
-    [0, 1), then phi = rng.uniform(0, 2 pi)."""
-    u = rng.uniform()
+    theta = acos(1 - u (1 - cos(theta_max))) for u = rng.random() on
+    [0, 1), then phi = 2 pi rng.random()."""
+    u = rng.random()
     theta = math.acos(1.0 - u * (1.0 - math.cos(theta_max)))
-    return theta, rng.uniform(0.0, math.tau)
+    return theta, math.tau * rng.random()
+
+
+def _point_score(angles: EulerAngles, u, n, la: float, lp: float) -> float:
+    """Fidelity 1/2 (1 + u.(A n + t)) of ``angles``' noisy map on the pure
+    input n against the target's ideal output u = R n, clamped to [0, 1]."""
+    x, y, z = _apply(angles.beta, angles.gamma, angles.delta, la, lp, n)
+    return min(max(0.5 * (1.0 + u[0] * x + u[1] * y + u[2] * z), 0.0), 1.0)
 
 
 def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
@@ -121,8 +128,8 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     rng = np.random.default_rng([cfg.rng_seed, 0, li])
     imps = np.empty(cfg.targets_per_point)
     for t in range(cfg.targets_per_point):
-        z = rng.uniform(-1.0, 1.0)
-        phi = rng.uniform(0.0, math.tau)
+        z = -1.0 + 2.0 * rng.random()
+        phi = math.tau * rng.random()
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
         # |0> as a phase only, so delta stays at its seed 0.
         target = EulerAngles(phi, math.acos(z), 0.0)
@@ -134,6 +141,7 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
 def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam, mi, theta_max = item
     params = NoiseParams.from_lambda(lam)
+    la, lp = params.lambda_a, params.lambda_p
     moments = cap_moments(theta_max)
     rng = np.random.default_rng([cfg.rng_seed, 1, li, mi])
     imps = np.empty(cfg.targets_per_point)
@@ -142,11 +150,9 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
         res = optimize_gate(target, *moments, params)
         # both decompositions' fidelity on the sampled state (canonical angles)
         n = _bloch_vector(*_cap_sample(rng, theta_max))
-        fg = moment_objective(target, *_point_moments(n), params)
-        f_opt, f_seed = (
-            min(max(fg((a.beta, a.gamma, a.delta))[0], 0.0), 1.0) for a in (res.angles_opt, target)
-        )
-        imps[r] = f_opt - f_seed
+        u = _apply(target.beta, target.gamma, target.delta, 0.0, 0.0, n)
+        imps[r] = (_point_score(res.angles_opt, u, n, la, lp)
+                   - _point_score(target, u, n, la, lp))
     return _row_stats(lam, theta_max, imps)
 
 

@@ -13,6 +13,7 @@ results, only wall time.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -37,6 +38,10 @@ WORKER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREAD
 
 def format_value(value) -> str:
     """One CSV cell: None -> empty, floats at 17 significant digits."""
+    if isinstance(value, float):  # the common cells first: float, np.float64, int
+        return FLOAT_FORMAT % value
+    if type(value) is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, str):
@@ -99,6 +104,14 @@ def _json_kind(tp) -> str:
             str: "a string"}[tp]
 
 
+@functools.cache
+def _dataclass_fields(tp) -> tuple[dict, dict]:
+    """A dataclass's init fields by name and its resolved annotations, read
+    once per class (``typing.get_type_hints`` evaluates the annotation
+    strings on every call).  Every caller gets the same two dicts: read only."""
+    return {f.name: f for f in fields(tp) if f.init}, typing.get_type_hints(tp)
+
+
 def from_jsonable(tp, value, where: str):
     """Decode the parsed JSON ``value`` as ``tp``, the inverse of
     ``to_jsonable`` for the config dataclasses.
@@ -115,7 +128,7 @@ def from_jsonable(tp, value, where: str):
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValueError(f"{where} must be an object, got {value!r}")
-        known = {f.name: f for f in fields(tp) if f.init}
+        known, hints = _dataclass_fields(tp)
         unknown = sorted(set(value) - set(known))
         if unknown:
             raise ValueError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}; "
@@ -123,7 +136,6 @@ def from_jsonable(tp, value, where: str):
         for name, f in known.items():
             if name not in value and f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"{where} is missing key {name!r}")
-        hints = typing.get_type_hints(tp)
         kwargs = {k: from_jsonable(hints[k], v, f"{where}.{k}") for k, v in value.items()}
         try:
             return tp(**kwargs)

@@ -146,10 +146,11 @@ class RbRunResult:
 def _sample_quaternion(rng: np.random.Generator) -> tuple[float, float, float, float]:
     """Unit quaternion (cos a/2, sin a/2 n) of a rotation by an angle a
     uniform on [0, 2 pi) about an axis n uniform on the sphere (z uniform on
-    [-1, 1], azimuth uniform)."""
-    z = rng.uniform(-1.0, 1.0)
-    azimuth = rng.uniform(0.0, math.tau)
-    angle = rng.uniform(0.0, math.tau)
+    [-1, 1), azimuth uniform), from three ``rng.random()`` draws in that order
+    (z, azimuth, a), each scaled as lo + (hi - lo) u."""
+    z = -1.0 + 2.0 * rng.random()
+    azimuth = math.tau * rng.random()
+    angle = math.tau * rng.random()
     s = math.sqrt(max(0.0, 1.0 - z * z))
     nx, ny = s * math.cos(azimuth), s * math.sin(azimuth)
     h = math.sin(0.5 * angle)

@@ -242,3 +242,34 @@ def readout_mitigate(p0_measured: float, p10: float, p01: float) -> float:
     by a linear solve, unclipped."""
     return float(np.linalg.solve(readout_matrix(p10, p01),
                                  np.array([p0_measured, 1.0 - p0_measured]))[0])
+
+
+# The package's random draws as first written, one ``Generator.uniform`` call
+# a number.  The package scales ``Generator.random()`` itself, as
+# lo + (hi - lo) u, which is the value ``uniform`` returns, so its draws must
+# equal these bit for bit and older manifests replay unchanged.
+
+def uniform_quaternion(rng) -> tuple[float, float, float, float]:
+    """An RB gate: the quaternion (cos a/2, sin a/2 n) with z = uniform(-1, 1),
+    then azimuth and a = uniform(0, 2 pi), and n = (s cos azimuth,
+    s sin azimuth, z), s = sqrt(1 - z^2)."""
+    z = rng.uniform(-1.0, 1.0)
+    azimuth = rng.uniform(0.0, math.tau)
+    angle = rng.uniform(0.0, math.tau)
+    s = math.sqrt(max(0.0, 1.0 - z * z))
+    h = math.sin(0.5 * angle)
+    return math.cos(0.5 * angle), h * (s * math.cos(azimuth)), h * (s * math.sin(azimuth)), h * z
+
+
+def uniform_cap_state(rng, theta_max: float) -> tuple[float, float]:
+    """A knowledge sweep's cap sample (theta, phi): theta =
+    acos(1 - u (1 - cos theta_max)) for u = uniform(), then phi =
+    uniform(0, 2 pi)."""
+    u = rng.uniform()
+    return math.acos(1.0 - u * (1.0 - math.cos(theta_max))), rng.uniform(0.0, math.tau)
+
+
+def uniform_prep_target(rng) -> tuple[float, float]:
+    """A preparation sweep's target state as (z, phi): z = uniform(-1, 1),
+    then phi = uniform(0, 2 pi)."""
+    return rng.uniform(-1.0, 1.0), rng.uniform(0.0, math.tau)

@@ -2,19 +2,26 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from noisy_euler import (
+    BlochState,
+    EulerAngles,
+    NoiseParams,
     SweepConfig,
+    cap_moments,
     knowledge_sweep,
     prep_improvement_sweep,
 )
 from noisy_euler import experiments
-from noisy_euler.experiments import _haar_gate
+from noisy_euler.experiments import _cap_sample, _haar_gate, _point_score
+from noisy_euler.gates import _bloch_vector
+from noisy_euler.noise import _apply
 from noisy_euler.optimize import optimize_gate
-from reference import zyz_unitary
+from reference import point_fidelity, uniform_prep_target, zyz_unitary
 
 
 def test_sweep_config_validation():
@@ -118,6 +125,29 @@ def test_first_targets_of_a_cell_ignore_targets_per_point(monkeypatch, sweep):
     assert all(len(set(cell)) == 5 for cell in five)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2309])
+def test_prep_targets_equal_scalar_uniform_rule(monkeypatch, seed):
+    """Each cell's targets (2 x 5,000, with the optimizer stubbed out) are,
+    bit for bit, the states drawn by scalar ``Generator.uniform`` calls from
+    the cell's stream."""
+    targets = []
+
+    def record(target, *args, **kwargs):
+        targets.append(target)
+        return SimpleNamespace(improvement=0.0)
+
+    monkeypatch.setattr(experiments, "optimize_gate", record)
+    prep_improvement_sweep(SweepConfig(lambda_grid=(0.0, 0.05), targets_per_point=5000,
+                                       rng_seed=seed))
+    want = []
+    for li in range(2):
+        ref = np.random.default_rng([seed, 0, li])
+        for _ in range(5000):
+            z, phi = uniform_prep_target(ref)
+            want.append(EulerAngles(phi, math.acos(z), 0.0))
+    assert targets == want
+
+
 def test_prep_sweep_seed_changes_samples():
     cfg1 = SweepConfig(lambda_grid=(0.05,), targets_per_point=10, rng_seed=1)
     cfg2 = SweepConfig(lambda_grid=(0.05,), targets_per_point=10, rng_seed=2)
@@ -129,6 +159,44 @@ def test_prep_sweep_seed_changes_samples():
 
 
 # --------------------------------------------------------------- knowledge
+
+def test_point_score_matches_kraus_reference():
+    """The knowledge score of a decomposition on one pure input equals the
+    pulse-by-pulse Kraus fidelity, clamped, within 1e-12."""
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        target = _haar_gate(rng)
+        trial = EulerAngles(*rng.uniform(-math.pi, 3 * math.pi, 3))
+        lam_a, lam_p = rng.choice([0.0, 1e-4, 0.05, 0.5, 0.999], 2)
+        params = NoiseParams(lam_a, lam_p)
+        state = BlochState(*_cap_sample(rng, math.pi))
+        n = _bloch_vector(state.theta, state.phi)
+        u = _apply(target.beta, target.gamma, target.delta, 0.0, 0.0, n)
+        want = min(max(point_fidelity(target, trial, state, params), 0.0), 1.0)
+        assert abs(_point_score(trial, u, n, params.lambda_a, params.lambda_p) - want) < 1e-12
+
+
+def test_knowledge_cells_match_kraus_reference():
+    """Each knowledge cell's mean and standard error, replayed from its
+    stream with every score taken by the Kraus reference, agree within
+    1e-12."""
+    cfg = SweepConfig(lambda_grid=(0.05, 0.3), theta_max_grid=(0.4, 2.0),
+                      targets_per_point=20, rng_seed=3)
+    rows = knowledge_sweep(cfg).rows
+    for row, (li, mi) in zip(rows, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        params = NoiseParams.from_lambda(row.lam)
+        rng = np.random.default_rng([cfg.rng_seed, 1, li, mi])
+        imps = []
+        for _ in range(cfg.targets_per_point):
+            target = _haar_gate(rng)
+            opt = optimize_gate(target, *cap_moments(row.theta_max), params).angles_opt
+            state = BlochState(*_cap_sample(rng, row.theta_max))
+            f_opt, f_seed = (min(max(point_fidelity(target, a, state, params), 0.0), 1.0)
+                             for a in (opt, target))
+            imps.append(f_opt - f_seed)
+        assert abs(row.mean_improvement - np.mean(imps)) < 1e-12
+        assert abs(row.stderr - np.std(imps, ddof=1) / math.sqrt(len(imps))) < 1e-12
+
 
 def test_knowledge_sweep_requires_caps():
     cfg = SweepConfig(lambda_grid=(0.1,))

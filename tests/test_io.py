@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,15 +30,29 @@ from noisy_euler.io import (
 
 
 def test_format_value_basics():
+    """Bools print as words, never as 1/0, and numpy scalars as their Python
+    values."""
     assert format_value(None) == ""
     assert format_value("abc") == "abc"
+    assert format_value("") == ""
     assert format_value(True) == "true"
     assert format_value(False) == "false"
+    assert format_value(np.True_) == "true"
+    assert format_value(np.False_) == "false"
     assert format_value(7) == "7"
+    assert format_value(10**30) == "1" + "0" * 30
     assert format_value(np.int64(7)) == "7"
+    assert format_value(np.uint8(200)) == "200"
+    assert format_value(0.1) == "0.10000000000000001"
+    assert format_value(np.float64(0.1)) == "0.10000000000000001"
+    assert format_value(np.float32(0.1)) == "0.10000000149011612"
+    assert format_value(-0.0) == "-0"
+    assert format_value(1e22) == "1e+22"
+    assert format_value(np.float64(-2.5e-300)) == "-2.5e-300"
     assert format_value(math.inf) == "inf"
     assert format_value(-math.inf) == "-inf"
     assert format_value(math.nan) == "nan"
+    assert format_value(np.float64("nan")) == "nan"
 
 
 def test_format_value_floats_roundtrip():
@@ -145,6 +160,30 @@ def test_from_jsonable_defaults_and_conversions():
     assert cfg == SweepConfig(lambda_grid=(0.0, 0.1))
     assert type(cfg.lambda_grid[0]) is float
     assert from_jsonable(int | None, None, "x") is None
+
+
+def test_from_jsonable_reads_hints_once_and_names_paths(monkeypatch):
+    """A dataclass's annotations are resolved once, and faults found after
+    that still name the field's path, nested or from the class's own check."""
+    @dataclass(frozen=True)
+    class Outer:
+        noise: NoiseParams
+        count: int = 1
+
+    calls = []
+    resolve = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda tp: calls.append(tp) or resolve(tp))
+    good = {"noise": {"lambda_a": 0.1, "lambda_p": 0.2}, "count": 2}
+    for _ in range(3):
+        assert from_jsonable(Outer, good, "x") == Outer(NoiseParams(0.1, 0.2), 2)
+    assert calls.count(Outer) == 1
+    for value, match in [
+        ({"noise": {"lambda_a": "0.1", "lambda_p": 0.2}}, r"^x\.noise\.lambda_a must be a finite"),
+        ({"noise": {"lambda_a": 2.0, "lambda_p": 0.2}}, r"^x\.noise\.lambda_a must lie in"),
+        ({**good, "count": 1.5}, r"^x\.count must be an integer"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            from_jsonable(Outer, value, "x")
 
 
 def test_write_json_sorted_and_newline(tmp_path):

@@ -26,6 +26,7 @@ from reference import (
     point_fidelity,
     projector,
     state_vector,
+    uniform_cap_state,
     zyz_unitary,
 )
 
@@ -185,6 +186,18 @@ def cap_samples(rng, theta_max, n):
     """n states from the knowledge sweep's one-state cap sampler, drawn one
     call at a time from rng, as (theta, phi) arrays."""
     return np.array([_cap_sample(rng, theta_max) for _ in range(n)]).T
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2309])
+def test_cap_sample_equals_scalar_uniform_rule(seed):
+    """10,000 cap samples over four caps equal, bit for bit, the rule drawn
+    by scalar ``Generator.uniform`` calls, and leave the stream at the same
+    place."""
+    rng, ref = np.random.default_rng([seed, 1, 0, 0]), np.random.default_rng([seed, 1, 0, 0])
+    for i in range(10_000):
+        theta_max = (0.1, 0.9, 2.0, math.pi)[i % 4]
+        assert _cap_sample(rng, theta_max) == uniform_cap_state(ref, theta_max)
+    assert rng.random() == ref.random()
 
 
 def test_cap_sampling_stays_inside_and_matches_cdf():

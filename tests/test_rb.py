@@ -22,7 +22,14 @@ from noisy_euler import (
 )
 from noisy_euler.gates import _hamilton, _zyz_from_quaternion
 from noisy_euler.optimize import GRADIENT_TOLERANCE
-from reference import angle_gap, noisy_gate_stepwise, quaternion_unitary, sign_gap, zyz_unitary
+from reference import (
+    angle_gap,
+    noisy_gate_stepwise,
+    quaternion_unitary,
+    sign_gap,
+    uniform_quaternion,
+    zyz_unitary,
+)
 
 ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
 
@@ -121,6 +128,17 @@ def test_quaternion_net_matches_unitary_product():
                           angle_gap(inverse.beta, ref.beta), angle_gap(inverse.delta, ref.delta))
     assert worst_u < 1e-12
     assert worst_angle < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2309])
+def test_gate_draws_equal_scalar_uniform_rule(seed):
+    """10,000 gates of a stream equal, bit for bit, the quaternions of the
+    rule drawn by scalar ``Generator.uniform`` calls, and both leave the
+    stream at the same place."""
+    rng, ref = np.random.default_rng([seed, 0, 0]), np.random.default_rng([seed, 0, 0])
+    for _ in range(10_000):
+        assert rb._sample_quaternion(rng) == uniform_quaternion(ref)
+    assert rng.random() == ref.random()
 
 
 def test_gate_stream_deterministic():
