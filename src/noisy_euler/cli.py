@@ -19,9 +19,12 @@ dataclasses, which hold every range rule, before anything runs; ``_run`` runs
 it, times it and writes the CSV, the summary and a manifest recording the
 command, config, seed, package version and output paths.  ``noisy-euler
 --from-manifest PATH`` enters the path at the recorded config, so a fresh run
-is the replay of its own manifest and a replay reproduces the CSV and summary
-byte-for-byte.  All randomness flows from the --seed flag through named
-sub-streams, so --jobs changes only the wall time.
+is the replay of its own manifest, and replaying a manifest this version
+wrote reproduces the CSV and summary byte-for-byte.  Manifests written
+before the per-cell and per-circuit streams (``knowledge``, ``prep-sweep``,
+and ``rb``/``drift`` with --multistart above 0) replay with other draws
+(README, "Determinism and parallelism").  All randomness flows from the
+--seed flag through named sub-streams, so --jobs changes only the wall time.
 
 Exit codes: 0 success; 1 runtime error, or a replayed config that is refused
 (the error names its ``config.KEY`` path); 2 usage error, including a fresh

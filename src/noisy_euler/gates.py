@@ -130,26 +130,21 @@ def _zyz_from_quaternion(w: float, x: float, y: float, z: float) -> EulerAngles:
     V = R_z(beta) R_y(gamma) R_z(delta) gives w + iz = cos(gamma/2)
     e^{i (beta+delta)/2} and y - ix = sin(gamma/2) e^{i (beta-delta)/2}.
     Every angle is an atan2 of a ratio, so the quaternion need not be
-    normalized.  These are ``_zyz_angles`` with beta and delta wrapped into
-    [0, 2*pi); each wrap may flip the sign, so the angles compose to +-V.
+    normalized.  gamma lies in [0, pi], with ties at ``GAMMA_TIE_TOL``
+    broken by delta = 0; beta and delta, from (-2 pi, 2 pi], are wrapped
+    into [0, 2*pi), and each wrap may flip the sign, so the angles compose
+    to +-V.
     """
-    beta, gamma, delta = _zyz_angles(w, x, y, z)
-    return EulerAngles(beta % math.tau, gamma, delta % math.tau)
-
-
-def _zyz_angles(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The float core of ``_zyz_from_quaternion``: (beta, gamma, delta) with
-    V(w, x, y, z) = +-R_z(beta) R_y(gamma) R_z(delta), gamma in [0, pi] and
-    beta, delta in (-2 pi, 2 pi] not yet wrapped, ties at ``GAMMA_TIE_TOL``
-    broken by delta = 0."""
     gamma = 2.0 * math.atan2(math.hypot(y, x), math.hypot(w, z))
     if gamma <= GAMMA_TIE_TOL:
-        return 2.0 * math.atan2(z, w), gamma, 0.0
-    if gamma >= math.pi - GAMMA_TIE_TOL:
-        return 2.0 * math.atan2(-x, y), gamma, 0.0
-    half_sum = math.atan2(z, w)
-    half_diff = math.atan2(-x, y)
-    return half_sum + half_diff, gamma, half_sum - half_diff
+        beta, delta = 2.0 * math.atan2(z, w), 0.0
+    elif gamma >= math.pi - GAMMA_TIE_TOL:
+        beta, delta = 2.0 * math.atan2(-x, y), 0.0
+    else:
+        half_sum = math.atan2(z, w)
+        half_diff = math.atan2(-x, y)
+        beta, delta = half_sum + half_diff, half_sum - half_diff
+    return EulerAngles(beta % math.tau, gamma, delta % math.tau)
 
 
 def _hamilton(p, q) -> tuple[float, float, float, float]:

@@ -20,17 +20,18 @@ depends only on the target's unitary, the input and the assumed model, not
 on a search path.
 
 For every other input (caps, moments that are not exactly rank-1) and for
-the optional uniform-random starts, the objective returns its analytic
+the caller's extra starts, the objective returns its analytic
 gradient and Hessian with its value, and the ascent is a damped Newton
 search on them (``_newton``; Nocedal & Wright, *Numerical Optimization*,
 ch. 3: modified Newton with a backtracking line search).  It runs on plain
 Python floats: with three variables, numpy's per-call overhead would
 outweigh the arithmetic.  Every search runs to one fixed rule, max|g| <=
 GRADIENT_TOLERANCE within MAX_ITERATIONS steps: Newton converges
-quadratically near the optimum, so the tight tolerance costs few steps.  An
-optional multistart mode adds uniform-random seeds for rugged landscapes
-(damping probabilities near 1), keeping the best result by objective value
-with lowest-seed-index tie-breaking.
+quadratically near the optimum, so the tight tolerance costs few steps.  A
+caller may pass extra starts for rugged landscapes (damping probabilities
+near 1); the best result by objective value wins, the earliest start on
+ties.  The module draws no random numbers: the same inputs give the same
+result.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -43,8 +44,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .gates import EulerAngles
 from .noise import NoiseParams
@@ -92,8 +91,7 @@ def optimize_gate(
     m1,
     m2,
     params: NoiseParams,
-    multistart: int = 0,
-    seed=0,
+    starts=(),
     *,
     start_tolerance: float = GRADIENT_TOLERANCE,
 ) -> OptimizationResult:
@@ -102,16 +100,12 @@ def optimize_gate(
     (3,) and (3, 3) sequences (``point_moments``, ``cap_moments``; r, r r^T
     for a Bloch vector r); ``moment_objective``'s set-up builds R's frame once.
 
-    The target seed and each of ``multistart`` uniform-random starts are
-    candidates, the random ones drawn from ``np.random.default_rng(seed)``,
-    read only when multistart > 0: seed is an int, a sequence of ints or a
-    Generator, which is drawn from in place (exactly 3 * multistart uniforms
-    a call, so one Generator can feed a sequence of calls); the best
-    candidate wins, lowest start index on ties, and the seed itself is the
-    fallback.  A start whose max|g| is within ``start_tolerance`` is kept
-    without a search.  Raises ValueError unless multistart is an int >= 0,
-    m1 has shape (3,), is finite and has |m1| <= 1 + 1e-9, and m2 is finite
-    with shape (3, 3).
+    The target seed and each triple of ``starts``, a sequence of extra
+    (beta, gamma, delta), are candidates; the best wins, the earliest on ties
+    (the seed first), and the seed itself is the fallback.  A start whose
+    max|g| is within ``start_tolerance`` is kept without a search.  Raises
+    ValueError unless each start is three finite reals, m1 has shape (3,),
+    is finite and has |m1| <= 1 + 1e-9, and m2 is finite with shape (3, 3).
 
     When m2 == m1 m1^T exactly (a point input, a mixed Bloch vector r as
     randomized benchmarking passes it, a preparation from |0>), a seed that
@@ -125,35 +119,33 @@ def optimize_gate(
     from 1e-3 to 0.999; points, caps, preparations) 16 extra starts raised
     F by at most 8e-16 for lambda <= 0.9 and 7e-9 at 0.999, yet returned
     another equal-F unitary in 470; on point inputs the closed form reaches
-    a dense circle search (``tests/reference.py``).  Only RB passes
-    multistart, for the saturated drift arm (k = 1e6): F is flat to the ulp
-    there, and the drift check looks for the angles the tie-break scrambles.
+    a dense circle search (``tests/reference.py``).  Only RB passes starts
+    (``RbConfig.multistart``), for the saturated drift arm (k = 1e6): F is
+    flat to the ulp there, and the drift check looks for the angles the
+    tie-break scrambles.
     """
-    if not isinstance(multistart, int) or isinstance(multistart, bool) or multistart < 0:
-        raise ValueError(f"multistart must be an int >= 0, got {multistart!r}")
     n, rows = _tolist(m1), _tolist(m2)
-    m1_ok = m2_ok = False  # stay False for an input that is no sequence of reals
+    m1_ok = m2_ok = starts_ok = False  # stay False for an input that is no sequence of reals
     try:
         m1_ok = len(n) == 3 and math.hypot(*n) <= 1.0 + 1e-9
         flat = [v for row in rows for v in row]
         m2_ok = list(map(len, rows)) == [3, 3, 3] and all(map(math.isfinite, flat))
+        starts_ok = all(map(_is_angle_triple, starts))
     except TypeError:
         pass
     if not m1_ok:
         raise ValueError("m1 must be a finite Bloch vector of shape (3,) with |m1| <= 1")
     if not m2_ok:
         raise ValueError("m2 must be a finite matrix of shape (3, 3)")
+    if not starts_ok:
+        raise ValueError(f"each start must be three finite angles, got {starts!r}")
     rank_one = flat == [a * b for a in n for b in n]
     fg = moment_objective(target, n, rows, params)
 
     x_seed = (target.beta, target.gamma, target.delta)
     at_seed = fg(x_seed)
-    starts = [x_seed]
-    if multistart > 0:
-        rng = np.random.default_rng(seed)
-        starts += [tuple(x) for x in rng.uniform(0.0, math.tau, (multistart, 3)).tolist()]
     best = None
-    for i, x0 in enumerate(starts):
+    for i, x0 in enumerate([x_seed, *starts]):
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
         tolerance = start_tolerance
         if i == 0 and rank_one and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
@@ -177,6 +169,10 @@ def optimize_gate(
         iterations=iterations,
         converged=converged,
     )
+
+
+def _is_angle_triple(x) -> bool:
+    return len(x) == 3 and all(map(math.isfinite, x))
 
 
 def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):

@@ -173,10 +173,12 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     of (rng_seed, circuit), so circuits are independent and order of
     execution is irrelevant: the gates from [rng_seed, circuit, 0], each
     arm's shots from [rng_seed, circuit, 1, arm], the gate steps' multistart
-    draws from one stream [rng_seed, circuit, 2] that each gate step reads in
-    turn (3 * multistart uniforms a step, so gate i reads the i-th block),
+    starts from one stream [rng_seed, circuit, 2] that each gate step reads in
+    turn (3 * multistart doubles a step, so gate i reads the i-th block),
     and each inverse step's from its own [rng_seed, circuit, 3, depth], so a
-    depth's survival does not depend on which other depths are scheduled."""
+    depth's survival does not depend on which other depths are scheduled.
+    Each start is 2 pi times three ``random()`` doubles, the values
+    ``uniform(0, 2 pi)`` returns; with multistart 0 no start is drawn."""
     cfg, circuit = item
     la, lp = cfg.noise.lambda_a, cfg.noise.lambda_p
     assumed = cfg.noise.assuming_drift(cfg.drift_factor)
@@ -192,10 +194,13 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     def step(target: EulerAngles, stream) -> tuple:
         """The next ``arms``: unopt runs ``target``'s angles, opt runs them
         re-optimized for n, or for its own state under track_noisy_state;
-        ``stream`` (a Generator or a key) seeds the multistart draws."""
+        ``stream`` (a Generator or a key) seeds the multistart starts."""
         unopt, opt = arms
         m1, m2 = _point_moments(opt if cfg.track_noisy_state else n)
-        a = optimize_gate(target, m1, m2, assumed, cfg.multistart, stream,
+        starts = ()
+        if cfg.multistart > 0:
+            starts = (math.tau * np.random.default_rng(stream).random((cfg.multistart, 3))).tolist()
+        a = optimize_gate(target, m1, m2, assumed, starts,
                           start_tolerance=RB_GRADIENT_TOLERANCE).angles_opt
         return (_apply(target.beta, target.gamma, target.delta, la, lp, unopt),
                 _apply(a.beta, a.gamma, a.delta, la, lp, opt))

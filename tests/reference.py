@@ -273,3 +273,10 @@ def uniform_prep_target(rng) -> tuple[float, float]:
     """A preparation sweep's target state as (z, phi): z = uniform(-1, 1),
     then phi = uniform(0, 2 pi)."""
     return rng.uniform(-1.0, 1.0), rng.uniform(0.0, math.tau)
+
+
+def uniform_starts(rng, m: int) -> list[tuple[float, float, float]]:
+    """m extra (beta, gamma, delta) starts for ``optimize_gate``, drawn as
+    one ``rng.uniform(0, 2 pi, (m, 3))`` array, as the optimizer itself once
+    drew them for RB's multistart."""
+    return [tuple(x) for x in rng.uniform(0.0, math.tau, (m, 3)).tolist()]

@@ -26,12 +26,14 @@ from noisy_euler import (
 from noisy_euler import optimize, rb
 from noisy_euler.gates import _zyz_from_quaternion
 from noisy_euler.noise import _apply
+from noisy_euler.objectives import _tolist
 from noisy_euler.rb import _sample_quaternion
 from reference import (
     bloch_density,
     bloch_vector,
     circle_optimum,
     noisy_gate_stepwise,
+    uniform_starts,
     zyz_unitary,
 )
 
@@ -138,30 +140,53 @@ def test_uniform_average_cannot_be_improved():
 
 
 def test_results_deterministic():
+    """The same inputs give the same result, extra starts included and
+    given as tuples, lists or an array, for a point input (closed form) and
+    a cap (Newton search)."""
     params = NoiseParams.from_lambda(0.07)
-    a = optimize_gate(IDENTITY, *PLUS, params, 3, 11)
-    b = optimize_gate(IDENTITY, *PLUS, params, 3, 11)
-    assert a.angles_opt == b.angles_opt
-    assert a.objective_value == b.objective_value
+    starts = uniform_starts(np.random.default_rng(11), 3)
+    for moments in (PLUS, cap_moments(0.5)):
+        a = optimize_gate(IDENTITY, *moments, params, starts)
+        assert a == optimize_gate(IDENTITY, *moments, params, [list(x) for x in starts])
+        assert a == optimize_gate(IDENTITY, *moments, params, np.array(starts))
 
 
-def test_multistart_generator_seed_consumes_three_uniforms_per_start():
-    """A Generator seed is drawn from in place, exactly 3 * multistart
-    uniforms a call, so RB can feed one circuit's gate steps from one
-    stream; an int seed gives the starts of a fresh default_rng(seed)."""
-    params = NoiseParams.from_lambda(0.07)
-    gen, ref = np.random.default_rng(11), np.random.default_rng(11)
-    first = optimize_gate(IDENTITY, *PLUS, params, multistart=2, seed=gen)
-    ref.uniform(size=6)
-    assert gen.bit_generator.state == ref.bit_generator.state
-    assert first.angles_opt == optimize_gate(IDENTITY, *PLUS, params, 2, 11).angles_opt
+def test_no_starts_is_the_seeded_search():
+    """starts=() is the default: the target seed alone, the closed form for
+    a rank-1 input and the Newton search from the seed for any other."""
+    rng = np.random.default_rng(12)
+    for lam in (0.02, 0.3):
+        params = NoiseParams.from_lambda(lam)
+        for _ in range(10):
+            target = random_angles(rng)
+            for moments in (point_moments(*rng.uniform(0, math.pi, 2)),
+                            cap_moments(rng.uniform(0.1, 2.0))):
+                res = optimize_gate(target, *moments, params, ())
+                assert res == optimize_gate(target, *moments, params)
+                assert res == optimize_gate(target, *moments, params, np.empty((0, 3)))
+                fg = moment_objective(target, *moments, params)
+                x_seed = (target.beta, target.gamma, target.delta)
+                f_seed, g_seed, h_seed = fg(x_seed)
+                if np.array_equal(moments[1], np.outer(moments[0], moments[0])):
+                    x = optimize._point_optimum(target, _tolist(moments[0]), fg.image,
+                                                params.lambda_a, params.lambda_p)
+                    f = fg(x)[0]
+                else:
+                    x, f, _, _ = optimize._newton(fg, x_seed, f_seed, g_seed, h_seed)
+                if f < f_seed:
+                    x = x_seed
+                assert res.angles_opt == EulerAngles(*(v % (2 * math.pi) for v in x))
 
 
 def test_multistart_never_hurts():
+    """Extra starts can only raise F: the seed stays a candidate."""
     params = NoiseParams.from_lambda(0.05)
-    plain = optimize_gate(IDENTITY, *PLUS, params)
-    multi = optimize_gate(IDENTITY, *PLUS, params, 8, 1)
-    assert multi.objective_value >= plain.objective_value - 1e-12
+    starts = uniform_starts(np.random.default_rng(1), 8)
+    for moments in (PLUS, cap_moments(0.8)):
+        plain = optimize_gate(IDENTITY, *moments, params)
+        multi = optimize_gate(IDENTITY, *moments, params, starts)
+        assert multi.objective_value >= plain.objective_value
+        assert multi.objective_at_target_angles == plain.objective_at_target_angles
 
 
 def test_optimized_angles_wrapped_into_range():
@@ -686,17 +711,22 @@ def test_zero_noise_evaluates_seed_once(monkeypatch):
 # ------------------------------------------------------------------ config
 
 def test_optimizer_config_validation():
-    """The optimizer's one setting, the multistart count, is refused unless
-    it is an int >= 0, wherever it is given."""
+    """RB's one optimizer setting, the multistart count, is refused unless
+    it is an int >= 0; optimize_gate refuses a start that is not three
+    finite reals."""
     params = NoiseParams.from_lambda(0.05)
-    hosts = (
-        lambda n: RbConfig(noise=params, multistart=n),
-        lambda n: optimize_gate(IDENTITY, *PLUS, params, n),
-    )
-    for host in hosts:
-        for bad in (-1, 2.5, 3.0, True, "5"):
-            with pytest.raises(ValueError, match="multistart must"):
-                host(bad)
+    for bad in (-1, 2.5, 3.0, True, "5"):
+        with pytest.raises(ValueError, match="multistart must"):
+            RbConfig(noise=params, multistart=bad)
+    good = (0.1, 0.2, 0.3)
+    for bad in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4), (0.1, math.nan, 0.3), (math.inf, 0.2, 0.3),
+                (0.1, 0.2, "0.3"), (0.1, 0.2, 0.3j), 0.5, None, "abc"):
+        for starts in ([bad], [good, bad]):
+            with pytest.raises(ValueError, match="each start must be three finite angles"):
+                optimize_gate(IDENTITY, *PLUS, params, starts)
+    with pytest.raises(ValueError, match="each start must"):
+        optimize_gate(IDENTITY, *PLUS, params, 2)
+    optimize_gate(IDENTITY, *PLUS, params, [good, np.array(good), [1, 2, 3]])
 
 
 @pytest.mark.parametrize("host", [

@@ -28,6 +28,7 @@ from reference import (
     quaternion_unitary,
     sign_gap,
     uniform_quaternion,
+    uniform_starts,
     zyz_unitary,
 )
 
@@ -349,6 +350,34 @@ def test_multistart_streams_ignore_schedule_and_jobs():
         survivals = getattr(both, arm).survivals
         assert np.array_equal(survivals[:, 1:], getattr(last, arm).survivals)
         assert np.array_equal(survivals, getattr(pooled, arm).survivals)
+
+
+@pytest.mark.parametrize("multistart", [0, 2])
+def test_multistart_starts_follow_uniform_draw_rule(monkeypatch, multistart):
+    """Each optimize_gate call of an RB run receives exactly the starts the
+    uniform(0, 2 pi, (multistart, 3)) rule draws: gate steps in turn from
+    the circuit's stream [rng_seed, circuit, 2], each inverse step from its
+    own [rng_seed, circuit, 3, depth]; with multistart 0, no start at all."""
+    received = []
+    original = rb.optimize_gate
+
+    def recording(target, m1, m2, params, starts=(), **kwargs):
+        received.append([tuple(x) for x in starts])
+        return original(target, m1, m2, params, starts, **kwargs)
+
+    monkeypatch.setattr(rb, "optimize_gate", recording)
+    cfg = small_config(n_circuits=2, n_gates=12, depth_schedule=(1, 5, 12),
+                       multistart=multistart)
+    run_rb_experiment(cfg)
+    expected = []
+    for circuit in range(cfg.n_circuits):
+        gate_stream = np.random.default_rng([cfg.rng_seed, circuit, 2])
+        for depth in range(1, cfg.n_gates + 1):
+            expected.append(uniform_starts(gate_stream, multistart))
+            if depth in cfg.depth_schedule:
+                inverse_stream = np.random.default_rng([cfg.rng_seed, circuit, 3, depth])
+                expected.append(uniform_starts(inverse_stream, multistart))
+    assert received == expected
 
 
 def test_survival_decays_with_depth():
