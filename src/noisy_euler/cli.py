@@ -12,15 +12,17 @@ Subcommands:
 Every run takes one path: flags -> config -> ``_job`` -> ``_run``.  argparse
 parses each flag's value with its ``type`` and stores it under the config key
 it fills (the flag's dest); ``_flag_type`` makes a value that does not parse a
-usage error.  ``_config`` picks the run's plain-JSON config out of the flags,
-after ``_resolve_noise`` and ``_resolve_readout`` have read the flags that
-span several keys or a file.  ``_job`` decodes the config against the config
-dataclasses, which hold every range rule, before anything runs; ``_run`` runs
-it, times it and writes the CSV, the summary and a manifest recording the
-command, config, seed, package version and output paths.  ``noisy-euler
---from-manifest PATH`` enters the path at the recorded config, so a fresh run
-is the replay of its own manifest, and replaying a manifest this version
-wrote reproduces the CSV and summary byte-for-byte.  Manifests written
+usage error; a mutually exclusive group makes --device and --lambda each
+other's alternative and one of them required.  ``_config`` picks the run's
+plain-JSON config out of the flags, after ``_resolve_noise`` has read the
+noise and readout flags, which span several keys or a device file.  ``_job``
+decodes the config against the config dataclasses, which hold every range
+rule, before anything runs; ``_run`` runs it, times it and writes the CSV,
+the summary and a manifest recording the command, config, seed, package
+version and output paths.  ``noisy-euler --from-manifest PATH`` enters the
+path at the recorded config, so a fresh run is the replay of its own
+manifest, and replaying a manifest this version wrote reproduces the CSV and
+summary byte-for-byte.  Manifests written
 before the per-cell and per-circuit streams (``knowledge``, ``prep-sweep``,
 and ``rb``/``drift`` with --multistart above 0) replay with other draws
 (README, "Determinism and parallelism").  All randomness flows from the
@@ -108,6 +110,13 @@ def _gate(text: str) -> list[float]:
     return [gate.beta, gate.gamma, gate.delta]
 
 
+@_flag_type
+def _lambdas(text: str) -> list[float]:
+    """--lambda: 'X' (lambda_a = lambda_p = X) or 'A,P', as [lambda_a, lambda_p]."""
+    return _pair(text) if "," in text else [float(text)] * 2
+
+
+@_flag_type
 def _point(text: str) -> dict:
     """--state 'theta,phi', as the config's point dist."""
     theta, phi = _pair(text)
@@ -116,14 +125,13 @@ def _point(text: str) -> dict:
 
 @_flag_type
 def _dist(text: str) -> dict:
+    """--dist: 'uniform' or 'cap:theta_max', as the config's dist."""
     text = text.strip()
     if text == "uniform":
         return {"kind": "uniform"}
     if text.startswith("cap:"):
         return {"kind": "cap", "theta_max": float(text[4:])}
-    if text.startswith("point:"):
-        return _point(text[6:])
-    raise ValueError("expects 'point:theta,phi', 'uniform', or 'cap:theta_max'")
+    raise ValueError("expects 'uniform' or 'cap:theta_max'")
 
 
 @_flag_type
@@ -134,11 +142,8 @@ def _grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("expects 'start:stop:count[log]' or a comma list")
-    count = parts[2]
-    log = count.endswith("log")
-    if log or count.endswith("lin"):
-        count = count[:-3]
-    start, stop, count = float(parts[0]), float(parts[1]), int(count)
+    log = parts[2].endswith("log")
+    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2].removesuffix("log"))
     if count < 1:
         raise argparse.ArgumentTypeError(f"count must be >= 1, got {count}")
     if log and (start <= 0 or stop <= 0):
@@ -159,13 +164,12 @@ def _depths(text: str) -> list[int]:
 @_flag_type
 def _shots(text: str) -> int | None:
     """--shots: an int, or 'inf' for exact survival probabilities."""
-    text = text.strip().lower()
-    return None if text in ("inf", "infinite", "exact") else int(text)
+    return None if text.strip().lower() == "inf" else int(text)
 
 
 @_flag_type
 def _readout(text: str):
-    """--readout: 'device' (resolved by _resolve_readout) or 'p10,p01'."""
+    """--readout: 'device' (resolved by _resolve_noise) or 'p10,p01'."""
     return "device" if text.strip().lower() == "device" else _pair(text)
 
 
@@ -176,56 +180,38 @@ def _refuse(parser, exc: ValueError, dests) -> None:
     parser.error(f"argument {flags}: {str(exc).removeprefix('config.')}")
 
 
-def _resolve_noise(args) -> tuple[NoiseParams, tuple[float, float] | None]:
-    """Noise from --device/--qubit or explicit --lambda flags, plus the
-    device qubit's readout probabilities when a device was given."""
-    parser = args.parser
-    lam_dests = [d for d in ("lam", "lambda_a", "lambda_p") if getattr(args, d) is not None]
-    if args.qubit is not None and args.device is None:
-        parser.error("--qubit requires --device")
-    if args.device is not None and lam_dests:
-        parser.error("--device and --lambda/--lambda-a/--lambda-p are mutually exclusive")
-    if args.device is not None:
-        if args.qubit is None:
-            parser.error("--device requires --qubit")
-        if args.device in BUNDLED_DEVICES:
-            spec = bundled_device(args.device)
-        elif Path(args.device).exists():
-            spec = load_device_spec(args.device)
-        else:
-            parser.error(
-                f"unknown device {args.device!r}: not one of {BUNDLED_DEVICES} "
-                "and not an existing file"
-            )
+def _resolve_noise(args) -> tuple[NoiseParams, list[float] | None]:
+    """The config's noise, from --device/--qubit or --lambda, and readout,
+    from --readout with 'device' read from the device qubit (None where the
+    subcommand takes no --readout)."""
+    parser, readout = args.parser, getattr(args, "readout", None)
+    if args.device is None:
+        if args.qubit is not None:
+            parser.error("--qubit requires --device")
+        if readout == "device":
+            parser.error("--readout device requires --device and --qubit")
         try:
-            qubit = spec.qubit(args.qubit)
-        except KeyError as exc:
-            parser.error(str(exc.args[0]))
-        return noise_params_for(qubit), (qubit.p_meas1_prep0, qubit.p_meas0_prep1)
-    if args.lam is not None:
-        if args.lambda_a is not None or args.lambda_p is not None:
-            parser.error("--lambda is mutually exclusive with --lambda-a/--lambda-p")
-        lams = (args.lam, args.lam)
-    elif args.lambda_a is not None and args.lambda_p is not None:
-        lams = (args.lambda_a, args.lambda_p)
+            return NoiseParams(*args.lam), readout
+        except ValueError as exc:
+            _refuse(parser, exc, ["lam"])
+    if args.qubit is None:
+        parser.error("--device requires --qubit")
+    if args.device in BUNDLED_DEVICES:
+        spec = bundled_device(args.device)
+    elif Path(args.device).exists():
+        spec = load_device_spec(args.device)
     else:
         parser.error(
-            "specify the noise model: --device NAME --qubit N, or --lambda L, "
-            "or both --lambda-a and --lambda-p"
+            f"unknown device {args.device!r}: not one of {BUNDLED_DEVICES} "
+            "and not an existing file"
         )
     try:
-        return NoiseParams(*lams), None
-    except ValueError as exc:
-        _refuse(parser, exc, lam_dests)
-
-
-def _resolve_readout(args, device_readout) -> list[float] | None:
-    """The --readout pair, with 'device' read from --device/--qubit."""
-    if args.readout != "device":
-        return args.readout
-    if device_readout is None:
-        args.parser.error("--readout device requires --device and --qubit")
-    return list(device_readout)
+        qubit = spec.qubit(args.qubit)
+    except KeyError as exc:
+        parser.error(str(exc.args[0]))
+    if readout == "device":
+        readout = [qubit.p_meas1_prep0, qubit.p_meas0_prep1]
+    return noise_params_for(qubit), readout
 
 
 # ---------------------------------------------------------- config decoding
@@ -416,7 +402,7 @@ def _run(command: str, config: dict, runner, outdir: Path, tag: str) -> int:
 
 # Each command's config keys.  Every flag stores its value under the key it
 # fills (its argparse dest); "noise" and "readout" are the values that
-# _resolve_noise and _resolve_readout make of the noise and readout flags.
+# _resolve_noise makes of the noise and readout flags.
 _SWEEP_KEYS = ("lambda_grid", "targets_per_point", "rng_seed", "jobs")
 _RB_KEYS = ("noise", "n_circuits", "n_gates", "depth_schedule", "shots", "readout",
             "mitigate", "rng_seed", "multistart", "track_noisy_state", "jobs")
@@ -431,7 +417,7 @@ _CONFIG_KEYS = {
 
 def _config(args, noise: NoiseParams | None, readout: list[float] | None) -> dict:
     """The config of a fresh run, from its subcommand's flags and the noise
-    and readout that _resolve_noise and _resolve_readout made of them."""
+    and readout that _resolve_noise made of them."""
     values = {**vars(args), "noise": to_jsonable(noise), "readout": readout}
     return {key: values[key] for key in _CONFIG_KEYS[args.command]}
 
@@ -467,12 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     int_flag = _flag_type(int)
     # Flags that several subcommands share, as argparse parent parsers.
     noise = argparse.ArgumentParser(add_help=False)
-    noise.add_argument("--device", help=f"bundled device {BUNDLED_DEVICES} or a spec JSON path")
+    source = noise.add_mutually_exclusive_group(required=True)
+    source.add_argument("--device", help=f"bundled device {BUNDLED_DEVICES} or a spec JSON path")
+    source.add_argument("--lambda", dest="lam", metavar="A[,P]", type=_lambdas,
+                        help="amplitude and phase damping probabilities (one value: both)")
     noise.add_argument("--qubit", type=int, help="qubit id within --device")
-    noise.add_argument("--lambda", dest="lam", type=float,
-                       help="equal amplitude and phase damping probability")
-    noise.add_argument("--lambda-a", type=float, help="amplitude damping probability")
-    noise.add_argument("--lambda-p", type=float, help="phase damping probability")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--seed", dest="rng_seed", type=int_flag, default=0)
     jobs.add_argument("--jobs", type=int_flag, default=1)
@@ -494,10 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gate", type=_gate, required=True,
                     help="named gate (i, x, y, z, h, s, t, sx) or 'beta,gamma,delta'")
     state = sp.add_mutually_exclusive_group(required=True)
-    state.add_argument("--state", dest="dist", metavar="STATE", type=_flag_type(_point),
+    state.add_argument("--state", dest="dist", metavar="STATE", type=_point,
                        help="'theta,phi' known input state")
-    state.add_argument("--dist", type=_dist,
-                       help="'point:theta,phi', 'uniform', or 'cap:theta_max'")
+    state.add_argument("--dist", type=_dist, help="'uniform' or 'cap:theta_max'")
 
     depths_help = "'start:stop:step' (stop inclusive) or comma list"
     sp = sub.add_parser("rb", parents=[rb_like], help="randomized-benchmarking simulation")
@@ -558,8 +542,6 @@ def main(argv=None) -> int:
         else:
             # Only optimize, rb and drift have noise flags; only rb and drift --readout.
             noise, readout = _resolve_noise(args) if "device" in args else (None, None)
-            if "readout" in args:
-                readout = _resolve_readout(args, readout)
             command, config = args.command, _config(args, noise, readout)
             tag = args.tag or command
             try:

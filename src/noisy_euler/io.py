@@ -25,8 +25,6 @@ from dataclasses import MISSING, asdict, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 FLOAT_FORMAT = "%.17g"
 
 # BLAS/OpenMP pool sizes that parallel_map's workers get where the caller left
@@ -37,8 +35,9 @@ WORKER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREAD
 
 
 def format_value(value) -> str:
-    """One CSV cell: None -> empty, floats at 17 significant digits."""
-    if isinstance(value, float):  # the common cells first: float, np.float64, int
+    """One CSV cell: a float (np.float64 too) at 17 significant digits, an
+    int, a string, or None as empty."""
+    if isinstance(value, float):
         return FLOAT_FORMAT % value
     if type(value) is int:
         return str(value)
@@ -46,12 +45,6 @@ def format_value(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return FLOAT_FORMAT % float(value)
     raise TypeError(f"cannot format {type(value).__name__} as a CSV cell")
 
 
@@ -66,21 +59,17 @@ def write_csv(path, header, rows) -> Path:
 
 
 def to_jsonable(obj):
-    """Recursively convert dataclasses, numpy values, paths and non-finite
-    floats into plain JSON-serializable types.  A set is refused: its order
-    follows the string hash, which changes between interpreter runs."""
-    if obj is None or isinstance(obj, str):
+    """Recursively convert dataclasses, numpy scalars and non-finite floats
+    into plain JSON-serializable types.  A set is refused: its order follows
+    the string hash, which changes between interpreter runs."""
+    if obj is None or isinstance(obj, (str, bool)):
         return obj
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
     if is_dataclass(obj) and not isinstance(obj, type):
         return to_jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
     if isinstance(obj, numbers.Integral):
         return int(obj)
     if isinstance(obj, numbers.Real):
@@ -90,8 +79,6 @@ def to_jsonable(obj):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         return x
-    if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 

@@ -157,7 +157,7 @@ def _sample_quaternion(rng: np.random.Generator) -> tuple[float, float, float, f
     return math.cos(0.5 * angle), h * nx, h * ny, h * z
 
 
-def _measure(p0: float, cfg: RbConfig, rng: np.random.Generator) -> float:
+def _measure(p0: float, cfg: RbConfig, rng: np.random.Generator | None) -> float:
     if cfg.readout is not None:
         p0 = apply_readout_error(p0, *cfg.readout)
     if cfg.shots is not None:
@@ -178,13 +178,15 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     and each inverse step's from its own [rng_seed, circuit, 3, depth], so a
     depth's survival does not depend on which other depths are scheduled.
     Each start is 2 pi times three ``random()`` doubles, the values
-    ``uniform(0, 2 pi)`` returns; with multistart 0 no start is drawn."""
+    ``uniform(0, 2 pi)`` returns.  A stream nothing draws from is not built:
+    the starts' with multistart 0, the shots' with exact shots."""
     cfg, circuit = item
     la, lp = cfg.noise.lambda_a, cfg.noise.lambda_p
     assumed = cfg.noise.assuming_drift(cfg.drift_factor)
     rng_gates = np.random.default_rng([cfg.rng_seed, circuit, 0])
-    rng_starts = np.random.default_rng([cfg.rng_seed, circuit, 2])
-    shot_rngs = [np.random.default_rng([cfg.rng_seed, circuit, 1, ai]) for ai in range(len(ARMS))]
+    rng_starts = np.random.default_rng([cfg.rng_seed, circuit, 2]) if cfg.multistart else None
+    shot_rngs = [np.random.default_rng([cfg.rng_seed, circuit, 1, ai])
+                 if cfg.shots is not None else None for ai in range(len(ARMS))]
     column = {depth: j for j, depth in enumerate(cfg.depth_schedule)}
     out = np.empty((len(ARMS), len(column)))
     n = (0.0, 0.0, 1.0)  # ideal state, |0>

@@ -153,15 +153,26 @@ def test_optimize_with_distribution_and_device(tmp_path, capsys):
 
 def test_optimize_explicit_angle_gate(tmp_path, capsys):
     rc = run_cli("--output-dir", str(tmp_path), "optimize",
-                 "--gate", "0.3,1.2,2.1", "--state", "1.0,0.5",
-                 "--lambda-a", "0.02", "--lambda-p", "0.01")
+                 "--gate", "0.3,1.2,2.1", "--state", "1.0,0.5", "--lambda", "0.02,0.01")
     assert rc == 0
     out = capsys.readouterr().out
     assert "improvement" in out
     assert "iterations = 0, converged = True" in out  # a point input's closed form
     summary = json.loads((tmp_path / "optimize_summary.json").read_text())
     assert summary["config"]["gate"] == [0.3, 1.2, 2.1]
+    assert summary["config"]["noise"]["lambda_a"] == 0.02
+    assert summary["config"]["noise"]["lambda_p"] == 0.01
     assert len(summary["angles_opt"]) == 3
+
+
+def test_one_lambda_is_both_rates(tmp_path):
+    """--lambda X is --lambda X,X: the same config, so the same summary."""
+    summaries = []
+    for lam in ("0.03", "0.03,0.03"):
+        assert run_cli("--output-dir", str(tmp_path), "--tag", "t", "optimize",
+                       "--gate", "h", "--dist", "cap:0.5", "--lambda", lam) == 0
+        summaries.append((tmp_path / "t_summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 # ---------------------------------------------------------------------- rb
@@ -550,12 +561,12 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     (("drift", "--lambda", "0.01", "--k-grid", "0:1e3:4"), K_GRID_RANGE),
     (("optimize", "--gate", "h", "--state", "nan,0", "--lambda", "0.01"),
      "--state/--dist: dist.theta must be a finite number"),
-    (("optimize", "--gate", "h", "--dist", "point:0.3,inf", "--lambda", "0.01"),
+    (("optimize", "--gate", "h", "--state", "0.3,inf", "--lambda", "0.01"),
      "--state/--dist: dist.phi must be a finite number"),
     (("optimize", "--gate", "h", "--state", "0,0", "--lambda", "2"),
      "--lambda: lambda_a must lie in [0, 1]"),
-    (("optimize", "--gate", "h", "--state", "0,0", "--lambda-a", "0.01", "--lambda-p", "-1"),
-     "--lambda-p: lambda_p must lie in [0, 1]"),
+    (("optimize", "--gate", "h", "--state", "0,0", "--lambda", "0.01,-1"),
+     "--lambda: lambda_p must lie in [0, 1]"),
     (("prep-sweep", "--lambda-grid", "0,1.5"),
      "--lambda-grid: lambda_grid entries must lie in [0, 1)"),
     (("knowledge", "--lambda-grid", "0.05", "--theta-max-grid", "0,1"),
@@ -587,6 +598,35 @@ def test_usage_error_bad_flag_value(tmp_path, capsys, args, flag):
     err = capsys.readouterr().err
     assert flag in err
     assert ("cannot parse" in err) == ("cannot parse" in flag)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (("optimize", "--gate", "h", "--state", "0,0", "--device", "rome", "--qubit", "3",
+      "--lambda", "0.1"), "argument --lambda: not allowed with argument --device"),
+    (("optimize", "--gate", "h", "--state", "0,0"),
+     "one of the arguments --device --lambda is required"),
+    (("optimize", "--gate", "h", "--state", "0,0", "--lambda", "1,2,3"),
+     "--lambda: cannot parse '1,2,3'"),
+    (("optimize", "--gate", "h", "--state", "0,0", "--lambda", "0.1", "--qubit", "3"),
+     "--qubit requires --device"),
+    (("rb", "--lambda", "0.01", "--readout", "device"),
+     "--readout device requires --device and --qubit"),
+    (("optimize", "--gate", "h", "--dist", "point:0,0", "--lambda", "0.1"),
+     "--dist: cannot parse 'point:0,0'"),
+    (RB_SMALL + ("--shots", "exact"), "--shots: cannot parse 'exact'"),
+    (("drift", "--lambda", "0.01", "--k-grid", "1:2:3lin"), "--k-grid: cannot parse '1:2:3lin'"),
+], ids=["device-and-lambda", "no-noise", "lambda-three-values", "qubit-with-lambda",
+        "readout-device-with-lambda", "dist-point", "shots-exact", "grid-lin"])
+def test_usage_error_noise_source_and_spelling(tmp_path, capsys, args, message):
+    """The noise comes from exactly one of --device (with --qubit) and
+    --lambda A[,P], and each input has one spelling: a known state is
+    --state, exact shots 'inf', a linear grid 'start:stop:count'."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--output-dir", str(tmp_path), *args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: noisy-euler {args[0]} ") and message in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,7 +5,6 @@ import math
 import os
 import typing
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,22 +29,14 @@ from noisy_euler.io import (
 
 
 def test_format_value_basics():
-    """Bools print as words, never as 1/0, and numpy scalars as their Python
-    values."""
+    """np.float64 prints as its Python float."""
     assert format_value(None) == ""
     assert format_value("abc") == "abc"
     assert format_value("") == ""
-    assert format_value(True) == "true"
-    assert format_value(False) == "false"
-    assert format_value(np.True_) == "true"
-    assert format_value(np.False_) == "false"
     assert format_value(7) == "7"
     assert format_value(10**30) == "1" + "0" * 30
-    assert format_value(np.int64(7)) == "7"
-    assert format_value(np.uint8(200)) == "200"
     assert format_value(0.1) == "0.10000000000000001"
     assert format_value(np.float64(0.1)) == "0.10000000000000001"
-    assert format_value(np.float32(0.1)) == "0.10000000149011612"
     assert format_value(-0.0) == "-0"
     assert format_value(1e22) == "1e+22"
     assert format_value(np.float64(-2.5e-300)) == "-2.5e-300"
@@ -63,8 +54,10 @@ def test_format_value_floats_roundtrip():
 
 
 def test_format_value_rejects_unknown():
-    with pytest.raises(TypeError):
-        format_value(object())
+    """A bool is refused, not printed as 1 or True; so is any other type."""
+    for value in (object(), True, np.float32(0.1)):
+        with pytest.raises(TypeError, match="cannot format"):
+            format_value(value)
 
 
 def test_write_csv_crlf_and_empty_cells(tmp_path):
@@ -87,8 +80,8 @@ class Point:
 
 
 def test_to_jsonable_recurses():
-    out = to_jsonable({"p": Point(1.5, (2, 3)), "arr": np.arange(3), "path": Path("/tmp/z")})
-    assert out == {"p": {"x": 1.5, "y": [2, 3]}, "arr": [0, 1, 2], "path": "/tmp/z"}
+    out = to_jsonable({"p": Point(1.5, (2, 3)), "flag": True, 7: np.int64(4)})
+    assert out == {"p": {"x": 1.5, "y": [2, 3]}, "flag": True, "7": 4}
     assert to_jsonable(math.inf) == "inf"
     assert to_jsonable(np.float64(0.5)) == 0.5
 

@@ -380,6 +380,34 @@ def test_multistart_starts_follow_uniform_draw_rule(monkeypatch, multistart):
     assert received == expected
 
 
+@pytest.mark.parametrize("multistart, shots", [(0, None), (2, None), (0, 50), (2, 50)])
+def test_circuit_builds_only_the_streams_it_draws_from(monkeypatch, multistart, shots):
+    """One circuit builds its gate stream, the start streams (one for the
+    gate steps, one per scheduled depth) only with multistart above 0, and
+    the two arms' shot streams only with finite shots.  default_rng returns a
+    Generator it is given as it is, so only the calls on a key build one."""
+    built = []
+    original = np.random.default_rng
+
+    def counting(seed):
+        if not isinstance(seed, np.random.Generator):
+            built.append(seed)
+        return original(seed)
+
+    cfg = small_config(n_circuits=1, n_gates=12, depth_schedule=(1, 5, 12),
+                       multistart=multistart, shots=shots)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    rb._circuit_worker((cfg, 0))
+    expected = [[cfg.rng_seed, 0, 0]]
+    if multistart:
+        expected.append([cfg.rng_seed, 0, 2])
+    if shots is not None:
+        expected += [[cfg.rng_seed, 0, 1, arm] for arm in range(len(rb.ARMS))]
+    if multistart:
+        expected += [[cfg.rng_seed, 0, 3, depth] for depth in cfg.depth_schedule]
+    assert built == expected
+
+
 def test_survival_decays_with_depth():
     cfg = small_config(n_circuits=4)
     res = run_rb_experiment(cfg)

@@ -32,9 +32,10 @@ def test_readme_quick_start_runs(tmp_path):
 
 
 def test_readme_flags_exist():
-    """Every --flag the README names is accepted by the CLI parser, on the
-    global parser or on some subcommand, so a removed flag cannot linger in
-    the docs."""
+    """The README names exactly the --flags the CLI parser accepts, on the
+    global parser or on some subcommand, -h/--help and --version aside: a
+    removed flag cannot linger in the docs, and a flag cannot be added
+    without them."""
     parsers = [build_parser()]
     known = set()
     for parser in parsers:  # grows as subcommand parsers are found
@@ -42,6 +43,8 @@ def test_readme_flags_exist():
             known.update(action.option_strings)
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
+    known -= {"-h", "--help", "--version"}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
-    assert named and named <= known, sorted(named - known)
+    assert named <= known, sorted(named - known)
+    assert known <= named, sorted(known - named)
