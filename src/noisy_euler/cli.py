@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--device", help=f"bundled device {BUNDLED_DEVICES} or a spec JSON path")
     source.add_argument("--lambda", dest="lam", metavar="A[,P]", type=_lambdas,
                         help="amplitude and phase damping probabilities (one value: both)")
-    noise.add_argument("--qubit", type=int, help="qubit id within --device")
+    noise.add_argument("--qubit", type=int_flag, help="qubit id within --device")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--seed", dest="rng_seed", type=int_flag, default=0)
     jobs.add_argument("--jobs", type=int_flag, default=1)

@@ -56,9 +56,10 @@ class EulerAngles:
     delta: float
 
     def __post_init__(self) -> None:
-        for name in ("beta", "gamma", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"EulerAngles.{name} must be finite")
+        if math.isfinite(self.beta) and math.isfinite(self.gamma) and math.isfinite(self.delta):
+            return
+        name = next(n for n in ("beta", "gamma", "delta") if not math.isfinite(getattr(self, n)))
+        raise ValueError(f"EulerAngles.{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ def _bloch_vector(theta: float, phi: float) -> tuple[float, float, float]:
 
 def _point_moments(n):
     """The moments (n, n n^T) of the one Bloch vector n, in floats."""
-    return n, [[a * b for b in n] for a in n]
+    x, y, z = n
+    return n, [[x * x, x * y, x * z], [y * x, y * y, y * z], [z * x, z * y, z * z]]
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:

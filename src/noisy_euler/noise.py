@@ -25,8 +25,8 @@ On the Bloch vector n (rho = (I + n.sigma)/2) the channel is affine,
 n -> diag(e, e, 1-la) n + (0, 0, la) with e = sqrt(1-la) sqrt(1-lp), and the
 virtual R_z are rotations, so the whole noisy native gate is one affine map
 n -> A n + t, which ``_apply`` evaluates in plain floats at one Bloch vector
-and ``_apply_all`` at several: n -> Rz(beta) (K Rz(delta) n + t0), K and t0
-from ``_pulse_pair``.  It is the only form the RB simulator and the
+and ``_apply_all`` at several, into a list: n -> Rz(beta) (K Rz(delta) n + t0),
+K and t0 from ``_pulse_pair``.  It is the only form the RB simulator and the
 objectives' set-up use, and at zero noise it is the gate's rotation.
 """
 
@@ -139,17 +139,19 @@ def _pulse_pair(gamma: float, la: float, lp: float):
 
 def _apply(beta: float, gamma: float, delta: float, la: float, lp: float, r):
     """``_apply_all`` at the one Bloch vector r, as a float 3-tuple."""
-    return next(_apply_all(beta, gamma, delta, la, lp, (r,)))
+    return _apply_all(beta, gamma, delta, la, lp, (r,))[0]
 
 
 def _apply_all(beta: float, gamma: float, delta: float, la: float, lp: float, rs):
-    """The noisy native gate's affine map n -> A n + t, Rz(beta) (K Rz(delta)
-    r + t0), at each Bloch vector r in rs, its frame (K, t0 from ``_pulse_pair``)
-    built once.  Exact for pure and mixed inputs; at zero noise a rotation."""
+    """The images A r + t = Rz(beta) (K Rz(delta) r + t0) of the Bloch vectors r
+    in rs under the noisy native gate, as a list of float 3-tuples, its frame
+    (K, t0 from ``_pulse_pair``) built once.  Exact for pure and mixed inputs."""
     k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
     cd, sd = math.cos(delta), math.sin(delta)
     cb, sb = math.cos(beta), math.sin(beta)
-    for r in rs:
-        x, y, z = cd * r[0] - sd * r[1], sd * r[0] + cd * r[1], r[2]
+    images = []
+    for x, y, z in rs:
+        x, y = cd * x - sd * y, sd * x + cd * y
         x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
-        yield cb * x - sb * y, sb * x + cb * y, z
+        images.append((cb * x - sb * y, sb * x + cb * y, z))
+    return images

@@ -100,12 +100,12 @@ def optimize_gate(
     (3,) and (3, 3) sequences (``point_moments``, ``cap_moments``; r, r r^T
     for a Bloch vector r); ``moment_objective``'s set-up builds R's frame once.
 
-    The target seed and each triple of ``starts``, a sequence of extra
-    (beta, gamma, delta), are candidates; the best wins, the earliest on ties
-    (the seed first), and the seed itself is the fallback.  A start whose
-    max|g| is within ``start_tolerance`` is kept without a search.  Raises
-    ValueError unless each start is three finite reals, m1 has shape (3,),
-    is finite and has |m1| <= 1 + 1e-9, and m2 is finite with shape (3, 3).
+    The target seed and each (beta, gamma, delta) of ``starts``, an iterable
+    read once, are candidates; the best wins, the earliest on ties (the seed
+    first), and the seed itself is the fallback.  A start whose max|g| is
+    within ``start_tolerance`` is kept without a search.  Raises ValueError
+    unless each start is three finite reals, m2 a finite (3, 3) sequence and
+    m1 a finite (3,) one with |m1| <= 1 + 1e-9 (a set or iterator is none).
 
     When m2 == m1 m1^T exactly (a point input, a mixed Bloch vector r as
     randomized benchmarking passes it, a preparation from |0>), a seed that
@@ -124,13 +124,15 @@ def optimize_gate(
     flat to the ulp there, and the drift check looks for the angles the
     tie-break scrambles.
     """
-    n, rows = _tolist(m1), _tolist(m2)
     m1_ok = m2_ok = starts_ok = False  # stay False for an input that is no sequence of reals
     try:
-        m1_ok = len(n) == 3 and math.hypot(*n) <= 1.0 + 1e-9
-        flat = [v for row in rows for v in row]
-        m2_ok = list(map(len, rows)) == [3, 3, 3] and all(map(math.isfinite, flat))
-        starts_ok = all(map(_is_angle_triple, starts))
+        n0, n1, n2 = n = _triple(_tolist(m1))
+        m1_ok = math.hypot(n0, n1, n2) <= 1.0 + 1e-9
+        r0, r1, r2 = _triple(_tolist(m2))
+        rows = _triple(r0), _triple(r1), _triple(r2)
+        m2_ok = all(map(math.isfinite, rows[0] + rows[1] + rows[2]))
+        candidates = [(target.beta, target.gamma, target.delta), *starts]
+        starts_ok = all(map(_is_angle_triple, candidates[1:]))
     except TypeError:
         pass
     if not m1_ok:
@@ -139,13 +141,14 @@ def optimize_gate(
         raise ValueError("m2 must be a finite matrix of shape (3, 3)")
     if not starts_ok:
         raise ValueError(f"each start must be three finite angles, got {starts!r}")
-    rank_one = flat == [a * b for a in n for b in n]
+    rank_one = rows == ((n0 * n0, n0 * n1, n0 * n2), (n1 * n0, n1 * n1, n1 * n2),
+                        (n2 * n0, n2 * n1, n2 * n2))
     fg = moment_objective(target, n, rows, params)
 
-    x_seed = (target.beta, target.gamma, target.delta)
+    x_seed = candidates[0]
     at_seed = fg(x_seed)
     best = None
-    for i, x0 in enumerate([x_seed, *starts]):
+    for i, x0 in enumerate(candidates):
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
         tolerance = start_tolerance
         if i == 0 and rank_one and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
@@ -173,6 +176,13 @@ def optimize_gate(
 
 def _is_angle_triple(x) -> bool:
     return len(x) == 3 and all(map(math.isfinite, x))
+
+
+def _triple(v):
+    """v's three entries; TypeError unless v is a sequence (no set or iterator) of length 3."""
+    if len(v) != 3:
+        raise TypeError("expected a sequence of length 3")
+    return v[0], v[1], v[2]
 
 
 def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
@@ -227,7 +237,7 @@ def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
         r2, y, c = cut(s)
         return abs(uz) * ek * math.sqrt(r2 * (1.0 - c)) + mu * math.sqrt(ee2 * r2 * c + y * y)
 
-    s = max((rho, min(mu, rho)), key=value)
+    s = mu if mu < rho and value(mu) > value(rho) else rho
 
     r2, y, c = cut(s)
     r, w = math.sqrt(r2), math.sqrt((rho - s) * (rho + s))

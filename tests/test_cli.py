@@ -534,6 +534,8 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
     (("optimize", "--gate", "h", "--dist", "cap:x", "--lambda", "0"), "--dist: cannot parse"),
     (RB_SMALL + ("--readout", "0.1"), "--readout: cannot parse"),
     (PREP_SMALL + ("--seed", "x"), "--seed: cannot parse"),
+    (("optimize", "--gate", "h", "--state", "0,0", "--device", "rome", "--qubit", "x"),
+     "--qubit: cannot parse 'x'"),
     (RB_SMALL + ("--multistart", "-1"), "--multistart: multistart must be >= 0"),
     (PREP_SMALL + ("--jobs", "0"), "--jobs: jobs must be an int >= 1"),
     (RB_SMALL + ("--circuits", "0"), "--circuits: n_circuits must be >= 1"),
@@ -575,7 +577,7 @@ def test_usage_error_negative_seed(tmp_path, capsys, args):
      "--depths: depth_schedule must not exceed n_gates = 10"),
     (RB_SMALL + ("--readout", "1.2,0"), "--readout: readout p_meas1_prep0 must lie in [0, 1]"),
 ], ids=["gate", "gate-four-angles", "depths", "shots", "k-grid", "lambda-grid",
-        "theta-max-grid", "state", "dist", "readout", "seed", "multistart", "jobs",
+        "theta-max-grid", "state", "dist", "readout", "seed", "qubit", "multistart", "jobs",
         "circuits", "gates", "targets", "depths-step-0", "depths-step-negative",
         "depths-list-below-1", "depths-range-below-1", "depths-empty-range",
         "depths-decreasing", "depths-repeated", "shots-0", "shots-negative", "dist-cap-0",

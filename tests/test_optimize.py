@@ -151,6 +151,34 @@ def test_results_deterministic():
         assert a == optimize_gate(IDENTITY, *moments, params, np.array(starts))
 
 
+def test_starts_read_once_from_an_iterator(monkeypatch):
+    """Starts given as a one-shot iterator are each evaluated, as a list of
+    the same starts is: the same objective evaluations in the same order,
+    and the same result."""
+    seen = []
+    original = optimize.moment_objective
+
+    def recording(*args):
+        fg = original(*args)
+
+        def recorded(x):
+            seen.append(tuple(x))
+            return fg(x)
+
+        recorded.image = fg.image
+        return recorded
+
+    monkeypatch.setattr(optimize, "moment_objective", recording)
+    target = EulerAngles(0.3, 1.2, 2.1)
+    params = NoiseParams.from_lambda(0.3)
+    starts = uniform_starts(np.random.default_rng(13), 2)
+    listed = optimize_gate(target, *cap_moments(0.5), params, starts)
+    listed_calls, seen[:] = seen[:], []
+    assert optimize_gate(target, *cap_moments(0.5), params, iter(starts)) == listed
+    assert seen == listed_calls
+    assert all(x in seen for x in starts)
+
+
 def test_no_starts_is_the_seeded_search():
     """starts=() is the default: the target seed alone, the closed form for
     a rank-1 input and the Newton search from the seed for any other."""
@@ -638,12 +666,19 @@ def test_optimize_gate_rejects_invalid_second_moment(m2):
     ([0.0, 0.0, 1.0], [[[1.0], [0.0], [0.0]]] * 3, "m2 must"),
     ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], "m2 must"),
     ((0.0, 0.0, 1.0), ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, math.nan)), "m2 must"),
+    (iter([0.0, 0.0, 1.0]), np.eye(3) / 3.0, "m1 must"),
+    ({0.0, 0.6, 0.8}, np.eye(3) / 3.0, "m1 must"),
+    ([0.0, 0.0, 1.0], (row for row in np.eye(3).tolist()), "m2 must"),
+    ([0.0, 0.0, 1.0], [{0.5, 0.0, 0.25}, [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]], "m2 must"),
 ], ids=["m1-3x1", "m1-ragged", "m1-scalar", "m1-text", "m1-complex", "m2-ragged",
-        "m2-ragged-nine", "m2-3x3x1", "m2-vector", "m2-tuple-nan"])
+        "m2-ragged-nine", "m2-3x3x1", "m2-vector", "m2-tuple-nan", "m1-iterator", "m1-set",
+        "m2-generator", "m2-set-row"])
 def test_optimize_gate_rejects_nested_sequence_input(m1, m2, message):
     """Nested lists and tuples are checked like arrays: a ragged or
     wrongly shaped input, or an entry that is no finite real, raises the
-    ValueError of the input at fault, never a TypeError."""
+    ValueError of the input at fault, never a TypeError.  A one-shot
+    iterator or a set, which has no order to read three entries in, is
+    refused like any other input that is no sequence."""
     with pytest.raises(ValueError, match=message):
         optimize_gate(IDENTITY, m1, m2, NoiseParams.from_lambda(0.05))
 
