@@ -28,6 +28,13 @@ and ``rb``/``drift`` with --multistart above 0) replay with other draws
 (README, "Determinism and parallelism").  All randomness flows from the
 --seed flag through named sub-streams, so --jobs changes only the wall time.
 
+``main`` builds its parser once per process, on first use (``_parser``), so
+a program that calls ``main`` many times pays for one build.  No parse
+result shares state with that parser: each default is a string that the
+flag's ``type`` parses afresh on every call, or an immutable value, and
+parsing leaves the parser as it was.  (A parse result's ``parser``, which
+reports its usage errors, is the subcommand's parser itself.)
+
 Exit codes: 0 success; 1 runtime error, or a replayed config that is refused
 (the error names its ``config.KEY`` path); 2 usage error, including a fresh
 config that is refused, which names the flag that filled the key.
@@ -508,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("knowledge", parents=[jobs],
                         help="improvement vs damping and state uncertainty")
     sp.add_argument("--lambda-grid", type=_grid, default="0:0.1:25")
-    sp.add_argument("--theta-max-grid", type=_grid,
-                    default=[float(v) for v in np.linspace(math.pi / 25.0, math.pi, 25)],
+    sp.add_argument("--theta-max-grid", type=_grid, default=f"{math.pi / 25.0!r}:{math.pi!r}:25",
                     help="'start:stop:count[log]' or comma list (default: 25 caps up to pi)")
     sp.add_argument("--targets", dest="targets_per_point", type=int_flag, default=100,
                     help="sampled targets per grid cell")
@@ -522,8 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser: ``build_parser``'s, built on first use and kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.from_manifest is not None and args.command is not None:
         parser.error("--from-manifest replaces the subcommand")

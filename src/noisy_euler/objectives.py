@@ -60,10 +60,19 @@ def _tolist(m):
     return m.tolist() if isinstance(m, np.ndarray) else m
 
 
+def _triple(v):
+    """v's three entries; TypeError unless v is a sequence (no set or iterator) of length 3."""
+    if len(v) != 3:
+        raise TypeError("expected a sequence of length 3")
+    return v[0], v[1], v[2]
+
+
 def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     """The fidelity objective for inputs with Bloch-vector moments m1 = E[n]
     and m2 = E[n n^T] (a pure state n: n, n n^T; a mixed state r: r, r r^T),
-    any real sequences of shape (3,) and (3, 3) (an ndarray via ``tolist()``).
+    any real sequences of shape (3,) and (3, 3) (an ndarray via ``tolist()``),
+    each read once by position; ValueError names m1 or m2 for another shape,
+    a set or an iterator.
 
     Returns ``fg(x) -> (F, dF/dx, d2F/dx2)`` for trial angles
     x = (beta, gamma, delta): F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2), its
@@ -78,8 +87,18 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     The set-up builds R's frame once, for m1 and m2's columns (``_apply_all``),
     and keeps u = R m1 as ``fg.image``.
     """
+    try:
+        n = _triple(_tolist(m1))
+    except TypeError:
+        raise ValueError("m1 must be a sequence of shape (3,), not a set or iterator") from None
+    try:
+        r0, r1, r2 = _triple(_tolist(m2))
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _triple(r0), _triple(r1), _triple(r2)
+    except TypeError:
+        raise ValueError("m2 must be a sequence of shape (3, 3), not sets or iterators") from None
     (u0, u1, u2), (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = _apply_all(
-        target.beta, target.gamma, target.delta, 0.0, 0.0, (_tolist(m1), *zip(*_tolist(m2)))
+        target.beta, target.gamma, target.delta, 0.0, 0.0,
+        (n, (a00, a10, a20), (a01, a11, a21), (a02, a12, a22)),
     )
     la, lp = params.lambda_a, params.lambda_p
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .gates import EulerAngles
 from .noise import NoiseParams
-from .objectives import _tolist, moment_objective
+from .objectives import _tolist, _triple, moment_objective
 
 # The Newton search's constants: the max|g| at which it has converged and its
 # step budget; the Armijo sufficient-increase factor; the least shift mu of -H
@@ -178,13 +178,6 @@ def _is_angle_triple(x) -> bool:
     return len(x) == 3 and all(map(math.isfinite, x))
 
 
-def _triple(v):
-    """v's three entries; TypeError unless v is a sequence (no set or iterator) of length 3."""
-    if len(v) != 3:
-        raise TypeError("expected a sequence of length 3")
-    return v[0], v[1], v[2]
-
-
 def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
     """The angles (beta, gamma, delta) of the global maximum of F for the
     rank-1 input n (m2 = n n^T, |n| <= 1), in closed form, given u = R n.
@@ -233,13 +226,15 @@ def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
         den = ee2 * r2 * (mu2 * ee2 + q)
         return r2, y, min(max((p * r2 - q * y * y) / den, 0.0), 1.0) if den > 0.0 else 0.0
 
-    def value(s):
-        r2, y, c = cut(s)
+    def value(r2, y, c):
         return abs(uz) * ek * math.sqrt(r2 * (1.0 - c)) + mu * math.sqrt(ee2 * r2 * c + y * y)
 
-    s = mu if mu < rho and value(mu) > value(rho) else rho
-
-    r2, y, c = cut(s)
+    s, at_s = rho, cut(rho)
+    if mu < rho:
+        at_mu = cut(mu)
+        if value(*at_mu) > value(*at_s):
+            s, at_s = mu, at_mu
+    r2, y, c = at_s
     r, w = math.sqrt(r2), math.sqrt((rho - s) * (rho + s))
     sin_psi, cos_psi = math.sqrt(1.0 - c), math.sqrt(c)
     if uz < 0.0:

@@ -695,6 +695,78 @@ def test_manifest_with_subcommand_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+# ------------------------------------------- repeated calls in one process
+
+def test_repeated_main_calls_match_runs_alone(tmp_path, monkeypatch):
+    """Commands run one after another in one process, a usage error among
+    them, build one parser and write the CSV and summary bytes of each
+    command run with a parser of its own; no parse result's list is shared
+    with another's."""
+    runs = [
+        ("rb-noisy", ("rb", "--device", "rome", "--qubit", "3", "--track-noisy-state",
+                      "--multistart", "2", "--shots", "200", "--circuits", "2",
+                      "--gates", "12", "--depths", "1:12:4", "--seed", "4")),
+        ("rb-default", ("rb", "--device", "rome", "--qubit", "3")),
+        ("kn-1", ("knowledge", "--lambda-grid", "0.05", "--targets", "2", "--seed", "2")),
+        ("kn-2", ("knowledge", "--lambda-grid", "0.05", "--targets", "2", "--seed", "2")),
+    ]
+    alone, together = tmp_path / "alone", tmp_path / "together"
+    for tag, args in runs:
+        cli._parser.cache_clear()
+        assert run_cli("--output-dir", str(alone), "--tag", tag, *args) == 0
+
+    built, configs = [], []
+    build_parser, job = cli.build_parser, cli._job
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    def recording(command, config):
+        configs.append(config)
+        return job(command, config)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_job", recording)
+    cli._parser.cache_clear()
+    assert run_cli("--output-dir", str(together), "--tag", runs[0][0], *runs[0][1]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--output-dir", str(together), "rb", "--lambda", "0.1", "--shots", "0")
+    assert exc.value.code == 2
+    for tag, args in runs[1:]:
+        assert run_cli("--output-dir", str(together), "--tag", tag, *args) == 0
+    assert len(built) == 1
+
+    for tag, _ in runs:
+        for name in (f"{tag}.csv", f"{tag}_summary.json"):
+            assert (together / name).read_bytes() == (alone / name).read_bytes(), name
+    first, second = (c["theta_max_grid"] for c in configs if "theta_max_grid" in c)
+    assert first == second and len(first) == 25
+    assert first is not second
+
+
+def test_import_builds_no_parser():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import noisy_euler.cli\n"
+        "print(len(built), noisy_euler.cli._parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 # ------------------------------------------------------------- entry point
 
 def test_console_script_runs():

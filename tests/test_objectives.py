@@ -121,6 +121,30 @@ def test_prep_fidelity_noiseless_seed_is_one():
         assert point_objective(seed, seed, GROUND, p0) > 1.0 - 1e-13
 
 
+N = [0.0, 0.6, 0.8]
+NN = [[0.0, 0.0, 0.0], [0.0, 0.36, 0.48], [0.0, 0.48, 0.64]]
+
+
+@pytest.mark.parametrize("m1, m2, name", [
+    ({0.0, 0.6, 0.8}, NN, "m1"),
+    (iter(N), NN, "m1"),
+    ([0.6, 0.8], NN, "m1"),
+    ([*N, 0.0], NN, "m1"),
+    (N, [NN[0], {0.0, 0.36, 0.48}, NN[2]], "m2"),
+    (N, [{0.0}, NN[1], NN[2]], "m2"),
+    (N, iter(NN), "m2"),
+    (N, [NN[0], NN[1][:2], NN[2]], "m2"),
+    (N, [NN[0], [*NN[1], 0.0], NN[2]], "m2"),
+], ids=["m1-set", "m1-iterator", "m1-2", "m1-4", "m2-set-row", "m2-set-row-repeats",
+        "m2-iterator", "m2-row-2", "m2-row-4"])
+def test_moment_objective_rejects_malformed_moments(m1, m2, name):
+    """m1 and m2 are read by position, so an input with no order (a set, an
+    iterator) or of the wrong length is refused by name, not read in some
+    iteration order or cut short."""
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence of shape"):
+        moment_objective(HADAMARD, m1, m2, NoiseParams(0.05, 0.02))
+
+
 # ----------------------------------------------------------- distributions
 
 def test_point_constructor_canonicalizes():
