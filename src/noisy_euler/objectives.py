@@ -84,8 +84,9 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     W = Rz(-beta) (R m2) Rz(-delta), and both derivatives follow from
     Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
-    The set-up builds R's frame once, for m1 and m2's columns (``_apply_all``),
-    and keeps u = R m1 as ``fg.image``.
+    ``fg.image`` is u = R m1.  The reads go to ``_objective``, which builds
+    the set-up; ``optimize_gate`` calls it directly with the tuples it has
+    already read and checked, so they are read once.
     """
     try:
         n = _triple(_tolist(m1))
@@ -93,14 +94,23 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
         raise ValueError("m1 must be a sequence of shape (3,), not a set or iterator") from None
     try:
         r0, r1, r2 = _triple(_tolist(m2))
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _triple(r0), _triple(r1), _triple(r2)
+        rows = _triple(r0), _triple(r1), _triple(r2)
     except TypeError:
         raise ValueError("m2 must be a sequence of shape (3, 3), not sets or iterators") from None
+    return _objective(target, n, rows, params.lambda_a, params.lambda_p)
+
+
+def _objective(target: EulerAngles, n, rows, la: float, lp: float):
+    """``moment_objective`` for m1 = n, a 3-tuple, and m2 = rows, three
+    3-tuples, under damping probabilities la and lp, read as given.  The
+    set-up builds R's frame once, for n and m2's columns (``_apply_all``),
+    and keeps u = R n as ``fg.image``: the same floats as
+    ``noise._apply(target's angles, 0, 0, n)``."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
     (u0, u1, u2), (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = _apply_all(
         target.beta, target.gamma, target.delta, 0.0, 0.0,
         (n, (a00, a10, a20), (a01, a11, a21), (a02, a12, a22)),
     )
-    la, lp = params.lambda_a, params.lambda_p
 
     def fg(x):
         beta, gamma, delta = x[0], x[1], x[2]

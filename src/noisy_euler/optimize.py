@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .gates import EulerAngles
 from .noise import NoiseParams
-from .objectives import _tolist, _triple, moment_objective
+from .objectives import _objective, _tolist, _triple
 
 # The Newton search's constants: the max|g| at which it has converged and its
 # step budget; the Armijo sufficient-increase factor; the least shift mu of -H
@@ -98,14 +98,17 @@ def optimize_gate(
     """Find decomposition angles maximizing the fidelity of the target gate
     for inputs with Bloch-vector moments m1 = E[n] and m2 = E[n n^T], any real
     (3,) and (3, 3) sequences (``point_moments``, ``cap_moments``; r, r r^T
-    for a Bloch vector r); ``moment_objective``'s set-up builds R's frame once.
+    for a Bloch vector r).  m1 and m2 are read once; the objective's set-up
+    (``objectives._objective``) takes the tuples read here and builds R's
+    frame once.
 
     The target seed and each (beta, gamma, delta) of ``starts``, an iterable
     read once, are candidates; the best wins, the earliest on ties (the seed
     first), and the seed itself is the fallback.  A start whose max|g| is
-    within ``start_tolerance`` is kept without a search.  Raises ValueError
-    unless each start is three finite reals, m2 a finite (3, 3) sequence and
-    m1 a finite (3,) one with |m1| <= 1 + 1e-9 (a set or iterator is none).
+    within ``start_tolerance`` (>= 0; inf keeps every start) is kept without
+    a search.  Raises ValueError unless start_tolerance >= 0, each start is
+    three finite reals, m2 a finite (3, 3) sequence and m1 a finite (3,) one
+    with |m1| <= 1 + 1e-9 (a set or iterator is none).
 
     When m2 == m1 m1^T exactly (a point input, a mixed Bloch vector r as
     randomized benchmarking passes it, a preparation from |0>), a seed that
@@ -124,6 +127,15 @@ def optimize_gate(
     flat to the ulp there, and the drift check looks for the angles the
     tie-break scrambles.
     """
+    return _optimize(target, m1, m2, params, starts, start_tolerance)[0]
+
+
+def _optimize(target: EulerAngles, m1, m2, params: NoiseParams, starts, start_tolerance: float):
+    """``optimize_gate``'s result and u = R m1, the target's noiseless image
+    of m1 (``fg.image``), which randomized benchmarking takes as its next
+    ideal state."""
+    if not start_tolerance >= 0.0:
+        raise ValueError(f"start_tolerance must be >= 0, got {start_tolerance!r}")
     m1_ok = m2_ok = starts_ok = False  # stay False for an input that is no sequence of reals
     try:
         n0, n1, n2 = n = _triple(_tolist(m1))
@@ -143,7 +155,8 @@ def optimize_gate(
         raise ValueError(f"each start must be three finite angles, got {starts!r}")
     rank_one = rows == ((n0 * n0, n0 * n1, n0 * n2), (n1 * n0, n1 * n1, n1 * n2),
                         (n2 * n0, n2 * n1, n2 * n2))
-    fg = moment_objective(target, n, rows, params)
+    la, lp = params.lambda_a, params.lambda_p
+    fg = _objective(target, n, rows, la, lp)
 
     x_seed = candidates[0]
     at_seed = fg(x_seed)
@@ -152,7 +165,7 @@ def optimize_gate(
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
         tolerance = start_tolerance
         if i == 0 and rank_one and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
-            x0 = _point_optimum(target, n, fg.image, params.lambda_a, params.lambda_p)
+            x0 = _point_optimum(target, n, fg.image, la, lp)
             f0, g0, h0 = fg(x0)
             tolerance = GRADIENT_TOLERANCE
         if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= tolerance:
@@ -166,12 +179,9 @@ def optimize_gate(
         best = (x_seed, f_seed, 0, True)
     x, f, iterations, converged = best
     return OptimizationResult(
-        angles_opt=EulerAngles(x[0] % math.tau, x[1] % math.tau, x[2] % math.tau),
-        objective_value=min(max(f, 0.0), 1.0),
-        objective_at_target_angles=min(max(f_seed, 0.0), 1.0),
-        iterations=iterations,
-        converged=converged,
-    )
+        EulerAngles(x[0] % math.tau, x[1] % math.tau, x[2] % math.tau),
+        min(max(f, 0.0), 1.0), min(max(f_seed, 0.0), 1.0), iterations, converged,
+    ), fg.image
 
 
 def _is_angle_triple(x) -> bool:
@@ -202,6 +212,8 @@ def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
     la > lp.  Where c* = 0 the value is |u_z| ek r + mu y, concave and
     stationary only at s = mu (|u| = |n|).  The value is differentiable
     for r > 0, so the maximum is at s = rho or s = mu < rho; rho wins ties.
+    (r^2, y, c*) is worked out inline at s = rho and, when mu < rho, at
+    s = mu, and the cut with the larger value is kept.
 
     The signs of v_x and cos psi give up to four angle triples of equal F,
     distinct unitaries through distinct pulse trajectories.  The one nearest
@@ -218,23 +230,21 @@ def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
     rho, mu2 = math.hypot(nx, ny), ux * ux + uy * uy
     mu = math.sqrt(mu2)
     p, q = mu2 * ee2 * ee2, uz * uz * ek * ek  # mu^2 E^4, u_z^2 ek^2
-
-    def cut(s):
-        """(r^2, y, c*) at s."""
-        r2 = nz * nz + (rho - s) * (rho + s)
-        y = ek * s + el
-        den = ee2 * r2 * (mu2 * ee2 + q)
-        return r2, y, min(max((p * r2 - q * y * y) / den, 0.0), 1.0) if den > 0.0 else 0.0
-
-    def value(r2, y, c):
-        return abs(uz) * ek * math.sqrt(r2 * (1.0 - c)) + mu * math.sqrt(ee2 * r2 * c + y * y)
-
-    s, at_s = rho, cut(rho)
+    den0 = mu2 * ee2 + q  # mu^2 E^2 + u_z^2 ek^2
+    s = rho
+    r2 = nz * nz + (rho - s) * (rho + s)
+    y = ek * s + el
+    den = ee2 * r2 * den0
+    c = min(max((p * r2 - q * y * y) / den, 0.0), 1.0) if den > 0.0 else 0.0
     if mu < rho:
-        at_mu = cut(mu)
-        if value(*at_mu) > value(*at_s):
-            s, at_s = mu, at_mu
-    r2, y, c = at_s
+        r2_mu = nz * nz + (rho - mu) * (rho + mu)
+        y_mu = ek * mu + el
+        den = ee2 * r2_mu * den0
+        c_mu = min(max((p * r2_mu - q * y_mu * y_mu) / den, 0.0), 1.0) if den > 0.0 else 0.0
+        az = abs(uz) * ek
+        if (az * math.sqrt(r2_mu * (1.0 - c_mu)) + mu * math.sqrt(ee2 * r2_mu * c_mu + y_mu * y_mu)
+                > az * math.sqrt(r2 * (1.0 - c)) + mu * math.sqrt(ee2 * r2 * c + y * y)):
+            s, r2, y, c = mu, r2_mu, y_mu, c_mu
     r, w = math.sqrt(r2), math.sqrt((rho - s) * (rho + s))
     sin_psi, cos_psi = math.sqrt(1.0 - c), math.sqrt(c)
     if uz < 0.0:

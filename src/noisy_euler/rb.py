@@ -12,6 +12,10 @@ inverse is one step of both arms:
              ideal circuit would be in just before that gate or, with
              ``track_noisy_state``, for the arm's own noisy state.
 
+Without ``track_noisy_state`` the next ideal state is the optimizer's own
+image of the current one, u = R n (``optimize._optimize``), the same floats
+as the zero-noise ``noise._apply``, so each gate step rotates n once.
+
 States are Bloch vectors: Z rotations are virtual and noiseless, so each
 noisy native gate is exactly the affine map r -> A r + t (``noise._apply``),
 at zero noise the gate's rotation.  A circuit carries the ideal state and each
@@ -44,7 +48,7 @@ from .calibration import _readout_slope, apply_readout_error, mitigate_readout
 from .gates import EulerAngles, _hamilton, _point_moments, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams, _apply
-from .optimize import optimize_gate
+from .optimize import _optimize
 
 ARMS = ("unopt", "opt")
 
@@ -143,14 +147,17 @@ class RbRunResult:
     opt: RbArmResult
 
 
-def _sample_quaternion(rng: np.random.Generator) -> tuple[float, float, float, float]:
+def _sample_quaternion(row) -> tuple[float, float, float, float]:
     """Unit quaternion (cos a/2, sin a/2 n) of a rotation by an angle a
     uniform on [0, 2 pi) about an axis n uniform on the sphere (z uniform on
-    [-1, 1), azimuth uniform), from three ``rng.random()`` draws in that order
-    (z, azimuth, a), each scaled as lo + (hi - lo) u."""
-    z = -1.0 + 2.0 * rng.random()
-    azimuth = math.tau * rng.random()
-    angle = math.tau * rng.random()
+    [-1, 1), azimuth uniform), from one row of three uniform [0, 1) doubles
+    (z, azimuth, a), each scaled as lo + (hi - lo) u: a row of
+    ``rng.random((n, 3)).tolist()`` holds the values of three scalar
+    ``rng.random()`` calls in turn."""
+    uz, uaz, ua = row
+    z = -1.0 + 2.0 * uz
+    azimuth = math.tau * uaz
+    angle = math.tau * ua
     s = math.sqrt(max(0.0, 1.0 - z * z))
     nx, ny = s * math.cos(azimuth), s * math.sin(azimuth)
     h = math.sin(0.5 * angle)
@@ -171,7 +178,8 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     """Survival probabilities for one (config, circuit) pair: array
     (2, n_depths) in ARMS order.  All randomness derives from named streams
     of (rng_seed, circuit), so circuits are independent and order of
-    execution is irrelevant: the gates from [rng_seed, circuit, 0], each
+    execution is irrelevant: the gates from [rng_seed, circuit, 0], drawn as
+    one (n_gates, 3) block (the values of 3 * n_gates scalar draws), each
     arm's shots from [rng_seed, circuit, 1, arm], the gate steps' multistart
     starts from one stream [rng_seed, circuit, 2] that each gate step reads in
     turn (3 * multistart doubles a step, so gate i reads the i-th block),
@@ -194,30 +202,31 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     net = (1.0, 0.0, 0.0, 0.0)  # quaternion of the gates so far
 
     def step(target: EulerAngles, stream) -> tuple:
-        """The next ``arms``: unopt runs ``target``'s angles, opt runs them
-        re-optimized for n, or for its own state under track_noisy_state;
-        ``stream`` (a Generator or a key) seeds the multistart starts."""
+        """The next ``arms`` and u = R m1 from the optimizer: unopt runs
+        ``target``'s angles, opt runs them re-optimized for n, or for its own
+        state under track_noisy_state; ``stream`` (a Generator or a key)
+        seeds the multistart starts."""
         unopt, opt = arms
         m1, m2 = _point_moments(opt if cfg.track_noisy_state else n)
         starts = ()
         if cfg.multistart > 0:
             starts = (math.tau * np.random.default_rng(stream).random((cfg.multistart, 3))).tolist()
-        a = optimize_gate(target, m1, m2, assumed, starts,
-                          start_tolerance=RB_GRADIENT_TOLERANCE).angles_opt
+        res, image = _optimize(target, m1, m2, assumed, starts, RB_GRADIENT_TOLERANCE)
+        a = res.angles_opt
         return (_apply(target.beta, target.gamma, target.delta, la, lp, unopt),
-                _apply(a.beta, a.gamma, a.delta, la, lp, opt))
+                _apply(a.beta, a.gamma, a.delta, la, lp, opt)), image
 
-    for i in range(cfg.n_gates):
-        q = _sample_quaternion(rng_gates)
+    for i, row in enumerate(rng_gates.random((cfg.n_gates, 3)).tolist()):
+        q = _sample_quaternion(row)
         gate = _zyz_from_quaternion(*q)
-        arms = step(gate, rng_starts)
-        n = _apply(gate.beta, gate.gamma, gate.delta, 0.0, 0.0, n)
+        arms, u = step(gate, rng_starts)
+        n = _apply(gate.beta, gate.gamma, gate.delta, 0.0, 0.0, n) if cfg.track_noisy_state else u
         net = _hamilton(q, net)
 
         depth = i + 1
         if depth in column:
             inverse = _zyz_from_quaternion(net[0], -net[1], -net[2], -net[3])
-            for ai, r in enumerate(step(inverse, [cfg.rng_seed, circuit, 3, depth])):
+            for ai, r in enumerate(step(inverse, [cfg.rng_seed, circuit, 3, depth])[0]):
                 p0 = min(max(0.5 * (1.0 + r[2]), 0.0), 1.0)
                 out[ai, column[depth]] = _measure(p0, cfg, shot_rngs[ai])
     return out

@@ -19,6 +19,7 @@ from noisy_euler import (
     point_moments,
 )
 from noisy_euler.experiments import _cap_sample
+from noisy_euler.objectives import _objective
 from reference import (
     bloch_vector,
     cap_density,
@@ -123,6 +124,28 @@ def test_prep_fidelity_noiseless_seed_is_one():
 
 N = [0.0, 0.6, 0.8]
 NN = [[0.0, 0.0, 0.0], [0.0, 0.36, 0.48], [0.0, 0.48, 0.64]]
+
+
+def test_objective_core_equals_moment_objective():
+    """``moment_objective`` hands its reads to ``_objective``: the core on
+    the tuples it reads gives, ==, the same value, gradient, Hessian and
+    image for m1 and m2 as lists, tuples and ndarrays, point and cap."""
+    rng = np.random.default_rng(17)
+    params = NoiseParams(0.04, 0.09)
+    for i in range(20):
+        target = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
+        if i % 2:
+            m1, m2 = point_moments(*rng.uniform(0.0, math.pi, 2))
+        else:
+            m1, m2 = cap_moments(rng.uniform(0.1, math.pi))
+        core = _objective(target, tuple(m1), tuple(map(tuple, m2)),
+                          params.lambda_a, params.lambda_p)
+        xs = [tuple(rng.uniform(-math.pi, math.pi, 3).tolist()) for _ in range(3)]
+        for a, b in ((list(m1), [list(r) for r in m2]), (tuple(m1), tuple(map(tuple, m2))),
+                     (np.array(m1), np.array(m2))):
+            fg = moment_objective(target, a, b, params)
+            assert fg.image == core.image
+            assert all(fg(x) == core(x) for x in xs)
 
 
 @pytest.mark.parametrize("m1, m2, name", [

@@ -156,7 +156,7 @@ def test_starts_read_once_from_an_iterator(monkeypatch):
     the same starts is: the same objective evaluations in the same order,
     and the same result."""
     seen = []
-    original = optimize.moment_objective
+    original = optimize._objective
 
     def recording(*args):
         fg = original(*args)
@@ -168,7 +168,7 @@ def test_starts_read_once_from_an_iterator(monkeypatch):
         recorded.image = fg.image
         return recorded
 
-    monkeypatch.setattr(optimize, "moment_objective", recording)
+    monkeypatch.setattr(optimize, "_objective", recording)
     target = EulerAngles(0.3, 1.2, 2.1)
     params = NoiseParams.from_lambda(0.3)
     starts = uniform_starts(np.random.default_rng(13), 2)
@@ -250,7 +250,7 @@ def test_newton_reaches_lbfgsb_oracle():
     params = noise_params_for(bundled_device("rome").qubit(3))
     rng = np.random.default_rng(31)
     for i in range(200):
-        target = _zyz_from_quaternion(*_sample_quaternion(rng))
+        target = _zyz_from_quaternion(*_sample_quaternion(rng.random(3).tolist()))
         if i % 2 == 0:
             m1, m2 = point_moments(
                 math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
@@ -307,7 +307,7 @@ def circle_problems():
     rng = np.random.default_rng(47)
     out = []
     for i in range(240):
-        target = _zyz_from_quaternion(*_sample_quaternion(rng))
+        target = _zyz_from_quaternion(*_sample_quaternion(rng.random(3).tolist()))
         r = bloch_vector(BlochState(math.acos(rng.uniform(-1.0, 1.0)),
                                     rng.uniform(0.0, 2 * math.pi)))
         if i < 80:
@@ -340,7 +340,7 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
     exactly twice, at the seed and at the closed-form point; a skipped one
     once, at the seed."""
     seen, steps = [], []
-    original_objective = optimize.moment_objective
+    original_objective = optimize._objective
 
     def recording(*args):
         fg = original_objective(*args)
@@ -352,18 +352,18 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
         recorded.image = fg.image
         return recorded
 
-    monkeypatch.setattr(optimize, "moment_objective", recording)
-    original = rb.optimize_gate
+    monkeypatch.setattr(optimize, "_objective", recording)
+    original = rb._optimize
 
-    def step(target, m1, m2, params, *args, **kwargs):
+    def step(target, m1, m2, params, *args):
         fg = moment_objective(target, m1, m2, params)
         g = fg((target.beta, target.gamma, target.delta))[1]
         before = len(seen)
-        res = original(target, m1, m2, params, *args, **kwargs)
+        out = original(target, m1, m2, params, *args)
         steps.append((max(map(abs, g)) > rb.RB_GRADIENT_TOLERANCE, len(seen) - before))
-        return res
+        return out
 
-    monkeypatch.setattr(rb, "optimize_gate", step)
+    monkeypatch.setattr(rb, "_optimize", step)
     cfg = RbConfig(noise=noise_params_for(bundled_device("rome").qubit(3)), n_circuits=2,
                    n_gates=40, depth_schedule=(1, 10, 20, 30, 40), rng_seed=5)
     for track_noisy_state in (False, True):
@@ -425,7 +425,7 @@ def test_equal_fidelity_partner_optima():
 
 
 def edge_targets(rng, count):
-    return [_zyz_from_quaternion(*_sample_quaternion(rng)) for _ in range(count)]
+    return [_zyz_from_quaternion(*_sample_quaternion(rng.random(3).tolist())) for _ in range(count)]
 
 
 def check_point_optimum(target, r, params):
@@ -509,7 +509,7 @@ def test_point_optimum_depends_only_on_the_unitary():
     rng = np.random.default_rng(71)
     params = noise_params_for(bundled_device("rome").qubit(3))
     for _ in range(40):
-        t = _zyz_from_quaternion(*_sample_quaternion(rng))
+        t = _zyz_from_quaternion(*_sample_quaternion(rng.random(3).tolist()))
         other = EulerAngles(t.beta + math.pi, -t.gamma, t.delta + math.pi)
         r = bloch_vector(BlochState(math.acos(rng.uniform(-1.0, 1.0)),
                                     rng.uniform(0.0, 2 * math.pi)))
@@ -724,7 +724,7 @@ def test_zero_noise_evaluates_seed_once(monkeypatch):
     skip, the first candidate and the never-worse fallback: at zero noise
     the seed's gradient vanishes, so that is the only evaluation."""
     seen = []
-    original = optimize.moment_objective
+    original = optimize._objective
 
     def counting(*args):
         fg = original(*args)
@@ -733,9 +733,10 @@ def test_zero_noise_evaluates_seed_once(monkeypatch):
             seen.append(np.array(x, dtype=float))
             return fg(x)
 
+        recorded.image = fg.image
         return recorded
 
-    monkeypatch.setattr(optimize, "moment_objective", counting)
+    monkeypatch.setattr(optimize, "_objective", counting)
     target = extract_euler(named_gate("h"))
     res = optimize_gate(target, *PLUS, NoiseParams.from_lambda(0.0))
     assert len(seen) == 1
@@ -762,6 +763,26 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError, match="each start must"):
         optimize_gate(IDENTITY, *PLUS, params, 2)
     optimize_gate(IDENTITY, *PLUS, params, [good, np.array(good), [1, 2, 3]])
+
+
+def test_start_tolerance_refuses_nan_and_negative():
+    """start_tolerance must be >= 0: NaN would turn off the seed skip and
+    the rank-1 closed form, a negative value the skip.  inf keeps every
+    start as it is: without starts the result is the seed's."""
+    params = NoiseParams.from_lambda(0.05)
+    for bad in (math.nan, -1e-9, -math.inf):
+        with pytest.raises(ValueError, match="start_tolerance must be >= 0"):
+            optimize_gate(IDENTITY, *PLUS, params, start_tolerance=bad)
+    target = EulerAngles(0.3, 1.2, 2.1)
+    starts = uniform_starts(np.random.default_rng(23), 2)
+    for moments in (PLUS, cap_moments(0.5)):
+        res = optimize_gate(target, *moments, params, start_tolerance=math.inf)
+        assert res.angles_opt == target and res.improvement == 0.0 and res.iterations == 0
+        res = optimize_gate(target, *moments, params, starts, start_tolerance=math.inf)
+        kept = [EulerAngles(*(v % (2 * math.pi) for v in x))
+                for x in [(target.beta, target.gamma, target.delta), *starts]]
+        assert res.angles_opt in kept and res.iterations == 0
+    assert optimize_gate(target, *PLUS, params, start_tolerance=0.0).converged
 
 
 @pytest.mark.parametrize("host", [

@@ -21,6 +21,7 @@ from noisy_euler import (
     run_rb_experiment,
 )
 from noisy_euler.gates import _hamilton, _zyz_from_quaternion
+from noisy_euler.noise import _apply
 from noisy_euler.optimize import GRADIENT_TOLERANCE
 from reference import (
     angle_gap,
@@ -53,7 +54,7 @@ def small_config(**overrides):
 def rb_gate(rng) -> EulerAngles:
     """One gate of an RB stream, in Euler angles, drawn as the harness draws
     it: a rotation by a uniform angle about a uniform axis."""
-    return _zyz_from_quaternion(*rb._sample_quaternion(rng))
+    return _zyz_from_quaternion(*rb._sample_quaternion(rng.random(3).tolist()))
 
 
 def test_sampled_gates_are_valid_unitaries():
@@ -119,7 +120,7 @@ def test_quaternion_net_matches_unitary_product():
     net, product = (1.0, 0.0, 0.0, 0.0), np.eye(2, dtype=complex)
     worst_u = worst_angle = 0.0
     for _ in range(246):
-        q = rb._sample_quaternion(rng)
+        q = rb._sample_quaternion(rng.random(3).tolist())
         net = _hamilton(q, net)
         product = zyz_unitary(_zyz_from_quaternion(*q)) @ product
         worst_u = max(worst_u, sign_gap(quaternion_unitary(*net), product))
@@ -133,12 +134,24 @@ def test_quaternion_net_matches_unitary_product():
 
 @pytest.mark.parametrize("seed", [0, 1, 2309])
 def test_gate_draws_equal_scalar_uniform_rule(seed):
-    """10,000 gates of a stream equal, bit for bit, the quaternions of the
-    rule drawn by scalar ``Generator.uniform`` calls, and both leave the
-    stream at the same place."""
+    """The rows of one (10,000, 3) block of a gate stream, drawn as a
+    circuit draws its gates, give, bit for bit, the quaternions of the rule
+    drawn by scalar ``Generator.uniform`` calls, and both leave the stream at
+    the same place."""
     rng, ref = np.random.default_rng([seed, 0, 0]), np.random.default_rng([seed, 0, 0])
-    for _ in range(10_000):
-        assert rb._sample_quaternion(rng) == uniform_quaternion(ref)
+    for row in rng.random((10_000, 3)).tolist():
+        assert rb._sample_quaternion(row) == uniform_quaternion(ref)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n_gates", [1, 2, 246])
+def test_gate_block_equals_scalar_draws(n_gates):
+    """A circuit's (n_gates, 3) block holds, ==, the values of 3 * n_gates
+    scalar ``random()`` calls in turn, and the stream goes on from the same
+    place after it."""
+    rng, ref = np.random.default_rng([5, 0, 0]), np.random.default_rng([5, 0, 0])
+    block = rng.random((n_gates, 3)).tolist()
+    assert block == [[ref.random(), ref.random(), ref.random()] for _ in range(n_gates)]
     assert rng.random() == ref.random()
 
 
@@ -359,13 +372,13 @@ def test_multistart_starts_follow_uniform_draw_rule(monkeypatch, multistart):
     the circuit's stream [rng_seed, circuit, 2], each inverse step from its
     own [rng_seed, circuit, 3, depth]; with multistart 0, no start at all."""
     received = []
-    original = rb.optimize_gate
+    original = rb._optimize
 
-    def recording(target, m1, m2, params, starts=(), **kwargs):
+    def recording(target, m1, m2, params, starts, *args):
         received.append([tuple(x) for x in starts])
-        return original(target, m1, m2, params, starts, **kwargs)
+        return original(target, m1, m2, params, starts, *args)
 
-    monkeypatch.setattr(rb, "optimize_gate", recording)
+    monkeypatch.setattr(rb, "_optimize", recording)
     cfg = small_config(n_circuits=2, n_gates=12, depth_schedule=(1, 5, 12),
                        multistart=multistart)
     run_rb_experiment(cfg)
@@ -466,15 +479,15 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
     Bloch-vector simulator to 1e-12, and so does the state the optimizer
     was handed (the ideal state, or the opt arm's noisy state)."""
     calls = []
-    original = rb.optimize_gate
+    original = rb._optimize
 
-    def recording(target, m1, m2, params, *args, **kwargs):
+    def recording(target, m1, m2, params, *args):
         assert np.array_equal(m2, np.outer(m1, m1))
-        res = original(target, m1, m2, params, *args, **kwargs)
+        res, image = original(target, m1, m2, params, *args)
         calls.append((np.array(m1), res.angles_opt))
-        return res
+        return res, image
 
-    monkeypatch.setattr(rb, "optimize_gate", recording)
+    monkeypatch.setattr(rb, "_optimize", recording)
     cfg = small_config(
         n_circuits=2, n_gates=30, depth_schedule=(1, 10, 20, 30),
         track_noisy_state=track_noisy_state,
@@ -524,14 +537,14 @@ def test_every_started_search_converges(monkeypatch, track_noisy_state):
     so every result whose angles are not the seed's has max|grad F| within
     it at angles_opt."""
     calls = []
-    original = rb.optimize_gate
+    original = rb._optimize
 
-    def recording(target, m1, m2, params, *args, **kwargs):
-        res = original(target, m1, m2, params, *args, **kwargs)
+    def recording(target, m1, m2, params, *args):
+        res, image = original(target, m1, m2, params, *args)
         calls.append((target, m1, m2, params, res))
-        return res
+        return res, image
 
-    monkeypatch.setattr(rb, "optimize_gate", recording)
+    monkeypatch.setattr(rb, "_optimize", recording)
     run_rb_experiment(small_config(n_circuits=2, track_noisy_state=track_noisy_state))
     searched = [c for c in calls if c[4].angles_opt != EulerAngles(
         *(v % (2 * math.pi) for v in (c[0].beta, c[0].gamma, c[0].delta)))]
@@ -540,6 +553,33 @@ def test_every_started_search_converges(monkeypatch, track_noisy_state):
         a = res.angles_opt
         _, g, _ = moment_objective(target, m1, m2, params)((a.beta, a.gamma, a.delta))
         assert max(abs(v) for v in g) <= GRADIENT_TOLERANCE
+
+
+def test_ideal_state_is_the_optimizers_image(monkeypatch):
+    """Without track_noisy_state RB takes the next ideal state from the
+    optimizer's image u = R n: over one 246-gate Fig. 3 circuit the state each
+    gate and inverse step hands the optimizer equals, ==, the zero-noise
+    ``noise._apply`` of the gates in turn."""
+    seen = []
+    original = rb._optimize
+
+    def recording(target, m1, *args):
+        seen.append(m1)
+        return original(target, m1, *args)
+
+    monkeypatch.setattr(rb, "_optimize", recording)
+    cfg = RbConfig(noise=ROME_Q3, n_circuits=1, rng_seed=7)
+    rb._circuit_worker((cfg, 0))
+    expected, n = [], (0.0, 0.0, 1.0)
+    rows = np.random.default_rng([cfg.rng_seed, 0, 0]).random((cfg.n_gates, 3)).tolist()
+    for depth, row in enumerate(rows, 1):
+        expected.append(n)
+        gate = _zyz_from_quaternion(*rb._sample_quaternion(row))
+        n = _apply(gate.beta, gate.gamma, gate.delta, 0.0, 0.0, n)
+        if depth in cfg.depth_schedule:
+            expected.append(n)
+    assert cfg.n_gates == 246 and len(expected) == 246 + len(cfg.depth_schedule)
+    assert seen == expected
 
 
 # ------------------------------------------------------------------- drift
