@@ -89,12 +89,6 @@ def _bloch_vector(theta: float, phi: float) -> tuple[float, float, float]:
     return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
 
-def _point_moments(n):
-    """The moments (n, n n^T) of the one Bloch vector n, in floats."""
-    x, y, z = n
-    return n, [[x * x, x * y, x * z], [y * x, y * y, y * z], [z * x, z * y, z * z]]
-
-
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):

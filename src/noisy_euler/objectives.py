@@ -29,8 +29,18 @@ import math
 
 import numpy as np
 
-from .gates import BlochState, EulerAngles, _bloch_vector, _point_moments
+from .gates import BlochState, EulerAngles, _bloch_vector
 from .noise import NoiseParams, _apply_all, _pulse_pair
+
+# How far moments may stray from a distribution's on the unit ball: m2's
+# asymmetry, tr m2 above 1, and the least eigenvalue of m2 - m1 m1^T below 0.
+_MOMENT_TOL = 1e-9
+
+
+def _point_moments(n):
+    """The moments (n, n n^T) of the one Bloch vector n, in floats."""
+    x, y, z = n
+    return n, [[x * x, x * y, x * z], [y * x, y * y, y * z], [z * x, z * y, z * z]]
 
 
 def point_moments(theta: float, phi: float):
@@ -67,12 +77,74 @@ def _triple(v):
     return v[0], v[1], v[2]
 
 
+def _read_moments(m1, m2):
+    """Read and check the moments m1 = E[n] and m2 = E[n n^T]: the package's
+    one reader of them.  Returns (n, rows, rank_one): m1 as a 3-tuple, m2 as
+    three 3-tuples, each entry read once by position (an ndarray via
+    ``tolist()``), and whether m2 == m1 m1^T exactly.
+
+    Raises ValueError, naming m1 or m2, unless m1 is a sequence of three
+    finite reals and m2 a sequence of three such sequences (a set or an
+    iterator is none), and unless they are the moments of some distribution
+    on the unit ball: tr m2 <= 1, m2 symmetric and the covariance
+    C = m2 - m1 m1^T positive semidefinite, each within 1e-9 (C + 1e-9 I
+    must have a Cholesky factorization, here its square-root-free L D L^T
+    form; with tr m2 <= 1 this bounds |m1| by 1).  A rank-1 input has C == 0
+    to the bit, so it is symmetric and semidefinite as it stands and pays
+    only for the trace check: every point, preparation and
+    randomized-benchmarking step is one.
+    """
+    try:
+        n = n0, n1, n2 = _triple(_tolist(m1))
+        m1_ok = math.isfinite(n0) and math.isfinite(n1) and math.isfinite(n2)
+    except TypeError:
+        m1_ok = False
+    if not m1_ok:
+        raise ValueError("m1 must be a sequence of shape (3,) of finite reals, "
+                         "not a set or iterator")
+    try:
+        r0, r1, r2 = _triple(_tolist(m2))
+        rows = _triple(r0), _triple(r1), _triple(r2)
+        m2_ok = all(map(math.isfinite, rows[0] + rows[1] + rows[2]))
+    except TypeError:
+        m2_ok = False
+    if not m2_ok:
+        raise ValueError("m2 must be a sequence of shape (3, 3) of finite reals, "
+                         "not sets or iterators")
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    if not a00 + a11 + a22 <= 1.0 + _MOMENT_TOL:
+        raise ValueError(f"m2 must have trace <= 1, got {a00 + a11 + a22!r}")
+    c00, c01, c02 = a00 - n0 * n0, a01 - n0 * n1, a02 - n0 * n2
+    c10, c11, c12 = a10 - n1 * n0, a11 - n1 * n1, a12 - n1 * n2
+    c20, c21, c22 = a20 - n2 * n0, a21 - n2 * n1, a22 - n2 * n2
+    rank_one = c00 == c01 == c02 == c10 == c11 == c12 == c20 == c21 == c22 == 0.0
+    if not rank_one:
+        if not (abs(a01 - a10) <= _MOMENT_TOL and abs(a02 - a20) <= _MOMENT_TOL
+                and abs(a12 - a21) <= _MOMENT_TOL):
+            raise ValueError("m2 must be symmetric")
+        # L D L^T of C + 1e-9 I from its lower triangle: every pivot d > 0
+        d0 = c00 + _MOMENT_TOL
+        d2 = 0.0
+        if d0 > 0.0:
+            l10, l20 = c10 / d0, c20 / d0
+            d1 = c11 + _MOMENT_TOL - l10 * c10
+            if d1 > 0.0:
+                l21 = (c21 - l20 * c10) / d1
+                d2 = c22 + _MOMENT_TOL - l20 * c20 - l21 * l21 * d1
+        if not d2 > 0.0:
+            raise ValueError("m2 must be at least m1 m1^T: the covariance "
+                             "m2 - m1 m1^T is not positive semidefinite")
+    return n, rows, rank_one
+
+
 def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     """The fidelity objective for inputs with Bloch-vector moments m1 = E[n]
     and m2 = E[n n^T] (a pure state n: n, n n^T; a mixed state r: r, r r^T),
-    any real sequences of shape (3,) and (3, 3) (an ndarray via ``tolist()``),
-    each read once by position; ValueError names m1 or m2 for another shape,
-    a set or an iterator.
+    real sequences of shape (3,) and (3, 3) read once by
+    ``_read_moments``.  Raises its ValueError, naming m1 or m2, unless they
+    are finite, tr m2 <= 1, m2 is symmetric and m2 - m1 m1^T is positive
+    semidefinite, each within 1e-9 (a set or iterator is no sequence): the
+    same rules as ``optimize_gate``.
 
     Returns ``fg(x) -> (F, dF/dx, d2F/dx2)`` for trial angles
     x = (beta, gamma, delta): F = 1/2 + 1/2 (R m1).t + 1/2 tr(R^T A m2), its
@@ -84,19 +156,11 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     W = Rz(-beta) (R m2) Rz(-delta), and both derivatives follow from
     Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
-    ``fg.image`` is u = R m1.  The reads go to ``_objective``, which builds
-    the set-up; ``optimize_gate`` calls it directly with the tuples it has
-    already read and checked, so they are read once.
+    ``fg.image`` is u = R m1.  The set-up is ``_objective``'s, which
+    ``optimize_gate`` calls with the tuples its own ``_read_moments`` call
+    returned.
     """
-    try:
-        n = _triple(_tolist(m1))
-    except TypeError:
-        raise ValueError("m1 must be a sequence of shape (3,), not a set or iterator") from None
-    try:
-        r0, r1, r2 = _triple(_tolist(m2))
-        rows = _triple(r0), _triple(r1), _triple(r2)
-    except TypeError:
-        raise ValueError("m2 must be a sequence of shape (3, 3), not sets or iterators") from None
+    n, rows, _ = _read_moments(m1, m2)
     return _objective(target, n, rows, params.lambda_a, params.lambda_p)
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .gates import EulerAngles
 from .noise import NoiseParams
-from .objectives import _objective, _tolist, _triple
+from .objectives import _objective, _read_moments
 
 # The Newton search's constants: the max|g| at which it has converged and its
 # step budget; the Armijo sufficient-increase factor; the least shift mu of -H
@@ -98,17 +98,20 @@ def optimize_gate(
     """Find decomposition angles maximizing the fidelity of the target gate
     for inputs with Bloch-vector moments m1 = E[n] and m2 = E[n n^T], any real
     (3,) and (3, 3) sequences (``point_moments``, ``cap_moments``; r, r r^T
-    for a Bloch vector r).  m1 and m2 are read once; the objective's set-up
-    (``objectives._objective``) takes the tuples read here and builds R's
+    for a Bloch vector r).  m1 and m2 are read once, by
+    ``objectives._read_moments``; the objective's set-up
+    (``objectives._objective``) takes the tuples it returns and builds R's
     frame once.
 
     The target seed and each (beta, gamma, delta) of ``starts``, an iterable
     read once, are candidates; the best wins, the earliest on ties (the seed
     first), and the seed itself is the fallback.  A start whose max|g| is
     within ``start_tolerance`` (>= 0; inf keeps every start) is kept without
-    a search.  Raises ValueError unless start_tolerance >= 0, each start is
-    three finite reals, m2 a finite (3, 3) sequence and m1 a finite (3,) one
-    with |m1| <= 1 + 1e-9 (a set or iterator is none).
+    a search.  Raises ValueError unless start_tolerance >= 0 and each start
+    is three finite reals, and ``_read_moments``' ValueError, naming m1 or
+    m2, unless they are finite, tr m2 <= 1, m2 is symmetric and
+    m2 - m1 m1^T is positive semidefinite, each within 1e-9 (a set or
+    iterator is no sequence): the same rules as ``moment_objective``.
 
     When m2 == m1 m1^T exactly (a point input, a mixed Bloch vector r as
     randomized benchmarking passes it, a preparation from |0>), a seed that
@@ -136,25 +139,14 @@ def _optimize(target: EulerAngles, m1, m2, params: NoiseParams, starts, start_to
     ideal state."""
     if not start_tolerance >= 0.0:
         raise ValueError(f"start_tolerance must be >= 0, got {start_tolerance!r}")
-    m1_ok = m2_ok = starts_ok = False  # stay False for an input that is no sequence of reals
+    n, rows, rank_one = _read_moments(m1, m2)
     try:
-        n0, n1, n2 = n = _triple(_tolist(m1))
-        m1_ok = math.hypot(n0, n1, n2) <= 1.0 + 1e-9
-        r0, r1, r2 = _triple(_tolist(m2))
-        rows = _triple(r0), _triple(r1), _triple(r2)
-        m2_ok = all(map(math.isfinite, rows[0] + rows[1] + rows[2]))
         candidates = [(target.beta, target.gamma, target.delta), *starts]
         starts_ok = all(map(_is_angle_triple, candidates[1:]))
     except TypeError:
-        pass
-    if not m1_ok:
-        raise ValueError("m1 must be a finite Bloch vector of shape (3,) with |m1| <= 1")
-    if not m2_ok:
-        raise ValueError("m2 must be a finite matrix of shape (3, 3)")
+        starts_ok = False
     if not starts_ok:
         raise ValueError(f"each start must be three finite angles, got {starts!r}")
-    rank_one = rows == ((n0 * n0, n0 * n1, n0 * n2), (n1 * n0, n1 * n1, n1 * n2),
-                        (n2 * n0, n2 * n1, n2 * n2))
     la, lp = params.lambda_a, params.lambda_p
     fg = _objective(target, n, rows, la, lp)
 

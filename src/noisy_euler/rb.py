@@ -45,19 +45,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import _readout_slope, apply_readout_error, mitigate_readout
-from .gates import EulerAngles, _hamilton, _point_moments, _zyz_from_quaternion
+from .gates import EulerAngles, _hamilton, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams, _apply
+from .objectives import _point_moments
 from .optimize import _optimize
 
 ARMS = ("unopt", "opt")
 
 # RB's seed-skip rule: a per-gate start whose max|g| is within this tolerance
-# is kept as it is (``optimize_gate``'s start_tolerance).  This is what
-# makes a vanishing assumed-noise model (drift factor -> 0) leave every gate
-# at its seed instead of chasing O(lambda_assumed) gradients.  A start that
-# is not skipped ends within the optimizer's own GRADIENT_TOLERANCE: the
-# target seed at the closed-form optimum, a multistart start by a search.
+# is kept as it is (``optimize_gate``'s start_tolerance).  This stopping
+# rule, not the noise model, makes the drift curve fall to zero gain at
+# k <= 1e-2: the assumed model's O(lambda_assumed) gradients drop below it
+# there.  They are not noise: at a fixed lambda_a / lambda_p the optimal
+# angles barely move with the noise scale, so the model alone still points
+# to the k = 1 angles at every k < 1.  On rome q3 (10 circuits, seed 0) the
+# opt arm's error rate at k = 1e-3 is 41.6% lower than unopt's at tolerance
+# 1e-9 and 0.0% lower at this one.  A start that is not skipped ends within
+# the optimizer's own GRADIENT_TOLERANCE: the target seed at the closed-form
+# optimum, a multistart start by a search.
 RB_GRADIENT_TOLERANCE = 1e-5
 
 

@@ -16,10 +16,11 @@ from noisy_euler import (
     extract_euler,
     moment_objective,
     named_gate,
+    optimize_gate,
     point_moments,
 )
 from noisy_euler.experiments import _cap_sample
-from noisy_euler.objectives import _objective
+from noisy_euler.objectives import _objective, _point_moments, _read_moments
 from reference import (
     bloch_vector,
     cap_density,
@@ -148,24 +149,57 @@ def test_objective_core_equals_moment_objective():
             assert all(fg(x) == core(x) for x in xs)
 
 
-@pytest.mark.parametrize("m1, m2, name", [
-    ({0.0, 0.6, 0.8}, NN, "m1"),
-    (iter(N), NN, "m1"),
-    ([0.6, 0.8], NN, "m1"),
-    ([*N, 0.0], NN, "m1"),
-    (N, [NN[0], {0.0, 0.36, 0.48}, NN[2]], "m2"),
-    (N, [{0.0}, NN[1], NN[2]], "m2"),
-    (N, iter(NN), "m2"),
-    (N, [NN[0], NN[1][:2], NN[2]], "m2"),
-    (N, [NN[0], [*NN[1], 0.0], NN[2]], "m2"),
+SHAPE = "be a sequence of shape"
+
+
+@pytest.mark.parametrize("m1, m2, name, rule", [
+    ({0.0, 0.6, 0.8}, NN, "m1", SHAPE),
+    (iter(N), NN, "m1", SHAPE),
+    ([0.6, 0.8], NN, "m1", SHAPE),
+    ([*N, 0.0], NN, "m1", SHAPE),
+    (N, [NN[0], {0.0, 0.36, 0.48}, NN[2]], "m2", SHAPE),
+    (N, [{0.0}, NN[1], NN[2]], "m2", SHAPE),
+    (N, iter(NN), "m2", SHAPE),
+    (N, [NN[0], NN[1][:2], NN[2]], "m2", SHAPE),
+    (N, [NN[0], [*NN[1], 0.0], NN[2]], "m2", SHAPE),
+    ([0.0] * 3, 5.0 * np.eye(3), "m2", "have trace <= 1"),
+    ([0.0] * 3, -np.eye(3), "m2", "be at least m1 m1"),
+    ([0.0] * 3, [[0.3, 0.2, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]], "m2", "be symmetric"),
+    ([2.0, 0.0, 0.0], np.eye(3) / 3.0, "m2", "be at least m1 m1"),
+    ([math.nan, 0.0, 0.0], np.eye(3) / 3.0, "m1", SHAPE),
 ], ids=["m1-set", "m1-iterator", "m1-2", "m1-4", "m2-set-row", "m2-set-row-repeats",
-        "m2-iterator", "m2-row-2", "m2-row-4"])
-def test_moment_objective_rejects_malformed_moments(m1, m2, name):
+        "m2-iterator", "m2-row-2", "m2-row-4", "m2-five-I", "m2-minus-I", "m2-asymmetric",
+        "m1-outside-ball", "m1-nan"])
+def test_moment_objective_rejects_malformed_moments(m1, m2, name, rule):
     """m1 and m2 are read by position, so an input with no order (a set, an
     iterator) or of the wrong length is refused by name, not read in some
-    iteration order or cut short."""
-    with pytest.raises(ValueError, match=f"^{name} must be a sequence of shape"):
+    iteration order or cut short.  Moments that no distribution on the unit
+    ball has are refused by ``optimize_gate``'s rules (``_read_moments``);
+    unchecked, m1 = (NaN, 0, 0) would give a NaN objective."""
+    with pytest.raises(ValueError, match=f"^{name} must {rule}"):
         moment_objective(HADAMARD, m1, m2, NoiseParams(0.05, 0.02))
+
+
+def test_read_moments_accepts_every_distribution():
+    """The moments the package and its callers build pass both entry points:
+    points, caps over (0, pi] with pi, (r, r r^T) for |r| <= 1 as ndarrays
+    and as randomized benchmarking builds them (``_point_moments``), and
+    the near-rank-1 m2 (1 - 1e-12) that runs the Newton search.  Only
+    moments with m2 == m1 m1^T exactly are rank 1."""
+    rng = np.random.default_rng(5)
+    params = NoiseParams.from_lambda(0.05)
+    point = point_moments(1.1, 0.7)
+    cases = [(point_moments(*rng.uniform(0.0, math.pi, 2) * (1, 2)), True) for _ in range(20)]
+    cases += [(point_moments(theta, 0.3), True) for theta in (0.0, math.pi / 2, math.pi)]
+    cases += [(cap_moments(t), False) for t in np.linspace(math.pi / 50, math.pi, 50)]
+    for length in (0.0, 0.3, 0.99, 1.0):
+        r = length * bloch_vector(random_state(rng))
+        cases += [((r, np.outer(r, r)), True), (_point_moments(tuple(r.tolist())), True)]
+    cases.append(((point[0], np.multiply(point[1], 1.0 - 1e-12)), False))
+    for (m1, m2), rank_one in cases:
+        assert _read_moments(m1, m2)[2] == rank_one
+        moment_objective(HADAMARD, m1, m2, params)
+        optimize_gate(HADAMARD, m1, m2, params)
 
 
 # ----------------------------------------------------------- distributions
