@@ -160,7 +160,7 @@ def save_manifest(
     rng_seed: int,
     outputs,
     duration_seconds: float,
-    tag: str | None = None,
+    tag: str,
 ) -> Path:
     """Record everything needed to replay a run (see CLI --from-manifest)."""
     from . import __version__
@@ -173,9 +173,8 @@ def save_manifest(
         "outputs": [str(p) for p in outputs],
         "duration_seconds": duration_seconds,
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "tag": tag,
     }
-    if tag is not None:
-        doc["tag"] = tag
     return write_json(path, doc)
 
 

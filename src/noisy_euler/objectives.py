@@ -77,6 +77,26 @@ def _triple(v):
     return v[0], v[1], v[2]
 
 
+def _cholesky3(a00, a10, a11, a20, a21, a22):
+    """The Cholesky factor L = ((l00,), (l10, l11), (l20, l21, l22)) of the
+    symmetric 3x3 matrix with lower triangle a, as the tuple
+    (l00, l10, l11, l20, l21, l22), or None unless it is positive definite
+    (a pivot that is not > 0, NaN included)."""
+    if not a00 > 0.0:
+        return None
+    l00 = math.sqrt(a00)
+    l10, l20 = a10 / l00, a20 / l00
+    d1 = a11 - l10 * l10
+    if not d1 > 0.0:
+        return None
+    l11 = math.sqrt(d1)
+    l21 = (a21 - l20 * l10) / l11
+    d2 = a22 - l20 * l20 - l21 * l21
+    if not d2 > 0.0:
+        return None
+    return l00, l10, l11, l20, l21, math.sqrt(d2)
+
+
 def _read_moments(m1, m2):
     """Read and check the moments m1 = E[n] and m2 = E[n n^T]: the package's
     one reader of them.  Returns (n, rows, rank_one): m1 as a 3-tuple, m2 as
@@ -88,11 +108,10 @@ def _read_moments(m1, m2):
     iterator is none), and unless they are the moments of some distribution
     on the unit ball: tr m2 <= 1, m2 symmetric and the covariance
     C = m2 - m1 m1^T positive semidefinite, each within 1e-9 (C + 1e-9 I
-    must have a Cholesky factorization, here its square-root-free L D L^T
-    form; with tr m2 <= 1 this bounds |m1| by 1).  A rank-1 input has C == 0
-    to the bit, so it is symmetric and semidefinite as it stands and pays
-    only for the trace check: every point, preparation and
-    randomized-benchmarking step is one.
+    must have a Cholesky factorization, ``_cholesky3``; with tr m2 <= 1 this
+    bounds |m1| by 1).  A rank-1 input has C == 0 to the bit, so it is
+    symmetric and semidefinite as it stands and pays only for the trace
+    check: every point, preparation and randomized-benchmarking step is one.
     """
     try:
         n = n0, n1, n2 = _triple(_tolist(m1))
@@ -122,16 +141,8 @@ def _read_moments(m1, m2):
         if not (abs(a01 - a10) <= _MOMENT_TOL and abs(a02 - a20) <= _MOMENT_TOL
                 and abs(a12 - a21) <= _MOMENT_TOL):
             raise ValueError("m2 must be symmetric")
-        # L D L^T of C + 1e-9 I from its lower triangle: every pivot d > 0
-        d0 = c00 + _MOMENT_TOL
-        d2 = 0.0
-        if d0 > 0.0:
-            l10, l20 = c10 / d0, c20 / d0
-            d1 = c11 + _MOMENT_TOL - l10 * c10
-            if d1 > 0.0:
-                l21 = (c21 - l20 * c10) / d1
-                d2 = c22 + _MOMENT_TOL - l20 * c20 - l21 * l21 * d1
-        if not d2 > 0.0:
+        if _cholesky3(c00 + _MOMENT_TOL, c10, c11 + _MOMENT_TOL,
+                      c20, c21, c22 + _MOMENT_TOL) is None:
             raise ValueError("m2 must be at least m1 m1^T: the covariance "
                              "m2 - m1 m1^T is not positive semidefinite")
     return n, rows, rank_one
@@ -156,21 +167,17 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     W = Rz(-beta) (R m2) Rz(-delta), and both derivatives follow from
     Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
-    ``fg.image`` is u = R m1.  The set-up is ``_objective``'s, which
-    ``optimize_gate`` calls with the tuples its own ``_read_moments`` call
-    returned.
     """
-    n, rows, _ = _read_moments(m1, m2)
-    return _objective(target, n, rows, params.lambda_a, params.lambda_p)
+    return _objective(target, m1, m2, params.lambda_a, params.lambda_p)[0]
 
 
-def _objective(target: EulerAngles, n, rows, la: float, lp: float):
-    """``moment_objective`` for m1 = n, a 3-tuple, and m2 = rows, three
-    3-tuples, under damping probabilities la and lp, read as given.  The
-    set-up builds R's frame once, for n and m2's columns (``_apply_all``),
-    and keeps u = R n as ``fg.image``: the same floats as
-    ``noise._apply(target's angles, 0, 0, n)``."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+def _objective(target: EulerAngles, m1, m2, la: float, lp: float):
+    """``moment_objective`` under damping probabilities la and lp, with what
+    the optimizer needs besides: (fg, n, u, rank_one), n and rank_one as
+    ``_read_moments`` returns them and u = R n, the same floats as
+    ``noise._apply(target's angles, 0, 0, n)``.  The set-up builds R's frame
+    once, for n and m2's columns (``_apply_all``)."""
+    n, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), rank_one = _read_moments(m1, m2)
     (u0, u1, u2), (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = _apply_all(
         target.beta, target.gamma, target.delta, 0.0, 0.0,
         (n, (a00, a10, a20), (a01, a11, a21), (a02, a12, a22)),
@@ -205,5 +212,4 @@ def _objective(target: EulerAngles, n, rows, la: float, lp: float):
         h_dd = -0.5 * (k00 * w00 + k11 * w11 + k20 * w20)
         return f, g, ((h_bb, h_bg, h_bd), (h_bg, h_gg, h_gd), (h_bd, h_gd, h_dd))
 
-    fg.image = (u0, u1, u2)
-    return fg
+    return fg, n, (u0, u1, u2), rank_one

@@ -19,19 +19,16 @@ signs; the one whose unitary is nearest the target's wins, so the result
 depends only on the target's unitary, the input and the assumed model, not
 on a search path.
 
-For every other input (caps, moments that are not exactly rank-1) and for
-the caller's extra starts, the objective returns its analytic
-gradient and Hessian with its value, and the ascent is a damped Newton
-search on them (``_newton``; Nocedal & Wright, *Numerical Optimization*,
-ch. 3: modified Newton with a backtracking line search).  It runs on plain
-Python floats: with three variables, numpy's per-call overhead would
-outweigh the arithmetic.  Every search runs to one fixed rule, max|g| <=
-GRADIENT_TOLERANCE within MAX_ITERATIONS steps: Newton converges
-quadratically near the optimum, so the tight tolerance costs few steps.  A
-caller may pass extra starts for rugged landscapes (damping probabilities
-near 1); the best result by objective value wins, the earliest start on
-ties.  The module draws no random numbers: the same inputs give the same
-result.
+For every other input (caps, moments that are not exactly rank-1) the
+objective returns its analytic gradient and Hessian with its value, and the
+ascent is a damped Newton search on them (``_newton``; Nocedal & Wright,
+*Numerical Optimization*, ch. 3: modified Newton with a backtracking line
+search).  It runs on plain Python floats: with three variables, numpy's
+per-call overhead would outweigh the arithmetic.  Every search runs to one
+fixed rule, max|g| <= GRADIENT_TOLERANCE within MAX_ITERATIONS steps:
+Newton converges quadratically near the optimum, so the tight tolerance
+costs few steps.  The module draws no random numbers: the same inputs give
+the same result.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -46,8 +43,8 @@ import sys
 from dataclasses import dataclass
 
 from .gates import EulerAngles
-from .noise import NoiseParams
-from .objectives import _objective, _read_moments
+from .noise import NoiseParams, _pulse_pair
+from .objectives import _cholesky3, _objective
 
 # The Newton search's constants: the max|g| at which it has converged and its
 # step budget; the Armijo sufficient-increase factor; the least shift mu of -H
@@ -86,78 +83,57 @@ class OptimizationResult:
         return self.objective_value - self.objective_at_target_angles
 
 
-def optimize_gate(
-    target: EulerAngles,
-    m1,
-    m2,
-    params: NoiseParams,
-    starts=(),
-    *,
-    start_tolerance: float = GRADIENT_TOLERANCE,
-) -> OptimizationResult:
+def optimize_gate(target: EulerAngles, m1, m2, params: NoiseParams) -> OptimizationResult:
     """Find decomposition angles maximizing the fidelity of the target gate
     for inputs with Bloch-vector moments m1 = E[n] and m2 = E[n n^T], any real
     (3,) and (3, 3) sequences (``point_moments``, ``cap_moments``; r, r r^T
-    for a Bloch vector r).  m1 and m2 are read once, by
-    ``objectives._read_moments``; the objective's set-up
-    (``objectives._objective``) takes the tuples it returns and builds R's
-    frame once.
-
-    The target seed and each (beta, gamma, delta) of ``starts``, an iterable
-    read once, are candidates; the best wins, the earliest on ties (the seed
-    first), and the seed itself is the fallback.  A start whose max|g| is
-    within ``start_tolerance`` (>= 0; inf keeps every start) is kept without
-    a search.  Raises ValueError unless start_tolerance >= 0 and each start
-    is three finite reals, and ``_read_moments``' ValueError, naming m1 or
-    m2, unless they are finite, tr m2 <= 1, m2 is symmetric and
-    m2 - m1 m1^T is positive semidefinite, each within 1e-9 (a set or
-    iterator is no sequence): the same rules as ``moment_objective``.
+    for a Bloch vector r), read once by ``objectives._read_moments``.
+    Raises its ValueError, naming m1 or m2, unless they are finite,
+    tr m2 <= 1, m2 is symmetric and m2 - m1 m1^T is positive semidefinite,
+    each within 1e-9 (a set or iterator is no sequence): the same rules as
+    ``moment_objective``.
 
     When m2 == m1 m1^T exactly (a point input, a mixed Bloch vector r as
-    randomized benchmarking passes it, a preparation from |0>), a seed that
-    is not skipped is replaced by the closed-form optimum
-    (``_point_optimum``), the partner nearest the target among equal-F
-    optima, which is kept if its max|g| is within GRADIENT_TOLERANCE.
-    Every other start that is not skipped runs the Newton search
-    (``_newton``) to GRADIENT_TOLERANCE.
+    randomized benchmarking passes it, a preparation from |0>), the result
+    is the closed-form optimum (``_point_optimum``), the partner nearest the
+    target among equal-F optima; for every other input it is the Newton
+    search (``_newton``) from the target's angles.  Either ends within
+    GRADIENT_TOLERANCE, and the target's angles are the fallback, so the
+    result never scores below them.
 
     The seeded search is global in practice: on 1,200 problems (lambda
     from 1e-3 to 0.999; points, caps, preparations) 16 extra starts raised
     F by at most 8e-16 for lambda <= 0.9 and 7e-9 at 0.999, yet returned
     another equal-F unitary in 470; on point inputs the closed form reaches
-    a dense circle search (``tests/reference.py``).  Only RB passes starts
-    (``RbConfig.multistart``), for the saturated drift arm (k = 1e6): F is
-    flat to the ulp there, and the drift check looks for the angles the
-    tie-break scrambles.
+    a dense circle search (``tests/reference.py``).
     """
-    return _optimize(target, m1, m2, params, starts, start_tolerance)[0]
+    return _optimize(target, m1, m2, params, (), GRADIENT_TOLERANCE)[0]
 
 
 def _optimize(target: EulerAngles, m1, m2, params: NoiseParams, starts, start_tolerance: float):
-    """``optimize_gate``'s result and u = R m1, the target's noiseless image
-    of m1 (``fg.image``), which randomized benchmarking takes as its next
-    ideal state."""
-    if not start_tolerance >= 0.0:
-        raise ValueError(f"start_tolerance must be >= 0, got {start_tolerance!r}")
-    n, rows, rank_one = _read_moments(m1, m2)
-    try:
-        candidates = [(target.beta, target.gamma, target.delta), *starts]
-        starts_ok = all(map(_is_angle_triple, candidates[1:]))
-    except TypeError:
-        starts_ok = False
-    if not starts_ok:
-        raise ValueError(f"each start must be three finite angles, got {starts!r}")
-    la, lp = params.lambda_a, params.lambda_p
-    fg = _objective(target, n, rows, la, lp)
+    """``optimize_gate``'s result with extra candidates, and u = R m1, the
+    target's noiseless image of m1, which randomized benchmarking takes as
+    its next ideal state.
 
-    x_seed = candidates[0]
+    The target seed and each (beta, gamma, delta) of ``starts`` are
+    candidates; the best wins, the earliest on ties (the seed first), and
+    the seed itself is the fallback.  A candidate whose max|g| is within
+    ``start_tolerance`` is kept without a search; any other seed of a rank-1
+    input is replaced by the closed form and every other start runs the
+    Newton search.  Only RB passes starts (``RbConfig.multistart``), for the
+    saturated drift arm (k = 1e6): F is flat to the ulp there, and the drift
+    check looks for the angles the tie-break scrambles.
+    """
+    la, lp = params.lambda_a, params.lambda_p
+    fg, n, u, rank_one = _objective(target, m1, m2, la, lp)
+    x_seed = (target.beta, target.gamma, target.delta)
     at_seed = fg(x_seed)
     best = None
-    for i, x0 in enumerate(candidates):
+    for i, x0 in enumerate((x_seed, *starts)):
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
         tolerance = start_tolerance
         if i == 0 and rank_one and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
-            x0 = _point_optimum(target, n, fg.image, la, lp)
+            x0 = _point_optimum(target, n, u, la, lp)
             f0, g0, h0 = fg(x0)
             tolerance = GRADIENT_TOLERANCE
         if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= tolerance:
@@ -173,11 +149,7 @@ def _optimize(target: EulerAngles, m1, m2, params: NoiseParams, starts, start_to
     return OptimizationResult(
         EulerAngles(x[0] % math.tau, x[1] % math.tau, x[2] % math.tau),
         min(max(f, 0.0), 1.0), min(max(f_seed, 0.0), 1.0), iterations, converged,
-    ), fg.image
-
-
-def _is_angle_triple(x) -> bool:
-    return len(x) == 3 and all(map(math.isfinite, x))
+    ), u
 
 
 def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
@@ -185,11 +157,11 @@ def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
     rank-1 input n (m2 = n n^T, |n| <= 1), in closed form, given u = R n.
 
     Let v = Rz(delta) n = (v_x, s, n_z), r^2 = |n|^2 - s^2 and
-    psi = atan2(n_z, v_x) - gamma.  With e, E = e^2 and ek = e (1 - la) as
-    in ``noise._pulse_pair``, the gate sends n to Rz(beta) (E r cos psi, y,
-    ek r sin psi + la), y = ek s + e la.  The best beta turns that output's
-    xy part onto u's, and sin psi takes the sign of u_z, so with
-    mu = |u_xy| and c = cos^2 psi
+    psi = atan2(n_z, v_x) - gamma.  With E = e^2 and ek = e (1 - la) read
+    from ``noise._pulse_pair`` at gamma = 0, the gate sends n to
+    Rz(beta) (E r cos psi, y, ek r sin psi + la), y = ek s + e la.  The
+    best beta turns that output's xy part onto u's, and sin psi takes the
+    sign of u_z, so with mu = |u_xy| and c = cos^2 psi
 
         2F - 1 = u_z la + |u_z| ek r sqrt(1 - c) + mu sqrt(E^2 r^2 c + y^2),
 
@@ -216,8 +188,7 @@ def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
     """
     nx, ny, nz = n
     ux, uy, uz = u
-    e = math.sqrt(1.0 - la) * math.sqrt(1.0 - lp)
-    ee, ek, el = e * e, e * (1.0 - la), e * la
+    ee, _, ek, _, _, el, _ = _pulse_pair(0.0, la, lp)  # e^2, e (1 - la), e la
     ee2 = ee * ee
     rho, mu2 = math.hypot(nx, ny), ux * ux + uy * uy
     mu = math.sqrt(mu2)
@@ -298,26 +269,16 @@ def _ascent_step(g, h):
 
     mu starts at 0 when -H has a positive diagonal, else at SHIFT_MIN minus
     its least diagonal entry, and doubles (at least to SHIFT_MIN) until the
-    Cholesky factorization L L^T of mu I - H succeeds (Nocedal & Wright,
-    Alg. 3.3).  mu I - H is then positive definite, so g.p > 0.
+    Cholesky factorization L L^T of mu I - H (``_cholesky3``) succeeds
+    (Nocedal & Wright, Alg. 3.3).  mu I - H is then positive definite, so
+    g.p > 0.
     """
     (h00, h01, h02), (_, h11, h12), (_, _, h22) = h
     least = -max(h00, h11, h22)
     mu = 0.0 if least > 0.0 else SHIFT_MIN - least
-    while True:
-        d0 = mu - h00
-        if d0 > 0.0:
-            l00 = math.sqrt(d0)
-            l10, l20 = -h01 / l00, -h02 / l00
-            d1 = mu - h11 - l10 * l10
-            if d1 > 0.0:
-                l11 = math.sqrt(d1)
-                l21 = (-h12 - l20 * l10) / l11
-                d2 = mu - h22 - l20 * l20 - l21 * l21
-                if d2 > 0.0:
-                    l22 = math.sqrt(d2)
-                    break
+    while (factor := _cholesky3(mu - h00, -h01, mu - h11, -h02, -h12, mu - h22)) is None:
         mu = max(2.0 * mu, SHIFT_MIN)
+    l00, l10, l11, l20, l21, l22 = factor
     y0 = g[0] / l00
     y1 = (g[1] - l10 * y0) / l11
     y2 = (g[2] - l20 * y0 - l21 * y1) / l22

@@ -53,8 +53,8 @@ from .optimize import _optimize
 
 ARMS = ("unopt", "opt")
 
-# RB's seed-skip rule: a per-gate start whose max|g| is within this tolerance
-# is kept as it is (``optimize_gate``'s start_tolerance).  This stopping
+# RB's seed-skip rule, passed to ``optimize._optimize``: a per-gate start
+# whose max|g| is within this tolerance is kept as it is.  This stopping
 # rule, not the noise model, makes the drift curve fall to zero gain at
 # k <= 1e-2: the assumed model's O(lambda_assumed) gradients drop below it
 # there.  They are not noise: at a fixed lambda_a / lambda_p the optimal

@@ -12,15 +12,19 @@ from noisy_euler import (
     EulerAngles,
     NoiseParams,
     SweepConfig,
+    bundled_device,
     cap_moments,
     knowledge_sweep,
+    noise_params_for,
     prep_improvement_sweep,
 )
 from noisy_euler import experiments
 from noisy_euler.experiments import _cap_sample, _haar_gate, _point_score
 from noisy_euler.gates import _bloch_vector
 from noisy_euler.noise import _apply
-from noisy_euler.optimize import optimize_gate
+from noisy_euler.objectives import _point_moments
+from noisy_euler.optimize import _optimize, optimize_gate
+from noisy_euler.rb import RB_GRADIENT_TOLERANCE
 from reference import point_fidelity, uniform_prep_target, zyz_unitary
 
 
@@ -276,3 +280,37 @@ def test_knowledge_tight_cap_approaches_prep_improvement():
     prow = prep_improvement_sweep(pcfg).rows[0]
     se = math.hypot(krow.stderr, prow.stderr)
     assert abs(krow.mean_improvement - prow.mean_improvement) <= 3 * se + 1e-5
+
+
+@pytest.mark.parametrize("qubit", range(5))
+def test_bogota_drift_gain_is_a_mean_over_gates_and_states(qubit):
+    """The paper's drift claim on ibmq_bogota, as this model holds it: per
+    (Haar gate, uniform pure state) pair, optimize at the noise that
+    coherence times 1/k of the true ones imply and score both decompositions
+    at the true noise.  The mean improvement over 2,000 pairs from stream
+    [17, qubit] is above 3 se for k <= 100 and below -3 se at k = 300, where
+    drift has outgrown the model, so the test can fail.  Measured on the
+    five qubits: z from +14.2 to +47.2 for k <= 100 and from -24.2 to -19.2
+    at k = 300.  Single pairs already lose at k = 10 (43 to 78 of the 2,000),
+    so "never decrease" holds for the mean, not for every gate."""
+    true = noise_params_for(bundled_device("bogota").qubit(qubit))
+    la, lp = true.lambda_a, true.lambda_p
+    rng = np.random.default_rng([17, qubit])
+    pairs = []
+    for _ in range(2000):
+        gate = _haar_gate(rng)
+        z, phi = -1.0 + 2.0 * rng.random(), math.tau * rng.random()
+        s = math.sqrt(1.0 - z * z)
+        pairs.append((gate, (s * math.cos(phi), s * math.sin(phi), z)))
+    for k in (1, 10, 100, 300):
+        assumed = true.assuming_drift(k)
+        imps = np.empty(len(pairs))
+        for i, (gate, n) in enumerate(pairs):
+            res, u = _optimize(gate, *_point_moments(n), assumed, (), RB_GRADIENT_TOLERANCE)
+            imps[i] = (_point_score(res.angles_opt, u, n, la, lp)
+                       - _point_score(gate, u, n, la, lp))
+        z_score = imps.mean() / (imps.std(ddof=1) / math.sqrt(imps.size))
+        if k <= 100:
+            assert z_score > 3.0, (k, z_score)
+        else:
+            assert z_score < -3.0, (k, z_score)

@@ -128,9 +128,9 @@ NN = [[0.0, 0.0, 0.0], [0.0, 0.36, 0.48], [0.0, 0.48, 0.64]]
 
 
 def test_objective_core_equals_moment_objective():
-    """``moment_objective`` hands its reads to ``_objective``: the core on
-    the tuples it reads gives, ==, the same value, gradient, Hessian and
-    image for m1 and m2 as lists, tuples and ndarrays, point and cap."""
+    """``moment_objective`` is ``_objective``'s fg: the core on tuples
+    gives, ==, the same value, gradient, Hessian and image u as on m1 and
+    m2 as lists, tuples and ndarrays, point and cap."""
     rng = np.random.default_rng(17)
     params = NoiseParams(0.04, 0.09)
     for i in range(20):
@@ -139,13 +139,13 @@ def test_objective_core_equals_moment_objective():
             m1, m2 = point_moments(*rng.uniform(0.0, math.pi, 2))
         else:
             m1, m2 = cap_moments(rng.uniform(0.1, math.pi))
-        core = _objective(target, tuple(m1), tuple(map(tuple, m2)),
-                          params.lambda_a, params.lambda_p)
+        core, _, u, _ = _objective(target, tuple(m1), tuple(map(tuple, m2)),
+                                   params.lambda_a, params.lambda_p)
         xs = [tuple(rng.uniform(-math.pi, math.pi, 3).tolist()) for _ in range(3)]
         for a, b in ((list(m1), [list(r) for r in m2]), (tuple(m1), tuple(map(tuple, m2))),
                      (np.array(m1), np.array(m2))):
             fg = moment_objective(target, a, b, params)
-            assert fg.image == core.image
+            assert _objective(target, a, b, params.lambda_a, params.lambda_p)[2] == u
             assert all(fg(x) == core(x) for x in xs)
 
 

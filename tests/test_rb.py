@@ -615,24 +615,21 @@ def test_drift_unopt_baseline_horizontal():
         assert np.array_equal(result.unopt.survivals, base)
 
 
-def test_drift_tiny_k_optimizer_is_noop():
-    """Assumed noise ~ 1e-7 leaves every per-gate seed inside the gradient
-    tolerance, so the optimized arm runs the plain decompositions."""
-    cfg = small_config(n_circuits=2)
-    (_, res), = run_drift_sweep(cfg, [1e-3])
-    assert np.array_equal(res.opt.survivals, res.unopt.survivals)
+SHORT = dict(n_gates=20, depth_schedule=(1, 10, 20))
 
 
-@pytest.mark.parametrize("track_noisy_state", [False, True])
-def test_tiny_drift_leaves_every_gate_at_its_seed(track_noisy_state):
+@pytest.mark.parametrize("track_noisy_state, size", [
+    pytest.param(False, SHORT, id="False"),
+    pytest.param(True, SHORT, id="True"),
+    pytest.param(False, {}, id="False-40-gates"),
+])
+def test_tiny_drift_leaves_every_gate_at_its_seed(track_noisy_state, size):
     """The rule behind "k = 1e-3 arms agree": at drift factor 1e-3 the
     assumed damping is ~1e-7, every per-gate gradient at the seed lies inside
     RB_GRADIENT_TOLERANCE, and the optimized arm runs the plain
-    decompositions bit for bit."""
-    cfg = small_config(
-        n_circuits=2, n_gates=20, depth_schedule=(1, 10, 20),
-        drift_factor=1e-3, track_noisy_state=track_noisy_state,
-    )
+    decompositions bit for bit, on 20 gates and on ``small_config``'s 40."""
+    cfg = small_config(n_circuits=2, drift_factor=1e-3,
+                       track_noisy_state=track_noisy_state, **size)
     res = run_rb_experiment(cfg)
     assert np.array_equal(res.opt.survivals, res.unopt.survivals)
 
