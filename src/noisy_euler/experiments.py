@@ -21,6 +21,11 @@ targets draw z then phi, and default_rng([rng_seed, 1, li, mi]) for the
 knowledge sweep, whose targets draw a Haar gate then a cap sample.  Target r
 of a cell depends only on the targets before it, so a cell's first k
 targets do not depend on targets_per_point.
+
+Every target of a cell has the same input moments (the ground state, or the
+cell's cap), so a cell reads and checks them once
+(``objectives._read_moments``) and passes them to the optimizer core,
+``optimize._optimize``, for each target.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ import numpy as np
 from .gates import EulerAngles, _bloch_vector, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams, _apply
-from .objectives import cap_moments, point_moments
-from .optimize import optimize_gate
+from .objectives import _read_moments, cap_moments, point_moments
+from .optimize import GRADIENT_TOLERANCE, _optimize
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ class SweepResult:
 
 def _haar_gate(rng: np.random.Generator) -> EulerAngles:
     """Haar-random SU(2) element via a uniform unit quaternion."""
-    w, x, y, z = rng.normal(size=4).tolist()
+    w, x, y, z = rng.standard_normal(4).tolist()
     norm = math.sqrt(w * w + x * x + y * y + z * z)
     return _zyz_from_quaternion(w / norm, x / norm, y / norm, z / norm)
 
@@ -124,7 +129,7 @@ def _point_score(angles: EulerAngles, u, n, la: float, lp: float) -> float:
 def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam = item
     params = NoiseParams.from_lambda(lam)
-    ground = point_moments(0.0, 0.0)
+    ground = _read_moments(*point_moments(0.0, 0.0))
     rng = np.random.default_rng([cfg.rng_seed, 0, li])
     imps = np.empty(cfg.targets_per_point)
     for t in range(cfg.targets_per_point):
@@ -133,7 +138,7 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
         # |0> as a phase only, so delta stays at its seed 0.
         target = EulerAngles(phi, math.acos(z), 0.0)
-        res = optimize_gate(target, *ground, params)
+        res = _optimize(target, ground, params, (), GRADIENT_TOLERANCE)[0]
         imps[t] = res.improvement
     return _row_stats(lam, None, imps)
 
@@ -142,12 +147,12 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam, mi, theta_max = item
     params = NoiseParams.from_lambda(lam)
     la, lp = params.lambda_a, params.lambda_p
-    moments = cap_moments(theta_max)
+    moments = _read_moments(*cap_moments(theta_max))
     rng = np.random.default_rng([cfg.rng_seed, 1, li, mi])
     imps = np.empty(cfg.targets_per_point)
     for r in range(cfg.targets_per_point):
         target = _haar_gate(rng)
-        res = optimize_gate(target, *moments, params)
+        res = _optimize(target, moments, params, (), GRADIENT_TOLERANCE)[0]
         # both decompositions' fidelity on the sampled state (canonical angles)
         n = _bloch_vector(*_cap_sample(rng, theta_max))
         u = _apply(target.beta, target.gamma, target.delta, 0.0, 0.0, n)

@@ -129,12 +129,19 @@ def _pulse_pair(gamma: float, la: float, lp: float):
              [-e (1-la) sin(gamma),    0,         e (1-la) cos(gamma)  ]]
 
     and t0 = (0, e la, la); R_z(gamma) fixes the first pulse's offset, so t0
-    does not depend on gamma.  Returns (k00, k02, k11, k20, k22, t0y, t0z).
+    does not depend on gamma.  Returns (k00, k02, k11, k20, k22, t0y, t0z),
+    the constants from ``_damping``.
     """
-    e = math.sqrt(1.0 - la) * math.sqrt(1.0 - lp)
-    ee, ek = e * e, e * (1.0 - la)
+    ee, ek, el = _damping(la, lp)
     cg, sg = math.cos(gamma), math.sin(gamma)
-    return ee * cg, ee * sg, ek, -ek * sg, ek * cg, e * la, la
+    return ee * cg, ee * sg, ek, -ek * sg, ek * cg, el, la
+
+
+def _damping(la: float, lp: float):
+    """The pulse pair's constants that do not depend on gamma:
+    (e^2, e (1-la), e la) with e = sqrt(1-la) sqrt(1-lp)."""
+    e = math.sqrt(1.0 - la) * math.sqrt(1.0 - lp)
+    return e * e, e * (1.0 - la), e * la
 
 
 def _apply(beta: float, gamma: float, delta: float, la: float, lp: float, r):

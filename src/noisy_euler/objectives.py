@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .gates import BlochState, EulerAngles, _bloch_vector
-from .noise import NoiseParams, _apply_all, _pulse_pair
+from .noise import NoiseParams, _apply_all, _damping
 
 # How far moments may stray from a distribution's on the unit ball: m2's
 # asymmetry, tr m2 above 1, and the least eigenvalue of m2 - m1 m1^T below 0.
@@ -168,24 +168,30 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
     """
-    return _objective(target, m1, m2, params.lambda_a, params.lambda_p)[0]
+    return _objective(target, _read_moments(m1, m2), params.lambda_a, params.lambda_p)[0]
 
 
-def _objective(target: EulerAngles, m1, m2, la: float, lp: float):
-    """``moment_objective`` under damping probabilities la and lp, with what
-    the optimizer needs besides: (fg, n, u, rank_one), n and rank_one as
-    ``_read_moments`` returns them and u = R n, the same floats as
-    ``noise._apply(target's angles, 0, 0, n)``.  The set-up builds R's frame
-    once, for n and m2's columns (``_apply_all``)."""
-    n, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), rank_one = _read_moments(m1, m2)
+def _objective(target: EulerAngles, moments, la: float, lp: float):
+    """``moment_objective`` for moments already read and checked, the
+    (n, rows, rank_one) of ``_read_moments``, under damping probabilities la
+    and lp, with what the optimizer needs besides: (fg, n, u, rank_one) and
+    u = R n, the same floats as ``noise._apply(target's angles, 0, 0, n)``.
+    The set-up builds R's frame once, for n and m2's columns
+    (``_apply_all``), and the pulse pair's damping constants once
+    (``noise._damping``), so ``fg`` forms K from cos(gamma) and sin(gamma)
+    alone, the floats ``noise._pulse_pair`` returns."""
+    n, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), rank_one = moments
     (u0, u1, u2), (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = _apply_all(
         target.beta, target.gamma, target.delta, 0.0, 0.0,
         (n, (a00, a10, a20), (a01, a11, a21), (a02, a12, a22)),
     )
+    ee, k11, t0y = _damping(la, lp)  # e^2, e (1 - la), e la
+    t0z = la
 
     def fg(x):
         beta, gamma, delta = x[0], x[1], x[2]
-        k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
+        cg, sg = math.cos(gamma), math.sin(gamma)
+        k00, k02, k20, k22 = ee * cg, ee * sg, -k11 * sg, k11 * cg
         cb, sb = math.cos(beta), math.sin(beta)
         cd, sd = math.cos(delta), math.sin(delta)
         x00, x01 = c00 * cd - c01 * sd, c00 * sd + c01 * cd

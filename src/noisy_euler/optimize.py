@@ -43,8 +43,8 @@ import sys
 from dataclasses import dataclass
 
 from .gates import EulerAngles
-from .noise import NoiseParams, _pulse_pair
-from .objectives import _cholesky3, _objective
+from .noise import NoiseParams, _damping
+from .objectives import _cholesky3, _objective, _read_moments
 
 # The Newton search's constants: the max|g| at which it has converged and its
 # step budget; the Armijo sufficient-increase factor; the least shift mu of -H
@@ -107,13 +107,16 @@ def optimize_gate(target: EulerAngles, m1, m2, params: NoiseParams) -> Optimizat
     another equal-F unitary in 470; on point inputs the closed form reaches
     a dense circle search (``tests/reference.py``).
     """
-    return _optimize(target, m1, m2, params, (), GRADIENT_TOLERANCE)[0]
+    return _optimize(target, _read_moments(m1, m2), params, (), GRADIENT_TOLERANCE)[0]
 
 
-def _optimize(target: EulerAngles, m1, m2, params: NoiseParams, starts, start_tolerance: float):
-    """``optimize_gate``'s result with extra candidates, and u = R m1, the
-    target's noiseless image of m1, which randomized benchmarking takes as
-    its next ideal state.
+def _optimize(target: EulerAngles, moments, params: NoiseParams, starts, start_tolerance: float):
+    """``optimize_gate``'s result for moments already read and checked, the
+    (n, rows, rank_one) of ``objectives._read_moments``, with extra
+    candidates, and u = R m1, the target's noiseless image of m1, which
+    randomized benchmarking takes as its next ideal state.  A caller that
+    optimizes many targets for the same moments (a sweep cell) reads them
+    once and passes them to every call.
 
     The target seed and each (beta, gamma, delta) of ``starts`` are
     candidates; the best wins, the earliest on ties (the seed first), and
@@ -125,7 +128,7 @@ def _optimize(target: EulerAngles, m1, m2, params: NoiseParams, starts, start_to
     check looks for the angles the tie-break scrambles.
     """
     la, lp = params.lambda_a, params.lambda_p
-    fg, n, u, rank_one = _objective(target, m1, m2, la, lp)
+    fg, n, u, rank_one = _objective(target, moments, la, lp)
     x_seed = (target.beta, target.gamma, target.delta)
     at_seed = fg(x_seed)
     best = None
@@ -157,8 +160,8 @@ def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
     rank-1 input n (m2 = n n^T, |n| <= 1), in closed form, given u = R n.
 
     Let v = Rz(delta) n = (v_x, s, n_z), r^2 = |n|^2 - s^2 and
-    psi = atan2(n_z, v_x) - gamma.  With E = e^2 and ek = e (1 - la) read
-    from ``noise._pulse_pair`` at gamma = 0, the gate sends n to
+    psi = atan2(n_z, v_x) - gamma.  With E = e^2 and ek = e (1 - la) from
+    ``noise._damping``, the gate sends n to
     Rz(beta) (E r cos psi, y, ek r sin psi + la), y = ek s + e la.  The
     best beta turns that output's xy part onto u's, and sin psi takes the
     sign of u_z, so with mu = |u_xy| and c = cos^2 psi
@@ -188,7 +191,7 @@ def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
     """
     nx, ny, nz = n
     ux, uy, uz = u
-    ee, _, ek, _, _, el, _ = _pulse_pair(0.0, la, lp)  # e^2, e (1 - la), e la
+    ee, ek, el = _damping(la, lp)  # e^2, e (1 - la), e la
     ee2 = ee * ee
     rho, mu2 = math.hypot(nx, ny), ux * ux + uy * uy
     mu = math.sqrt(mu2)

@@ -48,7 +48,7 @@ from .calibration import _readout_slope, apply_readout_error, mitigate_readout
 from .gates import EulerAngles, _hamilton, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams, _apply
-from .objectives import _point_moments
+from .objectives import _point_moments, _read_moments
 from .optimize import _optimize
 
 ARMS = ("unopt", "opt")
@@ -213,11 +213,11 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
         state under track_noisy_state; ``stream`` (a Generator or a key)
         seeds the multistart starts."""
         unopt, opt = arms
-        m1, m2 = _point_moments(opt if cfg.track_noisy_state else n)
+        moments = _read_moments(*_point_moments(opt if cfg.track_noisy_state else n))
         starts = ()
         if cfg.multistart > 0:
             starts = (math.tau * np.random.default_rng(stream).random((cfg.multistart, 3))).tolist()
-        res, image = _optimize(target, m1, m2, assumed, starts, RB_GRADIENT_TOLERANCE)
+        res, image = _optimize(target, moments, assumed, starts, RB_GRADIENT_TOLERANCE)
         a = res.angles_opt
         return (_apply(target.beta, target.gamma, target.delta, la, lp, unopt),
                 _apply(a.beta, a.gamma, a.delta, la, lp, opt)), image

@@ -16,13 +16,14 @@ from noisy_euler import (
     cap_moments,
     knowledge_sweep,
     noise_params_for,
+    point_moments,
     prep_improvement_sweep,
 )
-from noisy_euler import experiments
+from noisy_euler import experiments, optimize
 from noisy_euler.experiments import _cap_sample, _haar_gate, _point_score
 from noisy_euler.gates import _bloch_vector
 from noisy_euler.noise import _apply
-from noisy_euler.objectives import _point_moments
+from noisy_euler.objectives import _point_moments, _read_moments
 from noisy_euler.optimize import _optimize, optimize_gate
 from noisy_euler.rb import RB_GRADIENT_TOLERANCE
 from reference import point_fidelity, uniform_prep_target, zyz_unitary
@@ -103,14 +104,14 @@ def test_prep_sweep_deterministic_and_jobs_invariant():
 
 def recorded_targets(monkeypatch, sweep, cfg):
     """Each cell's targets, in draw order, as the sweep passes them to
-    optimize_gate."""
+    the optimizer core."""
     targets = []
 
     def record(target, *args, **kwargs):
         targets.append(target)
-        return optimize_gate(target, *args, **kwargs)
+        return _optimize(target, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "optimize_gate", record)
+    monkeypatch.setattr(experiments, "_optimize", record)
     sweep(cfg)
     k = cfg.targets_per_point
     return [targets[i:i + k] for i in range(0, len(targets), k)]
@@ -138,9 +139,9 @@ def test_prep_targets_equal_scalar_uniform_rule(monkeypatch, seed):
 
     def record(target, *args, **kwargs):
         targets.append(target)
-        return SimpleNamespace(improvement=0.0)
+        return SimpleNamespace(improvement=0.0), None
 
-    monkeypatch.setattr(experiments, "optimize_gate", record)
+    monkeypatch.setattr(experiments, "_optimize", record)
     prep_improvement_sweep(SweepConfig(lambda_grid=(0.0, 0.05), targets_per_point=5000,
                                        rng_seed=seed))
     want = []
@@ -150,6 +151,72 @@ def test_prep_targets_equal_scalar_uniform_rule(monkeypatch, seed):
             z, phi = uniform_prep_target(ref)
             want.append(EulerAngles(phi, math.acos(z), 0.0))
     assert targets == want
+
+
+SMALL_GRID = SweepConfig(lambda_grid=(0.0, 0.05), theta_max_grid=(0.4, 1.5, math.pi),
+                         targets_per_point=5, rng_seed=6)
+
+
+def test_each_cell_reads_its_moments_once(monkeypatch):
+    """A sweep cell reads and checks its input moments once, not once per
+    target: one ``_read_moments`` call per knowledge cell (its cap) and per
+    preparation cell (the ground state), and none through the public
+    ``optimize_gate``."""
+    calls = []
+
+    def counting(m1, m2):
+        calls.append((m1, m2))
+        return _read_moments(m1, m2)
+
+    monkeypatch.setattr(experiments, "_read_moments", counting)
+    monkeypatch.setattr(optimize, "_read_moments", counting)
+    knowledge_sweep(SMALL_GRID)
+    assert calls == [cap_moments(tm) for _ in SMALL_GRID.lambda_grid
+                     for tm in SMALL_GRID.theta_max_grid]
+    calls.clear()
+    prep_improvement_sweep(SMALL_GRID)
+    assert calls == [point_moments(0.0, 0.0)] * len(SMALL_GRID.lambda_grid)
+
+
+def test_cells_equal_the_public_optimizer_loop(monkeypatch):
+    """Each cell's improvements equal, ==, a loop that draws the same
+    per-cell streams and calls the public ``optimize_gate`` per target, so
+    the cells' once-read moments cannot drift from the public path."""
+    recorded = []
+
+    def recording(lam, theta_max, imps):
+        recorded.append(imps.copy())
+        return experiments.SweepRow(lam, theta_max, 0.0, 0.0, imps.size)
+
+    monkeypatch.setattr(experiments, "_row_stats", recording)
+    knowledge_sweep(SMALL_GRID)
+    prep_improvement_sweep(SMALL_GRID)
+    want = []
+    for li, lam in enumerate(SMALL_GRID.lambda_grid):
+        params = NoiseParams.from_lambda(lam)
+        for mi, theta_max in enumerate(SMALL_GRID.theta_max_grid):
+            rng = np.random.default_rng([SMALL_GRID.rng_seed, 1, li, mi])
+            imps = []
+            for _ in range(SMALL_GRID.targets_per_point):
+                target = _haar_gate(rng)
+                opt = optimize_gate(target, *cap_moments(theta_max), params).angles_opt
+                n = _bloch_vector(*_cap_sample(rng, theta_max))
+                u = _apply(target.beta, target.gamma, target.delta, 0.0, 0.0, n)
+                la, lp = params.lambda_a, params.lambda_p
+                imps.append(_point_score(opt, u, n, la, lp) - _point_score(target, u, n, la, lp))
+            want.append(imps)
+    for li, lam in enumerate(SMALL_GRID.lambda_grid):
+        rng = np.random.default_rng([SMALL_GRID.rng_seed, 0, li])
+        imps = []
+        for _ in range(SMALL_GRID.targets_per_point):
+            z, phi = uniform_prep_target(rng)
+            target = EulerAngles(phi, math.acos(z), 0.0)
+            imps.append(optimize_gate(target, *point_moments(0.0, 0.0),
+                                      NoiseParams.from_lambda(lam)).improvement)
+        want.append(imps)
+    assert len(recorded) == len(want) == 8
+    assert all(got.tolist() == imps for got, imps in zip(recorded, want))
+    assert any(max(imps) > 0.0 for imps in want)
 
 
 def test_prep_sweep_seed_changes_samples():
@@ -306,7 +373,8 @@ def test_bogota_drift_gain_is_a_mean_over_gates_and_states(qubit):
         assumed = true.assuming_drift(k)
         imps = np.empty(len(pairs))
         for i, (gate, n) in enumerate(pairs):
-            res, u = _optimize(gate, *_point_moments(n), assumed, (), RB_GRADIENT_TOLERANCE)
+            res, u = _optimize(gate, _read_moments(*_point_moments(n)), assumed, (),
+                               RB_GRADIENT_TOLERANCE)
             imps[i] = (_point_score(res.angles_opt, u, n, la, lp)
                        - _point_score(gate, u, n, la, lp))
         z_score = imps.mean() / (imps.std(ddof=1) / math.sqrt(imps.size))

@@ -139,13 +139,13 @@ def test_objective_core_equals_moment_objective():
             m1, m2 = point_moments(*rng.uniform(0.0, math.pi, 2))
         else:
             m1, m2 = cap_moments(rng.uniform(0.1, math.pi))
-        core, _, u, _ = _objective(target, tuple(m1), tuple(map(tuple, m2)),
+        core, _, u, _ = _objective(target, _read_moments(tuple(m1), tuple(map(tuple, m2))),
                                    params.lambda_a, params.lambda_p)
         xs = [tuple(rng.uniform(-math.pi, math.pi, 3).tolist()) for _ in range(3)]
         for a, b in ((list(m1), [list(r) for r in m2]), (tuple(m1), tuple(map(tuple, m2))),
                      (np.array(m1), np.array(m2))):
             fg = moment_objective(target, a, b, params)
-            assert _objective(target, a, b, params.lambda_a, params.lambda_p)[2] == u
+            assert _objective(target, _read_moments(a, b), params.lambda_a, params.lambda_p)[2] == u
             assert all(fg(x) == core(x) for x in xs)
 
 

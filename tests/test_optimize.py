@@ -26,7 +26,7 @@ from noisy_euler import (
 from noisy_euler import optimize, rb
 from noisy_euler.gates import _zyz_from_quaternion
 from noisy_euler.noise import _apply
-from noisy_euler.objectives import _objective
+from noisy_euler.objectives import _objective, _read_moments
 from noisy_euler.rb import _sample_quaternion
 from reference import (
     bloch_density,
@@ -141,7 +141,7 @@ def test_uniform_average_cannot_be_improved():
 
 def with_starts(target, moments, params, starts, tolerance=optimize.GRADIENT_TOLERANCE):
     """The optimizer core's result for extra starts, as RB calls it."""
-    return optimize._optimize(target, *moments, params, starts, tolerance)[0]
+    return optimize._optimize(target, _read_moments(*moments), params, starts, tolerance)[0]
 
 
 def test_results_deterministic():
@@ -170,7 +170,8 @@ def test_no_starts_is_the_seeded_search():
                 res = with_starts(target, moments, params, ())
                 assert res == optimize_gate(target, *moments, params)
                 assert res == with_starts(target, moments, params, np.empty((0, 3)))
-                fg, n, u, _ = _objective(target, *moments, params.lambda_a, params.lambda_p)
+                fg, n, u, _ = _objective(target, _read_moments(*moments),
+                                         params.lambda_a, params.lambda_p)
                 x_seed = (target.beta, target.gamma, target.delta)
                 f_seed, g_seed, h_seed = fg(x_seed)
                 if np.array_equal(moments[1], np.outer(moments[0], moments[0])):
@@ -215,6 +216,26 @@ def test_cap_distribution_optimization_runs_and_improves():
     # a small cap behaves nearly like its central point
     res_point = optimize_gate(target, *point_moments(0.0, 0.0), params)
     assert abs(res.improvement - res_point.improvement) < 5e-3
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.05, 0.1])
+def test_improvement_depends_on_target_only_through_gamma(lam):
+    """Every input the sweeps optimize for (a cap, the preparation point
+    |0>) is symmetric about z: m1 lies on z and m2 commutes with Rz.  F at
+    trial angles x for the target (beta, gamma, delta) then depends on
+    x's beta and delta only through their offsets from the target's, so the
+    optimizer's improvement depends on the target only through gamma.  At
+    each of 10 gammas, over 8 random (beta, delta) each, the improvements
+    for caps 0.3, 1.5 and pi and the preparation point agree within 1e-14
+    (measured on these 960 problems: a worst spread of 4.4e-16)."""
+    rng = np.random.default_rng(29)
+    params = NoiseParams.from_lambda(lam)
+    for moments in (cap_moments(0.3), cap_moments(1.5), cap_moments(math.pi),
+                    point_moments(0.0, 0.0)):
+        for gamma in rng.uniform(0.0, math.pi, 10):
+            imps = [optimize_gate(EulerAngles(beta, gamma, delta), *moments, params).improvement
+                    for beta, delta in rng.uniform(0.0, 2 * math.pi, (8, 2))]
+            assert max(imps) - min(imps) <= 1e-14, (moments, gamma)
 
 
 def test_newton_reaches_lbfgsb_oracle():
@@ -331,11 +352,12 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
     monkeypatch.setattr(optimize, "_objective", recording)
     original = rb._optimize
 
-    def step(target, m1, m2, params, *args):
+    def step(target, moments, params, *args):
+        m1, m2, _ = moments
         fg = moment_objective(target, m1, m2, params)
         g = fg((target.beta, target.gamma, target.delta))[1]
         before = len(seen)
-        out = original(target, m1, m2, params, *args)
+        out = original(target, moments, params, *args)
         steps.append((max(map(abs, g)) > rb.RB_GRADIENT_TOLERANCE, len(seen) - before))
         return out
 
@@ -445,7 +467,8 @@ def test_point_optimum_target_sends_input_to_pole():
         flip = math.pi if i % 2 else 0.0
         target = EulerAngles(rng.uniform(0.0, 2 * math.pi), flip - theta, -phi)
         r = bloch_vector(BlochState(theta, phi))
-        u = _objective(target, r, np.outer(r, r), params.lambda_a, params.lambda_p)[2]
+        u = _objective(target, _read_moments(r, np.outer(r, r)),
+                       params.lambda_a, params.lambda_p)[2]
         assert math.hypot(u[0], u[1]) < 1e-15
         check_point_optimum(target, r, params)
 

@@ -374,9 +374,9 @@ def test_multistart_starts_follow_uniform_draw_rule(monkeypatch, multistart):
     received = []
     original = rb._optimize
 
-    def recording(target, m1, m2, params, starts, *args):
+    def recording(target, moments, params, starts, *args):
         received.append([tuple(x) for x in starts])
-        return original(target, m1, m2, params, starts, *args)
+        return original(target, moments, params, starts, *args)
 
     monkeypatch.setattr(rb, "_optimize", recording)
     cfg = small_config(n_circuits=2, n_gates=12, depth_schedule=(1, 5, 12),
@@ -481,9 +481,10 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
     calls = []
     original = rb._optimize
 
-    def recording(target, m1, m2, params, *args):
+    def recording(target, moments, params, *args):
+        m1, m2, _ = moments
         assert np.array_equal(m2, np.outer(m1, m1))
-        res, image = original(target, m1, m2, params, *args)
+        res, image = original(target, moments, params, *args)
         calls.append((np.array(m1), res.angles_opt))
         return res, image
 
@@ -539,8 +540,9 @@ def test_every_started_search_converges(monkeypatch, track_noisy_state):
     calls = []
     original = rb._optimize
 
-    def recording(target, m1, m2, params, *args):
-        res, image = original(target, m1, m2, params, *args)
+    def recording(target, moments, params, *args):
+        res, image = original(target, moments, params, *args)
+        m1, m2, _ = moments
         calls.append((target, m1, m2, params, res))
         return res, image
 
@@ -563,9 +565,9 @@ def test_ideal_state_is_the_optimizers_image(monkeypatch):
     seen = []
     original = rb._optimize
 
-    def recording(target, m1, *args):
-        seen.append(m1)
-        return original(target, m1, *args)
+    def recording(target, moments, *args):
+        seen.append(moments[0])
+        return original(target, moments, *args)
 
     monkeypatch.setattr(rb, "_optimize", recording)
     cfg = RbConfig(noise=ROME_Q3, n_circuits=1, rng_seed=7)
