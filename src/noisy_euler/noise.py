@@ -26,7 +26,7 @@ n -> diag(e, e, 1-la) n + (0, 0, la) with e = sqrt(1-la) sqrt(1-lp), and the
 virtual R_z are rotations, so the whole noisy native gate is one affine map
 n -> A n + t, which ``_apply`` evaluates in plain floats at one Bloch vector
 and ``_apply_all`` at several, into a list: n -> Rz(beta) (K Rz(delta) n + t0),
-K and t0 from ``_pulse_pair``.  It is the only form the RB simulator and the
+K and t0 from ``_damping``.  It is the only form the RB simulator and the
 objectives' set-up use, and at zero noise it is the gate's rotation.
 """
 
@@ -115,31 +115,22 @@ class NoiseParams:
         return NoiseParams(la, lp)
 
 
-def _pulse_pair(gamma: float, la: float, lp: float):
-    """Entries of the noisy part of the native gate, between its outer frame
-    changes R_z(beta) and R_z(delta).
+def _damping(la: float, lp: float):
+    """The constants of the noisy part of the native gate, between its outer
+    frame changes R_z(beta) and R_z(delta), that do not depend on gamma:
+    (e^2, e (1-la), e la) with e = sqrt(1-la) sqrt(1-lp).
 
     On the Bloch vector each pulse R_x(+-pi/2) is a rotation followed by the
-    damping D = diag(e, e, 1-la), e = sqrt(1-la) sqrt(1-lp), and the offset
-    (0, 0, la).  The pulse pair therefore acts as n -> K n + t0 with
-    K = D Rx(-pi/2) Rz(gamma) D Rx(pi/2):
+    damping D = diag(e, e, 1-la) and the offset (0, 0, la).  The pulse pair
+    therefore acts as n -> K n + t0 with K = D Rx(-pi/2) Rz(gamma) D Rx(pi/2):
 
         K = [[ e^2 cos(gamma),         0,         e^2 sin(gamma)       ],
              [ 0,                      e (1-la),  0                    ],
              [-e (1-la) sin(gamma),    0,         e (1-la) cos(gamma)  ]]
 
     and t0 = (0, e la, la); R_z(gamma) fixes the first pulse's offset, so t0
-    does not depend on gamma.  Returns (k00, k02, k11, k20, k22, t0y, t0z),
-    the constants from ``_damping``.
+    does not depend on gamma.
     """
-    ee, ek, el = _damping(la, lp)
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    return ee * cg, ee * sg, ek, -ek * sg, ek * cg, el, la
-
-
-def _damping(la: float, lp: float):
-    """The pulse pair's constants that do not depend on gamma:
-    (e^2, e (1-la), e la) with e = sqrt(1-la) sqrt(1-lp)."""
     e = math.sqrt(1.0 - la) * math.sqrt(1.0 - lp)
     return e * e, e * (1.0 - la), e * la
 
@@ -152,13 +143,15 @@ def _apply(beta: float, gamma: float, delta: float, la: float, lp: float, r):
 def _apply_all(beta: float, gamma: float, delta: float, la: float, lp: float, rs):
     """The images A r + t = Rz(beta) (K Rz(delta) r + t0) of the Bloch vectors r
     in rs under the noisy native gate, as a list of float 3-tuples, its frame
-    (K, t0 from ``_pulse_pair``) built once.  Exact for pure and mixed inputs."""
-    k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
+    (K, t0 from ``_damping``) built once.  Exact for pure and mixed inputs."""
+    ee, k11, t0y = _damping(la, lp)  # e^2, e (1 - la), e la
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    k00, k02, k20, k22 = ee * cg, ee * sg, -k11 * sg, k11 * cg
     cd, sd = math.cos(delta), math.sin(delta)
     cb, sb = math.cos(beta), math.sin(beta)
     images = []
     for x, y, z in rs:
         x, y = cd * x - sd * y, sd * x + cd * y
-        x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
+        x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + la
         images.append((cb * x - sb * y, sb * x + cb * y, z))
     return images

@@ -163,7 +163,7 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     plain floats.  F is not clamped: rounding can put it a few ulp outside
     [0, 1], which ``optimize_gate`` clamps when it reports it.
     R is the target's rotation.  With the trial map A = Rz(beta) K Rz(delta),
-    t = Rz(beta) t0 (``noise._pulse_pair``) the quadratic term is <K, W>,
+    t = Rz(beta) t0 (``noise._damping``) the quadratic term is <K, W>,
     W = Rz(-beta) (R m2) Rz(-delta), and both derivatives follow from
     Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
@@ -179,7 +179,7 @@ def _objective(target: EulerAngles, moments, la: float, lp: float):
     The set-up builds R's frame once, for n and m2's columns
     (``_apply_all``), and the pulse pair's damping constants once
     (``noise._damping``), so ``fg`` forms K from cos(gamma) and sin(gamma)
-    alone, the floats ``noise._pulse_pair`` returns."""
+    alone, in the floats and order of ``noise._apply_all``."""
     n, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), rank_one = moments
     (u0, u1, u2), (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = _apply_all(
         target.beta, target.gamma, target.delta, 0.0, 0.0,

@@ -12,17 +12,19 @@ inverse is one step of both arms:
              ideal circuit would be in just before that gate or, with
              ``track_noisy_state``, for the arm's own noisy state.
 
-Without ``track_noisy_state`` the next ideal state is the optimizer's own
-image of the current one, u = R n (``optimize._optimize``), the same floats
-as the zero-noise ``noise._apply``, so each gate step rotates n once.
+The optimizer reads one state n.  After a gate it is the opt arm's noisy
+state under ``track_noisy_state`` and otherwise the optimizer's own image of
+the ideal state, u = R n (``optimize._optimize``), the same floats as the
+zero-noise ``noise._apply``, so a gate step runs the channel only for the
+two arms.
 
 States are Bloch vectors: Z rotations are virtual and noiseless, so each
 noisy native gate is exactly the affine map r -> A r + t (``noise._apply``),
-at zero noise the gate's rotation.  A circuit carries the ideal state and each
-arm's noisy state as float 3-tuples and reads survival as (1 + r_z)/2.  Each
-gate is drawn as a unit quaternion, and the circuit carries the net rotation
-as the Hamilton product of the gates' quaternions; the inverse gate is the
-net's conjugate, read off in ZYZ angles by ``gates._zyz_from_quaternion``,
+at zero noise the gate's rotation.  A circuit carries n and each arm's noisy
+state as float 3-tuples and reads survival as (1 + r_z)/2.  Each gate is drawn
+as a unit quaternion, and the circuit carries the net rotation as the
+Hamilton product of the gates' quaternions; the inverse gate is the net's
+conjugate, read off in ZYZ angles by ``gates._zyz_from_quaternion``,
 whose atan2 ratios do not see the product's norm drift (about 5e-14 after
 246 gates).
 
@@ -203,17 +205,16 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
                  if cfg.shots is not None else None for ai in range(len(ARMS))]
     column = {depth: j for j, depth in enumerate(cfg.depth_schedule)}
     out = np.empty((len(ARMS), len(column)))
-    n = (0.0, 0.0, 1.0)  # ideal state, |0>
+    n = (0.0, 0.0, 1.0)  # the optimizer's input state, |0>
     arms = (n, n)  # noisy state of each arm, in ARMS order
     net = (1.0, 0.0, 0.0, 0.0)  # quaternion of the gates so far
 
     def step(target: EulerAngles, stream) -> tuple:
-        """The next ``arms`` and u = R m1 from the optimizer: unopt runs
-        ``target``'s angles, opt runs them re-optimized for n, or for its own
-        state under track_noisy_state; ``stream`` (a Generator or a key)
-        seeds the multistart starts."""
+        """The next ``arms`` and u = R n from the optimizer: unopt runs
+        ``target``'s angles, opt runs them re-optimized for n; ``stream``
+        (a Generator or a key) seeds the multistart starts."""
         unopt, opt = arms
-        moments = _read_moments(*_point_moments(opt if cfg.track_noisy_state else n))
+        moments = _read_moments(*_point_moments(n))
         starts = ()
         if cfg.multistart > 0:
             starts = (math.tau * np.random.default_rng(stream).random((cfg.multistart, 3))).tolist()
@@ -226,7 +227,7 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
         q = _sample_quaternion(row)
         gate = _zyz_from_quaternion(*q)
         arms, u = step(gate, rng_starts)
-        n = _apply(gate.beta, gate.gamma, gate.delta, 0.0, 0.0, n) if cfg.track_noisy_state else u
+        n = arms[1] if cfg.track_noisy_state else u
         net = _hamilton(q, net)
 
         depth = i + 1

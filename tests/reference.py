@@ -4,7 +4,9 @@ Each is written out from the physics, not taken from the package, so a
 comparison with it stays an independent check.  The Kraus oracle
 (``noisy_gate_stepwise`` and the helpers above it) reads EulerAngles,
 NoiseParams and BlochState only through their attributes and calls no
-package function.
+package function.  ``circle_optimum``, ``expected_improvement`` and
+``rb_unopt_rate`` call the package's objective or optimizer and check what
+is built around it: a search, a sweep's sampling, RB's propagation.
 """
 
 import cmath
@@ -224,6 +226,69 @@ def circle_optimum(target, r, params, points: int = 64) -> float:
                               options={"maxiter": 1000, "gtol": 1e-12, "ftol": 1e-16})
         f_best = max(f_best, -ref.fun)
     return min(max(f_best, 0.0), 1.0)
+
+
+def expected_improvement(lam: float, m1, m2) -> tuple[float, float]:
+    """The mean E and variance Var, over targets whose gamma has the density
+    sin(gamma) / 2 on [0, pi], of the improvement imp(gamma) that
+    ``optimize_gate`` reports for the target (0, gamma, 0), the moments m1,
+    m2 and lambda_a = lambda_p = lam.
+
+    The improvement depends on the target only through gamma, and both a
+    Haar target and a prep target with uniform z give gamma that density,
+    so E is a sweep cell's expectation.  E = 1/2 int imp sin and
+    Var = 1/2 int (imp - E)^2 sin are computed with ``scipy.integrate.quad``,
+    with breakpoints at c lam and pi - c lam for c in 1/2, 1, 2, 4.  These
+    fall inside the polar dips, where the improvement is below 0.9 of its
+    flat value for gamma < 0.76 lam.  The package's own optimizer runs
+    inside, so this checks the sweeps' streams, sampling and scoring, not
+    the optimizer.
+    """
+    from scipy import integrate
+
+    from noisy_euler import EulerAngles, NoiseParams, optimize_gate
+
+    params = NoiseParams.from_lambda(lam)
+
+    def imp(gamma: float) -> float:
+        return optimize_gate(EulerAngles(0.0, gamma, 0.0), m1, m2, params).improvement
+
+    points = sorted({p for c in (0.5, 1.0, 2.0, 4.0) for p in (c * lam, math.pi - c * lam)
+                     if 0.0 < p < math.pi}) or None
+
+    def average(f) -> float:
+        return 0.5 * integrate.quad(lambda g: f(g) * math.sin(g), 0.0, math.pi, points=points,
+                                    limit=200, epsabs=1e-14, epsrel=1e-10)[0]
+
+    mean = average(imp)
+    return mean, average(lambda g: (imp(g) - mean) ** 2)
+
+
+def rb_unopt_rate(params, nodes: int = 100) -> float:
+    """First-order RB error rate of the unoptimized arm: the mean of
+    1 - F over RB's gate distribution, F the fidelity at the gate's own
+    angles for a uniform input (``moment_objective`` on ``cap_moments(pi)``).
+
+    F depends on the gate only through gamma, and a rotation by a ~ U[0, 2 pi)
+    about an axis with z-component n_z ~ U[-1, 1] has
+    cos^2(gamma/2) = cos^2(a/2) + sin^2(a/2) n_z^2.  That is symmetric under
+    a -> 2 pi - a and n_z -> -n_z, so the mean is taken with a product
+    Gauss-Legendre rule of ``nodes`` points on a in [0, pi] and on n_z in
+    [0, 1].
+    """
+    from noisy_euler import EulerAngles, cap_moments, moment_objective
+
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = 0.5 * (x + 1.0), 0.5 * w  # nodes and weights on [0, 1]
+    m1, m2 = cap_moments(math.pi)
+    total = 0.0
+    for a, wa in zip(math.pi * x, w):
+        for nz, wz in zip(x, w):
+            c2 = math.cos(0.5 * a) ** 2 + math.sin(0.5 * a) ** 2 * nz * nz
+            gamma = 2.0 * math.acos(min(math.sqrt(c2), 1.0))
+            f = moment_objective(EulerAngles(0.0, gamma, 0.0), m1, m2, params)((0.0, gamma, 0.0))[0]
+            total += wa * wz * (1.0 - f)
+    return total
 
 
 def readout_matrix(p10: float, p01: float) -> np.ndarray:

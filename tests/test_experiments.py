@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from statistics import NormalDist
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,7 @@ from noisy_euler.noise import _apply
 from noisy_euler.objectives import _point_moments, _read_moments
 from noisy_euler.optimize import _optimize, optimize_gate
 from noisy_euler.rb import RB_GRADIENT_TOLERANCE
-from reference import point_fidelity, uniform_prep_target, zyz_unitary
+from reference import expected_improvement, point_fidelity, uniform_prep_target, zyz_unitary
 
 
 def test_sweep_config_validation():
@@ -347,6 +348,51 @@ def test_knowledge_tight_cap_approaches_prep_improvement():
     prow = prep_improvement_sweep(pcfg).rows[0]
     se = math.hypot(krow.stderr, prow.stderr)
     assert abs(krow.mean_improvement - prow.mean_improvement) <= 3 * se + 1e-5
+
+
+def bonferroni_z(tests: int, family_wise: float = 1e-3) -> float:
+    """The two-sided normal quantile that keeps ``tests`` z-tests' chance of
+    any false alarm at ``family_wise``."""
+    return NormalDist().inv_cdf(1.0 - family_wise / (2 * tests))
+
+
+def test_knowledge_cells_lie_within_se_of_their_exact_mean():
+    """Each knowledge cell's mean is a sample of the exact cap improvement
+    ``expected_improvement`` integrates: a cell's score on one cap sample
+    averages to the cap's expected fidelity.  The four cells with se > 0
+    lie within the Bonferroni z (3.66, family-wise 1e-3) of it, at
+    |z| = 0.35-1.15 on this seed.  The pi-cap cells and their E are both
+    exactly 0."""
+    cfg = SweepConfig(lambda_grid=(0.05, 0.1), theta_max_grid=(0.4, 1.5, math.pi),
+                      targets_per_point=100)
+    rows = knowledge_sweep(cfg).rows
+    z = bonferroni_z(4)
+    for row in rows:
+        mean, _ = expected_improvement(row.lam, *cap_moments(row.theta_max))
+        if row.theta_max == math.pi:
+            assert row.mean_improvement == mean == 0.0
+        else:
+            assert row.stderr > 0.0
+            assert abs(row.mean_improvement - mean) <= z * row.stderr, row
+
+
+def test_prep_rows_lie_within_exact_se_of_their_exact_mean():
+    """The prep improvement is flat in gamma outside polar dips of width
+    about lam, so 100 targets rarely land in one and a row's own stderr is
+    about 1e-17: no error bar.  The exact se sqrt(Var / n) from
+    ``expected_improvement`` is one (6.0e-7 at lam = 0.05, 5.0e-6 at 0.1).
+    Both rows lie within the Bonferroni z (3.48, family-wise 1e-3) of E, at
+    0.24 and 0.51 exact se on this seed, and the noiseless row is 0 as E is."""
+    cfg = SweepConfig(lambda_grid=(0.0, 0.05, 0.1))
+    rows = prep_improvement_sweep(cfg).rows
+    z = bonferroni_z(2)
+    for row in rows:
+        mean, var = expected_improvement(row.lam, *point_moments(0.0, 0.0))
+        if row.lam == 0.0:
+            assert row.mean_improvement == mean == var == 0.0
+        else:
+            assert row.stderr < 1e-9
+            assert abs(row.mean_improvement - mean) <= z * math.sqrt(var / row.n_samples), row
 
 
 @pytest.mark.parametrize("qubit", range(5))

@@ -13,7 +13,7 @@ from noisy_euler import (
     NoiseParams,
     damping_probabilities,
 )
-from noisy_euler.noise import _apply, _apply_all, _pulse_pair
+from noisy_euler.noise import _apply, _apply_all, _damping
 from reference import (
     amplitude_damping_kraus,
     apply_channel_kraus,
@@ -239,7 +239,9 @@ def one_vector_map(beta, gamma, delta, la, lp, r):
     float operations, and their order, of the package's one-vector form:
     what a shared frame must reproduce bit for bit to keep outputs
     byte-identical."""
-    k00, k02, k11, k20, k22, t0y, t0z = _pulse_pair(gamma, la, lp)
+    ee, k11, t0y = _damping(la, lp)
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    k00, k02, k20, k22, t0z = ee * cg, ee * sg, -k11 * sg, k11 * cg, la
     cd, sd = math.cos(delta), math.sin(delta)
     x, y, z = cd * r[0] - sd * r[1], sd * r[0] + cd * r[1], r[2]
     x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z

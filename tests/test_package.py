@@ -91,9 +91,11 @@ def test_unused_import_check_finds_stale_names():
     assert unused_imports(source) == ["euler", "optimize_gate", "os", "osp"]
 
 
-@pytest.mark.parametrize("path", sorted(Path(noisy_euler.__file__).parent.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(Path(noisy_euler.__file__).parent.glob("*.py"))
+                         + sorted(Path(__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
-    """Every name a package module imports is used in it or listed in its
-    __all__ (no linter is a test dependency, so the stdlib parser checks)."""
+    """Every name a package or test module imports is used in it or listed
+    in its __all__ (no linter is a test dependency, so the stdlib parser
+    checks)."""
     assert unused_imports(path.read_text()) == []

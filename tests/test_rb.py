@@ -9,13 +9,14 @@ from scipy import stats
 from scipy.optimize import least_squares
 
 from noisy_euler import (
-    DecayFit,
     EulerAngles,
     NoiseParams,
     RbConfig,
+    bundled_device,
     extract_euler,
     fit_decay,
     moment_objective,
+    noise_params_for,
     rb,
     run_drift_sweep,
     run_rb_experiment,
@@ -27,6 +28,7 @@ from reference import (
     angle_gap,
     noisy_gate_stepwise,
     quaternion_unitary,
+    rb_unopt_rate,
     sign_gap,
     uniform_quaternion,
     uniform_starts,
@@ -584,6 +586,28 @@ def test_ideal_state_is_the_optimizers_image(monkeypatch):
     assert seen == expected
 
 
+@pytest.mark.parametrize("device, qubit", [("rome", 3), ("bogota", 0)])
+def test_unopt_rate_matches_first_order_theory(device, qubit):
+    """To first order the RB decay rate is the mean per-gate infidelity for
+    a uniform input, ``rb_unopt_rate``: 6.2412e-4 on rome q3 and 2.6340e-4
+    on bogota q0.  Over seeds 0-5 of the Fig. 3 config the unopt arm's mean
+    fitted error rate lies within 3.5 sd / sqrt(6) of it, sd the fits' seed
+    spread (1.4% and 1.2% of the rate, so the bound is about 2%); the means
+    came out at 0.9987x and 1.0003x.  The gamma rule the reference
+    integrates is the sampled gates' own."""
+    noise = noise_params_for(bundled_device(device).qubit(qubit))
+    for row in np.random.default_rng(3).random((200, 3)).tolist():
+        q = w, _, _, z = rb._sample_quaternion(row)  # (cos a/2, sin a/2 n)
+        gamma = _zyz_from_quaternion(*q).gamma
+        assert abs(math.cos(0.5 * gamma) ** 2 - (w * w + z * z)) < 1e-12
+    reference = rb_unopt_rate(noise)
+    rates = np.array([run_rb_experiment(RbConfig(noise, rng_seed=s)).unopt.fit.error_rate
+                      for s in range(6)])
+    bound = 3.5 * rates.std(ddof=1) / math.sqrt(rates.size)
+    assert bound < 0.03 * reference
+    assert abs(rates.mean() - reference) <= bound
+
+
 # ------------------------------------------------------------------- drift
 
 def test_drift_k1_matches_plain_rb():
@@ -634,6 +658,54 @@ def test_tiny_drift_leaves_every_gate_at_its_seed(track_noisy_state, size):
                        track_noisy_state=track_noisy_state, **size)
     res = run_rb_experiment(cfg)
     assert np.array_equal(res.opt.survivals, res.unopt.survivals)
+
+
+@pytest.mark.parametrize("track_noisy_state", [False, True])
+@pytest.mark.parametrize("seed", [5, 0])
+def test_tiny_drift_keeps_every_opt_step_at_its_seed(monkeypatch, seed, track_noisy_state):
+    """What sets the drift curve's small-k end, step by step: at k = 1e-3
+    all 135 opt-arm steps of ``small_config`` (3 circuits of 40 gates and 5
+    inverses) return the target's own angles without a Newton step, while
+    at k = 1 only 18 or 19 of them do."""
+    calls = []
+    original = rb._optimize
+
+    def recording(target, moments, params, *args):
+        res, image = original(target, moments, params, *args)
+        calls.append(res.iterations == 0 and res.angles_opt == EulerAngles(
+            *(v % (2 * math.pi) for v in (target.beta, target.gamma, target.delta))))
+        return res, image
+
+    monkeypatch.setattr(rb, "_optimize", recording)
+    kept = []
+    for k in (1e-3, 1.0):
+        calls.clear()
+        run_rb_experiment(small_config(drift_factor=k, rng_seed=seed,
+                                       track_noisy_state=track_noisy_state))
+        assert len(calls) == 3 * (40 + 5)
+        kept.append(sum(calls))
+    assert kept[0] == 135
+    assert 18 <= kept[1] <= 19
+
+
+def test_tiny_drift_gain_is_lost_to_the_seed_skip_rule(monkeypatch):
+    """The drift curve falls to zero gain at small k because of
+    RB_GRADIENT_TOLERANCE, not because of the noise model.  At that
+    tolerance the opt arm's fitted error-rate reduction at k = 1e-3 is
+    exactly 0.  At the optimizer's own GRADIENT_TOLERANCE it equals k = 1's
+    within 1e-3 on seeds 0-5.  The reductions there are 0.35-0.40, and the
+    two ks differ by at most 2.6e-4, so the bound has a margin of 3.8x."""
+    def reduction(k, seed):
+        res = run_rb_experiment(small_config(drift_factor=k, rng_seed=seed))
+        return 1.0 - res.opt.fit.error_rate / res.unopt.fit.error_rate
+
+    seeds = range(6)
+    assert [reduction(1e-3, s) for s in seeds] == [0.0] * 6
+    monkeypatch.setattr(rb, "RB_GRADIENT_TOLERANCE", GRADIENT_TOLERANCE)
+    for s in seeds:
+        tiny, calibrated = reduction(1e-3, s), reduction(1.0, s)
+        assert 0.3 < calibrated < 0.45
+        assert abs(tiny - calibrated) <= 1e-3
 
 
 def test_drift_huge_k_scrambles_with_multistart():
