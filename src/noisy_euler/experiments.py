@@ -23,9 +23,12 @@ of a cell depends only on the targets before it, so a cell's first k
 targets do not depend on targets_per_point.
 
 Every target of a cell has the same input moments (the ground state, or the
-cell's cap), so a cell reads and checks them once
-(``objectives._read_moments``) and passes them to the optimizer core,
-``optimize._optimize``, for each target.
+cell's cap) and noise model, so a cell reads and checks the moments once
+(``objectives._read_moments``) and builds the damping set once
+(``noise._damping``).  Per target the optimizer core, ``optimize._optimize``,
+returns plain floats, and a knowledge target takes the ideal output u = R n
+of its sampled state n and the default angles' noisy image of n from one
+``noise._apply_all`` call under the noiseless and the cell's damping set.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .gates import EulerAngles, _bloch_vector, _zyz_from_quaternion
 from .io import parallel_map
-from .noise import NoiseParams, _apply
+from .noise import _NOISELESS, NoiseParams, _apply, _apply_all, _damping
 from .objectives import _read_moments, cap_moments, point_moments
 from .optimize import GRADIENT_TOLERANCE, _optimize
 
@@ -104,6 +107,13 @@ def _haar_gate(rng: np.random.Generator) -> EulerAngles:
 
 
 def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRow:
+    """A cell's row: the mean of its improvements and their sample standard
+    error std / sqrt(n).  For a prep row that stderr is no error bar: the
+    improvement is flat in the target except in polar dips of width about
+    lambda, which 100 uniform targets rarely hit, so it reads about 1e-17,
+    while the exact se sqrt(Var / n) (``tests/reference.py``,
+    ``expected_improvement``) is 6.0e-7 at lambda = 0.05 and 5.0e-6 at 0.1.
+    """
     n = imps.size
     stderr = float(imps.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return SweepRow(lam, theta_max, float(imps.mean()), stderr, n)
@@ -119,10 +129,10 @@ def _cap_sample(rng: np.random.Generator, theta_max: float) -> tuple[float, floa
     return theta, math.tau * rng.random()
 
 
-def _point_score(angles: EulerAngles, u, n, la: float, lp: float) -> float:
-    """Fidelity 1/2 (1 + u.(A n + t)) of ``angles``' noisy map on the pure
-    input n against the target's ideal output u = R n, clamped to [0, 1]."""
-    x, y, z = _apply(angles.beta, angles.gamma, angles.delta, la, lp, n)
+def _score(u, image) -> float:
+    """Fidelity 1/2 (1 + u.image) of a noisy image A n + t of the pure input
+    n against the target's ideal output u = R n, clamped to [0, 1]."""
+    x, y, z = image
     return min(max(0.5 * (1.0 + u[0] * x + u[1] * y + u[2] * z), 0.0), 1.0)
 
 
@@ -138,31 +148,34 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
         # |0> as a phase only, so delta stays at its seed 0.
         target = EulerAngles(phi, math.acos(z), 0.0)
-        res = _optimize(target, ground, params, (), GRADIENT_TOLERANCE)[0]
-        imps[t] = res.improvement
+        _, f, f_seed, _, _ = _optimize(target, ground, params, (), GRADIENT_TOLERANCE)[0]
+        imps[t] = f - f_seed
     return _row_stats(lam, None, imps)
 
 
 def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam, mi, theta_max = item
     params = NoiseParams.from_lambda(lam)
-    la, lp = params.lambda_a, params.lambda_p
+    damping = _damping(params.lambda_a, params.lambda_p)
+    dampings = (_NOISELESS, damping)
     moments = _read_moments(*cap_moments(theta_max))
     rng = np.random.default_rng([cfg.rng_seed, 1, li, mi])
     imps = np.empty(cfg.targets_per_point)
     for r in range(cfg.targets_per_point):
         target = _haar_gate(rng)
-        res = _optimize(target, moments, params, (), GRADIENT_TOLERANCE)[0]
+        (beta, gamma, delta), _, _, _, _ = _optimize(target, moments, params, (),
+                                                     GRADIENT_TOLERANCE)[0]
         # both decompositions' fidelity on the sampled state (canonical angles)
         n = _bloch_vector(*_cap_sample(rng, theta_max))
-        u = _apply(target.beta, target.gamma, target.delta, 0.0, 0.0, n)
-        imps[r] = (_point_score(res.angles_opt, u, n, la, lp)
-                   - _point_score(target, u, n, la, lp))
+        u, image = _apply_all(target.beta, target.gamma, target.delta, dampings, (n,))
+        imps[r] = _score(u, _apply(beta, gamma, delta, damping, n)) - _score(u, image)
     return _row_stats(lam, theta_max, imps)
 
 
 def prep_improvement_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Mean preparation-fidelity improvement per damping level."""
+    """Mean preparation-fidelity improvement per damping level.  A row's
+    ``stderr`` is the sample standard error, about 1e-17 at 100 targets and
+    so not an error bar (``_row_stats``)."""
     items = list(enumerate(cfg.lambda_grid))
     rows = parallel_map(functools.partial(_prep_cell, cfg), items, jobs)
     return SweepResult("prep", cfg, tuple(rows))

@@ -24,10 +24,12 @@ The composite channel has the closed form (for trace-1 input)
 On the Bloch vector n (rho = (I + n.sigma)/2) the channel is affine,
 n -> diag(e, e, 1-la) n + (0, 0, la) with e = sqrt(1-la) sqrt(1-lp), and the
 virtual R_z are rotations, so the whole noisy native gate is one affine map
-n -> A n + t, which ``_apply`` evaluates in plain floats at one Bloch vector
-and ``_apply_all`` at several, into a list: n -> Rz(beta) (K Rz(delta) n + t0),
-K and t0 from ``_damping``.  It is the only form the RB simulator and the
-objectives' set-up use, and at zero noise it is the gate's rotation.
+n -> A n + t = Rz(beta) (K Rz(delta) n + t0), K and t0 from the damping set
+that ``_damping`` builds once per noise model.  ``_apply_all`` evaluates it
+in plain floats for several damping sets and Bloch vectors under one angle
+frame, and ``_apply`` at one of each.  It is the only form the RB simulator,
+the sweeps' scoring and the objectives' set-up use, and under the noiseless
+set ``_NOISELESS`` it is the gate's rotation.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ class NoiseParams:
 def _damping(la: float, lp: float):
     """The constants of the noisy part of the native gate, between its outer
     frame changes R_z(beta) and R_z(delta), that do not depend on gamma:
-    (e^2, e (1-la), e la) with e = sqrt(1-la) sqrt(1-lp).
+    the damping set (e^2, e (1-la), e la, la) with e = sqrt(1-la) sqrt(1-lp).
+    A caller builds it once per noise model and passes it to every map.
 
     On the Bloch vector each pulse R_x(+-pi/2) is a rotation followed by the
     damping D = diag(e, e, 1-la) and the offset (0, 0, la).  The pulse pair
@@ -132,26 +135,35 @@ def _damping(la: float, lp: float):
     does not depend on gamma.
     """
     e = math.sqrt(1.0 - la) * math.sqrt(1.0 - lp)
-    return e * e, e * (1.0 - la), e * la
+    return e * e, e * (1.0 - la), e * la, la
 
 
-def _apply(beta: float, gamma: float, delta: float, la: float, lp: float, r):
-    """``_apply_all`` at the one Bloch vector r, as a float 3-tuple."""
-    return _apply_all(beta, gamma, delta, la, lp, (r,))[0]
+# The damping set of the noiseless gate, under which the map is the gate's
+# rotation R.
+_NOISELESS = _damping(0.0, 0.0)
 
 
-def _apply_all(beta: float, gamma: float, delta: float, la: float, lp: float, rs):
-    """The images A r + t = Rz(beta) (K Rz(delta) r + t0) of the Bloch vectors r
-    in rs under the noisy native gate, as a list of float 3-tuples, its frame
-    (K, t0 from ``_damping``) built once.  Exact for pure and mixed inputs."""
-    ee, k11, t0y = _damping(la, lp)  # e^2, e (1 - la), e la
+def _apply(beta: float, gamma: float, delta: float, damping, r):
+    """``_apply_all`` at the one damping set and the one Bloch vector r, as a
+    float 3-tuple."""
+    return _apply_all(beta, gamma, delta, (damping,), (r,))[0]
+
+
+def _apply_all(beta: float, gamma: float, delta: float, dampings, rs):
+    """The images A r + t = Rz(beta) (K Rz(delta) r + t0) under the noisy
+    native gate of every Bloch vector r in rs, for every damping set of
+    ``_damping`` in dampings, as a list of float 3-tuples, damping-major:
+    the images of rs under dampings[0], then under dampings[1], and so on.
+    The angle frame is built once, and K once per damping set.  Exact for
+    pure and mixed inputs."""
     cg, sg = math.cos(gamma), math.sin(gamma)
-    k00, k02, k20, k22 = ee * cg, ee * sg, -k11 * sg, k11 * cg
     cd, sd = math.cos(delta), math.sin(delta)
     cb, sb = math.cos(beta), math.sin(beta)
     images = []
-    for x, y, z in rs:
-        x, y = cd * x - sd * y, sd * x + cd * y
-        x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + la
-        images.append((cb * x - sb * y, sb * x + cb * y, z))
+    for ee, k11, t0y, t0z in dampings:  # e^2, e (1 - la), e la, la
+        k00, k02, k20, k22 = ee * cg, ee * sg, -k11 * sg, k11 * cg
+        for x, y, z in rs:
+            x, y = cd * x - sd * y, sd * x + cd * y
+            x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
+            images.append((cb * x - sb * y, sb * x + cb * y, z))
     return images

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .gates import BlochState, EulerAngles, _bloch_vector
-from .noise import NoiseParams, _apply_all, _damping
+from .noise import _NOISELESS, NoiseParams, _apply_all, _damping
 
 # How far moments may stray from a distribution's on the unit ball: m2's
 # asymmetry, tr m2 above 1, and the least eigenvalue of m2 - m1 m1^T below 0.
@@ -168,25 +168,25 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     Rz(phi)' = G Rz(phi), G the z generator: dW/dbeta = -G W,
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
     """
-    return _objective(target, _read_moments(m1, m2), params.lambda_a, params.lambda_p)[0]
+    damping = _damping(params.lambda_a, params.lambda_p)
+    return _objective(target, _read_moments(m1, m2), damping)[0]
 
 
-def _objective(target: EulerAngles, moments, la: float, lp: float):
+def _objective(target: EulerAngles, moments, damping):
     """``moment_objective`` for moments already read and checked, the
-    (n, rows, rank_one) of ``_read_moments``, under damping probabilities la
-    and lp, with what the optimizer needs besides: (fg, n, u, rank_one) and
-    u = R n, the same floats as ``noise._apply(target's angles, 0, 0, n)``.
-    The set-up builds R's frame once, for n and m2's columns
-    (``_apply_all``), and the pulse pair's damping constants once
-    (``noise._damping``), so ``fg`` forms K from cos(gamma) and sin(gamma)
-    alone, in the floats and order of ``noise._apply_all``."""
+    (n, rows, rank_one) of ``_read_moments``, under the damping set
+    ``damping`` of ``noise._damping``, which the caller builds once, with
+    what the optimizer needs besides: (fg, n, u, rank_one) and u = R n, the
+    same floats as ``noise._apply(target's angles, _NOISELESS, n)``.  The
+    set-up builds R's frame once, for n and m2's columns (``_apply_all``),
+    so ``fg`` forms K from the damping set, cos(gamma) and sin(gamma), in
+    the floats and order of ``noise._apply_all``."""
     n, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), rank_one = moments
     (u0, u1, u2), (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = _apply_all(
-        target.beta, target.gamma, target.delta, 0.0, 0.0,
+        target.beta, target.gamma, target.delta, (_NOISELESS,),
         (n, (a00, a10, a20), (a01, a11, a21), (a02, a12, a22)),
     )
-    ee, k11, t0y = _damping(la, lp)  # e^2, e (1 - la), e la
-    t0z = la
+    ee, k11, t0y, t0z = damping  # e^2, e (1 - la), e la, la
 
     def fg(x):
         beta, gamma, delta = x[0], x[1], x[2]

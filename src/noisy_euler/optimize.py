@@ -99,7 +99,9 @@ def optimize_gate(target: EulerAngles, m1, m2, params: NoiseParams) -> Optimizat
     target among equal-F optima; for every other input it is the Newton
     search (``_newton``) from the target's angles.  Either ends within
     GRADIENT_TOLERANCE, and the target's angles are the fallback, so the
-    result never scores below them.
+    result never scores below them.  This is the one place the floats of
+    ``_optimize`` become an ``OptimizationResult``; its ValueError, raised
+    when the optimized angles are not finite, passes through.
 
     The seeded search is global in practice: on 1,200 problems (lambda
     from 1e-3 to 0.999; points, caps, preparations) 16 extra starts raised
@@ -107,16 +109,21 @@ def optimize_gate(target: EulerAngles, m1, m2, params: NoiseParams) -> Optimizat
     another equal-F unitary in 470; on point inputs the closed form reaches
     a dense circle search (``tests/reference.py``).
     """
-    return _optimize(target, _read_moments(m1, m2), params, (), GRADIENT_TOLERANCE)[0]
+    (angles, f, f_seed, iterations, converged), _ = _optimize(
+        target, _read_moments(m1, m2), params, (), GRADIENT_TOLERANCE)
+    return OptimizationResult(EulerAngles(*angles), f, f_seed, iterations, converged)
 
 
 def _optimize(target: EulerAngles, moments, params: NoiseParams, starts, start_tolerance: float):
-    """``optimize_gate``'s result for moments already read and checked, the
-    (n, rows, rank_one) of ``objectives._read_moments``, with extra
+    """``optimize_gate``'s result as plain floats, ((beta, gamma, delta), F,
+    F_seed, iterations, converged), for moments already read and checked,
+    the (n, rows, rank_one) of ``objectives._read_moments``, with extra
     candidates, and u = R m1, the target's noiseless image of m1, which
     randomized benchmarking takes as its next ideal state.  A caller that
     optimizes many targets for the same moments (a sweep cell) reads them
-    once and passes them to every call.
+    once and passes them to every call.  One damping set
+    (``noise._damping``) serves the objective and the closed form.  Raises
+    ValueError unless the wrapped angles are finite.
 
     The target seed and each (beta, gamma, delta) of ``starts`` are
     candidates; the best wins, the earliest on ties (the seed first), and
@@ -127,8 +134,8 @@ def _optimize(target: EulerAngles, moments, params: NoiseParams, starts, start_t
     saturated drift arm (k = 1e6): F is flat to the ulp there, and the drift
     check looks for the angles the tie-break scrambles.
     """
-    la, lp = params.lambda_a, params.lambda_p
-    fg, n, u, rank_one = _objective(target, moments, la, lp)
+    damping = _damping(params.lambda_a, params.lambda_p)
+    fg, n, u, rank_one = _objective(target, moments, damping)
     x_seed = (target.beta, target.gamma, target.delta)
     at_seed = fg(x_seed)
     best = None
@@ -136,7 +143,7 @@ def _optimize(target: EulerAngles, moments, params: NoiseParams, starts, start_t
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
         tolerance = start_tolerance
         if i == 0 and rank_one and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
-            x0 = _point_optimum(target, n, u, la, lp)
+            x0 = _point_optimum(target, n, u, damping)
             f0, g0, h0 = fg(x0)
             tolerance = GRADIENT_TOLERANCE
         if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= tolerance:
@@ -149,15 +156,16 @@ def _optimize(target: EulerAngles, moments, params: NoiseParams, starts, start_t
     if best[1] < f_seed:
         best = (x_seed, f_seed, 0, True)
     x, f, iterations, converged = best
-    return OptimizationResult(
-        EulerAngles(x[0] % math.tau, x[1] % math.tau, x[2] % math.tau),
-        min(max(f, 0.0), 1.0), min(max(f_seed, 0.0), 1.0), iterations, converged,
-    ), u
+    angles = beta, gamma, delta = x[0] % math.tau, x[1] % math.tau, x[2] % math.tau
+    if not (math.isfinite(beta) and math.isfinite(gamma) and math.isfinite(delta)):
+        raise ValueError(f"optimized angles must be finite, got {x!r}")
+    return (angles, min(max(f, 0.0), 1.0), min(max(f_seed, 0.0), 1.0), iterations, converged), u
 
 
-def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
+def _point_optimum(target: EulerAngles, n, u, damping):
     """The angles (beta, gamma, delta) of the global maximum of F for the
-    rank-1 input n (m2 = n n^T, |n| <= 1), in closed form, given u = R n.
+    rank-1 input n (m2 = n n^T, |n| <= 1), in closed form, given u = R n
+    and the damping set of ``noise._damping``.
 
     Let v = Rz(delta) n = (v_x, s, n_z), r^2 = |n|^2 - s^2 and
     psi = atan2(n_z, v_x) - gamma.  With E = e^2 and ek = e (1 - la) from
@@ -191,7 +199,7 @@ def _point_optimum(target: EulerAngles, n, u, la: float, lp: float):
     """
     nx, ny, nz = n
     ux, uy, uz = u
-    ee, ek, el = _damping(la, lp)  # e^2, e (1 - la), e la
+    ee, ek, el, _ = damping  # e^2, e (1 - la), e la
     ee2 = ee * ee
     rho, mu2 = math.hypot(nx, ny), ux * ux + uy * uy
     mu = math.sqrt(mu2)

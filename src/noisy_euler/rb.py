@@ -14,15 +14,16 @@ inverse is one step of both arms:
 
 The optimizer reads one state n.  After a gate it is the opt arm's noisy
 state under ``track_noisy_state`` and otherwise the optimizer's own image of
-the ideal state, u = R n (``optimize._optimize``), the same floats as the
-zero-noise ``noise._apply``, so a gate step runs the channel only for the
-two arms.
+the ideal state, u = R n (``optimize._optimize``), the same floats as
+``noise._apply`` under the noiseless damping set, so a gate step runs the
+channel only for the two arms.
 
 States are Bloch vectors: Z rotations are virtual and noiseless, so each
-noisy native gate is exactly the affine map r -> A r + t (``noise._apply``),
-at zero noise the gate's rotation.  A circuit carries n and each arm's noisy
-state as float 3-tuples and reads survival as (1 + r_z)/2.  Each gate is drawn
-as a unit quaternion, and the circuit carries the net rotation as the
+noisy native gate is exactly the affine map r -> A r + t (``noise._apply``
+under the true model's damping set, built once per circuit), at zero noise
+the gate's rotation.  A circuit carries n and each arm's noisy state as
+float 3-tuples and reads survival as (1 + r_z)/2.  Each gate is drawn as a
+unit quaternion, and the circuit carries the net rotation as the
 Hamilton product of the gates' quaternions; the inverse gate is the net's
 conjugate, read off in ZYZ angles by ``gates._zyz_from_quaternion``,
 whose atan2 ratios do not see the product's norm drift (about 5e-14 after
@@ -49,7 +50,7 @@ import numpy as np
 from .calibration import _readout_slope, apply_readout_error, mitigate_readout
 from .gates import EulerAngles, _hamilton, _zyz_from_quaternion
 from .io import parallel_map
-from .noise import NoiseParams, _apply
+from .noise import NoiseParams, _apply, _damping
 from .objectives import _point_moments, _read_moments
 from .optimize import _optimize
 
@@ -197,7 +198,7 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     ``uniform(0, 2 pi)`` returns.  A stream nothing draws from is not built:
     the starts' with multistart 0, the shots' with exact shots."""
     cfg, circuit = item
-    la, lp = cfg.noise.lambda_a, cfg.noise.lambda_p
+    damping = _damping(cfg.noise.lambda_a, cfg.noise.lambda_p)
     assumed = cfg.noise.assuming_drift(cfg.drift_factor)
     rng_gates = np.random.default_rng([cfg.rng_seed, circuit, 0])
     rng_starts = np.random.default_rng([cfg.rng_seed, circuit, 2]) if cfg.multistart else None
@@ -218,10 +219,10 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
         starts = ()
         if cfg.multistart > 0:
             starts = (math.tau * np.random.default_rng(stream).random((cfg.multistart, 3))).tolist()
-        res, image = _optimize(target, moments, assumed, starts, RB_GRADIENT_TOLERANCE)
-        a = res.angles_opt
-        return (_apply(target.beta, target.gamma, target.delta, la, lp, unopt),
-                _apply(a.beta, a.gamma, a.delta, la, lp, opt)), image
+        ((beta, gamma, delta), _, _, _, _), image = _optimize(
+            target, moments, assumed, starts, RB_GRADIENT_TOLERANCE)
+        return (_apply(target.beta, target.gamma, target.delta, damping, unopt),
+                _apply(beta, gamma, delta, damping, opt)), image
 
     for i, row in enumerate(rng_gates.random((cfg.n_gates, 3)).tolist()):
         q = _sample_quaternion(row)

@@ -7,6 +7,9 @@ NoiseParams and BlochState only through their attributes and calls no
 package function.  ``circle_optimum``, ``expected_improvement`` and
 ``rb_unopt_rate`` call the package's objective or optimizer and check what
 is built around it: a search, a sweep's sampling, RB's propagation.
+``point_score`` is the knowledge sweep's score of one sampled state through
+the package's channel map, which the sweep's cells must reproduce bit for
+bit and which is itself checked against the Kraus oracle.
 """
 
 import cmath
@@ -226,6 +229,16 @@ def circle_optimum(target, r, params, points: int = 64) -> float:
                               options={"maxiter": 1000, "gtol": 1e-12, "ftol": 1e-16})
         f_best = max(f_best, -ref.fun)
     return min(max(f_best, 0.0), 1.0)
+
+
+def point_score(angles, u, n, la: float, lp: float) -> float:
+    """Fidelity 1/2 (1 + u.(A n + t)) of ``angles``' noisy map on the pure
+    input n against the target's ideal output u = R n, clamped to [0, 1],
+    with A n + t from ``noise._apply`` under lambda_a = la, lambda_p = lp."""
+    from noisy_euler.noise import _apply, _damping
+
+    x, y, z = _apply(angles.beta, angles.gamma, angles.delta, _damping(la, lp), n)
+    return min(max(0.5 * (1.0 + u[0] * x + u[1] * y + u[2] * z), 0.0), 1.0)
 
 
 def expected_improvement(lam: float, m1, m2) -> tuple[float, float]:

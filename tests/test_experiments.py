@@ -3,7 +3,6 @@
 import math
 from dataclasses import replace
 from statistics import NormalDist
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,13 +20,19 @@ from noisy_euler import (
     prep_improvement_sweep,
 )
 from noisy_euler import experiments, optimize
-from noisy_euler.experiments import _cap_sample, _haar_gate, _point_score
+from noisy_euler.experiments import _cap_sample, _haar_gate
 from noisy_euler.gates import _bloch_vector
-from noisy_euler.noise import _apply
+from noisy_euler.noise import _NOISELESS, _apply
 from noisy_euler.objectives import _point_moments, _read_moments
 from noisy_euler.optimize import _optimize, optimize_gate
 from noisy_euler.rb import RB_GRADIENT_TOLERANCE
-from reference import expected_improvement, point_fidelity, uniform_prep_target, zyz_unitary
+from reference import (
+    expected_improvement,
+    point_fidelity,
+    point_score,
+    uniform_prep_target,
+    zyz_unitary,
+)
 
 
 def test_sweep_config_validation():
@@ -140,7 +145,7 @@ def test_prep_targets_equal_scalar_uniform_rule(monkeypatch, seed):
 
     def record(target, *args, **kwargs):
         targets.append(target)
-        return SimpleNamespace(improvement=0.0), None
+        return ((0.0, 0.0, 0.0), 0.0, 0.0, 0, True), None
 
     monkeypatch.setattr(experiments, "_optimize", record)
     prep_improvement_sweep(SweepConfig(lambda_grid=(0.0, 0.05), targets_per_point=5000,
@@ -202,9 +207,9 @@ def test_cells_equal_the_public_optimizer_loop(monkeypatch):
                 target = _haar_gate(rng)
                 opt = optimize_gate(target, *cap_moments(theta_max), params).angles_opt
                 n = _bloch_vector(*_cap_sample(rng, theta_max))
-                u = _apply(target.beta, target.gamma, target.delta, 0.0, 0.0, n)
+                u = _apply(target.beta, target.gamma, target.delta, _NOISELESS, n)
                 la, lp = params.lambda_a, params.lambda_p
-                imps.append(_point_score(opt, u, n, la, lp) - _point_score(target, u, n, la, lp))
+                imps.append(point_score(opt, u, n, la, lp) - point_score(target, u, n, la, lp))
             want.append(imps)
     for li, lam in enumerate(SMALL_GRID.lambda_grid):
         rng = np.random.default_rng([SMALL_GRID.rng_seed, 0, li])
@@ -243,9 +248,9 @@ def test_point_score_matches_kraus_reference():
         params = NoiseParams(lam_a, lam_p)
         state = BlochState(*_cap_sample(rng, math.pi))
         n = _bloch_vector(state.theta, state.phi)
-        u = _apply(target.beta, target.gamma, target.delta, 0.0, 0.0, n)
+        u = _apply(target.beta, target.gamma, target.delta, _NOISELESS, n)
         want = min(max(point_fidelity(target, trial, state, params), 0.0), 1.0)
-        assert abs(_point_score(trial, u, n, params.lambda_a, params.lambda_p) - want) < 1e-12
+        assert abs(point_score(trial, u, n, params.lambda_a, params.lambda_p) - want) < 1e-12
 
 
 def test_knowledge_cells_match_kraus_reference():
@@ -421,8 +426,8 @@ def test_bogota_drift_gain_is_a_mean_over_gates_and_states(qubit):
         for i, (gate, n) in enumerate(pairs):
             res, u = _optimize(gate, _read_moments(*_point_moments(n)), assumed, (),
                                RB_GRADIENT_TOLERANCE)
-            imps[i] = (_point_score(res.angles_opt, u, n, la, lp)
-                       - _point_score(gate, u, n, la, lp))
+            imps[i] = (point_score(EulerAngles(*res[0]), u, n, la, lp)
+                       - point_score(gate, u, n, la, lp))
         z_score = imps.mean() / (imps.std(ddof=1) / math.sqrt(imps.size))
         if k <= 100:
             assert z_score > 3.0, (k, z_score)

@@ -33,7 +33,7 @@ def closed_form(ang, st, p):
     """The affine map A n + t that RB and the objective run, rendered as a
     density matrix."""
     return bloch_density(
-        _apply(ang.beta, ang.gamma, ang.delta, p.lambda_a, p.lambda_p, bloch_vector(st))
+        _apply(ang.beta, ang.gamma, ang.delta, _damping(p.lambda_a, p.lambda_p), bloch_vector(st))
     )
 
 
@@ -239,9 +239,9 @@ def one_vector_map(beta, gamma, delta, la, lp, r):
     float operations, and their order, of the package's one-vector form:
     what a shared frame must reproduce bit for bit to keep outputs
     byte-identical."""
-    ee, k11, t0y = _damping(la, lp)
+    ee, k11, t0y, t0z = _damping(la, lp)
     cg, sg = math.cos(gamma), math.sin(gamma)
-    k00, k02, k20, k22, t0z = ee * cg, ee * sg, -k11 * sg, k11 * cg, la
+    k00, k02, k20, k22 = ee * cg, ee * sg, -k11 * sg, k11 * cg
     cd, sd = math.cos(delta), math.sin(delta)
     x, y, z = cd * r[0] - sd * r[1], sd * r[0] + cd * r[1], r[2]
     x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
@@ -254,26 +254,33 @@ def bits(vectors):
 
 
 def test_shared_frame_equals_one_vector_map_exactly():
-    """``_apply_all`` builds a gate's frame once for several vectors, as the
-    objective's set-up does at zero noise for m1 and the columns of m2.  Each
-    image equals ``_apply``'s and the one-vector map's at that vector to the
-    bit, signed zeros included, at gamma = 0 and pi as well as at random
-    angles, and with noise as well as without."""
+    """``_apply_all`` builds a gate's frame once for several damping sets
+    and vectors, as the objective's set-up does under the noiseless set for
+    m1 and the columns of m2, and a knowledge cell under the noiseless and
+    its own set for one sampled state.  Its images come damping-major, and
+    each equals ``_apply``'s and the one-vector map's at that (damping set,
+    vector) pair to the bit, signed zeros included, at gamma = 0 and pi as
+    well as at random angles, for one to four damping sets drawn from
+    lambda = 0, 0.999 and lambda_a != lambda_p."""
     rng = np.random.default_rng(33)
     for i in range(1200):
         beta, gamma, delta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 3).tolist()
         gamma = (0.0, math.pi, -math.pi, gamma)[i % 4]
-        la, lp = (0.0, 0.0) if i % 3 else rng.uniform(0.0, 0.5, 2).tolist()
+        models = [(0.0, 0.0), (0.999, 0.999), (0.999, 0.0),
+                  tuple(rng.uniform(0.0, 0.5, 2).tolist())]
+        models = [models[j] for j in rng.permutation(4)[:1 + i % 4]]
+        dampings = [_damping(la, lp) for la, lp in models]
         vectors = rng.uniform(-1.0, 1.0, (4, 3)).tolist()
         vectors[0] = [0.0, -0.0, 1.0]
         vectors[1] = [-0.0, 0.0, -0.0]
         vectors[2][i % 3] = -0.0
         vectors[3][(i + 1) % 3] = 0.0
-        images = list(_apply_all(beta, gamma, delta, la, lp, vectors))
-        singles = [_apply(beta, gamma, delta, la, lp, v) for v in vectors]
+        images = list(_apply_all(beta, gamma, delta, dampings, vectors))
+        singles = [_apply(beta, gamma, delta, d, v) for d in dampings for v in vectors]
         assert images == singles
         assert bits(images) == bits(singles)
-        assert bits(images) == bits(one_vector_map(beta, gamma, delta, la, lp, v) for v in vectors)
+        assert bits(images) == bits(one_vector_map(beta, gamma, delta, la, lp, v)
+                                    for la, lp in models for v in vectors)
 
 
 # ------------------------------------------------------------- calibration

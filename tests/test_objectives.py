@@ -20,6 +20,7 @@ from noisy_euler import (
     point_moments,
 )
 from noisy_euler.experiments import _cap_sample
+from noisy_euler.noise import _damping
 from noisy_euler.objectives import _objective, _point_moments, _read_moments
 from reference import (
     bloch_vector,
@@ -133,6 +134,7 @@ def test_objective_core_equals_moment_objective():
     m2 as lists, tuples and ndarrays, point and cap."""
     rng = np.random.default_rng(17)
     params = NoiseParams(0.04, 0.09)
+    damping = _damping(params.lambda_a, params.lambda_p)
     for i in range(20):
         target = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
         if i % 2:
@@ -140,12 +142,12 @@ def test_objective_core_equals_moment_objective():
         else:
             m1, m2 = cap_moments(rng.uniform(0.1, math.pi))
         core, _, u, _ = _objective(target, _read_moments(tuple(m1), tuple(map(tuple, m2))),
-                                   params.lambda_a, params.lambda_p)
+                                   damping)
         xs = [tuple(rng.uniform(-math.pi, math.pi, 3).tolist()) for _ in range(3)]
         for a, b in ((list(m1), [list(r) for r in m2]), (tuple(m1), tuple(map(tuple, m2))),
                      (np.array(m1), np.array(m2))):
             fg = moment_objective(target, a, b, params)
-            assert _objective(target, _read_moments(a, b), params.lambda_a, params.lambda_p)[2] == u
+            assert _objective(target, _read_moments(a, b), damping)[2] == u
             assert all(fg(x) == core(x) for x in xs)
 
 

@@ -11,6 +11,7 @@ from noisy_euler import (
     BlochState,
     EulerAngles,
     NoiseParams,
+    OptimizationResult,
     RbConfig,
     SweepConfig,
     bundled_device,
@@ -25,7 +26,7 @@ from noisy_euler import (
 )
 from noisy_euler import optimize, rb
 from noisy_euler.gates import _zyz_from_quaternion
-from noisy_euler.noise import _apply
+from noisy_euler.noise import _apply, _damping
 from noisy_euler.objectives import _objective, _read_moments
 from noisy_euler.rb import _sample_quaternion
 from reference import (
@@ -140,8 +141,11 @@ def test_uniform_average_cannot_be_improved():
 
 
 def with_starts(target, moments, params, starts, tolerance=optimize.GRADIENT_TOLERANCE):
-    """The optimizer core's result for extra starts, as RB calls it."""
-    return optimize._optimize(target, _read_moments(*moments), params, starts, tolerance)[0]
+    """The optimizer core's result for extra starts, as RB calls it, read
+    into an ``OptimizationResult``."""
+    angles, *rest = optimize._optimize(target, _read_moments(*moments), params, starts,
+                                       tolerance)[0]
+    return OptimizationResult(EulerAngles(*angles), *rest)
 
 
 def test_results_deterministic():
@@ -170,12 +174,12 @@ def test_no_starts_is_the_seeded_search():
                 res = with_starts(target, moments, params, ())
                 assert res == optimize_gate(target, *moments, params)
                 assert res == with_starts(target, moments, params, np.empty((0, 3)))
-                fg, n, u, _ = _objective(target, _read_moments(*moments),
-                                         params.lambda_a, params.lambda_p)
+                damping = _damping(params.lambda_a, params.lambda_p)
+                fg, n, u, _ = _objective(target, _read_moments(*moments), damping)
                 x_seed = (target.beta, target.gamma, target.delta)
                 f_seed, g_seed, h_seed = fg(x_seed)
                 if np.array_equal(moments[1], np.outer(moments[0], moments[0])):
-                    x = optimize._point_optimum(target, n, u, params.lambda_a, params.lambda_p)
+                    x = optimize._point_optimum(target, n, u, damping)
                     f = fg(x)[0]
                 else:
                     x, f, _, _ = optimize._newton(fg, x_seed, f_seed, g_seed, h_seed)
@@ -205,6 +209,28 @@ def test_optimized_angles_wrapped_into_range():
         res = optimize_gate(target, *moments, NoiseParams.from_lambda(0.1))
         for v in (res.angles_opt.beta, res.angles_opt.gamma, res.angles_opt.delta):
             assert 0.0 <= v < 2 * math.pi
+
+
+@pytest.mark.parametrize("i, bad", [(0, math.inf), (1, -math.inf), (2, math.nan)])
+def test_non_finite_optimized_angles_raise(monkeypatch, i, bad):
+    """A search that ends at a non-finite angle with F above the seed's
+    makes the optimizer core and ``optimize_gate`` raise ValueError, so no
+    caller of the core (a sweep cell, an RB step) runs such angles."""
+    params = NoiseParams.from_lambda(0.05)
+    target = extract_euler(named_gate("h"))
+    moments = cap_moments(0.5)
+
+    def diverged(fg, x, f, g, h):
+        x = list(x)
+        x[i] = bad
+        return tuple(x), f + 0.1, 1, True
+
+    monkeypatch.setattr(optimize, "_newton", diverged)
+    with pytest.raises(ValueError, match="finite"):
+        optimize._optimize(target, _read_moments(*moments), params, (),
+                           optimize.GRADIENT_TOLERANCE)
+    with pytest.raises(ValueError, match="finite"):
+        optimize_gate(target, *moments, params)
 
 
 def test_cap_distribution_optimization_runs_and_improves():
@@ -407,7 +433,7 @@ def test_equal_fidelity_partner_optima():
     fg = moment_objective(target, r, np.outer(r, r), params)
     res = optimize_gate(target, r, np.outer(r, r), params)
     a = res.angles_opt
-    x, y, _ = _apply(0.0, a.gamma, a.delta, params.lambda_a, params.lambda_p, r)
+    x, y, _ = _apply(0.0, a.gamma, a.delta, _damping(params.lambda_a, params.lambda_p), r)
     b = EulerAngles(*(v % (2 * math.pi) for v in (
         a.beta + 2.0 * math.atan2(y, x) - math.pi, -a.gamma, a.delta)))
     at_a, at_b = fg((a.beta, a.gamma, a.delta)), fg((b.beta, b.gamma, b.delta))
@@ -468,7 +494,7 @@ def test_point_optimum_target_sends_input_to_pole():
         target = EulerAngles(rng.uniform(0.0, 2 * math.pi), flip - theta, -phi)
         r = bloch_vector(BlochState(theta, phi))
         u = _objective(target, _read_moments(r, np.outer(r, r)),
-                       params.lambda_a, params.lambda_p)[2]
+                       _damping(params.lambda_a, params.lambda_p))[2]
         assert math.hypot(u[0], u[1]) < 1e-15
         check_point_optimum(target, r, params)
 

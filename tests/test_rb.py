@@ -22,7 +22,7 @@ from noisy_euler import (
     run_rb_experiment,
 )
 from noisy_euler.gates import _hamilton, _zyz_from_quaternion
-from noisy_euler.noise import _apply
+from noisy_euler.noise import _NOISELESS, _apply
 from noisy_euler.optimize import GRADIENT_TOLERANCE
 from reference import (
     angle_gap,
@@ -487,7 +487,7 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
         m1, m2, _ = moments
         assert np.array_equal(m2, np.outer(m1, m1))
         res, image = original(target, moments, params, *args)
-        calls.append((np.array(m1), res.angles_opt))
+        calls.append((np.array(m1), EulerAngles(*res[0])))
         return res, image
 
     monkeypatch.setattr(rb, "_optimize", recording)
@@ -545,16 +545,15 @@ def test_every_started_search_converges(monkeypatch, track_noisy_state):
     def recording(target, moments, params, *args):
         res, image = original(target, moments, params, *args)
         m1, m2, _ = moments
-        calls.append((target, m1, m2, params, res))
+        calls.append((target, m1, m2, params, EulerAngles(*res[0])))
         return res, image
 
     monkeypatch.setattr(rb, "_optimize", recording)
     run_rb_experiment(small_config(n_circuits=2, track_noisy_state=track_noisy_state))
-    searched = [c for c in calls if c[4].angles_opt != EulerAngles(
+    searched = [c for c in calls if c[4] != EulerAngles(
         *(v % (2 * math.pi) for v in (c[0].beta, c[0].gamma, c[0].delta)))]
     assert searched
-    for target, m1, m2, params, res in searched:
-        a = res.angles_opt
+    for target, m1, m2, params, a in searched:
         _, g, _ = moment_objective(target, m1, m2, params)((a.beta, a.gamma, a.delta))
         assert max(abs(v) for v in g) <= GRADIENT_TOLERANCE
 
@@ -579,7 +578,7 @@ def test_ideal_state_is_the_optimizers_image(monkeypatch):
     for depth, row in enumerate(rows, 1):
         expected.append(n)
         gate = _zyz_from_quaternion(*rb._sample_quaternion(row))
-        n = _apply(gate.beta, gate.gamma, gate.delta, 0.0, 0.0, n)
+        n = _apply(gate.beta, gate.gamma, gate.delta, _NOISELESS, n)
         if depth in cfg.depth_schedule:
             expected.append(n)
     assert cfg.n_gates == 246 and len(expected) == 246 + len(cfg.depth_schedule)
@@ -672,7 +671,8 @@ def test_tiny_drift_keeps_every_opt_step_at_its_seed(monkeypatch, seed, track_no
 
     def recording(target, moments, params, *args):
         res, image = original(target, moments, params, *args)
-        calls.append(res.iterations == 0 and res.angles_opt == EulerAngles(
+        angles, _, _, iterations, _ = res
+        calls.append(iterations == 0 and EulerAngles(*angles) == EulerAngles(
             *(v % (2 * math.pi) for v in (target.beta, target.gamma, target.delta))))
         return res, image
 
