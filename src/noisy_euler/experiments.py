@@ -25,8 +25,8 @@ targets do not depend on targets_per_point.
 Every target of a cell has the same input moments (the ground state, or the
 cell's cap) and noise model, so a cell reads and checks the moments once
 (``objectives._read_moments``) and builds the damping set once
-(``noise._damping``).  Per target the optimizer core, ``optimize._optimize``,
-returns plain floats, and a knowledge target takes the ideal output u = R n
+(``noise._damping``), and passes both to the optimizer core,
+``optimize._optimize``, for every target.  The core returns plain floats, and a knowledge target takes the ideal output u = R n
 of its sampled state n and the default angles' noisy image of n from one
 ``noise._apply_all`` call under the noiseless and the cell's damping set.
 """
@@ -139,6 +139,7 @@ def _score(u, image) -> float:
 def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam = item
     params = NoiseParams.from_lambda(lam)
+    damping = _damping(params.lambda_a, params.lambda_p)
     ground = _read_moments(*point_moments(0.0, 0.0))
     rng = np.random.default_rng([cfg.rng_seed, 0, li])
     imps = np.empty(cfg.targets_per_point)
@@ -148,7 +149,7 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
         # |0> as a phase only, so delta stays at its seed 0.
         target = EulerAngles(phi, math.acos(z), 0.0)
-        _, f, f_seed, _, _ = _optimize(target, ground, params, (), GRADIENT_TOLERANCE)[0]
+        _, f, f_seed, _, _ = _optimize(target, ground, damping, (), GRADIENT_TOLERANCE)[0]
         imps[t] = f - f_seed
     return _row_stats(lam, None, imps)
 
@@ -163,7 +164,7 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     imps = np.empty(cfg.targets_per_point)
     for r in range(cfg.targets_per_point):
         target = _haar_gate(rng)
-        (beta, gamma, delta), _, _, _, _ = _optimize(target, moments, params, (),
+        (beta, gamma, delta), _, _, _, _ = _optimize(target, moments, damping, (),
                                                      GRADIENT_TOLERANCE)[0]
         # both decompositions' fidelity on the sampled state (canonical angles)
         n = _bloch_vector(*_cap_sample(rng, theta_max))

@@ -25,9 +25,9 @@ On the Bloch vector n (rho = (I + n.sigma)/2) the channel is affine,
 n -> diag(e, e, 1-la) n + (0, 0, la) with e = sqrt(1-la) sqrt(1-lp), and the
 virtual R_z are rotations, so the whole noisy native gate is one affine map
 n -> A n + t = Rz(beta) (K Rz(delta) n + t0), K and t0 from the damping set
-that ``_damping`` builds once per noise model.  ``_apply_all`` evaluates it
-in plain floats for several damping sets and Bloch vectors under one angle
-frame, and ``_apply`` at one of each.  It is the only form the RB simulator,
+that ``_damping`` builds once per RB circuit, sweep cell or ``optimize_gate``
+call.  ``_apply_all`` evaluates the map in plain floats for several damping
+sets and Bloch vectors under one angle frame, and ``_apply`` at one of each.  It is the only form the RB simulator,
 the sweeps' scoring and the objectives' set-up use, and under the noiseless
 set ``_NOISELESS`` it is the gate's rotation.
 """
@@ -121,7 +121,8 @@ def _damping(la: float, lp: float):
     """The constants of the noisy part of the native gate, between its outer
     frame changes R_z(beta) and R_z(delta), that do not depend on gamma:
     the damping set (e^2, e (1-la), e la, la) with e = sqrt(1-la) sqrt(1-lp).
-    A caller builds it once per noise model and passes it to every map.
+    A caller (an RB circuit, a sweep cell, ``optimize_gate``) builds it once
+    and passes it to every map and every ``optimize._optimize`` call.
 
     On the Bloch vector each pulse R_x(+-pi/2) is a rotation followed by the
     damping D = diag(e, e, 1-la) and the offset (0, 0, la).  The pulse pair

@@ -66,17 +66,6 @@ def cap_moments(theta_max: float):
     return [0.0, 0.0, 0.5 * (1.0 + c)], [[xx, 0.0, 0.0], [0.0, xx, 0.0], [0.0, 0.0, zz]]
 
 
-def _tolist(m):
-    return m.tolist() if isinstance(m, np.ndarray) else m
-
-
-def _triple(v):
-    """v's three entries; TypeError unless v is a sequence (no set or iterator) of length 3."""
-    if len(v) != 3:
-        raise TypeError("expected a sequence of length 3")
-    return v[0], v[1], v[2]
-
-
 def _cholesky3(a00, a10, a11, a20, a21, a22):
     """The Cholesky factor L = ((l00,), (l10, l11), (l20, l21, l22)) of the
     symmetric 3x3 matrix with lower triangle a, as the tuple
@@ -100,8 +89,8 @@ def _cholesky3(a00, a10, a11, a20, a21, a22):
 def _read_moments(m1, m2):
     """Read and check the moments m1 = E[n] and m2 = E[n n^T]: the package's
     one reader of them.  Returns (n, rows, rank_one): m1 as a 3-tuple, m2 as
-    three 3-tuples, each entry read once by position (an ndarray via
-    ``tolist()``), and whether m2 == m1 m1^T exactly.
+    three 3-tuples, each entry read once by position in one pass (an ndarray
+    via ``tolist()``), and whether m2 == m1 m1^T exactly.
 
     Raises ValueError, naming m1 or m2, unless m1 is a sequence of three
     finite reals and m2 a sequence of three such sequences (a set or an
@@ -113,24 +102,30 @@ def _read_moments(m1, m2):
     symmetric and semidefinite as it stands and pays only for the trace
     check: every point, preparation and randomized-benchmarking step is one.
     """
-    try:
-        n = n0, n1, n2 = _triple(_tolist(m1))
-        m1_ok = math.isfinite(n0) and math.isfinite(n1) and math.isfinite(n2)
+    m1 = m1.tolist() if isinstance(m1, np.ndarray) else m1
+    m2 = m2.tolist() if isinstance(m2, np.ndarray) else m2
+    isfinite = math.isfinite
+    try:  # len() and indexing raise TypeError on a set, an iterator or a scalar
+        m1_ok = (len(m1) == 3 and isfinite(n0 := m1[0]) and isfinite(n1 := m1[1])
+                 and isfinite(n2 := m1[2]))
     except TypeError:
         m1_ok = False
     if not m1_ok:
         raise ValueError("m1 must be a sequence of shape (3,) of finite reals, "
                          "not a set or iterator")
     try:
-        r0, r1, r2 = _triple(_tolist(m2))
-        rows = _triple(r0), _triple(r1), _triple(r2)
-        m2_ok = all(map(math.isfinite, rows[0] + rows[1] + rows[2]))
+        m2_ok = len(m2) == 3 and len(r0 := m2[0]) == len(r1 := m2[1]) == len(r2 := m2[2]) == 3
+        if m2_ok:
+            rows = (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (
+                (r0[0], r0[1], r0[2]), (r1[0], r1[1], r1[2]), (r2[0], r2[1], r2[2]))
+            m2_ok = (isfinite(a00) and isfinite(a01) and isfinite(a02) and isfinite(a10)
+                     and isfinite(a11) and isfinite(a12) and isfinite(a20)
+                     and isfinite(a21) and isfinite(a22))
     except TypeError:
         m2_ok = False
     if not m2_ok:
         raise ValueError("m2 must be a sequence of shape (3, 3) of finite reals, "
                          "not sets or iterators")
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
     if not a00 + a11 + a22 <= 1.0 + _MOMENT_TOL:
         raise ValueError(f"m2 must have trace <= 1, got {a00 + a11 + a22!r}")
     c00, c01, c02 = a00 - n0 * n0, a01 - n0 * n1, a02 - n0 * n2
@@ -145,7 +140,7 @@ def _read_moments(m1, m2):
                       c20, c21, c22 + _MOMENT_TOL) is None:
             raise ValueError("m2 must be at least m1 m1^T: the covariance "
                              "m2 - m1 m1^T is not positive semidefinite")
-    return n, rows, rank_one
+    return (n0, n1, n2), rows, rank_one
 
 
 def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
@@ -177,7 +172,9 @@ def _objective(target: EulerAngles, moments, damping):
     (n, rows, rank_one) of ``_read_moments``, under the damping set
     ``damping`` of ``noise._damping``, which the caller builds once, with
     what the optimizer needs besides: (fg, n, u, rank_one) and u = R n, the
-    same floats as ``noise._apply(target's angles, _NOISELESS, n)``.  The
+    same floats as ``noise._apply(target's angles, _NOISELESS, n)``.
+    ``fg(x, False)`` returns (F, g, None), the same F and g without building
+    the Hessian, for evaluations whose Hessian no search reads.  The
     set-up builds R's frame once, for n and m2's columns (``_apply_all``),
     so ``fg`` forms K from the damping set, cos(gamma) and sin(gamma), in
     the floats and order of ``noise._apply_all``."""
@@ -188,7 +185,7 @@ def _objective(target: EulerAngles, moments, damping):
     )
     ee, k11, t0y, t0z = damping  # e^2, e (1 - la), e la, la
 
-    def fg(x):
+    def fg(x, _hessian=True):
         beta, gamma, delta = x[0], x[1], x[2]
         cg, sg = math.cos(gamma), math.sin(gamma)
         k00, k02, k20, k22 = ee * cg, ee * sg, -k11 * sg, k11 * cg
@@ -210,6 +207,8 @@ def _objective(target: EulerAngles, moments, damping):
             0.5 * (k00 * w02 - k02 * w00 + k20 * c22 - k22 * w20),
             0.5 * (k11 * w10 - k00 * w01 - k20 * w21),
         )
+        if not _hessian:
+            return f, g, None
         h_bb = -0.5 * (t0y * uy + k00 * w00 + k02 * w02 + k11 * w11)
         h_bg = 0.5 * (k00 * w12 - k02 * w10)
         h_bd = -0.5 * (k00 * w11 + k11 * w00)

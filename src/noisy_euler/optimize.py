@@ -110,20 +110,24 @@ def optimize_gate(target: EulerAngles, m1, m2, params: NoiseParams) -> Optimizat
     a dense circle search (``tests/reference.py``).
     """
     (angles, f, f_seed, iterations, converged), _ = _optimize(
-        target, _read_moments(m1, m2), params, (), GRADIENT_TOLERANCE)
+        target, _read_moments(m1, m2), _damping(params.lambda_a, params.lambda_p), (),
+        GRADIENT_TOLERANCE)
     return OptimizationResult(EulerAngles(*angles), f, f_seed, iterations, converged)
 
 
-def _optimize(target: EulerAngles, moments, params: NoiseParams, starts, start_tolerance: float):
+def _optimize(target: EulerAngles, moments, damping, starts, start_tolerance: float):
     """``optimize_gate``'s result as plain floats, ((beta, gamma, delta), F,
     F_seed, iterations, converged), for moments already read and checked,
     the (n, rows, rank_one) of ``objectives._read_moments``, with extra
     candidates, and u = R m1, the target's noiseless image of m1, which
     randomized benchmarking takes as its next ideal state.  A caller that
     optimizes many targets for the same moments (a sweep cell) reads them
-    once and passes them to every call.  One damping set
-    (``noise._damping``) serves the objective and the closed form.  Raises
-    ValueError unless the wrapped angles are finite.
+    once and passes them to every call, and so with ``damping``, the assumed
+    model's set (``noise._damping``) that serves the objective and the
+    closed form.  Only ``_newton`` reads the Hessian: a rank-1 input's seed
+    and closed-form point are evaluated without it, and a closed-form point
+    that is not stationary gets it before its search.  Raises ValueError
+    unless the wrapped angles are finite.
 
     The target seed and each (beta, gamma, delta) of ``starts`` are
     candidates; the best wins, the earliest on ties (the seed first), and
@@ -134,22 +138,21 @@ def _optimize(target: EulerAngles, moments, params: NoiseParams, starts, start_t
     saturated drift arm (k = 1e6): F is flat to the ulp there, and the drift
     check looks for the angles the tie-break scrambles.
     """
-    damping = _damping(params.lambda_a, params.lambda_p)
     fg, n, u, rank_one = _objective(target, moments, damping)
     x_seed = (target.beta, target.gamma, target.delta)
-    at_seed = fg(x_seed)
+    at_seed = fg(x_seed, not rank_one)
     best = None
     for i, x0 in enumerate((x_seed, *starts)):
         f0, g0, h0 = at_seed if i == 0 else fg(x0)
         tolerance = start_tolerance
         if i == 0 and rank_one and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
             x0 = _point_optimum(target, n, u, damping)
-            f0, g0, h0 = fg(x0)
+            f0, g0, h0 = fg(x0, False)
             tolerance = GRADIENT_TOLERANCE
         if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= tolerance:
             cand = (x0, f0, 0, True)
-        else:
-            cand = _newton(fg, x0, f0, g0, h0)
+        else:  # a closed-form point that is not stationary gets its Hessian here
+            cand = _newton(fg, x0, f0, g0, fg(x0)[2] if h0 is None else h0)
         if best is None or cand[1] > best[1]:
             best = cand
     f_seed = at_seed[0]

@@ -10,6 +10,9 @@ is built around it: a search, a sweep's sampling, RB's propagation.
 ``point_score`` is the knowledge sweep's score of one sampled state through
 the package's channel map, which the sweep's cells must reproduce bit for
 bit and which is itself checked against the Kraus oracle.
+``bisection_decay_rate`` is the decay fit's first algorithm, which the
+package's faster bracket must reproduce bit for bit, and ``free_decay_fit``
+a free-amplitude decay fit that the package does not have.
 """
 
 import cmath
@@ -302,6 +305,61 @@ def rb_unopt_rate(params, nodes: int = 100) -> float:
             f = moment_objective(EulerAngles(0.0, gamma, 0.0), m1, m2, params)((0.0, gamma, 0.0))[0]
             total += wa * wz * (1.0 - f)
     return total
+
+
+def bisection_decay_rate(depths, fidelities) -> float:
+    """``rb.fit_decay``'s a as first written: the log-linear start from
+    ``np.polyfit``, a bracket found by halving or doubling from it, and
+    bisection on the sign of S'(a) down to adjacent floats (a = inf where
+    S still falls at the underflow of e^{-a min x}).  The package finds its
+    bracket another way and must return the same float."""
+    x = np.asarray(depths, dtype=float)
+    z = 2.0 * np.asarray(fidelities, dtype=float) - 1.0
+
+    def falling(a: float) -> bool:
+        e = np.exp(-a * x)
+        return float(np.dot(x * e, e - z)) > 0.0
+
+    slope = np.polyfit(x, np.log(np.clip(z, 1e-12, None)), 1)[0]
+    lo = hi = max(1e-12, -float(slope))
+    while not falling(lo):
+        lo, hi = 0.5 * lo, lo
+    while falling(hi):
+        lo, hi = hi, 2.0 * hi
+        if math.exp(-hi * x.min()) == 0.0:
+            return math.inf
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if falling(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def free_decay_fit(depths, means) -> tuple[float, float, float]:
+    """Least-squares fit of A p^d + B to RB survival means, free amplitude
+    and plateau, as (rate (1 - p) / 2, A, B).  With p = e^{-k}, A and B are
+    a linear least-squares solve at each k; k is the best of a log grid on
+    [1e-6, 0.1], refined by bounded Brent between its grid neighbours (a
+    local search alone can stop at k so large that A p^d fits the first
+    depth only)."""
+    from scipy import optimize
+
+    d = np.asarray(depths, dtype=float)
+    y = np.asarray(means, dtype=float)
+
+    def solve(k: float):
+        basis = np.column_stack([np.exp(-k * d), np.ones_like(d)])
+        coef = np.linalg.lstsq(basis, y, rcond=None)[0]
+        return coef, float(np.sum((basis @ coef - y) ** 2))
+
+    grid = np.geomspace(1e-6, 0.1, 201)
+    i = int(np.argmin([solve(k)[1] for k in grid]))
+    k = optimize.minimize_scalar(lambda k: solve(k)[1], method="bounded",
+                                 bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+                                 options={"xatol": 1e-14}).x
+    (a, b), _ = solve(k)
+    return 0.5 * -math.expm1(-k), float(a), float(b)
 
 
 def readout_matrix(p10: float, p01: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from noisy_euler import (
 from noisy_euler import experiments, optimize
 from noisy_euler.experiments import _cap_sample, _haar_gate
 from noisy_euler.gates import _bloch_vector
-from noisy_euler.noise import _NOISELESS, _apply
+from noisy_euler.noise import _NOISELESS, _apply, _damping
 from noisy_euler.objectives import _point_moments, _read_moments
 from noisy_euler.optimize import _optimize, optimize_gate
 from noisy_euler.rb import RB_GRADIENT_TOLERANCE
@@ -422,9 +422,10 @@ def test_bogota_drift_gain_is_a_mean_over_gates_and_states(qubit):
         pairs.append((gate, (s * math.cos(phi), s * math.sin(phi), z)))
     for k in (1, 10, 100, 300):
         assumed = true.assuming_drift(k)
+        damping = _damping(assumed.lambda_a, assumed.lambda_p)
         imps = np.empty(len(pairs))
         for i, (gate, n) in enumerate(pairs):
-            res, u = _optimize(gate, _read_moments(*_point_moments(n)), assumed, (),
+            res, u = _optimize(gate, _read_moments(*_point_moments(n)), damping, (),
                                RB_GRADIENT_TOLERANCE)
             imps[i] = (point_score(EulerAngles(*res[0]), u, n, la, lp)
                        - point_score(gate, u, n, la, lp))

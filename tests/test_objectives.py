@@ -151,6 +151,28 @@ def test_objective_core_equals_moment_objective():
             assert all(fg(x) == core(x) for x in xs)
 
 
+def test_hessian_on_demand_leaves_f_and_g_unchanged():
+    """``fg(x, False)``, which the optimizer uses where no search reads the
+    Hessian, returns, ==, the full evaluation's F and gradient and no
+    Hessian, for points, caps and near-rank-1 moments (m2 (1 - 1e-12)) at
+    random angles."""
+    rng = np.random.default_rng(41)
+    params = NoiseParams(0.03, 0.07)
+    damping = _damping(params.lambda_a, params.lambda_p)
+    for i in range(30):
+        target = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
+        m1, m2 = point_moments(*rng.uniform(0.0, math.pi, 2))
+        if i % 3 == 1:
+            m1, m2 = cap_moments(rng.uniform(0.1, math.pi))
+        elif i % 3 == 2:
+            m2 = np.multiply(m2, 1.0 - 1e-12)
+        fg = _objective(target, _read_moments(m1, m2), damping)[0]
+        for x in rng.uniform(-math.pi, math.pi, (5, 3)).tolist():
+            f, g, h = fg(x)
+            assert fg(x, False) == (f, g, None)
+            assert len(h) == 3 and all(len(row) == 3 for row in h)
+
+
 SHAPE = "be a sequence of shape"
 
 

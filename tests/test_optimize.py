@@ -143,7 +143,8 @@ def test_uniform_average_cannot_be_improved():
 def with_starts(target, moments, params, starts, tolerance=optimize.GRADIENT_TOLERANCE):
     """The optimizer core's result for extra starts, as RB calls it, read
     into an ``OptimizationResult``."""
-    angles, *rest = optimize._optimize(target, _read_moments(*moments), params, starts,
+    angles, *rest = optimize._optimize(target, _read_moments(*moments),
+                                       _damping(params.lambda_a, params.lambda_p), starts,
                                        tolerance)[0]
     return OptimizationResult(EulerAngles(*angles), *rest)
 
@@ -227,7 +228,8 @@ def test_non_finite_optimized_angles_raise(monkeypatch, i, bad):
 
     monkeypatch.setattr(optimize, "_newton", diverged)
     with pytest.raises(ValueError, match="finite"):
-        optimize._optimize(target, _read_moments(*moments), params, (),
+        optimize._optimize(target, _read_moments(*moments),
+                           _damping(params.lambda_a, params.lambda_p), (),
                            optimize.GRADIENT_TOLERANCE)
     with pytest.raises(ValueError, match="finite"):
         optimize_gate(target, *moments, params)
@@ -369,21 +371,19 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
     def recording(*args):
         fg, *rest = original_objective(*args)
 
-        def recorded(x):
+        def recorded(x, *hessian):
             seen.append(x)
-            return fg(x)
+            return fg(x, *hessian)
 
         return recorded, *rest
 
     monkeypatch.setattr(optimize, "_objective", recording)
     original = rb._optimize
 
-    def step(target, moments, params, *args):
-        m1, m2, _ = moments
-        fg = moment_objective(target, m1, m2, params)
-        g = fg((target.beta, target.gamma, target.delta))[1]
+    def step(target, moments, damping, *args):
+        g = _objective(target, moments, damping)[0]((target.beta, target.gamma, target.delta))[1]
         before = len(seen)
-        out = original(target, moments, params, *args)
+        out = original(target, moments, damping, *args)
         steps.append((max(map(abs, g)) > rb.RB_GRADIENT_TOLERANCE, len(seen) - before))
         return out
 
@@ -396,6 +396,25 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
     assert len(unskipped) > 100
     assert all(calls == 2 for calls in unskipped)
     assert all(calls == 1 for started, calls in steps if not started)
+
+
+def test_closed_form_point_that_is_not_stationary_is_searched(monkeypatch):
+    """The closed-form point is evaluated without the Hessian, since it is
+    kept as it is; if it ever failed its gradient check, the optimizer would
+    build the Hessian there and run Newton from it.  With ``_point_optimum``
+    patched to return a point off the optimum, every point input still
+    ends in a converged search, never below the seed's F."""
+    original = optimize._point_optimum
+    monkeypatch.setattr(optimize, "_point_optimum",
+                        lambda *args: tuple(v + 0.3 for v in original(*args)))
+    rng = np.random.default_rng(67)
+    params = NoiseParams(0.05, 0.02)
+    for _ in range(20):
+        target = random_angles(rng)
+        moments = point_moments(*rng.uniform(0.0, math.pi, 2) * (1, 2))
+        res = optimize_gate(target, *moments, params)
+        assert res.iterations > 0 and res.converged
+        assert res.objective_value >= res.objective_at_target_angles
 
 
 def test_newton_only_for_moments_not_rank_one():
@@ -795,9 +814,9 @@ def test_zero_noise_evaluates_seed_once(monkeypatch):
     def counting(*args):
         fg, *rest = original(*args)
 
-        def recorded(x):
+        def recorded(x, *hessian):
             seen.append(np.array(x, dtype=float))
-            return fg(x)
+            return fg(x, *hessian)
 
         return recorded, *rest
 
