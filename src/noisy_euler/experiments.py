@@ -26,9 +26,10 @@ Every target of a cell has the same input moments (the ground state, or the
 cell's cap) and noise model, so a cell reads and checks the moments once
 (``objectives._read_moments``) and builds the damping set once
 (``noise._damping``), and passes both to the optimizer core,
-``optimize._optimize``, for every target.  The core returns plain floats, and a knowledge target takes the ideal output u = R n
-of its sampled state n and the default angles' noisy image of n from one
-``noise._apply_all`` call under the noiseless and the cell's damping set.
+``optimize._optimize``, for every target.  The core returns plain floats,
+and a knowledge target takes the ideal output u = R n of its sampled state
+n and the default angles' noisy image of n from one ``noise._apply_all``
+call under the noiseless and the cell's damping set.
 """
 
 from __future__ import annotations

@@ -27,9 +27,10 @@ virtual R_z are rotations, so the whole noisy native gate is one affine map
 n -> A n + t = Rz(beta) (K Rz(delta) n + t0), K and t0 from the damping set
 that ``_damping`` builds once per RB circuit, sweep cell or ``optimize_gate``
 call.  ``_apply_all`` evaluates the map in plain floats for several damping
-sets and Bloch vectors under one angle frame, and ``_apply`` at one of each.  It is the only form the RB simulator,
-the sweeps' scoring and the objectives' set-up use, and under the noiseless
-set ``_NOISELESS`` it is the gate's rotation.
+sets and Bloch vectors under one angle frame, and ``_apply`` at one of each.
+It is the only form the RB simulator, the sweeps' scoring and the
+objectives' set-up use; under the noiseless set ``_NOISELESS`` it is the
+gate's rotation.
 """
 
 from __future__ import annotations

@@ -280,15 +280,14 @@ def fit_decay(depths, fidelities) -> DecayFit:
     With z = 2y - 1 the fit minimizes S(a) = sum (e^{-a x} - z)^2.  S'(0) < 0
     outside the all-one case.  Up to 4 Newton steps on S' = 0 (analytic S'')
     from the log-linear start give a point; a bracket of relative half-width
-    1e-12 about it widens geometrically until S' changes sign across it, and
-    is bisected on the sign of S' down to adjacent floats.  Bisection to
-    adjacent floats returns the one float where a predicate that changes
-    sign once flips, from any bracket, so a equals a plain halving/doubling
-    bracket's, in about 20 evaluations of S' instead of 56; the two can
-    differ only where S' changes sign more than once (several minima, or
-    rounding near the root, on series far from a decay).  If S still falls
-    where e^{-a min x} underflows (the survival at the shallowest depth is
-    at or below 1/2), its infimum is at a = inf and error_rate is 1/2.
+    1e-12 about it widens, at most 2x a step, until S' changes sign across
+    it, and is bisected on that sign down to adjacent floats.  From any
+    bracket that returns the one float where S' turns from < 0 to >= 0, so
+    a equals a plain halving/doubling bracket's in a third of the S' calls;
+    the two can differ only where S' changes sign more than once (several
+    minima, or rounding near the root, on series far from a decay).  If S
+    still falls where e^{-a min x} underflows (the survival at the shallowest
+    depth is at or below 1/2), its infimum is at a = inf and error_rate is 1/2.
     """
     x = np.asarray(depths, dtype=float)
     y = np.asarray(fidelities, dtype=float)
