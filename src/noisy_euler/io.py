@@ -5,7 +5,10 @@ CSV output follows RFC 4180 (CRLF line endings, UTF-8) with floats printed at
 output is sorted-key, two-space indented.  ``from_jsonable`` is the inverse of
 ``to_jsonable`` for the frozen config dataclasses: it reads their field
 annotations, so a manifest or device spec with an unknown key or a value of
-the wrong JSON type is rejected with the key's path.  ``parallel_map``
+the wrong JSON type is rejected with the key's path.  Both take a value that
+is already plain JSON by its exact type before any general probe, so a
+command pays for the dataclass, ``numbers`` and ``typing`` checks only where
+a value needs them; a manifest converts its config once.  ``parallel_map``
 preserves input order, so the worker count (the CLI's --jobs) never changes
 results, only wall time.
 """
@@ -21,7 +24,7 @@ import os
 import sys
 import types
 import typing
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,23 +52,37 @@ def format_value(value) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` to ``path`` as CSV, each cell through
+    ``format_value``, in one ``writerows`` call."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        writer.writerows(map(format_value, row) for row in rows)
     return path
 
 
 def to_jsonable(obj):
     """Recursively convert dataclasses, numpy scalars and non-finite floats
     into plain JSON-serializable types.  A set is refused: its order follows
-    the string hash, which changes between interpreter runs."""
-    if obj is None or isinstance(obj, (str, bool)):
+    the string hash, which changes between interpreter runs.
+
+    A value that is already plain JSON returns at once by its exact type:
+    an int, str, bool or None, a finite float, and a list or tuple's items in
+    turn.  Anything else, subclasses such as ``np.float64`` included, takes
+    the general path; a dataclass is converted field by field."""
+    tp = type(obj)
+    if tp is float:
+        if math.isfinite(obj):
+            return obj
+    elif tp is int or tp is str or tp is bool or obj is None:
+        return obj
+    elif tp is list or tp is tuple:
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, str):  # a str subclass
         return obj
     if is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(asdict(obj))
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -110,8 +127,13 @@ def from_jsonable(tp, value, where: str):
     must be exactly that JSON type.  Faults, including a ValueError from a
     dataclass's own checks, raise ValueError naming the path from ``where``;
     a check whose message begins with a field's name ("rng_seed must be ...")
-    names that field's path ("config.rng_seed must be ...").
+    names that field's path ("config.rng_seed must be ...").  A scalar of the
+    type asked for is read before any dataclass or ``typing`` probe.
     """
+    if tp is type(value) and tp in (int, bool, str):
+        return value
+    if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # finite, and no integer too large for a float
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValueError(f"{where} must be an object, got {value!r}")
@@ -138,10 +160,6 @@ def from_jsonable(tp, value, where: str):
         if len(items) == len(value):
             return tuple(from_jsonable(t, v, f"{where}[{i}]")
                          for i, (t, v) in enumerate(zip(items, value)))
-    elif tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)  # finite, and no integer too large for a float
-    elif tp in (int, bool, str) and type(value) is tp:
-        return value
     raise ValueError(f"{where} must be {_json_kind(tp)}, got {value!r}")
 
 
@@ -162,12 +180,13 @@ def save_manifest(
     duration_seconds: float,
     tag: str,
 ) -> Path:
-    """Record everything needed to replay a run (see CLI --from-manifest)."""
+    """Record everything needed to replay a run (see CLI --from-manifest).
+    ``write_json`` converts the document, the config with it, once."""
     from . import __version__
 
     doc = {
         "command": command,
-        "config": to_jsonable(config),
+        "config": config,
         "rng_seed": rng_seed,
         "version": __version__,
         "outputs": [str(p) for p in outputs],

@@ -12,8 +12,10 @@ inverse is one step of both arms:
              ideal circuit would be in just before that gate or, with
              ``track_noisy_state``, for the arm's own noisy state.
 
-The optimizer reads one state n.  After a gate it is the opt arm's noisy
-state under ``track_noisy_state`` and otherwise the optimizer's own image of
+The optimizer reads one state n, checked by the point form of
+``objectives._read_moments``, which forms n n^T without a 3x3 list or its
+zero covariance.  After a gate it is the opt arm's noisy state under
+``track_noisy_state`` and otherwise the optimizer's own image of
 the ideal state, u = R n (``optimize._optimize``), the same floats as
 ``noise._apply`` under the noiseless damping set, so a gate step runs the
 channel only for the two arms.
@@ -52,7 +54,7 @@ from .calibration import _readout_slope, apply_readout_error, mitigate_readout
 from .gates import EulerAngles, _hamilton, _zyz_from_quaternion
 from .io import parallel_map
 from .noise import NoiseParams, _apply, _damping
-from .objectives import _point_moments, _read_moments
+from .objectives import _read_moments
 from .optimize import _optimize
 
 ARMS = ("unopt", "opt")
@@ -217,7 +219,7 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
         ``target``'s angles, opt runs them re-optimized for n; ``stream``
         (a Generator or a key) seeds the multistart starts."""
         unopt, opt = arms
-        moments = _read_moments(*_point_moments(n))
+        moments = _read_moments(n)  # the point form, m2 = n n^T
         starts = ()
         if cfg.multistart > 0:
             starts = (math.tau * np.random.default_rng(stream).random((cfg.multistart, 3))).tolist()
@@ -285,9 +287,12 @@ def fit_decay(depths, fidelities) -> DecayFit:
     bracket that returns the one float where S' turns from < 0 to >= 0, so
     a equals a plain halving/doubling bracket's in a third of the S' calls;
     the two can differ only where S' changes sign more than once (several
-    minima, or rounding near the root, on series far from a decay).  If S
-    still falls where e^{-a min x} underflows (the survival at the shallowest
-    depth is at or below 1/2), its infimum is at a = inf and error_rate is 1/2.
+    minima, or rounding near the root, on series far from a decay).  Once
+    e^{-2 a min x} underflows, S' reads 0 by underflow, not at a root, so a
+    sign change found there means S falls all the way (as where the
+    shallowest survival is at or below 1/2): its infimum is at a = inf, and
+    the fit is a = inf, error_rate 1/2, error_rate_approx inf and degenerate
+    None.
     """
     x = np.asarray(depths, dtype=float)
     y = np.asarray(fidelities, dtype=float)
@@ -334,14 +339,13 @@ def fit_decay(depths, fidelities) -> DecayFit:
     lo, hi = a / (1.0 + r), a * (1.0 + r)
     while not falling(lo):  # r stops at 1, as halving/doubling: no factor-2 window skipped
         lo, hi, r = lo / (1.0 + r), lo, min(2.0 * r, 1.0)
-    while falling(hi):
+    while falling(hi):  # ends: S' reads 0 once e^{-a x} underflows everywhere
         lo, hi, r = hi, hi * (1.0 + r), min(2.0 * r, 1.0)
-        if math.exp(-hi * x.min()) == 0.0:
-            lo = hi = math.inf
-            break
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if falling(mid):
             lo = mid
         else:
             hi = mid
+    if math.exp(-2.0 * hi * x.min()) == 0.0:  # S' read 0 by underflow, not at a root
+        hi = math.inf
     return DecayFit(hi, 0.5 * -math.expm1(-hi), 0.5 * hi)

@@ -311,8 +311,9 @@ def bisection_decay_rate(depths, fidelities) -> float:
     """``rb.fit_decay``'s a as first written: the log-linear start from
     ``np.polyfit``, a bracket found by halving or doubling from it, and
     bisection on the sign of S'(a) down to adjacent floats (a = inf where
-    S still falls at the underflow of e^{-a min x}).  The package finds its
-    bracket another way and must return the same float."""
+    S still falls at the underflow of e^{-a min x}, or where the sign change
+    lies past the underflow of e^{-2 a min x}, which is no root).  The
+    package finds its bracket another way and must return the same float."""
     x = np.asarray(depths, dtype=float)
     z = 2.0 * np.asarray(fidelities, dtype=float) - 1.0
 
@@ -333,7 +334,7 @@ def bisection_decay_rate(depths, fidelities) -> float:
             lo = mid
         else:
             hi = mid
-    return hi
+    return math.inf if math.exp(-2.0 * hi * x.min()) == 0.0 else hi
 
 
 def free_decay_fit(depths, means) -> tuple[float, float, float]:

@@ -2,14 +2,16 @@
 
 import json
 import math
+import numbers
 import os
 import typing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 import pytest
 
 from noisy_euler import (
+    DecayFit,
     NoiseParams,
     RbConfig,
     SweepConfig,
@@ -88,9 +90,70 @@ def test_to_jsonable_recurses():
 
 def test_to_jsonable_refuses_sets():
     # a set's order follows the string hash, so it would not rerun byte for byte
-    for obj in ({"alpha", "beta"}, frozenset({1}), {"k": {"a"}}):
+    for obj in ({"alpha", "beta"}, frozenset({1}), {"k": {"a"}}, [1, ({2},)], Point(1.0, {3})):
         with pytest.raises(TypeError, match="cannot serialize"):
             to_jsonable(obj)
+
+
+def _general_to_jsonable(obj):
+    """``to_jsonable`` as it read before its exact-type fast paths: every
+    value through the dataclass, ``numbers`` and container checks, and a
+    dataclass through ``asdict``."""
+    if obj is None or isinstance(obj, (str, bool)):
+        return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _general_to_jsonable(asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): _general_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_general_to_jsonable(v) for v in obj]
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    if isinstance(obj, numbers.Real):
+        x = float(obj)
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _same_json(a, b) -> bool:
+    """a == b with the same type at every level."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
+_JSON_CASES = {
+    "int": 0, "negative-int": -7, "big-int": 10**30, "true": True, "false": False,
+    "none": None, "str": "s", "float": 0.25, "minus-zero": -0.0, "huge-float": 1e308,
+    "nan": math.nan, "inf": math.inf, "minus-inf": -math.inf,
+    "np-float64": np.float64(0.25), "np-nan": np.float64(math.nan),
+    "np-minus-inf": np.float64(-math.inf), "np-int64": np.int64(7), "np-float32": np.float32(0.1),
+    "list": [1, 2.5, "x"], "nested-tuples": (1, (2.5, (True, None, (math.inf,))), "s"),
+    "empty": [(), [[]]], "dict": {"a": (1, 2), 3: [np.float64(1.5), {"b": math.nan}]},
+    "rb-config-readout": RbConfig(noise=NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9),
+                                  shots=100, readout=(0.02, 0.05), mitigate=True,
+                                  depth_schedule=(1, 5, 9), n_gates=9),
+    "decay-fit-inf": DecayFit(math.inf, 0.5, math.inf),
+    "decay-fit-all-half": DecayFit(math.inf, 0.5, math.inf, degenerate="all-half"),
+    "rb-summary": {"fits": {"unopt": DecayFit(1e-3, 5e-4, 5e-4), "opt": None}, "rng_seed": 3},
+}
+
+
+@pytest.mark.parametrize("obj", list(_JSON_CASES.values()), ids=list(_JSON_CASES))
+def test_to_jsonable_fast_paths_equal_the_general_path(obj):
+    """Plain-JSON values return by their exact type and dataclasses convert
+    field by field; values and types equal the general path's at every
+    level: int stays int, bool stays bool, non-finite floats become strings,
+    numpy scalars become Python ones and tuples lists."""
+    assert _same_json(to_jsonable(obj), _general_to_jsonable(obj))
 
 
 ROME_Q3 = NoiseParams.from_times(46.4e-6, 105e-6, 35.6e-9)
@@ -141,6 +204,19 @@ def test_from_jsonable_inverts_to_jsonable(obj):
          r"x\.targets_per_point must be >= 1"),
         (RbConfig, {"noise": {"lambda_a": 0.1, "lambda_p": 0.1, "t1": 1.0}},
          r"x\.noise: t1, t2 and t_star must be all given"),
+        # scalars, refused past the exact-type fast paths with the same messages
+        (int, True, r"^x must be an integer, got True$"),
+        (int, "2", r"^x must be an integer, got '2'$"),
+        (int, 2.0, r"^x must be an integer, got 2\.0$"),
+        (bool, 1, r"^x must be a boolean, got 1$"),
+        (str, 1, r"^x must be a string, got 1$"),
+        (float, math.nan, r"^x must be a finite number, got nan$"),
+        (float, math.inf, r"^x must be a finite number, got inf$"),
+        (float, -math.inf, r"^x must be a finite number, got -inf$"),
+        (float, -(10**400), rf"^x must be a finite number, got -{10**400}$"),
+        (float, True, r"^x must be a finite number, got True$"),
+        (float, "0.5", r"^x must be a finite number, got '0\.5'$"),
+        (float, None, r"^x must be a finite number, got None$"),
     ],
 )
 def test_from_jsonable_rejects_with_path(tp, value, match):
@@ -149,10 +225,19 @@ def test_from_jsonable_rejects_with_path(tp, value, match):
 
 
 def test_from_jsonable_defaults_and_conversions():
+    """An int, bool or str is returned as it is; a float reads any finite
+    JSON number, an int too, and returns a float."""
     cfg = from_jsonable(SweepConfig, {"lambda_grid": [0, 0.1]}, "x")
     assert cfg == SweepConfig(lambda_grid=(0.0, 0.1))
     assert type(cfg.lambda_grid[0]) is float
     assert from_jsonable(int | None, None, "x") is None
+    for tp, value in ((int, 7), (int, 10**30), (bool, False), (str, "s"), (float, 0.5),
+                      (float, -0.0), (float, 1.7976931348623157e308)):
+        got = from_jsonable(tp, value, "x")
+        assert got == value and type(got) is tp
+    for value in (3, -(2**53), 2**1023):
+        got = from_jsonable(float, value, "x")
+        assert got == float(value) and type(got) is float
 
 
 def test_from_jsonable_reads_hints_once_and_names_paths(monkeypatch):

@@ -226,6 +226,43 @@ def test_read_moments_accepts_every_distribution():
         optimize_gate(HADAMARD, m1, m2, params)
 
 
+def test_point_form_equals_the_general_read():
+    """``_read_moments(n)``, the point form that each randomized-benchmarking
+    gate step reads, returns what ``_read_moments(*_point_moments(n))``
+    returns, ==, and as the same floats (repr) from a tuple or list: over
+    random unit and sub-unit vectors, the zero vector and |n|^2 just under
+    the trace bound 1 + 1e-9."""
+    rng = np.random.default_rng(37)
+    vectors = [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.0, 0.0, 1.0)]
+    for _ in range(200):
+        r = bloch_vector(random_state(rng))
+        vectors += [tuple(r.tolist()), tuple((rng.uniform(0.0, 1.0) * r).tolist())]
+        vectors.append(tuple((math.sqrt(1.0 + 0.999e-9) * r).tolist()))
+    for n in vectors:
+        want = _read_moments(*_point_moments(n))
+        for form in (n, list(n)):
+            got = _read_moments(form)
+            assert got == want and repr(got) == repr(want), n
+        assert _read_moments(np.array(n)) == want
+
+
+@pytest.mark.parametrize("n", [
+    (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf),
+    (1e200, math.nan, 0.0), (1e200, 0.0, 0.0), (0.0, -1e200, 1e200), (1e200, 1e200, 1e200),
+    (0.6, 0.8, 1e-4), tuple(math.sqrt(1.0 + 1.001e-9) * v for v in (0.6, 0.0, 0.8)),
+], ids=["nan", "inf", "minus-inf", "overflow-after-nan", "overflow-x", "overflow-yz",
+        "overflow-all", "trace", "trace-just-over"])
+def test_point_form_refuses_as_the_general_read(n):
+    """The point form refuses what the general read of (n, n n^T) refuses,
+    with the same message: a non-finite n names m1, an n n^T that overflows
+    names m2, and a trace above 1 + 1e-9 names the trace."""
+    with pytest.raises(ValueError) as general:
+        _read_moments(*_point_moments(n))
+    with pytest.raises(ValueError) as point:
+        _read_moments(n)
+    assert str(point.value) == str(general.value)
+
+
 # ----------------------------------------------------------- distributions
 
 def test_point_constructor_canonicalizes():

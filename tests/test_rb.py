@@ -22,7 +22,7 @@ from noisy_euler import (
 )
 from noisy_euler.gates import _hamilton, _zyz_from_quaternion
 from noisy_euler.noise import _NOISELESS, _apply
-from noisy_euler.objectives import _objective
+from noisy_euler.objectives import _objective, _point_moments, _read_moments
 from noisy_euler.optimize import GRADIENT_TOLERANCE
 from reference import (
     angle_gap,
@@ -165,6 +165,27 @@ def test_gate_stream_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("track_noisy_state", [False, True])
+def test_point_form_read_leaves_survivals_unchanged(monkeypatch, track_noisy_state):
+    """Each gate step reads its input through ``_read_moments``'s point form;
+    with the general read of (n, n n^T) patched back in, every survival is
+    the same, ==, at a fixed seed."""
+    cfg = small_config(track_noisy_state=track_noisy_state, multistart=1)
+    today = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
+    calls = []
+
+    def general(m1, m2=None):
+        assert m2 is None
+        calls.append(m1)
+        return _read_moments(*_point_moments(m1))
+
+    monkeypatch.setattr(rb, "_read_moments", general)
+    patched = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
+    assert len(calls) == cfg.n_circuits * (cfg.n_gates + len(cfg.depth_schedule))
+    for a, b in zip(today, patched):
+        assert (a == b).all()
+
+
 # --------------------------------------------------------------- decay fit
 
 def test_fit_decay_exact_recovery():
@@ -228,11 +249,22 @@ def test_fit_decay_validation():
 
 def test_fit_decay_below_half_fits_a_at_infinity():
     """When the shallowest survival is at or below 1/2, S(a) falls all the
-    way to a = inf, and the fit says so instead of stopping at some large a."""
-    fit = fit_decay([1, 5, 9], [0.4, 0.45, 0.3])
-    assert math.isinf(fit.a)
-    assert fit.error_rate == 0.5
-    assert fit.degenerate is None
+    way to a = inf, and the fit says so instead of stopping at some large a:
+    nor at a = 372.57, where e^{-2 a} underflows and S' reads 0 without a
+    root, on the last three series.  The plain bisection
+    (``reference.bisection_decay_rate``) says a = inf too."""
+    for depths, fidelities in (
+        ((1, 5, 9), (0.4, 0.45, 0.3)),
+        ((1, 2, 3), (0.5, 0.5, 0.5 + 1e-8)),
+        ((1, 2, 3), (0.5, 0.4, 0.45)),
+        ((1, 5, 9), (0.5, 0.5, 0.5 + 1e-6)),
+    ):
+        fit = fit_decay(depths, fidelities)
+        assert math.isinf(fit.a), fidelities
+        assert fit.error_rate == 0.5
+        assert math.isinf(fit.error_rate_approx)
+        assert fit.degenerate is None
+        assert math.isinf(bisection_decay_rate(depths, fidelities))
 
 
 def _oracle_a(depths, fidelities):
