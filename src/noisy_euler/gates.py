@@ -143,6 +143,31 @@ def _zyz_from_quaternion(w: float, x: float, y: float, z: float) -> EulerAngles:
     return EulerAngles(beta % math.tau, gamma, delta % math.tau)
 
 
+def _zyz_from_quaternions(q: np.ndarray) -> np.ndarray:
+    """``_zyz_from_quaternion`` of each row (w, x, y, z) of the (k, 4) array
+    q, as a (k, 3) array of rows (beta, gamma, delta), each == the scalar
+    rule's angles: the same floats in its order, its atan2 and hypot
+    through math (``_map``) and its tie branches picked per row."""
+    w, x, y, z = q.T
+    k = len(q)
+    hyx, hwz = _map(math.hypot, np.concatenate((y, w)), np.concatenate((x, z))).reshape(2, k)
+    gamma, half_sum, half_diff = _map(
+        math.atan2, np.concatenate((hyx, z, -x)), np.concatenate((hwz, w, y))).reshape(3, k)
+    gamma = 2.0 * gamma
+    low, high = gamma <= GAMMA_TIE_TOL, gamma >= math.pi - GAMMA_TIE_TOL
+    beta = np.where(low, 2.0 * half_sum, np.where(high, 2.0 * half_diff, half_sum + half_diff))
+    delta = np.where(low | high, 0.0, half_sum - half_diff)
+    return np.column_stack((beta % math.tau, gamma, delta % math.tau))
+
+
+def _map(function, *arrays) -> np.ndarray:
+    """The math ``function`` applied elementwise to equally long arrays.
+    numpy's own atan2 and hypot differ from libm's in the last bit on some
+    inputs, so code that must give the scalar path's floats takes them
+    from here; numpy's +, -, *, /, sqrt, cos and sin agree with it."""
+    return np.fromiter(map(function, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+
+
 def _hamilton(p, q) -> tuple[float, float, float, float]:
     """Quaternion product p q, the SU(2) product V(p) V(q)."""
     a1, b1, c1, d1 = p

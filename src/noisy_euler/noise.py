@@ -27,10 +27,11 @@ virtual R_z are rotations, so the whole noisy native gate is one affine map
 n -> A n + t = Rz(beta) (K Rz(delta) n + t0), K and t0 from the damping set
 that ``_damping`` builds once per RB circuit, sweep cell or ``optimize_gate``
 call.  ``_apply_all`` evaluates the map in plain floats for several damping
-sets and Bloch vectors under one angle frame, and ``_apply`` at one of each.
-It is the only form the RB simulator, the sweeps' scoring and the
-objectives' set-up use; under the noiseless set ``_NOISELESS`` it is the
-gate's rotation.
+sets and Bloch vectors under one angle frame, ``_apply`` at one of each,
+and ``_apply_chain`` carries one vector through a sequence of gates.  They
+are the only form the RB simulator, the sweeps' scoring and the
+objectives' set-up use; under the noiseless set ``_NOISELESS`` the map is
+the gate's rotation.
 """
 
 from __future__ import annotations
@@ -151,16 +152,19 @@ def _apply(beta: float, gamma: float, delta: float, damping, r):
     return _apply_all(beta, gamma, delta, (damping,), (r,))[0]
 
 
-def _apply_all(beta: float, gamma: float, delta: float, dampings, rs):
+def _apply_all(beta: float, gamma: float, delta: float, dampings, rs, cos=math.cos, sin=math.sin):
     """The images A r + t = Rz(beta) (K Rz(delta) r + t0) under the noisy
     native gate of every Bloch vector r in rs, for every damping set of
     ``_damping`` in dampings, as a list of float 3-tuples, damping-major:
     the images of rs under dampings[0], then under dampings[1], and so on.
     The angle frame is built once, and K once per damping set.  Exact for
-    pure and mixed inputs."""
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    cd, sd = math.cos(delta), math.sin(delta)
-    cb, sb = math.cos(beta), math.sin(beta)
+    pure and mixed inputs.  Given numpy's ``cos`` and ``sin``, the angles
+    and each r's entries may be equally long arrays, mapped elementwise in
+    the same floats (numpy's cos, sin, +, - and * round as libm and Python
+    do): the batch of ``optimize._optimize_points`` does so."""
+    cg, sg = cos(gamma), sin(gamma)
+    cd, sd = cos(delta), sin(delta)
+    cb, sb = cos(beta), sin(beta)
     images = []
     for ee, k11, t0y, t0z in dampings:  # e^2, e (1 - la), e la, la
         k00, k02, k20, k22 = ee * cg, ee * sg, -k11 * sg, k11 * cg
@@ -169,3 +173,22 @@ def _apply_all(beta: float, gamma: float, delta: float, dampings, rs):
             x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
             images.append((cb * x - sb * y, sb * x + cb * y, z))
     return images
+
+
+def _apply_chain(cg, sg, cd, sd, cb, sb, damping, r):
+    """The states of the Bloch vector r carried through a sequence of noisy
+    native gates under one damping set: [r, A_0 r + t_0, A_1 (A_0 r + t_0)
+    + t_1, ...] as float 3-tuples, one more than there are gates.  The
+    gates come as the float lists of their cos and sin of gamma, delta and
+    beta, computed once for the whole sequence; each step is
+    ``_apply_all``'s floats in its order."""
+    ee, k11, t0y, t0z = damping  # e^2, e (1 - la), e la, la
+    x, y, z = r
+    states = [r]
+    for cg, sg, cd, sd, cb, sb in zip(cg, sg, cd, sd, cb, sb):
+        k00, k02, k20, k22 = ee * cg, ee * sg, -k11 * sg, k11 * cg
+        x, y = cd * x - sd * y, sd * x + cd * y
+        x, y, z = k00 * x + k02 * z, k11 * y + t0y, k20 * x + k22 * z + t0z
+        x, y = cb * x - sb * y, sb * x + cb * y
+        states.append((x, y, z))
+    return states

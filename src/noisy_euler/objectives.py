@@ -190,21 +190,31 @@ def _objective(target: EulerAngles, moments, damping):
     ``fg(x, False)`` returns (F, g, None), the same F and g without building
     the Hessian, for evaluations whose Hessian no search reads.  The
     set-up builds R's frame once, for n and m2's columns (``_apply_all``),
-    so ``fg`` forms K from the damping set, cos(gamma) and sin(gamma), in
-    the floats and order of ``noise._apply_all``."""
+    and ``_fg`` builds ``fg`` from their images."""
     n, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), rank_one = moments
-    (u0, u1, u2), (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = _apply_all(
-        target.beta, target.gamma, target.delta, (_NOISELESS,),
-        (n, (a00, a10, a20), (a01, a11, a21), (a02, a12, a22)),
-    )
+    u, *columns = _apply_all(target.beta, target.gamma, target.delta, (_NOISELESS,),
+                             (n, (a00, a10, a20), (a01, a11, a21), (a02, a12, a22)))
+    return _fg(u, columns, damping, math.cos, math.sin), n, u, rank_one
+
+
+def _fg(u, columns, damping, cos, sin):
+    """The objective ``fg`` of ``_objective`` from u = R n and the images
+    (R m2 e_0, R m2 e_1, R m2 e_2) of m2's columns: fg forms K from the
+    damping set, cos(gamma) and sin(gamma), in the floats and order of
+    ``noise._apply_all``.  Each expression is elementwise, so with numpy's
+    ``cos`` and ``sin`` and arrays for u, the columns and the angles, fg
+    evaluates a batch of objectives, one per row, in the same floats as
+    the scalar fg of each (``optimize._optimize_points``)."""
+    u0, u1, u2 = u
+    (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = columns
     ee, k11, t0y, t0z = damping  # e^2, e (1 - la), e la, la
 
     def fg(x, _hessian=True):
         beta, gamma, delta = x[0], x[1], x[2]
-        cg, sg = math.cos(gamma), math.sin(gamma)
+        cg, sg = cos(gamma), sin(gamma)
         k00, k02, k20, k22 = ee * cg, ee * sg, -k11 * sg, k11 * cg
-        cb, sb = math.cos(beta), math.sin(beta)
-        cd, sd = math.cos(delta), math.sin(delta)
+        cb, sb = cos(beta), sin(beta)
+        cd, sd = cos(delta), sin(delta)
         x00, x01 = c00 * cd - c01 * sd, c00 * sd + c01 * cd
         x10, x11 = c10 * cd - c11 * sd, c10 * sd + c11 * cd
         w00, w01, w02 = cb * x00 + sb * x10, cb * x01 + sb * x11, cb * c02 + sb * c12
@@ -231,4 +241,4 @@ def _objective(target: EulerAngles, moments, damping):
         h_dd = -0.5 * (k00 * w00 + k11 * w11 + k20 * w20)
         return f, g, ((h_bb, h_bg, h_bd), (h_bg, h_gg, h_gd), (h_bd, h_gd, h_dd))
 
-    return fg, n, (u0, u1, u2), rank_one
+    return fg

@@ -30,6 +30,13 @@ Newton converges quadratically near the optimum, so the tight tolerance
 costs few steps.  The module draws no random numbers: the same inputs give
 the same result.
 
+Randomized benchmarking's ideal-input steps are many rank-1 problems known
+at once, so ``_optimize_points`` solves them as one batch in numpy: the
+scalar code's own expressions evaluated elementwise (``_point_optima`` for
+the closed form), each row with the floats of its own ``_optimize`` call.
+Only a row that needs a search (a closed-form point that is not
+stationary, or extra starts) goes back to the scalar code.
+
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
 through a different pulse trajectory, which generally has a different noisy
@@ -42,9 +49,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .gates import EulerAngles
-from .noise import NoiseParams, _damping
-from .objectives import _cholesky3, _objective, _read_moments
+import numpy as np
+
+from .gates import EulerAngles, _map
+from .noise import _NOISELESS, NoiseParams, _apply_all, _damping
+from .objectives import _cholesky3, _fg, _objective, _read_moments
 
 # The Newton search's constants: the max|g| at which it has converged and its
 # step budget; the Armijo sufficient-increase factor; the least shift mu of -H
@@ -120,7 +129,8 @@ def _optimize(target: EulerAngles, moments, damping, starts, start_tolerance: fl
     F_seed, iterations, converged), for moments already read and checked,
     the (n, rows, rank_one) of ``objectives._read_moments``, with extra
     candidates, and u = R m1, the target's noiseless image of m1, which
-    randomized benchmarking takes as its next ideal state.  A caller that
+    randomized benchmarking's step-by-step path takes as its next ideal
+    state.  A caller that
     optimizes many targets for the same moments (a sweep cell) reads them
     once and passes them to every call, and so with ``damping``, the assumed
     model's set (``noise._damping``) that serves the objective and the
@@ -140,29 +150,108 @@ def _optimize(target: EulerAngles, moments, damping, starts, start_tolerance: fl
     """
     fg, n, u, rank_one = _objective(target, moments, damping)
     x_seed = (target.beta, target.gamma, target.delta)
-    at_seed = fg(x_seed, not rank_one)
-    best = None
-    for i, x0 in enumerate((x_seed, *starts)):
-        f0, g0, h0 = at_seed if i == 0 else fg(x0)
-        tolerance = start_tolerance
-        if i == 0 and rank_one and max(abs(g0[0]), abs(g0[1]), abs(g0[2])) > tolerance:
-            x0 = _point_optimum(target, n, u, damping)
-            f0, g0, h0 = fg(x0, False)
-            tolerance = GRADIENT_TOLERANCE
-        if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= tolerance:
-            cand = (x0, f0, 0, True)
-        else:  # a closed-form point that is not stationary gets its Hessian here
-            cand = _newton(fg, x0, f0, g0, fg(x0)[2] if h0 is None else h0)
-        if best is None or cand[1] > best[1]:
-            best = cand
-    f_seed = at_seed[0]
-    if best[1] < f_seed:
-        best = (x_seed, f_seed, 0, True)
-    x, f, iterations, converged = best
+    at_seed = f_seed, g, _ = fg(x_seed, not rank_one)
+    if rank_one and max(abs(g[0]), abs(g[1]), abs(g[2])) > start_tolerance:
+        x0 = _point_optimum(target, n, u, damping)
+        best = _candidate(fg, x0, *fg(x0, False), GRADIENT_TOLERANCE)
+    else:
+        best = _candidate(fg, x_seed, *at_seed, start_tolerance)
+    x, f, iterations, converged = _best_start(fg, best, starts, start_tolerance)
+    if f < f_seed:
+        x, f, iterations, converged = x_seed, f_seed, 0, True
     angles = beta, gamma, delta = x[0] % math.tau, x[1] % math.tau, x[2] % math.tau
     if not (math.isfinite(beta) and math.isfinite(gamma) and math.isfinite(delta)):
         raise ValueError(f"optimized angles must be finite, got {x!r}")
     return (angles, min(max(f, 0.0), 1.0), min(max(f_seed, 0.0), 1.0), iterations, converged), u
+
+
+def _candidate(fg, x0, f0, g0, h0, tolerance: float):
+    """The candidate (x, F, iterations, converged) from the start x0, given
+    F, g and (or None) the Hessian there: x0 itself if max|g| is within
+    ``tolerance``, else the Newton search from it, which builds a Hessian
+    the start was evaluated without."""
+    if max(abs(g0[0]), abs(g0[1]), abs(g0[2])) <= tolerance:
+        return x0, f0, 0, True
+    return _newton(fg, x0, f0, g0, fg(x0)[2] if h0 is None else h0)
+
+
+def _best_start(fg, best, starts, start_tolerance: float):
+    """The best of the candidate ``best`` and one ``_candidate`` per start
+    of ``starts`` at ``start_tolerance``; a start replaces the best so far
+    only at a strictly larger F, so the earliest wins ties."""
+    for x0 in starts:
+        cand = _candidate(fg, x0, *fg(x0), start_tolerance)
+        if cand[1] > best[1]:
+            best = cand
+    return best
+
+
+def _optimize_points(targets, moments, damping, starts, start_tolerance: float):
+    """``_optimize`` for k rank-one steps at once, as arrays: (angles (k, 3),
+    F, F_seed, iterations, converged), row i == what
+    ``_optimize(EulerAngles(*targets[i]), moments[i], damping, starts[i],
+    start_tolerance)[0]`` returns.  ``targets`` is a (k, 3) array of
+    (beta, gamma, delta) rows, ``moments`` the rank-one ``_read_moments``
+    of each row's input and ``starts`` one list of extra starts per row.
+    Randomized benchmarking's ideal-input steps are such a batch: each
+    input is fixed by the gate stream, not by an earlier result.
+
+    The seed's F and g, the seed-skip mask at ``start_tolerance``, the
+    closed-form point (``_point_optima``) of every row that is not skipped,
+    and F and g there are evaluated together in numpy by the scalar code's
+    own expressions (``_fg`` and ``_apply_all`` given numpy's cos and sin),
+    so each row has the scalar floats.  A row whose closed-form point is
+    not stationary within GRADIENT_TOLERANCE, and every row with starts,
+    then gets its scalar objective and ``_optimize``'s own search
+    (``_candidate``, ``_best_start``).  The fallback to the seed and the
+    ValueError on angles that are not finite are ``_optimize``'s.
+    """
+    if not all(m[2] for m in moments):
+        raise ValueError("a batch of optimizations takes rank-one moments")
+    x_seed = np.array(targets, dtype=float).T.copy()
+    k = x_seed.shape[1]
+    n = np.array([m[0] for m in moments]).T.copy()
+    n0, n1, n2 = n
+    u, *columns = np.array(_apply_all(*x_seed, (_NOISELESS,), (
+        n, (n0 * n0, n1 * n0, n2 * n0), (n0 * n1, n1 * n1, n2 * n1), (n0 * n2, n1 * n2, n2 * n2)),
+        np.cos, np.sin))
+    f_seed, g, _ = _fg(u, columns, damping, np.cos, np.sin)(x_seed, False)
+    x, f = x_seed.copy(), f_seed.copy()
+    iterations, converged = np.zeros(k, dtype=int), np.ones(k, dtype=bool)
+    searches = {}  # row -> the Newton start (x, F, g) of a closed-form point, or None
+    started = np.flatnonzero(_max_abs(g) > start_tolerance)
+    if started.size:
+        u, columns = u[:, started], [c[:, started] for c in columns]
+        x_cf = _point_optima(x_seed[:, started], n[:, started], u, damping)
+        f_cf, g_cf, _ = _fg(u, columns, damping, np.cos, np.sin)(x_cf, False)
+        x[:, started], f[started] = x_cf, f_cf
+        for j in np.flatnonzero(_max_abs(g_cf) > GRADIENT_TOLERANCE).tolist():
+            searches[int(started[j])] = (tuple(x_cf[:, j].tolist()), float(f_cf[j]),
+                                         tuple(float(gi[j]) for gi in g_cf))
+    if any(starts):
+        searches = {i: searches.get(i) for i in range(k)}
+    for i, newton_start in sorted(searches.items()):
+        fg = _objective(EulerAngles(*x_seed[:, i].tolist()), moments[i], damping)[0]
+        if newton_start is None:
+            best = tuple(x[:, i].tolist()), float(f[i]), 0, True
+        else:
+            best = _candidate(fg, *newton_start, None, GRADIENT_TOLERANCE)
+        x[:, i], f[i], iterations[i], converged[i] = _best_start(fg, best, starts[i],
+                                                                 start_tolerance)
+    fallback = f < f_seed
+    x[:, fallback], f[fallback], iterations[fallback], converged[fallback] = (
+        x_seed[:, fallback], f_seed[fallback], 0, True)
+    angles = np.remainder(x, math.tau).T
+    finite = np.isfinite(angles).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"optimized angles must be finite, got {tuple(x[:, bad].tolist())!r}")
+    return angles, np.clip(f, 0.0, 1.0), np.clip(f_seed, 0.0, 1.0), iterations, converged
+
+
+def _max_abs(g):
+    """max(|g_0|, |g_1|, |g_2|) of each row of a batch of gradients."""
+    return np.maximum(np.maximum(np.abs(g[0]), np.abs(g[1])), np.abs(g[2]))
 
 
 def _point_optimum(target: EulerAngles, n, u, damping):
@@ -243,6 +332,71 @@ def _point_optimum(target: EulerAngles, n, u, damping):
             if best is None or overlap > best[0]:
                 best = (overlap, (beta, gamma, delta))
     return best[1]
+
+
+def _point_optima(target, n, u, damping):
+    """``_point_optimum`` of k rows at once: target (beta, gamma, delta), n
+    and u are (3, k) arrays, and so is the result, each column ==
+    ``_point_optimum``'s.  Every expression is the scalar one in its order;
+    atan2 and hypot go through math (``gates._map``); each branch is
+    evaluated for all rows and picked per row, numpy's warnings off where a
+    row's untaken branch divides by zero or takes a negative square root.
+    The equal-F partner follows the scalar rule: candidates in the order
+    (+, +), (+, -), (-, +), (-, -), the first kept unless a later one that
+    exists (w > 0 for -w, cos psi > 0 for -cos psi) has a strictly larger
+    overlap."""
+    nx, ny, nz = n
+    ux, uy, uz = u
+    k = nx.size
+    ee, ek, el, _ = damping  # e^2, e (1 - la), e la
+    ee2 = ee * ee
+    rho, mu2 = _map(math.hypot, nx, ny), ux * ux + uy * uy
+    mu = np.sqrt(mu2)
+    p, q = mu2 * ee2 * ee2, uz * uz * ek * ek
+    den0 = mu2 * ee2 + q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = []
+        for s in (rho, mu):
+            r2 = nz * nz + (rho - s) * (rho + s)
+            y = ek * s + el
+            den = ee2 * r2 * den0
+            c = (p * r2 - q * y * y) / den
+            c = np.where(den > 0.0, np.where(1.0 < c, 1.0, np.where(0.0 > c, 0.0, c)), 0.0)
+            cuts.append((s, r2, y, c))
+        (_, r2, y, c), (_, r2_mu, y_mu, c_mu) = cuts
+        az = np.abs(uz) * ek
+        take_mu = (mu < rho) & (
+            az * np.sqrt(r2_mu * (1.0 - c_mu)) + mu * np.sqrt(ee2 * r2_mu * c_mu + y_mu * y_mu)
+            > az * np.sqrt(r2 * (1.0 - c)) + mu * np.sqrt(ee2 * r2 * c + y * y))
+        s, r2, y, c = (np.where(take_mu, b, a) for a, b in zip(*cuts))
+        r, w = np.sqrt(r2), np.sqrt((rho - s) * (rho + s))
+    sin_psi, cos_psi = np.sqrt(1.0 - c), np.sqrt(c)
+    sin_psi = np.where(uz < 0.0, -sin_psi, sin_psi)
+    # every atan2 of the scalar code, for vx = +-w and cp = +-cos psi, in one pass
+    vx, cp = np.array((w, -w)), np.array((cos_psi, -cos_psi))
+    phase, azimuth, *rest = _map(
+        math.atan2,
+        np.concatenate((uy, ny, s, s, nz, nz, y, y, sin_psi, sin_psi)),
+        np.concatenate((ux, nx, *vx, *vx, *(ee * r * cp), *cp)),
+    ).reshape(10, k)
+    at_s, at_nz, at_y, at_sin = np.reshape(rest, (4, 2, k))
+    # the four candidates (vx, cp) as rows, in the scalar loop's order
+    iv, ic = [0, 0, 1, 1], [0, 1, 0, 1]
+    delta = np.where(rho > 0.0, at_s - azimuth, 0.0)[iv]
+    beta = phase - at_y[ic]
+    gamma = at_nz[iv] - at_sin[ic]
+    tc, ts = np.cos(0.5 * target[1]), np.sin(0.5 * target[1])
+    t_plus, t_minus = target[0] + target[2], target[0] - target[2]
+    overlap = np.abs(
+        tc * np.cos(0.5 * gamma) * np.cos(0.5 * (t_plus - beta - delta))
+        + ts * np.sin(0.5 * gamma) * np.cos(0.5 * (t_minus - beta + delta))
+    )
+    exists = np.array((np.ones(k, dtype=bool), cos_psi > 0.0, w > 0.0, (w > 0.0) & (cos_psi > 0.0)))
+    pick = np.zeros(k, dtype=int)
+    for i in (1, 2, 3):
+        pick = np.where(exists[i] & (overlap[i] > overlap[pick, np.arange(k)]), i, pick)
+    cols = np.arange(k)
+    return np.array((beta[pick, cols], gamma[pick, cols], delta[pick, cols]))
 
 
 def _newton(fg, x, f, g, h):

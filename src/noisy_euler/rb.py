@@ -12,13 +12,19 @@ inverse is one step of both arms:
              ideal circuit would be in just before that gate or, with
              ``track_noisy_state``, for the arm's own noisy state.
 
-The optimizer reads one state n, checked by the point form of
+The optimizer reads one state n per step, checked by the point form of
 ``objectives._read_moments``, which forms n n^T without a 3x3 list or its
-zero covariance.  After a gate it is the opt arm's noisy state under
-``track_noisy_state`` and otherwise the optimizer's own image of
-the ideal state, u = R n (``optimize._optimize``), the same floats as
-``noise._apply`` under the noiseless damping set, so a gate step runs the
-channel only for the two arms.
+zero covariance.  Under ``track_noisy_state`` n is the opt arm's noisy
+state after the previous optimized gate, so each step waits for the one
+before and a circuit runs step by step (``_stepwise``).  Otherwise n is
+the ideal state, u = R n of the previous gate, the same floats as
+``noise._apply`` under the noiseless damping set: it depends on the gate
+stream alone, so the circuit runs as one batch (``_batch``).  The ideal
+states and each arm's states are then carried through the gates in plain
+floats (``noise._apply_chain``), and all gate and inverse steps are
+optimized together in numpy (``optimize._optimize_points``), each with the
+floats of its own ``optimize._optimize`` call: a Fig. 3 circuit's 282
+steps cost about half of what they cost one at a time.
 
 States are Bloch vectors: Z rotations are virtual and noiseless, so each
 noisy native gate is exactly the affine map r -> A r + t (``noise._apply``
@@ -28,7 +34,7 @@ rotation.  A circuit carries n and each arm's noisy state as
 float 3-tuples and reads survival as (1 + r_z)/2.  Each gate is drawn as a
 unit quaternion, and the circuit carries the net rotation as the
 Hamilton product of the gates' quaternions; the inverse gate is the net's
-conjugate, read off in ZYZ angles by ``gates._zyz_from_quaternion``,
+conjugate, read off in ZYZ angles by ``gates._zyz_from_quaternions``,
 whose atan2 ratios do not see the product's norm drift (about 5e-14 after
 246 gates).
 
@@ -51,11 +57,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import _readout_slope, apply_readout_error, mitigate_readout
-from .gates import EulerAngles, _hamilton, _zyz_from_quaternion
+from .gates import EulerAngles, _hamilton, _zyz_from_quaternions
 from .io import parallel_map
-from .noise import NoiseParams, _apply, _damping
+from .noise import _NOISELESS, NoiseParams, _apply, _apply_all, _apply_chain, _damping
 from .objectives import _read_moments
-from .optimize import _optimize
+from .optimize import _optimize, _optimize_points
 
 ARMS = ("unopt", "opt")
 
@@ -159,21 +165,21 @@ class RbRunResult:
     opt: RbArmResult
 
 
-def _sample_quaternion(row) -> tuple[float, float, float, float]:
-    """Unit quaternion (cos a/2, sin a/2 n) of a rotation by an angle a
-    uniform on [0, 2 pi) about an axis n uniform on the sphere (z uniform on
-    [-1, 1), azimuth uniform), from one row of three uniform [0, 1) doubles
-    (z, azimuth, a), each scaled as lo + (hi - lo) u: a row of
-    ``rng.random((n, 3)).tolist()`` holds the values of three scalar
-    ``rng.random()`` calls in turn."""
-    uz, uaz, ua = row
+def _sample_quaternions(block: np.ndarray) -> np.ndarray:
+    """Unit quaternions (cos a/2, sin a/2 n), one row each, of rotations by
+    an angle a uniform on [0, 2 pi) about an axis n uniform on the sphere
+    (z uniform on [-1, 1), azimuth uniform), from an (n, 3) block of
+    uniform [0, 1) doubles (z, azimuth, a), each scaled as
+    lo + (hi - lo) u: a row of ``rng.random((n, 3))`` holds the values of
+    three scalar ``rng.random()`` calls in turn."""
+    uz, uaz, ua = block.T
     z = -1.0 + 2.0 * uz
     azimuth = math.tau * uaz
     angle = math.tau * ua
-    s = math.sqrt(max(0.0, 1.0 - z * z))
-    nx, ny = s * math.cos(azimuth), s * math.sin(azimuth)
-    h = math.sin(0.5 * angle)
-    return math.cos(0.5 * angle), h * nx, h * ny, h * z
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    h = np.sin(0.5 * angle)
+    return np.column_stack((np.cos(0.5 * angle), h * (s * np.cos(azimuth)),
+                            h * (s * np.sin(azimuth)), h * z))
 
 
 def _measure(p0: float, cfg: RbConfig, rng: np.random.Generator | None) -> float:
@@ -199,7 +205,14 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     depth's survival does not depend on which other depths are scheduled.
     Each start is 2 pi times three ``random()`` doubles, the values
     ``uniform(0, 2 pi)`` returns.  A stream nothing draws from is not built:
-    the starts' with multistart 0, the shots' with exact shots."""
+    the starts' with multistart 0, the shots' with exact shots.
+
+    Without ``track_noisy_state`` each step's input is the ideal state,
+    fixed by the gate stream alone, so the steps do not depend on one
+    another and run as one batch (``_batch``).  With it each gate's input
+    is the opt arm's state after the previous optimized gate, so the steps
+    run one at a time (``_stepwise``).  Either way each step has the floats
+    of one ``optimize._optimize`` call."""
     cfg, circuit = item
     damping = _damping(cfg.noise.lambda_a, cfg.noise.lambda_p)
     assumed = cfg.noise.assuming_drift(cfg.drift_factor)
@@ -208,40 +221,106 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     rng_starts = np.random.default_rng([cfg.rng_seed, circuit, 2]) if cfg.multistart else None
     shot_rngs = [np.random.default_rng([cfg.rng_seed, circuit, 1, ai])
                  if cfg.shots is not None else None for ai in range(len(ARMS))]
-    column = {depth: j for j, depth in enumerate(cfg.depth_schedule)}
-    out = np.empty((len(ARMS), len(column)))
+    gates, inverses = _angles(cfg, _sample_quaternions(rng_gates.random((cfg.n_gates, 3))))
+    run = _stepwise if cfg.track_noisy_state else _batch
+    finals = run(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts)
+    out = np.empty((len(ARMS), len(cfg.depth_schedule)))
+    for ai, zs in enumerate(finals):
+        for j, z in enumerate(zs):
+            out[ai, j] = _measure(min(max(0.5 * (1.0 + z), 0.0), 1.0), cfg, shot_rngs[ai])
+    return out
+
+
+def _starts(cfg: RbConfig, stream, steps: int = 1) -> list:
+    """The multistart starts of ``steps`` steps in turn, drawn from
+    ``stream`` (a Generator or a key), as one list of (beta, gamma, delta)."""
+    if not cfg.multistart:
+        return []
+    rng = np.random.default_rng(stream)
+    return (math.tau * rng.random((steps * cfg.multistart, 3))).tolist()
+
+
+def _angles(cfg: RbConfig, quaternions: np.ndarray):
+    """ZYZ angles, as (n, 3) arrays of (beta, gamma, delta) rows, of the
+    gates and of the inverse at each scheduled depth: the conjugate of the
+    net rotation so far, the gates' Hamilton product."""
+    depths, conjugates = set(cfg.depth_schedule), []
+    net = (1.0, 0.0, 0.0, 0.0)
+    for depth, q in enumerate(quaternions.tolist(), 1):
+        net = _hamilton(q, net)
+        if depth in depths:
+            conjugates.append((net[0], -net[1], -net[2], -net[3]))
+    return _zyz_from_quaternions(quaternions), _zyz_from_quaternions(np.array(conjugates))
+
+
+def _stepwise(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts):
+    """Each arm's final r_z, after the inverse at each scheduled depth, as
+    one list per arm in ARMS order, from one ``_optimize`` call per gate or
+    inverse step in circuit order.  A step optimizes for the opt arm's
+    noisy state under ``track_noisy_state``, the result of the step before,
+    so tracked runs go this way; otherwise for the ideal state, u = R n of
+    the step before."""
     n = (0.0, 0.0, 1.0)  # the optimizer's input state, |0>
     arms = (n, n)  # noisy state of each arm, in ARMS order
-    net = (1.0, 0.0, 0.0, 0.0)  # quaternion of the gates so far
+    inverses = iter(inverses.tolist())
+    depths = set(cfg.depth_schedule)
+    finals = []
 
-    def step(target: EulerAngles, stream) -> tuple:
+    def step(target, stream) -> tuple:
         """The next ``arms`` and u = R n from the optimizer: unopt runs
         ``target``'s angles, opt runs them re-optimized for n; ``stream``
         (a Generator or a key) seeds the multistart starts."""
         unopt, opt = arms
-        moments = _read_moments(n)  # the point form, m2 = n n^T
-        starts = ()
-        if cfg.multistart > 0:
-            starts = (math.tau * np.random.default_rng(stream).random((cfg.multistart, 3))).tolist()
         ((beta, gamma, delta), _, _, _, _), image = _optimize(
-            target, moments, assumed_damping, starts, RB_GRADIENT_TOLERANCE)
-        return (_apply(target.beta, target.gamma, target.delta, damping, unopt),
-                _apply(beta, gamma, delta, damping, opt)), image
+            EulerAngles(*target), _read_moments(n), assumed_damping, _starts(cfg, stream),
+            RB_GRADIENT_TOLERANCE)
+        return (_apply(*target, damping, unopt), _apply(beta, gamma, delta, damping, opt)), image
 
-    for i, row in enumerate(rng_gates.random((cfg.n_gates, 3)).tolist()):
-        q = _sample_quaternion(row)
-        gate = _zyz_from_quaternion(*q)
+    for depth, gate in enumerate(gates.tolist(), 1):
         arms, u = step(gate, rng_starts)
         n = arms[1] if cfg.track_noisy_state else u
-        net = _hamilton(q, net)
+        if depth in depths:
+            finals.append(step(next(inverses), [cfg.rng_seed, circuit, 3, depth])[0])
+    return [[r[2] for r in arm] for arm in zip(*finals)]
 
-        depth = i + 1
-        if depth in column:
-            inverse = _zyz_from_quaternion(net[0], -net[1], -net[2], -net[3])
-            for ai, r in enumerate(step(inverse, [cfg.rng_seed, circuit, 3, depth])[0]):
-                p0 = min(max(0.5 * (1.0 + r[2]), 0.0), 1.0)
-                out[ai, column[depth]] = _measure(p0, cfg, shot_rngs[ai])
-    return out
+
+def _batch(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts):
+    """``_stepwise``'s result for an ideal-input circuit, whose steps do not
+    depend on one another.  The ideal state n is carried through the gates
+    under ``_NOISELESS`` in plain floats (``noise._apply_chain``, from cos
+    and sin computed once per angle): the same floats as the optimizer's
+    image u = R n.  Then every gate and inverse step, in circuit order, is
+    optimized in one batch (``optimize._optimize_points``), each with its
+    own ``_optimize`` call's floats, and each arm is carried through its
+    gates' angles as n was; the inverses map the arms' states at the
+    scheduled depths in one ``_apply_all`` on arrays."""
+    gate_trig = _trig(gates)
+    ideal = _apply_chain(*gate_trig, _NOISELESS, (0.0, 0.0, 1.0))
+    # the steps in circuit order: gate i, then the inverse if depth i + 1 is scheduled
+    depths = np.array(cfg.depth_schedule)
+    inverse_rows = depths + np.arange(len(depths))
+    targets = np.insert(gates, depths, inverses, axis=0)
+    inputs = [ideal[i] for i in np.insert(np.arange(cfg.n_gates), depths, depths).tolist()]
+    m = cfg.multistart
+    gate_starts = _starts(cfg, rng_starts, cfg.n_gates)
+    starts = [gate_starts[i * m:(i + 1) * m] for i in range(cfg.n_gates)]
+    for row, depth in zip(inverse_rows.tolist(), cfg.depth_schedule):
+        starts.insert(row, _starts(cfg, [cfg.rng_seed, circuit, 3, depth]))
+    angles = _optimize_points(targets, [_read_moments(n) for n in inputs], assumed_damping,
+                              starts, RB_GRADIENT_TOLERANCE)[0]
+    opt_gates = np.delete(angles, inverse_rows, axis=0)
+    unopt = _apply_chain(*gate_trig, damping, (0.0, 0.0, 1.0))
+    opt = _apply_chain(*_trig(opt_gates), damping, (0.0, 0.0, 1.0))
+    return [_apply_all(*a.T, (damping,), (np.array([arm[d] for d in cfg.depth_schedule]).T,),
+                       np.cos, np.sin)[0][2].tolist()
+            for a, arm in ((inverses, unopt), (angles[inverse_rows], opt))]
+
+
+def _trig(angles: np.ndarray) -> list[list[float]]:
+    """cos and sin of gamma, delta and beta of each (beta, gamma, delta) row
+    of ``angles``, as the six float lists ``noise._apply_chain`` takes."""
+    beta, gamma, delta = angles.T
+    return [f(a).tolist() for a in (gamma, delta, beta) for f in (np.cos, np.sin)]
 
 
 def run_rb_experiment(cfg: RbConfig, jobs: int = 1) -> RbRunResult:

@@ -13,7 +13,7 @@ from noisy_euler import (
     extract_euler,
     named_gate,
 )
-from noisy_euler.gates import GAMMA_TIE_TOL, _zyz_from_quaternion
+from noisy_euler.gates import GAMMA_TIE_TOL, _zyz_from_quaternion, _zyz_from_quaternions
 from reference import (
     angle_gap,
     quaternion_unitary,
@@ -147,6 +147,20 @@ def quaternion_cases():
             cases.append((c * math.cos(half_sum), -s * math.sin(half_diff),
                           s * math.cos(half_diff), c * math.sin(half_sum), 0.0))
     return cases
+
+
+def test_quaternion_rows_equal_the_scalar_angles():
+    """``_zyz_from_quaternions``, which reads an RB circuit's gates and
+    inverses in one pass, gives each row the scalar rule's angles, ==:
+    on random unit quaternions, scaled ones (the rule needs no norm), the
+    tie bands at gamma = 0 and pi and just outside them, and signed zeros."""
+    cases = [case[:4] for case in quaternion_cases()]
+    cases += [tuple(2.5 * v for v in q) for q in cases[:50]]
+    cases += [(1.0, 0.0, -0.0, 0.0), (-0.0, 0.0, 1.0, -0.0), (0.0, -1.0, 0.0, 0.0)]
+    rows = _zyz_from_quaternions(np.array(cases)).tolist()
+    for q, row in zip(cases, rows, strict=True):
+        angles = _zyz_from_quaternion(*q)
+        assert tuple(row) == (angles.beta, angles.gamma, angles.delta)
 
 
 def test_quaternion_angles_match_extract_euler():

@@ -13,7 +13,7 @@ from noisy_euler import (
     NoiseParams,
     damping_probabilities,
 )
-from noisy_euler.noise import _apply, _apply_all, _damping
+from noisy_euler.noise import _apply, _apply_all, _apply_chain, _damping
 from reference import (
     amplitude_damping_kraus,
     apply_channel_kraus,
@@ -281,6 +281,31 @@ def test_shared_frame_equals_one_vector_map_exactly():
         assert bits(images) == bits(singles)
         assert bits(images) == bits(one_vector_map(beta, gamma, delta, la, lp, v)
                                     for la, lp in models for v in vectors)
+
+
+def test_chain_and_array_frames_equal_one_gate_at_a_time():
+    """An RB circuit carries the ideal state and each arm's state through
+    its gates with ``_apply_chain``, from cos and sin computed once per
+    angle, and maps its inverse steps with ``_apply_all`` on arrays given
+    numpy's cos and sin.  Both give, to the bit, the floats of ``_apply``
+    applied one gate at a time, at lambda = 0, 0.999 and lambda_a !=
+    lambda_p, from |0> and from a mixed state with signed zeros."""
+    rng = np.random.default_rng(34)
+    angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (300, 3))
+    angles[::7, 1] = 0.0
+    beta, gamma, delta = angles.T
+    trig = [f(a).tolist() for a in (gamma, delta, beta) for f in (np.cos, np.sin)]
+    for la, lp in ((0.0, 0.0), (0.999, 0.999), (0.3, 0.01)):
+        damping = _damping(la, lp)
+        for start in ((0.0, 0.0, 1.0), (-0.0, 0.0, -0.25)):
+            states, r = [start], start
+            for b, g, d in angles.tolist():
+                r = _apply(b, g, d, damping, r)
+                states.append(r)
+            assert bits(_apply_chain(*trig, damping, start)) == bits(states)
+            xs = np.array(states[:-1]).T
+            images = _apply_all(beta, gamma, delta, (damping,), (xs,), np.cos, np.sin)[0]
+            assert bits(zip(*(v.tolist() for v in images))) == bits(states[1:])
 
 
 # ------------------------------------------------------------- calibration

@@ -26,14 +26,14 @@ from noisy_euler import (
 )
 from noisy_euler import optimize, rb
 from noisy_euler.gates import _zyz_from_quaternion
-from noisy_euler.noise import _apply, _damping
+from noisy_euler.noise import _NOISELESS, LAMBDA_MAX, _apply, _damping
 from noisy_euler.objectives import _objective, _read_moments
-from noisy_euler.rb import _sample_quaternion
 from reference import (
     bloch_density,
     bloch_vector,
     circle_optimum,
     noisy_gate_stepwise,
+    uniform_quaternion,
     uniform_starts,
     zyz_unitary,
 )
@@ -276,7 +276,7 @@ def test_newton_reaches_lbfgsb_oracle():
     params = noise_params_for(bundled_device("rome").qubit(3))
     rng = np.random.default_rng(31)
     for i in range(200):
-        target = _zyz_from_quaternion(*_sample_quaternion(rng.random(3).tolist()))
+        target = _zyz_from_quaternion(*uniform_quaternion(rng))
         if i % 2 == 0:
             m1, m2 = point_moments(
                 math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
@@ -333,7 +333,7 @@ def circle_problems():
     rng = np.random.default_rng(47)
     out = []
     for i in range(240):
-        target = _zyz_from_quaternion(*_sample_quaternion(rng.random(3).tolist()))
+        target = _zyz_from_quaternion(*uniform_quaternion(rng))
         r = bloch_vector(BlochState(math.acos(rng.uniform(-1.0, 1.0)),
                                     rng.uniform(0.0, 2 * math.pi)))
         if i < 80:
@@ -364,21 +364,29 @@ def test_point_optimum_reaches_dense_circle_oracle(circle_problems):
 def test_point_optimum_takes_two_evaluations(monkeypatch):
     """An RB gate step that is not seed-skipped evaluates the objective
     exactly twice, at the seed and at the closed-form point; a skipped one
-    once, at the seed."""
+    once, at the seed.  A tracked step is one ``_optimize`` call; an
+    ideal-input step is one row of its circuit's ``_optimize_points`` batch,
+    whose evaluations each cover many rows: a row counts the points, among
+    all the batch evaluated, that are its seed or its closed-form point, and
+    no evaluated point is left over."""
     seen, steps = [], []
-    original_objective = optimize._objective
+    original_objective, original_fg = optimize._objective, optimize._fg
+
+    def recorded(fg):
+        def evaluate(x, *hessian):
+            points = np.reshape(np.array(x, dtype=float), (3, -1)).T.tolist()
+            seen.append([tuple(p) for p in points])
+            return fg(x, *hessian)
+
+        return evaluate
 
     def recording(*args):
         fg, *rest = original_objective(*args)
-
-        def recorded(x, *hessian):
-            seen.append(x)
-            return fg(x, *hessian)
-
-        return recorded, *rest
+        return recorded(fg), *rest
 
     monkeypatch.setattr(optimize, "_objective", recording)
-    original = rb._optimize
+    monkeypatch.setattr(optimize, "_fg", lambda *args: recorded(original_fg(*args)))
+    original, original_batch = rb._optimize, rb._optimize_points
 
     def step(target, moments, damping, *args):
         g = _objective(target, moments, damping)[0]((target.beta, target.gamma, target.delta))[1]
@@ -387,7 +395,22 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
         steps.append((max(map(abs, g)) > rb.RB_GRADIENT_TOLERANCE, len(seen) - before))
         return out
 
+    def batch(targets, moments, damping, *args):
+        before = len(seen)
+        out = original_batch(targets, moments, damping, *args)
+        points = [p for evaluation in seen[before:] for p in evaluation]
+        rows = []
+        for target, m in zip(targets.tolist(), moments):
+            fg, n, u, _ = _objective(EulerAngles(*target), m, damping)
+            optimum = optimize._point_optimum(EulerAngles(*target), n, u, damping)
+            rows.append((max(map(abs, fg(target)[1])) > rb.RB_GRADIENT_TOLERANCE,
+                         points.count(tuple(target)) + points.count(optimum)))
+        assert sum(calls for _, calls in rows) == len(points)
+        steps.extend(rows)
+        return out
+
     monkeypatch.setattr(rb, "_optimize", step)
+    monkeypatch.setattr(rb, "_optimize_points", batch)
     cfg = RbConfig(noise=noise_params_for(bundled_device("rome").qubit(3)), n_circuits=2,
                    n_gates=40, depth_schedule=(1, 10, 20, 30, 40), rng_seed=5)
     for track_noisy_state in (False, True):
@@ -415,6 +438,98 @@ def test_closed_form_point_that_is_not_stationary_is_searched(monkeypatch):
         res = optimize_gate(target, *moments, params)
         assert res.iterations > 0 and res.converged
         assert res.objective_value >= res.objective_at_target_angles
+
+
+def test_batch_closed_form_point_that_is_not_stationary_is_searched(monkeypatch):
+    """The batch's Newton fallback, as above: with ``_point_optima``
+    patched to return one row's point off the optimum, that row alone gets
+    the scalar search, which converges within GRADIENT_TOLERANCE and never
+    below the seed's F; every other row keeps its closed-form point."""
+    original = optimize._point_optima
+
+    def shifted(*args):
+        x = original(*args)
+        x[:, 0] += 0.3
+        return x
+
+    monkeypatch.setattr(optimize, "_point_optima", shifted)
+    rng = np.random.default_rng(67)
+    damping = _damping(0.05, 0.02)
+    targets = [random_angles(rng) for _ in range(20)]
+    moments = [_read_moments(point_moments(*rng.uniform(0.0, math.pi, 2) * (1, 2))[0])
+               for _ in targets]
+    angles, f, f_seed, iterations, converged = optimize._optimize_points(
+        np.array([(t.beta, t.gamma, t.delta) for t in targets]), moments, damping,
+        [[]] * len(targets), rb.RB_GRADIENT_TOLERANCE)
+    assert iterations[0] > 0 and converged.all()
+    assert (iterations[1:] == 0).all()
+    assert (f >= f_seed).all()
+    g = _objective(targets[0], moments[0], damping)[0](tuple(angles[0].tolist()))[1]
+    assert max(map(abs, g)) <= optimize.GRADIENT_TOLERANCE
+
+
+def test_point_optima_equal_the_scalar_closed_form():
+    """``_point_optima``, the batch's closed form, gives each row
+    ``_point_optimum``'s angles, ==: on random gates and points in the ball,
+    on inputs along z (rho = 0), outputs along z (mu = 0), u_z < 0 and
+    u_z = 0, under lambda = 0, 1 - 1e-15 and three other damping sets.
+    Both cuts s = rho and s = mu < rho occur (s is read back as the y of
+    Rz(delta) n)."""
+    rng = np.random.default_rng(71)
+    targets, inputs = [], []
+    for _ in range(300):
+        targets.append(_zyz_from_quaternion(*uniform_quaternion(rng)))
+        v = rng.normal(size=3)
+        inputs.append((v / np.linalg.norm(v) * rng.uniform() ** (1 / 3)).tolist())
+    for i in range(10):
+        inputs[i] = [0.0, -0.0, rng.uniform(-1.0, 1.0)]
+    inputs[10] = [0.0, 0.0, 0.0]
+    images = [_apply(t.beta, t.gamma, t.delta, _NOISELESS, n) for t, n in zip(targets, inputs)]
+    for i in range(11, 21):
+        images[i] = (0.0, -0.0, math.copysign(math.sqrt(sum(v * v for v in inputs[i])), i - 16))
+    images[21] = (images[21][0], images[21][1], 0.0)
+    assert sum(u[2] < 0.0 for u in images) > 100
+    cuts = set()
+    for la, lp in ((0.0, 0.0), (LAMBDA_MAX, LAMBDA_MAX), (0.05, 0.02), (0.3, 0.6), (0.9, 1e-4)):
+        damping = _damping(la, lp)
+        batch = optimize._point_optima(
+            np.array([(t.beta, t.gamma, t.delta) for t in targets]).T,
+            np.array(inputs).T, np.array(images).T, damping)
+        for i, (target, n, u) in enumerate(zip(targets, inputs, images)):
+            beta, gamma, delta = optimize._point_optimum(target, n, u, damping)
+            assert tuple(batch[:, i].tolist()) == (beta, gamma, delta)
+            rho, mu = math.hypot(n[0], n[1]), math.hypot(u[0], u[1])
+            s = math.sin(delta) * n[0] + math.cos(delta) * n[1]
+            if mu < rho - 1e-6:
+                cuts.add("mu" if abs(s - mu) < 1e-9 else "rho" if abs(s - rho) < 1e-9 else None)
+    assert cuts == {"mu", "rho"}
+
+
+@pytest.mark.parametrize("k", [1e-3, 1.0, 1e6])
+def test_optimize_points_equal_optimize_row_by_row(k):
+    """Each row of the batch ``_optimize_points`` is what ``_optimize``
+    returns for it, ==: angles, F, F_seed, iterations and converged, at RB's
+    seed-skip tolerance and at GRADIENT_TOLERANCE, with no starts and with
+    two per row, for rome q3's model assumed at drift factor k, on pure and
+    mixed inputs."""
+    noise = noise_params_for(bundled_device("rome").qubit(3)).assuming_drift(k)
+    damping = _damping(noise.lambda_a, noise.lambda_p)
+    rng = np.random.default_rng(72)
+    targets = [_zyz_from_quaternion(*uniform_quaternion(rng)) for _ in range(60)]
+    moments = []
+    for i in range(len(targets)):
+        v = rng.normal(size=3)
+        length = 1.0 if i % 2 else rng.uniform()
+        moments.append(_read_moments((v / np.linalg.norm(v) * length).tolist()))
+    array = np.array([(t.beta, t.gamma, t.delta) for t in targets])
+    for tolerance in (rb.RB_GRADIENT_TOLERANCE, optimize.GRADIENT_TOLERANCE):
+        for starts in ([[]] * len(targets), [uniform_starts(rng, 2) for _ in targets]):
+            angles, f, f_seed, iterations, converged = optimize._optimize_points(
+                array, moments, damping, starts, tolerance)
+            for i, (target, m, x0) in enumerate(zip(targets, moments, starts)):
+                row = (tuple(angles[i].tolist()), float(f[i]), float(f_seed[i]),
+                       int(iterations[i]), bool(converged[i]))
+                assert row == optimize._optimize(target, m, damping, x0, tolerance)[0]
 
 
 def test_newton_only_for_moments_not_rank_one():
@@ -468,7 +583,7 @@ def test_equal_fidelity_partner_optima():
 
 
 def edge_targets(rng, count):
-    return [_zyz_from_quaternion(*_sample_quaternion(rng.random(3).tolist())) for _ in range(count)]
+    return [_zyz_from_quaternion(*uniform_quaternion(rng)) for _ in range(count)]
 
 
 def check_point_optimum(target, r, params):
@@ -553,7 +668,7 @@ def test_point_optimum_depends_only_on_the_unitary():
     rng = np.random.default_rng(71)
     params = noise_params_for(bundled_device("rome").qubit(3))
     for _ in range(40):
-        t = _zyz_from_quaternion(*_sample_quaternion(rng.random(3).tolist()))
+        t = _zyz_from_quaternion(*uniform_quaternion(rng))
         other = EulerAngles(t.beta + math.pi, -t.gamma, t.delta + math.pi)
         r = bloch_vector(BlochState(math.acos(rng.uniform(-1.0, 1.0)),
                                     rng.uniform(0.0, 2 * math.pi)))

@@ -53,12 +53,40 @@ def small_config(**overrides):
     return RbConfig(**base)
 
 
+def record_steps(monkeypatch) -> list:
+    """Record every per-gate optimization of the RB runs that follow, in
+    circuit order, as (target, moments, damping, starts, result) with
+    result ``_optimize``'s (angles, F, F_seed, iterations, converged): a
+    tracked step is one ``rb._optimize`` call, an ideal-input step one row
+    of its circuit's ``rb._optimize_points`` batch."""
+    steps = []
+    scalar, batch = rb._optimize, rb._optimize_points
+
+    def one(target, moments, damping, starts, tolerance):
+        out = scalar(target, moments, damping, starts, tolerance)
+        steps.append((target, moments, damping, starts, out[0]))
+        return out
+
+    def many(targets, moments, damping, starts, tolerance):
+        out = batch(targets, moments, damping, starts, tolerance)
+        angles, f, f_seed, iterations, converged = out
+        for i, target in enumerate(targets.tolist()):
+            result = (tuple(angles[i].tolist()), float(f[i]), float(f_seed[i]),
+                      int(iterations[i]), bool(converged[i]))
+            steps.append((EulerAngles(*target), moments[i], damping, starts[i], result))
+        return out
+
+    monkeypatch.setattr(rb, "_optimize", one)
+    monkeypatch.setattr(rb, "_optimize_points", many)
+    return steps
+
+
 # ------------------------------------------------------------ gate sampling
 
 def rb_gate(rng) -> EulerAngles:
     """One gate of an RB stream, in Euler angles, drawn as the harness draws
     it: a rotation by a uniform angle about a uniform axis."""
-    return _zyz_from_quaternion(*rb._sample_quaternion(rng.random(3).tolist()))
+    return _zyz_from_quaternion(*uniform_quaternion(rng))
 
 
 def test_sampled_gates_are_valid_unitaries():
@@ -124,7 +152,7 @@ def test_quaternion_net_matches_unitary_product():
     net, product = (1.0, 0.0, 0.0, 0.0), np.eye(2, dtype=complex)
     worst_u = worst_angle = 0.0
     for _ in range(246):
-        q = rb._sample_quaternion(rng.random(3).tolist())
+        q = uniform_quaternion(rng)
         net = _hamilton(q, net)
         product = zyz_unitary(_zyz_from_quaternion(*q)) @ product
         worst_u = max(worst_u, sign_gap(quaternion_unitary(*net), product))
@@ -143,8 +171,8 @@ def test_gate_draws_equal_scalar_uniform_rule(seed):
     drawn by scalar ``Generator.uniform`` calls, and both leave the stream at
     the same place."""
     rng, ref = np.random.default_rng([seed, 0, 0]), np.random.default_rng([seed, 0, 0])
-    for row in rng.random((10_000, 3)).tolist():
-        assert rb._sample_quaternion(row) == uniform_quaternion(ref)
+    for q in rb._sample_quaternions(rng.random((10_000, 3))).tolist():
+        assert tuple(q) == uniform_quaternion(ref)
     assert rng.random() == ref.random()
 
 
@@ -468,21 +496,16 @@ def test_multistart_streams_ignore_schedule_and_jobs():
 
 @pytest.mark.parametrize("multistart", [0, 2])
 def test_multistart_starts_follow_uniform_draw_rule(monkeypatch, multistart):
-    """Each optimize_gate call of an RB run receives exactly the starts the
-    uniform(0, 2 pi, (multistart, 3)) rule draws: gate steps in turn from
-    the circuit's stream [rng_seed, circuit, 2], each inverse step from its
-    own [rng_seed, circuit, 3, depth]; with multistart 0, no start at all."""
-    received = []
-    original = rb._optimize
-
-    def recording(target, moments, params, starts, *args):
-        received.append([tuple(x) for x in starts])
-        return original(target, moments, params, starts, *args)
-
-    monkeypatch.setattr(rb, "_optimize", recording)
+    """Each per-gate optimization of an RB run receives exactly the starts
+    the uniform(0, 2 pi, (multistart, 3)) rule draws: gate steps in turn
+    from the circuit's stream [rng_seed, circuit, 2], each inverse step from
+    its own [rng_seed, circuit, 3, depth]; with multistart 0, no start at
+    all."""
+    steps = record_steps(monkeypatch)
     cfg = small_config(n_circuits=2, n_gates=12, depth_schedule=(1, 5, 12),
                        multistart=multistart)
     run_rb_experiment(cfg)
+    received = [[tuple(x) for x in starts] for _, _, _, starts, _ in steps]
     expected = []
     for circuit in range(cfg.n_circuits):
         gate_stream = np.random.default_rng([cfg.rng_seed, circuit, 2])
@@ -579,22 +602,16 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
     inverses from a running product: every survival agrees with the affine
     Bloch-vector simulator to 1e-12, and so does the state the optimizer
     was handed (the ideal state, or the opt arm's noisy state)."""
-    calls = []
-    original = rb._optimize
-
-    def recording(target, moments, params, *args):
-        m1, m2, _ = moments
-        assert np.array_equal(m2, np.outer(m1, m1))
-        res, image = original(target, moments, params, *args)
-        calls.append((np.array(m1), EulerAngles(*res[0])))
-        return res, image
-
-    monkeypatch.setattr(rb, "_optimize", recording)
+    steps = record_steps(monkeypatch)
     cfg = small_config(
         n_circuits=2, n_gates=30, depth_schedule=(1, 10, 20, 30),
         track_noisy_state=track_noisy_state,
     )
     res = run_rb_experiment(cfg)
+    calls = []
+    for _, (m1, m2, _), _, _, result in steps:
+        assert np.array_equal(m2, np.outer(m1, m1))
+        calls.append((np.array(m1), EulerAngles(*result[0])))
 
     recorded = iter(calls)
     ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -638,16 +655,10 @@ def test_every_started_search_converges(monkeypatch, track_noisy_state):
     optimization that starts ends within the optimizer's GRADIENT_TOLERANCE,
     so every result whose angles are not the seed's has max|grad F| within
     it at angles_opt."""
-    calls = []
-    original = rb._optimize
-
-    def recording(target, moments, damping, *args):
-        res, image = original(target, moments, damping, *args)
-        calls.append((target, moments, damping, EulerAngles(*res[0])))
-        return res, image
-
-    monkeypatch.setattr(rb, "_optimize", recording)
+    steps = record_steps(monkeypatch)
     run_rb_experiment(small_config(n_circuits=2, track_noisy_state=track_noisy_state))
+    calls = [(target, moments, damping, EulerAngles(*result[0]))
+             for target, moments, damping, _, result in steps]
     searched = [c for c in calls if c[3] != EulerAngles(
         *(v % (2 * math.pi) for v in (c[0].beta, c[0].gamma, c[0].delta)))]
     assert searched
@@ -661,26 +672,45 @@ def test_ideal_state_is_the_optimizers_image(monkeypatch):
     optimizer's image u = R n: over one 246-gate Fig. 3 circuit the state each
     gate and inverse step hands the optimizer equals, ==, the zero-noise
     ``noise._apply`` of the gates in turn."""
-    seen = []
-    original = rb._optimize
-
-    def recording(target, moments, *args):
-        seen.append(moments[0])
-        return original(target, moments, *args)
-
-    monkeypatch.setattr(rb, "_optimize", recording)
+    steps = record_steps(monkeypatch)
     cfg = RbConfig(noise=ROME_Q3, n_circuits=1, rng_seed=7)
     rb._circuit_worker((cfg, 0))
+    seen = [moments[0] for _, moments, _, _, _ in steps]
     expected, n = [], (0.0, 0.0, 1.0)
-    rows = np.random.default_rng([cfg.rng_seed, 0, 0]).random((cfg.n_gates, 3)).tolist()
-    for depth, row in enumerate(rows, 1):
+    block = np.random.default_rng([cfg.rng_seed, 0, 0]).random((cfg.n_gates, 3))
+    for depth, q in enumerate(rb._sample_quaternions(block).tolist(), 1):
         expected.append(n)
-        gate = _zyz_from_quaternion(*rb._sample_quaternion(row))
+        gate = _zyz_from_quaternion(*q)
         n = _apply(gate.beta, gate.gamma, gate.delta, _NOISELESS, n)
         if depth in cfg.depth_schedule:
             expected.append(n)
     assert cfg.n_gates == 246 and len(expected) == 246 + len(cfg.depth_schedule)
     assert seen == expected
+
+
+@pytest.mark.parametrize("device, qubit", [("rome", 3), ("bogota", 0)])
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(drift_factor=1e-3), id="k=1e-3"),
+    pytest.param(dict(drift_factor=1.0), id="k=1"),
+    pytest.param(dict(drift_factor=1e6), id="k=1e6"),
+    pytest.param(dict(shots=300, readout=(0.03, 0.08), mitigate=True), id="shots-mitigated"),
+    pytest.param(dict(multistart=2), id="multistart-k=1"),
+    pytest.param(dict(multistart=2, drift_factor=1e6), id="multistart-k=1e6"),
+    pytest.param(dict(n_gates=1, depth_schedule=(1,)), id="one-gate"),
+    pytest.param(dict(n_circuits=1, n_gates=246, depth_schedule=tuple(range(1, 247, 7))),
+                 id="fig3"),
+])
+def test_batch_equals_stepwise(monkeypatch, device, qubit, overrides):
+    """Without track_noisy_state a circuit's steps run as one batch; the
+    per-step path that tracked runs take, run on the ideal input instead,
+    gives the same survivals, ==."""
+    cfg = small_config(**{"n_circuits": 2, **overrides,
+                          "noise": noise_params_for(bundled_device(device).qubit(qubit))})
+    batch = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
+    monkeypatch.setattr(rb, "_batch", rb._stepwise)
+    stepwise = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
+    for a, b in zip(batch, stepwise, strict=True):
+        assert (a == b).all()
 
 
 @pytest.mark.parametrize("device, qubit", [("rome", 3), ("bogota", 0)])
@@ -693,8 +723,8 @@ def test_unopt_rate_matches_first_order_theory(device, qubit):
     came out at 0.9987x and 1.0003x.  The gamma rule the reference
     integrates is the sampled gates' own."""
     noise = noise_params_for(bundled_device(device).qubit(qubit))
-    for row in np.random.default_rng(3).random((200, 3)).tolist():
-        q = w, _, _, z = rb._sample_quaternion(row)  # (cos a/2, sin a/2 n)
+    for q in rb._sample_quaternions(np.random.default_rng(3).random((200, 3))).tolist():
+        w, _, _, z = q  # (cos a/2, sin a/2 n)
         gamma = _zyz_from_quaternion(*q).gamma
         assert abs(math.cos(0.5 * gamma) ** 2 - (w * w + z * z)) < 1e-12
     reference = rb_unopt_rate(noise)
@@ -764,22 +794,16 @@ def test_tiny_drift_keeps_every_opt_step_at_its_seed(monkeypatch, seed, track_no
     all 135 opt-arm steps of ``small_config`` (3 circuits of 40 gates and 5
     inverses) return the target's own angles without a Newton step, while
     at k = 1 only 18 or 19 of them do."""
-    calls = []
-    original = rb._optimize
-
-    def recording(target, moments, params, *args):
-        res, image = original(target, moments, params, *args)
-        angles, _, _, iterations, _ = res
-        calls.append(iterations == 0 and EulerAngles(*angles) == EulerAngles(
-            *(v % (2 * math.pi) for v in (target.beta, target.gamma, target.delta))))
-        return res, image
-
-    monkeypatch.setattr(rb, "_optimize", recording)
+    steps = record_steps(monkeypatch)
     kept = []
     for k in (1e-3, 1.0):
-        calls.clear()
+        steps.clear()
         run_rb_experiment(small_config(drift_factor=k, rng_seed=seed,
                                        track_noisy_state=track_noisy_state))
+        calls = []
+        for target, _, _, _, (angles, _, _, iterations, _) in steps:
+            calls.append(iterations == 0 and EulerAngles(*angles) == EulerAngles(
+                *(v % (2 * math.pi) for v in (target.beta, target.gamma, target.delta))))
         assert len(calls) == 3 * (40 + 5)
         kept.append(sum(calls))
     assert kept[0] == 135
