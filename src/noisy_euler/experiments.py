@@ -150,7 +150,7 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
         # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
         # |0> as a phase only, so delta stays at its seed 0.
         target = EulerAngles(phi, math.acos(z), 0.0)
-        _, f, f_seed, _, _ = _optimize(target, ground, damping, (), GRADIENT_TOLERANCE)[0]
+        _, f, f_seed, _, _ = _optimize(target, ground, damping, (), GRADIENT_TOLERANCE)
         imps[t] = f - f_seed
     return _row_stats(lam, None, imps)
 
@@ -166,7 +166,7 @@ def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
     for r in range(cfg.targets_per_point):
         target = _haar_gate(rng)
         (beta, gamma, delta), _, _, _, _ = _optimize(target, moments, damping, (),
-                                                     GRADIENT_TOLERANCE)[0]
+                                                     GRADIENT_TOLERANCE)
         # both decompositions' fidelity on the sampled state (canonical angles)
         n = _bloch_vector(*_cap_sample(rng, theta_max))
         u, image = _apply_all(target.beta, target.gamma, target.delta, dampings, (n,))

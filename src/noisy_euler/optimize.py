@@ -30,12 +30,13 @@ Newton converges quadratically near the optimum, so the tight tolerance
 costs few steps.  The module draws no random numbers: the same inputs give
 the same result.
 
-Randomized benchmarking's ideal-input steps are many rank-1 problems known
-at once, so ``_optimize_points`` solves them as one batch in numpy: the
-scalar code's own expressions evaluated elementwise (``_point_optima`` for
-the closed form), each row with the floats of its own ``_optimize`` call.
-Only a row that needs a search (a closed-form point that is not
-stationary, or extra starts) goes back to the scalar code.
+Randomized benchmarking's ideal-input steps are many point inputs known at
+once, so ``_optimize_points`` takes their Bloch vectors and solves them as
+one batch in numpy: the scalar code's own expressions evaluated
+elementwise (``_point_optima`` for the closed form), each row with the
+floats of its own ``_optimize`` call.  Only a row that needs a search (a
+closed-form point that is not stationary, or extra starts) goes back to
+the scalar code.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -118,7 +119,7 @@ def optimize_gate(target: EulerAngles, m1, m2, params: NoiseParams) -> Optimizat
     another equal-F unitary in 470; on point inputs the closed form reaches
     a dense circle search (``tests/reference.py``).
     """
-    (angles, f, f_seed, iterations, converged), _ = _optimize(
+    angles, f, f_seed, iterations, converged = _optimize(
         target, _read_moments(m1, m2), _damping(params.lambda_a, params.lambda_p), (),
         GRADIENT_TOLERANCE)
     return OptimizationResult(EulerAngles(*angles), f, f_seed, iterations, converged)
@@ -128,16 +129,14 @@ def _optimize(target: EulerAngles, moments, damping, starts, start_tolerance: fl
     """``optimize_gate``'s result as plain floats, ((beta, gamma, delta), F,
     F_seed, iterations, converged), for moments already read and checked,
     the (n, rows, rank_one) of ``objectives._read_moments``, with extra
-    candidates, and u = R m1, the target's noiseless image of m1, which
-    randomized benchmarking's step-by-step path takes as its next ideal
-    state.  A caller that
-    optimizes many targets for the same moments (a sweep cell) reads them
-    once and passes them to every call, and so with ``damping``, the assumed
-    model's set (``noise._damping``) that serves the objective and the
-    closed form.  Only ``_newton`` reads the Hessian: a rank-1 input's seed
-    and closed-form point are evaluated without it, and a closed-form point
-    that is not stationary gets it before its search.  Raises ValueError
-    unless the wrapped angles are finite.
+    candidates.  A caller that optimizes many targets for the same moments
+    (a sweep cell) reads them once and passes them to every call, and so
+    with ``damping``, the assumed model's set (``noise._damping``) that
+    serves the objective and the closed form.  Only ``_newton`` reads the
+    Hessian: a rank-1 input's seed and closed-form point are evaluated
+    without it, and a closed-form point that is not stationary gets it
+    before its search.  Raises ValueError unless the wrapped angles are
+    finite.
 
     The target seed and each (beta, gamma, delta) of ``starts`` are
     candidates; the best wins, the earliest on ties (the seed first), and
@@ -162,7 +161,7 @@ def _optimize(target: EulerAngles, moments, damping, starts, start_tolerance: fl
     angles = beta, gamma, delta = x[0] % math.tau, x[1] % math.tau, x[2] % math.tau
     if not (math.isfinite(beta) and math.isfinite(gamma) and math.isfinite(delta)):
         raise ValueError(f"optimized angles must be finite, got {x!r}")
-    return (angles, min(max(f, 0.0), 1.0), min(max(f_seed, 0.0), 1.0), iterations, converged), u
+    return angles, min(max(f, 0.0), 1.0), min(max(f_seed, 0.0), 1.0), iterations, converged
 
 
 def _candidate(fg, x0, f0, g0, h0, tolerance: float):
@@ -186,15 +185,18 @@ def _best_start(fg, best, starts, start_tolerance: float):
     return best
 
 
-def _optimize_points(targets, moments, damping, starts, start_tolerance: float):
-    """``_optimize`` for k rank-one steps at once, as arrays: (angles (k, 3),
+def _optimize_points(targets, points, damping, starts, start_tolerance: float):
+    """``_optimize`` for k point inputs at once, as arrays: (angles (k, 3),
     F, F_seed, iterations, converged), row i == what
-    ``_optimize(EulerAngles(*targets[i]), moments[i], damping, starts[i],
-    start_tolerance)[0]`` returns.  ``targets`` is a (k, 3) array of
-    (beta, gamma, delta) rows, ``moments`` the rank-one ``_read_moments``
-    of each row's input and ``starts`` one list of extra starts per row.
-    Randomized benchmarking's ideal-input steps are such a batch: each
-    input is fixed by the gate stream, not by an earlier result.
+    ``_optimize(EulerAngles(*targets[i]), _read_moments(points[i]),
+    damping, starts[i], start_tolerance)`` returns.  ``targets`` is a
+    (k, 3) array of (beta, gamma, delta) rows, ``points`` a (k, 3) array of
+    the rows' input Bloch vectors and ``starts`` one list of extra starts
+    per row.  Randomized benchmarking's ideal-input steps are such a batch:
+    each input is fixed by the gate stream, not by an earlier result, and
+    comes from the package's own chain (``noise._apply_chain``), so the
+    batch does not check it; only a row that leaves the batch for the
+    scalar search reads its point moments.
 
     The seed's F and g, the seed-skip mask at ``start_tolerance``, the
     closed-form point (``_point_optima``) of every row that is not skipped,
@@ -206,11 +208,9 @@ def _optimize_points(targets, moments, damping, starts, start_tolerance: float):
     (``_candidate``, ``_best_start``).  The fallback to the seed and the
     ValueError on angles that are not finite are ``_optimize``'s.
     """
-    if not all(m[2] for m in moments):
-        raise ValueError("a batch of optimizations takes rank-one moments")
     x_seed = np.array(targets, dtype=float).T.copy()
     k = x_seed.shape[1]
-    n = np.array([m[0] for m in moments]).T.copy()
+    n = np.array(points, dtype=float).T.copy()
     n0, n1, n2 = n
     u, *columns = np.array(_apply_all(*x_seed, (_NOISELESS,), (
         n, (n0 * n0, n1 * n0, n2 * n0), (n0 * n1, n1 * n1, n2 * n1), (n0 * n2, n1 * n2, n2 * n2)),
@@ -231,7 +231,8 @@ def _optimize_points(targets, moments, damping, starts, start_tolerance: float):
     if any(starts):
         searches = {i: searches.get(i) for i in range(k)}
     for i, newton_start in sorted(searches.items()):
-        fg = _objective(EulerAngles(*x_seed[:, i].tolist()), moments[i], damping)[0]
+        fg = _objective(EulerAngles(*x_seed[:, i].tolist()), _read_moments(n[:, i].tolist()),
+                        damping)[0]
         if newton_start is None:
             best = tuple(x[:, i].tolist()), float(f[i]), 0, True
         else:

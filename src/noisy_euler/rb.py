@@ -12,19 +12,20 @@ inverse is one step of both arms:
              ideal circuit would be in just before that gate or, with
              ``track_noisy_state``, for the arm's own noisy state.
 
-The optimizer reads one state n per step, checked by the point form of
-``objectives._read_moments``, which forms n n^T without a 3x3 list or its
-zero covariance.  Under ``track_noisy_state`` n is the opt arm's noisy
-state after the previous optimized gate, so each step waits for the one
-before and a circuit runs step by step (``_stepwise``).  Otherwise n is
-the ideal state, u = R n of the previous gate, the same floats as
-``noise._apply`` under the noiseless damping set: it depends on the gate
-stream alone, so the circuit runs as one batch (``_batch``).  The ideal
-states and each arm's states are then carried through the gates in plain
-floats (``noise._apply_chain``), and all gate and inverse steps are
+The optimizer reads one state n per step.  By default n is the ideal
+state, the image of |0> under the gates so far at zero noise: it depends
+on the gate stream alone, so all gate and inverse steps of a circuit are
 optimized together in numpy (``optimize._optimize_points``), each with the
 floats of its own ``optimize._optimize`` call: a Fig. 3 circuit's 282
-steps cost about half of what they cost one at a time.
+steps cost about half of what they cost one at a time.  Under
+``track_noisy_state`` n is the opt arm's noisy state after the previous
+optimized gate, so each gate step waits for the one before and runs alone
+(``optimize._optimize``, n read by the point form of
+``objectives._read_moments``).  Either way one simulator (``_circuit``)
+carries the states through the gates in plain floats
+(``noise._apply_chain``) and maps each arm's states at the scheduled
+depths by its inverses in one ``noise._apply_all`` on arrays; only how the
+opt arm's angles are found differs.
 
 States are Bloch vectors: Z rotations are virtual and noiseless, so each
 noisy native gate is exactly the affine map r -> A r + t (``noise._apply``
@@ -207,12 +208,10 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     ``uniform(0, 2 pi)`` returns.  A stream nothing draws from is not built:
     the starts' with multistart 0, the shots' with exact shots.
 
-    Without ``track_noisy_state`` each step's input is the ideal state,
-    fixed by the gate stream alone, so the steps do not depend on one
-    another and run as one batch (``_batch``).  With it each gate's input
-    is the opt arm's state after the previous optimized gate, so the steps
-    run one at a time (``_stepwise``).  Either way each step has the floats
-    of one ``optimize._optimize`` call."""
+    The worker draws the gates, reads the inverses' angles off their net
+    rotation (``_angles``), runs both arms in ``_circuit`` and measures each
+    final state; each optimizer step there, batched or alone, has the
+    floats of one ``optimize._optimize`` call."""
     cfg, circuit = item
     damping = _damping(cfg.noise.lambda_a, cfg.noise.lambda_p)
     assumed = cfg.noise.assuming_drift(cfg.drift_factor)
@@ -222,8 +221,7 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     shot_rngs = [np.random.default_rng([cfg.rng_seed, circuit, 1, ai])
                  if cfg.shots is not None else None for ai in range(len(ARMS))]
     gates, inverses = _angles(cfg, _sample_quaternions(rng_gates.random((cfg.n_gates, 3))))
-    run = _stepwise if cfg.track_noisy_state else _batch
-    finals = run(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts)
+    finals = _circuit(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts)
     out = np.empty((len(ARMS), len(cfg.depth_schedule)))
     for ai, zs in enumerate(finals):
         for j, z in enumerate(zs):
@@ -253,67 +251,45 @@ def _angles(cfg: RbConfig, quaternions: np.ndarray):
     return _zyz_from_quaternions(quaternions), _zyz_from_quaternions(np.array(conjugates))
 
 
-def _stepwise(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts):
+def _circuit(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts):
     """Each arm's final r_z, after the inverse at each scheduled depth, as
-    one list per arm in ARMS order, from one ``_optimize`` call per gate or
-    inverse step in circuit order.  A step optimizes for the opt arm's
-    noisy state under ``track_noisy_state``, the result of the step before,
-    so tracked runs go this way; otherwise for the ideal state, u = R n of
-    the step before."""
-    n = (0.0, 0.0, 1.0)  # the optimizer's input state, |0>
-    arms = (n, n)  # noisy state of each arm, in ARMS order
-    inverses = iter(inverses.tolist())
-    depths = set(cfg.depth_schedule)
-    finals = []
-
-    def step(target, stream) -> tuple:
-        """The next ``arms`` and u = R n from the optimizer: unopt runs
-        ``target``'s angles, opt runs them re-optimized for n; ``stream``
-        (a Generator or a key) seeds the multistart starts."""
-        unopt, opt = arms
-        ((beta, gamma, delta), _, _, _, _), image = _optimize(
-            EulerAngles(*target), _read_moments(n), assumed_damping, _starts(cfg, stream),
-            RB_GRADIENT_TOLERANCE)
-        return (_apply(*target, damping, unopt), _apply(beta, gamma, delta, damping, opt)), image
-
-    for depth, gate in enumerate(gates.tolist(), 1):
-        arms, u = step(gate, rng_starts)
-        n = arms[1] if cfg.track_noisy_state else u
-        if depth in depths:
-            finals.append(step(next(inverses), [cfg.rng_seed, circuit, 3, depth])[0])
-    return [[r[2] for r in arm] for arm in zip(*finals)]
-
-
-def _batch(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts):
-    """``_stepwise``'s result for an ideal-input circuit, whose steps do not
-    depend on one another.  The ideal state n is carried through the gates
-    under ``_NOISELESS`` in plain floats (``noise._apply_chain``, from cos
-    and sin computed once per angle): the same floats as the optimizer's
-    image u = R n.  Then every gate and inverse step, in circuit order, is
-    optimized in one batch (``optimize._optimize_points``), each with its
-    own ``_optimize`` call's floats, and each arm is carried through its
-    gates' angles as n was; the inverses map the arms' states at the
-    scheduled depths in one ``_apply_all`` on arrays."""
-    gate_trig = _trig(gates)
-    ideal = _apply_chain(*gate_trig, _NOISELESS, (0.0, 0.0, 1.0))
-    # the steps in circuit order: gate i, then the inverse if depth i + 1 is scheduled
-    depths = np.array(cfg.depth_schedule)
-    inverse_rows = depths + np.arange(len(depths))
-    targets = np.insert(gates, depths, inverses, axis=0)
-    inputs = [ideal[i] for i in np.insert(np.arange(cfg.n_gates), depths, depths).tolist()]
+    one list per arm in ARMS order.  The optimizer's steps are the gates,
+    then the inverses, each with its own starts.  The unopt arm is carried
+    through the gates' angles in plain floats (``noise._apply_chain``, from
+    cos and sin computed once per angle), and so is the ideal state n under
+    ``_NOISELESS``.  The opt arm's gates are optimized for n all at once
+    (``optimize._optimize_points``), or, under ``track_noisy_state``, one
+    at a time for the arm's own state, each inverse then for the state at
+    its depth (``optimize._optimize``).  Each arm's inverses map its states
+    at the scheduled depths in one ``_apply_all`` on arrays."""
+    start = (0.0, 0.0, 1.0)  # |0>
+    depths = cfg.depth_schedule
     m = cfg.multistart
     gate_starts = _starts(cfg, rng_starts, cfg.n_gates)
     starts = [gate_starts[i * m:(i + 1) * m] for i in range(cfg.n_gates)]
-    for row, depth in zip(inverse_rows.tolist(), cfg.depth_schedule):
-        starts.insert(row, _starts(cfg, [cfg.rng_seed, circuit, 3, depth]))
-    angles = _optimize_points(targets, [_read_moments(n) for n in inputs], assumed_damping,
-                              starts, RB_GRADIENT_TOLERANCE)[0]
-    opt_gates = np.delete(angles, inverse_rows, axis=0)
-    unopt = _apply_chain(*gate_trig, damping, (0.0, 0.0, 1.0))
-    opt = _apply_chain(*_trig(opt_gates), damping, (0.0, 0.0, 1.0))
-    return [_apply_all(*a.T, (damping,), (np.array([arm[d] for d in cfg.depth_schedule]).T,),
+    starts += [_starts(cfg, [cfg.rng_seed, circuit, 3, depth]) for depth in depths]
+    gate_trig = _trig(gates)
+    unopt = _apply_chain(*gate_trig, damping, start)
+    if cfg.track_noisy_state:
+        opt = [start]
+        for gate, x0 in zip(gates.tolist(), starts):
+            angles = _optimize(EulerAngles(*gate), _read_moments(opt[-1]), assumed_damping, x0,
+                               RB_GRADIENT_TOLERANCE)[0]
+            opt.append(_apply(*angles, damping, opt[-1]))
+        opt_inverses = np.array([
+            _optimize(EulerAngles(*inverse), _read_moments(opt[depth]), assumed_damping, x0,
+                      RB_GRADIENT_TOLERANCE)[0]
+            for inverse, depth, x0 in zip(inverses.tolist(), depths, starts[cfg.n_gates:])])
+    else:
+        ideal = _apply_chain(*gate_trig, _NOISELESS, start)
+        points = np.array(ideal[:-1] + [ideal[depth] for depth in depths])
+        angles = _optimize_points(np.concatenate((gates, inverses)), points, assumed_damping,
+                                  starts, RB_GRADIENT_TOLERANCE)[0]
+        opt = _apply_chain(*_trig(angles[:cfg.n_gates]), damping, start)
+        opt_inverses = angles[cfg.n_gates:]
+    return [_apply_all(*a.T, (damping,), (np.array([arm[d] for d in depths]).T,),
                        np.cos, np.sin)[0][2].tolist()
-            for a, arm in ((inverses, unopt), (angles[inverse_rows], opt))]
+            for a, arm in ((inverses, unopt), (opt_inverses, opt))]
 
 
 def _trig(angles: np.ndarray) -> list[list[float]]:

@@ -145,7 +145,7 @@ def test_prep_targets_equal_scalar_uniform_rule(monkeypatch, seed):
 
     def record(target, *args, **kwargs):
         targets.append(target)
-        return ((0.0, 0.0, 0.0), 0.0, 0.0, 0, True), None
+        return (0.0, 0.0, 0.0), 0.0, 0.0, 0, True
 
     monkeypatch.setattr(experiments, "_optimize", record)
     prep_improvement_sweep(SweepConfig(lambda_grid=(0.0, 0.05), targets_per_point=5000,
@@ -425,9 +425,10 @@ def test_bogota_drift_gain_is_a_mean_over_gates_and_states(qubit):
         damping = _damping(assumed.lambda_a, assumed.lambda_p)
         imps = np.empty(len(pairs))
         for i, (gate, n) in enumerate(pairs):
-            res, u = _optimize(gate, _read_moments(*_point_moments(n)), damping, (),
-                               RB_GRADIENT_TOLERANCE)
-            imps[i] = (point_score(EulerAngles(*res[0]), u, n, la, lp)
+            angles = _optimize(gate, _read_moments(*_point_moments(n)), damping, (),
+                               RB_GRADIENT_TOLERANCE)[0]
+            u = _apply(gate.beta, gate.gamma, gate.delta, _NOISELESS, n)
+            imps[i] = (point_score(EulerAngles(*angles), u, n, la, lp)
                        - point_score(gate, u, n, la, lp))
         z_score = imps.mean() / (imps.std(ddof=1) / math.sqrt(imps.size))
         if k <= 100:

@@ -145,7 +145,7 @@ def with_starts(target, moments, params, starts, tolerance=optimize.GRADIENT_TOL
     into an ``OptimizationResult``."""
     angles, *rest = optimize._optimize(target, _read_moments(*moments),
                                        _damping(params.lambda_a, params.lambda_p), starts,
-                                       tolerance)[0]
+                                       tolerance)
     return OptimizationResult(EulerAngles(*angles), *rest)
 
 
@@ -386,7 +386,7 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
 
     monkeypatch.setattr(optimize, "_objective", recording)
     monkeypatch.setattr(optimize, "_fg", lambda *args: recorded(original_fg(*args)))
-    original, original_batch = rb._optimize, rb._optimize_points
+    original, original_points = rb._optimize, rb._optimize_points
 
     def step(target, moments, damping, *args):
         g = _objective(target, moments, damping)[0]((target.beta, target.gamma, target.delta))[1]
@@ -395,13 +395,13 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
         steps.append((max(map(abs, g)) > rb.RB_GRADIENT_TOLERANCE, len(seen) - before))
         return out
 
-    def batch(targets, moments, damping, *args):
+    def batch(targets, inputs, damping, *args):
         before = len(seen)
-        out = original_batch(targets, moments, damping, *args)
+        out = original_points(targets, inputs, damping, *args)
         points = [p for evaluation in seen[before:] for p in evaluation]
         rows = []
-        for target, m in zip(targets.tolist(), moments):
-            fg, n, u, _ = _objective(EulerAngles(*target), m, damping)
+        for target, n in zip(targets.tolist(), inputs.tolist()):
+            fg, n, u, _ = _objective(EulerAngles(*target), _read_moments(n), damping)
             optimum = optimize._point_optimum(EulerAngles(*target), n, u, damping)
             rows.append((max(map(abs, fg(target)[1])) > rb.RB_GRADIENT_TOLERANCE,
                          points.count(tuple(target)) + points.count(optimum)))
@@ -456,15 +456,15 @@ def test_batch_closed_form_point_that_is_not_stationary_is_searched(monkeypatch)
     rng = np.random.default_rng(67)
     damping = _damping(0.05, 0.02)
     targets = [random_angles(rng) for _ in range(20)]
-    moments = [_read_moments(point_moments(*rng.uniform(0.0, math.pi, 2) * (1, 2))[0])
-               for _ in targets]
+    points = [point_moments(*rng.uniform(0.0, math.pi, 2) * (1, 2))[0] for _ in targets]
     angles, f, f_seed, iterations, converged = optimize._optimize_points(
-        np.array([(t.beta, t.gamma, t.delta) for t in targets]), moments, damping,
+        np.array([(t.beta, t.gamma, t.delta) for t in targets]), np.array(points), damping,
         [[]] * len(targets), rb.RB_GRADIENT_TOLERANCE)
     assert iterations[0] > 0 and converged.all()
     assert (iterations[1:] == 0).all()
     assert (f >= f_seed).all()
-    g = _objective(targets[0], moments[0], damping)[0](tuple(angles[0].tolist()))[1]
+    g = _objective(targets[0], _read_moments(points[0]), damping)[0](
+        tuple(angles[0].tolist()))[1]
     assert max(map(abs, g)) <= optimize.GRADIENT_TOLERANCE
 
 
@@ -516,20 +516,21 @@ def test_optimize_points_equal_optimize_row_by_row(k):
     damping = _damping(noise.lambda_a, noise.lambda_p)
     rng = np.random.default_rng(72)
     targets = [_zyz_from_quaternion(*uniform_quaternion(rng)) for _ in range(60)]
-    moments = []
+    points = []
     for i in range(len(targets)):
         v = rng.normal(size=3)
         length = 1.0 if i % 2 else rng.uniform()
-        moments.append(_read_moments((v / np.linalg.norm(v) * length).tolist()))
+        points.append((v / np.linalg.norm(v) * length).tolist())
     array = np.array([(t.beta, t.gamma, t.delta) for t in targets])
     for tolerance in (rb.RB_GRADIENT_TOLERANCE, optimize.GRADIENT_TOLERANCE):
         for starts in ([[]] * len(targets), [uniform_starts(rng, 2) for _ in targets]):
             angles, f, f_seed, iterations, converged = optimize._optimize_points(
-                array, moments, damping, starts, tolerance)
-            for i, (target, m, x0) in enumerate(zip(targets, moments, starts)):
+                array, np.array(points), damping, starts, tolerance)
+            for i, (target, n, x0) in enumerate(zip(targets, points, starts)):
                 row = (tuple(angles[i].tolist()), float(f[i]), float(f_seed[i]),
                        int(iterations[i]), bool(converged[i]))
-                assert row == optimize._optimize(target, m, damping, x0, tolerance)[0]
+                assert row == optimize._optimize(target, _read_moments(n), damping, x0,
+                                                 tolerance)
 
 
 def test_newton_only_for_moments_not_rank_one():

@@ -1,6 +1,6 @@
 """The package namespace and ``noisy_euler.__all__`` agree, importing the
-package loads numpy but not scipy, and no module imports a name it does not
-use."""
+package loads numpy but not scipy, no module imports a name it does not
+use, and the package defines no module-level name that nothing reads."""
 
 import ast
 import json
@@ -99,3 +99,73 @@ def test_module_imports_only_what_it_uses(path):
     in its __all__ (no linter is a test dependency, so the stdlib parser
     checks)."""
     assert unused_imports(path.read_text()) == []
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """The module-level functions, classes and constants (dunder names
+    aside) defined in ``sources``, a map of module name to source, that no
+    module reads, by a Name or an Attribute load or an import, and no
+    __all__ lists, as sorted "module.name" strings."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_dead_name_check_finds_unread_definitions():
+    """The check sees a function, a class and a constant that no module
+    reads, a helper kept beside the code that replaced it among them, and
+    passes names read in another module as a plain name, as an attribute or
+    through an import, one read in its own module and one listed in
+    __all__."""
+    sources = {
+        "a": (
+            "__all__ = ['public']\n"
+            "LIMIT = 3\n"
+            "SPARE: int = 4\n"
+            "def public():\n"
+            "    return LIMIT\n"
+            "def helper():\n"
+            "    return 1\n"
+            "def _replaced_path():\n"
+            "    return 2\n"
+            "class Unused:\n"
+            "    pass\n"
+        ),
+        "b": (
+            "from . import c\n"
+            "from .a import helper\n"
+            "def main():\n"
+            "    return helper() + c.by_attribute()\n"
+            "if __name__ == '__main__':\n"
+            "    main()\n"
+        ),
+        "c": "def by_attribute():\n    return 0\n",
+    }
+    assert dead_names(sources) == ["a.SPARE", "a.Unused", "a._replaced_path"]
+
+
+def test_every_module_level_name_is_read():
+    """Every module-level function, class and constant of the package is
+    read somewhere in the package or listed in an __all__, so code that only
+    the tests call, or nothing does, fails here."""
+    package = Path(noisy_euler.__file__).parent
+    assert dead_names({path.stem: path.read_text()
+                       for path in sorted(package.glob("*.py"))}) == []

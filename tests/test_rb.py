@@ -54,26 +54,28 @@ def small_config(**overrides):
 
 
 def record_steps(monkeypatch) -> list:
-    """Record every per-gate optimization of the RB runs that follow, in
-    circuit order, as (target, moments, damping, starts, result) with
-    result ``_optimize``'s (angles, F, F_seed, iterations, converged): a
-    tracked step is one ``rb._optimize`` call, an ideal-input step one row
-    of its circuit's ``rb._optimize_points`` batch."""
+    """Record every per-gate optimization of the RB runs that follow, as
+    (target, n, damping, starts, result) with n the input Bloch vector as
+    a float 3-tuple and result ``_optimize``'s (angles, F, F_seed,
+    iterations, converged).  Each circuit's steps come in its optimizer's
+    order: its gates, then its inverses.  A tracked step is one
+    ``rb._optimize`` call, an ideal-input step one row of its circuit's
+    ``rb._optimize_points`` batch."""
     steps = []
     scalar, batch = rb._optimize, rb._optimize_points
 
     def one(target, moments, damping, starts, tolerance):
         out = scalar(target, moments, damping, starts, tolerance)
-        steps.append((target, moments, damping, starts, out[0]))
+        steps.append((target, moments[0], damping, starts, out))
         return out
 
-    def many(targets, moments, damping, starts, tolerance):
-        out = batch(targets, moments, damping, starts, tolerance)
+    def many(targets, points, damping, starts, tolerance):
+        out = batch(targets, points, damping, starts, tolerance)
         angles, f, f_seed, iterations, converged = out
-        for i, target in enumerate(targets.tolist()):
+        for i, (target, n) in enumerate(zip(targets.tolist(), points.tolist())):
             result = (tuple(angles[i].tolist()), float(f[i]), float(f_seed[i]),
                       int(iterations[i]), bool(converged[i]))
-            steps.append((EulerAngles(*target), moments[i], damping, starts[i], result))
+            steps.append((EulerAngles(*target), tuple(n), damping, starts[i], result))
         return out
 
     monkeypatch.setattr(rb, "_optimize", one)
@@ -193,12 +195,11 @@ def test_gate_stream_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("track_noisy_state", [False, True])
-def test_point_form_read_leaves_survivals_unchanged(monkeypatch, track_noisy_state):
-    """Each gate step reads its input through ``_read_moments``'s point form;
-    with the general read of (n, n n^T) patched back in, every survival is
-    the same, ==, at a fixed seed."""
-    cfg = small_config(track_noisy_state=track_noisy_state, multistart=1)
+def test_point_form_read_leaves_survivals_unchanged(monkeypatch):
+    """Each tracked step reads its input through ``_read_moments``'s point
+    form; with the general read of (n, n n^T) patched back in, every
+    survival is the same, ==, at a fixed seed."""
+    cfg = small_config(track_noisy_state=True, multistart=1)
     today = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
     calls = []
 
@@ -498,9 +499,9 @@ def test_multistart_streams_ignore_schedule_and_jobs():
 def test_multistart_starts_follow_uniform_draw_rule(monkeypatch, multistart):
     """Each per-gate optimization of an RB run receives exactly the starts
     the uniform(0, 2 pi, (multistart, 3)) rule draws: gate steps in turn
-    from the circuit's stream [rng_seed, circuit, 2], each inverse step from
-    its own [rng_seed, circuit, 3, depth]; with multistart 0, no start at
-    all."""
+    from the circuit's stream [rng_seed, circuit, 2], then each inverse step
+    from its own [rng_seed, circuit, 3, depth]; with multistart 0, no start
+    at all."""
     steps = record_steps(monkeypatch)
     cfg = small_config(n_circuits=2, n_gates=12, depth_schedule=(1, 5, 12),
                        multistart=multistart)
@@ -509,11 +510,9 @@ def test_multistart_starts_follow_uniform_draw_rule(monkeypatch, multistart):
     expected = []
     for circuit in range(cfg.n_circuits):
         gate_stream = np.random.default_rng([cfg.rng_seed, circuit, 2])
-        for depth in range(1, cfg.n_gates + 1):
-            expected.append(uniform_starts(gate_stream, multistart))
-            if depth in cfg.depth_schedule:
-                inverse_stream = np.random.default_rng([cfg.rng_seed, circuit, 3, depth])
-                expected.append(uniform_starts(inverse_stream, multistart))
+        expected += [uniform_starts(gate_stream, multistart) for _ in range(cfg.n_gates)]
+        expected += [uniform_starts(np.random.default_rng([cfg.rng_seed, circuit, 3, depth]),
+                                    multistart) for depth in cfg.depth_schedule]
     assert received == expected
 
 
@@ -591,6 +590,18 @@ def test_track_noisy_state_variant_runs():
     assert np.all(res.opt.mean >= res.unopt.mean - 2 * combined)
 
 
+@pytest.mark.parametrize("device, qubit", [("rome", 3), ("bogota", 0)])
+def test_unopt_arm_ignores_track_noisy_state(device, qubit):
+    """track_noisy_state changes only what the opt arm is optimized for: the
+    unopt arm's survivals are the same, ==, in a tracked and an untracked
+    run at the same seed, while the opt arm's differ."""
+    cfg = small_config(noise=noise_params_for(bundled_device(device).qubit(qubit)))
+    ideal = run_rb_experiment(cfg)
+    tracked = run_rb_experiment(replace(cfg, track_noisy_state=True))
+    assert np.array_equal(tracked.unopt.survivals, ideal.unopt.survivals)
+    assert not np.array_equal(tracked.opt.survivals, ideal.opt.survivals)
+
+
 def _bloch(rho):
     return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
 
@@ -601,23 +612,19 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
     with the same seeded gate stream, the angles the optimizer returned and
     inverses from a running product: every survival agrees with the affine
     Bloch-vector simulator to 1e-12, and so does the state the optimizer
-    was handed (the ideal state, or the opt arm's noisy state)."""
+    was handed (the ideal state, or the opt arm's noisy state).  Each
+    circuit's optimizer steps are its gates, then its inverses."""
     steps = record_steps(monkeypatch)
     cfg = small_config(
         n_circuits=2, n_gates=30, depth_schedule=(1, 10, 20, 30),
         track_noisy_state=track_noisy_state,
     )
     res = run_rb_experiment(cfg)
-    calls = []
-    for _, (m1, m2, _), _, _, result in steps:
-        assert np.array_equal(m2, np.outer(m1, m1))
-        calls.append((np.array(m1), EulerAngles(*result[0])))
-
-    recorded = iter(calls)
+    recorded = iter([(np.array(n), EulerAngles(*result[0])) for _, n, _, _, result in steps])
     ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
-    def optimized():
-        r_seen, angles = next(recorded)
+    def optimized(step):
+        r_seen, angles = step
         expected = _bloch(rho["opt"] if track_noisy_state else ideal)
         assert np.abs(r_seen - expected).max() < 1e-12
         return angles
@@ -626,13 +633,15 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.rng_seed, circuit, 0]))
         )
+        gate_steps = [next(recorded) for _ in range(cfg.n_gates)]
+        inverse_steps = iter([next(recorded) for _ in cfg.depth_schedule])
         rho = {"unopt": ket0, "opt": ket0}
         ideal = ket0
         net = np.eye(2, dtype=complex)
         column = 0
-        for i in range(cfg.n_gates):
+        for i, gate_step in enumerate(gate_steps):
             gate = rb_gate(rng)
-            opt_angles = optimized()
+            opt_angles = optimized(gate_step)
             rho["unopt"] = noisy_gate_stepwise(gate, rho["unopt"], cfg.noise)
             rho["opt"] = noisy_gate_stepwise(opt_angles, rho["opt"], cfg.noise)
             u = zyz_unitary(gate)
@@ -640,7 +649,7 @@ def test_bloch_propagation_matches_stepwise_replay(monkeypatch, track_noisy_stat
             net = u @ net
             if i + 1 in cfg.depth_schedule:
                 inverse = extract_euler(net.conj().T)
-                angles = {"unopt": inverse, "opt": optimized()}
+                angles = {"unopt": inverse, "opt": optimized(next(inverse_steps))}
                 for arm in rb.ARMS:
                     final = noisy_gate_stepwise(angles[arm], rho[arm], cfg.noise)
                     survival = getattr(res, arm).survivals[circuit, column]
@@ -657,33 +666,33 @@ def test_every_started_search_converges(monkeypatch, track_noisy_state):
     it at angles_opt."""
     steps = record_steps(monkeypatch)
     run_rb_experiment(small_config(n_circuits=2, track_noisy_state=track_noisy_state))
-    calls = [(target, moments, damping, EulerAngles(*result[0]))
-             for target, moments, damping, _, result in steps]
+    calls = [(target, n, damping, EulerAngles(*result[0]))
+             for target, n, damping, _, result in steps]
     searched = [c for c in calls if c[3] != EulerAngles(
         *(v % (2 * math.pi) for v in (c[0].beta, c[0].gamma, c[0].delta)))]
     assert searched
-    for target, moments, damping, a in searched:
-        _, g, _ = _objective(target, moments, damping)[0]((a.beta, a.gamma, a.delta))
+    for target, n, damping, a in searched:
+        _, g, _ = _objective(target, _read_moments(n), damping)[0]((a.beta, a.gamma, a.delta))
         assert max(abs(v) for v in g) <= GRADIENT_TOLERANCE
 
 
 def test_ideal_state_is_the_optimizers_image(monkeypatch):
-    """Without track_noisy_state RB takes the next ideal state from the
-    optimizer's image u = R n: over one 246-gate Fig. 3 circuit the state each
-    gate and inverse step hands the optimizer equals, ==, the zero-noise
-    ``noise._apply`` of the gates in turn."""
+    """Without track_noisy_state each step's input is the ideal state: over
+    one 246-gate Fig. 3 circuit the state each gate step, and then each
+    inverse step, hands the optimizer equals, ==, the zero-noise
+    ``noise._apply`` of the gates in turn, the image u = R n that
+    ``optimize._objective`` forms of the step before."""
     steps = record_steps(monkeypatch)
     cfg = RbConfig(noise=ROME_Q3, n_circuits=1, rng_seed=7)
     rb._circuit_worker((cfg, 0))
-    seen = [moments[0] for _, moments, _, _, _ in steps]
-    expected, n = [], (0.0, 0.0, 1.0)
+    seen = [n for _, n, _, _, _ in steps]
+    ideal = [(0.0, 0.0, 1.0)]
     block = np.random.default_rng([cfg.rng_seed, 0, 0]).random((cfg.n_gates, 3))
-    for depth, q in enumerate(rb._sample_quaternions(block).tolist(), 1):
-        expected.append(n)
+    for q in rb._sample_quaternions(block).tolist():
         gate = _zyz_from_quaternion(*q)
-        n = _apply(gate.beta, gate.gamma, gate.delta, _NOISELESS, n)
-        if depth in cfg.depth_schedule:
-            expected.append(n)
+        ideal.append(_apply(gate.beta, gate.gamma, gate.delta, _NOISELESS, ideal[-1]))
+        assert _objective(gate, _read_moments(ideal[-2]), _NOISELESS)[2] == ideal[-1]
+    expected = ideal[:-1] + [ideal[depth] for depth in cfg.depth_schedule]
     assert cfg.n_gates == 246 and len(expected) == 246 + len(cfg.depth_schedule)
     assert seen == expected
 
@@ -701,13 +710,19 @@ def test_ideal_state_is_the_optimizers_image(monkeypatch):
                  id="fig3"),
 ])
 def test_batch_equals_stepwise(monkeypatch, device, qubit, overrides):
-    """Without track_noisy_state a circuit's steps run as one batch; the
-    per-step path that tracked runs take, run on the ideal input instead,
-    gives the same survivals, ==."""
+    """Without track_noisy_state a circuit's steps run as one batch; one
+    ``_optimize`` call per step instead, as tracked runs make them, gives
+    the same survivals, ==."""
     cfg = small_config(**{"n_circuits": 2, **overrides,
                           "noise": noise_params_for(bundled_device(device).qubit(qubit))})
     batch = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
-    monkeypatch.setattr(rb, "_batch", rb._stepwise)
+
+    def row_by_row(targets, points, damping, starts, tolerance):
+        rows = [rb._optimize(EulerAngles(*target), _read_moments(n), damping, x0, tolerance)
+                for target, n, x0 in zip(targets.tolist(), points.tolist(), starts, strict=True)]
+        return tuple(np.array(column) for column in zip(*rows))
+
+    monkeypatch.setattr(rb, "_optimize_points", row_by_row)
     stepwise = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
     for a, b in zip(batch, stepwise, strict=True):
         assert (a == b).all()
