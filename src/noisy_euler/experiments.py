@@ -14,22 +14,27 @@ it.  theta_max = pi means no knowledge; theta_max -> 0 reduces to preparing
 the state gate|0>, whose improvement statistics match the preparation sweep
 because a Haar gate sends |0> to a uniformly random state.
 
-Each cell (one lambda, or one (lambda, theta_max) pair) is one unit of
-``parallel_map`` and draws all its targets from one stream made once for
-the cell: default_rng([rng_seed, 0, li]) for the preparation sweep, whose
-targets draw z then phi, and default_rng([rng_seed, 1, li, mi]) for the
-knowledge sweep, whose targets draw a Haar gate then a cap sample.  Target r
-of a cell depends only on the targets before it, so a cell's first k
-targets do not depend on targets_per_point.
+A preparation cell (one lambda) and a knowledge row (one lambda, all its
+theta_max cells) are each one unit of ``parallel_map``.  Each cell draws
+all its targets from one stream made once for the cell:
+default_rng([rng_seed, 0, li]) for the preparation sweep, whose targets
+draw z then phi, and default_rng([rng_seed, 1, li, mi]) for the knowledge
+sweep, whose targets draw a Haar gate then a cap sample.  Target r of a
+cell depends only on the targets before it, so a cell's first k targets do
+not depend on targets_per_point.
 
 Every target of a cell has the same input moments (the ground state, or the
 cell's cap) and noise model, so a cell reads and checks the moments once
 (``objectives._read_moments``) and builds the damping set once
-(``noise._damping``), and passes both to the optimizer core,
-``optimize._optimize``, for every target.  The core returns plain floats,
-and a knowledge target takes the ideal output u = R n of its sampled state
-n and the default angles' noisy image of n from one ``noise._apply_all``
-call under the noiseless and the cell's damping set.
+(``noise._damping``).  A preparation cell passes both to the optimizer
+core, ``optimize._optimize``, for every target.  A knowledge row first
+draws every target and cap sample of its cells, then optimizes them
+together in numpy (``optimize._optimize_rows``: one batch of cap searches,
+each row with the floats of its own ``_optimize`` call), and scores them
+together: the ideal outputs u = R n of the sampled states n and the
+default and optimized angles' noisy images of n come from one
+``noise._apply_all`` on arrays under the noiseless and the row's damping
+set.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ import numpy as np
 
 from .gates import EulerAngles, _bloch_vector, _zyz_from_quaternion
 from .io import parallel_map
-from .noise import _NOISELESS, NoiseParams, _apply, _apply_all, _damping
+from .noise import _NOISELESS, NoiseParams, _apply_all, _damping
 from .objectives import _read_moments, cap_moments, point_moments
-from .optimize import GRADIENT_TOLERANCE, _optimize
+from .optimize import GRADIENT_TOLERANCE, _optimize, _optimize_rows
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,11 @@ def _cap_sample(rng: np.random.Generator, theta_max: float) -> tuple[float, floa
     return theta, math.tau * rng.random()
 
 
-def _score(u, image) -> float:
-    """Fidelity 1/2 (1 + u.image) of a noisy image A n + t of the pure input
-    n against the target's ideal output u = R n, clamped to [0, 1]."""
-    x, y, z = image
-    return min(max(0.5 * (1.0 + u[0] * x + u[1] * y + u[2] * z), 0.0), 1.0)
+def _score(u, image):
+    """Fidelities 1/2 (1 + u.image) of noisy images A n + t of pure inputs
+    n against their targets' ideal outputs u = R n, clamped to [0, 1]: u
+    and image are (3, k) arrays, the result a (k,) array."""
+    return np.clip(0.5 * (1.0 + u[0] * image[0] + u[1] * image[1] + u[2] * image[2]), 0.0, 1.0)
 
 
 def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
@@ -155,23 +160,35 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     return _row_stats(lam, None, imps)
 
 
-def _knowledge_cell(cfg: SweepConfig, item) -> SweepRow:
-    li, lam, mi, theta_max = item
+def _knowledge_row(cfg: SweepConfig, item) -> list[SweepRow]:
+    """The rows of one lambda, one per theta_max of the grid in turn."""
+    li, lam = item
     params = NoiseParams.from_lambda(lam)
     damping = _damping(params.lambda_a, params.lambda_p)
-    dampings = (_NOISELESS, damping)
-    moments = _read_moments(*cap_moments(theta_max))
-    rng = np.random.default_rng([cfg.rng_seed, 1, li, mi])
-    imps = np.empty(cfg.targets_per_point)
-    for r in range(cfg.targets_per_point):
-        target = _haar_gate(rng)
-        (beta, gamma, delta), _, _, _, _ = _optimize(target, moments, damping, (),
-                                                     GRADIENT_TOLERANCE)
-        # both decompositions' fidelity on the sampled state (canonical angles)
-        n = _bloch_vector(*_cap_sample(rng, theta_max))
-        u, image = _apply_all(target.beta, target.gamma, target.delta, dampings, (n,))
-        imps[r] = _score(u, _apply(beta, gamma, delta, damping, n)) - _score(u, image)
-    return _row_stats(lam, theta_max, imps)
+    caps, k = cfg.theta_max_grid, cfg.targets_per_point
+    moments = [_read_moments(*cap_moments(theta_max)) for theta_max in caps]
+    targets, samples = [], []
+    for mi, theta_max in enumerate(caps):
+        rng = np.random.default_rng([cfg.rng_seed, 1, li, mi])
+        for _ in range(k):
+            target = _haar_gate(rng)
+            targets.append((target.beta, target.gamma, target.delta))
+            samples.append(_bloch_vector(*_cap_sample(rng, theta_max)))
+    n, rows, rank_one = zip(*moments)
+    targets = np.array(targets)
+    size = targets.shape[0]
+    angles = _optimize_rows(targets, np.repeat(np.array(n).T, k, axis=1),
+                            np.repeat(np.transpose(rows, (2, 1, 0)), k, axis=2),
+                            np.repeat(rank_one, k), damping, [()] * size, GRADIENT_TOLERANCE)[0]
+    # both decompositions on the sampled states, in one map: at the target
+    # (canonical) angles the ideal outputs u and the default images, then
+    # at the optimized angles the optimized images
+    ideal, noisy = np.array(_apply_all(*np.concatenate((targets, angles)).T, (_NOISELESS, damping),
+                                       (np.tile(np.array(samples).T, 2),), np.cos, np.sin))
+    u, image, image_opt = ideal[:, :size], noisy[:, :size], noisy[:, size:]
+    imps = _score(u, image_opt) - _score(u, image)
+    return [_row_stats(lam, theta_max, imps[mi * k:(mi + 1) * k])
+            for mi, theta_max in enumerate(caps)]
 
 
 def prep_improvement_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
@@ -188,10 +205,5 @@ def knowledge_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     optimizing the cap-expected fidelity and scoring on one cap sample."""
     if not cfg.theta_max_grid:
         raise ValueError("knowledge_sweep requires a nonempty theta_max_grid")
-    items = [
-        (li, lam, mi, theta_max)
-        for li, lam in enumerate(cfg.lambda_grid)
-        for mi, theta_max in enumerate(cfg.theta_max_grid)
-    ]
-    rows = parallel_map(functools.partial(_knowledge_cell, cfg), items, jobs)
-    return SweepResult("knowledge", cfg, tuple(rows))
+    rows = parallel_map(functools.partial(_knowledge_row, cfg), enumerate(cfg.lambda_grid), jobs)
+    return SweepResult("knowledge", cfg, tuple(row for lam_rows in rows for row in lam_rows))

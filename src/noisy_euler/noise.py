@@ -161,7 +161,8 @@ def _apply_all(beta: float, gamma: float, delta: float, dampings, rs, cos=math.c
     pure and mixed inputs.  Given numpy's ``cos`` and ``sin``, the angles
     and each r's entries may be equally long arrays, mapped elementwise in
     the same floats (numpy's cos, sin, +, - and * round as libm and Python
-    do): the batch of ``optimize._optimize_points`` does so."""
+    do): the batch of ``optimize._optimize_rows`` and a knowledge row's
+    scoring do so."""
     cg, sg = cos(gamma), sin(gamma)
     cd, sd = cos(delta), sin(delta)
     cb, sb = cos(beta), sin(beta)

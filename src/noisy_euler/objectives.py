@@ -204,7 +204,7 @@ def _fg(u, columns, damping, cos, sin):
     ``noise._apply_all``.  Each expression is elementwise, so with numpy's
     ``cos`` and ``sin`` and arrays for u, the columns and the angles, fg
     evaluates a batch of objectives, one per row, in the same floats as
-    the scalar fg of each (``optimize._optimize_points``)."""
+    the scalar fg of each (``optimize._optimize_rows``)."""
     u0, u1, u2 = u
     (c00, c10, c20), (c01, c11, c21), (c02, c12, c22) = columns
     ee, k11, t0y, t0z = damping  # e^2, e (1 - la), e la, la

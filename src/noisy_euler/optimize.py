@@ -23,20 +23,23 @@ For every other input (caps, moments that are not exactly rank-1) the
 objective returns its analytic gradient and Hessian with its value, and the
 ascent is a damped Newton search on them (``_newton``; Nocedal & Wright,
 *Numerical Optimization*, ch. 3: modified Newton with a backtracking line
-search).  It runs on plain Python floats: with three variables, numpy's
-per-call overhead would outweigh the arithmetic.  Every search runs to one
-fixed rule, max|g| <= GRADIENT_TOLERANCE within MAX_ITERATIONS steps:
-Newton converges quadratically near the optimum, so the tight tolerance
-costs few steps.  The module draws no random numbers: the same inputs give
-the same result.
+search).  Every search runs to one fixed rule, max|g| <= GRADIENT_TOLERANCE
+within MAX_ITERATIONS steps: Newton converges quadratically near the
+optimum, so the tight tolerance costs few steps.  The module draws no
+random numbers: the same inputs give the same result.
 
-Randomized benchmarking's ideal-input steps are many point inputs known at
-once, so ``_optimize_points`` takes their Bloch vectors and solves them as
-one batch in numpy: the scalar code's own expressions evaluated
-elementwise (``_point_optima`` for the closed form), each row with the
-floats of its own ``_optimize`` call.  Only a row that needs a search (a
-closed-form point that is not stationary, or extra starts) goes back to
-the scalar code.
+A single problem (``optimize_gate``, a tracked RB step) runs on plain
+Python floats: with three variables, numpy's per-call overhead would
+outweigh the arithmetic, and one search batched alone costs about 50 times
+the scalar one.  Many independent problems known at once run as one batch
+in numpy instead (``_optimize_rows``): a knowledge row's cap problems, and
+randomized benchmarking's ideal-input steps, point inputs given by their
+Bloch vectors (``_optimize_points``).  The batch evaluates the scalar
+code's own expressions elementwise: the objective (``objectives._fg`` given
+numpy's cos and sin), the closed form (``_point_optima``) and the Newton
+search (``_newton_rows``, whose rows step in lockstep, each with its own
+shift and step length, and leave when their scalar search would return).
+So each row has the floats of its own ``_optimize`` call.
 
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
@@ -155,7 +158,11 @@ def _optimize(target: EulerAngles, moments, damping, starts, start_tolerance: fl
         best = _candidate(fg, x0, *fg(x0, False), GRADIENT_TOLERANCE)
     else:
         best = _candidate(fg, x_seed, *at_seed, start_tolerance)
-    x, f, iterations, converged = _best_start(fg, best, starts, start_tolerance)
+    for x0 in starts:  # a start wins only at a strictly larger F, so the earliest wins ties
+        cand = _candidate(fg, x0, *fg(x0), start_tolerance)
+        if cand[1] > best[1]:
+            best = cand
+    x, f, iterations, converged = best
     if f < f_seed:
         x, f, iterations, converged = x_seed, f_seed, 0, True
     angles = beta, gamma, delta = x[0] % math.tau, x[1] % math.tau, x[2] % math.tau
@@ -174,17 +181,6 @@ def _candidate(fg, x0, f0, g0, h0, tolerance: float):
     return _newton(fg, x0, f0, g0, fg(x0)[2] if h0 is None else h0)
 
 
-def _best_start(fg, best, starts, start_tolerance: float):
-    """The best of the candidate ``best`` and one ``_candidate`` per start
-    of ``starts`` at ``start_tolerance``; a start replaces the best so far
-    only at a strictly larger F, so the earliest wins ties."""
-    for x0 in starts:
-        cand = _candidate(fg, x0, *fg(x0), start_tolerance)
-        if cand[1] > best[1]:
-            best = cand
-    return best
-
-
 def _optimize_points(targets, points, damping, starts, start_tolerance: float):
     """``_optimize`` for k point inputs at once, as arrays: (angles (k, 3),
     F, F_seed, iterations, converged), row i == what
@@ -195,50 +191,87 @@ def _optimize_points(targets, points, damping, starts, start_tolerance: float):
     per row.  Randomized benchmarking's ideal-input steps are such a batch:
     each input is fixed by the gate stream, not by an earlier result, and
     comes from the package's own chain (``noise._apply_chain``), so the
-    batch does not check it; only a row that leaves the batch for the
-    scalar search reads its point moments.
+    batch does not check it.  The rows are ``_optimize_rows``'s with
+    m2 = n n^T, every one rank-1.
+    """
+    n = np.array(points, dtype=float).T.copy()
+    n0, n1, n2 = n
+    columns = np.array(((n0 * n0, n1 * n0, n2 * n0), (n0 * n1, n1 * n1, n2 * n1),
+                        (n0 * n2, n1 * n2, n2 * n2)))
+    return _optimize_rows(targets, n, columns, np.ones(n.shape[1], dtype=bool), damping,
+                          starts, start_tolerance)
 
-    The seed's F and g, the seed-skip mask at ``start_tolerance``, the
-    closed-form point (``_point_optima``) of every row that is not skipped,
-    and F and g there are evaluated together in numpy by the scalar code's
-    own expressions (``_fg`` and ``_apply_all`` given numpy's cos and sin),
-    so each row has the scalar floats.  A row whose closed-form point is
-    not stationary within GRADIENT_TOLERANCE, and every row with starts,
-    then gets its scalar objective and ``_optimize``'s own search
-    (``_candidate``, ``_best_start``).  The fallback to the seed and the
-    ValueError on angles that are not finite are ``_optimize``'s.
+
+def _optimize_rows(targets, n, columns, rank_one, damping, starts, start_tolerance: float):
+    """``_optimize`` for k rows at once, as arrays: (angles (k, 3), F,
+    F_seed, iterations, converged), row i == what ``_optimize`` returns for
+    the target ``targets[i]`` (a (k, 3) array of (beta, gamma, delta)
+    rows), the moments ``_read_moments`` read as (n[:, i], the rows of
+    m2, rank_one[i]), ``damping`` and the extra starts ``starts[i]``.
+    ``n`` is the (3, k) array of the rows' m1, ``columns`` the (3, 3, k)
+    array of m2's columns (m2 e_0, m2 e_1, m2 e_2) and ``rank_one`` a (k,)
+    bool array.
+
+    One ``_apply_all`` on arrays builds each row's u = R m1 and images
+    R m2 e_j (its frame), and ``_fg``, given numpy's cos and sin, evaluates
+    every row's objective by the scalar code's own expressions, so each row
+    has the scalar floats.  The seeds are evaluated together; a rank-1 row
+    whose seed is not skipped at ``start_tolerance`` gets its closed-form
+    point (``_point_optima``), evaluated together.  The Newton searches
+    (from a closed-form point that is not stationary within
+    GRADIENT_TOLERANCE, from a seed of any other row that is not skipped,
+    and from each start whose max|g| exceeds ``start_tolerance``) then run
+    as one ``_newton_rows`` batch.  A start replaces its row's candidate
+    only at a strictly larger F, so the earliest wins ties, as in
+    ``_optimize``.  The fallback to the seed and the ValueError on
+    angles that are not finite, for the first such row, are ``_optimize``'s.
     """
     x_seed = np.array(targets, dtype=float).T.copy()
     k = x_seed.shape[1]
-    n = np.array(points, dtype=float).T.copy()
-    n0, n1, n2 = n
-    u, *columns = np.array(_apply_all(*x_seed, (_NOISELESS,), (
-        n, (n0 * n0, n1 * n0, n2 * n0), (n0 * n1, n1 * n1, n2 * n1), (n0 * n2, n1 * n2, n2 * n2)),
-        np.cos, np.sin))
-    f_seed, g, _ = _fg(u, columns, damping, np.cos, np.sin)(x_seed, False)
+    frame = _frame(x_seed, n, columns)
+    f_seed, g, _ = _frame_fg(frame, damping)(x_seed, False)
     x, f = x_seed.copy(), f_seed.copy()
     iterations, converged = np.zeros(k, dtype=int), np.ones(k, dtype=bool)
-    searches = {}  # row -> the Newton start (x, F, g) of a closed-form point, or None
-    started = np.flatnonzero(_max_abs(g) > start_tolerance)
-    if started.size:
-        u, columns = u[:, started], [c[:, started] for c in columns]
-        x_cf = _point_optima(x_seed[:, started], n[:, started], u, damping)
-        f_cf, g_cf, _ = _fg(u, columns, damping, np.cos, np.sin)(x_cf, False)
-        x[:, started], f[started] = x_cf, f_cf
-        for j in np.flatnonzero(_max_abs(g_cf) > GRADIENT_TOLERANCE).tolist():
-            searches[int(started[j])] = (tuple(x_cf[:, j].tolist()), float(f_cf[j]),
-                                         tuple(float(gi[j]) for gi in g_cf))
-    if any(starts):
-        searches = {i: searches.get(i) for i in range(k)}
-    for i, newton_start in sorted(searches.items()):
-        fg = _objective(EulerAngles(*x_seed[:, i].tolist()), _read_moments(n[:, i].tolist()),
-                        damping)[0]
-        if newton_start is None:
-            best = tuple(x[:, i].tolist()), float(f[i]), 0, True
-        else:
-            best = _candidate(fg, *newton_start, None, GRADIENT_TOLERANCE)
-        x[:, i], f[i], iterations[i], converged[i] = _best_start(fg, best, starts[i],
-                                                                 start_tolerance)
+    started = _max_abs(g) > start_tolerance
+    searched = np.flatnonzero(started & ~rank_one)  # each search's row, and its start x0
+    x0 = x_seed[:, searched]
+    closed = np.flatnonzero(started & rank_one)
+    if closed.size:
+        x_cf = _point_optima(x_seed[:, closed], n[:, closed], frame[:3, closed], damping)
+        f_cf, g_cf, _ = _frame_fg(frame[:, closed], damping)(x_cf, False)
+        x[:, closed], f[closed] = x_cf, f_cf
+        moving = _max_abs(g_cf) > GRADIENT_TOLERANCE
+        searched = np.concatenate((searched, closed[moving]))
+        x0 = np.concatenate((x0, x_cf[:, moving]), axis=1)
+    own = searched.size  # the searches after these start from ``starts``
+    sizes = [len(s) for s in starts]
+    if any(sizes):
+        sizes = np.array(sizes)
+        start_rows = np.repeat(np.arange(k), sizes)
+        x_starts = np.array([x for s in starts for x in s], dtype=float).T
+        f_starts, g_starts, _ = _frame_fg(frame[:, start_rows], damping)(x_starts, False)
+        it_starts = np.zeros(start_rows.size, dtype=int)
+        conv_starts = np.ones(start_rows.size, dtype=bool)
+        climbing = np.flatnonzero(_max_abs(g_starts) > start_tolerance)
+        searched = np.concatenate((searched, start_rows[climbing]))
+        x0 = np.concatenate((x0, x_starts[:, climbing]), axis=1)
+    if searched.size:
+        frames = frame[:, searched]
+        xs, fs, its, convs = _newton_rows(frames, damping, x0, *_frame_fg(frames, damping)(x0))
+        i = searched[:own]
+        x[:, i], f[i], iterations[i], converged[i] = xs[:, :own], fs[:own], its[:own], convs[:own]
+        if own < searched.size:
+            x_starts[:, climbing], f_starts[climbing], it_starts[climbing], conv_starts[climbing] = (
+                xs[:, own:], fs[own:], its[own:], convs[own:])
+    if any(sizes):
+        first = np.cumsum(sizes) - sizes  # each row's first start
+        for j in range(sizes.max()):  # in turn: a start wins only at a strictly larger F
+            rows = np.flatnonzero(sizes > j)
+            at = first[rows] + j
+            wins = f_starts[at] > f[rows]
+            i, at = rows[wins], at[wins]
+            x[:, i], f[i], iterations[i], converged[i] = (
+                x_starts[:, at], f_starts[at], it_starts[at], conv_starts[at])
     fallback = f < f_seed
     x[:, fallback], f[fallback], iterations[fallback], converged[fallback] = (
         x_seed[:, fallback], f_seed[fallback], 0, True)
@@ -248,6 +281,21 @@ def _optimize_points(targets, points, damping, starts, start_tolerance: float):
         bad = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"optimized angles must be finite, got {tuple(x[:, bad].tolist())!r}")
     return angles, np.clip(f, 0.0, 1.0), np.clip(f_seed, 0.0, 1.0), iterations, converged
+
+
+def _frame(x, n, columns):
+    """The frames of k rows as a (12, k) array: the images u = R m1 and
+    R m2 e_0, R m2 e_1, R m2 e_2 under each row's target rotation, for the
+    target angles x, m1 = n (3, k) and m2's columns ``columns`` (3, 3, k),
+    in the floats of ``objectives._objective``'s set-up."""
+    return np.array(_apply_all(*x, (_NOISELESS,), (n, *columns), np.cos, np.sin)).reshape(12, -1)
+
+
+def _frame_fg(frame, damping):
+    """The batch objective ``_fg`` of the rows whose frames are the columns
+    of ``frame``, a (12, k) array: u = R m1, then the images of m2's
+    columns."""
+    return _fg(frame[:3], (frame[3:6], frame[6:9], frame[9:]), damping, np.cos, np.sin)
 
 
 def _max_abs(g):
@@ -459,3 +507,97 @@ def _ascent_step(g, h):
         scale = math.pi / norm
         return p0 * scale, p1 * scale, p2 * scale
     return p0, p1, p2
+
+
+def _newton_rows(frame, damping, x, f, g, h):
+    """``_newton`` for m searches at once, row by row: the objectives are
+    the rows of ``_frame_fg(frame, damping)``, x a (3, m) array of starts,
+    and F, g and the Hessian h there as ``_fg`` returns them for arrays.
+    Returns (x (3, m), F, iterations, converged), row i == what ``_newton``
+    returns for row i's scalar objective.
+
+    The searches step in lockstep.  Each row takes its own step
+    (``_ascent_steps``: its own shift of -H), halves its own step length
+    until its own Armijo test passes, and leaves the batch when ``_newton``
+    would return: converged, out of halvings, or on a step that does not
+    increase F.  Only the rows still searching are evaluated.
+    """
+    x, f = np.array(x, dtype=float), np.array(f, dtype=float)
+    g, h = np.array(g), np.array(h)
+    m = f.size
+    iterations, converged = np.full(m, MAX_ITERATIONS), np.zeros(m, dtype=bool)
+    active = np.arange(m)
+    for it in range(1, MAX_ITERATIONS + 1):
+        if not active.size:
+            break
+        xa, fa, ga = x[:, active], f[active], g[:, active]
+        p = _ascent_steps(ga, h[:, :, active])
+        slope = ga[0] * p[0] + ga[1] * p[1] + ga[2] * p[2]
+        t, fn, hn = np.ones(active.size), np.empty(active.size), np.empty((3, 3, active.size))
+        xn, gn = np.empty((3, active.size)), np.empty((3, active.size))
+        pending = np.arange(active.size)
+        for _ in range(MAX_HALVINGS):
+            tp = t[pending]
+            xp = xa[:, pending] + tp * p[:, pending]
+            fp, gp, hp = _frame_fg(frame[:, active[pending]], damping)(xp)
+            passed = fp >= fa[pending] + ARMIJO * tp * slope[pending] - ROUNDING
+            done = pending[passed]
+            xn[:, done], fn[done], gn[:, done] = xp[:, passed], fp[passed], np.array(gp)[:, passed]
+            hn[:, :, done] = np.array(hp)[:, :, passed]
+            pending = pending[~passed]
+            if not pending.size:
+                break
+            t[pending] *= 0.5
+        stalled = np.zeros(active.size, dtype=bool)
+        stalled[pending] = True
+        iterations[active[stalled]] = it - 1
+        moved = ~stalled
+        rows = active[moved]
+        increased = fn[moved] > fa[moved]
+        x[:, rows], f[rows], g[:, rows], h[:, :, rows] = (
+            xn[:, moved], fn[moved], gn[:, moved], hn[:, :, moved])
+        met = _max_abs(gn[:, moved]) <= GRADIENT_TOLERANCE
+        leaving = met | ~increased
+        iterations[rows[leaving]] = it
+        converged[rows[met]] = True
+        active = rows[~leaving]
+    return x, f, iterations, converged
+
+
+def _ascent_steps(g, h):
+    """``_ascent_step`` for the columns of g (3, m) and h (3, 3, m) at
+    once, as a (3, m) array: each row doubles its own shift mu until its
+    own Cholesky factorization of mu I - H succeeds, in the floats of
+    ``objectives._cholesky3``."""
+    h00, h01, h02, h11, h12, h22 = h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2]
+    least = -np.maximum(np.maximum(h00, h11), h22)
+    mu = np.where(least > 0.0, 0.0, SHIFT_MIN - least)
+    factor = np.empty((6, mu.size))
+    todo = np.arange(mu.size)
+    while todo.size:
+        m = mu[todo]
+        a00, a10, a11 = m - h00[todo], -h01[todo], m - h11[todo]
+        a20, a21, a22 = -h02[todo], -h12[todo], m - h22[todo]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            l00 = np.sqrt(a00)
+            l10, l20 = a10 / l00, a20 / l00
+            d1 = a11 - l10 * l10
+            l11 = np.sqrt(d1)
+            l21 = (a21 - l20 * l10) / l11
+            d2 = a22 - l20 * l20 - l21 * l21
+            ok = (a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+            factor[:, todo[ok]] = np.array((l00, l10, l11, l20, l21, np.sqrt(d2)))[:, ok]
+        todo = todo[~ok]
+        mu[todo] = np.maximum(2.0 * mu[todo], SHIFT_MIN)
+    l00, l10, l11, l20, l21, l22 = factor
+    y0 = g[0] / l00
+    y1 = (g[1] - l10 * y0) / l11
+    y2 = (g[2] - l20 * y0 - l21 * y1) / l22
+    p2 = y2 / l22
+    p1 = (y1 - l21 * p2) / l11
+    p0 = (y0 - l10 * p1 - l20 * p2) / l00
+    p = np.array((p0, p1, p2))
+    norm = np.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+    long = norm > math.pi
+    p[:, long] *= math.pi / norm[long]
+    return p

@@ -24,7 +24,7 @@ from noisy_euler.experiments import _cap_sample, _haar_gate
 from noisy_euler.gates import _bloch_vector
 from noisy_euler.noise import _NOISELESS, _apply, _damping
 from noisy_euler.objectives import _point_moments, _read_moments
-from noisy_euler.optimize import _optimize, optimize_gate
+from noisy_euler.optimize import _optimize, _optimize_rows, optimize_gate
 from noisy_euler.rb import RB_GRADIENT_TOLERANCE
 from reference import (
     expected_improvement,
@@ -110,14 +110,21 @@ def test_prep_sweep_deterministic_and_jobs_invariant():
 
 def recorded_targets(monkeypatch, sweep, cfg):
     """Each cell's targets, in draw order, as the sweep passes them to
-    the optimizer core."""
+    the optimizer: one ``_optimize`` call per target of a preparation cell,
+    one ``_optimize_rows`` batch per lambda of the knowledge sweep, its
+    cells' targets in turn."""
     targets = []
 
     def record(target, *args, **kwargs):
         targets.append(target)
         return _optimize(target, *args, **kwargs)
 
+    def record_rows(rows, *args, **kwargs):
+        targets.extend(EulerAngles(*row) for row in rows.tolist())
+        return _optimize_rows(rows, *args, **kwargs)
+
     monkeypatch.setattr(experiments, "_optimize", record)
+    monkeypatch.setattr(experiments, "_optimize_rows", record_rows)
     sweep(cfg)
     k = cfg.targets_per_point
     return [targets[i:i + k] for i in range(0, len(targets), k)]
@@ -333,7 +340,7 @@ def test_knowledge_row_order_lambda_major():
 
 def test_knowledge_deterministic_and_jobs_invariant():
     cfg = SweepConfig(
-        lambda_grid=(0.03,), theta_max_grid=(0.4, 2.0), targets_per_point=6, rng_seed=11
+        lambda_grid=(0.03, 0.2), theta_max_grid=(0.4, 2.0), targets_per_point=6, rng_seed=11
     )
     a = knowledge_sweep(cfg)
     b = knowledge_sweep(cfg, jobs=2)

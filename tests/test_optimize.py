@@ -443,8 +443,9 @@ def test_closed_form_point_that_is_not_stationary_is_searched(monkeypatch):
 def test_batch_closed_form_point_that_is_not_stationary_is_searched(monkeypatch):
     """The batch's Newton fallback, as above: with ``_point_optima``
     patched to return one row's point off the optimum, that row alone gets
-    the scalar search, which converges within GRADIENT_TOLERANCE and never
-    below the seed's F; every other row keeps its closed-form point."""
+    a Newton search (``_newton_rows``), which converges within
+    GRADIENT_TOLERANCE and never below the seed's F; every other row keeps
+    its closed-form point."""
     original = optimize._point_optima
 
     def shifted(*args):
@@ -531,6 +532,108 @@ def test_optimize_points_equal_optimize_row_by_row(k):
                        int(iterations[i]), bool(converged[i]))
                 assert row == optimize._optimize(target, _read_moments(n), damping, x0,
                                                  tolerance)
+
+
+NEWTON_LAMBDAS = [1e-3, 0.1, 0.5, 0.999, 1.0 - 1e-15]
+NEWTON_CAPS = [1e-12, 1e-6, 1e-3, 0.05, 0.4, 1.0, 2.0, math.pi]
+
+
+def cap_problems(rng, lam, count, start=None):
+    """``count`` random cap problems (target, moments, x0) at lambda
+    ``lam``: Haar targets, caps drawn from NEWTON_CAPS, each search
+    starting at its target's angles, or at ``start(rng)``."""
+    problems = []
+    for _ in range(count):
+        target = _zyz_from_quaternion(*uniform_quaternion(rng))
+        moments = _read_moments(*cap_moments(NEWTON_CAPS[rng.integers(len(NEWTON_CAPS))]))
+        x0 = (target.beta, target.gamma, target.delta) if start is None else start(rng)
+        problems.append((target, moments, x0))
+    return problems
+
+
+def newton_rows_equal_newton(problems, damping):
+    """Run ``problems`` as one ``_newton_rows`` batch, assert each row ==
+    the scalar ``_newton`` from the same start (x, F, iterations,
+    converged), and return the rows."""
+    n = np.array([moments[0] for _, moments, _ in problems]).T
+    columns = np.transpose([moments[1] for _, moments, _ in problems], (2, 1, 0))
+    targets = np.array([(t.beta, t.gamma, t.delta) for t, _, _ in problems]).T
+    frame = optimize._frame(targets, n, columns)
+    x0 = np.array([x for _, _, x in problems]).T
+    x, f, iterations, converged = optimize._newton_rows(
+        frame, damping, x0, *optimize._frame_fg(frame, damping)(x0))
+    rows = []
+    for i, (target, moments, start) in enumerate(problems):
+        fg = _objective(target, moments, damping)[0]
+        want_x, *want = optimize._newton(fg, start, *fg(start))
+        row = (tuple(x[:, i].tolist()), float(f[i]), int(iterations[i]), bool(converged[i]))
+        assert row == (tuple(want_x), *want)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("lam", NEWTON_LAMBDAS)
+def test_newton_rows_equal_newton_on_caps(lam):
+    """``_newton_rows`` gives each row the scalar ``_newton``'s floats, ==,
+    on random cap problems from 1e-12 to pi, searched from the target's
+    angles and from random starts, rows of one batch taking different
+    numbers of steps."""
+    rng = np.random.default_rng(81)
+    problems = (cap_problems(rng, lam, 40)
+                + cap_problems(rng, lam, 40, lambda rng: tuple(rng.uniform(0.0, math.tau, 3))))
+    rows = newton_rows_equal_newton(problems, _damping(lam, lam))
+    steps = {iterations for _, _, iterations, _ in rows}
+    # at 1 - 1e-15, e = 1e-15: F is flat but for terms of about 1e-15, one step converges
+    assert steps == {1} if lam == NEWTON_LAMBDAS[-1] else len(steps) > 3
+
+
+def test_newton_rows_equal_newton_where_minus_h_is_indefinite():
+    """From random starts, where the first shift of -H (``_ascent_step``'s
+    rule) often fails its Cholesky factorization and is doubled, each row
+    still equals the scalar search."""
+    rng = np.random.default_rng(82)
+    damping = _damping(0.1, 0.1)
+    problems = cap_problems(rng, 0.1, 80, lambda rng: tuple(rng.uniform(0.0, math.tau, 3)))
+    doubled = 0
+    for target, moments, x0 in problems:
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = _objective(target, moments, damping)[0](x0)[2]
+        least = -max(h00, h11, h22)
+        mu = 0.0 if least > 0.0 else optimize.SHIFT_MIN - least
+        doubled += optimize._cholesky3(mu - h00, -h01, mu - h11, -h02, -h12, mu - h22) is None
+    assert doubled > 5
+    newton_rows_equal_newton(problems, damping)
+
+
+def test_newton_rows_equal_newton_when_halvings_run_out(monkeypatch):
+    """With an Armijo factor of 10, which no step of an ascent can meet
+    until F's rounding allowance covers it, rows use up MAX_HALVINGS and
+    stop unconverged where they started, as the scalar search does."""
+    monkeypatch.setattr(optimize, "ARMIJO", 10.0)
+    rng = np.random.default_rng(83)
+    rows = newton_rows_equal_newton(cap_problems(rng, 0.1, 30), _damping(0.1, 0.1))
+    assert any(iterations == 0 and not converged for _, _, iterations, converged in rows)
+
+
+@pytest.mark.parametrize("tolerance", [rb.RB_GRADIENT_TOLERANCE, optimize.GRADIENT_TOLERANCE])
+def test_optimize_rows_equal_optimize_on_caps(tolerance):
+    """Each row of ``_optimize_rows`` on cap moments (the 1e-12 cap is
+    rank-1 to the bit and takes the closed form) is what ``_optimize``
+    returns for it, ==, with no starts and with two per row."""
+    rng = np.random.default_rng(84)
+    damping = _damping(0.05, 0.05)
+    problems = cap_problems(rng, 0.05, 60)
+    assert {moments[2] for _, moments, _ in problems} == {True, False}
+    n = np.array([moments[0] for _, moments, _ in problems]).T
+    columns = np.transpose([moments[1] for _, moments, _ in problems], (2, 1, 0))
+    rank_one = np.array([moments[2] for _, moments, _ in problems])
+    targets = np.array([x for _, _, x in problems])
+    for starts in ([()] * len(problems), [uniform_starts(rng, 2) for _ in problems]):
+        angles, f, f_seed, iterations, converged = optimize._optimize_rows(
+            targets, n, columns, rank_one, damping, starts, tolerance)
+        for i, ((target, moments, _), x0) in enumerate(zip(problems, starts)):
+            row = (tuple(angles[i].tolist()), float(f[i]), float(f_seed[i]),
+                   int(iterations[i]), bool(converged[i]))
+            assert row == optimize._optimize(target, moments, damping, x0, tolerance)
 
 
 def test_newton_only_for_moments_not_rank_one():
