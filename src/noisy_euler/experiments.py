@@ -24,17 +24,18 @@ cell depends only on the targets before it, so a cell's first k targets do
 not depend on targets_per_point.
 
 Every target of a cell has the same input moments (the ground state, or the
-cell's cap) and noise model, so a cell reads and checks the moments once
-(``objectives._read_moments``) and builds the damping set once
-(``noise._damping``).  A preparation cell passes both to the optimizer
-core, ``optimize._optimize``, for every target.  A knowledge row first
-draws every target and cap sample of its cells, then optimizes them
-together in numpy (``optimize._optimize_rows``: one batch of cap searches,
-each row with the floats of its own ``_optimize`` call), and scores them
-together: the ideal outputs u = R n of the sampled states n and the
-default and optimized angles' noisy images of n come from one
-``noise._apply_all`` on arrays under the noiseless and the row's damping
-set.
+cell's cap) and noise model, and all its draws are made before any
+optimization, so a cell converts, optimizes and scores its targets as
+arrays, each row with the floats of its own ``optimize._optimize`` call.
+A preparation cell draws its targets as one block, ``rng.random((k, 2))``,
+and optimizes them as one batch at the point |0>
+(``optimize._optimize_points``).  A knowledge row draws target by target
+(a Haar gate's ``standard_normal(4)``, then its cap sample's two uniforms,
+from one stream), converts the quaternions through
+``gates._zyz_from_quaternions`` and the cap samples with acos through
+``gates._map``, reads each cap's moments once (``objectives._read_moments``),
+solves its caps as one batch (``optimize._optimize_rows``) and scores both
+decompositions with one ``noise._apply_all`` on arrays.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import EulerAngles, _bloch_vector, _zyz_from_quaternion
+from .gates import _map, _zyz_from_quaternions
 from .io import parallel_map
 from .noise import _NOISELESS, NoiseParams, _apply_all, _damping
-from .objectives import _read_moments, cap_moments, point_moments
-from .optimize import GRADIENT_TOLERANCE, _optimize, _optimize_rows
+from .objectives import _read_moments, cap_moments
+from .optimize import GRADIENT_TOLERANCE, _optimize_points, _optimize_rows
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _haar_gate(rng: np.random.Generator) -> EulerAngles:
-    """Haar-random SU(2) element via a uniform unit quaternion."""
-    w, x, y, z = rng.standard_normal(4).tolist()
-    norm = math.sqrt(w * w + x * x + y * y + z * z)
-    return _zyz_from_quaternion(w / norm, x / norm, y / norm, z / norm)
-
-
 def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRow:
     """A cell's row: the mean of its improvements and their sample standard
     error std / sqrt(n).  For a prep row that stderr is no error bar: the
@@ -125,16 +119,6 @@ def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRo
     return SweepRow(lam, theta_max, float(imps.mean()), stderr, n)
 
 
-def _cap_sample(rng: np.random.Generator, theta_max: float) -> tuple[float, float]:
-    """One state drawn uniformly from the polar cap theta < theta_max, as
-    (theta, phi) floats, by inverting the CDF of cos(theta):
-    theta = acos(1 - u (1 - cos(theta_max))) for u = rng.random() on
-    [0, 1), then phi = 2 pi rng.random()."""
-    u = rng.random()
-    theta = math.acos(1.0 - u * (1.0 - math.cos(theta_max)))
-    return theta, math.tau * rng.random()
-
-
 def _score(u, image):
     """Fidelities 1/2 (1 + u.image) of noisy images A n + t of pure inputs
     n against their targets' ideal outputs u = R n, clamped to [0, 1]: u
@@ -145,19 +129,16 @@ def _score(u, image):
 def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     li, lam = item
     params = NoiseParams.from_lambda(lam)
-    damping = _damping(params.lambda_a, params.lambda_p)
-    ground = _read_moments(*point_moments(0.0, 0.0))
-    rng = np.random.default_rng([cfg.rng_seed, 0, li])
-    imps = np.empty(cfg.targets_per_point)
-    for t in range(cfg.targets_per_point):
-        z = -1.0 + 2.0 * rng.random()
-        phi = math.tau * rng.random()
-        # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on
-        # |0> as a phase only, so delta stays at its seed 0.
-        target = EulerAngles(phi, math.acos(z), 0.0)
-        _, f, f_seed, _, _ = _optimize(target, ground, damping, (), GRADIENT_TOLERANCE)
-        imps[t] = f - f_seed
-    return _row_stats(lam, None, imps)
+    k = cfg.targets_per_point
+    # target t draws z then phi: row t of the block holds those two draws
+    z, phi = np.random.default_rng([cfg.rng_seed, 0, li]).random((k, 2)).T
+    # U(phi, theta, 0)|0> is the state (theta, phi); Rz(delta) acts on |0>
+    # as a phase only, so delta stays at its seed 0.
+    targets = np.column_stack((math.tau * phi, _map(math.acos, -1.0 + 2.0 * z), np.zeros(k)))
+    _, f, f_seed, _, _ = _optimize_points(targets, np.tile((0.0, 0.0, 1.0), (k, 1)),
+                                          _damping(params.lambda_a, params.lambda_p),
+                                          [()] * k, GRADIENT_TOLERANCE)
+    return _row_stats(lam, None, f - f_seed)
 
 
 def _knowledge_row(cfg: SweepConfig, item) -> list[SweepRow]:
@@ -166,16 +147,22 @@ def _knowledge_row(cfg: SweepConfig, item) -> list[SweepRow]:
     params = NoiseParams.from_lambda(lam)
     damping = _damping(params.lambda_a, params.lambda_p)
     caps, k = cfg.theta_max_grid, cfg.targets_per_point
-    moments = [_read_moments(*cap_moments(theta_max)) for theta_max in caps]
-    targets, samples = [], []
-    for mi, theta_max in enumerate(caps):
+    n, rows, rank_one = zip(*(_read_moments(*cap_moments(theta_max)) for theta_max in caps))
+    draws = []  # per target: its Haar gate's quaternion, then its cap sample's two uniforms
+    for mi in range(len(caps)):
         rng = np.random.default_rng([cfg.rng_seed, 1, li, mi])
         for _ in range(k):
-            target = _haar_gate(rng)
-            targets.append((target.beta, target.gamma, target.delta))
-            samples.append(_bloch_vector(*_cap_sample(rng, theta_max)))
-    n, rows, rank_one = zip(*moments)
-    targets = np.array(targets)
+            draws += rng.standard_normal(4).tolist()
+            draws += rng.random(2).tolist()
+    draws = np.reshape(draws, (-1, 6))
+    w, x, y, z, cap_u, cap_phi = draws.T
+    targets = _zyz_from_quaternions(draws[:, :4] / np.sqrt(w * w + x * x + y * y + z * z)[:, None])
+    # each sample uniform on its cap theta < theta_max, by inverting the CDF
+    # of cos(theta), as its Bloch vector
+    cosines = np.repeat([math.cos(theta_max) for theta_max in caps], k)
+    theta, phi = _map(math.acos, 1.0 - cap_u * (1.0 - cosines)), math.tau * cap_phi
+    st = np.sin(theta)
+    samples = np.array((st * np.cos(phi), st * np.sin(phi), np.cos(theta)))
     size = targets.shape[0]
     angles = _optimize_rows(targets, np.repeat(np.array(n).T, k, axis=1),
                             np.repeat(np.transpose(rows, (2, 1, 0)), k, axis=2),
@@ -184,7 +171,7 @@ def _knowledge_row(cfg: SweepConfig, item) -> list[SweepRow]:
     # (canonical) angles the ideal outputs u and the default images, then
     # at the optimized angles the optimized images
     ideal, noisy = np.array(_apply_all(*np.concatenate((targets, angles)).T, (_NOISELESS, damping),
-                                       (np.tile(np.array(samples).T, 2),), np.cos, np.sin))
+                                       (np.tile(samples, 2),), np.cos, np.sin))
     u, image, image_opt = ideal[:, :size], noisy[:, :size], noisy[:, size:]
     imps = _score(u, image_opt) - _score(u, image)
     return [_row_stats(lam, theta_max, imps[mi * k:(mi + 1) * k])

@@ -124,7 +124,7 @@ def _damping(la: float, lp: float):
     frame changes R_z(beta) and R_z(delta), that do not depend on gamma:
     the damping set (e^2, e (1-la), e la, la) with e = sqrt(1-la) sqrt(1-lp).
     A caller (an RB circuit, a sweep cell, ``optimize_gate``) builds it once
-    and passes it to every map and every ``optimize._optimize`` call.
+    and passes it to every map and every optimizer call.
 
     On the Bloch vector each pulse R_x(+-pi/2) is a rotation followed by the
     damping D = diag(e, e, 1-la) and the offset (0, 0, la).  The pulse pair

@@ -10,7 +10,9 @@ is built around it: a search, a sweep's sampling, RB's propagation.
 ``point_score`` is the knowledge sweep's score of one sampled state through
 the package's channel map, which the sweep's cells must reproduce bit for
 bit and which is itself checked against the Kraus oracle.
-``bisection_decay_rate`` is the decay fit's first algorithm, which the
+``haar_gate`` and ``cap_sample`` are the knowledge sweep's draw rules, one
+target at a time, which the sweep's array conversions must reproduce bit
+for bit.  ``bisection_decay_rate`` is the decay fit's first algorithm, which the
 package's faster bracket must reproduce bit for bit, and ``free_decay_fit``
 a free-amplitude decay fit that the package does not have.
 """
@@ -404,6 +406,32 @@ def uniform_cap_state(rng, theta_max: float) -> tuple[float, float]:
     uniform(0, 2 pi)."""
     u = rng.uniform()
     return math.acos(1.0 - u * (1.0 - math.cos(theta_max))), rng.uniform(0.0, math.tau)
+
+
+def haar_gate(rng):
+    """A knowledge sweep's target gate, drawn alone: the Haar-random SU(2)
+    element of the uniform unit quaternion ``standard_normal(4)``, divided
+    by its norm, as the package's canonical EulerAngles
+    (``gates._zyz_from_quaternion``).  A knowledge row converts its
+    targets' draws as arrays and must reproduce this rule bit for bit."""
+    from noisy_euler.gates import _zyz_from_quaternion
+
+    w, x, y, z = rng.standard_normal(4).tolist()
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    return _zyz_from_quaternion(w / norm, x / norm, y / norm, z / norm)
+
+
+def cap_sample(rng, theta_max: float) -> tuple[float, float]:
+    """A knowledge sweep's cap sample, drawn alone: a state uniform on the
+    polar cap theta < theta_max, as (theta, phi) floats, by inverting the
+    CDF of cos(theta): theta = acos(1 - u (1 - cos(theta_max))) for
+    u = rng.random() on [0, 1), then phi = 2 pi rng.random().  A knowledge
+    row builds its samples' Bloch vectors as arrays and must reproduce this
+    rule bit for bit; ``uniform_cap_state`` is the same rule through
+    ``Generator.uniform``."""
+    u = rng.random()
+    theta = math.acos(1.0 - u * (1.0 - math.cos(theta_max)))
+    return theta, math.tau * rng.random()
 
 
 def uniform_prep_target(rng) -> tuple[float, float]:

