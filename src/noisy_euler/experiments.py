@@ -35,7 +35,8 @@ from one stream), converts the quaternions through
 ``gates._zyz_from_quaternions`` and the cap samples with acos through
 ``gates._map``, reads each cap's moments once (``objectives._read_moments``),
 solves its caps as one batch (``optimize._optimize_rows``) and scores both
-decompositions with one ``noise._apply_all`` on arrays.
+decompositions with one ``noise._apply_all`` on arrays.  Each lambda's
+cells reduce to their rows at once (``_row_stats``).
 """
 
 from __future__ import annotations
@@ -106,17 +107,20 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _row_stats(lam: float, theta_max: float | None, imps: np.ndarray) -> SweepRow:
-    """A cell's row: the mean of its improvements and their sample standard
-    error std / sqrt(n).  For a prep row that stderr is no error bar: the
-    improvement is flat in the target except in polar dips of width about
-    lambda, which 100 uniform targets rarely hit, so it reads about 1e-17,
-    while the exact se sqrt(Var / n) (``tests/reference.py``,
-    ``expected_improvement``) is 6.0e-7 at lambda = 0.05 and 5.0e-6 at 0.1.
+def _row_stats(lam: float, theta_maxes, imps: np.ndarray) -> list[SweepRow]:
+    """One row per theta_max (None for prep) and per row of the (cells, n)
+    improvements: its mean and sample standard error std / sqrt(n), 0.0 at
+    n = 1.  For a prep row that stderr is no error bar: the improvement is
+    flat in the target except in polar dips of width about lambda, which
+    100 uniform targets rarely hit, so it reads about 1e-17, while the exact
+    se sqrt(Var / n) (``tests/reference.py``, ``expected_improvement``) is
+    6.0e-7 at lambda = 0.05 and 5.0e-6 at 0.1.
     """
-    n = imps.size
-    stderr = float(imps.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return SweepRow(lam, theta_max, float(imps.mean()), stderr, n)
+    n = imps.shape[1]
+    means = imps.mean(axis=1).tolist()
+    stderrs = (imps.std(axis=1, ddof=1) / math.sqrt(n)).tolist() if n > 1 else [0.0] * len(means)
+    return [SweepRow(lam, theta_max, mean, stderr, n)
+            for theta_max, mean, stderr in zip(theta_maxes, means, stderrs, strict=True)]
 
 
 def _score(u, image):
@@ -137,8 +141,8 @@ def _prep_cell(cfg: SweepConfig, item) -> SweepRow:
     targets = np.column_stack((math.tau * phi, _map(math.acos, -1.0 + 2.0 * z), np.zeros(k)))
     _, f, f_seed, _, _ = _optimize_points(targets, np.tile((0.0, 0.0, 1.0), (k, 1)),
                                           _damping(params.lambda_a, params.lambda_p),
-                                          [()] * k, GRADIENT_TOLERANCE)
-    return _row_stats(lam, None, f - f_seed)
+                                          np.empty((k, 0, 3)), GRADIENT_TOLERANCE)
+    return _row_stats(lam, (None,), (f - f_seed)[None])[0]
 
 
 def _knowledge_row(cfg: SweepConfig, item) -> list[SweepRow]:
@@ -166,7 +170,8 @@ def _knowledge_row(cfg: SweepConfig, item) -> list[SweepRow]:
     size = targets.shape[0]
     angles = _optimize_rows(targets, np.repeat(np.array(n).T, k, axis=1),
                             np.repeat(np.transpose(rows, (2, 1, 0)), k, axis=2),
-                            np.repeat(rank_one, k), damping, [()] * size, GRADIENT_TOLERANCE)[0]
+                            np.repeat(rank_one, k), damping, np.empty((size, 0, 3)),
+                            GRADIENT_TOLERANCE)[0]
     # both decompositions on the sampled states, in one map: at the target
     # (canonical) angles the ideal outputs u and the default images, then
     # at the optimized angles the optimized images
@@ -174,8 +179,7 @@ def _knowledge_row(cfg: SweepConfig, item) -> list[SweepRow]:
                                        (np.tile(samples, 2),), np.cos, np.sin))
     u, image, image_opt = ideal[:, :size], noisy[:, :size], noisy[:, size:]
     imps = _score(u, image_opt) - _score(u, image)
-    return [_row_stats(lam, theta_max, imps[mi * k:(mi + 1) * k])
-            for mi, theta_max in enumerate(caps)]
+    return _row_stats(lam, caps, imps.reshape(len(caps), k))
 
 
 def prep_improvement_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:

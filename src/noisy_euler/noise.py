@@ -27,8 +27,8 @@ virtual R_z are rotations, so the whole noisy native gate is one affine map
 n -> A n + t = Rz(beta) (K Rz(delta) n + t0), K and t0 from the damping set
 that ``_damping`` builds once per RB circuit, sweep cell or ``optimize_gate``
 call.  ``_apply_all`` evaluates the map in plain floats for several damping
-sets and Bloch vectors under one angle frame, ``_apply`` at one of each,
-and ``_apply_chain`` carries one vector through a sequence of gates.  They
+sets and Bloch vectors (or one of each) under one angle frame, and
+``_apply_chain`` carries one vector through a sequence of gates.  They
 are the only form the RB simulator, the sweeps' scoring and the
 objectives' set-up use; under the noiseless set ``_NOISELESS`` the map is
 the gate's rotation.
@@ -144,12 +144,6 @@ def _damping(la: float, lp: float):
 # The damping set of the noiseless gate, under which the map is the gate's
 # rotation R.
 _NOISELESS = _damping(0.0, 0.0)
-
-
-def _apply(beta: float, gamma: float, delta: float, damping, r):
-    """``_apply_all`` at the one damping set and the one Bloch vector r, as a
-    float 3-tuple."""
-    return _apply_all(beta, gamma, delta, (damping,), (r,))[0]
 
 
 def _apply_all(beta: float, gamma: float, delta: float, dampings, rs, cos=math.cos, sin=math.sin):

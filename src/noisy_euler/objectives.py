@@ -86,7 +86,7 @@ def _cholesky3(a00, a10, a11, a20, a21, a22):
     return l00, l10, l11, l20, l21, math.sqrt(d2)
 
 
-def _read_moments(m1, m2=None):
+def _read_moments(m1, m2):
     """Read and check the moments m1 = E[n] and m2 = E[n n^T]: the package's
     one reader of them.  Returns (n, rows, rank_one): m1 as a 3-tuple, m2 as
     three 3-tuples, each entry read once by position in one pass (an ndarray
@@ -100,14 +100,9 @@ def _read_moments(m1, m2=None):
     must have a Cholesky factorization, ``_cholesky3``; with tr m2 <= 1 this
     bounds |m1| by 1).  A rank-1 input has C == 0 to the bit, so it is
     symmetric and semidefinite as it stands and pays only for the trace
-    check: every point, preparation and randomized-benchmarking step is one.
-
-    ``m2=None`` is the point form, m2 = n n^T of the one vector n = m1: it
-    returns what ``_read_moments(*_point_moments(n))`` returns, ==, and
-    refuses the same inputs with the same messages in the same order (a
-    non-finite n names m1, an n n^T that overflows names m2, then the
-    trace), without building m2 or its zero covariance.  |n_i n_j| is at most
-    max(n_i^2, n_j^2), so n n^T is finite when its diagonal is.
+    check: every point is one.  It reads the public entries' moments and
+    a knowledge row's caps; points the package builds (RB states, |0>) go
+    to the optimizer unread, as (*_point_moments(n), True) or in a batch.
     """
     m1 = m1.tolist() if isinstance(m1, np.ndarray) else m1
     isfinite = math.isfinite
@@ -119,29 +114,22 @@ def _read_moments(m1, m2=None):
     if not m1_ok:
         raise ValueError("m1 must be a sequence of shape (3,) of finite reals, "
                          "not a set or iterator")
-    if m2 is None:
-        a00, a11, a22 = n0 * n0, n1 * n1, n2 * n2
-        m2_ok = isfinite(a00) and isfinite(a11) and isfinite(a22)
-    else:
-        m2 = m2.tolist() if isinstance(m2, np.ndarray) else m2
-        try:
-            m2_ok = len(m2) == 3 and len(r0 := m2[0]) == len(r1 := m2[1]) == len(r2 := m2[2]) == 3
-            if m2_ok:
-                rows = (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (
-                    (r0[0], r0[1], r0[2]), (r1[0], r1[1], r1[2]), (r2[0], r2[1], r2[2]))
-                m2_ok = (isfinite(a00) and isfinite(a01) and isfinite(a02) and isfinite(a10)
-                         and isfinite(a11) and isfinite(a12) and isfinite(a20)
-                         and isfinite(a21) and isfinite(a22))
-        except TypeError:
-            m2_ok = False
+    m2 = m2.tolist() if isinstance(m2, np.ndarray) else m2
+    try:
+        m2_ok = len(m2) == 3 and len(r0 := m2[0]) == len(r1 := m2[1]) == len(r2 := m2[2]) == 3
+        if m2_ok:
+            rows = (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (
+                (r0[0], r0[1], r0[2]), (r1[0], r1[1], r1[2]), (r2[0], r2[1], r2[2]))
+            m2_ok = (isfinite(a00) and isfinite(a01) and isfinite(a02) and isfinite(a10)
+                     and isfinite(a11) and isfinite(a12) and isfinite(a20)
+                     and isfinite(a21) and isfinite(a22))
+    except TypeError:
+        m2_ok = False
     if not m2_ok:
         raise ValueError("m2 must be a sequence of shape (3, 3) of finite reals, "
                          "not sets or iterators")
     if not a00 + a11 + a22 <= 1.0 + _MOMENT_TOL:
         raise ValueError(f"m2 must have trace <= 1, got {a00 + a11 + a22!r}")
-    if m2 is None:
-        return (n0, n1, n2), ((a00, n0 * n1, n0 * n2), (n1 * n0, a11, n1 * n2),
-                              (n2 * n0, n2 * n1, a22)), True
     c00, c01, c02 = a00 - n0 * n0, a01 - n0 * n1, a02 - n0 * n2
     c10, c11, c12 = a10 - n1 * n0, a11 - n1 * n1, a12 - n1 * n2
     c20, c21, c22 = a20 - n2 * n0, a21 - n2 * n1, a22 - n2 * n2
@@ -178,21 +166,22 @@ def moment_objective(target: EulerAngles, m1, m2, params: NoiseParams):
     dW/ddelta = -W G, dK/dgamma = D Rx(-pi/2) G Rz(gamma) D Rx(pi/2).
     """
     damping = _damping(params.lambda_a, params.lambda_p)
-    return _objective(target, _read_moments(m1, m2), damping)[0]
+    return _objective((target.beta, target.gamma, target.delta), _read_moments(m1, m2),
+                      damping)[0]
 
 
-def _objective(target: EulerAngles, moments, damping):
-    """``moment_objective`` for moments already read and checked, the
-    (n, rows, rank_one) of ``_read_moments``, under the damping set
-    ``damping`` of ``noise._damping``, which the caller builds once, with
-    what the optimizer needs besides: (fg, n, u, rank_one) and u = R n, the
-    same floats as ``noise._apply(target's angles, _NOISELESS, n)``.
+def _objective(target, moments, damping):
+    """``moment_objective`` for the target's (beta, gamma, delta) row and
+    moments (n, rows, rank_one), read by ``_read_moments`` or built by the
+    package, under the damping set ``damping`` of ``noise._damping``, which
+    the caller builds once, with what the optimizer needs besides:
+    (fg, n, u, rank_one) and u = R n, the floats of ``noise._apply_all``.
     ``fg(x, False)`` returns (F, g, None), the same F and g without building
     the Hessian, for evaluations whose Hessian no search reads.  The
     set-up builds R's frame once, for n and m2's columns (``_apply_all``),
     and ``_fg`` builds ``fg`` from their images."""
     n, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), rank_one = moments
-    u, *columns = _apply_all(target.beta, target.gamma, target.delta, (_NOISELESS,),
+    u, *columns = _apply_all(*target, (_NOISELESS,),
                              (n, (a00, a10, a20), (a01, a11, a21), (a02, a12, a22)))
     return _fg(u, columns, damping, math.cos, math.sin), n, u, rank_one
 

@@ -50,6 +50,12 @@ search (``_newton_rows``: rows step in lockstep, each with its own shift
 and step length, and leave when their scalar search would return).  So
 each row has the floats of its own ``_optimize`` call.
 
+Past the public entries (an ``EulerAngles`` and checked moments), every
+internal entry takes one format: a target is a (beta, gamma, delta) row,
+(k, 3) rows for a batch; moments are (n, rows of m2, rank_one), read once
+by ``objectives._read_moments`` or built by the package; extra starts are
+an (m, 3) block per problem, (k, m, 3) for a batch, m = 0 for none.
+
 Output angles are wrapped into [0, 2*pi) per angle.  They are NOT reduced to
 the canonical gamma in [0, pi] form: that reduction maps to the same unitary
 through a different pulse trajectory, which generally has a different noisy
@@ -132,15 +138,16 @@ def optimize_gate(target: EulerAngles, m1, m2, params: NoiseParams) -> Optimizat
     a dense circle search (``tests/reference.py``).
     """
     angles, f, f_seed, iterations, converged = _optimize(
-        target, _read_moments(m1, m2), _damping(params.lambda_a, params.lambda_p), (),
-        GRADIENT_TOLERANCE)
+        (target.beta, target.gamma, target.delta), _read_moments(m1, m2),
+        _damping(params.lambda_a, params.lambda_p), (), GRADIENT_TOLERANCE)
     return OptimizationResult(EulerAngles(*angles), f, f_seed, iterations, converged)
 
 
-def _optimize(target: EulerAngles, moments, damping, starts, start_tolerance: float):
+def _optimize(target, moments, damping, starts, start_tolerance: float):
     """``optimize_gate``'s result as plain floats, ((beta, gamma, delta), F,
-    F_seed, iterations, converged), for moments already read and checked,
-    the (n, rows, rank_one) of ``objectives._read_moments``, with extra
+    F_seed, iterations, converged), for the target's (beta, gamma, delta)
+    row and moments (n, rows, rank_one), read and checked by
+    ``objectives._read_moments`` or built by the package, with extra
     candidates and ``damping``, the assumed model's set (``noise._damping``)
     that serves the objective and the closed form.  It serves the problems
     that run alone: ``optimize_gate``, and each tracked RB step, which waits
@@ -149,30 +156,30 @@ def _optimize(target: EulerAngles, moments, damping, starts, start_tolerance: fl
     closed-form point that is not stationary gets it before its search.
     Raises ValueError unless the wrapped angles are finite.
 
-    The target seed and each (beta, gamma, delta) of ``starts`` are
-    candidates; the best wins, the earliest on ties (the seed first), and
-    the seed itself is the fallback.  A candidate whose max|g| is within
-    ``start_tolerance`` is kept without a search; any other seed of a rank-1
-    input is replaced by the closed form and every other start runs the
-    Newton search.  Only RB passes starts (``RbConfig.multistart``), for the
-    saturated drift arm (k = 1e6): F is flat to the ulp there, and the drift
-    check looks for the angles the tie-break scrambles.
+    The target seed and each row of ``starts``, an (m, 3) block (a tracked
+    RB step passes its block as lists), are candidates; the best wins, the
+    earliest on ties (the seed first), and the seed itself is the fallback.
+    A candidate whose max|g| is within ``start_tolerance`` is kept without a
+    search; any other seed of a rank-1 input is replaced by the closed form
+    and every other start runs the Newton search.  Only RB passes starts
+    (``RbConfig.multistart``), for the saturated drift arm (k = 1e6): F is
+    flat to the ulp there, and the drift check looks for the angles the
+    tie-break scrambles.
     """
     fg, n, u, rank_one = _objective(target, moments, damping)
-    x_seed = (target.beta, target.gamma, target.delta)
-    at_seed = f_seed, g, _ = fg(x_seed, not rank_one)
+    at_seed = f_seed, g, _ = fg(target, not rank_one)
     if rank_one and max(abs(g[0]), abs(g[1]), abs(g[2])) > start_tolerance:
         x0 = _point_optimum(target, n, u, damping)
         best = _candidate(fg, x0, *fg(x0, False), GRADIENT_TOLERANCE)
     else:
-        best = _candidate(fg, x_seed, *at_seed, start_tolerance)
+        best = _candidate(fg, target, *at_seed, start_tolerance)
     for x0 in starts:  # a start wins only at a strictly larger F, so the earliest wins ties
         cand = _candidate(fg, x0, *fg(x0), start_tolerance)
         if cand[1] > best[1]:
             best = cand
     x, f, iterations, converged = best
     if f < f_seed:
-        x, f, iterations, converged = x_seed, f_seed, 0, True
+        x, f, iterations, converged = target, f_seed, 0, True
     angles = beta, gamma, delta = x[0] % math.tau, x[1] % math.tau, x[2] % math.tau
     if not (math.isfinite(beta) and math.isfinite(gamma) and math.isfinite(delta)):
         raise ValueError(f"optimized angles must be finite, got {x!r}")
@@ -192,10 +199,10 @@ def _candidate(fg, x0, f0, g0, h0, tolerance: float):
 def _optimize_points(targets, points, damping, starts, start_tolerance: float):
     """``_optimize`` for k point inputs at once, as arrays: (angles (k, 3),
     F, F_seed, iterations, converged), row i == what
-    ``_optimize(EulerAngles(*targets[i]), _read_moments(points[i]),
-    damping, starts[i], start_tolerance)`` returns.  ``targets`` is a
-    (k, 3) array of (beta, gamma, delta) rows, ``points`` a (k, 3) array of
-    the rows' input Bloch vectors and ``starts`` one list of extra starts
+    ``_optimize(targets[i], (*_point_moments(points[i]), True), damping,
+    starts[i], start_tolerance)`` returns.  ``targets`` is a (k, 3) array
+    of (beta, gamma, delta) rows, ``points`` a (k, 3) array of the rows'
+    input Bloch vectors and ``starts`` the (k, m, 3) array of m extra starts
     per row.  Randomized benchmarking's ideal-input steps and a preparation
     cell's targets at |0> are such batches: each input is fixed before any
     optimization, not by an earlier result, and the package builds it
@@ -215,11 +222,11 @@ def _optimize_rows(targets, n, columns, rank_one, damping, starts, start_toleran
     """``_optimize`` for k rows at once, as arrays: (angles (k, 3), F,
     F_seed, iterations, converged), row i == what ``_optimize`` returns for
     the target ``targets[i]`` (a (k, 3) array of (beta, gamma, delta)
-    rows), the moments ``_read_moments`` read as (n[:, i], the rows of
-    m2, rank_one[i]), ``damping`` and the extra starts ``starts[i]``.
-    ``n`` is the (3, k) array of the rows' m1, ``columns`` the (3, 3, k)
-    array of m2's columns (m2 e_0, m2 e_1, m2 e_2) and ``rank_one`` a (k,)
-    bool array.
+    rows), the moments (n[:, i], the rows of m2, rank_one[i]), ``damping``
+    and the extra starts ``starts[i]``.  ``n`` is the (3, k) array of the
+    rows' m1, ``columns`` the (3, 3, k) array of m2's columns (m2 e_0,
+    m2 e_1, m2 e_2), ``rank_one`` a (k,) bool array and ``starts`` a
+    (k, m, 3) array, every row's m starts in turn; m is 0 without starts.
 
     One ``_apply_all`` on arrays builds each row's u = R m1 and images
     R m2 e_j (its frame), and ``_fg``, given numpy's cos and sin, evaluates
@@ -253,11 +260,10 @@ def _optimize_rows(targets, n, columns, rank_one, damping, starts, start_toleran
         searched = np.concatenate((searched, closed[moving]))
         x0 = np.concatenate((x0, x_cf[:, moving]), axis=1)
     own = searched.size  # the searches after these start from ``starts``
-    sizes = [len(s) for s in starts]
-    if any(sizes):
-        sizes = np.array(sizes)
-        start_rows = np.repeat(np.arange(k), sizes)
-        x_starts = np.array([x for s in starts for x in s], dtype=float).T
+    m = starts.shape[1]
+    if m:  # start j of row i is column i m + j
+        start_rows = np.repeat(np.arange(k), m)
+        x_starts = starts.reshape(-1, 3).T.copy()
         f_starts, g_starts, _ = _frame_fg(frame[:, start_rows], damping)(x_starts, False)
         it_starts = np.zeros(start_rows.size, dtype=int)
         conv_starts = np.ones(start_rows.size, dtype=bool)
@@ -272,15 +278,11 @@ def _optimize_rows(targets, n, columns, rank_one, damping, starts, start_toleran
         if own < searched.size:
             x_starts[:, climbing], f_starts[climbing], it_starts[climbing], conv_starts[climbing] = (
                 xs[:, own:], fs[own:], its[own:], convs[own:])
-    if any(sizes):
-        first = np.cumsum(sizes) - sizes  # each row's first start
-        for j in range(sizes.max()):  # in turn: a start wins only at a strictly larger F
-            rows = np.flatnonzero(sizes > j)
-            at = first[rows] + j
-            wins = f_starts[at] > f[rows]
-            i, at = rows[wins], at[wins]
-            x[:, i], f[i], iterations[i], converged[i] = (
-                x_starts[:, at], f_starts[at], it_starts[at], conv_starts[at])
+    for j in range(m):  # in turn: a start wins only at a strictly larger F
+        i = np.flatnonzero(f_starts[j::m] > f)
+        at = i * m + j
+        x[:, i], f[i], iterations[i], converged[i] = (
+            x_starts[:, at], f_starts[at], it_starts[at], conv_starts[at])
     fallback = f < f_seed
     x[:, fallback], f[fallback], iterations[fallback], converged[fallback] = (
         x_seed[:, fallback], f_seed[fallback], 0, True)
@@ -312,10 +314,11 @@ def _max_abs(g):
     return np.maximum(np.maximum(np.abs(g[0]), np.abs(g[1])), np.abs(g[2]))
 
 
-def _point_optimum(target: EulerAngles, n, u, damping):
+def _point_optimum(target, n, u, damping):
     """The angles (beta, gamma, delta) of the global maximum of F for the
-    rank-1 input n (m2 = n n^T, |n| <= 1), in closed form, given u = R n
-    and the damping set of ``noise._damping``.
+    target's (beta, gamma, delta) row and the rank-1 input n (m2 = n n^T,
+    |n| <= 1), in closed form, given u = R n and the damping set of
+    ``noise._damping``.
 
     Let v = Rz(delta) n = (v_x, s, n_z), r^2 = |n|^2 - s^2 and
     psi = atan2(n_z, v_x) - gamma.  With E = e^2 and ek = e (1 - la) from
@@ -374,8 +377,9 @@ def _point_optimum(target: EulerAngles, n, u, damping):
     if uz < 0.0:
         sin_psi = -sin_psi
     phase = math.atan2(uy, ux)
-    tc, ts = math.cos(0.5 * target.gamma), math.sin(0.5 * target.gamma)
-    t_plus, t_minus = target.beta + target.delta, target.beta - target.delta
+    t_beta, t_gamma, t_delta = target
+    tc, ts = math.cos(0.5 * t_gamma), math.sin(0.5 * t_gamma)
+    t_plus, t_minus = t_beta + t_delta, t_beta - t_delta
     best = None
     for vx in (w, -w) if w > 0.0 else (w,):
         delta = math.atan2(s, vx) - math.atan2(ny, nx) if rho > 0.0 else 0.0

@@ -20,15 +20,14 @@ floats of its own ``optimize._optimize`` call: a Fig. 3 circuit's 282
 steps cost about half of what they cost one at a time.  Under
 ``track_noisy_state`` n is the opt arm's noisy state after the previous
 optimized gate, so each gate step waits for the one before and runs alone
-(``optimize._optimize``, n read by the point form of
-``objectives._read_moments``).  Either way one simulator (``_circuit``)
-carries the states through the gates in plain floats
-(``noise._apply_chain``) and maps each arm's states at the scheduled
-depths by its inverses in one ``noise._apply_all`` on arrays; only how the
-opt arm's angles are found differs.
+(``optimize._optimize``, n passed unchecked, as the package computed it).
+Either way one simulator (``_circuit``) carries the states through the
+gates in plain floats (``noise._apply_chain``) and maps each arm's states
+at the scheduled depths by its inverses in one ``noise._apply_all`` on
+arrays; only how the opt arm's angles are found differs.
 
 States are Bloch vectors: Z rotations are virtual and noiseless, so each
-noisy native gate is exactly the affine map r -> A r + t (``noise._apply``
+noisy native gate is exactly the affine map r -> A r + t (``noise._apply_all``
 under the true model's damping set; it and the assumed model's, which the
 optimizer reads, are built once per circuit), at zero noise the gate's
 rotation.  A circuit carries n and each arm's noisy state as
@@ -58,10 +57,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import _readout_slope, apply_readout_error, mitigate_readout
-from .gates import EulerAngles, _hamilton, _zyz_from_quaternions
+from .gates import _hamilton, _zyz_from_quaternions
 from .io import parallel_map
-from .noise import _NOISELESS, NoiseParams, _apply, _apply_all, _apply_chain, _damping
-from .objectives import _read_moments
+from .noise import _NOISELESS, NoiseParams, _apply_all, _apply_chain, _damping
+from .objectives import _point_moments
 from .optimize import _optimize, _optimize_points
 
 ARMS = ("unopt", "opt")
@@ -229,13 +228,13 @@ def _circuit_worker(item: tuple[RbConfig, int]) -> np.ndarray:
     return out
 
 
-def _starts(cfg: RbConfig, stream, steps: int = 1) -> list:
+def _starts(cfg: RbConfig, stream, steps: int = 1) -> np.ndarray:
     """The multistart starts of ``steps`` steps in turn, drawn from
-    ``stream`` (a Generator or a key), as one list of (beta, gamma, delta)."""
+    ``stream`` (a Generator or a key), as one (steps, multistart, 3) array."""
     if not cfg.multistart:
-        return []
+        return np.empty((steps, 0, 3))
     rng = np.random.default_rng(stream)
-    return (math.tau * rng.random((steps * cfg.multistart, 3))).tolist()
+    return math.tau * rng.random((steps, cfg.multistart, 3))
 
 
 def _angles(cfg: RbConfig, quaternions: np.ndarray):
@@ -254,7 +253,7 @@ def _angles(cfg: RbConfig, quaternions: np.ndarray):
 def _circuit(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts):
     """Each arm's final r_z, after the inverse at each scheduled depth, as
     one list per arm in ARMS order.  The optimizer's steps are the gates,
-    then the inverses, each with its own starts.  The unopt arm is carried
+    then the inverses, their starts one block.  The unopt arm is carried
     through the gates' angles in plain floats (``noise._apply_chain``, from
     cos and sin computed once per angle), and so is the ideal state n under
     ``_NOISELESS``.  The opt arm's gates are optimized for n all at once
@@ -264,22 +263,21 @@ def _circuit(cfg, circuit, gates, inverses, damping, assumed_damping, rng_starts
     at the scheduled depths in one ``_apply_all`` on arrays."""
     start = (0.0, 0.0, 1.0)  # |0>
     depths = cfg.depth_schedule
-    m = cfg.multistart
-    gate_starts = _starts(cfg, rng_starts, cfg.n_gates)
-    starts = [gate_starts[i * m:(i + 1) * m] for i in range(cfg.n_gates)]
-    starts += [_starts(cfg, [cfg.rng_seed, circuit, 3, depth]) for depth in depths]
+    starts = np.concatenate([_starts(cfg, rng_starts, cfg.n_gates)]
+                            + [_starts(cfg, [cfg.rng_seed, circuit, 3, depth]) for depth in depths])
     gate_trig = _trig(gates)
     unopt = _apply_chain(*gate_trig, damping, start)
     if cfg.track_noisy_state:
         opt = [start]
-        for gate, x0 in zip(gates.tolist(), starts):
-            angles = _optimize(EulerAngles(*gate), _read_moments(opt[-1]), assumed_damping, x0,
+        for gate, x0 in zip(gates.tolist(), starts.tolist()):
+            angles = _optimize(gate, (*_point_moments(opt[-1]), True), assumed_damping, x0,
                                RB_GRADIENT_TOLERANCE)[0]
-            opt.append(_apply(*angles, damping, opt[-1]))
+            opt.append(_apply_all(*angles, (damping,), (opt[-1],))[0])
         opt_inverses = np.array([
-            _optimize(EulerAngles(*inverse), _read_moments(opt[depth]), assumed_damping, x0,
+            _optimize(inverse, (*_point_moments(opt[depth]), True), assumed_damping, x0,
                       RB_GRADIENT_TOLERANCE)[0]
-            for inverse, depth, x0 in zip(inverses.tolist(), depths, starts[cfg.n_gates:])])
+            for inverse, depth, x0 in zip(inverses.tolist(), depths,
+                                          starts[cfg.n_gates:].tolist())])
     else:
         ideal = _apply_chain(*gate_trig, _NOISELESS, start)
         points = np.array(ideal[:-1] + [ideal[depth] for depth in depths])

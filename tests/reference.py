@@ -239,10 +239,10 @@ def circle_optimum(target, r, params, points: int = 64) -> float:
 def point_score(angles, u, n, la: float, lp: float) -> float:
     """Fidelity 1/2 (1 + u.(A n + t)) of ``angles``' noisy map on the pure
     input n against the target's ideal output u = R n, clamped to [0, 1],
-    with A n + t from ``noise._apply`` under lambda_a = la, lambda_p = lp."""
-    from noisy_euler.noise import _apply, _damping
+    with A n + t from ``noise._apply_all`` under lambda_a = la, lambda_p = lp."""
+    from noisy_euler.noise import _apply_all, _damping
 
-    x, y, z = _apply(angles.beta, angles.gamma, angles.delta, _damping(la, lp), n)
+    x, y, z = _apply_all(angles.beta, angles.gamma, angles.delta, (_damping(la, lp),), (n,))[0]
     return min(max(0.5 * (1.0 + u[0] * x + u[1] * y + u[2] * z), 0.0), 1.0)
 
 

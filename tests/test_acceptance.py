@@ -31,7 +31,7 @@ from noisy_euler import (
     run_rb_experiment,
 )
 from noisy_euler.cli import main as cli_main
-from noisy_euler.noise import _apply, _damping
+from noisy_euler.noise import _apply_all, _damping
 from reference import (
     bloch_density,
     bloch_vector,
@@ -68,9 +68,9 @@ def test_01_closed_form_matches_stepwise_channel():
         )
         la, lp = rng.uniform(0.0, 0.3, size=2)
         params = NoiseParams(la, lp)
-        closed = bloch_density(_apply(angles.beta, angles.gamma, angles.delta,
-                                      _damping(params.lambda_a, params.lambda_p),
-                                      bloch_vector(state)))
+        closed = bloch_density(_apply_all(angles.beta, angles.gamma, angles.delta,
+                                          (_damping(params.lambda_a, params.lambda_p),),
+                                          (bloch_vector(state),))[0])
         step = noisy_gate_stepwise(angles, projector(state), params)
         worst = max(worst, float(np.max(np.abs(closed - step))))
     elapsed = time.monotonic() - t0

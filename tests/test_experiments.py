@@ -1,7 +1,7 @@
 """Unit tests for the preparation and state-knowledge sweeps."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -21,7 +21,7 @@ from noisy_euler import (
 )
 from noisy_euler import experiments, optimize
 from noisy_euler.gates import _bloch_vector
-from noisy_euler.noise import _NOISELESS, _apply, _apply_all, _damping
+from noisy_euler.noise import _NOISELESS, _apply_all, _damping
 from noisy_euler.objectives import _point_moments, _read_moments
 from noisy_euler.optimize import _optimize, _optimize_points, _optimize_rows, optimize_gate
 from noisy_euler.rb import RB_GRADIENT_TOLERANCE
@@ -241,9 +241,9 @@ def test_cells_equal_the_public_optimizer_loop(monkeypatch, grid, seed):
     grid = replace(grid, rng_seed=seed)
     recorded = []
 
-    def recording(lam, theta_max, imps):
-        recorded.append(imps.copy())
-        return experiments.SweepRow(lam, theta_max, 0.0, 0.0, imps.size)
+    def recording(lam, theta_maxes, imps):
+        recorded.extend(imps.copy())
+        return [experiments.SweepRow(lam, tm, 0.0, 0.0, imps.shape[1]) for tm in theta_maxes]
 
     monkeypatch.setattr(experiments, "_row_stats", recording)
     knowledge_sweep(grid)
@@ -258,7 +258,7 @@ def test_cells_equal_the_public_optimizer_loop(monkeypatch, grid, seed):
                 target = haar_gate(rng)
                 opt = optimize_gate(target, *cap_moments(theta_max), params).angles_opt
                 n = _bloch_vector(*cap_sample(rng, theta_max))
-                u = _apply(target.beta, target.gamma, target.delta, _NOISELESS, n)
+                u = _apply_all(*astuple(target), (_NOISELESS,), (n,))[0]
                 la, lp = params.lambda_a, params.lambda_p
                 imps.append(point_score(opt, u, n, la, lp) - point_score(target, u, n, la, lp))
             want.append(imps)
@@ -300,7 +300,7 @@ def test_point_score_matches_kraus_reference():
         params = NoiseParams(lam_a, lam_p)
         state = BlochState(*cap_sample(rng, math.pi))
         n = _bloch_vector(state.theta, state.phi)
-        u = _apply(target.beta, target.gamma, target.delta, _NOISELESS, n)
+        u = _apply_all(*astuple(target), (_NOISELESS,), (n,))[0]
         want = min(max(point_fidelity(target, trial, state, params), 0.0), 1.0)
         assert abs(point_score(trial, u, n, params.lambda_a, params.lambda_p) - want) < 1e-12
 
@@ -477,9 +477,9 @@ def test_bogota_drift_gain_is_a_mean_over_gates_and_states(qubit):
         damping = _damping(assumed.lambda_a, assumed.lambda_p)
         imps = np.empty(len(pairs))
         for i, (gate, n) in enumerate(pairs):
-            angles = _optimize(gate, _read_moments(*_point_moments(n)), damping, (),
+            angles = _optimize(astuple(gate), _read_moments(*_point_moments(n)), damping, (),
                                RB_GRADIENT_TOLERANCE)[0]
-            u = _apply(gate.beta, gate.gamma, gate.delta, _NOISELESS, n)
+            u = _apply_all(*astuple(gate), (_NOISELESS,), (n,))[0]
             imps[i] = (point_score(EulerAngles(*angles), u, n, la, lp)
                        - point_score(gate, u, n, la, lp))
         z_score = imps.mean() / (imps.std(ddof=1) / math.sqrt(imps.size))

@@ -13,7 +13,7 @@ from noisy_euler import (
     NoiseParams,
     damping_probabilities,
 )
-from noisy_euler.noise import _apply, _apply_all, _apply_chain, _damping
+from noisy_euler.noise import _apply_all, _apply_chain, _damping
 from reference import (
     amplitude_damping_kraus,
     apply_channel_kraus,
@@ -32,9 +32,8 @@ from reference import (
 def closed_form(ang, st, p):
     """The affine map A n + t that RB and the objective run, rendered as a
     density matrix."""
-    return bloch_density(
-        _apply(ang.beta, ang.gamma, ang.delta, _damping(p.lambda_a, p.lambda_p), bloch_vector(st))
-    )
+    return bloch_density(_apply_all(ang.beta, ang.gamma, ang.delta,
+                                    (_damping(p.lambda_a, p.lambda_p),), (bloch_vector(st),))[0])
 
 
 def random_density(rng):
@@ -258,9 +257,9 @@ def test_shared_frame_equals_one_vector_map_exactly():
     and vectors, as the objective's set-up does under the noiseless set for
     m1 and the columns of m2, and a knowledge cell under the noiseless and
     its own set for one sampled state.  Its images come damping-major, and
-    each equals ``_apply``'s and the one-vector map's at that (damping set,
-    vector) pair to the bit, signed zeros included, at gamma = 0 and pi as
-    well as at random angles, for one to four damping sets drawn from
+    each equals its own call at that one damping set and vector, and the
+    one-vector map's, to the bit, signed zeros included, at gamma = 0 and
+    pi as well as at random angles, for one to four damping sets drawn from
     lambda = 0, 0.999 and lambda_a != lambda_p."""
     rng = np.random.default_rng(33)
     for i in range(1200):
@@ -276,7 +275,7 @@ def test_shared_frame_equals_one_vector_map_exactly():
         vectors[2][i % 3] = -0.0
         vectors[3][(i + 1) % 3] = 0.0
         images = list(_apply_all(beta, gamma, delta, dampings, vectors))
-        singles = [_apply(beta, gamma, delta, d, v) for d in dampings for v in vectors]
+        singles = [_apply_all(beta, gamma, delta, (d,), (v,))[0] for d in dampings for v in vectors]
         assert images == singles
         assert bits(images) == bits(singles)
         assert bits(images) == bits(one_vector_map(beta, gamma, delta, la, lp, v)
@@ -287,8 +286,8 @@ def test_chain_and_array_frames_equal_one_gate_at_a_time():
     """An RB circuit carries the ideal state and each arm's state through
     its gates with ``_apply_chain``, from cos and sin computed once per
     angle, and maps its inverse steps with ``_apply_all`` on arrays given
-    numpy's cos and sin.  Both give, to the bit, the floats of ``_apply``
-    applied one gate at a time, at lambda = 0, 0.999 and lambda_a !=
+    numpy's cos and sin.  Both give, to the bit, the floats of ``_apply_all``
+    applied one gate and one vector at a time, at lambda = 0, 0.999 and lambda_a !=
     lambda_p, from |0> and from a mixed state with signed zeros."""
     rng = np.random.default_rng(34)
     angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (300, 3))
@@ -300,7 +299,7 @@ def test_chain_and_array_frames_equal_one_gate_at_a_time():
         for start in ((0.0, 0.0, 1.0), (-0.0, 0.0, -0.25)):
             states, r = [start], start
             for b, g, d in angles.tolist():
-                r = _apply(b, g, d, damping, r)
+                r = _apply_all(b, g, d, (damping,), (r,))[0]
                 states.append(r)
             assert bits(_apply_chain(*trig, damping, start)) == bits(states)
             xs = np.array(states[:-1]).T

@@ -1,7 +1,7 @@
 """Unit tests for the seeded decomposition optimizer."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -26,8 +26,8 @@ from noisy_euler import (
 )
 from noisy_euler import optimize, rb
 from noisy_euler.gates import _zyz_from_quaternion
-from noisy_euler.noise import _NOISELESS, LAMBDA_MAX, _apply, _damping
-from noisy_euler.objectives import _objective, _read_moments
+from noisy_euler.noise import _NOISELESS, LAMBDA_MAX, _apply_all, _damping
+from noisy_euler.objectives import _objective, _point_moments, _read_moments
 from reference import (
     bloch_density,
     bloch_vector,
@@ -143,7 +143,7 @@ def test_uniform_average_cannot_be_improved():
 def with_starts(target, moments, params, starts, tolerance=optimize.GRADIENT_TOLERANCE):
     """The optimizer core's result for extra starts, as RB calls it, read
     into an ``OptimizationResult``."""
-    angles, *rest = optimize._optimize(target, _read_moments(*moments),
+    angles, *rest = optimize._optimize(astuple(target), _read_moments(*moments),
                                        _damping(params.lambda_a, params.lambda_p), starts,
                                        tolerance)
     return OptimizationResult(EulerAngles(*angles), *rest)
@@ -176,11 +176,11 @@ def test_no_starts_is_the_seeded_search():
                 assert res == optimize_gate(target, *moments, params)
                 assert res == with_starts(target, moments, params, np.empty((0, 3)))
                 damping = _damping(params.lambda_a, params.lambda_p)
-                fg, n, u, _ = _objective(target, _read_moments(*moments), damping)
-                x_seed = (target.beta, target.gamma, target.delta)
+                x_seed = astuple(target)
+                fg, n, u, _ = _objective(x_seed, _read_moments(*moments), damping)
                 f_seed, g_seed, h_seed = fg(x_seed)
                 if np.array_equal(moments[1], np.outer(moments[0], moments[0])):
-                    x = optimize._point_optimum(target, n, u, damping)
+                    x = optimize._point_optimum(x_seed, n, u, damping)
                     f = fg(x)[0]
                 else:
                     x, f, _, _ = optimize._newton(fg, x_seed, f_seed, g_seed, h_seed)
@@ -228,7 +228,7 @@ def test_non_finite_optimized_angles_raise(monkeypatch, i, bad):
 
     monkeypatch.setattr(optimize, "_newton", diverged)
     with pytest.raises(ValueError, match="finite"):
-        optimize._optimize(target, _read_moments(*moments),
+        optimize._optimize(astuple(target), _read_moments(*moments),
                            _damping(params.lambda_a, params.lambda_p), (),
                            optimize.GRADIENT_TOLERANCE)
     with pytest.raises(ValueError, match="finite"):
@@ -389,7 +389,7 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
     original, original_points = rb._optimize, rb._optimize_points
 
     def step(target, moments, damping, *args):
-        g = _objective(target, moments, damping)[0]((target.beta, target.gamma, target.delta))[1]
+        g = _objective(target, moments, damping)[0](target)[1]
         before = len(seen)
         out = original(target, moments, damping, *args)
         steps.append((max(map(abs, g)) > rb.RB_GRADIENT_TOLERANCE, len(seen) - before))
@@ -401,8 +401,8 @@ def test_point_optimum_takes_two_evaluations(monkeypatch):
         points = [p for evaluation in seen[before:] for p in evaluation]
         rows = []
         for target, n in zip(targets.tolist(), inputs.tolist()):
-            fg, n, u, _ = _objective(EulerAngles(*target), _read_moments(n), damping)
-            optimum = optimize._point_optimum(EulerAngles(*target), n, u, damping)
+            fg, n, u, _ = _objective(target, (*_point_moments(n), True), damping)
+            optimum = optimize._point_optimum(target, n, u, damping)
             rows.append((max(map(abs, fg(target)[1])) > rb.RB_GRADIENT_TOLERANCE,
                          points.count(tuple(target)) + points.count(optimum)))
         assert sum(calls for _, calls in rows) == len(points)
@@ -460,11 +460,11 @@ def test_batch_closed_form_point_that_is_not_stationary_is_searched(monkeypatch)
     points = [point_moments(*rng.uniform(0.0, math.pi, 2) * (1, 2))[0] for _ in targets]
     angles, f, f_seed, iterations, converged = optimize._optimize_points(
         np.array([(t.beta, t.gamma, t.delta) for t in targets]), np.array(points), damping,
-        [[]] * len(targets), rb.RB_GRADIENT_TOLERANCE)
+        np.empty((len(targets), 0, 3)), rb.RB_GRADIENT_TOLERANCE)
     assert iterations[0] > 0 and converged.all()
     assert (iterations[1:] == 0).all()
     assert (f >= f_seed).all()
-    g = _objective(targets[0], _read_moments(points[0]), damping)[0](
+    g = _objective(astuple(targets[0]), _read_moments(*_point_moments(points[0])), damping)[0](
         tuple(angles[0].tolist()))[1]
     assert max(map(abs, g)) <= optimize.GRADIENT_TOLERANCE
 
@@ -485,7 +485,7 @@ def test_point_optima_equal_the_scalar_closed_form():
     for i in range(10):
         inputs[i] = [0.0, -0.0, rng.uniform(-1.0, 1.0)]
     inputs[10] = [0.0, 0.0, 0.0]
-    images = [_apply(t.beta, t.gamma, t.delta, _NOISELESS, n) for t, n in zip(targets, inputs)]
+    images = [_apply_all(*astuple(t), (_NOISELESS,), (n,))[0] for t, n in zip(targets, inputs)]
     for i in range(11, 21):
         images[i] = (0.0, -0.0, math.copysign(math.sqrt(sum(v * v for v in inputs[i])), i - 16))
     images[21] = (images[21][0], images[21][1], 0.0)
@@ -497,7 +497,7 @@ def test_point_optima_equal_the_scalar_closed_form():
             np.array([(t.beta, t.gamma, t.delta) for t in targets]).T,
             np.array(inputs).T, np.array(images).T, damping)
         for i, (target, n, u) in enumerate(zip(targets, inputs, images)):
-            beta, gamma, delta = optimize._point_optimum(target, n, u, damping)
+            beta, gamma, delta = optimize._point_optimum(astuple(target), n, u, damping)
             assert tuple(batch[:, i].tolist()) == (beta, gamma, delta)
             rho, mu = math.hypot(n[0], n[1]), math.hypot(u[0], u[1])
             s = math.sin(delta) * n[0] + math.cos(delta) * n[1]
@@ -510,8 +510,9 @@ def test_point_optima_equal_the_scalar_closed_form():
 def test_optimize_points_equal_optimize_row_by_row(k):
     """Each row of the batch ``_optimize_points`` is what ``_optimize``
     returns for it, ==: angles, F, F_seed, iterations and converged, at RB's
-    seed-skip tolerance and at GRADIENT_TOLERANCE, with no starts and with
-    two per row, for rome q3's model assumed at drift factor k, on pure and
+    seed-skip tolerance and at GRADIENT_TOLERANCE, with a (k, m, 3) block
+    of starts, m = 0 and m = 2 per row, each row's m given to ``_optimize``
+    as lists, for rome q3's model assumed at drift factor k, on pure and
     mixed inputs."""
     noise = noise_params_for(bundled_device("rome").qubit(3)).assuming_drift(k)
     damping = _damping(noise.lambda_a, noise.lambda_p)
@@ -524,14 +525,15 @@ def test_optimize_points_equal_optimize_row_by_row(k):
         points.append((v / np.linalg.norm(v) * length).tolist())
     array = np.array([(t.beta, t.gamma, t.delta) for t in targets])
     for tolerance in (rb.RB_GRADIENT_TOLERANCE, optimize.GRADIENT_TOLERANCE):
-        for starts in ([[]] * len(targets), [uniform_starts(rng, 2) for _ in targets]):
+        for starts in (np.empty((len(targets), 0, 3)),
+                       np.array([uniform_starts(rng, 2) for _ in targets])):
             angles, f, f_seed, iterations, converged = optimize._optimize_points(
                 array, np.array(points), damping, starts, tolerance)
-            for i, (target, n, x0) in enumerate(zip(targets, points, starts)):
+            for i, (target, n, x0) in enumerate(zip(array.tolist(), points, starts.tolist())):
                 row = (tuple(angles[i].tolist()), float(f[i]), float(f_seed[i]),
                        int(iterations[i]), bool(converged[i]))
-                assert row == optimize._optimize(target, _read_moments(n), damping, x0,
-                                                 tolerance)
+                assert row == optimize._optimize(target, _read_moments(*_point_moments(n)),
+                                                 damping, x0, tolerance)
 
 
 NEWTON_LAMBDAS = [1e-3, 0.1, 0.5, 0.999, 1.0 - 1e-15]
@@ -564,7 +566,7 @@ def newton_rows_equal_newton(problems, damping):
         frame, damping, x0, *optimize._frame_fg(frame, damping)(x0))
     rows = []
     for i, (target, moments, start) in enumerate(problems):
-        fg = _objective(target, moments, damping)[0]
+        fg = _objective(astuple(target), moments, damping)[0]
         want_x, *want = optimize._newton(fg, start, *fg(start))
         row = (tuple(x[:, i].tolist()), float(f[i]), int(iterations[i]), bool(converged[i]))
         assert row == (tuple(want_x), *want)
@@ -596,7 +598,8 @@ def test_newton_rows_equal_newton_where_minus_h_is_indefinite():
     problems = cap_problems(rng, 0.1, 80, lambda rng: tuple(rng.uniform(0.0, math.tau, 3)))
     doubled = 0
     for target, moments, x0 in problems:
-        (h00, h01, h02), (_, h11, h12), (_, _, h22) = _objective(target, moments, damping)[0](x0)[2]
+        fg = _objective(astuple(target), moments, damping)[0]
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = fg(x0)[2]
         least = -max(h00, h11, h22)
         mu = 0.0 if least > 0.0 else optimize.SHIFT_MIN - least
         doubled += optimize._cholesky3(mu - h00, -h01, mu - h11, -h02, -h12, mu - h22) is None
@@ -618,7 +621,8 @@ def test_newton_rows_equal_newton_when_halvings_run_out(monkeypatch):
 def test_optimize_rows_equal_optimize_on_caps(tolerance):
     """Each row of ``_optimize_rows`` on cap moments (the 1e-12 cap is
     rank-1 to the bit and takes the closed form) is what ``_optimize``
-    returns for it, ==, with no starts and with two per row."""
+    returns for it, ==, with a (k, m, 3) block of starts, m = 0 and m = 2
+    per row, each row's m given to ``_optimize`` as lists."""
     rng = np.random.default_rng(84)
     damping = _damping(0.05, 0.05)
     problems = cap_problems(rng, 0.05, 60)
@@ -627,10 +631,11 @@ def test_optimize_rows_equal_optimize_on_caps(tolerance):
     columns = np.transpose([moments[1] for _, moments, _ in problems], (2, 1, 0))
     rank_one = np.array([moments[2] for _, moments, _ in problems])
     targets = np.array([x for _, _, x in problems])
-    for starts in ([()] * len(problems), [uniform_starts(rng, 2) for _ in problems]):
+    for starts in (np.empty((len(problems), 0, 3)),
+                   np.array([uniform_starts(rng, 2) for _ in problems])):
         angles, f, f_seed, iterations, converged = optimize._optimize_rows(
             targets, n, columns, rank_one, damping, starts, tolerance)
-        for i, ((target, moments, _), x0) in enumerate(zip(problems, starts)):
+        for i, ((_, moments, target), x0) in enumerate(zip(problems, starts.tolist())):
             row = (tuple(angles[i].tolist()), float(f[i]), float(f_seed[i]),
                    int(iterations[i]), bool(converged[i]))
             assert row == optimize._optimize(target, moments, damping, x0, tolerance)
@@ -671,7 +676,8 @@ def test_equal_fidelity_partner_optima():
     fg = moment_objective(target, r, np.outer(r, r), params)
     res = optimize_gate(target, r, np.outer(r, r), params)
     a = res.angles_opt
-    x, y, _ = _apply(0.0, a.gamma, a.delta, _damping(params.lambda_a, params.lambda_p), r)
+    x, y, _ = _apply_all(0.0, a.gamma, a.delta, (_damping(params.lambda_a, params.lambda_p),),
+                         (r,))[0]
     b = EulerAngles(*(v % (2 * math.pi) for v in (
         a.beta + 2.0 * math.atan2(y, x) - math.pi, -a.gamma, a.delta)))
     at_a, at_b = fg((a.beta, a.gamma, a.delta)), fg((b.beta, b.gamma, b.delta))
@@ -731,7 +737,7 @@ def test_point_optimum_target_sends_input_to_pole():
         flip = math.pi if i % 2 else 0.0
         target = EulerAngles(rng.uniform(0.0, 2 * math.pi), flip - theta, -phi)
         r = bloch_vector(BlochState(theta, phi))
-        u = _objective(target, _read_moments(r, np.outer(r, r)),
+        u = _objective(astuple(target), _read_moments(r, np.outer(r, r)),
                        _damping(params.lambda_a, params.lambda_p))[2]
         assert math.hypot(u[0], u[1]) < 1e-15
         check_point_optimum(target, r, params)

@@ -1,7 +1,7 @@
 """Unit tests for the randomized-benchmarking harness."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from noisy_euler import (
     run_rb_experiment,
 )
 from noisy_euler.gates import _hamilton, _zyz_from_quaternion
-from noisy_euler.noise import _NOISELESS, _apply
+from noisy_euler.noise import _NOISELESS, _apply_all
 from noisy_euler.objectives import _objective, _point_moments, _read_moments
 from noisy_euler.optimize import GRADIENT_TOLERANCE
 from reference import (
@@ -55,27 +55,28 @@ def small_config(**overrides):
 
 def record_steps(monkeypatch) -> list:
     """Record every per-gate optimization of the RB runs that follow, as
-    (target, n, damping, starts, result) with n the input Bloch vector as
-    a float 3-tuple and result ``_optimize``'s (angles, F, F_seed,
-    iterations, converged).  Each circuit's steps come in its optimizer's
-    order: its gates, then its inverses.  A tracked step is one
-    ``rb._optimize`` call, an ideal-input step one row of its circuit's
-    ``rb._optimize_points`` batch."""
+    (target, n, damping, starts, result) with target an ``EulerAngles``, n
+    the input Bloch vector as a float 3-tuple, starts a list of float lists
+    and result ``_optimize``'s (angles, F, F_seed, iterations, converged).
+    Each circuit's steps come in its optimizer's order: its gates, then its
+    inverses.  A tracked step is one ``rb._optimize`` call, an ideal-input
+    step one row of its circuit's ``rb._optimize_points`` batch."""
     steps = []
     scalar, batch = rb._optimize, rb._optimize_points
 
     def one(target, moments, damping, starts, tolerance):
         out = scalar(target, moments, damping, starts, tolerance)
-        steps.append((target, moments[0], damping, starts, out))
+        steps.append((EulerAngles(*target), tuple(moments[0]), damping, starts, out))
         return out
 
     def many(targets, points, damping, starts, tolerance):
         out = batch(targets, points, damping, starts, tolerance)
         angles, f, f_seed, iterations, converged = out
-        for i, (target, n) in enumerate(zip(targets.tolist(), points.tolist())):
+        for i, (target, n, x0) in enumerate(zip(targets.tolist(), points.tolist(),
+                                                starts.tolist())):
             result = (tuple(angles[i].tolist()), float(f[i]), float(f_seed[i]),
                       int(iterations[i]), bool(converged[i]))
-            steps.append((EulerAngles(*target), tuple(n), damping, starts[i], result))
+            steps.append((EulerAngles(*target), tuple(n), damping, x0, result))
         return out
 
     monkeypatch.setattr(rb, "_optimize", one)
@@ -195,23 +196,27 @@ def test_gate_stream_deterministic():
     assert a == b
 
 
-def test_point_form_read_leaves_survivals_unchanged(monkeypatch):
-    """Each tracked step reads its input through ``_read_moments``'s point
-    form; with the general read of (n, n n^T) patched back in, every
-    survival is the same, ==, at a fixed seed."""
-    cfg = small_config(track_noisy_state=True, multistart=1)
+@pytest.mark.parametrize("multistart", [0, 2])
+def test_checked_read_leaves_tracked_survivals_unchanged(monkeypatch, multistart):
+    """Each tracked step hands the optimizer the state the circuit computed
+    as (*_point_moments(r), True), unchecked; with every step's moments
+    routed through the checked public read ``_read_moments(*_point_moments(r))``
+    instead, which finds each rank-1, every survival is the same, ==, at a
+    fixed seed."""
+    cfg = small_config(track_noisy_state=True, multistart=multistart)
     today = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
     calls = []
 
-    def general(m1, m2=None):
-        assert m2 is None
-        calls.append(m1)
-        return _read_moments(*_point_moments(m1))
+    def checked(r):
+        calls.append(r)
+        n, rows, rank_one = _read_moments(*_point_moments(r))
+        assert rank_one
+        return n, rows
 
-    monkeypatch.setattr(rb, "_read_moments", general)
+    monkeypatch.setattr(rb, "_point_moments", checked)
     patched = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
     assert len(calls) == cfg.n_circuits * (cfg.n_gates + len(cfg.depth_schedule))
-    for a, b in zip(today, patched):
+    for a, b in zip(today, patched, strict=True):
         assert (a == b).all()
 
 
@@ -672,7 +677,8 @@ def test_every_started_search_converges(monkeypatch, track_noisy_state):
         *(v % (2 * math.pi) for v in (c[0].beta, c[0].gamma, c[0].delta)))]
     assert searched
     for target, n, damping, a in searched:
-        _, g, _ = _objective(target, _read_moments(n), damping)[0]((a.beta, a.gamma, a.delta))
+        fg = _objective(astuple(target), _read_moments(*_point_moments(n)), damping)[0]
+        _, g, _ = fg((a.beta, a.gamma, a.delta))
         assert max(abs(v) for v in g) <= GRADIENT_TOLERANCE
 
 
@@ -680,7 +686,7 @@ def test_ideal_state_is_the_optimizers_image(monkeypatch):
     """Without track_noisy_state each step's input is the ideal state: over
     one 246-gate Fig. 3 circuit the state each gate step, and then each
     inverse step, hands the optimizer equals, ==, the zero-noise
-    ``noise._apply`` of the gates in turn, the image u = R n that
+    ``noise._apply_all`` of the gates in turn, the image u = R n that
     ``optimize._objective`` forms of the step before."""
     steps = record_steps(monkeypatch)
     cfg = RbConfig(noise=ROME_Q3, n_circuits=1, rng_seed=7)
@@ -690,8 +696,9 @@ def test_ideal_state_is_the_optimizers_image(monkeypatch):
     block = np.random.default_rng([cfg.rng_seed, 0, 0]).random((cfg.n_gates, 3))
     for q in rb._sample_quaternions(block).tolist():
         gate = _zyz_from_quaternion(*q)
-        ideal.append(_apply(gate.beta, gate.gamma, gate.delta, _NOISELESS, ideal[-1]))
-        assert _objective(gate, _read_moments(ideal[-2]), _NOISELESS)[2] == ideal[-1]
+        ideal.append(_apply_all(*astuple(gate), (_NOISELESS,), (ideal[-1],))[0])
+        moments = _read_moments(*_point_moments(ideal[-2]))
+        assert _objective(astuple(gate), moments, _NOISELESS)[2] == ideal[-1]
     expected = ideal[:-1] + [ideal[depth] for depth in cfg.depth_schedule]
     assert cfg.n_gates == 246 and len(expected) == 246 + len(cfg.depth_schedule)
     assert seen == expected
@@ -710,16 +717,20 @@ def test_ideal_state_is_the_optimizers_image(monkeypatch):
                  id="fig3"),
 ])
 def test_batch_equals_stepwise(monkeypatch, device, qubit, overrides):
-    """Without track_noisy_state a circuit's steps run as one batch; one
-    ``_optimize`` call per step instead, as tracked runs make them, gives
-    the same survivals, ==."""
+    """Without track_noisy_state a circuit's steps run as one batch, with
+    the circuit's starts as one (steps, multistart, 3) block (multistart 0
+    or 2 here); one ``_optimize`` call per step instead, as tracked runs
+    make them, on the step's row, state and starts as lists, gives the same
+    survivals, ==."""
     cfg = small_config(**{"n_circuits": 2, **overrides,
                           "noise": noise_params_for(bundled_device(device).qubit(qubit))})
     batch = [rb._circuit_worker((cfg, c)) for c in range(cfg.n_circuits)]
 
     def row_by_row(targets, points, damping, starts, tolerance):
-        rows = [rb._optimize(EulerAngles(*target), _read_moments(n), damping, x0, tolerance)
-                for target, n, x0 in zip(targets.tolist(), points.tolist(), starts, strict=True)]
+        assert starts.shape == (len(targets), cfg.multistart, 3)
+        rows = [rb._optimize(target, (*_point_moments(n), True), damping, x0, tolerance)
+                for target, n, x0 in zip(targets.tolist(), points.tolist(), starts.tolist(),
+                                         strict=True)]
         return tuple(np.array(column) for column in zip(*rows))
 
     monkeypatch.setattr(rb, "_optimize_points", row_by_row)
